@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (CornerMismatch, DegenerateParametrization, NoBracket,
                      NotSolvableError)
-from .exprlang import Expression, as_callable, differentiate
+from .exprlang import Expression, _scalar, as_callable, differentiate
 from .funceq import GridFunction
 from .gds import (ContractionMinimalityCertificate, GeneratorMap,
                   GuidedSystem, GuidingSet, Interval,
@@ -39,6 +39,8 @@ from .gds import (ContractionMinimalityCertificate, GeneratorMap,
 from .pconf import IvpProblem, solve_ivp, validate_pconfiguration
 
 TOL_SLOPE = 1e-8
+Z_TABLE_N = 257      # nodes of the omega table that starts the z(t) Newton
+Z_MAX_ITER = 100     # hard cap on the z(t) steps of one element
 
 __all__ = [
     "BoundaryProblem", "BoundarySystem", "SolutionTriple", "BvpSolution",
@@ -73,7 +75,7 @@ class BoundaryProblem:
         self.g_gamma = as_callable(g_gamma)
         self.tol = tol
         self._validate()
-        self.g_origin = float(np.atleast_1d(self.g1(np.array([0.0])))[0])
+        self.g_origin = _scalar(self.g1, 0.0)
 
     def _validate(self):
         a1 = as_callable(self.alpha1)
@@ -85,7 +87,7 @@ class BoundaryProblem:
             "alpha2(1) = 0": (a2, 1.0, 0.0),
         }
         for name, (fn, z, want) in ends.items():
-            got = float(np.atleast_1d(fn(np.array([z])))[0])
+            got = _scalar(fn, z)
             if abs(got - want) > self.tol:
                 raise ValueError(f"curve endpoint violated: {name}, "
                                  f"got {got!r}")
@@ -98,12 +100,12 @@ class BoundaryProblem:
             d2 = np.asarray(self.d_alpha2.eval(zs), dtype=float)
             if np.max(d2) > self.tol:
                 raise ValueError("alpha2 must be nonincreasing")
-        g1_0 = float(np.atleast_1d(self.g1(np.array([0.0])))[0])
-        g2_0 = float(np.atleast_1d(self.g2(np.array([0.0])))[0])
-        g1_1 = float(np.atleast_1d(self.g1(np.array([1.0])))[0])
-        g2_1 = float(np.atleast_1d(self.g2(np.array([1.0])))[0])
-        gg_m1 = float(np.atleast_1d(self.g_gamma(np.array([-1.0])))[0])
-        gg_p1 = float(np.atleast_1d(self.g_gamma(np.array([1.0])))[0])
+        g1_0 = _scalar(self.g1, 0.0)
+        g2_0 = _scalar(self.g2, 0.0)
+        g1_1 = _scalar(self.g1, 1.0)
+        g2_1 = _scalar(self.g2, 1.0)
+        gg_m1 = _scalar(self.g_gamma, -1.0)
+        gg_p1 = _scalar(self.g_gamma, 1.0)
         corner_tol = max(self.tol, 1e-8)
         if abs(g1_0 - g2_0) > corner_tol:
             raise CornerMismatch(
@@ -116,20 +118,54 @@ class BoundaryProblem:
                 f"g2(1) = {g2_1!r} != g_gamma(-1) = {gg_m1!r} at A2")
 
 
-def _make_z_of_t(omega_fn, iters=90):
+def _make_z_of_t(omega_fn, omega_d_fn):
+    """Inverse of the strictly increasing omega on [-1, 1].
+
+    A monotone table of omega, built once, gives every t its bracket
+    (searchsorted) and starting point (linear interpolation). Newton then
+    runs on all elements together, each keeping its own bracket; a step
+    that leaves the bracket is replaced by the bracket midpoint. An element
+    is accepted when omega(z) == t exactly or when its step or its bracket
+    reaches ulp size. t <= omega(-1) (and NaN) maps to -1 and
+    t >= omega(1) to +1, as a bisection on [-1, 1] would give.
+    """
+    z_tab = np.linspace(-1.0, 1.0, Z_TABLE_N)
+    w_tab = np.maximum.accumulate(np.asarray(omega_fn(z_tab), dtype=float))
+    w_lo, w_hi = w_tab[0], w_tab[-1]
+
+    def newton(t):
+        j = np.clip(np.searchsorted(w_tab, t, side="right") - 1,
+                    0, Z_TABLE_N - 2)
+        lo, hi = z_tab[j], z_tab[j + 1]
+        z = np.interp(t, w_tab, z_tab)
+        out = np.empty_like(t)
+        active = np.arange(t.size)
+        for _ in range(Z_MAX_ITER):
+            f = np.asarray(omega_fn(z), dtype=float) - t
+            fp = np.asarray(omega_d_fn(z), dtype=float)
+            lo = np.where(f < 0.0, z, lo)
+            hi = np.where(f > 0.0, z, hi)
+            z_new = z - f / fp
+            z_new = np.where((z_new > lo) & (z_new < hi), z_new,
+                             0.5 * (lo + hi))
+            ulp = np.spacing(np.abs(z_new))
+            exact = f == 0.0
+            out[active] = np.where(exact, z, z_new)
+            todo = ~(exact | (np.abs(z_new - z) <= ulp) | (hi - lo <= ulp))
+            if not todo.any():
+                break
+            active, t, z, lo, hi = (active[todo], t[todo], z_new[todo],
+                                    lo[todo], hi[todo])
+        return out
+
     def z_of_t(t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        lo = np.full(tt.shape, -1.0)
-        hi = np.full(tt.shape, 1.0)
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(omega_fn(mid), dtype=float) < tt
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
+        tt = t.ravel()
+        out = np.where(tt > w_lo, 1.0, -1.0)
+        inner = (tt > w_lo) & (tt < w_hi)
+        if inner.any():
+            out[inner] = newton(tt[inner])
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
     return z_of_t
 
 
@@ -223,7 +259,7 @@ def build_boundary_system(problem: BoundaryProblem, grid_n: int = 4097,
             f"omega'(z) reaches {float(np.min(slope))!r} at "
             f"z = {float(zs[int(np.argmin(slope))])!r}; the conjugation "
             "is not strictly monotone")
-    z_of_t = _make_z_of_t(omega)
+    z_of_t = _make_z_of_t(omega, omega_d)
     interval = Interval(-m, n)
 
     def delta1_fn(t):
@@ -270,8 +306,8 @@ def build_boundary_system(problem: BoundaryProblem, grid_n: int = 4097,
     def mapped_bands(om):
         bands = []
         for lo, hi in om.intervals:
-            t_lo = float(np.atleast_1d(omega(np.array([lo])))[0])
-            t_hi = float(np.atleast_1d(omega(np.array([hi])))[0])
+            t_lo = _scalar(omega, lo)
+            t_hi = _scalar(omega, hi)
             bands.append((min(t_lo, t_hi), max(t_lo, t_hi)))
         return GuidingSet(bands)
 
@@ -345,8 +381,8 @@ def fixed_point(map_fn, bracket, d_fn=None, tol=1e-13) -> FixedPointResult:
     derivative < 1; |derivative - 1| < 1e-6 is reported inconclusive."""
     fn = as_callable(map_fn)
     lo, hi = float(bracket[0]), float(bracket[1])
-    g_lo = float(np.atleast_1d(fn(np.array([lo])))[0]) - lo
-    g_hi = float(np.atleast_1d(fn(np.array([hi])))[0]) - hi
+    g_lo = _scalar(fn, lo) - lo
+    g_hi = _scalar(fn, hi) - hi
     if g_lo < -1e-12 and g_hi < -1e-12 or (g_lo > 1e-12 and g_hi > 1e-12):
         raise NoBracket(
             f"map(t) - t has no sign change on [{lo}, {hi}] "
@@ -354,7 +390,7 @@ def fixed_point(map_fn, bracket, d_fn=None, tol=1e-13) -> FixedPointResult:
     it = 0
     while hi - lo > tol and it < 200:
         mid = 0.5 * (lo + hi)
-        g_mid = float(np.atleast_1d(fn(np.array([mid])))[0]) - mid
+        g_mid = _scalar(fn, mid) - mid
         if (g_mid > 0) == (g_lo > 0):
             lo, g_lo = mid, g_mid
         else:
@@ -362,12 +398,10 @@ def fixed_point(map_fn, bracket, d_fn=None, tol=1e-13) -> FixedPointResult:
         it += 1
     t_star = 0.5 * (lo + hi)
     if d_fn is not None:
-        deriv = float(np.atleast_1d(as_callable(d_fn)(
-            np.array([t_star])))[0])
+        deriv = _scalar(as_callable(d_fn), t_star)
     else:
         h = 1e-6
-        deriv = (float(np.atleast_1d(fn(np.array([t_star + h])))[0]) -
-                 float(np.atleast_1d(fn(np.array([t_star - h])))[0])) / (2 * h)
+        deriv = (_scalar(fn, t_star + h) - _scalar(fn, t_star - h)) / (2 * h)
     return FixedPointResult(t_star=t_star, derivative=deriv,
                             conclusive=abs(deriv - 1.0) >= 1e-6,
                             iterations=it)

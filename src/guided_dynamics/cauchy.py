@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisFailure
-from .exprlang import as_callable
+from .exprlang import _scalar, as_callable
 from .gds import Interval
 
 __all__ = [
@@ -124,14 +124,12 @@ class OverdetProblem:
                 lo, hi = grid[flips[0]], grid[flips[0] + 1]
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    fm = float(np.atleast_1d(rule.map(np.array([mid])))[0])
-                    if (fm - target) * (float(np.atleast_1d(
-                            rule.map(np.array([lo])))[0]) - target) <= 0:
+                    fm = _scalar(rule.map, mid)
+                    if (fm - target) * (_scalar(rule.map, lo) - target) <= 0:
                         hi = mid
                     else:
                         lo = mid
-                val = float(np.atleast_1d(rule.map(
-                    np.array([0.5 * (lo + hi)])))[0])
+                val = _scalar(rule.map, 0.5 * (lo + hi))
                 if abs(val - target) <= tol:
                     return True
         return False
@@ -235,10 +233,8 @@ class PropagationCloud:
         v = self.values[seed]
         for lab in labels:
             rule = self.problem.rules[lab]
-            v = float(np.atleast_1d(rule.apply(np.array([t]), v,
-                                               self.problem.A,
-                                               self.problem.B))[0])
-            t = float(np.atleast_1d(rule.map(np.array([t])))[0])
+            v = _scalar(rule.apply, t, v, self.problem.A, self.problem.B)
+            t = _scalar(rule.map, t)
         return t, v
 
     def to_csv(self, path):

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -376,10 +377,25 @@ def cmd_solve_ivp(args):
     return emit(report, args, 0)
 
 
+def _require(section, keys, pointer):
+    missing = set(keys) - set(section)
+    if missing:
+        raise SchemaError(f"missing keys {sorted(missing)}", pointer)
+
+
+# overdet kind -> problem keys it reads
+OVERDET_KEYS = {"jensen": ("interval", "A", "B"), "cauchy": ("B",),
+                "geometric_mean": ("interval", "A", "B"),
+                "affine": ("interval", "A", "B")}
+
+
 def cmd_overdet(args):
     cfg = load_config(args.config)
     problem = cfg.problem
     kind = problem.get("kind")
+    if kind not in OVERDET_KEYS:
+        raise SchemaError(f"unknown overdet kind {kind!r}", "/problem/kind")
+    _require(problem, OVERDET_KEYS[kind], "/problem")
     if kind == "jensen":
         prob = cauchy_mod.OverdetProblem.jensen(
             tuple(problem["interval"]), problem["A"], problem["B"],
@@ -389,9 +405,10 @@ def cmd_overdet(args):
     elif kind == "geometric_mean":
         prob = cauchy_mod.OverdetProblem.geometric_mean(
             tuple(problem["interval"]), problem["A"], problem["B"])
-    elif kind == "affine":
+    else:
         rules = []
         for i, spec_rule in enumerate(problem.get("rules", [])):
+            _require(spec_rule, ("map",), f"/problem/rules/{i}")
             rules.append(cauchy_mod.PropagationRule(
                 map=_parse_expr_at(spec_rule["map"], f"/problem/rules/{i}/map"),
                 c_A=spec_rule.get("cA", 0.0), c_B=spec_rule.get("cB", 0.0),
@@ -400,8 +417,6 @@ def cmd_overdet(args):
         prob = cauchy_mod.OverdetProblem(
             tuple(problem["interval"]), problem["A"], problem["B"], rules,
             name="affine")
-    else:
-        raise SchemaError(f"unknown overdet kind {kind!r}", "/problem/kind")
     eps = args.eps or 2.0 ** -12
     depth = args.depth or 14
     cloud = cauchy_mod.propagate_values(
@@ -422,6 +437,7 @@ def cmd_overdet(args):
 def cmd_affine_analyze(args):
     cfg = load_config(args.config)
     problem = cfg.problem
+    _require(problem, ("A1", "A2", "b1", "b2"), "/problem")
     args.report_to_out = True
     try:
         analysis = cauchy_mod.analyze_affine(
@@ -441,9 +457,7 @@ def _bvp_problem(cfg):
     for key in problem:
         if key not in required:
             raise SchemaError(f"unknown key {key!r}", f"/problem/{key}")
-    missing = required - set(problem)
-    if missing:
-        raise SchemaError(f"missing keys {sorted(missing)}", "/problem")
+    _require(problem, required, "/problem")
     return bvp_mod.BoundaryProblem(
         alpha1=_parse_expr_at(problem["alpha1"], "/problem/alpha1", var="z"),
         alpha2=_parse_expr_at(problem["alpha2"], "/problem/alpha2", var="z"),
@@ -572,9 +586,10 @@ def build_parser():
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-meta", action="store_true")
+        p.add_argument("--debug", action="store_true",
+                       help="print the traceback of an internal error")
         if name == "orbit":
             p.add_argument("--x0", type=float, required=True)
-            p.set_defaults(eps_default=0.01, depth_default=10 ** 4)
         if name == "weak-attractor":
             p.add_argument("--x0", type=float, required=True)
         if name == "cycles":
@@ -631,6 +646,8 @@ def main(argv=None) -> int:
         return NUMERIC_FAILURE_EXIT
     except Exception as exc:  # never panic on malformed input
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        if args.debug:
+            traceback.print_exc(file=sys.stderr)
         return NUMERIC_FAILURE_EXIT
 
 

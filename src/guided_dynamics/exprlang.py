@@ -10,12 +10,15 @@ Grammar (EBNF), with ``t`` the default variable name:
 
 Precedence is ^ above unary minus above * / above + -, with ^
 right-associative. Trees are immutable; evaluation is pure and accepts
-floats or numpy arrays. ``sign`` is accepted as a function so that printed
-derivatives of ``abs`` re-parse; sign(0) evaluates to 0 by convention.
+floats or numpy arrays, through one Python function generated from the
+tree on its first evaluation. ``sign`` is accepted as a function so that
+printed derivatives of ``abs`` re-parse; sign(0) evaluates to 0 by
+convention.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -39,15 +42,29 @@ class Expression:
     """Base class for AST nodes. Subclasses are frozen dataclasses."""
 
     precedence = 5  # atoms; overridden by operator nodes
+    _compiled = None  # set on the instance by the first eval
 
     def __call__(self, x):
         return self.eval(x)
 
     def eval(self, x):
-        raise NotImplementedError
+        """Evaluate at a float (returns a float) or at an array (returns a
+        new float array of the same shape). The tree is compiled into one
+        numpy function on the first call and the function is kept."""
+        fn = self._compiled
+        if fn is None:
+            fn = _compile(self)
+            object.__setattr__(self, "_compiled", fn)
+        return fn(x)
 
     def __str__(self):
         return to_source(self)
+
+    def __getstate__(self):
+        # the compiled function is rebuilt on demand, never pickled
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
 
     # Symbolic construction sugar, used e.g. to build n*alpha1 - m*alpha2.
     def __add__(self, other):
@@ -91,11 +108,6 @@ def _coerce(value):
 class Num(Expression):
     value: float
 
-    def eval(self, x):
-        if isinstance(x, np.ndarray):
-            return np.full_like(x, self.value, dtype=float)
-        return self.value
-
     def __repr__(self):
         return f"Num({self.value!r})"
 
@@ -108,11 +120,6 @@ class Num(Expression):
 class Var(Expression):
     name: str = "t"
 
-    def eval(self, x):
-        if isinstance(x, np.ndarray):
-            return x.astype(float, copy=True)
-        return float(x)
-
     def __repr__(self):
         return f"Var({self.name!r})"
 
@@ -120,12 +127,6 @@ class Var(Expression):
 @dataclass(frozen=True, repr=False)
 class Const(Expression):
     name: str
-
-    def eval(self, x):
-        v = _CONSTANTS[self.name]
-        if isinstance(x, np.ndarray):
-            return np.full_like(x, v, dtype=float)
-        return v
 
     def __repr__(self):
         return f"Const({self.name!r})"
@@ -135,9 +136,6 @@ class Const(Expression):
 class Neg(Expression):
     arg: Expression
     precedence = 3
-
-    def eval(self, x):
-        return -self.arg.eval(x)
 
     def __repr__(self):
         return f"Neg({self.arg!r})"
@@ -157,9 +155,6 @@ class Add(_BinOp):
     precedence = 1
     op = "+"
 
-    def eval(self, x):
-        return self.lhs.eval(x) + self.rhs.eval(x)
-
 
 @dataclass(frozen=True, repr=False)
 class Sub(_BinOp):
@@ -167,9 +162,6 @@ class Sub(_BinOp):
     rhs: Expression
     precedence = 1
     op = "-"
-
-    def eval(self, x):
-        return self.lhs.eval(x) - self.rhs.eval(x)
 
 
 @dataclass(frozen=True, repr=False)
@@ -179,9 +171,6 @@ class Mul(_BinOp):
     precedence = 2
     op = "*"
 
-    def eval(self, x):
-        return self.lhs.eval(x) * self.rhs.eval(x)
-
 
 @dataclass(frozen=True, repr=False)
 class Div(_BinOp):
@@ -189,16 +178,6 @@ class Div(_BinOp):
     rhs: Expression
     precedence = 2
     op = "/"
-
-    def eval(self, x):
-        num = self.lhs.eval(x)
-        den = self.rhs.eval(x)
-        if isinstance(den, np.ndarray):
-            if np.any(den == 0.0):
-                raise DomainError("division by zero", subexpression=self, x=x)
-        elif den == 0.0:
-            raise DomainError("division by zero", subexpression=self, x=x)
-        return num / den
 
 
 @dataclass(frozen=True, repr=False)
@@ -208,68 +187,11 @@ class Pow(_BinOp):
     precedence = 4
     op = "^"
 
-    def eval(self, x):
-        base = self.lhs.eval(x)
-        expo = self.rhs.eval(x)
-        return _pow_eval(base, expo, self, x)
-
-
-def _pow_eval(base, expo, node, x):
-    scalar = not (isinstance(base, np.ndarray) or isinstance(expo, np.ndarray))
-    if scalar:
-        if base == 0.0 and expo < 0.0:
-            raise DomainError("zero raised to a negative power",
-                              subexpression=node, x=x)
-        if base < 0.0 and expo != math.floor(expo):
-            raise DomainError("negative base with non-integer exponent",
-                              subexpression=node, x=x)
-        return base ** expo
-    base = np.asarray(base, dtype=float)
-    expo = np.asarray(expo, dtype=float)
-    if np.any((base == 0.0) & (expo < 0.0)):
-        raise DomainError("zero raised to a negative power",
-                          subexpression=node, x=x)
-    neg = base < 0.0
-    if np.any(neg & (expo != np.floor(expo))):
-        raise DomainError("negative base with non-integer exponent",
-                          subexpression=node, x=x)
-    if np.any(neg):
-        # np.power rejects negative bases with float exponents; route the
-        # integral-exponent case through |base| and an explicit sign.
-        mag = np.power(np.abs(base), expo)
-        sgn = np.where(neg & (np.mod(expo, 2.0) == 1.0), -1.0, 1.0)
-        return sgn * mag
-    return np.power(base, expo)
-
-
-_NP_FUNCS = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-    "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh,
-    "sign": np.sign,
-}
-
 
 @dataclass(frozen=True, repr=False)
 class Call(Expression):
     func: str
     arg: Expression
-
-    def eval(self, x):
-        v = self.arg.eval(x)
-        if self.func == "log":
-            bad = np.any(v <= 0.0) if isinstance(v, np.ndarray) else v <= 0.0
-            if bad:
-                raise DomainError("log of a non-positive number",
-                                  subexpression=self, x=x)
-        elif self.func == "sqrt":
-            bad = np.any(v < 0.0) if isinstance(v, np.ndarray) else v < 0.0
-            if bad:
-                raise DomainError("sqrt of a negative number",
-                                  subexpression=self, x=x)
-        out = _NP_FUNCS[self.func](v)
-        if not isinstance(v, np.ndarray):
-            return float(out)
-        return out
 
     def __repr__(self):
         return f"Call({self.func!r}, {self.arg!r})"
@@ -423,22 +345,41 @@ def parse(source: str, var: str = "t") -> Expression:
 
 
 # --------------------------------------------------------------------------
+# Tree walk shared by printing and compilation
+# --------------------------------------------------------------------------
+
+def _children(node):
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, _BinOp):
+        return (node.lhs, node.rhs)
+    return ()
+
+
+def _fold(node, visit, memo=None):
+    """Post-order walk returning ``visit(node, *child_results)``. With a
+    ``memo`` dict, a subtree shared by identity is visited once."""
+    if memo is not None and id(node) in memo:
+        return memo[id(node)]
+    out = visit(node, *[_fold(c, visit, memo) for c in _children(node)])
+    if memo is not None:
+        memo[id(node)] = out
+    return out
+
+
+# --------------------------------------------------------------------------
 # Printing
 # --------------------------------------------------------------------------
 
-def to_source(node: Expression) -> str:
-    """Render a tree as parseable source. Parenthesization is conservative
-    enough that parse(to_source(e)) rebuilds exactly the same tree."""
+def _render(node, *parts):
     if isinstance(node, Num):
         return repr(float(node.value))
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Const):
+    if isinstance(node, (Var, Const)):
         return node.name
     if isinstance(node, Call):
-        return f"{node.func}({to_source(node.arg)})"
+        return f"{node.func}({parts[0]})"
     if isinstance(node, Neg):
-        inner = to_source(node.arg)
+        inner = parts[0]
         if node.arg.precedence < Neg.precedence:
             inner = f"({inner})"
         return f"-{inner}"
@@ -451,14 +392,194 @@ def to_source(node: Expression) -> str:
         else:
             left_needs = lp < node.precedence
             right_needs = rp <= node.precedence
-        left = to_source(node.lhs)
-        right = to_source(node.rhs)
+        left, right = parts
         if left_needs:
             left = f"({left})"
         if right_needs:
             right = f"({right})"
         return f"{left}{node.op}{right}"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def to_source(node: Expression) -> str:
+    """Render a tree as parseable source. Parenthesization is conservative
+    enough that parse(to_source(e)) rebuilds exactly the same tree."""
+    return _fold(node, _render)
+
+
+# --------------------------------------------------------------------------
+# Compilation
+# --------------------------------------------------------------------------
+
+# t^k with integral 0 <= k <= this exponent is evaluated as products
+MAX_PRODUCT_POWER = 8
+
+# func -> (comparison with 0.0 that is out of domain, message)
+_CALL_GUARDS = {"log": ("<=", "log of a non-positive number"),
+                "sqrt": ("<", "sqrt of a negative number")}
+
+
+def _pow_error(node, base, expo, x):
+    """DomainError of ``base ** expo`` at ``node``; zero to a negative
+    power takes precedence over a negative base."""
+    zero_neg = np.any((np.asarray(base) == 0.0) & (np.asarray(expo) < 0.0))
+    return DomainError("zero raised to a negative power" if zero_neg else
+                       "negative base with non-integer exponent",
+                       subexpression=node, x=x)
+
+
+def _fresh(value, x):
+    """``value`` as a new float array shaped like the array input ``x``."""
+    if type(value) is np.ndarray and value is not x and \
+            value.shape == x.shape:
+        return value
+    return np.full(x.shape, value, dtype=float)
+
+
+class _Emitter:
+    """Tree-walk visitor writing one straight-line statement per node.
+
+    Visiting returns ``(operand, varies)``: the operand is a literal or a
+    local name, ``varies`` says whether it depends on the variable. In
+    array mode a varying operand is a numpy array and everything else a
+    Python float; in scalar mode every operand is a Python float. Guarded
+    nodes emit one mask check raising the node's DomainError.
+    """
+
+    def __init__(self, array, env):
+        self.array = array
+        self.env = env
+        self.lines = []
+        self.uses_var = False
+
+    def bind(self, value):
+        name = f"k{len(self.env)}"
+        self.env[name] = value
+        return name
+
+    def let(self, text, varies):
+        name = f"v{len(self.lines)}"
+        self.lines.append(f"{name} = {text}")
+        return name, varies
+
+    def guard(self, varies, cond, error, mask=None):
+        """Raise ``error`` (source text) when ``cond`` holds for float
+        operands, or ``mask`` (default ``cond``) for any array element."""
+        test = f"({mask or cond}).any()" if self.array and varies else cond
+        self.lines.append(f"if {test}: raise {error}")
+
+    def domain_error(self, message, node):
+        return (f"DomainError({message!r}, subexpression={self.bind(node)}, "
+                f"x=x)")
+
+    def pow_error(self, node, a, b):
+        return f"pow_error({self.bind(node)}, {a}, {b}, x)"
+
+    def const(self, value):
+        value = float(value)
+        if not math.isfinite(value):
+            return self.bind(value), False
+        text = repr(value)
+        return (f"({text})" if text.startswith("-") else text), False
+
+    def __call__(self, node, *args):
+        if isinstance(node, Num):
+            return self.const(node.value)
+        if isinstance(node, Const):
+            return self.const(_CONSTANTS[node.name])
+        if isinstance(node, Var):
+            self.uses_var = True
+            return ("xa" if self.array else "xs"), True
+        if isinstance(node, Neg):
+            a, varies = args[0]
+            return self.let(f"-{a}", varies)
+        if isinstance(node, Call):
+            return self.call(node, *args[0])
+        (a, av), (b, bv) = args
+        if isinstance(node, Pow):
+            return self.power(node, a, av, b, bv)
+        if isinstance(node, Div):
+            self.guard(bv, f"{b} == 0.0",
+                       self.domain_error("division by zero", node))
+        if isinstance(node, _BinOp):
+            return self.let(f"{a} {node.op} {b}", av or bv)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def call(self, node, a, varies):
+        if node.func in _CALL_GUARDS:
+            op, message = _CALL_GUARDS[node.func]
+            self.guard(varies, f"{a} {op} 0.0",
+                       self.domain_error(message, node))
+        text = f"np_{node.func}({a})"
+        if not (self.array and varies):
+            text = f"float({text})"
+        return self.let(text, varies)
+
+    def power(self, node, a, av, b, bv):
+        """Out of domain: a zero base with a negative exponent, a negative
+        base with a non-integer one."""
+        expo = float(node.rhs.value) if isinstance(node.rhs, Num) else None
+        if expo is not None and math.isfinite(expo):
+            integral = expo.is_integer()
+            if integral and 0.0 <= expo <= MAX_PRODUCT_POWER:
+                return self.product(a, av, int(expo))
+            if not integral or expo < 0.0:
+                op = "==" if integral else "<=" if expo < 0.0 else "<"
+                self.guard(av, f"{a} {op} 0.0", self.pow_error(node, a, b))
+            varies = av
+        else:
+            varies = av or bv
+            self.guard(varies,
+                       f"{a} == 0.0 and {b} < 0.0 or "
+                       f"{a} < 0.0 and {b} != floor({b})",
+                       self.pow_error(node, a, b),
+                       mask=f"(({a} == 0.0) & ({b} < 0.0)) | "
+                            f"(({a} < 0.0) & ({b} != np_floor({b})))")
+        if self.array and varies:
+            return self.let(f"np_power({a}, {b})", varies)
+        return self.let(f"{a} ** {b}", varies)
+
+    def product(self, a, varies, k):
+        """a^k by repeated squaring."""
+        if k == 0:
+            return "1.0", False
+        result, square = None, a
+        while True:
+            if k & 1:
+                result = square if result is None else \
+                    self.let(f"{result} * {square}", varies)[0]
+            k >>= 1
+            if not k:
+                return result, varies
+            square = self.let(f"{square} * {square}", varies)[0]
+
+
+@functools.lru_cache(maxsize=512)
+def _bytecode(source):
+    # trees of the same shape and constants generate the same source
+    return compile(source, "<expression>", "exec")
+
+
+def _compile(node):
+    """One Python function evaluating ``node``: a numpy branch for array
+    input and a Python-float branch for scalar input."""
+    env = {"DomainError": DomainError, "ndarray": np.ndarray,
+           "asarray": np.asarray, "fresh": _fresh, "pow_error": _pow_error,
+           "floor": math.floor,
+           "np_floor": np.floor, "np_power": np.power}
+    env.update({f"np_{f}": getattr(np, f) for f in FUNCTIONS})
+    lines = ["def evaluate(x):", "    if isinstance(x, ndarray):"]
+    for array, indent in ((True, "        "), (False, "    ")):
+        emit = _Emitter(array, env)
+        result, _ = _fold(node, emit, {})
+        if emit.uses_var:
+            lines.append(indent + ("xa = asarray(x, dtype=float)" if array
+                                   else "xs = float(x)"))
+        lines += [indent + line for line in emit.lines]
+        lines.append(indent + (f"return fresh({result}, x)" if array
+                               else f"return {result}"))
+    exec(_bytecode("\n".join(lines)), env)
+    return env["evaluate"]
 
 
 # --------------------------------------------------------------------------
@@ -613,3 +734,9 @@ def as_callable(expr):
     if callable(expr):
         return expr
     raise TypeError(f"expected Expression or callable, got {type(expr)!r}")
+
+
+def _scalar(f, x, *args):
+    """The vectorized callable ``f`` at the single point ``x`` (further
+    arguments passed through), as a float."""
+    return float(np.atleast_1d(f(np.array([x]), *args))[0])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DomainError, HypothesisFailure,
                      MapEscape, NoConvergence, NotASolution, NotCertified)
-from .exprlang import Expression, as_callable
+from .exprlang import Expression, _scalar, as_callable
 from .gds import (CircleSpace, GuidedSystem, GuidingSet, Interval,
                   guided_orbit_set, map_from, zero_band_guiding)
 
@@ -451,9 +451,9 @@ class TriangularFamily:
 
     def matrix(self, i, x):
         """A_i(x) as an (n, n) array, conjugated by P when provided."""
-        A = np.array([[float(np.atleast_1d(self.entries[i][r][c](
-            np.atleast_1d(x)))[0]) for c in range(self.dim)]
-            for r in range(self.dim)])
+        A = np.array([[_scalar(self.entries[i][r][c], x)
+                       for c in range(self.dim)]
+                      for r in range(self.dim)])
         if self.P is not None:
             A = self.P_inv @ A @ self.P
         return A

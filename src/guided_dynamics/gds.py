@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MapEscape, NotInvertible
-from .exprlang import Expression, as_callable, differentiate
+from .exprlang import Expression, _scalar, as_callable, differentiate
 
 TOL_LAMBDA = 1e-9
 TOL_STEP = 1e-9
@@ -641,8 +641,8 @@ def _validate_witness(system, intervals):
             if system.guiding[i].covers_interval(lo, hi, system.tol_lambda):
                 continue
             if gen.monotone is not None:
-                e1 = float(np.atleast_1d(gen(np.array([lo])))[0])
-                e2 = float(np.atleast_1d(gen(np.array([hi])))[0])
+                e1 = _scalar(gen, lo)
+                e2 = _scalar(gen, hi)
                 img_lo, img_hi = min(e1, e2), max(e1, e2)
             else:
                 xs = np.linspace(lo, hi, 33)
@@ -1049,8 +1049,7 @@ def check_contraction_minimality(system: GuidedSystem, samples: int = 256,
             est = float(np.max(np.abs(np.asarray(gen.derivative(grid),
                                                  dtype=float))))
         elif gen.monotone is not None and isinstance(space, Interval):
-            est = abs(float(np.atleast_1d(gen(np.array([space.b])))[0]) -
-                      float(np.atleast_1d(gen(np.array([space.a])))[0])) \
+            est = abs(_scalar(gen, space.b) - _scalar(gen, space.a)) \
                 / space.length
         else:
             vals = np.asarray(gen(grid), dtype=float)
@@ -1076,8 +1075,8 @@ def _range_cover_defect(system):
     arcs = []
     for gen in system.generators:
         if gen.monotone is not None:
-            lo_val = float(np.atleast_1d(gen(np.array([_space_lo(space)])))[0])
-            hi_val = float(np.atleast_1d(gen(np.array([_space_hi(space)])))[0])
+            lo_val = _scalar(gen, _space_lo(space))
+            hi_val = _scalar(gen, _space_hi(space))
             lo, hi = min(lo_val, hi_val), max(lo_val, hi_val)
         else:
             img = np.asarray(gen(space.grid(4097)), dtype=float)
@@ -1170,8 +1169,8 @@ def build_orbit_graph(system: GuidedSystem, cells: int) -> OrbitGraph:
                                                  system.tol_lambda):
                 continue
             if gen.monotone is not None:
-                e1 = float(np.atleast_1d(gen(np.array([clo])))[0])
-                e2 = float(np.atleast_1d(gen(np.array([chi])))[0])
+                e1 = _scalar(gen, clo)
+                e2 = _scalar(gen, chi)
                 ilo, ihi = min(e1, e2), max(e1, e2)
             else:
                 approx = True
@@ -1385,10 +1384,10 @@ def zero_band_guiding(fn, interval: Interval, tol: float = 1e-9,
 
     def cross(lo, hi, rising):
         # fn - tol changes sign on [lo, hi]; bisect to the crossing
-        flo = float(np.atleast_1d(f(np.array([lo])))[0]) - tol
+        flo = _scalar(f, lo) - tol
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            fm = float(np.atleast_1d(f(np.array([mid])))[0]) - tol
+            fm = _scalar(f, mid) - tol
             if (fm > 0) == (flo > 0):
                 lo, flo = mid, fm
             else:
@@ -1440,18 +1439,18 @@ def _golden_min(f, lo, hi, iters=200):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
-    f1 = float(np.atleast_1d(f(np.array([x1])))[0])
-    f2 = float(np.atleast_1d(f(np.array([x2])))[0])
+    f1 = _scalar(f, x1)
+    f2 = _scalar(f, x2)
     for _ in range(iters):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
-            f1 = float(np.atleast_1d(f(np.array([x1])))[0])
+            f1 = _scalar(f, x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
-            f2 = float(np.atleast_1d(f(np.array([x2])))[0])
+            f2 = _scalar(f, x2)
         if hi - lo < 1e-15 * (1 + abs(lo)):
             break
     xm = 0.5 * (lo + hi)
-    return xm, float(np.atleast_1d(f(np.array([xm])))[0])
+    return xm, _scalar(f, xm)

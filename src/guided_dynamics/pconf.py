@@ -6,10 +6,15 @@ C^2 self-maps whose derivatives sum to 1 and whose endpoint images tile the
 interval by consecutive anchors: delta_i(a_0) = a_{i-1}, delta_i(a_N) = a_i.
 Guiding sets are the derivative zero sets Lambda_i = {t : delta_i'(t) = 0}.
 
-The IVP is solved by piecewise-linear collocation: M+1 equation rows plus
-one derivative row, solved in least squares. The continuous problem has an
-exact solution whenever the guided system is minimal, so the least-squares
-residual is pure discretization error and doubles as a diagnostic.
+The IVP is solved through the twice-differentiated equation: w = f''
+satisfies (I - L - K) w = h'' with (L w)(t) = sum_i delta_i'(t)^2
+w(delta_i(t)) and the compact integral part (K w)(t) = sum_i delta_i''(t)
+[mu + int_c^{delta_i(t)} w], a well-conditioned system solved directly on
+the grid. f is rebuilt by cumulative trapezoid rule with f'(c) = mu and
+its additive constant pinned by the anchor identity
+sum_{0<i<N} f(a_i) = -h(a_0). The value-level collocation system (M+1
+equation rows plus one derivative row) is assembled only to report the
+residuals of the returned solution.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import scipy.sparse
 from scipy.linalg.lapack import dgecon
 
 from .errors import DataMismatch, IllConditioned, PConfigViolation
-from .exprlang import as_callable
+from .exprlang import _scalar, as_callable
 from .funceq import GridFunction
 from .gds import (GuidedSystem, Interval, check_contraction_minimality,
                   map_from, probe_minimality, probe_weak_attractor,
@@ -104,8 +109,8 @@ def validate_pconfiguration(maps, interval, anchors, tol: float = 1e-8,
                                    witness=float(ts[j]),
                                    detail=f"delta_{i + 1}' = {d[j]!r}")
     for i, g in enumerate(gmaps):
-        v0 = float(np.atleast_1d(g(np.array([interval.a])))[0])
-        vN = float(np.atleast_1d(g(np.array([interval.b])))[0])
+        v0 = _scalar(g, interval.a)
+        vN = _scalar(g, interval.b)
         if abs(v0 - anchors[i]) > tol:
             raise PConfigViolation(
                 "endpoint_images", witness=float(interval.a),
@@ -287,7 +292,8 @@ def solve_ivp(problem: IvpProblem, M: int,
     whose operator is invertible (the contraction certificate for the
     squared-derivative weights plus a compact integral part). w is solved
     directly on the grid, then f is rebuilt by cumulative trapezoid rule
-    with f'(c) = mu and the additive constant fitted to the equation rows.
+    with f'(c) = mu and the additive constant pinned by the anchor
+    identity sum_{0<i<N} f(a_i) = -h(a_0).
     Solving for f by bare value-collocation least squares is first-order
     only: the homogeneous equation has continuous non-C^2 solutions which
     the discretization sees as near-null modes. The collocation system is

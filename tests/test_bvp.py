@@ -126,6 +126,44 @@ def test_cycle_system_guiding_bands(cycle_system):
     assert cycle_system.omega_guiding_defect < 1e-6
 
 
+def bisection_z_of_t(system, t, iters=90):
+    """Reference inverse of omega: bisection on [-1, 1]."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    lo = np.full(t.shape, -1.0)
+    hi = np.full(t.shape, 1.0)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        below = system.omega(mid) < t
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_z_of_t_inverts_omega(straight_system, curved_system, cycle_system):
+    for system in (straight_system, curved_system, cycle_system):
+        a, b = system.interval.a, system.interval.b
+        ts = np.linspace(a, b, 4097)
+        z = system.z_of_t(ts)
+        resid = np.abs(system.omega(z) - ts)
+        assert np.max(resid) <= 4 * np.spacing(max(abs(a), abs(b)))
+        assert np.max(np.abs(z - bisection_z_of_t(system, ts))) <= 1e-14
+
+
+def test_z_of_t_ends_and_clamping(straight_system, curved_system,
+                                  cycle_system):
+    for system in (straight_system, curved_system, cycle_system):
+        a, b = system.interval.a, system.interval.b
+        assert system.z_of_t(a) == -1.0 and system.z_of_t(b) == 1.0
+        assert type(system.z_of_t(a)) is float
+        outside = np.array([a - 1.0, a - 1e-12, b + 1e-12, b + 3.0, np.nan])
+        np.testing.assert_array_equal(system.z_of_t(outside),
+                                      bisection_z_of_t(system, outside))
+        np.testing.assert_array_equal(system.z_of_t(outside),
+                                      [-1.0, -1.0, 1.0, 1.0, -1.0])
+        grid = np.linspace(a, b, 12).reshape(3, 4)
+        assert system.z_of_t(grid).shape == (3, 4)
+
+
 # --------------------------------------------------------------------------
 # fixed points
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from guided_dynamics import cli
 from guided_dynamics.cli import load_config, main
 from guided_dynamics.errors import SchemaError
 
@@ -270,3 +271,43 @@ def test_numeric_failure_exit_three(tmp_path, capsys):
                                 "--h", "t", "--no-meta"])
     assert code == 3
     assert "numeric failure" in err
+
+
+def test_affine_analyze_missing_keys_exit_two(capsys):
+    code, _, err = run(capsys, ["affine-analyze", "--config",
+                                cfg("jensen.json"), "--no-meta"])
+    assert code == 2
+    assert "config error" in err and "A1" in err
+
+
+def test_overdet_missing_keys_exit_two(tmp_path, capsys):
+    path = tmp_path / "jensen_no_values.json"
+    path.write_text(json.dumps({
+        "problem": {"kind": "jensen", "interval": [0.0, 1.0]}}))
+    code, _, err = run(capsys, ["overdet", "--config", str(path),
+                                "--no-meta"])
+    assert code == 2
+    assert "missing keys ['A', 'B']" in err
+    path.write_text(json.dumps({
+        "problem": {"kind": "affine", "interval": [1.0, 2.0], "A": 1.0,
+                    "B": 0.3, "rules": [{"cA": 1.0}]}}))
+    code, _, err = run(capsys, ["overdet", "--config", str(path),
+                                "--no-meta"])
+    assert code == 2
+    assert "/problem/rules/0" in err
+
+
+def test_debug_flag_prints_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.HANDLERS, "probe", broken)
+    argv = ["probe", "--config", cfg("circle_rational.json"), "--no-meta"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert err == "internal error: RuntimeError: boom\n"
+    code, out, err = run(capsys, argv + ["--debug"])
+    assert code == 3
+    assert err.startswith("internal error: RuntimeError: boom\n")
+    assert "Traceback (most recent call last)" in err
+    assert "in broken" in err

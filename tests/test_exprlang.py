@@ -1,14 +1,16 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guided_dynamics.errors import DomainError, ExprSyntaxError
-from guided_dynamics.exprlang import (Add, Call, Div, Mul, Neg, Num, Pow,
-                                      Sub, Var, differentiate, parse,
-                                      to_source)
+from guided_dynamics.exprlang import (FUNCTIONS, MAX_PRODUCT_POWER, Add,
+                                      Call, Const, Div, Mul, Neg, Num, Pow,
+                                      Sub, Var, contains_var, differentiate,
+                                      parse, to_source)
 
 GOLDEN_TREES = {
     "(t+1)/2": "Div(Add(Var('t'), Num(1.0)), Num(2.0))",
@@ -177,3 +179,178 @@ def test_polynomial_derivative_matches_central_difference(poly, x):
     fd = (expr(x + h) - expr(x - h)) / (2 * h)
     dv = d(x)
     assert abs(dv - fd) < 1e-5 * (1.0 + abs(dv))
+
+
+# --------------------------------------------------------------------------
+# compiled evaluation against a reference tree-walk interpreter
+# --------------------------------------------------------------------------
+
+def _product(b, k):
+    """b^k by repeated squaring, the order the compiler uses."""
+    result, square = 1.0, b
+    while k:
+        if k & 1:
+            result *= square
+        k >>= 1
+        if k:
+            square *= square
+    return result
+
+
+def reference_eval(node, x):
+    """Node-by-node evaluation, with Python floats at a float and with
+    NumPy at an array (subtrees free of the variable in floats): the
+    semantics compiled evaluation must keep."""
+    array = isinstance(x, np.ndarray)
+    if array and not contains_var(node):
+        return np.full(x.shape, reference_eval(node, 0.0))
+    if isinstance(node, Num):
+        return float(node.value)
+    if isinstance(node, Const):
+        return {"pi": math.pi, "e": math.e}[node.name]
+    if isinstance(node, Var):
+        return x.astype(float) if array else float(x)
+    if isinstance(node, Neg):
+        return -reference_eval(node.arg, x)
+    if isinstance(node, Call):
+        v = reference_eval(node.arg, x)
+        if (node.func == "log" and np.any(v <= 0.0)) or (
+                node.func == "sqrt" and np.any(v < 0.0)):
+            raise DomainError(node.func, subexpression=node, x=x)
+        out = getattr(np, node.func)(v)
+        return out if array else float(out)
+    a = reference_eval(node.lhs, x)
+    b = reference_eval(node.rhs, x)
+    if isinstance(node, Add):
+        return a + b
+    if isinstance(node, Sub):
+        return a - b
+    if isinstance(node, Mul):
+        return a * b
+    if isinstance(node, Div):
+        if np.any(b == 0.0):
+            raise DomainError("division", subexpression=node, x=x)
+        return a / b
+    if isinstance(node.rhs, Num) and float(node.rhs.value).is_integer() \
+            and 0.0 <= node.rhs.value <= MAX_PRODUCT_POWER:
+        return _product(a, int(node.rhs.value))
+    if np.any((a == 0.0) & (b < 0.0)):
+        raise DomainError("zero power", subexpression=node, x=x)
+    if array:
+        if np.any((a < 0.0) & (b != np.floor(b))):
+            raise DomainError("negative base", subexpression=node, x=x)
+        return np.power(a, b)
+    if a < 0.0 and b != math.floor(b):
+        raise DomainError("negative base", subexpression=node, x=x)
+    return a ** b
+
+
+def _outcome(tree, x):
+    try:
+        return reference_eval(tree, x)
+    except (ArithmeticError, ValueError) as exc:  # DomainError included
+        return exc
+
+
+def _ulp_close(got, want, n=4):
+    if math.isnan(want) or math.isinf(want):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= n * np.spacing(max(abs(got), abs(want)))
+
+
+_EXPONENTS = [0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 9.0, -1.0, -2.0, 0.5, 1.5, -0.5]
+
+
+def _grow(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+        st.builds(lambda op, a, b: op(a, b),
+                  st.sampled_from([Add, Sub, Mul, Div]), children, children),
+        st.builds(Pow, children, st.sampled_from(_EXPONENTS).map(Num)),
+        st.builds(Pow, children, children))
+
+
+expression_trees = st.recursive(
+    st.one_of(st.just(Var("t")),
+              st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0, -2.0]).map(Num),
+              st.sampled_from(["pi", "e"]).map(Const)),
+    _grow, max_leaves=8)
+points = st.lists(st.one_of(st.sampled_from([0.0, -2.0, 1.0, 0.5]),
+                            st.floats(min_value=-3.0, max_value=3.0)),
+                  min_size=1, max_size=5)
+
+
+@given(expression_trees, points)
+@settings(max_examples=400, deadline=None)
+@example(parse("(-2)^3"), [0.0])
+@example(parse("0^-1"), [1.0])
+@example(parse("(-2)^0.5"), [1.0])
+@example(parse("sign(t)"), [0.0, -1.0])
+@example(parse("t"), [0.5, -1.0])
+@example(parse("3"), [0.5])
+def test_compiled_eval_matches_reference(tree, xs):
+    arr = np.array(xs)
+    before = arr.copy()
+    with np.errstate(all="ignore"):
+        for x in list(xs) + [arr]:
+            want = _outcome(tree, x)
+            if isinstance(want, Exception):
+                with pytest.raises(type(want)) as exc:
+                    tree.eval(x)
+                if isinstance(want, DomainError):
+                    assert exc.value.subexpression is want.subexpression
+                continue
+            got = tree.eval(x)
+            if x is arr:
+                assert type(got) is np.ndarray and got.dtype == float
+                assert got.shape == arr.shape
+                assert not np.shares_memory(got, arr)
+                want = np.broadcast_to(want, arr.shape).tolist()
+                assert all(map(_ulp_close, got.tolist(), want))
+            else:
+                assert type(got) is float
+                assert _ulp_close(got, want)
+    assert np.array_equal(arr, before)
+
+
+def test_compiled_eval_examples():
+    assert parse("(-2)^3")(0.0) == -8.0
+    assert parse("t^3")(np.array([-2.0])).tolist() == [-8.0]
+    assert parse("sign(t)")(0.0) == 0.0
+    assert parse("sign(t)")(np.array([0.0, -3.0])).tolist() == [0.0, -1.0]
+    zero_neg = "zero raised to a negative power"
+    neg_base = "negative base with non-integer exponent"
+    for source, x, message in (
+            ("0^-1", 1.0, zero_neg), ("t^-1", np.array([1.0, 0.0]), zero_neg),
+            ("(-2)^0.5", 1.0, neg_base),
+            ("t^0.5", np.array([1.0, -2.0]), neg_base),
+            ("t^-0.5", np.array([-1.0, 0.0]), zero_neg),
+            ("t^-0.5", 0.0, zero_neg),
+            ("t^(t-2)", np.array([-0.5, 0.0]), zero_neg),
+            ("t^(t-2)", -0.5, neg_base)):
+        tree = parse(source)
+        with pytest.raises(DomainError, match=message) as exc:
+            tree(x)
+        assert exc.value.subexpression is tree
+        assert exc.value.x is x
+
+
+def test_compiled_eval_shapes_and_copies():
+    grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    for source in ("3", "pi", "t", "t^1", "(t+1)/2"):
+        tree = parse(source)
+        out = tree(grid)
+        assert type(out) is np.ndarray and out.shape == grid.shape
+        assert out.dtype == float and not np.shares_memory(out, grid)
+        assert type(tree(0.25)) is float
+    ints = np.arange(3)
+    assert parse("t")(ints).dtype == float
+    assert type(parse("t + 1")(np.float64(2.0))) is float
+
+
+def test_evaluated_tree_pickles():
+    tree = parse("sin(t)^2 + 1/t")
+    tree(0.5)
+    again = pickle.loads(pickle.dumps(tree))
+    assert again == tree and again(0.5) == tree(0.5)
