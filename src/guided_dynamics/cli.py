@@ -383,6 +383,32 @@ def _require(section, keys, pointer):
         raise SchemaError(f"missing keys {sorted(missing)}", pointer)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require_numeric(section, keys, pointer, ndim=0):
+    """Each present key must hold a JSON number or, up to ndim levels
+    deep, a nonempty rectangular nested list of numbers."""
+    for key in keys:
+        if key not in section:
+            continue
+        arr = np.array(section[key], dtype=object)
+        if arr.ndim > ndim or arr.size == 0 or \
+                not all(_is_number(v) for v in arr.flat):
+            shape = ("a number", "a number or a list of numbers",
+                     "a number or a matrix of numbers")[ndim]
+            raise SchemaError(f"{key!r} must be {shape}", f"{pointer}/{key}")
+
+
+def _require_interval(section, pointer):
+    value = section.get("interval")
+    if not (isinstance(value, list) and len(value) == 2
+            and all(_is_number(v) for v in value)):
+        raise SchemaError("'interval' must be a list of two numbers",
+                          f"{pointer}/interval")
+
+
 # overdet kind -> problem keys it reads
 OVERDET_KEYS = {"jensen": ("interval", "A", "B"), "cauchy": ("B",),
                 "geometric_mean": ("interval", "A", "B"),
@@ -396,6 +422,9 @@ def cmd_overdet(args):
     if kind not in OVERDET_KEYS:
         raise SchemaError(f"unknown overdet kind {kind!r}", "/problem/kind")
     _require(problem, OVERDET_KEYS[kind], "/problem")
+    if "interval" in OVERDET_KEYS[kind]:
+        _require_interval(problem, "/problem")
+    _require_numeric(problem, ("A", "B", "weight"), "/problem")
     if kind == "jensen":
         prob = cauchy_mod.OverdetProblem.jensen(
             tuple(problem["interval"]), problem["A"], problem["B"],
@@ -438,6 +467,8 @@ def cmd_affine_analyze(args):
     cfg = load_config(args.config)
     problem = cfg.problem
     _require(problem, ("A1", "A2", "b1", "b2"), "/problem")
+    _require_numeric(problem, ("A1", "A2"), "/problem", ndim=2)
+    _require_numeric(problem, ("b1", "b2"), "/problem", ndim=1)
     args.report_to_out = True
     try:
         analysis = cauchy_mod.analyze_affine(

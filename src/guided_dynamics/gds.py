@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import MapEscape, NotInvertible
 from .exprlang import Expression, _scalar, as_callable, differentiate
@@ -466,113 +468,122 @@ _REFINE_MULTS = (2, 8, 32)   # single-seed closures escalate on stalls
 _PROBE_MULTS = (16, 64)      # many-seed probes start fine to avoid restarts
 
 
-def _bfs_closure(system, x0, depth, eps, cell_cap=500_000, fine_mult=2,
-                 target=None, target_eps=None, stop_on_full_coverage=True):
-    """Guided BFS from x0, deduplicating at resolution eps/fine_mult.
+def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
+              retire_covered=False, target=None, keep_points=False):
+    """Guided BFS from many seeds at once: one shared vectorized frontier
+    carrying a seed-id column, deduplicated per seed at resolution
+    eps/fine_mult.
 
-    Returns (rep points array, covered eps-cell count, n_cov, saturated,
-    partial, depth_used, hit_target).
+    A seed retires once it touches every eps-cell (retire_covered) or
+    enters B(target, eps) (hit). Returns (cov_count, saturated, partial,
+    hit, depth_used, points) indexed by seed: 'saturated' marks seeds whose
+    frontier emptied before they retired, 'partial' those that blew the
+    cell cap. With keep_points, points[k] holds seed k's representatives
+    (the first candidate to land in each occupied fine cell) in fine-cell
+    order; otherwise points is None.
     """
     space = system.space
+    n_seeds = len(seeds)
     n_fine = space.cell_count(eps / fine_mult)
     n_cov = space.cell_count(eps)
-    occupied = np.zeros(n_fine, dtype=bool)
-    rep_pts = np.zeros(n_fine, dtype=float)
-    covered = np.zeros(n_cov, dtype=bool)
-    hit = False
+    occ = np.zeros(n_seeds * n_fine, dtype=bool)
+    covd = np.zeros(n_seeds * n_cov, dtype=bool)
+    cov_count = np.zeros(n_seeds, dtype=np.int64)
+    occ_count = np.zeros(n_seeds, dtype=np.int64)
+    hit = np.zeros(n_seeds, dtype=bool)
+    partial = np.zeros(n_seeds, dtype=bool)
+    active = np.ones(n_seeds, dtype=bool)
+    kept = []
 
-    def cov_mark(pts):
-        nonlocal hit
-        covered[space.cell_index(pts, n_cov)] = True
-        if target is not None and not hit:
-            if np.any(space.metric(pts, target) <= target_eps):
-                hit = True
-
-    x0n = float(space.normalize(np.atleast_1d(np.asarray(x0, dtype=float)))[0])
-    seed_arr = np.array([x0n])
-    seed_cell = space.cell_index(seed_arr, n_fine)
-    occupied[seed_cell] = True
-    rep_pts[seed_cell] = x0n
-    cov_mark(seed_arr)
-    frontier = seed_arr
-    saturated = False
-    partial = False
+    # level 0 absorbs the seeds themselves; each later level their images
+    cand = space.normalize(np.asarray(seeds, dtype=float)).astype(float)
+    csid = np.arange(n_seeds)
     level = 0
-    while level < depth:
-        if target is not None and hit:
+    while True:
+        lin = csid * n_cov + space.cell_index(cand, n_cov)
+        if retire_covered:
+            # count per level only when a seed can retire on the count
+            fresh = np.unique(lin[~covd[lin]])
+            covd[fresh] = True
+            cov_count += np.bincount(fresh // n_cov, minlength=n_seeds)
+            active &= cov_count < n_cov
+        else:
+            covd[lin] = True
+        if target is not None:
+            hit[csid[space.metric(cand, target) <= eps]] = True
+            active &= ~hit
+        linf = csid * n_fine + space.cell_index(cand, n_fine)
+        ulinf, first = np.unique(linf, return_index=True)
+        new = ~occ[ulinf]
+        occ[ulinf[new]] = True
+        sel = first[new]
+        pts, sid = cand[sel], csid[sel]
+        if keep_points:
+            kept.append((ulinf[new], pts))
+        occ_count += np.bincount(sid, minlength=n_seeds)
+        over = occ_count > cell_cap
+        partial |= over & active
+        active &= ~over
+        keep = active[sid]
+        pts, sid = pts[keep], sid[keep]
+        if level >= depth or pts.size == 0:
             break
-        if stop_on_full_coverage and target is None and covered.all():
-            break
-        new_pts = []
+        outs_p, outs_s = [], []
         for i, gen in enumerate(system.generators):
-            mask = system.allowed_mask(i, frontier)
+            mask = system.allowed_mask(i, pts)
             if not np.any(mask):
                 continue
-            img = space.normalize(np.asarray(gen(frontier[mask]), dtype=float))
-            new_pts.append(img)
-        if not new_pts:
-            saturated = True
+            outs_p.append(space.normalize(
+                np.asarray(gen(pts[mask]), dtype=float)))
+            outs_s.append(sid[mask])
+        if not outs_p:
+            # every frontier point is blocked: all closures are complete
+            sid = sid[:0]
             break
-        cand = np.concatenate(new_pts)
-        cov_mark(cand)
-        cells = space.cell_index(cand, n_fine)
-        uniq, first = np.unique(cells, return_index=True)
-        fresh_sel = ~occupied[uniq]
-        fresh = cand[first[fresh_sel]]
-        occupied[uniq[fresh_sel]] = True
-        rep_pts[uniq[fresh_sel]] = fresh
+        cand, csid = np.concatenate(outs_p), np.concatenate(outs_s)
         level += 1
-        if fresh.size == 0:
-            saturated = True
-            break
-        if int(occupied.sum()) > cell_cap:
-            partial = True
-            break
-        frontier = fresh
-    return (rep_pts[occupied], int(covered.sum()), n_cov, saturated,
-            partial, level, hit)
-
-
-def _bfs_refining(system, x0, depth, eps, cell_cap=500_000, target=None,
-                  target_eps=None, stop_on_full_coverage=True,
-                  start_level=0):
-    """BFS with escalating dedup resolution.
-
-    One representative per cell prunes the phase diversity that isometries
-    (circle rotations) need to fill every cell, so a closure that saturates
-    short of full coverage is retried at a finer internal resolution. The
-    coverage semantics (eps-cells touched) are unchanged; only completeness
-    improves. Returns (result tuple, refinement level used) so callers
-    probing many seeds can skip resolutions that already proved too coarse.
-    """
-    out = None
-    level = start_level
-    for level in range(start_level, len(_REFINE_MULTS)):
-        out = _bfs_closure(system, x0, depth, eps, cell_cap,
-                           _REFINE_MULTS[level], target, target_eps,
-                           stop_on_full_coverage)
-        pts, n_hit, n_cov, saturated, partial, used, hit = out
-        if hit or n_hit == n_cov or not saturated or partial:
-            break
-    return out, level
+    in_frontier = np.zeros(n_seeds, dtype=bool)
+    in_frontier[sid] = True
+    saturated = active & ~in_frontier
+    if not retire_covered:
+        cov_count = covd.reshape(n_seeds, n_cov).sum(axis=1)
+    points = None
+    if keep_points:
+        keys = np.concatenate([k for k, _ in kept])
+        order = np.argsort(keys)
+        counts = np.bincount(keys // n_fine, minlength=n_seeds)
+        points = np.split(np.concatenate([p for _, p in kept])[order],
+                          np.cumsum(counts)[:-1])
+    return cov_count, saturated, partial, hit, level, points
 
 
 def guided_orbit_set(system: GuidedSystem, x0, depth: int, eps: float,
                      cell_cap: int = 500_000) -> OrbitCloud:
     """Breadth-first closure of {x0} under allowed generators, pruned to one
-    representative per eps/2-cell; coverage counts eps-cells touched."""
+    representative per eps/2-cell; coverage counts eps-cells touched.
+
+    One representative per dedup cell prunes the phase diversity that
+    isometries (circle rotations) need to fill every cell, so a closure
+    that saturates short of full coverage is retried at a finer internal
+    resolution; the coverage semantics are unchanged."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    (pts, n_hit, n_cov, saturated, partial, used, _), _ = _bfs_refining(
-        system, x0, depth, eps, cell_cap, stop_on_full_coverage=False)
     space = system.space
+    n_cov = space.cell_count(eps)
+    seed = np.atleast_1d(np.asarray(x0, dtype=float))[:1]
+    for mult in _REFINE_MULTS:
+        cov, saturated, partial, _, used, (pts,) = _closures(
+            system, seed, depth, eps, mult, cell_cap, keep_points=True)
+        if cov[0] == n_cov or not saturated[0] or partial[0]:
+            break
     n_half = space.cell_count(eps / 2.0)
     cells = space.cell_index(pts, n_half)
     _, keep = np.unique(cells, return_index=True)
     return OrbitCloud(points=np.sort(pts[keep]),
-                      coverage=n_hit / n_cov, eps=eps,
-                      n_cov_cells=n_cov, saturated=saturated, partial=partial,
-                      depth_used=used, seed=float(np.atleast_1d(x0)[0]))
+                      coverage=int(cov[0]) / n_cov, eps=eps,
+                      n_cov_cells=n_cov, saturated=bool(saturated[0]),
+                      partial=bool(partial[0]), depth_used=used,
+                      seed=float(seed[0]))
 
 
 # --------------------------------------------------------------------------
@@ -602,15 +613,14 @@ class MinimalityVerdict:
 def _witness_intervals(space, rep_points, pad):
     """Closed pads around cloud representatives, merged."""
     pts = np.sort(np.asarray(rep_points, dtype=float))
-    ivs = []
-    for p in pts:
-        lo, hi = p - pad, p + pad
-        if isinstance(space, Interval):
-            lo, hi = max(lo, space.a), min(hi, space.b)
-        if ivs and lo <= ivs[-1][1] + 1e-15:
-            ivs[-1] = (ivs[-1][0], max(ivs[-1][1], hi))
-        else:
-            ivs.append((lo, hi))
+    lo, hi = pts - pad, pts + pad
+    if isinstance(space, Interval):
+        lo, hi = np.maximum(lo, space.a), np.minimum(hi, space.b)
+    # hi is nondecreasing, so a pad starts a new interval exactly when it
+    # begins past the end of the pad before it
+    start = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1] + 1e-15])
+    end = np.r_[start[1:] - 1, pts.size - 1]
+    ivs = list(zip(lo[start].tolist(), hi[end].tolist()))
     if isinstance(space, CircleSpace) and len(ivs) > 1:
         # merge across the wrap seam
         first_lo, first_hi = ivs[0]
@@ -659,99 +669,6 @@ def _validate_witness(system, intervals):
     return True
 
 
-def _batched_closures(system, seeds, depth, eps, fine_mult,
-                      cell_cap=500_000, target=None, target_eps=None):
-    """Run the guided BFS for many seeds at once (one shared vectorized
-    frontier carrying a seed-id column).
-
-    Returns (cov_count, saturated, partial, hit) arrays indexed by seed. A
-    seed is retired as soon as it reaches full coverage (or, in target
-    mode, hits the ball); 'saturated' marks seeds whose frontier emptied
-    short of that, 'partial' those that blew the cell cap.
-    """
-    space = system.space
-    n_seeds = len(seeds)
-    n_fine = space.cell_count(eps / fine_mult)
-    n_cov = space.cell_count(eps)
-    occ = np.zeros((n_seeds, n_fine), dtype=bool)
-    covd = np.zeros((n_seeds, n_cov), dtype=bool)
-    cov_count = np.zeros(n_seeds, dtype=np.int64)
-    occ_count = np.zeros(n_seeds, dtype=np.int64)
-    hit = np.zeros(n_seeds, dtype=bool)
-    partial = np.zeros(n_seeds, dtype=bool)
-    active = np.ones(n_seeds, dtype=bool)
-
-    pts = space.normalize(np.asarray(seeds, dtype=float)).astype(float)
-    sid = np.arange(n_seeds)
-
-    def absorb(cand, csid):
-        # coverage bookkeeping
-        lin = csid * n_cov + space.cell_index(cand, n_cov)
-        ulin = np.unique(lin)
-        fresh = ulin[~covd.ravel()[ulin]]
-        covd.ravel()[fresh] = True
-        np.add.at(cov_count, fresh // n_cov, 1)
-        if target is not None:
-            near = space.metric(cand, target) <= target_eps
-            hit[csid[near]] = True
-
-    absorb(pts, sid)
-    if target is not None:
-        active &= ~hit
-    else:
-        active &= cov_count < n_cov
-    lin0 = sid * n_fine + space.cell_index(pts, n_fine)
-    occ.ravel()[lin0] = True
-    occ_count[:] = 1
-    keep = active[sid]
-    pts, sid = pts[keep], sid[keep]
-
-    level = 0
-    while level < depth and pts.size:
-        outs_p, outs_s = [], []
-        for i, gen in enumerate(system.generators):
-            mask = system.allowed_mask(i, pts)
-            if not np.any(mask):
-                continue
-            outs_p.append(space.normalize(
-                np.asarray(gen(pts[mask]), dtype=float)))
-            outs_s.append(sid[mask])
-        level += 1
-        if not outs_p:
-            break
-        cand = np.concatenate(outs_p)
-        csid = np.concatenate(outs_s)
-        absorb(cand, csid)
-        if target is not None:
-            active &= ~hit
-        else:
-            active &= cov_count < n_cov
-        linf = csid * n_fine + space.cell_index(cand, n_fine)
-        ulinf, first = np.unique(linf, return_index=True)
-        new_sel = ~occ.ravel()[ulinf]
-        occ.ravel()[ulinf[new_sel]] = True
-        sel = first[new_sel]
-        pts, sid = cand[sel], csid[sel]
-        np.add.at(occ_count, sid, 1)
-        over = occ_count > cell_cap
-        if np.any(over):
-            partial |= over & active
-            active &= ~over
-        keep = active[sid]
-        pts, sid = pts[keep], sid[keep]
-    # seeds still active with an empty frontier saturated; active seeds at
-    # depth exhaustion did not saturate
-    exhausted = level >= depth and pts.size > 0
-    still_active = active.copy()
-    if exhausted:
-        frontier_seeds = np.zeros(n_seeds, dtype=bool)
-        frontier_seeds[sid] = True
-        saturated = still_active & ~frontier_seeds & ~partial
-    else:
-        saturated = still_active & ~partial
-    return cov_count, saturated, partial, hit
-
-
 def probe_minimality(system: GuidedSystem, eps: float, depth: int,
                      cell_cap: int = 500_000) -> MinimalityVerdict:
     """Run guided orbit closures from one seed per eps-cell.
@@ -775,18 +692,20 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
     tight_fallback = None
     for mult in _PROBE_MULTS:
         batch = seeds[unresolved]
-        cov_count, saturated, partial, _ = _batched_closures(
-            system, batch, depth, eps, mult, cell_cap)
+        cov_count, saturated, _, _, _, _ = _closures(
+            system, batch, depth, eps, mult, cell_cap, retire_covered=True)
         coverage = cov_count / n_cov
         done = coverage >= 1.0
         # saturated seeds stopped short of full coverage: candidate
-        # witnesses for NotMinimal
-        for k in np.nonzero(saturated & ~done)[0]:
+        # witnesses for NotMinimal; one more batched run over just those
+        # seeds recovers their representatives
+        stuck = np.flatnonzero(saturated & ~done)
+        reps = []
+        if stuck.size:
+            *_, reps = _closures(system, batch[stuck], depth, eps, mult,
+                                 cell_cap, keep_points=True)
+        for k, pts in zip(stuck, reps):
             seed = batch[k]
-            pts, n_hit, _, sat, part, _, _ = _bfs_closure(
-                system, seed, depth, eps, cell_cap, mult)
-            if not (sat and not part) or n_hit >= n_cov:
-                continue
             # Prefer witnesses whose cell-sized pads validate (robustly
             # forward-closed); keep a tolerance-band-sized fallback that
             # certifies sets invariant through exact guiding exclusions.
@@ -794,7 +713,7 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
             if _validate_witness(system, witness):
                 return MinimalityVerdict(
                     kind="not_minimal", eps=eps, depth=depth,
-                    coverage=n_hit / n_cov, witness=witness,
+                    coverage=float(coverage[k]), witness=witness,
                     note=f"seed {seed!r}: forward-closed set of "
                          f"{len(witness)} interval(s)")
             if tight_fallback is None:
@@ -802,7 +721,7 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
                 if _validate_witness(system, tight):
                     tight_fallback = MinimalityVerdict(
                         kind="not_minimal", eps=eps, depth=depth,
-                        coverage=n_hit / n_cov, witness=tight,
+                        coverage=float(coverage[k]), witness=tight,
                         note=f"seed {seed!r}: set invariant through exact "
                              f"guiding exclusions "
                              f"({len(tight)} interval(s))")
@@ -868,11 +787,10 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
     saturated_last = np.zeros(0, dtype=bool)
     for mult in _PROBE_MULTS:
         batch = seeds[unresolved]
-        _, saturated, partial, hit = _batched_closures(
-            system, batch, depth, eps, mult, cell_cap,
-            target=x0, target_eps=eps)
+        _, saturated, _, hit, _, _ = _closures(
+            system, batch, depth, eps, mult, cell_cap, target=x0)
         unresolved = unresolved[~hit]
-        saturated_last = (saturated & ~hit)[~hit]
+        saturated_last = saturated[~hit]
         if unresolved.size == 0:
             return WeakAttractorVerdict(kind="yes", x0=float(x0), eps=eps,
                                         depth=depth)
@@ -886,23 +804,18 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
 
 def _probe_weak_attractor_graph(system, x0, eps, depth):
     graph = build_orbit_graph(system, cells=system.space.n_nodes)
-    n = system.space.n_nodes
     target = int(x0)
-    rev = [[] for _ in range(n)]
-    for src, dst, _ in graph.edges:
-        rev[int(dst)].append(int(src))
-    seen = {target}
-    stack = [target]
-    while stack:
-        v = stack.pop()
-        for u in rev[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) == n:
+    if not 0 <= target < graph.n_nodes:
+        raise ValueError(f"x0 = {x0!r} is not a node of the graph")
+    unreached = np.ones(graph.n_nodes, dtype=bool)
+    # nodes that reach x0 are those x0 reaches along reversed edges
+    unreached[csgraph.breadth_first_order(
+        _sparse_adjacency(graph).T, target,
+        return_predecessors=False)] = False
+    if not unreached.any():
         return WeakAttractorVerdict(kind="yes", x0=float(x0), eps=eps,
                                     depth=depth)
-    witness = min(set(range(n)) - seen)
+    witness = np.flatnonzero(unreached)[0]
     return WeakAttractorVerdict(kind="no", x0=float(x0), eps=eps,
                                 depth=depth, witness_seed=float(witness))
 
@@ -1124,16 +1037,6 @@ class OrbitGraph:
     approximate: bool
     cell_width: float = 0.0
 
-    def adjacency(self):
-        adj = [set() for _ in range(self.n_nodes)]
-        for src, dst, _ in self.edges:
-            adj[int(src)].add(int(dst))
-        return [sorted(s) for s in adj]
-
-    def to_edge_list_text(self):
-        return "\n".join(f"{int(s)} {int(d)} {int(g)}"
-                         for s, d, g in self.edges)
-
 
 def build_orbit_graph(system: GuidedSystem, cells: int) -> OrbitGraph:
     """Discretize the system into a finite directed multigraph.
@@ -1205,63 +1108,27 @@ def _cells_overlapping(space, ilo, ihi, cells, w, lo0, tau):
     return [min(max(k, 0), cells - 1) for k in ks]
 
 
+def _sparse_adjacency(graph):
+    """n_nodes x n_nodes CSR matrix, nonzero where an edge runs."""
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    return sparse.csr_matrix((np.ones(len(src)), (src, dst)),
+                             shape=(graph.n_nodes, graph.n_nodes))
+
+
 def minimal_subsystems(graph: OrbitGraph) -> list:
     """Terminal strongly connected components, each sorted, ordered by
     smallest member. At least one is always returned for graphs whose
     every node has out-degree >= 1 (and singletons without self-loops are
     reported when a node has no outgoing edges at all)."""
-    n = graph.n_nodes
-    adj = graph.adjacency()
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comp_id = [-1] * n
-    comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                u = adj[v][pi]
-                pi += 1
-                if index[u] == -1:
-                    work[-1] = (v, pi)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp_id[u] = len(comps)
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                p, _ = work[-1]
-                low[p] = min(low[p], low[v])
-    terminal = []
-    for k, comp in enumerate(comps):
-        members = set(comp)
-        if all(comp_id[u] == k for v in comp for u in adj[v]):
-            terminal.append(sorted(members))
+    n_comp, label = csgraph.connected_components(
+        _sparse_adjacency(graph), directed=True, connection="strong")
+    src, dst = label[graph.edges[:, 0]], label[graph.edges[:, 1]]
+    exits = np.zeros(n_comp, dtype=bool)
+    exits[src[src != dst]] = True
+    order = np.argsort(label, kind="stable")
+    bounds = np.searchsorted(label[order], np.arange(n_comp + 1))
+    terminal = [order[bounds[k]:bounds[k + 1]].tolist()
+                for k in np.flatnonzero(~exits)]
     terminal.sort(key=lambda c: c[0])
     return terminal
 

@@ -297,6 +297,33 @@ def test_overdet_missing_keys_exit_two(tmp_path, capsys):
     assert "/problem/rules/0" in err
 
 
+@pytest.mark.parametrize("command,problem,pointer", [
+    ("overdet", {"kind": "jensen", "interval": 5, "A": 0.0, "B": 1.0},
+     "/problem/interval"),
+    ("overdet", {"kind": "geometric_mean", "interval": [1.0, "4"],
+                 "A": 0.0, "B": 2.0}, "/problem/interval"),
+    ("overdet", {"kind": "jensen", "interval": [0.0, 1.0], "A": "0",
+                 "B": 1.0}, "/problem/A"),
+    ("overdet", {"kind": "jensen", "interval": [0.0, 1.0], "A": 0.0,
+                 "B": 1.0, "weight": True}, "/problem/weight"),
+    ("overdet", {"kind": "cauchy", "B": [0.5]}, "/problem/B"),
+    ("affine-analyze", {"A1": [[1.0], [1.0, 2.0]], "A2": [[1.0]],
+                        "b1": [0.0], "b2": [1.0]}, "/problem/A1"),
+    ("affine-analyze", {"A1": [[1.0]], "A2": [[[1.0]]], "b1": [0.0],
+                        "b2": [1.0]}, "/problem/A2"),
+    ("affine-analyze", {"A1": [[1.0]], "A2": [[1.0]], "b1": [0.0],
+                        "b2": "1"}, "/problem/b2"),
+])
+def test_ill_typed_problem_values_exit_two(tmp_path, capsys, command,
+                                           problem, pointer):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"problem": problem}))
+    code, _, err = run(capsys, [command, "--config", str(path),
+                                "--no-meta"])
+    assert code == 2
+    assert err.startswith("config error:") and f"(at {pointer})" in err
+
+
 def test_debug_flag_prints_traceback(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")

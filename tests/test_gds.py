@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import GOLDEN, circle_system
 from guided_dynamics.exprlang import parse
-from guided_dynamics.gds import (ContractionMinimalityCertificate,
+from guided_dynamics.gds import (CircleSpace,
+                                 ContractionMinimalityCertificate,
                                  ContractionRefusal, FiniteGraphSpace,
                                  GeneratorMap, GuidedSystem, GuidingSet,
                                  Interval, Orbit, OrbitGraph,
@@ -18,6 +19,7 @@ from guided_dynamics.gds import (ContractionMinimalityCertificate,
                                  probe_minimality, probe_weak_attractor,
                                  validate_orbit, verify_conjugacy,
                                  zero_band_guiding)
+from guided_dynamics.gds import _closures, _witness_intervals
 
 
 def standard_interval_system():
@@ -343,11 +345,11 @@ def test_terminal_scc_property(n, seed):
     graph = build_orbit_graph(system, n)
     comps = minimal_subsystems(graph)
     assert comps, "a finite guided system always has a terminal component"
-    adj = graph.adjacency()
     for comp in comps:
         members = set(comp)
-        for v in comp:
-            assert set(adj[v]) <= members
+        for src, dst, _ in graph.edges.tolist():
+            if src in members:
+                assert dst in members
 
 
 # --------------------------------------------------------------------------
@@ -440,9 +442,9 @@ def test_orbit_cloud_csv_export(tmp_path):
 def test_orbit_graph_edge_list_export():
     system = standard_interval_system()
     graph = build_orbit_graph(system, 4)
-    lines = graph.to_edge_list_text().splitlines()
-    assert len(lines) == 8
-    assert all(len(line.split()) == 3 for line in lines)
+    # the edge list is the (src, dst, gen) integer rows
+    assert graph.edges.shape == (8, 3)
+    assert graph.edges.dtype == np.int64
 
 
 def test_conjugacy_not_invertible():
@@ -457,3 +459,86 @@ def test_orbit_cloud_budget_flagged():
     system = circle_system(GOLDEN, 0.3)
     cloud = guided_orbit_set(system, 0.0, 10 ** 4, 0.01, cell_cap=50)
     assert cloud.partial
+
+
+# --------------------------------------------------------------------------
+# batched closure kernel
+# --------------------------------------------------------------------------
+
+def test_blocked_frontier_at_depth_limit_is_saturated():
+    # the only step is forbidden everywhere, so every singleton is a
+    # closed orbit, even when the block is met at the last allowed level
+    system = GuidedSystem(Interval(0.0, 1.0), [map_from(parse("t/2"), 0)],
+                          guiding=[[(0.0, 1.0)]])
+    cloud = guided_orbit_set(system, 0.3, 1, 0.1)
+    assert cloud.saturated and cloud.depth_used == 0
+    verdict = probe_minimality(system, 0.1, 1)
+    assert verdict.kind == "not_minimal"
+    assert verdict.witness == ((0.0, 0.025),)
+    attractor = probe_weak_attractor(system, 0.5, 0.1, 1)
+    assert attractor.kind == "no"
+    assert attractor.witness_seed == 0.0
+
+
+@given(st.sampled_from([0.25, 0.3, GOLDEN, 1.0 / (3.0 + GOLDEN)]),
+       st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True),
+                min_size=2, max_size=6),
+       st.sampled_from([0.05, 0.02]), st.integers(0, 300),
+       st.sampled_from([2, 16]), st.sampled_from([40, 500_000]),
+       st.sampled_from(["none", "covered", "target"]))
+@settings(max_examples=60, deadline=None)
+def test_batched_closures_do_not_couple_seeds(turn, seeds, eps, depth, mult,
+                                              cap, retire):
+    system = circle_system(turn, 0.5)
+    kw = {"retire_covered": retire == "covered",
+          "target": 1.0 if retire == "target" else None,
+          "keep_points": True}
+    cov, sat, part, hit, _, pts = _closures(system, np.array(seeds), depth,
+                                            eps, mult, cap, **kw)
+    for k, seed in enumerate(seeds):
+        c1, s1, p1, h1, _, (pts1,) = _closures(system, np.array([seed]),
+                                               depth, eps, mult, cap, **kw)
+        assert (cov[k], sat[k], part[k], hit[k]) == (c1[0], s1[0], p1[0],
+                                                      h1[0])
+        assert np.array_equal(pts[k], pts1)
+
+
+def witness_intervals_loop(space, rep_points, pad):
+    """Reference: the pad-and-merge loop the vectorized version replaced."""
+    pts = np.sort(np.asarray(rep_points, dtype=float))
+    ivs = []
+    for p in pts:
+        lo, hi = p - pad, p + pad
+        if isinstance(space, Interval):
+            lo, hi = max(lo, space.a), min(hi, space.b)
+        if ivs and lo <= ivs[-1][1] + 1e-15:
+            ivs[-1] = (ivs[-1][0], max(ivs[-1][1], hi))
+        else:
+            ivs.append((lo, hi))
+    if isinstance(space, CircleSpace) and len(ivs) > 1:
+        first_lo, first_hi = ivs[0]
+        last_lo, last_hi = ivs[-1]
+        if first_lo + space.period <= last_hi + 1e-15:
+            ivs[0] = (last_lo - space.period, first_hi)
+            ivs.pop()
+    return tuple(ivs)
+
+
+@pytest.mark.parametrize("space", [Interval(-1.0, 1.0), CircleSpace()])
+def test_witness_intervals_match_loop(space):
+    rng = np.random.default_rng(7)
+    lo, hi = (-1.0, 1.0) if isinstance(space, Interval) else (0.0, 2 * math.pi)
+    pad_cell = space.length / space.cell_count(0.01 / 2.0) / 2.0
+    for trial in range(300):
+        n = int(rng.integers(2, 40))
+        pts = rng.uniform(lo, hi, n)
+        if trial % 3 == 0:
+            # pads that reach the ends (Interval) or the seam (circle)
+            pts[:2] = (lo + rng.uniform(0.0, 2 * pad_cell),
+                       hi - rng.uniform(0.0, 2 * pad_cell))
+        if trial % 5 == 0:
+            # runs of points one pad apart, where the merge tolerance acts
+            pts = lo + 0.3 + 2 * pad_cell * np.arange(n)
+        for pad in (pad_cell, 1e-9, 0.05):
+            assert _witness_intervals(space, pts, pad) == \
+                witness_intervals_loop(space, pts, pad)
