@@ -282,7 +282,8 @@ def cmd_cycles(args):
 def cmd_graph_min(args):
     cfg = load_config(args.config)
     system = cfg.guided_system()
-    cells = args.grid if args.grid else getattr(system.space, "n_nodes", 64)
+    cells = (args.grid if args.grid is not None
+             else getattr(system.space, "n_nodes", 64))
     graph = gds_mod.build_orbit_graph(system, int(cells))
     comps = gds_mod.minimal_subsystems(graph)
     report = {"command": "graph-min", "n_nodes": graph.n_nodes,
@@ -297,7 +298,7 @@ def cmd_certify(args):
     cfg = load_config(args.config)
     system = cfg.funceq_system()
     m_max = int(cfg.budgets.get("m_max", 64))
-    M = args.grid or 1024
+    M = 1024 if args.grid is None else args.grid
     outcome = funceq_mod.certify_contraction(system, m_max=m_max, M=M)
     ok = isinstance(outcome, funceq_mod.ContractionCertificate)
     report = {"command": "certify", "certified": ok, **outcome.to_dict()}
@@ -313,7 +314,7 @@ def cmd_solve_fe(args):
         raise SchemaError("solve-fe needs an right-hand side h",
                           "/problem/h")
     h = _parse_expr_at(h_src, "/problem/h")
-    M = args.grid or 1024
+    M = 1024 if args.grid is None else args.grid
     f, rep = funceq_mod.solve_neumann(
         system, h, tol=args.tol or 1e-12, M=M,
         max_iter=int(cfg.budgets.get("max_iter", 20000)),
@@ -367,7 +368,7 @@ def cmd_solve_ivp(args):
         h = _parse_expr_at(h_src, "/problem/h")
     c = args.c if args.c is not None else float(problem.get("c", 0.0))
     mu = args.mu if args.mu is not None else float(problem.get("mu", 0.0))
-    M = args.grid or 512
+    M = 512 if args.grid is None else args.grid
     tol_data = float(cfg.tolerances.get("tol_data", 1e-8))
     sol = pconf_mod.solve_ivp(pconf_mod.IvpProblem(pc, h, c, mu,
                                                    tol_data=tol_data), M)
@@ -540,7 +541,7 @@ def cmd_analyze_bvp(args):
 def cmd_solve_bvp(args):
     cfg = load_config(args.config)
     problem = _bvp_problem(cfg)
-    M = args.grid or 512
+    M = 512 if args.grid is None else args.grid
     try:
         sol = bvp_mod.solve_bvp(problem, M=M, mu=args.mu or 0.0,
                                 eps=args.eps or 0.01,
@@ -600,6 +601,17 @@ HANDLERS = {
 }
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gds",
@@ -613,7 +625,7 @@ def build_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
+        p.add_argument("--grid", type=_positive_int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-meta", action="store_true")

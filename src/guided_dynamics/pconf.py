@@ -9,9 +9,12 @@ Guiding sets are the derivative zero sets Lambda_i = {t : delta_i'(t) = 0}.
 The IVP is solved through the twice-differentiated equation: w = f''
 satisfies (I - L - K) w = h'' with (L w)(t) = sum_i delta_i'(t)^2
 w(delta_i(t)) and the compact integral part (K w)(t) = sum_i delta_i''(t)
-[mu + int_c^{delta_i(t)} w], a well-conditioned system solved directly on
-the grid. f is rebuilt by cumulative trapezoid rule with f'(c) = mu and
-its additive constant pinned by the anchor identity
+[mu + int_c^{delta_i(t)} w]. On the grid it is one sparse system in w and
+its cumulative trapezoid integral F, factored once by SuperLU; the
+collocation matrix S of w is its Schur complement and is never formed.
+The condition gate uses the exact 1-norm of S times a 1-norm estimate of
+S^{-1} through the same factor. f is rebuilt by cumulative trapezoid rule
+with f'(c) = mu and its additive constant pinned by the anchor identity
 sum_{0<i<N} f(a_i) = -h(a_0). The value-level collocation system (M+1
 equation rows plus one derivative row) is assembled only to report the
 residuals of the returned solution.
@@ -22,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-from scipy.linalg.lapack import dgecon
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .errors import DataMismatch, IllConditioned, PConfigViolation
 from .exprlang import _scalar, as_callable
@@ -236,25 +238,6 @@ def _cumtrapz(v, step):
     return out
 
 
-def _integral_weight_rows(y, c, a0, step, M):
-    """Rows of trapezoid weights for int_c^{y_j} applied to grid values."""
-    cols = np.arange(M + 1)
-
-    def upto(points):
-        points = np.atleast_1d(points)
-        k = np.clip(np.floor((points - a0) / step).astype(np.int64), 0, M - 1)
-        W = step * (cols[None, :] <= k[:, None])
-        W[:, 0] -= step / 2.0
-        rows = np.arange(len(points))
-        W[rows, k] -= step / 2.0
-        tau = points - (a0 + k * step)
-        W[rows, k] += tau - tau * tau / (2.0 * step)
-        W[rows, k + 1] += tau * tau / (2.0 * step)
-        return W
-
-    return upto(y) - upto(np.array([c]))
-
-
 def _second_derivative_values(problem, nodes, step):
     """h'' on the grid: symbolic when h is an Expression, second
     differences (with linear end extrapolation) otherwise."""
@@ -282,6 +265,95 @@ def _map_second_derivative(g, nodes, step):
     return d2
 
 
+def _second_derivative_system(problem, nodes, step, M):
+    """The twice-differentiated equation as one sparse system in (w, F).
+
+    F = cumtrapz(w) is carried by the rows F_0 = 0 and
+    F_j - F_{j-1} - (step/2) (w_{j-1} + w_j) = 0, so int_{a_0}^y w at
+    y = a_0 + k step + tau is the row
+    F_k + (tau - tau^2/(2 step)) w_k + tau^2/(2 step) w_{k+1},
+    and int_c^y w is that row minus the same row at c. The F block is unit
+    lower bidiagonal; eliminating F leaves the collocation matrix S of the
+    w-equation as its Schur complement, and S is never formed.
+
+    Returns the 2(M+1) square CSC system, the right-hand side of its w
+    rows (the F rows have right-hand side 0) and the exact 1-norm of S.
+    """
+    pc = problem.pconf
+    a0, aN = pc.interval.a, pc.interval.b
+    n = M + 1
+    idx = np.arange(n)
+    rhs = _second_derivative_values(problem, nodes, step)
+    kc = int(np.clip(np.floor((problem.c - a0) / step), 0, M - 1))
+    tc = problem.c - (a0 + kc * step)
+    at_c = np.full(n, kc)
+    # (row, col, value) parts of the w block. Eliminating F turns the
+    # F_k - F_kc of each integral into step/2 at k, -step/2 at kc and the
+    # staircase step * ([col <= k] - [col <= kc]): s_extra and stair_*
+    w_block = [(idx, idx, np.ones(n))]
+    f_block, s_extra, stair_k, stair_a = [], [], [], []
+    for g in pc.maps:
+        img = np.clip(np.asarray(g(nodes), dtype=float), a0, aN)
+        k, w = _interp_entries(img, a0, step, M)
+        co1 = np.asarray(g.derivative(nodes), dtype=float) ** 2
+        w_block += [(idx, k, -co1 * (1.0 - w)), (idx, k + 1, -co1 * w)]
+        co2 = _map_second_derivative(g, nodes, step)
+        if np.max(np.abs(co2)) > 1e-14:
+            tau = img - (a0 + k * step)
+            w_block += [
+                (idx, k, -co2 * (tau - tau * tau / (2.0 * step))),
+                (idx, k + 1, -co2 * (tau * tau / (2.0 * step))),
+                (idx, at_c, co2 * (tc - tc * tc / (2.0 * step))),
+                (idx, at_c + 1, co2 * (tc * tc / (2.0 * step)))]
+            f_block += [(idx, n + k, -co2), (idx, n + at_c, co2)]
+            s_extra += [(idx, k, co2 * (step / 2.0)),
+                        (idx, at_c, -co2 * (step / 2.0))]
+            stair_k.append(k)
+            stair_a.append(-co2 * step)
+            rhs = rhs - co2 * problem.mu
+    f_rows = [(n + idx, n + idx, np.ones(n)),
+              (n + idx[1:], n + idx[:-1], -np.ones(M)),
+              (n + idx[1:], idx[:-1], np.full(M, -step / 2.0)),
+              (n + idx[1:], idx[1:], np.full(M, -step / 2.0))]
+    rows, cols, vals = (np.concatenate(part) for part in
+                        zip(*(w_block + f_block + f_rows)))
+    system = scipy.sparse.csc_matrix((vals, (rows, cols)),
+                                     shape=(2 * n, 2 * n))
+    s_norm = _schur_norm1(n, w_block + s_extra, stair_k, stair_a, kc)
+    return system, rhs, s_norm
+
+
+def _schur_norm1(n, entries, stair_k, stair_a, kc):
+    """max_col sum_j |S[j, col]| in O(n * maps) without forming S.
+
+    Row j of S is the staircase sum_i a_ij ([col <= k_ij] - [col <= kc])
+    plus point entries (row, col, value) whose duplicates add up.
+    Column sums of the staircase come from a difference array over its
+    breakpoints; one pass then corrects the columns that carry points.
+    """
+    last = np.column_stack(stair_k + [np.full(n, kc)])
+    a = np.column_stack(stair_a + [np.zeros(n)])
+    # walking right along a row (it starts at 0), a_ij drops out after
+    # column k_ij and sum_i a_ij comes back after column kc
+    drop = np.concatenate([-a[:, :-1], a.sum(axis=1, keepdims=True)],
+                          axis=1)
+    order = np.argsort(last, axis=1, kind="stable")
+    starts = np.take_along_axis(last, order, axis=1) + 1
+    level = np.cumsum(np.take_along_axis(drop, order, axis=1), axis=1)
+    jump = np.diff(np.abs(level), axis=1, prepend=0.0)
+    colsum = np.cumsum(np.bincount(starts.ravel(), weights=jump.ravel(),
+                                   minlength=n + 1))[:n]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+    point = np.bincount(inverse, weights=vals)
+    r, c = np.divmod(keys, n)
+    stair = np.sum(a[r] * ((c[:, None] <= last[r]).astype(float)
+                           - (c <= kc)[:, None]), axis=1)
+    colsum += np.bincount(c, weights=np.abs(stair + point) - np.abs(stair),
+                          minlength=n)
+    return float(np.max(colsum))
+
+
 def solve_ivp(problem: IvpProblem, M: int,
               cond_cap: float = 1e13) -> IvpSolution:
     """Solve the initial value problem on an M+1 node grid.
@@ -290,17 +362,26 @@ def solve_ivp(problem: IvpProblem, M: int,
         w(t) - sum_i delta_i'(t)^2 w(delta_i(t))
              - sum_i delta_i''(t) [mu + int_c^{delta_i(t)} w] = h''(t),
     whose operator is invertible (the contraction certificate for the
-    squared-derivative weights plus a compact integral part). w is solved
-    directly on the grid, then f is rebuilt by cumulative trapezoid rule
-    with f'(c) = mu and the additive constant pinned by the anchor
-    identity sum_{0<i<N} f(a_i) = -h(a_0).
+    squared-derivative weights plus a compact integral part). Its grid
+    form is the sparse 2(M+1) system of _second_derivative_system in
+    (w, F = cumtrapz w), factored once with SuperLU (COLAMD ordering);
+    w is the w-block of the solution for right-hand side [h'', 0]. Time
+    and memory grow with the fill of the factor, not with M^2. f is then
+    rebuilt by cumulative trapezoid rule with f'(c) = mu and the additive
+    constant pinned by the anchor identity sum_{0<i<N} f(a_i) = -h(a_0).
     Solving for f by bare value-collocation least squares is first-order
     only: the homogeneous equation has continuous non-C^2 solutions which
     the discretization sees as near-null modes. The collocation system is
     still assembled and its residuals at the returned solution reported.
 
-    Raises DataMismatch when h(a_0) != h(a_N) and IllConditioned when the
-    estimated condition of the solved system exceeds cond_cap.
+    The reported condition_estimate is kappa_1(S) = ||S||_1 ||S^{-1}||_1:
+    ||S||_1 exactly, ||S^{-1}||_1 by the Hager-Higham estimator with one
+    start vector (deterministic; it leaves np.random alone).
+
+    Raises DataMismatch when h(a_0) != h(a_N), and IllConditioned when
+    the factorization finds the system exactly singular
+    (condition_estimate = inf) or the estimated condition exceeds
+    cond_cap.
     """
     pc = problem.pconf
     a0, aN = pc.interval.a, pc.interval.b
@@ -312,29 +393,31 @@ def solve_ivp(problem: IvpProblem, M: int,
         raise DataMismatch(
             f"|h(a_0) - h(a_N)| = {h_gap!r} >= {problem.tol_data!r}")
 
-    S = np.eye(M + 1)
-    rhs = _second_derivative_values(problem, nodes, step)
-    idx = np.arange(M + 1)
-    for g in pc.maps:
-        img = np.clip(np.asarray(g(nodes), dtype=float), a0, aN)
-        k, w = _interp_entries(img, a0, step, M)
-        co1 = np.asarray(g.derivative(nodes), dtype=float) ** 2
-        np.add.at(S, (idx, k), -co1 * (1.0 - w))
-        np.add.at(S, (idx, k + 1), -co1 * w)
-        co2 = _map_second_derivative(g, nodes, step)
-        if np.max(np.abs(co2)) > 1e-14:
-            W = _integral_weight_rows(img, problem.c, a0, step, M)
-            S -= co2[:, None] * W
-            rhs = rhs - co2 * problem.mu
-    lu, piv = scipy.linalg.lu_factor(S)
-    anorm = float(np.max(np.abs(S).sum(axis=0)))
-    rcond, _ = dgecon(lu, anorm)
-    cond_est = np.inf if rcond == 0 else 1.0 / float(rcond)
+    system, rhs, s_norm = _second_derivative_system(problem, nodes, step, M)
+    try:
+        lu = splu(system)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise IllConditioned(
+            f"second-derivative system is singular ({exc})",
+            condition_estimate=np.inf) from exc
+    pad = np.zeros(M + 1)
+
+    def solve_s(x, trans="N"):
+        return lu.solve(np.concatenate([np.ravel(x), pad]),
+                        trans=trans)[:M + 1]
+
+    # t = 1: larger t draws start vectors from the global np.random state
+    inv_norm = onenormest(LinearOperator(
+        (M + 1, M + 1), matvec=solve_s,
+        rmatvec=lambda x: solve_s(x, trans="T"), dtype=float), t=1)
+    cond_est = s_norm * float(inv_norm)
+    if not np.isfinite(cond_est):
+        cond_est = np.inf
     if cond_est > cond_cap:
         raise IllConditioned(
             f"second-derivative system condition ~ {cond_est:.3e} "
             f"> {cond_cap:.1e}", condition_estimate=cond_est)
-    w_sol = scipy.linalg.lu_solve((lu, piv), rhs)
+    w_sol = solve_s(rhs)
 
     F1 = _cumtrapz(w_sol, step)
     fprime = problem.mu + F1 - float(np.interp(problem.c, nodes, F1))

@@ -338,3 +338,49 @@ def test_debug_flag_prints_traceback(monkeypatch, capsys):
     assert err.startswith("internal error: RuntimeError: boom\n")
     assert "Traceback (most recent call last)" in err
     assert "in broken" in err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("solve-ivp", "standard_pconf.json"),
+    ("certify", "standard_funceq.json"),
+    ("solve-fe", "standard_funceq.json"),
+    ("solve-bvp", "straight_bvp.json"),
+    ("graph-min", "graph_chain.json"),
+])
+@pytest.mark.parametrize("grid", ["0", "-4", "2.5", "many"])
+def test_grid_must_be_positive_int(capsys, command, config, grid):
+    code, out, err = run(capsys, [command, "--config", cfg(config),
+                                  "--grid", grid, "--no-meta"])
+    assert code == 2
+    assert out == ""
+    assert "argument --grid: expected a positive integer" in err
+
+
+@pytest.mark.parametrize("argv,grid", [
+    (["solve-ivp", "--config", cfg("standard_pconf.json")], 512),
+    (["solve-ivp", "--config", cfg("standard_pconf.json"), "--grid", "1"],
+     1),
+    (["certify", "--config", cfg("standard_funceq.json")], 1024),
+    (["certify", "--config", cfg("standard_funceq.json"), "--grid", "3"],
+     3),
+])
+def test_grid_default_only_when_absent(capsys, argv, grid):
+    code, out, _ = run(capsys, argv + ["--no-meta"])
+    assert code == 0
+    assert json.loads(out)["grid"] == grid
+
+
+def test_singular_ivp_factor_is_numeric_failure(monkeypatch, capsys):
+    from guided_dynamics import pconf
+
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(pconf, "splu", singular)
+    code, out, err = run(capsys, ["solve-ivp", "--config",
+                                  cfg("standard_pconf.json"), "--grid",
+                                  "64", "--no-meta"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: ")
+    assert "singular" in err

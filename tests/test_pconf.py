@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg.lapack import dgecon
 
-from guided_dynamics.errors import DataMismatch, PConfigViolation
+from guided_dynamics import pconf
+from guided_dynamics.errors import (DataMismatch, IllConditioned,
+                                    PConfigViolation)
 from guided_dynamics.exprlang import parse
 from guided_dynamics.gds import Interval
 from guided_dynamics.pconf import (IvpProblem, extract_guiding_sets,
@@ -225,3 +231,151 @@ def test_solve_ivp_ill_conditioned_gate(standard_pconf):
     with pytest.raises(IllConditioned):
         solve_ivp(IvpProblem(standard_pconf, parse("0"), 0.0, 0.0), 64,
                   cond_cap=1.0)
+
+
+# --------------------------------------------------------------------------
+# the sparse (w, F) system against the dense collocation matrix S
+# --------------------------------------------------------------------------
+
+def _dense_second_derivative_system(problem, M):
+    """Reference: the (M+1)^2 matrix S of the w-equation and its
+    right-hand side, assembled densely row by row."""
+    pc = problem.pconf
+    a0, aN = pc.interval.a, pc.interval.b
+    nodes = np.linspace(a0, aN, M + 1)
+    step = (aN - a0) / M
+    cols = np.arange(M + 1)
+
+    def upto(points):
+        # trapezoid weights of int_{a_0}^{y} on grid values, one row per y
+        k = np.clip(np.floor((points - a0) / step).astype(np.int64), 0,
+                    M - 1)
+        W = step * (cols[None, :] <= k[:, None])
+        W[:, 0] -= step / 2.0
+        rows = np.arange(len(points))
+        W[rows, k] -= step / 2.0
+        tau = points - (a0 + k * step)
+        W[rows, k] += tau - tau * tau / (2.0 * step)
+        W[rows, k + 1] += tau * tau / (2.0 * step)
+        return W
+
+    S = np.eye(M + 1)
+    rhs = pconf._second_derivative_values(problem, nodes, step)
+    idx = np.arange(M + 1)
+    for g in pc.maps:
+        img = np.clip(np.asarray(g(nodes), dtype=float), a0, aN)
+        k, w = pconf._interp_entries(img, a0, step, M)
+        co1 = np.asarray(g.derivative(nodes), dtype=float) ** 2
+        np.add.at(S, (idx, k), -co1 * (1.0 - w))
+        np.add.at(S, (idx, k + 1), -co1 * w)
+        co2 = pconf._map_second_derivative(g, nodes, step)
+        if np.max(np.abs(co2)) > 1e-14:
+            S -= co2[:, None] * (upto(img) - upto(np.array([problem.c])))
+            rhs = rhs - co2 * problem.mu
+    return S, rhs
+
+
+def _reference_f(problem, M, w):
+    """f from w as solve_ivp rebuilds it."""
+    pc = problem.pconf
+    nodes = np.linspace(pc.interval.a, pc.interval.b, M + 1)
+    step = (pc.interval.b - pc.interval.a) / M
+    F1 = pconf._cumtrapz(w, step)
+    f = pconf._cumtrapz(problem.mu + F1 - np.interp(problem.c, nodes, F1),
+                        step)
+    h0 = float(problem.h_values(nodes[:1])[0])
+    anchor_sum = sum(np.interp(a, nodes, f) for a in pc.anchors[1:-1])
+    return f - (anchor_sum + h0) / (pc.n_maps - 1)
+
+
+def _poly_h(coefs, maps):
+    """h = f - sum_i f o delta_i for the polynomial f, as an expression."""
+    def f_of(x):
+        return " + ".join(f"({c!r})*({x})^{k}" for k, c in enumerate(coefs))
+    return parse(" - ".join([f_of("t")] + [f"({f_of(m)})" for m in maps]))
+
+
+_MAPS = {"standard": ("(t-1)/2", "(t+1)/2"),
+         "quadratic": ("t-((t+1)/2)^2", "((t+1)/2)^2")}
+
+
+@pytest.mark.parametrize("M", [2, 3, 8, 64, 513])
+@pytest.mark.parametrize("name", ["standard", "quadratic"])
+def test_sparse_system_matches_dense_reference(name, M, standard_pconf,
+                                               quadratic_pconf):
+    pc = {"standard": standard_pconf, "quadratic": quadratic_pconf}[name]
+    h = _poly_h([0.3, -0.2, 0.5, 0.1, -0.4, 0.25], _MAPS[name])
+    nodes = np.linspace(-1.0, 1.0, M + 1)
+    for c in (-1.0, -0.77, 0.0, 0.3, 1.0):
+        for mu in (0.0, 0.7):
+            problem = IvpProblem(pc, h, c, mu)
+            S, rhs = _dense_second_derivative_system(problem, M)
+            system, rhs_w, s_norm = pconf._second_derivative_system(
+                problem, nodes, 2.0 / M, M)
+            np.testing.assert_allclose(rhs_w, rhs, rtol=1e-14, atol=1e-14)
+            anorm = float(np.abs(S).sum(axis=0).max())
+            assert abs(s_norm - anorm) <= 1e-12 * anorm
+            if M <= 64:
+                # eliminating F (unit lower bidiagonal block) gives S
+                K = system.toarray()
+                n = M + 1
+                schur = K[:n, :n] - K[:n, n:] @ np.linalg.solve(
+                    K[n:, n:], K[n:, :n])
+                np.testing.assert_allclose(schur, S, rtol=0, atol=1e-13)
+            lu, piv = scipy.linalg.lu_factor(S)
+            rcond, _ = dgecon(lu, anorm)
+            w = scipy.linalg.lu_solve((lu, piv), rhs)
+            sol = solve_ivp(problem, M)
+            cond = sol.diagnostics.condition_estimate
+            assert abs(cond * rcond - 1.0) <= 1e-9
+            f_ref = _reference_f(problem, M, w)
+            assert np.max(np.abs(sol.f.values - f_ref)) <= \
+                1e-8 * np.max(np.abs(f_ref))
+
+
+def test_condition_estimate_deterministic(quadratic_pconf):
+    problem = IvpProblem(quadratic_pconf, parse("0"), 0.3, 0.7)
+    state = np.random.get_state()
+    first = solve_ivp(problem, 1000).diagnostics.condition_estimate
+    after = np.random.get_state()
+    assert after[0] == state[0]
+    assert np.array_equal(after[1], state[1])
+    assert after[2:] == state[2:]
+    assert solve_ivp(problem, 1000).diagnostics.condition_estimate == first
+
+
+def test_condition_grows_linearly_on_quadratic(quadratic_pconf):
+    # delta' = 1 at the endpoint fixed points: I - L is no contraction
+    # there and kappa_1 grows in proportion to M
+    problem = IvpProblem(quadratic_pconf, parse("0"), 0.0, 0.0)
+    kappa = {M: solve_ivp(problem, M).diagnostics.condition_estimate
+             for M in (512, 1024, 2048)}
+    assert 1.7 < kappa[1024] / kappa[512] < 2.3
+    assert 1.7 < kappa[2048] / kappa[1024] < 2.3
+
+
+def test_singular_factor_raises_ill_conditioned(monkeypatch,
+                                                standard_pconf):
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(pconf, "splu", singular)
+    with pytest.raises(IllConditioned) as exc:
+        solve_ivp(IvpProblem(standard_pconf, parse("0"), 0.0, 0.0), 64)
+    assert exc.value.condition_estimate == np.inf
+
+
+def test_solve_ivp_memory_linear_in_grid(quadratic_pconf):
+    # the dense S alone would be 537 MB at M = 8192
+    coefs = [0.3, 0.7, 0.5, 0.1, -0.4, 0.25]
+    problem = IvpProblem(quadratic_pconf, _poly_h(coefs, _MAPS["quadratic"]),
+                         0.0, 0.7)
+    tracemalloc.start()
+    try:
+        sol = solve_ivp(problem, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    exact = np.polynomial.Polynomial(coefs)(sol.f.nodes)
+    assert np.max(np.abs(sol.f.values - exact)) < 1e-5
