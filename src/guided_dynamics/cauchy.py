@@ -9,6 +9,9 @@ the boundary values A = f(a), B = f(b) propagate to a value cloud. The
 updates are affine in (A, B, v): v(map(t)) = cA(t) A + cB(t) B + cv(t) v(t)
 + c0(t), which covers every equation shape used here (Jensen, the Cauchy
 equation on the boundary of the unit square, the geometric mean).
+
+The BFS keeps one point per eps/2-cell and records every collision (two
+derivations of one cell); `check_consistency` tests all of them.
 """
 
 from __future__ import annotations
@@ -117,20 +120,16 @@ class OverdetProblem:
             j = int(np.argmin(gap))
             if gap[j] <= tol:
                 return True
-            # bracket and bisect on map(t) - target
+            # root of map(t) - target on the first bracketing grid step
             sign = np.sign(img - target)
             flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
             if flips.size:
-                lo, hi = grid[flips[0]], grid[flips[0] + 1]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    fm = _scalar(rule.map, mid)
-                    if (fm - target) * (_scalar(rule.map, lo) - target) <= 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                val = _scalar(rule.map, 0.5 * (lo + hi))
-                if abs(val - target) <= tol:
+                # imported here: scipy.optimize takes about 0.2 s to load,
+                # and most endpoints are attained on the grid
+                from scipy.optimize import brentq
+                root = brentq(lambda t: _scalar(rule.map, t) - target,
+                              grid[flips[0]], grid[flips[0] + 1])
+                if abs(_scalar(rule.map, root) - target) <= tol:
                     return True
         return False
 
@@ -188,31 +187,38 @@ class Collision:
     gap: float
     depth: int
 
-    @property
-    def values(self):
-        return (self.existing_value, self.new_value)
-
-    @property
-    def point_separation(self):
-        return abs(self.new_point - self.point)
-
 
 @dataclass
 class PropagationCloud:
+    """Propagated points, their values and derivations, and every
+    collision (a candidate reaching an owned eps/2-cell) as the owner's
+    index, the candidate's point and value, and its BFS level."""
     problem: OverdetProblem
     points: np.ndarray
     values: np.ndarray
     depths: np.ndarray
     parents: np.ndarray
     rule_ids: np.ndarray
-    collisions: list
-    max_collision_gap: float
+    collision_owner: np.ndarray
+    collision_points: np.ndarray
+    collision_values: np.ndarray
+    collision_depths: np.ndarray
     eps: float
     saturated: bool
     partial: bool
 
     def __len__(self):
         return self.points.size
+
+    @property
+    def collision_gaps(self):
+        return np.abs(self.collision_values -
+                      self.values[self.collision_owner])
+
+    @property
+    def max_collision_gap(self):
+        # fmax skips NaN gaps, which compare false against any bound
+        return float(np.fmax.reduce(self.collision_gaps, initial=0.0))
 
     def order(self):
         return np.argsort(self.points)
@@ -246,91 +252,71 @@ class PropagationCloud:
 
 
 def propagate_values(problem: OverdetProblem, depth: int, eps: float,
-                     cell_cap: int = 2 ** 22,
-                     max_logged_collisions: int = 10000) -> PropagationCloud:
-    """BFS from the endpoint seeds applying the affine updates,
-    deduplicating per eps/2-cell and logging value collisions."""
+                     cell_cap: int = 2 ** 22) -> PropagationCloud:
+    """BFS from the endpoint seeds applying the affine updates, one
+    vectorized step per level, deduplicating per eps/2-cell.
+
+    A level's candidates are every rule applied to the frontier,
+    rule-major. The first candidate (in that order) to land in an empty
+    cell claims it; the winners are appended in candidate order and form
+    the next frontier. Every other candidate is a collision with its
+    cell's owner. The BFS stops at `depth` levels, when a level adds no
+    point (saturated) or when the cloud exceeds `cell_cap` points
+    (partial). The owner table holds one int64 per eps/2-cell.
+    """
     iv = problem.interval
-    n_half = max(1, int(math.ceil(iv.length / (eps / 2.0))))
-    width = iv.length / n_half
-
-    def cell_of(p):
-        return np.clip(((p - iv.a) / width).astype(np.int64), 0, n_half - 1)
-
-    pts = [iv.a, iv.b]
-    vals = [problem.A, problem.B]
-    deps = [0, 0]
-    pars = [-1, -1]
-    rids = [-1, -1]
-    cells = {int(cell_of(np.array([iv.a]))[0]): 0}
-    c_b = int(cell_of(np.array([iv.b]))[0])
-    collisions = []
-    max_gap = 0.0
-    if c_b in cells:
+    n_half = iv.cell_count(eps / 2.0)
+    seeds = np.array([iv.a, iv.b], dtype=float)
+    seed_cells = iv.cell_index(seeds, n_half)
+    if seed_cells[0] == seed_cells[1]:
         raise ValueError("eps too coarse: seed cells collide")
-    cells[c_b] = 1
-    frontier = np.array([0, 1], dtype=np.int64)
-    saturated = False
-    partial = False
-    level = 0
-    pts_arr = np.array(pts)
-    vals_arr = np.array(vals)
-    while level < depth and frontier.size:
-        cand_p, cand_v, cand_par, cand_rule = [], [], [], []
-        src_p = pts_arr[frontier]
-        src_v = vals_arr[frontier]
-        for rule in problem.rules:
-            new_p = np.clip(np.asarray(rule.map(src_p), dtype=float),
-                            iv.a, iv.b)
-            new_v = np.asarray(rule.apply(src_p, src_v, problem.A,
-                                          problem.B), dtype=float)
-            cand_p.append(new_p)
-            cand_v.append(new_v)
-            cand_par.append(frontier)
-            cand_rule.append(np.full(frontier.size, rule.label,
-                                     dtype=np.int64))
-        cand_p = np.concatenate(cand_p)
-        cand_v = np.concatenate(cand_v)
-        cand_par = np.concatenate(cand_par)
-        cand_rule = np.concatenate(cand_rule)
-        cand_cells = cell_of(cand_p)
-        level += 1
-        fresh = []
-        for j in range(cand_p.size):
-            c = int(cand_cells[j])
-            if c in cells:
-                k = cells[c]
-                gap = abs(float(cand_v[j]) - vals[k])
-                if gap > max_gap:
-                    max_gap = gap
-                if len(collisions) < max_logged_collisions:
-                    collisions.append(Collision(
-                        point=float(pts[k]), new_point=float(cand_p[j]),
-                        existing_value=float(vals[k]),
-                        new_value=float(cand_v[j]), gap=float(gap),
-                        depth=level))
-            else:
-                cells[c] = len(pts)
-                pts.append(float(cand_p[j]))
-                vals.append(float(cand_v[j]))
-                deps.append(level)
-                pars.append(int(cand_par[j]))
-                rids.append(int(cand_rule[j]))
-                fresh.append(len(pts) - 1)
-        if not fresh:
+    owner = np.full(n_half, -1, dtype=np.int64)
+    owner[seed_cells] = (0, 1)
+    no_parent = np.full(2, -1, dtype=np.int64)
+    # per level: (points, values, depths, parents, rule ids) of the new
+    # points, and (owner, point, value, depth) of the collisions
+    grown = [(seeds, np.array([problem.A, problem.B]),
+              np.zeros(2, dtype=np.int64), no_parent, no_parent)]
+    hits = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
+             np.empty(0, dtype=np.int64))]
+    labels = np.array([rule.label for rule in problem.rules], dtype=np.int64)
+    n = 2
+    saturated = partial = False
+    for level in range(1, depth + 1):
+        src_p, src_v = grown[-1][:2]
+        cand_p = np.concatenate([
+            np.clip(np.asarray(rule.map(src_p), dtype=float), iv.a, iv.b)
+            for rule in problem.rules])
+        cand_v = np.concatenate([
+            np.asarray(rule.apply(src_p, src_v, problem.A, problem.B),
+                       dtype=float)
+            for rule in problem.rules])
+        cells = iv.cell_index(cand_p, n_half)
+        free = np.flatnonzero(owner[cells] < 0)
+        win = np.sort(free[np.unique(cells[free], return_index=True)[1]])
+        owner[cells[win]] = np.arange(n, n + win.size)
+        lost = np.delete(np.arange(cand_p.size), win)
+        hits.append((owner[cells[lost]], cand_p[lost], cand_v[lost],
+                     np.full(lost.size, level)))
+        if not win.size:
             saturated = True
             break
-        if len(pts) > cell_cap:
+        parents = np.tile(np.arange(n - src_p.size, n), labels.size)
+        grown.append((cand_p[win], cand_v[win], np.full(win.size, level),
+                      parents[win], np.repeat(labels, src_p.size)[win]))
+        n += win.size
+        if n > cell_cap:
             partial = True
             break
-        frontier = np.array(fresh, dtype=np.int64)
-        pts_arr = np.array(pts)
-        vals_arr = np.array(vals)
+    points, values, depths, parents, rule_ids = (
+        np.concatenate(column) for column in zip(*grown))
+    col_owner, col_points, col_values, col_depths = (
+        np.concatenate(column) for column in zip(*hits))
     return PropagationCloud(
-        problem=problem, points=np.array(pts), values=np.array(vals),
-        depths=np.array(deps), parents=np.array(pars),
-        rule_ids=np.array(rids), collisions=collisions,
-        max_collision_gap=max_gap, eps=eps, saturated=saturated,
+        problem=problem, points=points, values=values, depths=depths,
+        parents=parents, rule_ids=rule_ids, collision_owner=col_owner,
+        collision_points=col_points, collision_values=col_values,
+        collision_depths=col_depths, eps=eps, saturated=saturated,
         partial=partial)
 
 
@@ -354,7 +340,13 @@ def check_consistency(cloud: PropagationCloud, eps: float,
     """Consistent iff every collision's value gap is explained by its
     point separation at the cloud's own Lipschitz scale (two derivations
     reaching the same cell may land eps/2 apart), and nearby cloud points
-    have values within the modulus cap 10 * Lipschitz-estimate * eps."""
+    have values within the modulus cap 10 * Lipschitz-estimate * eps.
+
+    Every collision of the cloud is tested; the witness of an inconsistent
+    verdict is the first violating collision in BFS order, as a
+    `Collision`, or else the first pair of neighbouring points over the
+    cap.
+    """
     o = cloud.order()
     p = cloud.points[o]
     v = cloud.values[o]
@@ -364,13 +356,20 @@ def check_consistency(cloud: PropagationCloud, eps: float,
     cap = 10.0 * lip * eps + 10.0 * tol
     witness = None
     verdict = "consistent"
-    for col in cloud.collisions:
-        allowed = 10.0 * lip * col.point_separation + tol
-        if col.gap >= allowed:
-            verdict = "inconsistent"
-            witness = col
-            break
-    if verdict == "consistent" and p.size > 1:
+    own = cloud.collision_owner
+    gaps = cloud.collision_gaps
+    separation = np.abs(cloud.collision_points - cloud.points[own])
+    bad = gaps >= 10.0 * lip * separation + tol
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        verdict = "inconsistent"
+        witness = Collision(
+            point=float(cloud.points[own[k]]),
+            new_point=float(cloud.collision_points[k]),
+            existing_value=float(cloud.values[own[k]]),
+            new_value=float(cloud.collision_values[k]), gap=float(gaps[k]),
+            depth=int(cloud.collision_depths[k]))
+    elif p.size > 1:
         dp = np.diff(p)
         dv = np.abs(np.diff(v))
         near = dp <= eps
@@ -381,8 +380,8 @@ def check_consistency(cloud: PropagationCloud, eps: float,
             witness = ((float(p[k]), float(v[k])),
                        (float(p[k + 1]), float(v[k + 1])))
     return ConsistencyReport(
-        verdict=verdict, max_collision_gap=float(cloud.max_collision_gap),
-        n_collisions=len(cloud.collisions), lipschitz_estimate=lip,
+        verdict=verdict, max_collision_gap=cloud.max_collision_gap,
+        n_collisions=int(own.size), lipschitz_estimate=lip,
         modulus_cap=cap, witness=witness, partial=cloud.partial)
 
 

@@ -298,8 +298,8 @@ def cmd_certify(args):
     cfg = load_config(args.config)
     system = cfg.funceq_system()
     m_max = int(cfg.budgets.get("m_max", 64))
-    M = 1024 if args.grid is None else args.grid
-    outcome = funceq_mod.certify_contraction(system, m_max=m_max, M=M)
+    outcome = funceq_mod.certify_contraction(system, m_max=m_max,
+                                             M=args.grid)
     ok = isinstance(outcome, funceq_mod.ContractionCertificate)
     report = {"command": "certify", "certified": ok, **outcome.to_dict()}
     args.report_to_out = True
@@ -314,15 +314,14 @@ def cmd_solve_fe(args):
         raise SchemaError("solve-fe needs an right-hand side h",
                           "/problem/h")
     h = _parse_expr_at(h_src, "/problem/h")
-    M = 1024 if args.grid is None else args.grid
     f, rep = funceq_mod.solve_neumann(
-        system, h, tol=args.tol or 1e-12, M=M,
+        system, h, tol=args.tol, M=args.grid,
         max_iter=int(cfg.budgets.get("max_iter", 20000)),
         m_max=int(cfg.budgets.get("m_max", 64)))
     if args.out:
         f.to_csv(args.out)
     report = {"command": "solve-fe", "residual": rep.residual,
-              "iterations": rep.iterations, "grid": M,
+              "iterations": rep.iterations, "grid": args.grid,
               "certificate": rep.certificate.to_dict()}
     return emit(report, args, 0)
 
@@ -368,10 +367,10 @@ def cmd_solve_ivp(args):
         h = _parse_expr_at(h_src, "/problem/h")
     c = args.c if args.c is not None else float(problem.get("c", 0.0))
     mu = args.mu if args.mu is not None else float(problem.get("mu", 0.0))
-    M = 512 if args.grid is None else args.grid
     tol_data = float(cfg.tolerances.get("tol_data", 1e-8))
     sol = pconf_mod.solve_ivp(pconf_mod.IvpProblem(pc, h, c, mu,
-                                                   tol_data=tol_data), M)
+                                                   tol_data=tol_data),
+                              args.grid)
     if args.out:
         sol.f.to_csv(args.out)
     report = {"command": "solve-ivp", **sol.diagnostics.to_dict()}
@@ -437,22 +436,28 @@ def cmd_overdet(args):
             tuple(problem["interval"]), problem["A"], problem["B"])
     else:
         rules = []
-        for i, spec_rule in enumerate(problem.get("rules", [])):
-            _require(spec_rule, ("map",), f"/problem/rules/{i}")
+        specs = problem.get("rules", [])
+        if not isinstance(specs, list):
+            raise SchemaError("'rules' must be a list of rule objects",
+                              "/problem/rules")
+        for i, spec_rule in enumerate(specs):
+            pointer = f"/problem/rules/{i}"
+            if not isinstance(spec_rule, dict):
+                raise SchemaError("a rule must be an object", pointer)
+            _require(spec_rule, ("map",), pointer)
+            _require_numeric(spec_rule, ("cA", "cB", "cv", "c0"), pointer)
             rules.append(cauchy_mod.PropagationRule(
-                map=_parse_expr_at(spec_rule["map"], f"/problem/rules/{i}/map"),
+                map=_parse_expr_at(spec_rule["map"], f"{pointer}/map"),
                 c_A=spec_rule.get("cA", 0.0), c_B=spec_rule.get("cB", 0.0),
                 c_v=spec_rule.get("cv", 0.0), c_0=spec_rule.get("c0", 0.0),
                 label=i))
         prob = cauchy_mod.OverdetProblem(
             tuple(problem["interval"]), problem["A"], problem["B"], rules,
             name="affine")
-    eps = args.eps or 2.0 ** -12
-    depth = args.depth or 14
     cloud = cauchy_mod.propagate_values(
-        prob, depth, eps,
+        prob, args.depth, args.eps,
         cell_cap=int(cfg.budgets.get("cell_cap", 2 ** 22)))
-    rep = cauchy_mod.check_consistency(cloud, eps, args.tol or 1e-9)
+    rep = cauchy_mod.check_consistency(cloud, args.eps, args.tol)
     if args.out:
         cloud.to_csv(args.out)
     report = {"command": "overdet", "kind": kind,
@@ -523,8 +528,8 @@ def cmd_analyze_bvp(args):
     cfg = load_config(args.config)
     rng = np.random.default_rng(args.seed)
     system = bvp_mod.build_boundary_system(_bvp_problem(cfg), rng=rng)
-    rep = bvp_mod.analyze_solvability(system, eps=args.eps or 0.01,
-                                      depth=args.depth or 10 ** 5, rng=rng)
+    rep = bvp_mod.analyze_solvability(system, eps=args.eps,
+                                      depth=args.depth, rng=rng)
     args.report_to_out = True
     report = {
         "command": "analyze-bvp", "status": rep.status, "route": rep.route,
@@ -541,11 +546,9 @@ def cmd_analyze_bvp(args):
 def cmd_solve_bvp(args):
     cfg = load_config(args.config)
     problem = _bvp_problem(cfg)
-    M = 512 if args.grid is None else args.grid
     try:
-        sol = bvp_mod.solve_bvp(problem, M=M, mu=args.mu or 0.0,
-                                eps=args.eps or 0.01,
-                                depth=args.depth or 10 ** 5)
+        sol = bvp_mod.solve_bvp(problem, M=args.grid, mu=args.mu,
+                                eps=args.eps, depth=args.depth)
     except NotSolvableError as exc:
         rep = exc.report
         report = {"command": "solve-bvp", "verdict": "not_solvable",
@@ -563,7 +566,7 @@ def cmd_solve_bvp(args):
                                          if sol.solvability else "skipped"),
               "chi0_defect": sol.triple.chi0_defect,
               "collocation_residual": sol.ivp_diagnostics.residual,
-              "grid": M}
+              "grid": args.grid}
     return emit(report, args, 0)
 
 
@@ -601,15 +604,41 @@ HANDLERS = {
 }
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _arg_type(convert, accept, expected):
+    """An argparse type: convert the text and keep values `accept` takes;
+    anything else is a usage error (exit 2)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _arg_type(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _arg_type(int, lambda v: v >= 0,
+                             "a non-negative integer")
+_positive_float = _arg_type(float, lambda v: 0.0 < v < np.inf,
+                            "a positive finite number")
+
+# defaults of the common flags, per subcommand; a flag given on the command
+# line is used as given. graph-min's --grid and solve-ivp's --c/--mu default
+# from the config instead.
+FLAG_DEFAULTS = {
+    "orbit": {"eps": 0.01, "depth": 10 ** 4},
+    "probe": {"eps": 0.01, "depth": 10 ** 5},
+    "weak-attractor": {"eps": 0.01, "depth": 10 ** 5},
+    "certify": {"grid": 1024},
+    "solve-fe": {"grid": 1024, "tol": 1e-12},
+    "solve-ivp": {"grid": 512},
+    "overdet": {"eps": 2.0 ** -12, "depth": 14, "tol": 1e-9},
+    "analyze-bvp": {"eps": 0.01, "depth": 10 ** 5},
+    "solve-bvp": {"grid": 512, "eps": 0.01, "depth": 10 ** 5, "mu": 0.0},
+}
 
 
 def build_parser():
@@ -623,10 +652,10 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--depth", type=int, default=None)
+        p.add_argument("--eps", type=_positive_float, default=None)
+        p.add_argument("--depth", type=_nonnegative_int, default=None)
         p.add_argument("--grid", type=_positive_int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_positive_float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-meta", action="store_true")
         p.add_argument("--debug", action="store_true",
@@ -645,6 +674,7 @@ def build_parser():
             p.add_argument("--h", default=None)
         if name == "solve-bvp":
             p.add_argument("--mu", type=float, default=None)
+        p.set_defaults(**FLAG_DEFAULTS.get(name, {}))
     return parser
 
 
@@ -661,14 +691,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return CONFIG_ERROR_EXIT if exc.code not in (0, None) else 0
-    # defaults shared by probe-like commands
-    if args.eps is None and args.command in ("probe", "weak-attractor",
-                                             "orbit"):
-        args.eps = 0.01
-    if args.depth is None and args.command in ("probe", "weak-attractor"):
-        args.depth = 10 ** 5
-    if args.depth is None and args.command == "orbit":
-        args.depth = 10 ** 4
     args.report_to_out = False
     try:
         return HANDLERS[args.command](args)

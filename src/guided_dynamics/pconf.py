@@ -240,18 +240,21 @@ def _cumtrapz(v, step):
 
 def _second_derivative_values(problem, nodes, step):
     """h'' on the grid: symbolic when h is an Expression, second
-    differences (with linear end extrapolation) otherwise."""
+    differences otherwise, extrapolated to the two end nodes from the
+    interior values that exist: linearly from two or more, constantly
+    from one, and as 0 (h linear between its two samples) from none."""
     from .exprlang import Expression, differentiate
     if isinstance(problem.h, Expression):
         return np.asarray(
             differentiate(differentiate(problem.h)).eval(nodes),
             dtype=float) * np.ones_like(nodes)
     h_vals = problem.h_values(nodes)
-    h2 = np.empty_like(h_vals)
-    h2[1:-1] = (h_vals[:-2] - 2.0 * h_vals[1:-1] + h_vals[2:]) / step ** 2
-    h2[0] = 2.0 * h2[1] - h2[2]
-    h2[-1] = 2.0 * h2[-2] - h2[-3]
-    return h2
+    inner = (h_vals[:-2] - 2.0 * h_vals[1:-1] + h_vals[2:]) / step ** 2
+    if inner.size >= 2:
+        ends = (2.0 * inner[0] - inner[1], 2.0 * inner[-1] - inner[-2])
+    else:
+        ends = (inner[0], inner[0]) if inner.size else (0.0, 0.0)
+    return np.concatenate(([ends[0]], inner, [ends[1]]))
 
 
 def _map_second_derivative(g, nodes, step):

@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from guided_dynamics.cauchy import (OverdetProblem, PropagationRule,
+from guided_dynamics.cauchy import (Collision, OverdetProblem,
+                                    PropagationRule,
                                     analyze_affine, check_consistency,
                                     orbit_convergence_rates,
                                     propagate_values,
                                     verify_linear_solution)
 from guided_dynamics.errors import HypothesisFailure
+from guided_dynamics.exprlang import parse
 
 
 def additive_problem(B=0.3):
@@ -117,6 +123,149 @@ def test_truncated_cloud_vacuously_consistent():
     prob = OverdetProblem.jensen((0.0, 1.0), 0.0, 1.0)
     cloud = propagate_values(prob, 1, 2.0 ** -12)
     assert check_consistency(cloud, 2.0 ** -12, 1e-10).consistent
+
+
+def reference_propagate(problem, depth, eps, cell_cap=2 ** 22,
+                        max_logged_collisions=10000):
+    """The per-candidate loop propagate_values replaced, kept as the
+    reference: arrays, flags, max gap and the first collisions, logged as
+    (point, new_point, existing_value, new_value, gap, depth)."""
+    iv = problem.interval
+    n_half = max(1, int(math.ceil(iv.length / (eps / 2.0))))
+    width = iv.length / n_half
+
+    def cell_of(p):
+        return np.clip(((p - iv.a) / width).astype(np.int64), 0, n_half - 1)
+
+    pts, vals, deps, pars, rids = [iv.a, iv.b], [problem.A, problem.B], \
+        [0, 0], [-1, -1], [-1, -1]
+    cells = {int(cell_of(np.array([iv.a]))[0]): 0,
+             int(cell_of(np.array([iv.b]))[0]): 1}
+    collisions, max_gap = [], 0.0
+    frontier = np.array([0, 1], dtype=np.int64)
+    saturated = partial = False
+    level = 0
+    while level < depth and frontier.size:
+        src_p = np.array(pts)[frontier]
+        src_v = np.array(vals)[frontier]
+        cand_p = np.concatenate([np.clip(np.asarray(
+            r.map(src_p), dtype=float), iv.a, iv.b) for r in problem.rules])
+        cand_v = np.concatenate([np.asarray(r.apply(
+            src_p, src_v, problem.A, problem.B), dtype=float)
+            for r in problem.rules])
+        cand_par = np.concatenate([frontier for _ in problem.rules])
+        cand_rule = np.concatenate([np.full(frontier.size, r.label)
+                                    for r in problem.rules])
+        cand_cells = cell_of(cand_p)
+        level += 1
+        fresh = []
+        for j in range(cand_p.size):
+            c = int(cand_cells[j])
+            if c in cells:
+                k = cells[c]
+                gap = abs(float(cand_v[j]) - vals[k])
+                max_gap = max(max_gap, gap)
+                if len(collisions) < max_logged_collisions:
+                    collisions.append((float(pts[k]), float(cand_p[j]),
+                                       float(vals[k]), float(cand_v[j]),
+                                       float(gap), level))
+            else:
+                cells[c] = len(pts)
+                pts.append(float(cand_p[j]))
+                vals.append(float(cand_v[j]))
+                deps.append(level)
+                pars.append(int(cand_par[j]))
+                rids.append(int(cand_rule[j]))
+                fresh.append(len(pts) - 1)
+        if not fresh:
+            saturated = True
+            break
+        if len(pts) > cell_cap:
+            partial = True
+            break
+        frontier = np.array(fresh, dtype=np.int64)
+    return (np.array(pts), np.array(vals), np.array(deps), np.array(pars),
+            np.array(rids), collisions, max_gap, saturated, partial)
+
+
+def three_rule_affine(A, B):
+    rules = (
+        PropagationRule(map=parse("t/2"), c_A=0.5, c_v=0.5, label=0),
+        PropagationRule(map=parse("(1+t)/2"), c_v=0.5, c_0=0.25, label=1),
+        PropagationRule(map=parse("t/3+1/3"), c_A=0.25, c_B=parse("t/4"),
+                        c_v=parse("0.5-t/8"), c_0=-0.1, label=2),
+    )
+    return OverdetProblem((0.0, 1.0), A, B, rules, name="affine3")
+
+
+PROBLEMS = {
+    "jensen-1/2": lambda A, B: OverdetProblem.jensen((0.0, 1.0), A, B),
+    "jensen-1/3": lambda A, B: OverdetProblem.jensen((-1.0, 2.0), A, B,
+                                                     weight=1.0 / 3.0),
+    "cauchy": lambda A, B: OverdetProblem.cauchy_boundary(B),
+    "geometric-mean": lambda A, B: OverdetProblem.geometric_mean(
+        (1.0, 4.0), A, B),
+    "affine-3-rule": three_rule_affine,
+}
+
+
+@given(st.sampled_from(sorted(PROBLEMS)),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.integers(0, 11), st.integers(3, 10),
+       st.one_of(st.just(2 ** 22), st.integers(1, 300)))
+@settings(max_examples=80, deadline=None)
+def test_propagation_matches_reference_loop(name, A, B, depth, k, cell_cap):
+    problem = PROBLEMS[name](A, B)
+    eps = 2.0 ** -k
+    cloud = propagate_values(problem, depth, eps, cell_cap=cell_cap)
+    (pts, vals, deps, pars, rids, log, max_gap, saturated,
+     partial) = reference_propagate(problem, depth, eps, cell_cap=cell_cap)
+    for got, want in ((cloud.points, pts), (cloud.values, vals),
+                      (cloud.depths, deps), (cloud.parents, pars),
+                      (cloud.rule_ids, rids)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert (cloud.saturated, cloud.partial) == (saturated, partial)
+    assert cloud.max_collision_gap == max_gap
+    own = cloud.collision_owner
+    assert own.size >= len(log)
+    if len(log) < 10000:
+        assert own.size == len(log)
+    new = list(zip(cloud.points[own].tolist(),
+                   cloud.collision_points.tolist(),
+                   cloud.values[own].tolist(),
+                   cloud.collision_values.tolist(),
+                   cloud.collision_gaps.tolist(),
+                   cloud.collision_depths.tolist()))
+    assert new[:len(log)] == log
+    # the verdict of the old per-collision loop over the same collisions
+    report = check_consistency(cloud, eps, 1e-9)
+    lip = report.lipschitz_estimate
+    first_bad = next((Collision(*c) for c in new
+                      if c[4] >= 10.0 * lip * abs(c[1] - c[0]) + 1e-9), None)
+    if first_bad is not None:
+        assert report.witness == first_bad
+    else:
+        assert not isinstance(report.witness, Collision)
+    assert report.n_collisions == own.size
+
+
+def test_deep_planted_inconsistency_found():
+    """A 1e-6 defect on a 2e-5-wide window is first reached at depth 16,
+    past the first 10 000 collisions: every collision must be checked."""
+    jensen = OverdetProblem.jensen((0.0, 1.0), 0.0, 1.0)
+    window = lambda t: np.where(
+        (np.asarray(t) > 0.41) & (np.asarray(t) < 0.41 + 2e-5), 1e-6, 0.0)
+    planted = PropagationRule(map=jensen.rules[0].map, c_A=0.5, c_v=0.5,
+                              c_0=window, label=2)
+    problem = OverdetProblem((0.0, 1.0), 0.0, 1.0, (*jensen.rules, planted))
+    for eps in (2.0 ** -16, 2.0 ** -15):
+        cloud = propagate_values(problem, 20, eps)
+        report = check_consistency(cloud, eps, 1e-9)
+        assert report.verdict == "inconsistent"
+        assert report.n_collisions > 10000
+        assert report.witness.depth == 16
+        assert report.witness.gap == pytest.approx(1e-6, rel=1e-6)
 
 
 # --------------------------------------------------------------------------

@@ -384,3 +384,83 @@ def test_singular_ivp_factor_is_numeric_failure(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("numeric failure: ")
     assert "singular" in err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("overdet", "jensen.json"),
+    ("probe", "circle_rational.json"),
+    ("analyze-bvp", "straight_bvp.json"),
+    ("solve-bvp", "straight_bvp.json"),
+    ("solve-fe", "standard_funceq.json"),
+])
+@pytest.mark.parametrize("flag,value,expected", [
+    ("--eps", "0", "a positive finite number"),
+    ("--eps", "-1", "a positive finite number"),
+    ("--eps", "nan", "a positive finite number"),
+    ("--eps", "inf", "a positive finite number"),
+    ("--tol", "0", "a positive finite number"),
+    ("--tol", "-1e-9", "a positive finite number"),
+    ("--depth", "-1", "a non-negative integer"),
+    ("--depth", "2.5", "a non-negative integer"),
+])
+def test_numeric_flags_rejected(capsys, command, config, flag, value,
+                                expected):
+    code, out, err = run(capsys, [command, "--config", cfg(config),
+                                  f"{flag}={value}", "--no-meta"])
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: expected {expected}" in err
+
+
+@pytest.mark.parametrize("flags,points", [
+    ([], 8192),
+    (["--depth", "0"], 2),
+    (["--depth", "3"], 9),
+    (["--eps", "0.5", "--depth", "20"], 4),
+])
+def test_overdet_flags_used_as_given(capsys, flags, points):
+    code, out, _ = run(capsys, ["overdet", "--config", cfg("jensen.json"),
+                                "--no-meta"] + flags)
+    assert code == 0
+    assert json.loads(out)["points"] == points
+
+
+def test_overdet_counts_every_collision(capsys):
+    # depth 16 at eps 2^-14 collides 32 770 times, past the old 10 000 cap
+    code, out, _ = run(capsys, ["overdet", "--config", cfg("jensen.json"),
+                                "--eps", repr(2.0 ** -14), "--depth", "16",
+                                "--no-meta"])
+    assert code == 0
+    assert json.loads(out)["n_collisions"] > 10000
+
+
+@pytest.mark.parametrize("rules,pointer", [
+    (5, "/problem/rules"),
+    ({"map": "t/2"}, "/problem/rules"),
+    ([3], "/problem/rules/0"),
+    ([{"map": "t/2", "cA": 0.5, "cv": 0.5},
+      {"map": "(1+t)/2", "cv": 0.5, "c0": "t"}], "/problem/rules/1/c0"),
+    ([{"map": "t/2", "cA": [1], "cv": 0.5}], "/problem/rules/0/cA"),
+    ([{"map": "t/2", "cA": 0.5, "cv": None}], "/problem/rules/0/cv"),
+    ([{"map": "t/2", "cA": 0.5, "cB": True}], "/problem/rules/0/cB"),
+])
+def test_overdet_affine_rule_schema(tmp_path, capsys, rules, pointer):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"problem": {
+        "kind": "affine", "interval": [0.0, 1.0], "A": 0.0, "B": 1.0,
+        "rules": rules}}))
+    code, out, err = run(capsys, ["overdet", "--config", str(path),
+                                  "--no-meta"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and f"(at {pointer})" in err
+
+
+@pytest.mark.parametrize("grid", ["1", "2", "3"])
+def test_solve_bvp_small_grids(capsys, grid):
+    argv = ["solve-bvp", "--config", cfg("straight_bvp.json"), "--grid",
+            grid, "--no-meta"]
+    first = run(capsys, argv)
+    assert first[0] == 0
+    assert json.loads(first[1])["grid"] == int(grid)
+    assert run(capsys, argv) == first

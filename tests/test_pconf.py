@@ -379,3 +379,20 @@ def test_solve_ivp_memory_linear_in_grid(quadratic_pconf):
     assert peak < 64 * 2 ** 20
     exact = np.polynomial.Polynomial(coefs)(sol.f.nodes)
     assert np.max(np.abs(sol.f.values - exact)) < 1e-5
+
+
+@pytest.mark.parametrize("M,h,exact", [
+    (1, lambda t: 3.0 * t - 1.0, lambda t: 0.0 * t),
+    (2, lambda t: t * t, lambda t: 2.0 + 0.0 * t),
+    (3, lambda t: t ** 3, lambda t: 6.0 * t),
+    (16, lambda t: t ** 3 - t, lambda t: 6.0 * t),
+])
+def test_grid_h_second_derivative_on_small_grids(standard_pconf, M, h,
+                                                 exact):
+    # second differences are exact on these polynomials, and the end
+    # values come from the interior ones that exist
+    nodes = np.linspace(-1.0, 1.0, M + 1)
+    h2 = pconf._second_derivative_values(
+        IvpProblem(standard_pconf, h, 0.0, 0.0), nodes, 2.0 / M)
+    assert h2.shape == nodes.shape
+    assert np.max(np.abs(h2 - exact(nodes))) < 1e-9

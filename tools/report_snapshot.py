@@ -1,0 +1,63 @@
+"""Snapshot every `gds` subcommand's report on every `configs/` file.
+
+Runs `cli.main(argv + ["--no-meta"])` in-process for each subcommand on
+each config (`--x0 0.3` where the subcommand requires it) and writes one
+JSON object mapping the argv, joined by spaces, to [exit code, stdout,
+stderr]. Two snapshots diff cleanly, so a refactor that must keep reports
+byte-identical can be checked against its parent commit:
+
+    python tools/report_snapshot.py new.json
+    python tools/report_snapshot.py old.json --root ../parent-checkout
+    diff old.json new.json
+
+`--root` names the checkout whose `src/` and `configs/` are used (default:
+the one holding this script). BLAS runs on one thread, as the benchmark
+pins it, because multithreaded reductions move floats at roundoff.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+X0_COMMANDS = ("orbit", "weak-attractor")
+
+
+def snapshot(root):
+    os.chdir(root)
+    sys.path.insert(0, str(root / "src"))
+    from guided_dynamics import cli
+
+    runs = {}
+    for config in sorted(Path("configs").glob("*.json")):
+        for command in cli.HANDLERS:
+            argv = [command, "--config", config.as_posix()]
+            if command in X0_COMMANDS:
+                argv += ["--x0", "0.3"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv + ["--no-meta"])
+            runs[" ".join(argv)] = [code, out.getvalue(), err.getvalue()]
+    return runs
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="path of the JSON snapshot to write")
+    parser.add_argument("--root", default=Path(__file__).resolve().parents[1],
+                        type=Path, help="checkout to run (default: this one)")
+    args = parser.parse_args()
+    out = Path(args.out).resolve()
+    runs = snapshot(args.root.resolve())
+    out.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
+    print(f"{len(runs)} runs written to {out}")
+
+
+if __name__ == "__main__":
+    # must precede the first numpy import
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    main()
