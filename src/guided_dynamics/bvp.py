@@ -35,7 +35,8 @@ from .funceq import GridFunction
 from .gds import (ContractionMinimalityCertificate, GeneratorMap,
                   GuidedSystem, GuidingSet, Interval,
                   check_contraction_minimality, find_guided_cycles,
-                  probe_minimality, verify_conjugacy, zero_band_guiding)
+                  probe_minimality, verify_conjugacy, write_csv,
+                  zero_band_guiding)
 from .pconf import IvpProblem, solve_ivp, validate_pconfiguration
 
 TOL_SLOPE = 1e-8
@@ -624,10 +625,8 @@ class BvpSolution:
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         inside = self.system.contains(X.ravel(), Y.ravel())
         U = self.field(X.ravel(), Y.ravel())
-        data = np.column_stack([X.ravel()[inside], Y.ravel()[inside],
-                                U[inside]])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header="x,y,u", comments="")
+        write_csv(path, "x,y,u",
+                  [X.ravel()[inside], Y.ravel()[inside], U[inside]])
 
 
 def solve_bvp(problem: BoundaryProblem, M: int = 512, mu: float = 0.0,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import HypothesisFailure
 from .exprlang import _scalar, as_callable
-from .gds import Interval
+from .gds import Interval, write_csv
 
 __all__ = [
     "PropagationRule", "OverdetProblem", "PropagationCloud", "Collision",
@@ -245,10 +245,8 @@ class PropagationCloud:
 
     def to_csv(self, path):
         o = self.order()
-        data = np.column_stack([self.points[o], self.values[o],
-                                self.depths[o]])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header="t,value,depth", comments="")
+        write_csv(path, "t,value,depth",
+                  [self.points[o], self.values[o], self.depths[o]])
 
 
 def propagate_values(problem: OverdetProblem, depth: int, eps: float,
@@ -403,7 +401,6 @@ class AffineCauchyAnalysis:
     d_tilde2: np.ndarray
     gamma: float
     radius: int
-    fixed_point_iterations: int
 
     def ball_family(self, m):
         """Centers and radius of K_m = B(d~1, m) u B(d~2, m)."""
@@ -421,22 +418,11 @@ class AffineCauchyAnalysis:
         }
 
 
-def _fixed_point_iterate(Bmat, d, tol=1e-14, max_iter=100000):
-    x = np.zeros_like(d)
-    for it in range(1, max_iter + 1):
-        x_new = Bmat @ x + d
-        if np.max(np.abs(x_new - x)) <= tol * (1.0 + np.max(np.abs(x_new))):
-            return x_new, it
-        x = x_new
-    raise HypothesisFailure("fixed-point iteration converges",
-                            detail=f"no convergence in {max_iter} steps")
-
-
 def analyze_affine(A1, A2, b1, b2) -> AffineCauchyAnalysis:
     """Hypothesis gate (symmetry, commutation, positive definiteness),
-    then the full solvability record: B_i = A_i (A1 + A2)^{-1}, shifted
-    fixed points d~_i found by iteration, the contraction factor gamma,
-    and the invariant-ball radius bound."""
+    then the full solvability record: B_i = A_i (A1 + A2)^{-1}, the
+    contraction factor gamma, the shifted fixed points d~_i solving
+    (I - B_i) d~_i = d_i, and the invariant-ball radius bound."""
     A1 = np.atleast_2d(np.asarray(A1, dtype=float))
     A2 = np.atleast_2d(np.asarray(A2, dtype=float))
     b1 = np.atleast_1d(np.asarray(b1, dtype=float))
@@ -462,19 +448,18 @@ def analyze_affine(A1, A2, b1, b2) -> AffineCauchyAnalysis:
     B2 = np.linalg.solve(S.T, A2.T).T
     d1 = B1 @ (-b1 - b2) + b1
     d2 = B2 @ (-b1 - b2) + b2
-    dt1, it1 = _fixed_point_iterate(B1, d1)
-    dt2, it2 = _fixed_point_iterate(B2, d2)
     gamma = max(float(np.max(np.abs(np.linalg.eigvalsh(B1)))),
                 float(np.max(np.abs(np.linalg.eigvalsh(B2)))))
     if gamma >= 1.0:
         raise HypothesisFailure("contraction factor below one",
                                 detail=f"gamma = {gamma!r}")
+    dt1 = np.linalg.solve(np.eye(n) - B1, d1)
+    dt2 = np.linalg.solve(np.eye(n) - B2, d2)
     dist = float(np.linalg.norm(dt1 - dt2))
     radius = int(math.ceil(dist / (1.0 - gamma))) + 1
     return AffineCauchyAnalysis(
         A1=A1, A2=A2, b1=b1, b2=b2, B1=B1, B2=B2, d1=d1, d2=d2,
-        d_tilde1=dt1, d_tilde2=dt2, gamma=gamma, radius=radius,
-        fixed_point_iterations=max(it1, it2))
+        d_tilde1=dt1, d_tilde2=dt2, gamma=gamma, radius=radius)
 
 
 def orbit_convergence_rates(analysis: AffineCauchyAnalysis, which: int,

@@ -454,6 +454,11 @@ def cmd_overdet(args):
         prob = cauchy_mod.OverdetProblem(
             tuple(problem["interval"]), problem["A"], problem["B"], rules,
             name="affine")
+    if prob.interval.cell_count(args.eps / 2.0) < 2:
+        raise argparse.ArgumentError(
+            None, f"argument --eps: {args.eps!r} puts both endpoint seeds "
+                  f"in one eps/2-cell; it must be below twice the interval "
+                  f"length {prob.interval.length!r}")
     cloud = cauchy_mod.propagate_values(
         prob, args.depth, args.eps,
         cell_cap=int(cfg.budgets.get("cell_cap", 2 ** 22)))
@@ -696,6 +701,9 @@ def main(argv=None) -> int:
         return HANDLERS[args.command](args)
     except SchemaError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return CONFIG_ERROR_EXIT
+    except argparse.ArgumentError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
         return CONFIG_ERROR_EXIT
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -5,7 +5,9 @@ maximum-principle and triangular-family uniqueness checks.
 
 Grid functions are piecewise linear on a uniform grid. Linear
 interpolation preserves positivity and the sup-norm bounds the certificate
-logic relies on; accuracy is recovered by grid refinement.
+logic relies on; accuracy is recovered by grid refinement. On a grid, A is
+one (M+1) x (M+1) CSR interpolation matrix per (system, grid), built once
+from the node tables; every application of A is a sparse product.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import (BudgetExceeded, DomainError, HypothesisFailure,
                      MapEscape, NoConvergence, NotASolution, NotCertified)
 from .exprlang import Expression, _scalar, as_callable
 from .gds import (CircleSpace, GuidedSystem, GuidingSet, Interval,
-                  guided_orbit_set, map_from, zero_band_guiding)
+                  guided_orbit_set, map_from, write_csv, zero_band_guiding)
 
 CONTRACTION_MARGIN = 1e-6
 
@@ -26,9 +29,47 @@ __all__ = [
     "GridFunction", "FunceqSystem", "ContractionCertificate",
     "ContractionFailure", "NeumannReport", "MaxPrincipleVerdict",
     "TriangularFamily", "TriangularUniquenessVerdict",
+    "interp_weights", "interpolation_matrix",
     "apply_operator", "compute_g_n", "certify_contraction", "solve_neumann",
     "check_max_principle", "verify_triangular_uniqueness",
 ]
+
+
+def grid_nodes(domain, M):
+    """The M+1 uniform grid nodes; a circle's last node is the period."""
+    if isinstance(domain, CircleSpace):
+        return np.linspace(0.0, domain.period, M + 1)
+    return np.linspace(domain.a, domain.b, M + 1)
+
+
+def interp_weights(domain, y, M):
+    """Cell k and weight w of linear interpolation (1 - w) f[k] + w f[k+1]
+    at y on the M+1 node grid of domain. y is normalized into the domain
+    and k clipped to 0..M-1, never wrapped: on a circle node M closes the
+    grid, so y just below 0 (normalized to the period) gets k = M-1, w = 1.
+    """
+    left = 0.0 if isinstance(domain, CircleSpace) else domain.a
+    step = domain.length / M
+    xn = domain.normalize(np.asarray(y, dtype=float))
+    k = np.clip(np.floor((xn - left) / step).astype(np.int64), 0, M - 1)
+    return k, (xn - (left + k * step)) / step
+
+
+def interpolation_matrix(domain, images, coeffs):
+    """sum_i diag(coeffs[i]) J(images[i]) as an (M+1) x (M+1) CSR matrix,
+    J(y) the rows of linear interpolation at y. Each row holds two entries
+    per map in map order, duplicates unsummed, filled in place."""
+    n, N = len(images[0]), len(images)
+    index = np.int32 if 2 * N * n < 2 ** 31 else np.int64
+    cols = np.empty((n, N, 2), dtype=index)
+    vals = np.empty((n, N, 2))
+    for i, (y, a) in enumerate(zip(images, coeffs)):
+        k, w = interp_weights(domain, y, n - 1)
+        cols[:, i] = k[:, None] + (0, 1)
+        vals[:, i, 0], vals[:, i, 1] = a * (1.0 - w), a * w
+    indptr = np.arange(0, 2 * N * n + 1, 2 * N, dtype=index)
+    return scipy.sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr),
+                                   shape=(n, n))
 
 
 class GridFunction:
@@ -54,20 +95,14 @@ class GridFunction:
 
     @property
     def nodes(self):
-        if isinstance(self.domain, CircleSpace):
-            return np.linspace(0.0, self.domain.period, self.values.size)
-        return np.linspace(self.domain.a, self.domain.b, self.values.size)
+        return grid_nodes(self.domain, self.M)
 
     @classmethod
     def from_callable(cls, domain, M, fn):
-        fn = as_callable(fn)
+        vals = np.array(as_callable(fn)(grid_nodes(domain, M)), dtype=float)
         if isinstance(domain, CircleSpace):
-            xs = np.linspace(0.0, domain.period, M + 1)
-            vals = np.asarray(fn(xs), dtype=float)
             vals[-1] = vals[0]
-            return cls(domain, vals)
-        xs = np.linspace(domain.a, domain.b, M + 1)
-        return cls(domain, np.asarray(fn(xs), dtype=float))
+        return cls(domain, vals)
 
     @classmethod
     def constant(cls, domain, M, value):
@@ -114,9 +149,7 @@ class GridFunction:
     __rmul__ = __mul__
 
     def to_csv(self, path):
-        data = np.column_stack([self.nodes, self.values])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header="t,value", comments="")
+        write_csv(path, "t,value", [self.nodes, self.values])
 
     @classmethod
     def from_csv(cls, path, domain=None):
@@ -151,6 +184,7 @@ class FunceqSystem:
         self._system = GuidedSystem(space, self.maps, self.guiding,
                                     coefficients=self.coeffs,
                                     tol_lambda=tol_lambda)
+        self._grid_operators = {}
 
     def _coeff_zero_band(self, coeff, tol=1e-9):
         if isinstance(self.space, CircleSpace):
@@ -171,26 +205,35 @@ class FunceqSystem:
     def as_guided_system(self):
         return self._system
 
-    def node_tables(self, nodes):
-        """Coefficient and image arrays at the given nodes; images are
-        range-checked and clipped."""
+    def node_tables(self, nodes, domain):
+        """Coefficient and image arrays at the given nodes of domain. On an
+        interval images are range-checked, raising MapEscape beyond
+        tolerance, and clipped."""
         a_tab = [np.asarray(c(nodes), dtype=float) for c in self.coeffs]
         d_tab = []
         for m in self.maps:
             img = np.asarray(m(nodes), dtype=float)
-            if isinstance(self.space, Interval):
-                worst = max(float(np.max(self.space.a - img)),
-                            float(np.max(img - self.space.b)))
-                if worst > 1e-9:
-                    k = int(np.argmax(np.maximum(self.space.a - img,
-                                                 img - self.space.b)))
+            if isinstance(domain, Interval):
+                excess = np.maximum(domain.a - img, img - domain.b)
+                k = int(np.argmax(excess))
+                if excess[k] > 1e-9:
                     raise MapEscape(
                         f"map {m.label} escapes the domain at node "
                         f"t={nodes[k]!r} (image {img[k]!r})",
                         generator=m.label, point=nodes[k], image=img[k])
-                img = np.clip(img, self.space.a, self.space.b)
+                img = np.clip(img, domain.a, domain.b)
             d_tab.append(img)
         return a_tab, d_tab
+
+    def grid_operator(self, domain, M):
+        """A on the M+1 node grid of domain as a CSR matrix, built on the
+        first request and kept for later ones."""
+        key = (domain, M)
+        if key not in self._grid_operators:
+            a_tab, d_tab = self.node_tables(grid_nodes(domain, M), domain)
+            self._grid_operators[key] = interpolation_matrix(domain, d_tab,
+                                                             a_tab)
+        return self._grid_operators[key]
 
 
 def apply_operator(system: FunceqSystem, f: GridFunction) -> GridFunction:
@@ -198,23 +241,7 @@ def apply_operator(system: FunceqSystem, f: GridFunction) -> GridFunction:
 
     Raises MapEscape when some image delta_i(t_j) leaves the domain of f
     beyond tolerance."""
-    nodes = f.nodes
-    out = np.zeros_like(f.values)
-    for coeff, mp in zip(system.coeffs, system.maps):
-        img = np.asarray(mp(nodes), dtype=float)
-        if isinstance(f.domain, Interval):
-            worst = max(float(np.max(f.domain.a - img)),
-                        float(np.max(img - f.domain.b)))
-            if worst > 1e-9:
-                k = int(np.argmax(np.maximum(f.domain.a - img,
-                                             img - f.domain.b)))
-                raise MapEscape(
-                    f"map {mp.label} escapes the grid domain at node "
-                    f"t={nodes[k]!r} (image {img[k]!r})",
-                    generator=mp.label, point=nodes[k], image=img[k])
-            img = np.clip(img, f.domain.a, f.domain.b)
-        out += np.asarray(coeff(nodes), dtype=float) * f.eval(img)
-    return f.copy_with(out)
+    return f.copy_with(system.grid_operator(f.domain, f.M) @ f.values)
 
 
 def compute_g_n(system: FunceqSystem, n: int, mode: str = "iterated",
@@ -226,19 +253,16 @@ def compute_g_n(system: FunceqSystem, n: int, mode: str = "iterated",
         raise ValueError("n must be >= 0")
     domain = system.space
     if mode == "iterated":
-        f = GridFunction.constant(domain, M, 1.0)
+        g = np.ones(M + 1)
         for _ in range(n):
-            f = apply_operator(system, f)
-        return f
+            g = system.grid_operator(domain, M) @ g
+        return GridFunction(domain, g)
     if mode != "explicit":
         raise ValueError(f"unknown mode {mode!r}")
     if system.n_maps ** n > budget:
         raise BudgetExceeded(
             f"explicit g_n needs {system.n_maps ** n} terms > {budget}")
-    if isinstance(domain, CircleSpace):
-        nodes = np.linspace(0.0, domain.period, M + 1)
-    else:
-        nodes = np.linspace(domain.a, domain.b, M + 1)
+    nodes = grid_nodes(domain, M)
 
     def recurse(x, k):
         if k == 0:
@@ -259,7 +283,6 @@ class ContractionCertificate:
     m: int
     norm: float
     grid: int
-    monotone_defect: float = 0.0
 
     def to_dict(self):
         return {"m": self.m, "norm": self.norm, "grid": self.grid}
@@ -282,19 +305,14 @@ def certify_contraction(system: FunceqSystem, m_max: int = 64,
     report carrying sup g_{m_max}. Relies on the positive-operator norm
     identity ||A^m|| = ||A^m 1||, hence requires a_i >= 0 (validated at
     system construction)."""
-    f = GridFunction.constant(system.space, M, 1.0)
-    prev = f.values.copy()
-    monotone_defect = 0.0
-    norm = float(np.max(f.values))
+    A = system.grid_operator(system.space, M)
+    g = np.ones(M + 1)
+    norm = 1.0
     for m in range(1, m_max + 1):
-        f = apply_operator(system, f)
-        monotone_defect = max(monotone_defect,
-                              float(np.max(f.values - prev)))
-        prev = f.values.copy()
-        norm = float(np.max(f.values))
+        g = A @ g
+        norm = float(np.max(g))
         if norm < 1.0 - CONTRACTION_MARGIN:
-            return ContractionCertificate(m=m, norm=norm, grid=M,
-                                          monotone_defect=monotone_defect)
+            return ContractionCertificate(m=m, norm=norm, grid=M)
     return ContractionFailure(m_max=m_max, norm=norm, grid=M)
 
 
@@ -314,41 +332,25 @@ def solve_neumann(system: FunceqSystem, h, tol: float = 1e-12,
     certificate is what makes the iteration and the solution's uniqueness
     sound. Returns (f, report) with the final sup-residual of f - Af - h.
     """
-    if isinstance(h, GridFunction):
-        h_grid = h
-        M = h.M
-    else:
-        h_grid = GridFunction.from_callable(system.space, M, h)
+    h_grid = h if isinstance(h, GridFunction) else \
+        GridFunction.from_callable(system.space, M, h)
+    M = h_grid.M
     cert = certify_contraction(system, m_max=m_max, M=M)
     if isinstance(cert, ContractionFailure):
         raise NotCertified(
             f"no contraction certificate up to m={m_max} "
             f"(sup g_m = {cert.norm!r})")
-    nodes = h_grid.nodes
-    a_tab, d_tab = system.node_tables(nodes)
-
-    def apply_A(vals):
-        f = GridFunction(system.space, vals) if isinstance(
-            system.space, CircleSpace) else None
-        out = np.zeros_like(vals)
-        for a, d in zip(a_tab, d_tab):
-            if f is None:
-                out += a * np.interp(d, nodes, vals)
-            else:
-                out += a * f.eval(d)
-        return out
-
+    A = system.grid_operator(system.space, M)
     f_vals = h_grid.values.copy()
     for it in range(1, max_iter + 1):
-        new_vals = apply_A(f_vals) + h_grid.values
+        new_vals = A @ f_vals + h_grid.values
         change = float(np.max(np.abs(new_vals - f_vals)))
         f_vals = new_vals
         if change < tol:
             residual = float(np.max(np.abs(
-                f_vals - apply_A(f_vals) - h_grid.values)))
-            f = GridFunction(system.space, f_vals)
-            return f, NeumannReport(residual=residual, iterations=it,
-                                    certificate=cert, tol=tol)
+                f_vals - A @ f_vals - h_grid.values)))
+            return GridFunction(system.space, f_vals), NeumannReport(
+                residual=residual, iterations=it, certificate=cert, tol=tol)
     raise NoConvergence(f"no convergence after {max_iter} iterations")
 
 
@@ -369,7 +371,7 @@ def check_max_principle(system: FunceqSystem, f: GridFunction,
     that f stays at its max (resp. min) level along the guided orbit cloud
     of the argmax (resp. argmin)."""
     nodes = f.nodes
-    a_tab, _ = system.node_tables(nodes)
+    a_tab, d_tab = system.node_tables(nodes, f.domain)
     total = np.zeros_like(nodes)
     for i, a in enumerate(a_tab):
         if np.min(a) < -1e-12:
@@ -387,8 +389,8 @@ def check_max_principle(system: FunceqSystem, f: GridFunction,
         raise HypothesisFailure(
             "sum of coefficients must be 1",
             witness=float(nodes[int(np.argmax(np.abs(total - 1.0)))]))
-    residual = float(np.max(np.abs(
-        f.values - apply_operator(system, f).values)))
+    A = interpolation_matrix(f.domain, d_tab, a_tab)
+    residual = float(np.max(np.abs(f.values - A @ f.values)))
     if residual >= tol:
         raise NotASolution(
             f"homogeneous residual {residual!r} >= tol {tol!r}",
@@ -506,16 +508,13 @@ def verify_triangular_uniqueness(family: TriangularFamily,
     if len(comps) != family.dim:
         raise ValueError("one grid function per component required")
     nodes = comps[0].nodes
-    res = np.zeros((family.dim, nodes.size))
-    for k in range(family.dim):
-        res[k] = comps[k].values.copy()
+    G = np.array([c.values for c in comps])
+    res = G.copy()
     for i in range(family.n_maps):
-        img = np.asarray(system.generators[i](nodes), dtype=float)
-        if isinstance(space, Interval):
-            img = np.clip(img, space.a, space.b)
-        Fi = np.array([c.eval(img) for c in comps])
+        Fi = interpolation_matrix(comps[0].domain, [system.generators[i](
+            nodes)], [1.0]) @ G.T
         for j, x in enumerate(nodes):
-            res[:, j] -= family.matrix(i, x) @ Fi[:, j]
+            res[:, j] -= family.matrix(i, x) @ Fi[j]
     residual = float(np.max(np.abs(res)))
     if residual_tol is None:
         residual_tol = max(10.0 * tol, 1e-8)
@@ -523,7 +522,6 @@ def verify_triangular_uniqueness(family: TriangularFamily,
         raise NotASolution(
             f"vector equation residual {residual!r} >= {residual_tol!r}",
             residual=residual)
-    G = np.array([c.values for c in comps])
     if family.P is not None:
         G = family.P_inv @ G
     spreads = tuple(float(np.max(G[k]) - np.min(G[k]))

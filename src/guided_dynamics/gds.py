@@ -38,7 +38,7 @@ __all__ = [
     "probe_weak_attractor", "find_guided_cycles",
     "check_contraction_minimality", "build_orbit_graph",
     "minimal_subsystems", "verify_conjugacy", "validate_orbit",
-    "zero_band_guiding", "map_from",
+    "zero_band_guiding", "map_from", "write_csv",
 ]
 
 
@@ -460,8 +460,21 @@ class OrbitCloud:
     seed: float
 
     def to_csv(self, path):
-        np.savetxt(path, np.sort(self.points), fmt="%.17g", header="t",
-                   comments="")
+        write_csv(path, "t", [np.sort(self.points)])
+
+
+def write_csv(path, header, columns, block_rows=4096):
+    """Write the columns as CSV rows of %.17g numbers under a one-line
+    header: the bytes np.savetxt(fmt="%.17g", delimiter=",",
+    header=header, comments="") writes, formatted block_rows rows at a
+    time so the text in memory stays bounded."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), block_rows):
+            rows = np.column_stack([c[start:start + block_rows]
+                                    for c in columns]).tolist()
+            fh.write("".join([line % tuple(row) for row in rows]))
 
 
 _REFINE_MULTS = (2, 8, 32)   # single-seed closures escalate on stalls
@@ -1261,25 +1274,22 @@ def zero_band_guiding(fn, interval: Interval, tol: float = 1e-9,
                 hi = mid
         return 0.5 * (lo + hi)
 
-    j = 0
-    while j < grid_n:
-        if not below[j]:
-            j += 1
-            continue
-        k = j
-        while k + 1 < grid_n and below[k + 1]:
-            k += 1
+    # maximal sub-tolerance runs [j, k]: edges of the padded mask
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], below, [False]))))
+    for j, k in zip(edges[::2], edges[1::2] - 1):
         lo = ts[j] if j == 0 else cross(ts[j - 1], ts[j], rising=False)
         hi = ts[k] if k == grid_n - 1 else cross(ts[k], ts[k + 1], rising=True)
         bands.append((lo, hi))
-        j = k + 1
 
-    # tangential dips the grid may have straddled
-    for j in range(1, grid_n - 1):
-        if below[j - 1] or below[j] or below[j + 1]:
-            continue
-        if not (vs[j] <= vs[j - 1] and vs[j] <= vs[j + 1]):
-            continue
+    # tangential dips the grid may have straddled: grid-local minima clear
+    # of the runs. A flat one (no positive curvature) is its own fit and
+    # is dismissed here when the loop below would dismiss it
+    left, mid, right = vs[:-2], vs[1:-1], vs[2:]
+    minima = ~(below[:-2] | below[1:-1] | below[2:]) & \
+        (mid <= left) & (mid <= right)
+    flat_high = (left - 2 * mid + right <= 0) & (mid >= tol) & \
+        (mid >= 10 * tol) & (mid >= 0.01 * mid)
+    for j in np.flatnonzero(minima & ~flat_high) + 1:
         denom = vs[j - 1] - 2 * vs[j] + vs[j + 1]
         fitted = vs[j] if denom <= 0 else \
             vs[j] - (vs[j - 1] - vs[j + 1]) ** 2 / (8 * denom)

@@ -30,7 +30,7 @@ from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .errors import DataMismatch, IllConditioned, PConfigViolation
 from .exprlang import _scalar, as_callable
-from .funceq import GridFunction
+from .funceq import GridFunction, interp_weights, interpolation_matrix
 from .gds import (GuidedSystem, Interval, check_contraction_minimality,
                   map_from, probe_minimality, probe_weak_attractor,
                   zero_band_guiding, ContractionMinimalityCertificate)
@@ -188,46 +188,22 @@ class IvpSolution:
     diagnostics: IvpDiagnostics
 
 
-def _interp_entries(y, a0, step, M):
-    """Column indices and weights of piecewise-linear interpolation at y."""
-    k = np.clip(np.floor((y - a0) / step).astype(np.int64), 0, M - 1)
-    w = (y - (a0 + k * step)) / step
-    return k, w
-
-
 def _collocation_system(pc, problem, nodes, step, h_vals, M):
-    """The (M+2) x (M+1) collocation matrix: equation rows plus one
-    central-difference derivative row. Used for residual diagnostics."""
-    rows, cols, vals = [], [], []
-    idx = np.arange(M + 1)
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(np.ones(M + 1))
-    a0, aN = pc.interval.a, pc.interval.b
-    for g in pc.maps:
-        img = np.clip(np.asarray(g(nodes), dtype=float), a0, aN)
-        k, w = _interp_entries(img, a0, step, M)
-        rows.append(idx)
-        cols.append(k)
-        vals.append(-(1.0 - w))
-        rows.append(idx)
-        cols.append(k + 1)
-        vals.append(-w)
-    lo = max(a0, problem.c - step)
-    hi = min(aN, problem.c + step)
-    width = hi - lo
-    for point, sign in ((hi, 1.0), (lo, -1.0)):
-        k, w = _interp_entries(np.array([point]), a0, step, M)
-        rows.append(np.array([M + 1]))
-        cols.append(k)
-        vals.append(np.array([sign * (1.0 - w[0]) / width]))
-        rows.append(np.array([M + 1]))
-        cols.append(k + 1)
-        vals.append(np.array([sign * w[0] / width]))
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(M + 2, M + 1)).tocsr()
+    """The (M+2) x (M+1) collocation matrix: the equation rows I - P, P
+    the interpolation matrix of the maps, plus one central-difference
+    derivative row. Used for residual diagnostics."""
+    iv = pc.interval
+    P = interpolation_matrix(iv, [g(nodes) for g in pc.maps],
+                             [1.0] * pc.n_maps)
+    lo = max(iv.a, problem.c - step)
+    hi = min(iv.b, problem.c + step)
+    k, w = interp_weights(iv, [hi, lo], M)
+    deriv = np.zeros(M + 1)
+    np.add.at(deriv, np.concatenate([k, k + 1]),
+              np.array([1.0 - w[0], -(1.0 - w[1]), w[0], -w[1]])
+              / (hi - lo))
+    A = scipy.sparse.vstack([scipy.sparse.identity(M + 1) - P,
+                             deriv[None, :]], format="csr")
     b = np.concatenate([h_vals, [problem.mu]])
     return A, b
 
@@ -283,12 +259,12 @@ def _second_derivative_system(problem, nodes, step, M):
     rows (the F rows have right-hand side 0) and the exact 1-norm of S.
     """
     pc = problem.pconf
-    a0, aN = pc.interval.a, pc.interval.b
+    iv = pc.interval
     n = M + 1
     idx = np.arange(n)
     rhs = _second_derivative_values(problem, nodes, step)
-    kc = int(np.clip(np.floor((problem.c - a0) / step), 0, M - 1))
-    tc = problem.c - (a0 + kc * step)
+    kc = int(interp_weights(iv, problem.c, M)[0])
+    tc = problem.c - (iv.a + kc * step)
     at_c = np.full(n, kc)
     # (row, col, value) parts of the w block. Eliminating F turns the
     # F_k - F_kc of each integral into step/2 at k, -step/2 at kc and the
@@ -296,13 +272,13 @@ def _second_derivative_system(problem, nodes, step, M):
     w_block = [(idx, idx, np.ones(n))]
     f_block, s_extra, stair_k, stair_a = [], [], [], []
     for g in pc.maps:
-        img = np.clip(np.asarray(g(nodes), dtype=float), a0, aN)
-        k, w = _interp_entries(img, a0, step, M)
+        img = iv.normalize(np.asarray(g(nodes), dtype=float))
+        k, w = interp_weights(iv, img, M)
         co1 = np.asarray(g.derivative(nodes), dtype=float) ** 2
         w_block += [(idx, k, -co1 * (1.0 - w)), (idx, k + 1, -co1 * w)]
         co2 = _map_second_derivative(g, nodes, step)
         if np.max(np.abs(co2)) > 1e-14:
-            tau = img - (a0 + k * step)
+            tau = img - (iv.a + k * step)
             w_block += [
                 (idx, k, -co2 * (tau - tau * tau / (2.0 * step))),
                 (idx, k + 1, -co2 * (tau * tau / (2.0 * step))),

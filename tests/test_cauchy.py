@@ -283,6 +283,24 @@ def test_affine_scalar_case():
     assert analysis.radius == 5
 
 
+def test_affine_scalar_fixed_points_exact():
+    # (I - B_i)^{-1} d_i exactly; iterating the affine map stopped short
+    analysis = analyze_affine([[1.0]], [[1.0]], [0.0], [1.0])
+    assert analysis.d_tilde1[0] == -1.0
+    assert analysis.d_tilde2[0] == 1.0
+
+
+def test_affine_near_degenerate_contraction():
+    # gamma = 1/(1 + 1e-6) < 1 passes every gate; the fixed point of
+    # delta_1 sits at -1e6, out of reach of 10^5 iteration steps
+    analysis = analyze_affine([[1.0]], [[1e-6]], [0.0], [1.0])
+    assert analysis.gamma == pytest.approx(1.0 / (1.0 + 1e-6), rel=1e-15)
+    assert analysis.d_tilde1[0] == pytest.approx(-1e6, rel=1e-9)
+    assert analysis.d_tilde2[0] == pytest.approx(1.0, rel=1e-12)
+    rates = orbit_convergence_rates(analysis, 2, [0.5], steps=3)
+    assert max(rates) < 1e-5
+
+
 def test_affine_identity_case():
     analysis = analyze_affine(np.eye(2), np.eye(2), np.zeros(2),
                               np.zeros(2))

@@ -131,6 +131,18 @@ def test_affine_analyze_report(capsys):
     assert doc["radius"] == 5
 
 
+def test_affine_analyze_near_degenerate(tmp_path, capsys):
+    path = tmp_path / "affine_near_degenerate.json"
+    path.write_text(json.dumps({"problem": {
+        "A1": [[1.0]], "A2": [[1e-6]], "b1": [0.0], "b2": [1.0]}}))
+    code, out, _ = run(capsys, ["affine-analyze", "--config", str(path),
+                                "--no-meta"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["d_tilde1"][0] == pytest.approx(-1e6, rel=1e-9)
+    assert doc["d_tilde2"][0] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_certify_exit_codes(tmp_path, capsys):
     code, out, _ = run(capsys, ["certify", "--config",
                                 cfg("standard_funceq.json"), "--no-meta"])
@@ -423,6 +435,23 @@ def test_overdet_flags_used_as_given(capsys, flags, points):
                                 "--no-meta"] + flags)
     assert code == 0
     assert json.loads(out)["points"] == points
+
+
+@pytest.mark.parametrize("eps", ["3", "2"])
+def test_overdet_eps_too_coarse_is_usage_error(capsys, eps):
+    # eps >= 2 * length puts both endpoint seeds in one eps/2-cell
+    code, out, err = run(capsys, ["overdet", "--config", cfg("jensen.json"),
+                                  "--eps", eps, "--no-meta"])
+    assert code == 2
+    assert out == ""
+    assert "argument --eps" in err and "interval length 1.0" in err
+
+
+def test_overdet_eps_below_twice_length_runs(capsys):
+    code, out, _ = run(capsys, ["overdet", "--config", cfg("jensen.json"),
+                                "--eps", "1.99", "--no-meta"])
+    assert code == 0
+    assert json.loads(out)["points"] == 2
 
 
 def test_overdet_counts_every_collision(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import circle_guiding, rotation_map
 from guided_dynamics.errors import (BudgetExceeded, HypothesisFailure,
@@ -12,7 +14,7 @@ from guided_dynamics.funceq import (ContractionCertificate,
                                     GridFunction, TriangularFamily,
                                     apply_operator, certify_contraction,
                                     check_max_principle, compute_g_n,
-                                    solve_neumann,
+                                    interp_weights, solve_neumann,
                                     verify_triangular_uniqueness)
 from guided_dynamics.gds import CircleSpace, GuidedSystem, Interval, map_from
 
@@ -110,6 +112,96 @@ def test_map_escape_detected(quarter_coeff_system):
     f = GridFunction.from_callable(Interval(-0.25, 0.25), 16, lambda t: t)
     with pytest.raises(MapEscape):
         apply_operator(quarter_coeff_system, f)
+
+
+def apply_operator_interp(system, f):
+    """Reference: the per-map np.interp application the CSR operator
+    replaced (range check omitted), as a raw array."""
+    nodes = f.nodes
+    out = np.zeros_like(f.values)
+    for coeff, mp in zip(system.coeffs, system.maps):
+        img = np.asarray(mp(nodes), dtype=float)
+        if isinstance(f.domain, Interval):
+            img = np.clip(img, f.domain.a, f.domain.b)
+        out += np.asarray(coeff(nodes), dtype=float) * f.eval(img)
+    return out
+
+
+PERIOD = 2 * math.pi
+EDGE_IMAGES = {
+    "interval": [-1.0, 1.0, -1.0 - 1e-12, 1.0 + 1e-12, np.nextafter(1.0, 0),
+                 np.nextafter(-1.0, 0)],
+    "circle": [0.0, -1e-17, -1e-300, np.nextafter(PERIOD, 0.0), PERIOD,
+               -PERIOD, 2 * PERIOD, 3 * PERIOD],
+}
+
+
+@st.composite
+def operator_cases(draw):
+    kind = draw(st.sampled_from(["interval", "circle"]))
+    space = IV if kind == "interval" else CircleSpace()
+    maps, coeffs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["affine", "rotation", "quadratic",
+                                      "constant"]))
+        p = draw(st.floats(-1.0, 1.0))
+        q = draw(st.floats(-1.0, 1.0))
+        if shape == "constant":
+            y = draw(st.sampled_from(EDGE_IMAGES[kind]))
+            maps.append(lambda t, y=y: np.full_like(t, y))
+        elif kind == "interval" and shape == "quadratic":
+            # onto [min(p, q), max(p, q)] through a parabola
+            maps.append(lambda t, p=p, q=q: p + (q - p) * ((t + 1) / 2) ** 2)
+        elif kind == "interval":
+            # affine onto [p, q], or the identity ("rotation" by zero)
+            if shape == "rotation":
+                p, q = -1.0, 1.0
+            maps.append(lambda t, p=p, q=q: p + (q - p) * (t + 1) / 2)
+        elif shape == "rotation":
+            # by a multiple of the period plus a shift, zero included
+            shift = draw(st.sampled_from([0.0, -1e-17, p]))
+            turns = draw(st.integers(-2, 2))
+            maps.append(lambda t, s=turns * PERIOD + shift: t + s)
+        elif shape == "affine":
+            maps.append(lambda t, p=p, q=q: 3 * p * t + 10 * q)
+        else:
+            maps.append(lambda t, p=p, q=q: p * t * t / PERIOD + q)
+        c0 = draw(st.floats(0.0, 1.0))
+        c1 = draw(st.floats(0.0, 1.0))
+        k = draw(st.integers(0, 3))
+        coeffs.append(lambda t, c0=c0, c1=c1, k=k:
+                      c0 + c1 * (1 + np.sin(k * np.asarray(t))) / 2)
+    system = FunceqSystem(space, maps, coeffs, guiding=[[]] * len(maps))
+    M = draw(st.integers(1, 300))
+    amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    f = GridFunction.from_callable(space, M, lambda t: sum(
+        a * np.cos(j * 2 * math.pi * (t - (-1.0 if kind == "interval"
+                                            else 0.0)) / space.length + j)
+        for j, a in enumerate(amps)))
+    return system, f
+
+
+@given(operator_cases())
+@settings(max_examples=150, deadline=None)
+def test_grid_operator_matches_interp(case):
+    system, f = case
+    got = system.grid_operator(f.domain, f.M) @ f.values
+    want = apply_operator_interp(system, f)
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(f.sup(), 1e-300)
+
+
+@pytest.mark.parametrize("M", [1, 7, 1024])
+@pytest.mark.parametrize("y", [-1e-17, -1e-300, -PERIOD, 0.0, PERIOD,
+                               np.nextafter(PERIOD, 0.0), 2 * PERIOD])
+def test_interp_weights_circle_clips_not_wraps(M, y):
+    # an image just below 0 normalizes to the period: it belongs to the
+    # closing node M, never to node 0 with a weight of M
+    k, w = interp_weights(CircleSpace(), np.array([y]), M)
+    assert 0 <= k[0] <= M - 1
+    assert -1e-12 <= w[0] <= 1.0 + 1e-12
+    pos = (k[0] + w[0]) * PERIOD / M
+    assert min(abs(pos - np.mod(y, PERIOD)),
+               PERIOD - abs(pos - np.mod(y, PERIOD))) < 1e-12
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN, circle_system
-from guided_dynamics.exprlang import parse
+from guided_dynamics.exprlang import _scalar, as_callable, parse
 from guided_dynamics.gds import (CircleSpace,
                                  ContractionMinimalityCertificate,
                                  ContractionRefusal, FiniteGraphSpace,
@@ -19,7 +19,8 @@ from guided_dynamics.gds import (CircleSpace,
                                  probe_minimality, probe_weak_attractor,
                                  validate_orbit, verify_conjugacy,
                                  zero_band_guiding)
-from guided_dynamics.gds import _closures, _witness_intervals
+from guided_dynamics.gds import (_closures, _golden_min, _witness_intervals,
+                                 write_csv)
 
 
 def standard_interval_system():
@@ -416,6 +417,105 @@ def test_zero_band_interval_run():
 def test_zero_band_empty():
     band = zero_band_guiding(parse("0.5 + t^2").eval, Interval(-1.0, 1.0))
     assert band.is_empty
+
+
+def zero_band_loops(fn, interval, tol=1e-9, grid_n=8193):
+    """Reference: zero_band_guiding with the per-point run walk and dip
+    scan the vectorized version replaced."""
+    f = as_callable(fn)
+    ts = np.linspace(interval.a, interval.b, grid_n)
+    vs = np.asarray(f(ts), dtype=float)
+    below = vs < tol
+    bands = []
+
+    def cross(lo, hi):
+        flo = _scalar(f, lo) - tol
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = _scalar(f, mid) - tol
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    j = 0
+    while j < grid_n:
+        if not below[j]:
+            j += 1
+            continue
+        k = j
+        while k + 1 < grid_n and below[k + 1]:
+            k += 1
+        lo = ts[j] if j == 0 else cross(ts[j - 1], ts[j])
+        hi = ts[k] if k == grid_n - 1 else cross(ts[k], ts[k + 1])
+        bands.append((lo, hi))
+        j = k + 1
+    for j in range(1, grid_n - 1):
+        if below[j - 1] or below[j] or below[j + 1]:
+            continue
+        if not (vs[j] <= vs[j - 1] and vs[j] <= vs[j + 1]):
+            continue
+        denom = vs[j - 1] - 2 * vs[j] + vs[j + 1]
+        fitted = vs[j] if denom <= 0 else \
+            vs[j] - (vs[j - 1] - vs[j + 1]) ** 2 / (8 * denom)
+        if fitted >= tol and vs[j] >= 10 * tol and fitted >= 0.01 * vs[j]:
+            continue
+        lo, hi = ts[j - 1], ts[j + 1]
+        tm, vm = _golden_min(f, lo, hi)
+        if vm < tol:
+            blo = cross(lo, tm) if vs[j - 1] >= tol else lo
+            bhi = cross(tm, hi) if vs[j + 1] >= tol else hi
+            bands.append((blo, bhi))
+    bands.sort()
+    merged = []
+    for lo, hi in bands:
+        if merged and lo <= merged[-1][1] + (ts[1] - ts[0]) * 1e-6:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+@pytest.mark.parametrize("source,interval,grid_n", [
+    # constants: every grid point is a flat local minimum
+    ("0.25", (-1.0, 1.0), 8193),
+    ("0", (-1.0, 1.0), 8193),
+    ("1e-9", (-1.0, 1.0), 257),                   # flat, exactly at tol
+    ("5e-9", (-1.0, 1.0), 257),                   # flat, below 10 tol
+    ("t", (0.0, 1.0), 8193),                      # run touching the left end
+    ("1 - t", (0.0, 1.0), 8193),                  # run touching the right end
+    ("t^2 * (1 - t)^2", (0.0, 1.0), 8193),        # runs touching both ends
+    ("(t - 0.3)^2", (0.0, 1.0), 8193),            # interior run
+    ("(t - 0.30001)^2", (0.0, 1.0), 129),         # dip straddled by the grid
+    ("(t - 1/3)^2", (-1.0, 1.0), 8193),           # tangential dip
+    ("(t - 1/3)^2 * (t + 0.52)^2", (-1.0, 1.0), 1001),   # two dips
+    ("abs(t - 0.123456)", (0.0, 1.0), 65),        # corner dip
+    ("sin(3*t)^2", (0.0, 2 * math.pi), 8193),     # circle coefficient scan
+    ("cos(t)^2 + 1e-12", (0.0, 2 * math.pi), 257),
+    ("1 + sin(40*t)", (0.0, 2 * math.pi), 8193),  # many curved minima
+])
+def test_zero_band_matches_loops(source, interval, grid_n):
+    fn = parse(source)
+    iv = Interval(*interval)
+    band = zero_band_guiding(fn, iv, grid_n=grid_n)
+    assert band.intervals == zero_band_loops(fn, iv, grid_n=grid_n)
+
+
+@pytest.mark.parametrize("columns,header", [
+    ([np.array([0.1, -0.0, 1e300, 2.0 ** -1074, 3.0])], "t"),
+    ([np.linspace(-1.0, 1.0, 11), np.sin(np.arange(11.0))], "t,value"),
+    ([np.array([0.5, -0.0, 1.0 / 3.0]), np.array([-1e-17, 7.0, -0.0]),
+      np.array([0, 3, 14], dtype=np.int64)], "t,value,depth"),
+    ([np.empty(0), np.empty(0), np.empty(0)], "x,y,u"),
+])
+@pytest.mark.parametrize("block_rows", [2, 65536])
+def test_write_csv_matches_savetxt(tmp_path, columns, header, block_rows):
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_csv(ours, header, columns, block_rows=block_rows)
+    np.savetxt(ref, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+    assert ours.read_bytes() == ref.read_bytes()
 
 
 def test_conjugate_pair_probe_verdicts_agree():

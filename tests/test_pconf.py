@@ -264,7 +264,9 @@ def _dense_second_derivative_system(problem, M):
     idx = np.arange(M + 1)
     for g in pc.maps:
         img = np.clip(np.asarray(g(nodes), dtype=float), a0, aN)
-        k, w = pconf._interp_entries(img, a0, step, M)
+        k = np.clip(np.floor((img - a0) / step).astype(np.int64), 0,
+                    M - 1)
+        w = (img - (a0 + k * step)) / step
         co1 = np.asarray(g.derivative(nodes), dtype=float) ** 2
         np.add.at(S, (idx, k), -co1 * (1.0 - w))
         np.add.at(S, (idx, k + 1), -co1 * w)

@@ -3,8 +3,11 @@
 Runs `cli.main(argv + ["--no-meta"])` in-process for each subcommand on
 each config (`--x0 0.3` where the subcommand requires it) and writes one
 JSON object mapping the argv, joined by spaces, to [exit code, stdout,
-stderr]. Two snapshots diff cleanly, so a refactor that must keep reports
-byte-identical can be checked against its parent commit:
+stderr, sha256 of the CSV]. Subcommands that write a CSV run with `--out`
+into a scratch directory; the last entry is null when no file was written
+or the subcommand writes none. Two snapshots diff cleanly, so a refactor
+that must keep reports and CSVs byte-identical can be checked against its
+parent commit:
 
     python tools/report_snapshot.py new.json
     python tools/report_snapshot.py old.json --root ../parent-checkout
@@ -17,13 +20,25 @@ pins it, because multithreaded reductions move floats at roundoff.
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 X0_COMMANDS = ("orbit", "weak-attractor")
+CSV_COMMANDS = ("orbit", "solve-fe", "solve-ivp", "overdet", "solve-bvp")
+
+
+def _take_sha256(path):
+    """sha256 of the file, which is then removed; None when absent."""
+    if not path.exists():
+        return None
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    path.unlink()
+    return digest
 
 
 def snapshot(root):
@@ -32,16 +47,20 @@ def snapshot(root):
     from guided_dynamics import cli
 
     runs = {}
-    for config in sorted(Path("configs").glob("*.json")):
-        for command in cli.HANDLERS:
-            argv = [command, "--config", config.as_posix()]
-            if command in X0_COMMANDS:
-                argv += ["--x0", "0.3"]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = cli.main(argv + ["--no-meta"])
-            runs[" ".join(argv)] = [code, out.getvalue(), err.getvalue()]
+    with tempfile.TemporaryDirectory() as scratch:
+        csv = Path(scratch) / "out.csv"
+        for config in sorted(Path("configs").glob("*.json")):
+            for command in cli.HANDLERS:
+                argv = [command, "--config", config.as_posix()]
+                if command in X0_COMMANDS:
+                    argv += ["--x0", "0.3"]
+                extra = ["--out", str(csv)] if command in CSV_COMMANDS else []
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = cli.main(argv + extra + ["--no-meta"])
+                runs[" ".join(argv)] = [code, out.getvalue(), err.getvalue(),
+                                        _take_sha256(csv)]
     return runs
 
 
