@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisFailure
+from .errors import HypothesisFailure, ResolutionTooCoarse
 from .exprlang import _scalar, as_callable
 from .gds import Interval, write_csv
 
@@ -267,7 +267,9 @@ def propagate_values(problem: OverdetProblem, depth: int, eps: float,
     seeds = np.array([iv.a, iv.b], dtype=float)
     seed_cells = iv.cell_index(seeds, n_half)
     if seed_cells[0] == seed_cells[1]:
-        raise ValueError("eps too coarse: seed cells collide")
+        raise ResolutionTooCoarse(
+            f"{eps!r} puts both endpoint seeds in one eps/2-cell; it must "
+            f"be below twice the interval length {iv.length!r}")
     owner = np.full(n_half, -1, dtype=np.int64)
     owner[seed_cells] = (0, 1)
     no_parent = np.full(2, -1, dtype=np.int64)

@@ -30,7 +30,7 @@ from .errors import (BudgetExceeded, CornerMismatch, DataMismatch,
                      HypothesisFailure, IllConditioned, MapEscape,
                      NoBracket, NoConvergence, NotASolution, NotCertified,
                      NotInvertible, NotSolvableError, PConfigViolation,
-                     SchemaError)
+                     ResolutionTooCoarse, SchemaError)
 from .exprlang import parse as parse_expr
 
 TOP_LEVEL_KEYS = {"space", "maps", "guiding", "coeffs", "problem",
@@ -454,14 +454,12 @@ def cmd_overdet(args):
         prob = cauchy_mod.OverdetProblem(
             tuple(problem["interval"]), problem["A"], problem["B"], rules,
             name="affine")
-    if prob.interval.cell_count(args.eps / 2.0) < 2:
-        raise argparse.ArgumentError(
-            None, f"argument --eps: {args.eps!r} puts both endpoint seeds "
-                  f"in one eps/2-cell; it must be below twice the interval "
-                  f"length {prob.interval.length!r}")
-    cloud = cauchy_mod.propagate_values(
-        prob, args.depth, args.eps,
-        cell_cap=int(cfg.budgets.get("cell_cap", 2 ** 22)))
+    try:
+        cloud = cauchy_mod.propagate_values(
+            prob, args.depth, args.eps,
+            cell_cap=int(cfg.budgets.get("cell_cap", 2 ** 22)))
+    except ResolutionTooCoarse as exc:
+        raise argparse.ArgumentError(None, f"argument --eps: {exc}") from exc
     rep = cauchy_mod.check_consistency(cloud, args.eps, args.tol)
     if args.out:
         cloud.to_csv(args.out)

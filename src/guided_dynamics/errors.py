@@ -109,6 +109,10 @@ class DegenerateParametrization(GuidedDynamicsError, ValueError):
     invertible at the requested tolerance."""
 
 
+class ResolutionTooCoarse(GuidedDynamicsError, ValueError):
+    """The cell width eps puts both endpoint seeds in one eps/2-cell."""
+
+
 class NoBracket(GuidedDynamicsError, ValueError):
     """Bisection bracket endpoints do not straddle a sign change."""
 

@@ -133,21 +133,6 @@ class GridFunction:
     def copy_with(self, values):
         return GridFunction(self.domain, values)
 
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            return self.copy_with(self.values + other.values)
-        return self.copy_with(self.values + other)
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            return self.copy_with(self.values - other.values)
-        return self.copy_with(self.values - other)
-
-    def __mul__(self, scalar):
-        return self.copy_with(self.values * scalar)
-
-    __rmul__ = __mul__
-
     def to_csv(self, path):
         write_csv(path, "t,value", [self.nodes, self.values])
 
@@ -205,10 +190,13 @@ class FunceqSystem:
     def as_guided_system(self):
         return self._system
 
-    def node_tables(self, nodes, domain):
-        """Coefficient and image arrays at the given nodes of domain. On an
-        interval images are range-checked, raising MapEscape beyond
-        tolerance, and clipped."""
+    def node_tables(self, domain, M):
+        """Coefficient and image arrays at the M+1 grid nodes of domain. On
+        an interval images are range-checked, raising MapEscape beyond
+        tolerance, and clipped; on a circle each coefficient and each
+        normalized image must agree at t = 0 and t = period, else
+        DomainError."""
+        nodes = grid_nodes(domain, M)
         a_tab = [np.asarray(c(nodes), dtype=float) for c in self.coeffs]
         d_tab = []
         for m in self.maps:
@@ -223,6 +211,16 @@ class FunceqSystem:
                         generator=m.label, point=nodes[k], image=img[k])
                 img = np.clip(img, domain.a, domain.b)
             d_tab.append(img)
+        if isinstance(domain, CircleSpace):
+            gaps = [(f"coefficient {i}", abs(a[0] - a[-1]) / (
+                1.0 + np.max(np.abs(a)))) for i, a in enumerate(a_tab)]
+            gaps += [(f"map {m.label}", domain.metric(y[0], y[-1]) / (
+                1.0 + domain.period)) for m, y in zip(self.maps, d_tab)]
+            for name, gap in gaps:
+                if gap > 1e-12:
+                    raise DomainError(f"{name} does not close up on the "
+                                      f"circle: its values at t = 0 and "
+                                      f"t = period differ")
         return a_tab, d_tab
 
     def grid_operator(self, domain, M):
@@ -230,7 +228,7 @@ class FunceqSystem:
         first request and kept for later ones."""
         key = (domain, M)
         if key not in self._grid_operators:
-            a_tab, d_tab = self.node_tables(grid_nodes(domain, M), domain)
+            a_tab, d_tab = self.node_tables(domain, M)
             self._grid_operators[key] = interpolation_matrix(domain, d_tab,
                                                              a_tab)
         return self._grid_operators[key]
@@ -371,7 +369,7 @@ def check_max_principle(system: FunceqSystem, f: GridFunction,
     that f stays at its max (resp. min) level along the guided orbit cloud
     of the argmax (resp. argmin)."""
     nodes = f.nodes
-    a_tab, d_tab = system.node_tables(nodes, f.domain)
+    a_tab, d_tab = system.node_tables(f.domain, f.M)
     total = np.zeros_like(nodes)
     for i, a in enumerate(a_tab):
         if np.min(a) < -1e-12:

@@ -463,16 +463,19 @@ class OrbitCloud:
         write_csv(path, "t", [np.sort(self.points)])
 
 
-def write_csv(path, header, columns, block_rows=4096):
+_CSV_BLOCK_ROWS = 4096      # rows formatted per write in write_csv
+
+
+def write_csv(path, header, columns):
     """Write the columns as CSV rows of %.17g numbers under a one-line
     header: the bytes np.savetxt(fmt="%.17g", delimiter=",",
-    header=header, comments="") writes, formatted block_rows rows at a
-    time so the text in memory stays bounded."""
+    header=header, comments="") writes, formatted _CSV_BLOCK_ROWS rows at
+    a time so the text in memory stays bounded."""
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(columns[0]), block_rows):
-            rows = np.column_stack([c[start:start + block_rows]
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            rows = np.column_stack([c[start:start + _CSV_BLOCK_ROWS]
                                     for c in columns]).tolist()
             fh.write("".join([line % tuple(row) for row in rows]))
 
@@ -1282,19 +1285,17 @@ def zero_band_guiding(fn, interval: Interval, tol: float = 1e-9,
         bands.append((lo, hi))
 
     # tangential dips the grid may have straddled: grid-local minima clear
-    # of the runs. A flat one (no positive curvature) is its own fit and
-    # is dismissed here when the loop below would dismiss it
+    # of the runs, skipped when the parabola through the three samples
+    # (the sample itself when flat) stays well above tol
     left, mid, right = vs[:-2], vs[1:-1], vs[2:]
     minima = ~(below[:-2] | below[1:-1] | below[2:]) & \
         (mid <= left) & (mid <= right)
-    flat_high = (left - 2 * mid + right <= 0) & (mid >= tol) & \
-        (mid >= 10 * tol) & (mid >= 0.01 * mid)
-    for j in np.flatnonzero(minima & ~flat_high) + 1:
-        denom = vs[j - 1] - 2 * vs[j] + vs[j + 1]
-        fitted = vs[j] if denom <= 0 else \
-            vs[j] - (vs[j - 1] - vs[j + 1]) ** 2 / (8 * denom)
-        if fitted >= tol and vs[j] >= 10 * tol and fitted >= 0.01 * vs[j]:
-            continue
+    denom = left - 2 * mid + right
+    with np.errstate(all="ignore"):
+        fitted = np.where(denom <= 0, mid,
+                          mid - (left - right) ** 2 / (8 * denom))
+    clear = (fitted >= tol) & (mid >= 10 * tol) & (fitted >= 0.01 * mid)
+    for j in np.flatnonzero(minima & ~clear) + 1:
         lo, hi = ts[j - 1], ts[j + 1]
         tm, vm = _golden_min(f, lo, hi)
         if vm < tol:

@@ -160,6 +160,26 @@ def test_certify_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("maps,coeffs,named", [
+    # a coefficient that differs at t = 0 and t = period
+    (["t + 1", "t + 2"], ["0.5 + 0.1*t/(2*pi)", "0.3"], "coefficient 0"),
+    # a map whose image at t = period is not its image at t = 0
+    (["t + 1", "1.1*t"], ["0.4", "0.4"], "map 1"),
+])
+def test_certify_rejects_circle_grid_that_does_not_close(tmp_path, capsys,
+                                                         maps, coeffs, named):
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({
+        "space": {"type": "circle", "period": 2 * np.pi},
+        "maps": maps, "coeffs": coeffs}))
+    for argv in (["certify"], ["solve-fe", "--h", "1"]):
+        code, out, err = run(capsys, argv + ["--config", str(path),
+                                             "--no-meta"])
+        assert code == 3
+        assert out == ""
+        assert named in err and "does not close up" in err
+
+
 def test_solve_fe_csv(tmp_path, capsys):
     out_csv = tmp_path / "f.csv"
     code, out, _ = run(capsys, ["solve-fe", "--config",

@@ -162,10 +162,13 @@ def operator_cases(draw):
             shift = draw(st.sampled_from([0.0, -1e-17, p]))
             turns = draw(st.integers(-2, 2))
             maps.append(lambda t, s=turns * PERIOD + shift: t + s)
-        elif shape == "affine":
-            maps.append(lambda t, p=p, q=q: 3 * p * t + 10 * q)
         else:
-            maps.append(lambda t, p=p, q=q: p * t * t / PERIOD + q)
+            # circle maps of integer degree n, so that the grid closes up
+            n = draw(st.integers(-3, 3))
+            if shape == "affine":
+                maps.append(lambda t, n=n, q=q: n * t + 10 * q)
+            else:
+                maps.append(lambda t, n=n, q=q: n * t * t / PERIOD + q)
         c0 = draw(st.floats(0.0, 1.0))
         c1 = draw(st.floats(0.0, 1.0))
         k = draw(st.integers(0, 3))
