@@ -280,13 +280,11 @@ class GuidingSet:
     def contains(self, x, space, tol=TOL_LAMBDA):
         return self.distance(x, space) <= tol
 
-    def covers_interval(self, lo, hi, tol=TOL_LAMBDA):
-        """True if [lo, hi] lies inside a single member interval widened
-        by tol."""
-        for glo, ghi in self.intervals:
-            if glo - tol <= lo and hi <= ghi + tol:
-                return True
-        return False
+    def covers_interval(self, lo, hi, space, tol=TOL_LAMBDA):
+        """Mask of the intervals [lo, hi] (scalars or arrays) that lie
+        inside a single member interval widened by tol; on a circle, at a
+        shift by -period, 0 or +period."""
+        return _inside_one(space, self._lo - tol, self._hi + tol, lo, hi)
 
     def sample(self, per_interval=9):
         pts = []
@@ -299,6 +297,51 @@ class GuidingSet:
 
     def __repr__(self):
         return f"GuidingSet({list(self.intervals)!r})"
+
+
+def _inside_one(space, lo_tol, hi_tol, s_lo, s_hi):
+    """Mask of the intervals [s_lo, s_hi] that lie inside one member
+    [lo_tol[k], hi_tol[k]] of a union listed by nondecreasing lo_tol; on a
+    circle, at one of the shifts -period, 0, +period.
+
+    The members starting at or before s_lo form a prefix, so a
+    searchsorted and a running max of hi_tol (led by a NaN for the empty
+    prefix) give what a loop over the members gives, from the same float
+    comparisons."""
+    reach = np.fmax.accumulate(np.r_[np.nan, hi_tol])
+    shifts = ((-space.period, 0.0, space.period)
+              if isinstance(space, CircleSpace) else (0.0,))
+    return np.logical_or.reduce([
+        s_hi + k <= reach[np.searchsorted(lo_tol, s_lo + k, side="right")]
+        for k in shifts])
+
+
+def _interval_images(space, gen, lo, hi, samples):
+    """Images of the intervals [lo, hi] (arrays) under gen, wrapped by
+    _wrap_images: exact endpoint images for monotone maps, the min and max
+    over `samples` equally spaced points otherwise."""
+    if gen.monotone is not None:
+        e1 = np.asarray(gen(lo), dtype=float)
+        e2 = np.asarray(gen(hi), dtype=float)
+        img_lo, img_hi = np.minimum(e1, e2), np.maximum(e1, e2)
+    else:
+        # row n is np.linspace(lo[n], hi[n], samples)
+        step = (hi - lo) / (samples - 1)
+        xs = lo[:, None] + np.arange(samples) * step[:, None]
+        xs[:, -1] = hi
+        img = np.asarray(gen(xs.ravel()), dtype=float).reshape(xs.shape)
+        img_lo, img_hi = img.min(axis=1), img.max(axis=1)
+    return _wrap_images(space, img_lo, img_hi)
+
+
+def _wrap_images(space, img_lo, img_hi):
+    """(img_lo, img_hi, raw span); on a circle an image starts at
+    normalize(img_lo) and keeps its raw span."""
+    span = img_hi - img_lo
+    if isinstance(space, CircleSpace):
+        img_lo = space.normalize(img_lo)
+        img_hi = img_lo + span
+    return img_lo, img_hi, span
 
 
 def _intersect_interval_lists(a, b):
@@ -627,7 +670,8 @@ class MinimalityVerdict:
 
 
 def _witness_intervals(space, rep_points, pad):
-    """Closed pads around cloud representatives, merged."""
+    """Closed pads around cloud representatives, merged into an (n, 2)
+    array of sorted, disjoint intervals (the first may cross the seam)."""
     pts = np.sort(np.asarray(rep_points, dtype=float))
     lo, hi = pts - pad, pts + pad
     if isinstance(space, Interval):
@@ -636,52 +680,31 @@ def _witness_intervals(space, rep_points, pad):
     # begins past the end of the pad before it
     start = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1] + 1e-15])
     end = np.r_[start[1:] - 1, pts.size - 1]
-    ivs = list(zip(lo[start].tolist(), hi[end].tolist()))
-    if isinstance(space, CircleSpace) and len(ivs) > 1:
+    ivs = np.column_stack((lo[start], hi[end]))
+    if isinstance(space, CircleSpace) and len(ivs) > 1 and \
+            ivs[0, 0] + space.period <= ivs[-1, 1] + 1e-15:
         # merge across the wrap seam
-        first_lo, first_hi = ivs[0]
-        last_lo, last_hi = ivs[-1]
-        if first_lo + space.period <= last_hi + 1e-15:
-            ivs[0] = (last_lo - space.period, first_hi)
-            ivs.pop()
-    return tuple(ivs)
-
-
-def _arc_inside(space, s_lo, s_hi, w_lo, w_hi, tol):
-    if isinstance(space, CircleSpace):
-        for k in (-space.period, 0.0, space.period):
-            if w_lo - tol <= s_lo + k and s_hi + k <= w_hi + tol:
-                return True
-        return False
-    return w_lo - tol <= s_lo and s_hi <= w_hi + tol
+        ivs[0, 0] = ivs[-1, 0] - space.period
+        ivs = ivs[:-1]
+    return ivs
 
 
 def _validate_witness(system, intervals):
-    """Forward closure of a union of intervals: for every member interval
-    and every generator allowed on it, the (exact, for monotone maps) image
-    must land inside the union, dilated by tol_step."""
+    """Forward closure of a union of sorted intervals ((n, 2) array): for
+    every member and every generator allowed on it, the (exact, for
+    monotone maps) image must land inside one member dilated by tol_step."""
     space = system.space
-    tol = system.tol_step
-    for lo, hi in intervals:
-        for i, gen in enumerate(system.generators):
-            if system.guiding[i].covers_interval(lo, hi, system.tol_lambda):
-                continue
-            if gen.monotone is not None:
-                e1 = _scalar(gen, lo)
-                e2 = _scalar(gen, hi)
-                img_lo, img_hi = min(e1, e2), max(e1, e2)
-            else:
-                xs = np.linspace(lo, hi, 33)
-                img = np.asarray(gen(xs), dtype=float)
-                img_lo, img_hi = float(img.min()), float(img.max())
-            if isinstance(space, CircleSpace):
-                span = img_hi - img_lo
-                start = float(space.normalize(np.array([img_lo]))[0])
-                img_lo, img_hi = start, start + span
-            ok = any(_arc_inside(space, img_lo, img_hi, wlo, whi, tol)
-                     for wlo, whi in intervals)
-            if not ok:
-                return False
+    lo, hi = intervals[:, 0], intervals[:, 1]
+    w_lo, w_hi = lo - system.tol_step, hi + system.tol_step
+    for i, gen in enumerate(system.generators):
+        moved = ~system.guiding[i].covers_interval(lo, hi, space,
+                                                   system.tol_lambda)
+        if not moved.any():
+            continue
+        img_lo, img_hi, _ = _interval_images(space, gen, lo[moved],
+                                             hi[moved], 33)
+        if not _inside_one(space, w_lo, w_hi, img_lo, img_hi).all():
+            return False
     return True
 
 
@@ -729,17 +752,19 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
             if _validate_witness(system, witness):
                 return MinimalityVerdict(
                     kind="not_minimal", eps=eps, depth=depth,
-                    coverage=float(coverage[k]), witness=witness,
-                    note=f"seed {seed!r}: forward-closed set of "
+                    coverage=float(coverage[k]),
+                    witness=tuple(map(tuple, witness.tolist())),
+                    note=f"seed {float(seed)!r}: forward-closed set of "
                          f"{len(witness)} interval(s)")
             if tight_fallback is None:
                 tight = _witness_intervals(space, pts, system.tol_lambda)
                 if _validate_witness(system, tight):
                     tight_fallback = MinimalityVerdict(
                         kind="not_minimal", eps=eps, depth=depth,
-                        coverage=float(coverage[k]), witness=tight,
-                        note=f"seed {seed!r}: set invariant through exact "
-                             f"guiding exclusions "
+                        coverage=float(coverage[k]),
+                        witness=tuple(map(tuple, tight.tolist())),
+                        note=f"seed {float(seed)!r}: set invariant through "
+                             f"exact guiding exclusions "
                              f"({len(tight)} interval(s))")
         if np.any(~done):
             worst = min(worst, float(np.min(coverage[~done])))
@@ -1001,45 +1026,31 @@ def _range_cover_defect(system):
     """Largest distance from a space point to the union of generator
     ranges (0 means covered)."""
     space = system.space
+    ends = [np.array([end]) for end in _space_ends(space)]
     arcs = []
     for gen in system.generators:
         if gen.monotone is not None:
-            lo_val = _scalar(gen, _space_lo(space))
-            hi_val = _scalar(gen, _space_hi(space))
-            lo, hi = min(lo_val, hi_val), max(lo_val, hi_val)
+            arcs.append(_interval_images(space, gen, *ends, 4097))
         else:
+            # the 4097-point grid stops short of the period on a circle
             img = np.asarray(gen(space.grid(4097)), dtype=float)
-            lo, hi = float(img.min()), float(img.max())
-        arcs.append((lo, hi))
+            arcs.append(_wrap_images(space, img.min(keepdims=True),
+                                     img.max(keepdims=True)))
+    lo, hi, span = np.concatenate(arcs, axis=1)
     if isinstance(space, CircleSpace):
-        if any(hi - lo >= space.period for lo, hi in arcs):
+        if np.any(span >= space.period):
             return 0.0
-        arcs = [(float(space.normalize(np.array([lo]))[0]),
-                 float(space.normalize(np.array([lo]))[0]) + (hi - lo))
-                for lo, hi in arcs]
-        pts = space.grid(4096)
-        best = np.full(pts.shape, np.inf)
-        for lo, hi in arcs:
-            for k in (-space.period, 0.0, space.period):
-                d = np.maximum(np.maximum(lo - (pts + k), (pts + k) - hi), 0.0)
-                best = np.minimum(best, d)
-        return float(best.max())
-    arcs.sort()
-    gap = max(arcs[0][0] - space.a, 0.0)
-    reach = arcs[0][1]
-    for lo, hi in arcs[1:]:
-        gap = max(gap, lo - reach)
-        reach = max(reach, hi)
-    gap = max(gap, space.b - reach)
-    return float(max(gap, 0.0))
+        return float(GuidingSet(np.column_stack((lo, hi))).distance(
+            space.grid(4096), space).max())
+    order = np.argsort(lo, kind="stable")
+    lo, reach = lo[order], np.maximum.accumulate(hi[order])
+    return float(np.max(np.r_[lo[0] - space.a, lo[1:] - reach[:-1],
+                              space.b - reach[-1], 0.0]))
 
 
-def _space_lo(space):
-    return space.a if isinstance(space, Interval) else 0.0
-
-
-def _space_hi(space):
-    return space.b if isinstance(space, Interval) else space.period
+def _space_ends(space):
+    return (space.a, space.b) if isinstance(space, Interval) \
+        else (0.0, space.period)
 
 
 # --------------------------------------------------------------------------
@@ -1063,65 +1074,51 @@ def build_orbit_graph(system: GuidedSystem, cells: int) -> OrbitGraph:
     Finite graphs embed their edge tables directly.
     """
     space = system.space
+    blocks = [np.empty((0, 3), dtype=np.int64)]
     if isinstance(space, FiniteGraphSpace):
-        rows = []
+        nodes = np.arange(space.n_nodes)
         for i, gen in enumerate(system.generators):
-            for v in range(space.n_nodes):
-                if system.guiding[i].distance(float(v), space)[0] \
-                        <= system.tol_lambda:
-                    continue
-                rows.append((v, int(gen.table[v]), i))
-        edges = np.array(rows, dtype=np.int64).reshape(-1, 3)
-        return OrbitGraph(n_nodes=space.n_nodes, edges=edges,
-                          approximate=False)
+            v = nodes[system.allowed_mask(i, nodes.astype(float))]
+            blocks.append(np.column_stack((v, gen.table[v],
+                                           np.full(v.size, i))))
+        return OrbitGraph(n_nodes=space.n_nodes,
+                          edges=np.concatenate(blocks), approximate=False)
     if cells < 2:
         raise ValueError("cells must be >= 2")
+    circle = isinstance(space, CircleSpace)
     w = space.length / cells
-    lo0 = _space_lo(space)
+    lo0 = _space_ends(space)[0]
     tau = w * 1e-9
     approx = False
-    rows = []
+    c = np.arange(cells)
+    clo, chi = lo0 + c * w, lo0 + (c + 1) * w
     for i, gen in enumerate(system.generators):
-        for c in range(cells):
-            clo, chi = lo0 + c * w, lo0 + (c + 1) * w
-            if system.guiding[i].covers_interval(clo, chi,
-                                                 system.tol_lambda):
-                continue
-            if gen.monotone is not None:
-                e1 = _scalar(gen, clo)
-                e2 = _scalar(gen, chi)
-                ilo, ihi = min(e1, e2), max(e1, e2)
-            else:
-                approx = True
-                img = np.asarray(gen(np.linspace(clo, chi, 9)), dtype=float)
-                ilo, ihi = float(img.min()), float(img.max())
-            for dst in _cells_overlapping(space, ilo, ihi, cells, w, lo0, tau):
-                rows.append((c, dst, i))
-    edges = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    return OrbitGraph(n_nodes=cells, edges=edges, approximate=approx,
-                      cell_width=w)
-
-
-def _cells_overlapping(space, ilo, ihi, cells, w, lo0, tau):
-    """Cells meeting [ilo, ihi] with positive length (touching endpoints
-    excluded); degenerate images map to the single containing cell."""
-    if isinstance(space, CircleSpace):
-        if ihi - ilo >= space.period:
-            return list(range(cells))
-        start = float(space.normalize(np.array([ilo]))[0])
-        span = ihi - ilo
-        ilo, ihi = start, start + span
-    if ihi - ilo <= 2 * tau:
-        mid = 0.5 * (ilo + ihi)
-        k = int(math.floor((mid - lo0) / w))
-        return [k % cells if isinstance(space, CircleSpace)
-                else min(max(k, 0), cells - 1)]
-    jlo = int(math.floor((ilo - lo0 + tau) / w))
-    jhi = int(math.floor((ihi - lo0 - tau) / w))
-    ks = range(jlo, jhi + 1)
-    if isinstance(space, CircleSpace):
-        return [k % cells for k in ks]
-    return [min(max(k, 0), cells - 1) for k in ks]
+        moved = ~system.guiding[i].covers_interval(clo, chi, space,
+                                                   system.tol_lambda)
+        if not moved.any():
+            continue
+        approx |= gen.monotone is None
+        ilo, ihi, span = _interval_images(space, gen, clo[moved],
+                                          chi[moved], 9)
+        # cells meeting [ilo, ihi] with positive length (touching endpoints
+        # excluded); a degenerate image maps to the cell holding it, a
+        # full-circle one to every cell
+        mid = np.floor((0.5 * (ilo + ihi) - lo0) / w)
+        point = ihi - ilo <= 2 * tau
+        jlo = np.where(point, mid, np.floor((ilo - lo0 + tau) / w))
+        jhi = np.where(point, mid, np.floor((ihi - lo0 - tau) / w))
+        if circle:
+            full = span >= space.period
+            jlo, jhi = np.where(full, 0, jlo), np.where(full, cells - 1, jhi)
+        jlo = jlo.astype(np.int64)
+        count = np.maximum(jhi.astype(np.int64) - jlo + 1, 0)
+        first = np.cumsum(count) - count
+        dst = np.repeat(jlo - first, count) + np.arange(count.sum())
+        dst = dst % cells if circle else np.clip(dst, 0, cells - 1)
+        blocks.append(np.column_stack((np.repeat(c[moved], count), dst,
+                                       np.full(dst.size, i))))
+    return OrbitGraph(n_nodes=cells, edges=np.concatenate(blocks),
+                      approximate=approx, cell_width=w)
 
 
 def _sparse_adjacency(graph):

@@ -36,6 +36,18 @@ def test_probe_rational_exit_one(capsys):
     assert len(doc["witness"]) == 4
 
 
+@pytest.mark.parametrize("config", ["circle_rational.json",
+                                    "exmplfe_circle.json"])
+def test_probe_report_has_no_numpy_reprs(capsys, config):
+    # the note names the seed of the witness as a plain float
+    code, out, _ = run(capsys, ["probe", "--config", cfg(config),
+                                "--no-meta"])
+    assert code == 1
+    notes = [v for v in json.loads(out).values() if isinstance(v, str)]
+    assert notes and not any("np." in v for v in notes)
+    assert "np." not in out
+
+
 def test_probe_irrational_exit_zero(capsys):
     code, out, _ = run(capsys, ["probe", "--config",
                                 cfg("circle_irrational.json"),

@@ -19,8 +19,9 @@ from guided_dynamics.gds import (CircleSpace,
                                  probe_minimality, probe_weak_attractor,
                                  validate_orbit, verify_conjugacy,
                                  zero_band_guiding)
-from guided_dynamics.gds import (_closures, _golden_min, _witness_intervals,
-                                 write_csv)
+from guided_dynamics.gds import (_closures, _golden_min, _interval_images,
+                                 _range_cover_defect, _validate_witness,
+                                 _witness_intervals, write_csv)
 
 
 def standard_interval_system():
@@ -122,7 +123,7 @@ def test_not_minimal_witness_is_forward_closed():
     witness = verdict.witness
     for lo, hi in witness:
         for i, gen in enumerate(system.generators):
-            if system.guiding[i].covers_interval(lo, hi,
+            if system.guiding[i].covers_interval(lo, hi, system.space,
                                                  system.tol_lambda):
                 continue
             img_lo = float(np.atleast_1d(gen(np.array([lo])))[0])
@@ -644,5 +645,315 @@ def test_witness_intervals_match_loop(space):
             # runs of points one pad apart, where the merge tolerance acts
             pts = lo + 0.3 + 2 * pad_cell * np.arange(n)
         for pad in (pad_cell, 1e-9, 0.05):
-            assert _witness_intervals(space, pts, pad) == \
+            result = _witness_intervals(space, pts, pad)
+            assert tuple(map(tuple, result.tolist())) == \
                 witness_intervals_loop(space, pts, pad)
+
+
+# --------------------------------------------------------------------------
+# witness validation and orbit graphs against per-interval loops
+# --------------------------------------------------------------------------
+
+TWO_PI = 2 * math.pi
+# increasing, decreasing and non-monotone maps of [-1, 1] and of the
+# circle, plus images of zero width and images 1.5 tau wide that straddle
+# a cell edge at 2 cells (tau = 1e-9 of a cell width)
+INTERVAL_MAPS = ("(t+1)/2", "(t-1)/2", "-0.5*t + 0.2", "0.5 + 0.4*cos(3*t)",
+                 "t^2 - 0.5", "0.5", "1.5e-9*(t - 0.5)")
+CIRCLE_MAPS = ("t + 1.5707963267948966", "t + 1", "-t + 0.5",
+               "t + 2*sin(t) + 7", "sin(t) + 15", "t + 0.3*sin(2*t)", "2*t",
+               "5*t", "0.5", "1.5e-9*(t - 4.71238898038469)")
+
+
+def covers_interval_loop(gset, lo, hi, space, tol):
+    """Reference: the member loop of GuidingSet.covers_interval, at the
+    circle shifts GuidingSet.distance applies."""
+    shifts = ((-space.period, 0.0, space.period)
+              if isinstance(space, CircleSpace) else (0.0,))
+    return any(glo - tol <= lo + k and hi + k <= ghi + tol
+               for glo, ghi in gset.intervals for k in shifts)
+
+
+def arc_inside_loop(space, s_lo, s_hi, w_lo, w_hi, tol):
+    if isinstance(space, CircleSpace):
+        for k in (-space.period, 0.0, space.period):
+            if w_lo - tol <= s_lo + k and s_hi + k <= w_hi + tol:
+                return True
+        return False
+    return w_lo - tol <= s_lo and s_hi <= w_hi + tol
+
+
+def image_loop(space, gen, lo, hi, samples):
+    if gen.monotone is not None:
+        e1, e2 = _scalar(gen, lo), _scalar(gen, hi)
+        img_lo, img_hi = min(e1, e2), max(e1, e2)
+    else:
+        img = np.asarray(gen(np.linspace(lo, hi, samples)), dtype=float)
+        img_lo, img_hi = float(img.min()), float(img.max())
+    return img_lo, img_hi
+
+
+def image_inside_loop(system, gen, lo, hi, intervals):
+    space = system.space
+    img_lo, img_hi = image_loop(space, gen, lo, hi, 33)
+    if isinstance(space, CircleSpace):
+        span = img_hi - img_lo
+        start = float(space.normalize(np.array([img_lo]))[0])
+        img_lo, img_hi = start, start + span
+    return any(arc_inside_loop(space, img_lo, img_hi, wlo, whi,
+                               system.tol_step) for wlo, whi in intervals)
+
+
+def validate_witness_loop(system, intervals):
+    """Reference: the per-interval, per-member loop the vectorized
+    _validate_witness replaced."""
+    for lo, hi in intervals:
+        for i, gen in enumerate(system.generators):
+            if covers_interval_loop(system.guiding[i], lo, hi, system.space,
+                                    system.tol_lambda):
+                continue
+            if not image_inside_loop(system, gen, lo, hi, intervals):
+                return False
+    return True
+
+
+def cells_overlapping_loop(space, ilo, ihi, cells, w, lo0, tau):
+    if isinstance(space, CircleSpace):
+        if ihi - ilo >= space.period:
+            return list(range(cells))
+        start = float(space.normalize(np.array([ilo]))[0])
+        span = ihi - ilo
+        ilo, ihi = start, start + span
+    if ihi - ilo <= 2 * tau:
+        k = int(math.floor((0.5 * (ilo + ihi) - lo0) / w))
+        return [k % cells if isinstance(space, CircleSpace)
+                else min(max(k, 0), cells - 1)]
+    jlo = int(math.floor((ilo - lo0 + tau) / w))
+    jhi = int(math.floor((ihi - lo0 - tau) / w))
+    ks = range(jlo, jhi + 1)
+    if isinstance(space, CircleSpace):
+        return [k % cells for k in ks]
+    return [min(max(k, 0), cells - 1) for k in ks]
+
+
+def build_orbit_graph_loop(system, cells):
+    """Reference: the per-cell loops the vectorized build_orbit_graph
+    replaced, returning (edges, approximate)."""
+    space = system.space
+    rows = []
+    if isinstance(space, FiniteGraphSpace):
+        for i, gen in enumerate(system.generators):
+            for v in range(space.n_nodes):
+                if system.guiding[i].distance(float(v), space)[0] \
+                        > system.tol_lambda:
+                    rows.append((v, int(gen.table[v]), i))
+        return np.array(rows, dtype=np.int64).reshape(-1, 3), False
+    w = space.length / cells
+    lo0 = space.a if isinstance(space, Interval) else 0.0
+    tau = w * 1e-9
+    approx = False
+    for i, gen in enumerate(system.generators):
+        for c in range(cells):
+            clo, chi = lo0 + c * w, lo0 + (c + 1) * w
+            if covers_interval_loop(system.guiding[i], clo, chi, space,
+                                    system.tol_lambda):
+                continue
+            approx = approx or gen.monotone is None
+            ilo, ihi = image_loop(space, gen, clo, chi, 9)
+            for dst in cells_overlapping_loop(space, ilo, ihi, cells, w,
+                                              lo0, tau):
+                rows.append((c, dst, i))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3), approx
+
+
+@st.composite
+def guided_cases(draw):
+    """A space, one or two generators, and a guiding set on the first:
+    up to three intervals, some nested or overlapping, some across the
+    circle seam."""
+    circle = draw(st.booleans())
+    space = CircleSpace() if circle else Interval(-1.0, 1.0)
+    lo, hi = (0.0, TWO_PI) if circle else (-1.0, 1.0)
+    names = list(CIRCLE_MAPS if circle else INTERVAL_MAPS)
+    if circle:
+        angle = draw(st.integers(0, 10 ** 6)) * 2e-5
+        names.append(f"t + {angle!r}")
+    srcs = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2,
+                         unique=True))
+    ivs = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.floats(lo - 0.5, hi + 0.5))
+        ivs.append((a, a + draw(st.floats(0.0, 1.5))))
+    if ivs and draw(st.booleans()):
+        a, b = ivs[0]
+        ivs.append((a + 0.25 * (b - a), a + 0.5 * (b - a)))
+    guiding = [ivs] + [[]] * (len(srcs) - 1)
+    return GuidedSystem(space, [map_from(parse(src), k)
+                                for k, src in enumerate(srcs)], guiding)
+
+
+@settings(max_examples=150, deadline=None)
+@given(guided_cases(), st.data())
+def test_validate_witness_matches_loop(system, data):
+    space = system.space
+    lo, hi = (0.0, TWO_PI) if isinstance(space, CircleSpace) else (-1.0, 1.0)
+    kind = data.draw(st.sampled_from(["random", "seam", "orbit", "dense"]))
+    if kind == "orbit":
+        # a rational rotation orbit: forward-closed under t + pi/2
+        x0 = data.draw(st.floats(lo, hi - 1e-3))
+        pts = np.mod(x0 + TWO_PI / 4 * np.arange(4), TWO_PI) \
+            if isinstance(space, CircleSpace) else np.array([x0])
+    elif kind == "dense":
+        # at the wider pads, one interval covering the whole space
+        pts = np.linspace(lo, hi, 30, endpoint=False)
+    else:
+        pts = np.array(data.draw(st.lists(st.floats(lo, hi - 1e-3),
+                                          min_size=1, max_size=25)))
+        if kind == "seam":
+            # pads reaching past both ends merge across the circle seam
+            pts = np.r_[pts, lo + 1e-4, hi - 1e-4]
+    pad = data.draw(st.sampled_from([system.tol_lambda, 0.0025, 0.05, 0.3]))
+    witness = _witness_intervals(space, pts, pad)
+    guide = data.draw(st.sampled_from(["as drawn", "some", "escaping"]))
+    if guide != "as drawn":
+        # guide the first generator off some witness intervals exactly, or
+        # off those it maps out of the witness (which then validates when
+        # it is the only generator)
+        ivs = tuple(map(tuple, witness.tolist()))
+        gen = system.generators[0]
+        picked = data.draw(st.lists(st.sampled_from(ivs), max_size=3)) \
+            if guide == "some" else \
+            [iv for iv in ivs if not image_inside_loop(system, gen, *iv, ivs)]
+        guiding = [picked] + [[]] * (system.n_generators - 1)
+        system = GuidedSystem(space, system.generators, guiding)
+    assert _validate_witness(system, witness) == \
+        validate_witness_loop(system, tuple(map(tuple, witness.tolist())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(guided_cases(), st.data())
+def test_interval_images_match_scalar_loop(system, data):
+    # the images carry the floats of one endpoint or linspace call per
+    # interval, bit for bit
+    space = system.space
+    lo, hi = (0.0, TWO_PI) if isinstance(space, CircleSpace) else (-1.0, 1.0)
+    a = np.array(data.draw(st.lists(st.floats(lo - 0.01, hi), min_size=1,
+                                    max_size=20)))
+    b = a + np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=a.size,
+                                        max_size=a.size)))
+    for gen in system.generators:
+        for samples in (9, 33):
+            got = _interval_images(space, gen, a, b, samples)
+            want = [image_loop(space, gen, x, y, samples)
+                    for x, y in zip(a.tolist(), b.tolist())]
+            span = [y - x for x, y in want]
+            if isinstance(space, CircleSpace):
+                want = [(float(np.mod(x, space.period)),
+                         float(np.mod(x, space.period)) + d)
+                        for (x, _), d in zip(want, span)]
+            assert got[0].tolist() == [x for x, _ in want]
+            assert got[1].tolist() == [y for _, y in want]
+            assert got[2].tolist() == span
+
+
+def test_interval_images_sample_the_interval_end():
+    # lo + 8 * ((hi - lo) / 8) is one ulp below hi here, and t^2 - 0.5
+    # takes its max at hi
+    system = GuidedSystem(Interval(-1.0, 1.0), [parse("t^2 - 0.5")])
+    lo, hi = -0.18672976079972758, 0.9127555772777217
+    _, img_hi, _ = _interval_images(system.space, system.generators[0],
+                                    np.array([lo]), np.array([hi]), 9)
+    assert img_hi.tolist() == [hi * hi - 0.5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(guided_cases(), st.sampled_from([2, 3, 7, 64, 1000]))
+def test_build_orbit_graph_matches_loop(system, cells):
+    graph = build_orbit_graph(system, cells)
+    edges, approx = build_orbit_graph_loop(system, cells)
+    assert np.array_equal(graph.edges, edges)
+    assert graph.edges.dtype == np.int64
+    assert graph.approximate == approx
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_build_orbit_graph_matches_loop_on_graphs(data):
+    n = data.draw(st.integers(1, 12))
+    tables = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n,
+                                         max_size=n), min_size=1, max_size=3))
+    guiding = [GuidingSet.points(data.draw(st.lists(st.integers(0, n - 1),
+                                                    max_size=n)))
+               for _ in tables]
+    guiding[-1] = GuidingSet.empty()
+    system = GuidedSystem(FiniteGraphSpace(n),
+                          [GeneratorMap(None, table=t, label=k)
+                           for k, t in enumerate(tables)], guiding)
+    graph = build_orbit_graph(system, n)
+    edges, _ = build_orbit_graph_loop(system, n)
+    assert np.array_equal(graph.edges, edges)
+    assert not graph.approximate
+
+
+def range_cover_defect_loop(system):
+    """Reference: the per-range loops the shared image rule and
+    GuidingSet.distance replaced."""
+    space = system.space
+    ends = (space.a, space.b) if isinstance(space, Interval) \
+        else (0.0, space.period)
+    arcs = []
+    for gen in system.generators:
+        if gen.monotone is not None:
+            arcs.append(image_loop(space, gen, *ends, 2))
+        else:
+            img = np.asarray(gen(space.grid(4097)), dtype=float)
+            arcs.append((float(img.min()), float(img.max())))
+    if isinstance(space, CircleSpace):
+        if any(hi - lo >= space.period for lo, hi in arcs):
+            return 0.0
+        arcs = [(float(np.mod(lo, space.period)),
+                 float(np.mod(lo, space.period)) + (hi - lo))
+                for lo, hi in arcs]
+        pts = space.grid(4096)
+        best = np.full(pts.shape, np.inf)
+        for lo, hi in arcs:
+            for k in (-space.period, 0.0, space.period):
+                d = np.maximum(np.maximum(lo - (pts + k), (pts + k) - hi),
+                               0.0)
+                best = np.minimum(best, d)
+        return float(best.max())
+    arcs.sort()
+    gap = max(arcs[0][0] - space.a, 0.0)
+    reach = arcs[0][1]
+    for lo, hi in arcs[1:]:
+        gap = max(gap, lo - reach)
+        reach = max(reach, hi)
+    return float(max(gap, space.b - reach, 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(guided_cases())
+def test_range_cover_defect_matches_loop(system):
+    assert _range_cover_defect(system) == range_cover_defect_loop(system)
+
+
+def test_covers_interval_sees_the_circle_seam():
+    # the same guiding arc written across the seam and below 0: both
+    # spellings skip the six cells inside it, where allowed_mask forbids
+    # the rotation, and validate the same witnesses
+    systems = [GuidedSystem(CircleSpace(), [parse("t + 1.5707963267948966")],
+                            [[arc]])
+               for arc in ((TWO_PI - 0.3, TWO_PI + 0.3), (-0.3, 0.3))]
+    graphs = [build_orbit_graph(s, 64) for s in systems]
+    assert np.array_equal(graphs[0].edges, graphs[1].edges)
+    assert sorted(set(range(64)) - set(graphs[0].edges[:, 0].tolist())) == \
+        [0, 1, 2, 61, 62, 63]
+    for system in systems:
+        assert not system.allowed_mask(0, np.array([0.0, 0.25, TWO_PI - 0.25
+                                                    ])).any()
+    quarter = TWO_PI / 4 * np.arange(4)
+    for pts in (quarter, np.r_[quarter, 0.1], np.r_[quarter, 1.0]):
+        witness = _witness_intervals(systems[0].space, pts, 0.02)
+        results = {_validate_witness(s, witness) for s in systems}
+        assert len(results) == 1
+    assert systems[0].guiding[0].covers_interval(0.0, 0.2, systems[0].space)

@@ -1,7 +1,9 @@
 """Snapshot every `gds` subcommand's report on every `configs/` file.
 
 Runs `cli.main(argv + ["--no-meta"])` in-process for each subcommand on
-each config (`--x0 0.3` where the subcommand requires it) and writes one
+each config (`--x0 0.3` where the subcommand requires it; `graph-min` also
+at `--grid 3` and `--grid 4096`, the coarsest odd and a fine grid) and
+writes one
 JSON object mapping the argv, joined by spaces, to [exit code, stdout,
 stderr, sha256 of the CSV]. Subcommands that write a CSV run with `--out`
 into a scratch directory; the last entry is null when no file was written
@@ -29,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 X0_COMMANDS = ("orbit", "weak-attractor")
+EXTRA_ARGS = {"graph-min": ([], ["--grid", "3"], ["--grid", "4096"])}
 CSV_COMMANDS = ("orbit", "solve-fe", "solve-ivp", "overdet", "solve-bvp")
 
 
@@ -51,16 +54,18 @@ def snapshot(root):
         csv = Path(scratch) / "out.csv"
         for config in sorted(Path("configs").glob("*.json")):
             for command in cli.HANDLERS:
-                argv = [command, "--config", config.as_posix()]
-                if command in X0_COMMANDS:
-                    argv += ["--x0", "0.3"]
-                extra = ["--out", str(csv)] if command in CSV_COMMANDS else []
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), \
-                        contextlib.redirect_stderr(err):
-                    code = cli.main(argv + extra + ["--no-meta"])
-                runs[" ".join(argv)] = [code, out.getvalue(), err.getvalue(),
-                                        _take_sha256(csv)]
+                for args in EXTRA_ARGS.get(command, ([],)):
+                    argv = [command, "--config", config.as_posix(), *args]
+                    if command in X0_COMMANDS:
+                        argv += ["--x0", "0.3"]
+                    extra = (["--out", str(csv)] if command in CSV_COMMANDS
+                             else [])
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), \
+                            contextlib.redirect_stderr(err):
+                        code = cli.main(argv + extra + ["--no-meta"])
+                    runs[" ".join(argv)] = [code, out.getvalue(),
+                                            err.getvalue(), _take_sha256(csv)]
     return runs
 
 
