@@ -378,26 +378,29 @@ class FixedPointResult:
 
 
 def fixed_point(map_fn, bracket, d_fn=None, tol=1e-13) -> FixedPointResult:
-    """Bisection on map(t) - t. The attracting-fixed-point statement needs
-    derivative < 1; |derivative - 1| < 1e-6 is reported inconclusive."""
+    """Brent's method (scipy.optimize.brentq, xtol=tol) on map(t) - t. The
+    attracting-fixed-point statement needs derivative < 1;
+    |derivative - 1| < 1e-6 is reported inconclusive."""
     fn = as_callable(map_fn)
     lo, hi = float(bracket[0]), float(bracket[1])
-    g_lo = _scalar(fn, lo) - lo
-    g_hi = _scalar(fn, hi) - hi
+
+    def g(t):
+        return _scalar(fn, t) - t
+
+    g_lo, g_hi = g(lo), g(hi)
     if g_lo < -1e-12 and g_hi < -1e-12 or (g_lo > 1e-12 and g_hi > 1e-12):
         raise NoBracket(
             f"map(t) - t has no sign change on [{lo}, {hi}] "
             f"(values {g_lo!r}, {g_hi!r})")
-    it = 0
-    while hi - lo > tol and it < 200:
-        mid = 0.5 * (lo + hi)
-        g_mid = _scalar(fn, mid) - mid
-        if (g_mid > 0) == (g_lo > 0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-        it += 1
-    t_star = 0.5 * (lo + hi)
+    if g_lo != 0 and g_hi != 0 and (g_lo > 0) == (g_hi > 0):
+        # both ends within 1e-12 of a fixed point but of one sign, which
+        # brentq refuses: the end nearer a root stands for it
+        t_star, it = (lo if abs(g_lo) <= abs(g_hi) else hi), 0
+    else:
+        # imported here: scipy.optimize takes about 0.2 s to load
+        from scipy.optimize import brentq
+        t_star, info = brentq(g, lo, hi, xtol=tol, full_output=True)
+        it = info.iterations
     if d_fn is not None:
         deriv = _scalar(as_callable(d_fn), t_star)
     else:

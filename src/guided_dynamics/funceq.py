@@ -179,7 +179,7 @@ class FunceqSystem:
             if len(ivs) >= 2 and ivs[0][0] <= 1e-12 and \
                     ivs[-1][1] >= self.space.period - 1e-12:
                 first, last = ivs[0], ivs[-1]
-                ivs = ivs[1:-1] + [(last[0] - self.space.period, first[1])]
+                ivs = ivs[1:-1] + [(last[0], first[1] + self.space.period)]
             return GuidingSet(ivs)
         return zero_band_guiding(coeff, self.space, tol=tol)
 

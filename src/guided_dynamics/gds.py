@@ -344,14 +344,20 @@ def _wrap_images(space, img_lo, img_hi):
     return img_lo, img_hi, span
 
 
-def _intersect_interval_lists(a, b):
-    out = []
-    for lo1, hi1 in a:
-        for lo2, hi2 in b:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo <= hi:
-                out.append((lo, hi))
-    return out
+def _circle_arcs(guiding, period):
+    """guiding with each arc moved by a multiple of period to start in
+    [0, period), its length kept; an arc of length >= period is the whole
+    circle. The same set when no arc moves."""
+    arcs = []
+    for lo, hi in guiding.intervals:
+        if hi - lo >= period:
+            lo, hi = 0.0, period
+        elif not 0.0 <= lo < period:
+            start = lo % period
+            start = start if start < period else 0.0
+            lo, hi = start, start + (hi - lo)
+        arcs.append((lo, hi))
+    return guiding if tuple(arcs) == guiding.intervals else GuidingSet(arcs)
 
 
 class GuidedSystem:
@@ -370,6 +376,10 @@ class GuidedSystem:
             guiding = [GuidingSet.empty()] * n
         self.guiding = tuple(g if isinstance(g, GuidingSet) else GuidingSet(g)
                              for g in guiding)
+        if isinstance(space, CircleSpace):
+            # once here, so that distance needs only the shifts -P, 0, +P
+            self.guiding = tuple(_circle_arcs(g, space.period)
+                                 for g in self.guiding)
         if len(self.guiding) != n:
             raise ValueError("one guiding set per generator required")
         self.coefficients = None
@@ -416,16 +426,17 @@ class GuidedSystem:
                         raise ValueError(
                             f"coefficient {i} negative at "
                             f"x={xs[int(np.argmin(vals))]!r}")
-        # The guiding sets must have empty common intersection.
+        # The guiding sets must have empty common intersection. When it
+        # is not empty it holds the left end of a member (the largest left
+        # end of the members around one of its points); on a circle, of an
+        # arc, and distance matches arcs modulo the period.
         if all(not g.is_empty for g in self.guiding) and self.n_generators > 1:
-            common = list(self.guiding[0].intervals)
-            for g in self.guiding[1:]:
-                common = _intersect_interval_lists(common, g.intervals)
-                if not common:
-                    break
-            if common:
+            ends = np.concatenate([g._lo for g in self.guiding])
+            common = ends[np.all([g.distance(ends, space) == 0.0
+                                  for g in self.guiding], axis=0)]
+            if common.size:
                 raise ValueError(
-                    f"guiding sets intersect near {common[0]!r}; the "
+                    f"guiding sets intersect at {float(common[0])!r}; the "
                     "intersection over all generators must be empty")
 
     def allowed_mask(self, i, points):
@@ -1255,31 +1266,20 @@ def zero_band_guiding(fn, interval: Interval, tol: float = 1e-9,
     """Roots of a nonnegative function as a union of closed intervals:
     contiguous sub-tolerance runs are widened to where fn crosses tol, and
     grid-local minima whose refined value dips below tol are included as
-    tangential roots."""
+    tangential roots, widened the same way. fn must be elementwise.
+
+    One scipy.optimize.elementwise.find_minimum call refines every
+    surviving minimum and one find_root call on fn - tol places every
+    crossing (Chandrupatla's bracketing methods); a scan with no run and
+    no surviving minimum calls neither."""
     f = as_callable(fn)
     ts = np.linspace(interval.a, interval.b, grid_n)
     vs = np.asarray(f(ts), dtype=float)
     below = vs < tol
-    bands = []
-
-    def cross(lo, hi, rising):
-        # fn - tol changes sign on [lo, hi]; bisect to the crossing
-        flo = _scalar(f, lo) - tol
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = _scalar(f, mid) - tol
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
     # maximal sub-tolerance runs [j, k]: edges of the padded mask
     edges = np.flatnonzero(np.diff(np.concatenate(([False], below, [False]))))
-    for j, k in zip(edges[::2], edges[1::2] - 1):
-        lo = ts[j] if j == 0 else cross(ts[j - 1], ts[j], rising=False)
-        hi = ts[k] if k == grid_n - 1 else cross(ts[k], ts[k + 1], rising=True)
-        bands.append((lo, hi))
+    starts, stops = edges[::2], edges[1::2] - 1
 
     # tangential dips the grid may have straddled: grid-local minima clear
     # of the runs, skipped when the parabola through the three samples
@@ -1292,40 +1292,33 @@ def zero_band_guiding(fn, interval: Interval, tol: float = 1e-9,
         fitted = np.where(denom <= 0, mid,
                           mid - (left - right) ** 2 / (8 * denom))
     clear = (fitted >= tol) & (mid >= 10 * tol) & (fitted >= 0.01 * mid)
-    for j in np.flatnonzero(minima & ~clear) + 1:
-        lo, hi = ts[j - 1], ts[j + 1]
-        tm, vm = _golden_min(f, lo, hi)
-        if vm < tol:
-            blo = cross(lo, tm, rising=False) if vs[j - 1] >= tol else lo
-            bhi = cross(tm, hi, rising=True) if vs[j + 1] >= tol else hi
-            bands.append((blo, bhi))
+    dips = np.flatnonzero(minima & ~clear) + 1
+    if not (starts.size or dips.size):
+        return GuidingSet()
 
-    bands.sort()
-    merged = []
-    for lo, hi in bands:
-        if merged and lo <= merged[-1][1] + (ts[1] - ts[0]) * 1e-6:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return GuidingSet(merged)
+    # imported here: scipy.optimize takes about 0.2 s to load, and most
+    # scans have nothing to refine
+    from scipy.optimize import elementwise
+    exact = dict(xatol=0.0, fatol=0.0, frtol=0.0)
+    res = elementwise.find_minimum(
+        f, (ts[dips - 1], ts[dips], ts[dips + 1]), tolerances=exact)
+    dips, t_min = dips[res.f_x < tol], res.x[res.f_x < tol]
 
+    # a band [lo, hi] lies between the samples out_lo and out_hi; an end
+    # with a sample beyond it is a tol crossing between the two
+    lo, hi = np.r_[ts[starts], t_min], np.r_[ts[stops], t_min]
+    out_lo, out_hi = np.r_[starts - 1, dips - 1], np.r_[stops + 1, dips + 1]
+    lo_x, hi_x = out_lo >= 0, out_hi < grid_n
+    crossings = elementwise.find_root(
+        lambda t: f(t) - tol, (np.r_[ts[out_lo[lo_x]], hi[hi_x]],
+                               np.r_[lo[lo_x], ts[out_hi[hi_x]]]),
+        tolerances=exact).x
+    lo[lo_x], hi[hi_x] = np.split(crossings, [lo_x.sum()])
 
-def _golden_min(f, lo, hi, iters=200):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = _scalar(f, x1)
-    f2 = _scalar(f, x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = _scalar(f, x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = _scalar(f, x2)
-        if hi - lo < 1e-15 * (1 + abs(lo)):
-            break
-    xm = 0.5 * (lo + hi)
-    return xm, _scalar(f, xm)
+    # merge bands that overlap or touch: a band opens a new member when it
+    # starts beyond the running max of the ends before it
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi) + (ts[1] - ts[0]) * 1e-6
+    heads = np.flatnonzero(lo > np.r_[-np.inf, reach[:-1]])
+    return GuidingSet(zip(lo[heads], np.maximum.reduceat(hi, heads)))

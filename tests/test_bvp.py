@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import curved_problem, cycle_problem, straight_problem
 from guided_dynamics.bvp import (BoundaryProblem, analyze_solvability,
@@ -9,7 +10,7 @@ from guided_dynamics.bvp import (BoundaryProblem, analyze_solvability,
 from guided_dynamics.errors import (CornerMismatch,
                                     DegenerateParametrization, NoBracket,
                                     NotSolvableError)
-from guided_dynamics.exprlang import parse
+from guided_dynamics.exprlang import _scalar, parse
 from guided_dynamics.gds import validate_orbit
 
 
@@ -171,11 +172,40 @@ def test_z_of_t_ends_and_clamping(straight_system, curved_system,
 def test_fixed_point_composites():
     fp = fixed_point(parse("(t+1)/4"), (-1.0, 1.0),
                      d_fn=parse("0.25"))
-    assert fp.t_star == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert fp.t_star == pytest.approx(1.0 / 3.0, abs=1e-13)
     assert fp.derivative == 0.25
     assert fp.conclusive
     fp2 = fixed_point(parse("(t-1)/4"), (-1.0, 1.0), d_fn=parse("0.25"))
-    assert fp2.t_star == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    assert fp2.t_star == pytest.approx(-1.0 / 3.0, abs=1e-13)
+
+
+def test_fixed_point_iterations_are_brentq_count():
+    fn = parse("(t+1)/4 + t^3/8")
+    fp = fixed_point(fn, (-1.0, 1.0))
+    root, info = brentq(lambda t: _scalar(fn, t) - t, -1.0, 1.0,
+                        xtol=1e-13, full_output=True)
+    assert (fp.t_star, fp.iterations) == (root, info.iterations)
+    assert 0 < fp.iterations < 45   # 45 was the bisection's count
+
+
+def test_fixed_point_exact_root_at_bracket_end():
+    fp = fixed_point(parse("t/2"), (0.0, 1.0), d_fn=parse("0.5"))
+    assert fp.t_star == 0.0
+    assert fp.conclusive
+    fp = fixed_point(parse("(t+1)/2"), (0.0, 1.0))
+    assert fp.t_star == 1.0
+
+
+@pytest.mark.parametrize("source,t_star", [
+    ("t + 1e-13*(1 + t)", 0.0),      # g = 1e-13 at 0, 2e-13 at 1
+    ("t - 1e-13*(2 - t)", 1.0),      # g = -2e-13 at 0, -1e-13 at 1
+])
+def test_fixed_point_same_sign_tiny_bracket(source, t_star):
+    # both ends pass the 1e-12 bracket test with one sign, which brentq
+    # refuses: the end with the smaller |map(t) - t| is returned
+    fp = fixed_point(parse(source), (0.0, 1.0), d_fn=parse("1"))
+    assert (fp.t_star, fp.iterations) == (t_star, 0)
+    assert not fp.conclusive
 
 
 def test_fixed_point_identity_inconclusive():
@@ -186,6 +216,8 @@ def test_fixed_point_identity_inconclusive():
 def test_fixed_point_no_bracket():
     with pytest.raises(NoBracket):
         fixed_point(parse("t + 1"), (0.0, 1.0))
+    with pytest.raises(NoBracket, match="no sign change"):
+        fixed_point(parse("t - 2e-12"), (0.0, 1.0))
 
 
 # --------------------------------------------------------------------------

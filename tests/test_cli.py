@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -525,3 +527,18 @@ def test_solve_bvp_small_grids(capsys, grid):
     assert first[0] == 0
     assert json.loads(first[1])["grid"] == int(grid)
     assert run(capsys, argv) == first
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.2 s and 15 MB in a fresh process: only
+    # a scan or a fixed point that needs a solver may load it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import guided_dynamics.cli, sys\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "from guided_dynamics.gds import Interval, zero_band_guiding\n"
+            "assert zero_band_guiding(lambda t: 0.5 + t * t,\n"
+            "                         Interval(-1.0, 1.0)).is_empty\n"
+            "assert 'scipy.optimize' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)

@@ -19,7 +19,7 @@ from guided_dynamics.gds import (CircleSpace,
                                  probe_minimality, probe_weak_attractor,
                                  validate_orbit, verify_conjugacy,
                                  zero_band_guiding)
-from guided_dynamics.gds import (_closures, _golden_min, _interval_images,
+from guided_dynamics.gds import (_closures, _interval_images,
                                  _range_cover_defect, _validate_witness,
                                  _witness_intervals, write_csv)
 
@@ -421,8 +421,9 @@ def test_zero_band_empty():
 
 
 def zero_band_loops(fn, interval, tol=1e-9, grid_n=8193):
-    """Reference: zero_band_guiding with the per-point run walk and dip
-    scan the vectorized version replaced."""
+    """Reference: zero_band_guiding with the per-point run walk, the dip
+    scan, the bisection and the golden-section search the library calls
+    replaced."""
     f = as_callable(fn)
     ts = np.linspace(interval.a, interval.b, grid_n)
     vs = np.asarray(f(ts), dtype=float)
@@ -463,7 +464,7 @@ def zero_band_loops(fn, interval, tol=1e-9, grid_n=8193):
         if fitted >= tol and vs[j] >= 10 * tol and fitted >= 0.01 * vs[j]:
             continue
         lo, hi = ts[j - 1], ts[j + 1]
-        tm, vm = _golden_min(f, lo, hi)
+        tm, vm = golden_min(f, lo, hi)
         if vm < tol:
             blo = cross(lo, tm) if vs[j - 1] >= tol else lo
             bhi = cross(tm, hi) if vs[j + 1] >= tol else hi
@@ -476,6 +477,27 @@ def zero_band_loops(fn, interval, tol=1e-9, grid_n=8193):
         else:
             merged.append((lo, hi))
     return tuple(merged)
+
+
+def golden_min(f, lo, hi, iters=200):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1 = _scalar(f, x1)
+    f2 = _scalar(f, x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = _scalar(f, x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = _scalar(f, x2)
+        if hi - lo < 1e-15 * (1 + abs(lo)):
+            break
+    xm = 0.5 * (lo + hi)
+    return xm, _scalar(f, xm)
 
 
 @pytest.mark.parametrize("source,interval,grid_n", [
@@ -495,12 +517,40 @@ def zero_band_loops(fn, interval, tol=1e-9, grid_n=8193):
     ("sin(3*t)^2", (0.0, 2 * math.pi), 8193),     # circle coefficient scan
     ("cos(t)^2 + 1e-12", (0.0, 2 * math.pi), 257),
     ("1 + sin(40*t)", (0.0, 2 * math.pi), 8193),  # many curved minima
+    ("(t - 0.5)^2", (0.0, 1.0), 4),               # two grid minima, one dip
 ])
 def test_zero_band_matches_loops(source, interval, grid_n):
     fn = parse(source)
     iv = Interval(*interval)
     band = zero_band_guiding(fn, iv, grid_n=grid_n)
-    assert band.intervals == zero_band_loops(fn, iv, grid_n=grid_n)
+    ref = zero_band_loops(fn, iv, grid_n=grid_n)
+    # the library solvers stop at other floats than the loops did
+    assert len(band.intervals) == len(ref)
+    np.testing.assert_allclose(np.reshape(band.intervals, (-1, 2)),
+                               np.reshape(ref, (-1, 2)), rtol=0, atol=1e-12)
+    # an end off the grid is a tol crossing: fn - tol changes sign
+    # within 1e-12 of it
+    grid = np.linspace(iv.a, iv.b, grid_n)
+    ends = np.ravel(band.intervals)
+    ends = ends[~np.isin(ends, grid)]
+    f = as_callable(fn)
+    below = np.asarray(f(ends - 1e-12)) < 1e-9
+    assert np.all(below != (np.asarray(f(ends + 1e-12)) < 1e-9))
+
+
+@pytest.mark.parametrize("value", [5e-9, 1e-9])
+def test_zero_band_flat_coefficient_is_cheap(value):
+    # a flat value in [tol, 10 tol) passes the dip prefilter at every grid
+    # point; all of them are refined together, not one search each
+    calls = []
+
+    def fn(t):
+        calls.append(np.size(t))
+        return np.full(np.shape(t), value)
+
+    band = zero_band_guiding(fn, Interval(-1.0, 1.0), grid_n=8193)
+    assert band.is_empty
+    assert len(calls) < 100
 
 
 @pytest.mark.parametrize("columns,header", [
@@ -935,6 +985,52 @@ def range_cover_defect_loop(system):
 @given(guided_cases())
 def test_range_cover_defect_matches_loop(system):
     assert _range_cover_defect(system) == range_cover_defect_loop(system)
+
+
+def two_rotations(guiding):
+    return GuidedSystem(CircleSpace(), [parse("t + 1"), parse("t + 2")],
+                        guiding)
+
+
+def test_circle_arcs_are_matched_modulo_the_period():
+    # [13, 13.5] is [13 - 4 pi, 13.5 - 4 pi] on the circle
+    system = two_rotations([[(13.0, 13.5)], []])
+    (lo, hi), = system.guiding[0].intervals
+    assert lo == pytest.approx(13.0 - 2 * TWO_PI, abs=1e-14)
+    assert hi - lo == 0.5
+    assert system.allowed(0.5) == (1,)
+    assert system.allowed(0.4) == (0, 1)
+    # an arc as long as the circle is the whole circle
+    system = two_rotations([[(-1.0, TWO_PI - 1.0)], []])
+    assert system.guiding[0].intervals == ((0.0, TWO_PI),)
+    assert not system.allowed_mask(0, np.linspace(0.0, 20.0, 101)).any()
+
+
+def test_circle_arcs_in_range_are_kept():
+    g = [GuidingSet([(0.0, 1.0), (TWO_PI - 0.3, TWO_PI + 0.3)]),
+         GuidingSet.points([2.0, 3.0])]
+    system = two_rotations(g)
+    assert system.guiding[0] is g[0] and system.guiding[1] is g[1]
+
+
+@pytest.mark.parametrize("arcs", [
+    [(0.0, 1.0), (TWO_PI, TWO_PI + 1.0)],              # one arc, 2 spellings
+    [(TWO_PI - 0.5, TWO_PI + 0.5), (-0.2, -0.1)],      # across the seam
+    [(TWO_PI - 0.5, TWO_PI + 0.5), (0.2, 0.3)],
+    [(TWO_PI - 0.5, TWO_PI), (0.0, 0.1)],              # meet at 0 = 2 pi
+    [(13.0, 13.5), (0.5, 0.6)],                        # two turns up
+    [(-20.0, -19.0), (-1.0, 20.0)],                    # the whole circle
+])
+def test_circle_guiding_intersection_is_taken_modulo_the_period(arcs):
+    with pytest.raises(ValueError, match="intersect"):
+        two_rotations([[arcs[0]], [arcs[1]]])
+
+
+def test_circle_guiding_across_the_seam_apart_is_accepted():
+    system = two_rotations([[(TWO_PI - 0.5, TWO_PI + 0.5)], [(1.0, 2.0)]])
+    assert system.allowed(0.25) == (1,)
+    assert system.allowed(1.5) == (0,)
+    assert system.allowed(3.0) == (0, 1)
 
 
 def test_covers_interval_sees_the_circle_seam():
