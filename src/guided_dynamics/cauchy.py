@@ -404,12 +404,6 @@ class AffineCauchyAnalysis:
     gamma: float
     radius: int
 
-    def ball_family(self, m):
-        """Centers and radius of K_m = B(d~1, m) u B(d~2, m)."""
-        if m < self.radius:
-            raise ValueError(f"m must be >= {self.radius}")
-        return (self.d_tilde1, self.d_tilde2, float(m))
-
     def to_dict(self):
         return {
             "B1": self.B1.tolist(), "B2": self.B2.tolist(),

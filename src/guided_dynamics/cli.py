@@ -241,7 +241,9 @@ def cmd_orbit(args):
 def cmd_probe(args):
     cfg = load_config(args.config)
     system = cfg.guided_system()
-    verdict = gds_mod.probe_minimality(system, args.eps, args.depth)
+    verdict = gds_mod.probe_minimality(system, args.eps, args.depth,
+                                       cell_cap=int(cfg.budgets.get(
+                                           "cell_cap", 500_000)))
     report = {"command": "probe", "verdict": verdict.kind,
               "eps": verdict.eps, "depth": verdict.depth,
               "coverage": verdict.coverage, "via": verdict.via,
@@ -257,7 +259,9 @@ def cmd_weak_attractor(args):
     cfg = load_config(args.config)
     system = cfg.guided_system()
     verdict = gds_mod.probe_weak_attractor(system, args.x0, args.eps,
-                                           args.depth)
+                                           args.depth,
+                                           cell_cap=int(cfg.budgets.get(
+                                               "cell_cap", 500_000)))
     report = {"command": "weak-attractor", "verdict": verdict.kind,
               "x0": verdict.x0, "eps": verdict.eps,
               "witness_seed": verdict.witness_seed}

@@ -239,8 +239,12 @@ class GuidingSet:
             ivs.append((lo, hi))
         ivs.sort()
         self.intervals = tuple(ivs)
-        self._lo = np.array([iv[0] for iv in ivs], dtype=float)
-        self._hi = np.array([iv[1] for iv in ivs], dtype=float)
+        # for distance: the running max of the right ends of each prefix
+        # of members, led by -inf, and the next left end, trailed by +inf
+        lo = np.array([iv[0] for iv in ivs] + [np.inf])
+        hi = np.array([-np.inf] + [iv[1] for iv in ivs])
+        self._lo, self._hi, self._next = lo[:-1], hi[1:], lo
+        self._reach = np.maximum.accumulate(hi)
 
     @classmethod
     def points(cls, pts):
@@ -254,28 +258,23 @@ class GuidingSet:
     def is_empty(self):
         return len(self.intervals) == 0
 
-    def total_length(self):
-        return float(np.sum(self._hi - self._lo))
-
     def distance(self, x, space):
-        """Pointwise distance from x (scalar or array) to the set."""
+        """Pointwise distance from x (scalar or array) to the set: beyond
+        the members starting at or before x, or before the next one."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.is_empty:
             return np.full(x.shape, np.inf)
         if isinstance(space, CircleSpace):
-            xs = space.normalize(x)
-            shifts = (-space.period, 0.0, space.period)
-            best = np.full(x.shape, np.inf)
-            for s in shifts:
-                xc = xs[:, None] + s
-                d = np.maximum(np.maximum(self._lo[None, :] - xc,
-                                          xc - self._hi[None, :]), 0.0)
-                best = np.minimum(best, d.min(axis=1))
-            return best
-        xc = x[:, None]
-        d = np.maximum(np.maximum(self._lo[None, :] - xc,
-                                  xc - self._hi[None, :]), 0.0)
-        return d.min(axis=1)
+            x = space.normalize(x)
+        best = np.full(x.shape, np.inf)
+        # fmin: x = +-inf lies inf away, where inf - inf gives NaN
+        with np.errstate(invalid="ignore"):
+            for k in _shifts(space):
+                xc = x + k
+                j = np.searchsorted(self._lo, xc, side="right")
+                best = np.minimum(best, np.fmin(
+                    np.maximum(xc - self._reach[j], 0.0), self._next[j] - xc))
+        return best
 
     def contains(self, x, space, tol=TOL_LAMBDA):
         return self.distance(x, space) <= tol
@@ -309,11 +308,25 @@ def _inside_one(space, lo_tol, hi_tol, s_lo, s_hi):
     prefix) give what a loop over the members gives, from the same float
     comparisons."""
     reach = np.fmax.accumulate(np.r_[np.nan, hi_tol])
-    shifts = ((-space.period, 0.0, space.period)
-              if isinstance(space, CircleSpace) else (0.0,))
     return np.logical_or.reduce([
         s_hi + k <= reach[np.searchsorted(lo_tol, s_lo + k, side="right")]
-        for k in shifts])
+        for k in _shifts(space)])
+
+
+def _shifts(space):
+    """The translates at which a point meets a union: -P, 0, +P on a circle."""
+    return ((-space.period, 0.0, space.period)
+            if isinstance(space, CircleSpace) else (0.0,))
+
+
+def _merge_intervals(lo, hi, slack):
+    """The closed intervals [lo, hi] (arrays) as sorted, disjoint members:
+    one opens where it starts past slack beyond the max of the ends before."""
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi) + slack
+    heads = np.flatnonzero(lo > np.r_[-np.inf, reach[:-1]])
+    return lo[heads], np.maximum.reduceat(hi, heads)
 
 
 def _interval_images(space, gen, lo, hi, samples):
@@ -634,8 +647,9 @@ def guided_orbit_set(system: GuidedSystem, x0, depth: int, eps: float,
 
     One representative per dedup cell prunes the phase diversity that
     isometries (circle rotations) need to fill every cell, so a closure
-    that saturates short of full coverage is retried at a finer internal
-    resolution; the coverage semantics are unchanged."""
+    that saturates short of full coverage without a witness is retried at
+    a finer internal resolution, and after the finest is not saturated;
+    the coverage semantics are unchanged."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     space = system.space
@@ -644,8 +658,11 @@ def guided_orbit_set(system: GuidedSystem, x0, depth: int, eps: float,
     for mult in _REFINE_MULTS:
         cov, saturated, partial, _, used, (pts,) = _closures(
             system, seed, depth, eps, mult, cell_cap, keep_points=True)
-        if cov[0] == n_cov or not saturated[0] or partial[0]:
+        if cov[0] == n_cov or not saturated[0] or partial[0] or \
+                _closure_witness(system, pts, eps)[0] is not None:
             break
+    else:
+        saturated[0] = False
     n_half = space.cell_count(eps / 2.0)
     cells = space.cell_index(pts, n_half)
     _, keep = np.unique(cells, return_index=True)
@@ -672,10 +689,6 @@ class MinimalityVerdict:
     note: str = ""
 
     @property
-    def is_minimal_evidence(self):
-        return self.kind == "minimal_evidence"
-
-    @property
     def is_not_minimal(self):
         return self.kind == "not_minimal"
 
@@ -683,15 +696,11 @@ class MinimalityVerdict:
 def _witness_intervals(space, rep_points, pad):
     """Closed pads around cloud representatives, merged into an (n, 2)
     array of sorted, disjoint intervals (the first may cross the seam)."""
-    pts = np.sort(np.asarray(rep_points, dtype=float))
+    pts = np.asarray(rep_points, dtype=float)
     lo, hi = pts - pad, pts + pad
     if isinstance(space, Interval):
         lo, hi = np.maximum(lo, space.a), np.minimum(hi, space.b)
-    # hi is nondecreasing, so a pad starts a new interval exactly when it
-    # begins past the end of the pad before it
-    start = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1] + 1e-15])
-    end = np.r_[start[1:] - 1, pts.size - 1]
-    ivs = np.column_stack((lo[start], hi[end]))
+    ivs = np.column_stack(_merge_intervals(lo, hi, 1e-15))
     if isinstance(space, CircleSpace) and len(ivs) > 1 and \
             ivs[0, 0] + space.period <= ivs[-1, 1] + 1e-15:
         # merge across the wrap seam
@@ -719,6 +728,23 @@ def _validate_witness(system, intervals):
     return True
 
 
+def _closure_witness(system, pts, eps, tight=True):
+    """(intervals, robust): a closure's representatives pts padded by half
+    an eps/2-cell (robust) or else, with tight, by tol_lambda, validated
+    forward-closed; (None, False) when neither validates. A closure
+    saturated short of full coverage counts only with one: one point per
+    dedup cell also stalls closures that are not closed (close rational
+    approximants, steps below the cell near parabolic fixed points)."""
+    space = system.space
+    pads = (space.length / space.cell_count(eps / 2.0) / 2.0,
+            system.tol_lambda)[:2 if tight else 1]
+    for pad in pads:
+        witness = _witness_intervals(space, pts, pad)
+        if _validate_witness(system, witness):
+            return witness, pad == pads[0]
+    return None, False
+
+
 def probe_minimality(system: GuidedSystem, eps: float, depth: int,
                      cell_cap: int = 500_000) -> MinimalityVerdict:
     """Run guided orbit closures from one seed per eps-cell.
@@ -733,12 +759,9 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
     if isinstance(space, FiniteGraphSpace):
         return _probe_minimality_graph(system, eps, depth)
     n_cov = space.cell_count(eps)
-    n_half = space.cell_count(eps / 2.0)
-    pad = space.length / n_half / 2.0
     seeds = space.cell_left_edges(n_cov)
     unresolved = np.arange(n_cov)
     worst = 1.0
-    any_inconclusive = False
     tight_fallback = None
     for mult in _PROBE_MULTS:
         batch = seeds[unresolved]
@@ -750,42 +773,33 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
         # witnesses for NotMinimal; one more batched run over just those
         # seeds recovers their representatives
         stuck = np.flatnonzero(saturated & ~done)
-        reps = []
-        if stuck.size:
-            *_, reps = _closures(system, batch[stuck], depth, eps, mult,
-                                 cell_cap, keep_points=True)
+        *_, reps = _closures(system, batch[stuck], depth, eps, mult,
+                             cell_cap, keep_points=True)
         for k, pts in zip(stuck, reps):
-            seed = batch[k]
-            # Prefer witnesses whose cell-sized pads validate (robustly
-            # forward-closed); keep a tolerance-band-sized fallback that
-            # certifies sets invariant through exact guiding exclusions.
-            witness = _witness_intervals(space, pts, pad)
-            if _validate_witness(system, witness):
-                return MinimalityVerdict(
-                    kind="not_minimal", eps=eps, depth=depth,
-                    coverage=float(coverage[k]),
-                    witness=tuple(map(tuple, witness.tolist())),
-                    note=f"seed {float(seed)!r}: forward-closed set of "
-                         f"{len(witness)} interval(s)")
-            if tight_fallback is None:
-                tight = _witness_intervals(space, pts, system.tol_lambda)
-                if _validate_witness(system, tight):
-                    tight_fallback = MinimalityVerdict(
-                        kind="not_minimal", eps=eps, depth=depth,
-                        coverage=float(coverage[k]),
-                        witness=tuple(map(tuple, tight.tolist())),
-                        note=f"seed {float(seed)!r}: set invariant through "
-                             f"exact guiding exclusions "
-                             f"({len(tight)} interval(s))")
+            # the first robust witness decides; else the first tight one
+            witness, robust = _closure_witness(system, pts, eps,
+                                               tight_fallback is None)
+            if witness is None:
+                continue
+            seed, n = float(batch[k]), len(witness)
+            verdict = MinimalityVerdict(
+                kind="not_minimal", eps=eps, depth=depth,
+                coverage=float(coverage[k]),
+                witness=tuple(map(tuple, witness.tolist())),
+                note=f"seed {seed!r}: forward-closed set of {n} interval(s)"
+                if robust else f"seed {seed!r}: set invariant through "
+                f"exact guiding exclusions ({n} interval(s))")
+            if robust:
+                return verdict
+            tight_fallback = verdict
         if np.any(~done):
             worst = min(worst, float(np.min(coverage[~done])))
         unresolved = unresolved[~done]
         if unresolved.size == 0:
             break
-        any_inconclusive = True
     if tight_fallback is not None:
         return tight_fallback
-    if any_inconclusive and unresolved.size > 0:
+    if unresolved.size > 0:
         return MinimalityVerdict(kind="inconclusive", eps=eps, depth=depth,
                                  coverage=worst)
     return MinimalityVerdict(kind="minimal_evidence", eps=eps, depth=depth,
@@ -820,23 +834,19 @@ class WeakAttractorVerdict:
     witness_seed: float = None
     note: str = ""
 
-    @property
-    def is_yes(self):
-        return self.kind == "yes"
-
 
 def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
                          cell_cap: int = 500_000) -> WeakAttractorVerdict:
     """Yes iff from every eps-cell seed some proper orbit enters B(x0, eps)
     within depth; No with a witness seed whose saturated closure never
-    does; Inconclusive on budget exhaustion."""
+    does and has a validated forward-closed witness; Inconclusive
+    otherwise."""
     space = system.space
     if isinstance(space, FiniteGraphSpace):
         return _probe_weak_attractor_graph(system, x0, eps, depth)
     n_cov = space.cell_count(eps)
     seeds = space.cell_left_edges(n_cov)
     unresolved = np.arange(n_cov)
-    saturated_last = np.zeros(0, dtype=bool)
     for mult in _PROBE_MULTS:
         batch = seeds[unresolved]
         _, saturated, _, hit, _, _ = _closures(
@@ -846,10 +856,14 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
         if unresolved.size == 0:
             return WeakAttractorVerdict(kind="yes", x0=float(x0), eps=eps,
                                         depth=depth)
-    if np.any(saturated_last):
-        witness = float(seeds[unresolved[np.argmax(saturated_last)]])
-        return WeakAttractorVerdict(kind="no", x0=float(x0), eps=eps,
-                                    depth=depth, witness_seed=witness)
+    # the representatives of the saturated seeds, as in probe_minimality
+    stuck = seeds[unresolved[saturated_last]]
+    *_, reps = _closures(system, stuck, depth, eps, mult, cell_cap,
+                         keep_points=True)
+    for seed, pts in zip(stuck, reps):
+        if _closure_witness(system, pts, eps)[0] is not None:
+            return WeakAttractorVerdict(kind="no", x0=float(x0), eps=eps,
+                                        depth=depth, witness_seed=float(seed))
     return WeakAttractorVerdict(kind="inconclusive", x0=float(x0),
                                 eps=eps, depth=depth)
 
@@ -1053,10 +1067,9 @@ def _range_cover_defect(system):
             return 0.0
         return float(GuidingSet(np.column_stack((lo, hi))).distance(
             space.grid(4096), space).max())
-    order = np.argsort(lo, kind="stable")
-    lo, reach = lo[order], np.maximum.accumulate(hi[order])
-    return float(np.max(np.r_[lo[0] - space.a, lo[1:] - reach[:-1],
-                              space.b - reach[-1], 0.0]))
+    lo, hi = _merge_intervals(lo, hi, 0.0)
+    return float(np.max(np.r_[lo[0] - space.a, lo[1:] - hi[:-1],
+                              space.b - hi[-1], 0.0]))
 
 
 def _space_ends(space):
@@ -1315,10 +1328,4 @@ def zero_band_guiding(fn, interval: Interval, tol: float = 1e-9,
         tolerances=exact).x
     lo[lo_x], hi[hi_x] = np.split(crossings, [lo_x.sum()])
 
-    # merge bands that overlap or touch: a band opens a new member when it
-    # starts beyond the running max of the ends before it
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    reach = np.maximum.accumulate(hi) + (ts[1] - ts[0]) * 1e-6
-    heads = np.flatnonzero(lo > np.r_[-np.inf, reach[:-1]])
-    return GuidingSet(zip(lo[heads], np.maximum.reduceat(hi, heads)))
+    return GuidingSet(zip(*_merge_intervals(lo, hi, (ts[1] - ts[0]) * 1e-6)))

@@ -31,9 +31,10 @@ from scipy.sparse.linalg import LinearOperator, onenormest, splu
 from .errors import DataMismatch, IllConditioned, PConfigViolation
 from .exprlang import _scalar, as_callable
 from .funceq import GridFunction, interp_weights, interpolation_matrix
-from .gds import (GuidedSystem, Interval, check_contraction_minimality,
-                  map_from, probe_minimality, probe_weak_attractor,
-                  zero_band_guiding, ContractionMinimalityCertificate)
+from .gds import (GuidedSystem, Interval, _merge_intervals,
+                  check_contraction_minimality, map_from, probe_minimality,
+                  probe_weak_attractor, zero_band_guiding,
+                  ContractionMinimalityCertificate)
 
 __all__ = [
     "PConfiguration", "IvpProblem", "IvpDiagnostics", "IvpSolution",
@@ -436,22 +437,15 @@ class PConfMinimalityReport:
 
 
 def interior_point_off_guiding(pconf: PConfiguration):
-    """Midpoint of the widest gap of I minus the union of guiding bands."""
+    """Midpoint of the widest gap of I minus the union of guiding bands
+    (the first of equal widths; the midpoint of I when no gap is left)."""
     iv = pconf.interval
-    marks = [iv.a, iv.b]
-    for g in pconf.guiding:
-        for lo, hi in g.intervals:
-            marks.extend([lo, hi])
-    marks = sorted(set(marks))
-    best, width = 0.5 * (iv.a + iv.b), -1.0
-    union = [ivl for g in pconf.guiding for ivl in g.intervals]
-    for lo, hi in zip(marks[:-1], marks[1:]):
-        mid = 0.5 * (lo + hi)
-        if any(l <= mid <= h for l, h in union):
-            continue
-        if hi - lo > width:
-            best, width = mid, hi - lo
-    return best
+    lo, hi = _merge_intervals(*np.concatenate(
+        [(g._lo, g._hi) for g in pconf.guiding], axis=1), 0.0)
+    left, right = np.r_[iv.a, hi], np.r_[lo, iv.b]
+    k = int(np.argmax(right - left))
+    return float(0.5 * (left[k] + right[k]) if right[k] > left[k]
+                 else 0.5 * (iv.a + iv.b))
 
 
 def probe_pconf_minimality(pconf: PConfiguration, eps: float,

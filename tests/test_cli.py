@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from guided_dynamics import cli
+from guided_dynamics import gds
 from guided_dynamics.cli import load_config, main
 from guided_dynamics.errors import SchemaError
 
@@ -268,6 +269,28 @@ def test_weak_attractor_command(capsys):
                                 "--x0", "0.3", "--no-meta"])
     assert code == 1
     assert json.loads(out)["verdict"] == "no"
+
+
+def test_cell_cap_budget_reaches_probes(tmp_path, capsys):
+    # 50 fine cells per closure cannot cover the golden rotation's
+    # 629 eps-cells: both probes give up, as the library does with
+    # cell_cap=50
+    with open(cfg("circle_irrational.json")) as fh:
+        doc = json.load(fh)
+    doc["budgets"] = {"cell_cap": 50}
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(doc))
+    system = load_config(str(path)).guided_system()
+    for argv, verdict in (
+            (["probe"], gds.probe_minimality(system, 0.01, 10 ** 5,
+                                              cell_cap=50)),
+            (["weak-attractor", "--x0", "0.3"], gds.probe_weak_attractor(
+                system, 0.3, 0.01, 10 ** 5, cell_cap=50))):
+        code, out, _ = run(capsys, argv + ["--config", str(path),
+                                           "--no-meta"])
+        assert code == 0
+        assert verdict.kind == "inconclusive"
+        assert json.loads(out)["verdict"] == verdict.kind
 
 
 def test_cycles_command(capsys):

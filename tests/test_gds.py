@@ -20,14 +20,22 @@ from guided_dynamics.gds import (CircleSpace,
                                  validate_orbit, verify_conjugacy,
                                  zero_band_guiding)
 from guided_dynamics.gds import (_closures, _interval_images,
-                                 _range_cover_defect, _validate_witness,
-                                 _witness_intervals, write_csv)
+                                 _merge_intervals, _range_cover_defect,
+                                 _validate_witness, _witness_intervals,
+                                 write_csv)
 
 
 def standard_interval_system():
     return GuidedSystem(Interval(-1.0, 1.0),
                         [map_from(parse("(t+1)/2"), 0),
                          map_from(parse("(t-1)/2"), 1)])
+
+
+def quadratic_pair():
+    """The maps of configs/quadratic_pconf.json, unguided: both fix an
+    end of [-1, 1] with derivative 1 there."""
+    return GuidedSystem(Interval(-1.0, 1.0), [parse("t-((t+1)/2)^2"),
+                                              parse("((t+1)/2)^2")])
 
 
 # --------------------------------------------------------------------------
@@ -81,6 +89,26 @@ def test_orbit_set_rational_circle_four_points():
     assert cloud.saturated
     targets = np.sort(np.mod(0.7 + np.arange(4) * math.pi / 2, 2 * math.pi))
     assert np.allclose(np.sort(cloud.points), targets, atol=1e-9)
+
+
+@pytest.mark.parametrize("eps", [0.005, 0.002])
+def test_orbit_set_starved_rotation_is_not_saturated(eps):
+    # 710 points of the rotation by 1 rad from 0.3 return within 6e-5 of
+    # the seed, inside one dedup cell at every rung: the closure stops
+    # growing without being closed, and no witness validates
+    system = GuidedSystem(CircleSpace(), [parse("t + 1"), parse("t + 2")])
+    cloud = guided_orbit_set(system, 0.3, 10 ** 4, eps)
+    assert cloud.coverage < 1.0
+    assert not cloud.saturated
+
+
+def test_orbit_set_parabolic_fixed_point_is_not_saturated():
+    # near -1 the first map moves a point at distance d by d^2/4, below
+    # the dedup cell: the closure stalls 2 to 4 cells short of the end
+    for x0 in (0.3, -0.999):
+        cloud = guided_orbit_set(quadratic_pair(), x0, 10 ** 4, 0.01)
+        assert 0.9 < cloud.coverage < 1.0
+        assert not cloud.saturated
 
 
 def test_orbit_set_guided_seed_restricted():
@@ -160,6 +188,17 @@ def test_weak_attractor_rational_no_witness():
                                    0.01, 10 ** 5)
     assert verdict.kind == "no"
     assert verdict.witness_seed == 0.0
+
+
+@pytest.mark.parametrize("x0,eps", [(-0.999, 0.02), (-0.999, 0.01),
+                                    (0.999, 0.02), (0.999, 0.01)])
+def test_weak_attractor_no_needs_a_witness(x0, eps):
+    # every first-map orbit converges to -1, but near that parabolic fixed
+    # point its steps fall below the dedup cell, so closures that miss
+    # B(x0, eps) saturate without a forward-closed witness
+    verdict = probe_weak_attractor(quadratic_pair(), x0, eps, 10 ** 5)
+    assert verdict.kind == "inconclusive"
+    assert verdict.witness_seed is None
 
 
 # --------------------------------------------------------------------------
@@ -1053,3 +1092,131 @@ def test_covers_interval_sees_the_circle_seam():
         results = {_validate_witness(s, witness) for s in systems}
         assert len(results) == 1
     assert systems[0].guiding[0].covers_interval(0.0, 0.2, systems[0].space)
+
+
+# --------------------------------------------------------------------------
+# sorted unions of closed intervals: the prefix lookup and the merge
+# against the rules they replaced
+# --------------------------------------------------------------------------
+
+def broadcast_distance(gset, x, space):
+    """Reference: the point-by-member broadcast GuidingSet.distance
+    replaced."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if gset.is_empty:
+        return np.full(x.shape, np.inf)
+    lo = np.array([iv[0] for iv in gset.intervals])[None, :]
+    hi = np.array([iv[1] for iv in gset.intervals])[None, :]
+    shifts = (0.0,)
+    if isinstance(space, CircleSpace):
+        x, shifts = space.normalize(x), (-space.period, 0.0, space.period)
+    best = np.full(x.shape, np.inf)
+    for k in shifts:
+        xc = x[:, None] + k
+        d = np.maximum(np.maximum(lo - xc, xc - hi), 0.0)
+        best = np.minimum(best, d.min(axis=1))
+    return best
+
+
+@st.composite
+def unions(draw):
+    """A space and 0 to 6 members: overlapping, nested, points, equal left
+    ends, across the circle seam and outside the space."""
+    circle = draw(st.booleans())
+    space = CircleSpace() if circle else Interval(-1.0, 1.0)
+    lo, hi = (0.0, TWO_PI) if circle else (-1.0, 1.0)
+    ivs = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["free", "point", "same start", "nested",
+                                     "seam", "outside"]))
+        a = draw(st.floats(lo, hi))
+        w = draw(st.floats(0.0, 1.5))
+        if kind == "point":
+            w = 0.0
+        elif kind in ("same start", "nested") and ivs:
+            a0, b0 = ivs[draw(st.integers(0, len(ivs) - 1))]
+            a = a0 if kind == "same start" else a0 + draw(
+                st.floats(0.0, 1.0)) * (b0 - a0)
+            w = min(w, b0 - a) if kind == "nested" else w
+        elif kind == "seam":
+            a = hi - w / 2
+        elif kind == "outside":
+            a = draw(st.sampled_from([lo - 3.0, hi + 0.5, hi + 7.0]))
+        ivs.append((a, a + w))
+    return space, GuidingSet(ivs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unions(), st.lists(st.floats(-20.0, 20.0), max_size=8))
+def test_distance_matches_broadcast(case, free):
+    space, gset = case
+    lo, hi = (0.0, TWO_PI) if isinstance(space, CircleSpace) else (-1.0, 1.0)
+    ends = np.ravel(gset.intervals)
+    # x = +-inf lies inf away on an interval (NaN on a circle, where it
+    # has no angle); NaN stays NaN
+    x = np.r_[ends, ends - 1e-9, ends + 1e-9, 0.0, -0.0, lo, hi, lo - 0.5,
+              hi + 0.5, hi + 1.0, lo - TWO_PI - 1.0, np.inf, -np.inf,
+              np.nan, free]
+    with np.errstate(invalid="ignore"):
+        got, want = gset.distance(x, space), broadcast_distance(gset, x, space)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def pad_merge_reference(pts, pad):
+    """Reference: the merge of sorted pads in _witness_intervals that
+    _merge_intervals replaced."""
+    pts = np.sort(pts)
+    lo, hi = pts - pad, pts + pad
+    start = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1] + 1e-15])
+    end = np.r_[start[1:] - 1, pts.size - 1]
+    return lo[start], hi[end]
+
+
+def band_merge_reference(lo, hi, slack):
+    """Reference: the band merge at the end of zero_band_guiding."""
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi) + slack
+    heads = np.flatnonzero(lo > np.r_[-np.inf, reach[:-1]])
+    return lo[heads], np.maximum.reduceat(hi, heads)
+
+
+def gap_sweep_reference(lo, hi, a, b):
+    """Reference: the widest gap of [a, b] left by the ranges, from the
+    running-max sweep of _range_cover_defect on an interval."""
+    order = np.argsort(lo, kind="stable")
+    lo, reach = lo[order], np.maximum.accumulate(hi[order])
+    return float(np.max(np.r_[lo[0] - a, lo[1:] - reach[:-1],
+                              b - reach[-1], 0.0]))
+
+
+# ends on a 1/16 grid touch, nest and repeat; free ends do not
+interval_ends = st.one_of(st.integers(-20, 20).map(lambda k: k / 16),
+                          st.floats(-1.25, 1.25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(interval_ends, interval_ends), min_size=1,
+                max_size=12),
+       st.sampled_from([0.0, 1e-15, 2.0 ** -12 * 1e-6, 1e-3]))
+def test_merge_intervals_matches_the_merges_it_replaced(pairs, slack):
+    lo, hi = np.array(sorted((min(p), max(p)) for p in pairs)).T
+    rng = np.random.default_rng(len(pairs))
+    shuffled = rng.permutation(lo.size)
+    m_lo, m_hi = _merge_intervals(lo[shuffled], hi[shuffled], slack)
+    r_lo, r_hi = band_merge_reference(lo, hi, slack)
+    assert np.array_equal(m_lo, r_lo) and np.array_equal(m_hi, r_hi)
+    # sorted and disjoint beyond the slack
+    assert np.all(m_lo[1:] > m_hi[:-1] + slack)
+    assert np.all(m_lo <= m_hi)
+    # the gaps between the members are the sweep's positive gaps
+    m_lo, m_hi = _merge_intervals(lo, hi, 0.0)
+    assert float(np.max(np.r_[m_lo[0] + 1.0, m_lo[1:] - m_hi[:-1],
+                              1.0 - m_hi[-1], 0.0])) == \
+        gap_sweep_reference(lo, hi, -1.0, 1.0)
+    # pads of one width around points, unsorted
+    for pad in (1e-9, 1.0 / 32, 0.1):
+        got = _merge_intervals(lo - pad, lo + pad, 1e-15)
+        want = pad_merge_reference(lo, pad)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])

@@ -1,15 +1,18 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dgecon
 
 from guided_dynamics import pconf
 from guided_dynamics.errors import (DataMismatch, IllConditioned,
                                     PConfigViolation)
 from guided_dynamics.exprlang import parse
-from guided_dynamics.gds import Interval
+from guided_dynamics.gds import GuidingSet, Interval
 from guided_dynamics.pconf import (IvpProblem, extract_guiding_sets,
                                    interior_point_off_guiding,
                                    probe_pconf_minimality, solve_ivp,
@@ -224,6 +227,41 @@ def test_interior_point_avoids_guiding(quadratic_pconf):
     x0 = interior_point_off_guiding(quadratic_pconf)
     for g in quadratic_pconf.guiding:
         assert g.distance(x0, quadratic_pconf.interval)[0] > 1e-3
+
+
+def interior_point_loop(pconf):
+    """Reference: the walk over sorted band ends that the merged-gap
+    interior_point_off_guiding replaced."""
+    iv = pconf.interval
+    marks = [iv.a, iv.b]
+    for g in pconf.guiding:
+        for lo, hi in g.intervals:
+            marks.extend([lo, hi])
+    marks = sorted(set(marks))
+    best, width = 0.5 * (iv.a + iv.b), -1.0
+    union = [ivl for g in pconf.guiding for ivl in g.intervals]
+    for lo, hi in zip(marks[:-1], marks[1:]):
+        mid = 0.5 * (lo + hi)
+        if any(l <= mid <= h for l, h in union):
+            continue
+        if hi - lo > width:
+            best, width = mid, hi - lo
+    return best
+
+
+# band ends on a 1/8 grid touch, nest, repeat and tie in width; free ends
+# do not
+band_ends = st.one_of(st.integers(-8, 8).map(lambda k: k / 8),
+                      st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(band_ends, band_ends), max_size=4),
+                min_size=2, max_size=3))
+def test_interior_point_matches_loop(bands):
+    pconf = SimpleNamespace(interval=Interval(-1.0, 1.0), guiding=tuple(
+        GuidingSet((min(p), max(p)) for p in group) for group in bands))
+    assert interior_point_off_guiding(pconf) == interior_point_loop(pconf)
 
 
 def test_solve_ivp_ill_conditioned_gate(standard_pconf):

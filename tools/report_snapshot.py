@@ -1,10 +1,11 @@
 """Snapshot every `gds` subcommand's report on every `configs/` file.
 
 Runs `cli.main(argv + ["--no-meta"])` in-process for each subcommand on
-each config (`--x0 0.3` where the subcommand requires it; `graph-min` also
-at `--grid 3` and `--grid 4096`, the coarsest odd and a fine grid) and
-writes one
-JSON object mapping the argv, joined by spaces, to [exit code, stdout,
+each config (`--x0 0.3` and `--x0 -0.999` where the subcommand requires
+it: the second sits next to the left end of every interval config and the
+parabolic fixed point -1 of `quadratic_pconf`; `graph-min` also at
+`--grid 3` and `--grid 4096`, the coarsest odd and a fine grid) and writes
+one JSON object mapping the argv, joined by spaces, to [exit code, stdout,
 stderr, sha256 of the CSV]. Subcommands that write a CSV run with `--out`
 into a scratch directory; the last entry is null when no file was written
 or the subcommand writes none. Two snapshots diff cleanly, so a refactor
@@ -30,8 +31,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-X0_COMMANDS = ("orbit", "weak-attractor")
-EXTRA_ARGS = {"graph-min": ([], ["--grid", "3"], ["--grid", "4096"])}
+X0_ARGS = (["--x0", "0.3"], ["--x0", "-0.999"])
+EXTRA_ARGS = {"graph-min": ([], ["--grid", "3"], ["--grid", "4096"]),
+              "orbit": X0_ARGS, "weak-attractor": X0_ARGS}
 CSV_COMMANDS = ("orbit", "solve-fe", "solve-ivp", "overdet", "solve-bvp")
 
 
@@ -56,8 +58,6 @@ def snapshot(root):
             for command in cli.HANDLERS:
                 for args in EXTRA_ARGS.get(command, ([],)):
                     argv = [command, "--config", config.as_posix(), *args]
-                    if command in X0_COMMANDS:
-                        argv += ["--x0", "0.3"]
                     extra = (["--out", str(csv)] if command in CSV_COMMANDS
                              else [])
                     out, err = io.StringIO(), io.StringIO()
