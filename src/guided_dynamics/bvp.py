@@ -63,12 +63,14 @@ class BoundaryProblem:
     def __init__(self, alpha1, alpha2, m, n, g1, g2, g_gamma, tol=1e-9):
         if not (m > 0 and n > 0):
             raise ValueError("m, n must be positive")
+        if not (isinstance(alpha1, Expression) and
+                isinstance(alpha2, Expression)):
+            raise ValueError("curve components must be expressions with "
+                             "symbolic derivatives")
         self.alpha1 = alpha1
         self.alpha2 = alpha2
-        self.d_alpha1 = differentiate(alpha1) if isinstance(
-            alpha1, Expression) else None
-        self.d_alpha2 = differentiate(alpha2) if isinstance(
-            alpha2, Expression) else None
+        self.d_alpha1 = differentiate(alpha1)
+        self.d_alpha2 = differentiate(alpha2)
         self.m = float(m)
         self.n = float(n)
         self.g1 = as_callable(g1)
@@ -79,8 +81,7 @@ class BoundaryProblem:
         self.g_origin = _scalar(self.g1, 0.0)
 
     def _validate(self):
-        a1 = as_callable(self.alpha1)
-        a2 = as_callable(self.alpha2)
+        a1, a2 = self.alpha1, self.alpha2
         ends = {
             "alpha1(-1) = 0": (a1, -1.0, 0.0),
             "alpha2(-1) = 1": (a2, -1.0, 1.0),
@@ -93,14 +94,10 @@ class BoundaryProblem:
                 raise ValueError(f"curve endpoint violated: {name}, "
                                  f"got {got!r}")
         zs = np.linspace(-1.0, 1.0, 2049)
-        if self.d_alpha1 is not None:
-            d1 = np.asarray(self.d_alpha1.eval(zs), dtype=float)
-            if np.min(d1) < -self.tol:
-                raise ValueError("alpha1 must be nondecreasing")
-        if self.d_alpha2 is not None:
-            d2 = np.asarray(self.d_alpha2.eval(zs), dtype=float)
-            if np.max(d2) > self.tol:
-                raise ValueError("alpha2 must be nonincreasing")
+        if np.min(self.d_alpha1(zs)) < -self.tol:
+            raise ValueError("alpha1 must be nondecreasing")
+        if np.max(self.d_alpha2(zs)) > self.tol:
+            raise ValueError("alpha2 must be nonincreasing")
         g1_0 = _scalar(self.g1, 0.0)
         g2_0 = _scalar(self.g2, 0.0)
         g1_1 = _scalar(self.g1, 1.0)
@@ -174,13 +171,10 @@ def _make_z_of_t(omega_fn, omega_d_fn):
 class BoundarySystem:
     problem: BoundaryProblem
     interval: Interval
-    omega: object          # omega(z), vectorized
-    omega_deriv: object
+    omega: Expression      # n alpha1(z) - m alpha2(z)
     z_of_t: object
     delta1: GeneratorMap   # right map, range [0, n]
     delta2: GeneratorMap   # left map, range [-m, 0]
-    zeta1: object          # z-parameter maps on Gamma (via projections)
-    zeta2: object
     omega_sets: tuple      # (Omega1, Omega2), z-parameter guiding sets
     lambda_sets: tuple     # (Lambda1, Lambda2) on [-m, n]
     pconf: object
@@ -195,8 +189,7 @@ class BoundarySystem:
 
     def curve_point(self, z):
         z = np.asarray(z, dtype=float)
-        return (np.asarray(as_callable(self.problem.alpha1)(z), dtype=float),
-                np.asarray(as_callable(self.problem.alpha2)(z), dtype=float))
+        return self.problem.alpha1(z), self.problem.alpha2(z)
 
     def contains(self, x, y, tol=1e-9):
         """Membership in the closed curvilinear triangle."""
@@ -231,30 +224,12 @@ def build_boundary_system(problem: BoundaryProblem, grid_n: int = 4097,
     the induced P-configuration, and verify the omega-conjugacy between
     them."""
     m, n = problem.m, problem.n
-    a1 = as_callable(problem.alpha1)
-    a2 = as_callable(problem.alpha2)
-    if problem.d_alpha1 is None or problem.d_alpha2 is None:
-        raise ValueError("curve components must be expressions with "
-                         "symbolic derivatives")
-    da1 = problem.d_alpha1.eval
-    da2 = problem.d_alpha2.eval
-    d2a1 = differentiate(problem.d_alpha1).eval
-    d2a2 = differentiate(problem.d_alpha2).eval
-
-    def omega(z):
-        return n * np.asarray(a1(z), dtype=float) - \
-            m * np.asarray(a2(z), dtype=float)
-
-    def omega_d(z):
-        return n * np.asarray(da1(z), dtype=float) - \
-            m * np.asarray(da2(z), dtype=float)
-
-    def omega_d2(z):
-        return n * np.asarray(d2a1(z), dtype=float) - \
-            m * np.asarray(d2a2(z), dtype=float)
+    omega = n * problem.alpha1 - m * problem.alpha2
+    omega_d = differentiate(omega)
+    omega_d2 = differentiate(omega_d)
 
     zs = np.linspace(-1.0, 1.0, grid_n)
-    slope = np.asarray(omega_d(zs), dtype=float)
+    slope = omega_d(zs)
     if float(np.min(slope)) <= TOL_SLOPE:
         raise DegenerateParametrization(
             f"omega'(z) reaches {float(np.min(slope))!r} at "
@@ -263,46 +238,42 @@ def build_boundary_system(problem: BoundaryProblem, grid_n: int = 4097,
     z_of_t = _make_z_of_t(omega, omega_d)
     interval = Interval(-m, n)
 
-    def delta1_fn(t):
-        return n * np.asarray(a1(z_of_t(t)), dtype=float)
+    def conjugated(c, alpha, label):
+        """delta = c alpha(z(t)) on I with delta' and delta'', and the map
+        zeta = z(c alpha(z)) it induces on Gamma with zeta'."""
+        da = differentiate(alpha)
+        d2a = differentiate(da)
 
-    def delta1_d(t):
-        z = z_of_t(t)
-        return n * np.asarray(da1(z), dtype=float) / \
-            np.asarray(omega_d(z), dtype=float)
+        def delta(t):
+            return c * alpha(z_of_t(t))
 
-    def delta1_d2(t):
-        z = z_of_t(t)
-        w1 = np.asarray(omega_d(z), dtype=float)
-        return n * (np.asarray(d2a1(z), dtype=float) * w1 -
-                    np.asarray(da1(z), dtype=float) *
-                    np.asarray(omega_d2(z), dtype=float)) / w1 ** 3
+        def delta_d(t):
+            z = z_of_t(t)
+            return c * da(z) / omega_d(z)
 
-    def delta2_fn(t):
-        return -m * np.asarray(a2(z_of_t(t)), dtype=float)
+        def delta_d2(t):
+            z = z_of_t(t)
+            w1 = omega_d(z)
+            return c * (d2a(z) * w1 - da(z) * omega_d2(z)) / w1 ** 3
 
-    def delta2_d(t):
-        z = z_of_t(t)
-        return -m * np.asarray(da2(z), dtype=float) / \
-            np.asarray(omega_d(z), dtype=float)
+        def zeta(z):
+            return z_of_t(c * alpha(z))
 
-    def delta2_d2(t):
-        z = z_of_t(t)
-        w1 = np.asarray(omega_d(z), dtype=float)
-        return -m * (np.asarray(d2a2(z), dtype=float) * w1 -
-                     np.asarray(da2(z), dtype=float) *
-                     np.asarray(omega_d2(z), dtype=float)) / w1 ** 3
+        def zeta_d(z):
+            return c * da(z) / omega_d(zeta(z))
 
-    delta1 = GeneratorMap(delta1_fn, delta1_d, label=0, d2fn=delta1_d2)
-    delta2 = GeneratorMap(delta2_fn, delta2_d, label=1, d2fn=delta2_d2)
+        return (GeneratorMap(delta, delta_d, label=label, d2fn=delta_d2),
+                GeneratorMap(zeta, zeta_d, label=label))
+
+    delta1, zeta1 = conjugated(n, problem.alpha1, 0)
+    delta2, zeta2 = conjugated(-m, problem.alpha2, 1)
 
     # guiding sets: tangencies of Gamma found in the z-parameter; the
     # interval guiding sets are their omega-images (exact for the strictly
     # monotone conjugation), then cross-checked against delta_i' directly
     z_iv = Interval(-1.0, 1.0)
-    omega1 = zero_band_guiding(da1, z_iv)
-    omega2 = zero_band_guiding(lambda z: -np.asarray(da2(z), dtype=float),
-                               z_iv)
+    omega1 = zero_band_guiding(problem.d_alpha1, z_iv)
+    omega2 = zero_band_guiding(-problem.d_alpha2, z_iv)
 
     def mapped_bands(om):
         bands = []
@@ -318,8 +289,8 @@ def build_boundary_system(problem: BoundaryProblem, grid_n: int = 4097,
     # else (grid scan at the derivative root tolerance)
     defect = 0.0
     t_grid = interval.grid(grid_n)
-    for lam, d_fn in ((lambda1, delta1_d), (lambda2, delta2_d)):
-        vals = np.asarray(d_fn(t_grid), dtype=float)
+    for lam, delta in ((lambda1, delta1), (lambda2, delta2)):
+        vals = delta.derivative(t_grid)
         if not lam.is_empty:
             inside = np.abs(vals[lam.distance(t_grid, interval) == 0.0])
             if inside.size:
@@ -334,31 +305,12 @@ def build_boundary_system(problem: BoundaryProblem, grid_n: int = 4097,
     interval_system = GuidedSystem(interval, [delta1, delta2],
                                    [lambda1, lambda2])
 
-    def zeta1(z):
-        # project the foot on the x-axis back onto Gamma
-        return z_of_t(n * np.asarray(a1(z), dtype=float))
-
-    def zeta1_d(z):
-        return np.asarray(da1(z), dtype=float) * n / \
-            np.asarray(omega_d(zeta1(z)), dtype=float)
-
-    def zeta2(z):
-        return z_of_t(-m * np.asarray(a2(z), dtype=float))
-
-    def zeta2_d(z):
-        return -m * np.asarray(da2(z), dtype=float) / \
-            np.asarray(omega_d(zeta2(z)), dtype=float)
-
-    gamma_system = GuidedSystem(
-        z_iv, [GeneratorMap(zeta1, zeta1_d, label=0),
-               GeneratorMap(zeta2, zeta2_d, label=1)],
-        [omega1, omega2])
+    gamma_system = GuidedSystem(z_iv, [zeta1, zeta2], [omega1, omega2])
     conj = verify_conjugacy(gamma_system, interval_system, omega, z_of_t,
                             samples=100, tol=1e-9, rng=rng)
     return BoundarySystem(
-        problem=problem, interval=interval, omega=omega,
-        omega_deriv=omega_d, z_of_t=z_of_t, delta1=delta1, delta2=delta2,
-        zeta1=zeta1, zeta2=zeta2, omega_sets=(omega1, omega2),
+        problem=problem, interval=interval, omega=omega, z_of_t=z_of_t,
+        delta1=delta1, delta2=delta2, omega_sets=(omega1, omega2),
         lambda_sets=(lambda1, lambda2), pconf=pconf,
         interval_system=interval_system, gamma_system=gamma_system,
         conjugacy=conj, omega_guiding_defect=defect)

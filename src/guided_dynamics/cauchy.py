@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisFailure, ResolutionTooCoarse
-from .exprlang import _scalar, as_callable
+from .exprlang import Num, _scalar, as_callable
 from .gds import Interval, write_csv
 
 __all__ = [
@@ -31,13 +31,6 @@ __all__ = [
     "propagate_values", "check_consistency", "analyze_affine",
     "verify_linear_solution", "orbit_convergence_rates",
 ]
-
-
-def _const_or_callable(c):
-    if callable(c):
-        return as_callable(c)
-    value = float(c)
-    return lambda t, v=value: np.full_like(np.asarray(t, dtype=float), v)
 
 
 @dataclass
@@ -54,10 +47,9 @@ class PropagationRule:
     def __post_init__(self):
         self.map = as_callable(self.map) if not isinstance(self.map, str) \
             else None
-        self.c_A = _const_or_callable(self.c_A)
-        self.c_B = _const_or_callable(self.c_B)
-        self.c_v = _const_or_callable(self.c_v)
-        self.c_0 = _const_or_callable(self.c_0)
+        self.c_A, self.c_B, self.c_v, self.c_0 = (
+            as_callable(c if callable(c) else Num(float(c)))
+            for c in (self.c_A, self.c_B, self.c_v, self.c_0))
 
     def apply(self, t, v, A, B):
         t = np.asarray(t, dtype=float)

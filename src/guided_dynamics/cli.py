@@ -273,7 +273,12 @@ def cmd_weak_attractor(args):
 def cmd_cycles(args):
     cfg = load_config(args.config)
     system = cfg.guided_system()
-    max_len = int(cfg.budgets.get("max_cycle_len", args.max_len))
+    max_len = args.max_len
+    if max_len is None:
+        max_len = int(cfg.budgets.get("max_cycle_len", 6))
+        if max_len < 1:
+            raise SchemaError(f"expected a positive integer, got {max_len}",
+                              "/budgets/max_cycle_len")
     rep = gds_mod.find_guided_cycles(system, max_len)
     report = {"command": "cycles", "max_len": rep.max_len,
               "n_seeds": rep.n_seeds,
@@ -633,8 +638,8 @@ _positive_float = _arg_type(float, lambda v: 0.0 < v < np.inf,
                             "a positive finite number")
 
 # defaults of the common flags, per subcommand; a flag given on the command
-# line is used as given. graph-min's --grid and solve-ivp's --c/--mu default
-# from the config instead.
+# line is used as given. graph-min's --grid, solve-ivp's --c/--mu and
+# cycles' --max-len default from the config instead.
 FLAG_DEFAULTS = {
     "orbit": {"eps": 0.01, "depth": 10 ** 4},
     "probe": {"eps": 0.01, "depth": 10 ** 5},
@@ -672,7 +677,7 @@ def build_parser():
         if name == "weak-attractor":
             p.add_argument("--x0", type=float, required=True)
         if name == "cycles":
-            p.add_argument("--max-len", type=int, default=6)
+            p.add_argument("--max-len", type=_positive_int, default=None)
         if name in ("solve-ivp",):
             p.add_argument("--h", default=None)
             p.add_argument("--c", type=float, default=None)

@@ -10,10 +10,11 @@ Grammar (EBNF), with ``t`` the default variable name:
 
 Precedence is ^ above unary minus above * / above + -, with ^
 right-associative. Trees are immutable; evaluation is pure and accepts
-floats or numpy arrays, through one Python function generated from the
-tree on its first evaluation. ``sign`` is accepted as a function so that
-printed derivatives of ``abs`` re-parse; sign(0) evaluates to 0 by
-convention.
+floats or numpy arrays, through one numpy function generated from the tree
+on its first evaluation. A float runs it as a 0-d array, so a float and a
+one-element array give the same value or the same error (overflow to +-inf
+included). ``sign`` is accepted as a function so that printed derivatives
+of ``abs`` re-parse; sign(0) evaluates to 0 by convention.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ class Expression:
 
     def eval(self, x):
         """Evaluate at a float (returns a float) or at an array (returns a
-        new float array of the same shape). The tree is compiled into one
-        numpy function on the first call and the function is kept."""
+        new float array of the same shape), with numpy semantics in both
+        cases. The tree is compiled into one numpy function on the first
+        call and the function is kept."""
         fn = self._compiled
         if fn is None:
             fn = _compile(self)
@@ -66,7 +68,7 @@ class Expression:
         state.pop("_compiled", None)
         return state
 
-    # Symbolic construction sugar, used e.g. to build n*alpha1 - m*alpha2.
+    # Symbolic construction sugar: bvp builds omega = n*alpha1 - m*alpha2.
     def __add__(self, other):
         return Add(self, _coerce(other))
 
@@ -440,14 +442,13 @@ class _Emitter:
     """Tree-walk visitor writing one straight-line statement per node.
 
     Visiting returns ``(operand, varies)``: the operand is a literal or a
-    local name, ``varies`` says whether it depends on the variable. In
-    array mode a varying operand is a numpy array and everything else a
-    Python float; in scalar mode every operand is a Python float. Guarded
-    nodes emit one mask check raising the node's DomainError.
+    local name, ``varies`` says whether it depends on the variable. A
+    varying operand is a numpy array or numpy scalar computed from ``xa``;
+    everything else is a Python float. Guarded nodes emit one check raising
+    the node's DomainError, reduced with ``.any()`` when the operand varies.
     """
 
-    def __init__(self, array, env):
-        self.array = array
+    def __init__(self, env):
         self.env = env
         self.lines = []
         self.uses_var = False
@@ -462,10 +463,9 @@ class _Emitter:
         self.lines.append(f"{name} = {text}")
         return name, varies
 
-    def guard(self, varies, cond, error, mask=None):
-        """Raise ``error`` (source text) when ``cond`` holds for float
-        operands, or ``mask`` (default ``cond``) for any array element."""
-        test = f"({mask or cond}).any()" if self.array and varies else cond
+    def guard(self, varies, cond, error):
+        """Raise ``error`` (source text) when ``cond`` holds anywhere."""
+        test = f"({cond}).any()" if varies else cond
         self.lines.append(f"if {test}: raise {error}")
 
     def domain_error(self, message, node):
@@ -489,7 +489,7 @@ class _Emitter:
             return self.const(_CONSTANTS[node.name])
         if isinstance(node, Var):
             self.uses_var = True
-            return ("xa" if self.array else "xs"), True
+            return "xa", True
         if isinstance(node, Neg):
             a, varies = args[0]
             return self.let(f"-{a}", varies)
@@ -511,9 +511,7 @@ class _Emitter:
             self.guard(varies, f"{a} {op} 0.0",
                        self.domain_error(message, node))
         text = f"np_{node.func}({a})"
-        if not (self.array and varies):
-            text = f"float({text})"
-        return self.let(text, varies)
+        return self.let(text if varies else f"float({text})", varies)
 
     def power(self, node, a, av, b, bv):
         """Out of domain: a zero base with a negative exponent, a negative
@@ -530,12 +528,10 @@ class _Emitter:
         else:
             varies = av or bv
             self.guard(varies,
-                       f"{a} == 0.0 and {b} < 0.0 or "
-                       f"{a} < 0.0 and {b} != floor({b})",
-                       self.pow_error(node, a, b),
-                       mask=f"(({a} == 0.0) & ({b} < 0.0)) | "
-                            f"(({a} < 0.0) & ({b} != np_floor({b})))")
-        if self.array and varies:
+                       f"(({a} == 0.0) & ({b} < 0.0)) | "
+                       f"(({a} < 0.0) & ({b} != np_floor({b})))",
+                       self.pow_error(node, a, b))
+        if varies:
             return self.let(f"np_power({a}, {b})", varies)
         return self.let(f"{a} ** {b}", varies)
 
@@ -561,23 +557,21 @@ def _bytecode(source):
 
 
 def _compile(node):
-    """One Python function evaluating ``node``: a numpy branch for array
-    input and a Python-float branch for scalar input."""
+    """One Python function evaluating ``node`` with numpy on
+    ``asarray(x, dtype=float)``: a new float array shaped like an array
+    ``x``, a float for anything else."""
     env = {"DomainError": DomainError, "ndarray": np.ndarray,
            "asarray": np.asarray, "fresh": _fresh, "pow_error": _pow_error,
-           "floor": math.floor,
            "np_floor": np.floor, "np_power": np.power}
     env.update({f"np_{f}": getattr(np, f) for f in FUNCTIONS})
-    lines = ["def evaluate(x):", "    if isinstance(x, ndarray):"]
-    for array, indent in ((True, "        "), (False, "    ")):
-        emit = _Emitter(array, env)
-        result, _ = _fold(node, emit, {})
-        if emit.uses_var:
-            lines.append(indent + ("xa = asarray(x, dtype=float)" if array
-                                   else "xs = float(x)"))
-        lines += [indent + line for line in emit.lines]
-        lines.append(indent + (f"return fresh({result}, x)" if array
-                               else f"return {result}"))
+    emit = _Emitter(env)
+    result, _ = _fold(node, emit, {})
+    lines = ["def evaluate(x):"]
+    if emit.uses_var:
+        lines.append("    xa = asarray(x, dtype=float)")
+    lines += ["    " + line for line in emit.lines]
+    lines += [f"    if isinstance(x, ndarray): return fresh({result}, x)",
+              f"    return float({result})"]
     exec(_bytecode("\n".join(lines)), env)
     return env["evaluate"]
 
@@ -651,15 +645,7 @@ def _pow(a, b):
 
 
 def contains_var(node: Expression) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Num, Const)):
-        return False
-    if isinstance(node, Neg):
-        return contains_var(node.arg)
-    if isinstance(node, Call):
-        return contains_var(node.arg)
-    return contains_var(node.lhs) or contains_var(node.rhs)
+    return _fold(node, lambda n, *parts: isinstance(n, Var) or any(parts))
 
 
 def differentiate(node: Expression) -> Expression:

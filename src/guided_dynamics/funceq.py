@@ -19,7 +19,7 @@ import scipy.sparse
 
 from .errors import (BudgetExceeded, DomainError, HypothesisFailure,
                      MapEscape, NoConvergence, NotASolution, NotCertified)
-from .exprlang import Expression, _scalar, as_callable
+from .exprlang import Num, _scalar, as_callable
 from .gds import (CircleSpace, GuidedSystem, GuidingSet, Interval,
                   guided_orbit_set, map_from, write_csv, zero_band_guiding)
 
@@ -164,11 +164,11 @@ class FunceqSystem:
             raise ValueError("one coefficient per map required")
         if guiding is None:
             guiding = [self._coeff_zero_band(c) for c in self.coeffs]
-        self.guiding = tuple(g if isinstance(g, GuidingSet) else GuidingSet(g)
-                             for g in guiding)
-        self._system = GuidedSystem(space, self.maps, self.guiding,
+        self._system = GuidedSystem(space, self.maps, guiding,
                                     coefficients=self.coeffs,
                                     tol_lambda=tol_lambda)
+        # the system's copy: on a circle it holds the canonical arcs
+        self.guiding = self._system.guiding
         self._grid_operators = {}
 
     def _coeff_zero_band(self, coeff, tol=1e-9):
@@ -431,7 +431,8 @@ class TriangularFamily:
             for row in mat:
                 if len(row) != self.dim:
                     raise ValueError("matrices must be square")
-                rows.append([self._wrap(e) for e in row])
+                rows.append([as_callable(e if callable(e) else Num(float(e)))
+                             for e in row])
             self.entries.append(rows)
         self.P = None if P is None else np.asarray(P, dtype=float)
         if self.P is not None:
@@ -440,14 +441,6 @@ class TriangularFamily:
                 raise ValueError("conjugator P is numerically singular")
         else:
             self.P_inv = None
-
-    @staticmethod
-    def _wrap(entry):
-        if isinstance(entry, Expression) or callable(entry):
-            return as_callable(entry)
-        value = float(entry)
-        return lambda x, v=value: np.full_like(
-            np.asarray(x, dtype=float), v)
 
     def matrix(self, i, x):
         """A_i(x) as an (n, n) array, conjugated by P when provided."""

@@ -210,17 +210,13 @@ class GeneratorMap:
 
 def map_from(obj, label=0, var="t"):
     """Build a GeneratorMap from an Expression (derivative derived
-    symbolically), a (fn, dfn) pair, or a bare callable."""
+    symbolically) or a bare callable."""
     if isinstance(obj, GeneratorMap):
         return obj
     if isinstance(obj, Expression):
         d = differentiate(obj)
         return GeneratorMap(obj.eval, d.eval, label=label, source=obj,
                             d2fn=differentiate(d).eval)
-    if isinstance(obj, tuple) and len(obj) in (2, 3):
-        fns = [as_callable(o) if o is not None else None for o in obj]
-        fns += [None] * (3 - len(fns))
-        return GeneratorMap(fns[0], fns[1], label=label, d2fn=fns[2])
     if callable(obj):
         return GeneratorMap(obj, None, label=label)
     raise TypeError(f"cannot build a generator map from {obj!r}")

@@ -34,6 +34,10 @@ def test_problem_validation_rejects_bad_corners():
         BoundaryProblem(parse("z", var="z"), parse("(1-z)/2", var="z"),
                         1.0, 1.0, parse("0*t"), parse("0*t"),
                         parse("0*z", var="z"))
+    with pytest.raises(ValueError, match="expressions"):
+        BoundaryProblem(lambda z: (1 + z) / 2, parse("(1-z)/2", var="z"),
+                        1.0, 1.0, parse("0*t"), parse("0*t"),
+                        parse("0*z", var="z"))
 
 
 def test_project_pi3_straight(straight_system):
@@ -107,6 +111,24 @@ def test_derivative_sum_rule(straight_system, curved_system, cycle_system):
         ts = np.linspace(system.interval.a, system.interval.b, 513)
         total = system.delta1.derivative(ts) + system.delta2.derivative(ts)
         assert np.max(np.abs(total - 1.0)) < 1e-9
+
+
+def test_conjugated_derivatives_match_central_differences(curved_system,
+                                                          cycle_system):
+    h = 1e-5
+    for system in (curved_system, cycle_system):
+        ts = np.linspace(system.interval.a + 0.01, system.interval.b - 0.01,
+                         97)
+        for delta in (system.delta1, system.delta2):
+            fd1 = (delta(ts + h) - delta(ts - h)) / (2 * h)
+            fd2 = (delta.derivative(ts + h) - delta.derivative(ts - h)) / \
+                (2 * h)
+            assert np.max(np.abs(delta.derivative(ts) - fd1)) < 1e-8
+            assert np.max(np.abs(delta.d2fn(ts) - fd2)) < 1e-7
+        zs = np.linspace(-0.99, 0.99, 97)
+        for zeta in system.gamma_system.generators:
+            fd = (zeta(zs + h) - zeta(zs - h)) / (2 * h)
+            assert np.max(np.abs(zeta.derivative(zs) - fd)) < 1e-8
 
 
 def test_conjugacy_reports(straight_system, curved_system):

@@ -301,6 +301,32 @@ def test_cycles_command(capsys):
     assert doc["cycles"]
 
 
+def _cycles_with_budget(tmp_path, capsys, budget, *flags):
+    with open(cfg("circle_rational.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["budgets"] = {"max_cycle_len": budget}
+    path = tmp_path / "cycles.json"
+    path.write_text(json.dumps(raw))
+    return run(capsys, ["cycles", "--config", str(path), *flags,
+                        "--no-meta"])
+
+
+def test_cycles_max_len_flag_overrides_budget(tmp_path, capsys):
+    for flags, want in (((), 2), (("--max-len", "4"), 4)):
+        _, out, _ = _cycles_with_budget(tmp_path, capsys, 2, *flags)
+        assert json.loads(out)["max_len"] == want
+
+
+def test_cycles_max_len_below_one_is_config_error(tmp_path, capsys):
+    code, _, err = _cycles_with_budget(tmp_path, capsys, 0)
+    assert code == 2 and "/budgets/max_cycle_len" in err
+    for flag in ("0", "-3"):
+        code, _, err = run(capsys, ["cycles", "--config",
+                                    cfg("circle_rational.json"),
+                                    "--max-len", flag])
+        assert code == 2 and "positive integer" in err
+
+
 def test_orbit_command_csv(tmp_path, capsys):
     out_csv = tmp_path / "cloud.csv"
     code, out, _ = run(capsys, ["orbit", "--config",

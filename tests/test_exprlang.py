@@ -198,18 +198,16 @@ def _product(b, k):
 
 
 def reference_eval(node, x):
-    """Node-by-node evaluation, with Python floats at a float and with
-    NumPy at an array (subtrees free of the variable in floats): the
-    semantics compiled evaluation must keep."""
-    array = isinstance(x, np.ndarray)
-    if array and not contains_var(node):
-        return np.full(x.shape, reference_eval(node, 0.0))
+    """Node-by-node evaluation with NumPy at a float or an array x (a
+    float as a 0-d array), subtrees free of the variable in Python floats:
+    the semantics compiled evaluation must keep."""
+    array = contains_var(node)
     if isinstance(node, Num):
         return float(node.value)
     if isinstance(node, Const):
         return {"pi": math.pi, "e": math.e}[node.name]
     if isinstance(node, Var):
-        return x.astype(float) if array else float(x)
+        return np.array(x, dtype=float)
     if isinstance(node, Neg):
         return -reference_eval(node.arg, x)
     if isinstance(node, Call):
@@ -236,13 +234,9 @@ def reference_eval(node, x):
         return _product(a, int(node.rhs.value))
     if np.any((a == 0.0) & (b < 0.0)):
         raise DomainError("zero power", subexpression=node, x=x)
-    if array:
-        if np.any((a < 0.0) & (b != np.floor(b))):
-            raise DomainError("negative base", subexpression=node, x=x)
-        return np.power(a, b)
-    if a < 0.0 and b != math.floor(b):
+    if np.any((a < 0.0) & (b != np.floor(b))):
         raise DomainError("negative base", subexpression=node, x=x)
-    return a ** b
+    return np.power(a, b) if array else a ** b
 
 
 def _outcome(tree, x):
@@ -289,6 +283,7 @@ points = st.lists(st.one_of(st.sampled_from([0.0, -2.0, 1.0, 0.5]),
 @example(parse("sign(t)"), [0.0, -1.0])
 @example(parse("t"), [0.5, -1.0])
 @example(parse("3"), [0.5])
+@example(parse("(t^-2)^0"), [7.1e-299])
 def test_compiled_eval_matches_reference(tree, xs):
     arr = np.array(xs)
     before = arr.copy()
@@ -310,8 +305,29 @@ def test_compiled_eval_matches_reference(tree, xs):
                 assert all(map(_ulp_close, got.tolist(), want))
             else:
                 assert type(got) is float
-                assert _ulp_close(got, want)
+                assert _ulp_close(got, float(want))
     assert np.array_equal(arr, before)
+
+
+@given(expression_trees, st.floats())
+@settings(max_examples=400, deadline=None)
+@example(parse("(t^-2)^0"), 7.1e-299)
+@example(parse("t^t"), 500.0)
+@example(parse("(0-2)^t"), math.inf)
+@example(parse("(0-2)^t"), math.nan)
+def test_scalar_eval_matches_one_element_array(tree, x):
+    """A float and a one-element array run the same body: the same value
+    or the same exception type."""
+    with np.errstate(all="ignore"):
+        try:
+            want = float(tree.eval(np.array([x]))[0])
+        except (ArithmeticError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                tree.eval(x)
+            return
+        got = tree.eval(x)
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_compiled_eval_examples():

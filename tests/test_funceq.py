@@ -357,6 +357,23 @@ def test_max_principle_rejects_non_solution():
         check_max_principle(system, f, tol=1e-9)
 
 
+@pytest.mark.parametrize("turns", [0, 3])
+def test_max_principle_reads_canonical_circle_arcs(turns):
+    # the first coefficient vanishes on [0.4, 1.0]; its guiding band is
+    # given `turns` periods on, which names the same arc of the circle
+    def band_coeff(t):
+        s = np.mod(np.asarray(t, dtype=float), 2 * math.pi)
+        return np.where((s >= 0.4) & (s <= 1.0), 0.0, 0.5)
+
+    shift = 2 * math.pi * turns
+    system = FunceqSystem(CircleSpace(),
+                          [rotation_map(0.25, 0), rotation_map(0.5, 1)],
+                          [band_coeff, lambda t: 1.0 - band_coeff(t)],
+                          guiding=[[(0.4 + shift, 1.0 + shift)], []])
+    f = GridFunction.constant(CircleSpace(), 256, 1.5)
+    assert check_max_principle(system, f, tol=1e-9).passed
+
+
 def test_max_principle_requires_unit_sum(quarter_coeff_system):
     f = GridFunction.constant(IV, 64, 1.0)
     with pytest.raises(HypothesisFailure):

@@ -19,6 +19,13 @@ parent commit:
 `--root` names the checkout whose `src/` and `configs/` are used (default:
 the one holding this script). BLAS runs on one thread, as the benchmark
 pins it, because multithreaded reductions move floats at roundoff.
+
+With `--workloads` the runs are instead every task of the four benchmark
+workloads at seeds 1-3, generated by `perfbench/workloads.build` of the
+checkout holding this script (so both snapshots run the same inputs, and
+no bytecode is written under `perfbench/`). Each key is the workload, the
+seed and the argv; the scratch directory the configs are written to
+appears as `<tmp>` in keys, stdout and stderr.
 """
 
 import argparse
@@ -35,6 +42,8 @@ X0_ARGS = (["--x0", "0.3"], ["--x0", "-0.999"])
 EXTRA_ARGS = {"graph-min": ([], ["--grid", "3"], ["--grid", "4096"]),
               "orbit": X0_ARGS, "weak-attractor": X0_ARGS}
 CSV_COMMANDS = ("orbit", "solve-fe", "solve-ivp", "overdet", "solve-bvp")
+WORKLOAD_SEEDS = (1, 2, 3)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _take_sha256(path):
@@ -46,27 +55,52 @@ def _take_sha256(path):
     return digest
 
 
-def snapshot(root):
+def _run(cli, argv, csv):
+    """[exit code, stdout, stderr, CSV sha256] of one `--no-meta` run."""
+    extra = ["--out", str(csv)] if argv[0] in CSV_COMMANDS else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + extra + ["--no-meta"])
+    return [code, out.getvalue(), err.getvalue(), _take_sha256(csv)]
+
+
+def _config_runs(cli, csv):
+    runs = {}
+    for config in sorted(Path("configs").glob("*.json")):
+        for command in cli.HANDLERS:
+            for args in EXTRA_ARGS.get(command, ([],)):
+                argv = [command, "--config", config.as_posix(), *args]
+                runs[" ".join(argv)] = _run(cli, argv, csv)
+    return runs
+
+
+def _workload_runs(cli, csv):
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    scratch = str(csv.parent)
+    runs = {}
+    for name in workloads.BUILDERS:
+        for seed in WORKLOAD_SEEDS:
+            wl = workloads.build(name, seed, csv.parent / f"{name}-{seed}")
+            for task in wl.tasks:
+                run = _run(cli, list(task.argv), csv)
+                key = f"{name} seed={seed} " + " ".join(task.argv)
+                runs[key.replace(scratch, "<tmp>")] = [
+                    v.replace(scratch, "<tmp>") if isinstance(v, str) else v
+                    for v in run]
+    return runs
+
+
+def snapshot(root, workloads=False):
     os.chdir(root)
     sys.path.insert(0, str(root / "src"))
     from guided_dynamics import cli
 
-    runs = {}
     with tempfile.TemporaryDirectory() as scratch:
         csv = Path(scratch) / "out.csv"
-        for config in sorted(Path("configs").glob("*.json")):
-            for command in cli.HANDLERS:
-                for args in EXTRA_ARGS.get(command, ([],)):
-                    argv = [command, "--config", config.as_posix(), *args]
-                    extra = (["--out", str(csv)] if command in CSV_COMMANDS
-                             else [])
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), \
-                            contextlib.redirect_stderr(err):
-                        code = cli.main(argv + extra + ["--no-meta"])
-                    runs[" ".join(argv)] = [code, out.getvalue(),
-                                            err.getvalue(), _take_sha256(csv)]
-    return runs
+        return (_workload_runs if workloads else _config_runs)(cli, csv)
 
 
 def main():
@@ -74,9 +108,12 @@ def main():
     parser.add_argument("out", help="path of the JSON snapshot to write")
     parser.add_argument("--root", default=Path(__file__).resolve().parents[1],
                         type=Path, help="checkout to run (default: this one)")
+    parser.add_argument("--workloads", action="store_true",
+                        help="run the benchmark workloads' tasks at seeds "
+                             "1-3 instead of the configs/ corpus")
     args = parser.parse_args()
     out = Path(args.out).resolve()
-    runs = snapshot(args.root.resolve())
+    runs = snapshot(args.root.resolve(), args.workloads)
     out.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
     print(f"{len(runs)} runs written to {out}")
 
