@@ -163,10 +163,17 @@ def load_config(path: str) -> JobConfig:
                 raise SchemaError(f"unknown key {key!r}", f"/space/{key}")
     for section, allowed in (("tolerances", TOLERANCE_KEYS),
                              ("budgets", BUDGET_KEYS)):
+        if not isinstance(raw.get(section, {}), dict):
+            raise SchemaError(f"{section!r} must be an object", f"/{section}")
         for key in raw.get(section, {}):
             if key not in allowed:
                 raise SchemaError(f"unknown key {key!r}",
                                   f"/{section}/{key}")
+    for key, value in raw.get("budgets", {}).items():
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < 1:
+            raise SchemaError(f"expected an integer >= 1, got {value!r}",
+                              f"/budgets/{key}")
     cfg = JobConfig(raw, path)
     if "maps" in raw:
         cfg.parsed_maps = [
@@ -275,10 +282,7 @@ def cmd_cycles(args):
     system = cfg.guided_system()
     max_len = args.max_len
     if max_len is None:
-        max_len = int(cfg.budgets.get("max_cycle_len", 6))
-        if max_len < 1:
-            raise SchemaError(f"expected a positive integer, got {max_len}",
-                              "/budgets/max_cycle_len")
+        max_len = cfg.budgets.get("max_cycle_len", 6)
     rep = gds_mod.find_guided_cycles(system, max_len)
     report = {"command": "cycles", "max_len": rep.max_len,
               "n_seeds": rep.n_seeds,
@@ -371,7 +375,10 @@ def cmd_solve_ivp(args):
     if h_src is None:
         raise SchemaError("solve-ivp needs h", "/problem/h")
     if isinstance(h_src, str) and h_src.endswith(".csv"):
-        h = funceq_mod.GridFunction.from_csv(h_src, domain=pc.interval)
+        try:
+            h = funceq_mod.GridFunction.from_csv(h_src, domain=pc.interval)
+        except ValueError as exc:
+            raise SchemaError(f"{h_src}: {exc}", "/problem/h") from exc
     else:
         h = _parse_expr_at(h_src, "/problem/h")
     c = args.c if args.c is not None else float(problem.get("c", 0.0))

@@ -139,6 +139,10 @@ class GridFunction:
     @classmethod
     def from_csv(cls, path, domain=None):
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[0] < 2 or data.shape[1] < 2:
+            raise ValueError(f"CSV grid needs two rows of (t, value), got "
+                             f"{data.shape[0]} rows of {data.shape[1]} "
+                             f"columns")
         ts, vals = data[:, 0], data[:, 1]
         if domain is None:
             domain = Interval(float(ts[0]), float(ts[-1]))

@@ -327,6 +327,44 @@ def test_cycles_max_len_below_one_is_config_error(tmp_path, capsys):
         assert code == 2 and "positive integer" in err
 
 
+@pytest.mark.parametrize("argv,config,budgets", [
+    (["orbit", "--x0", "0.3"], "circle_irrational.json", {"cell_cap": 0}),
+    (["orbit", "--x0", "0.3"], "circle_irrational.json", {"cell_cap": -5}),
+    (["orbit", "--x0", "0.3"], "circle_irrational.json",
+     {"cell_cap": True}),
+    (["certify"], "exmplfe_circle.json", {"m_max": 0}),
+    (["solve-fe"], "standard_funceq.json", {"max_iter": 1.0}),
+    (["cycles"], "circle_rational.json", {"max_cycle_len": "x"}),
+    (["cycles"], "circle_rational.json", {"max_cycle_len": 2.5}),
+])
+def test_budget_not_a_positive_integer_is_config_error(tmp_path, capsys,
+                                                      argv, config,
+                                                      budgets):
+    with open(cfg(config), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["budgets"] = budgets
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run(capsys, argv + ["--config", str(path), "--no-meta"])
+    (key,) = budgets
+    assert code == 2 and f"/budgets/{key}" in err
+
+
+@pytest.mark.parametrize("text", [
+    "t,value\n",                              # header only
+    "t,value\n0.5,1\n",                      # one row
+    "t\n-1\n0\n1\n",                         # one column
+    "t,value\n-1,0\n0.1,0\n1,0\n",           # not uniform
+])
+def test_solve_ivp_malformed_csv_h_is_config_error(tmp_path, capsys, text):
+    h_csv = tmp_path / "h.csv"
+    h_csv.write_text(text)
+    code, _, err = run(capsys, ["solve-ivp", "--config",
+                                cfg("standard_pconf.json"), "--h",
+                                str(h_csv), "--no-meta"])
+    assert code == 2 and "/problem/h" in err
+
+
 def test_orbit_command_csv(tmp_path, capsys):
     out_csv = tmp_path / "cloud.csv"
     code, out, _ = run(capsys, ["orbit", "--config",

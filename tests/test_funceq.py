@@ -43,6 +43,21 @@ def test_grid_function_roundtrip_csv(tmp_path):
     assert g.domain.a == -1.0 and g.domain.b == 1.0
 
 
+def test_grid_function_csv_roundtrip_is_bit_exact(tmp_path):
+    # magnitudes 1e-8 .. 1e19 of both signs and signed zeros, so both
+    # fixed and exponent notation; 2**14 + 65 nodes cross a block boundary
+    # of write_csv
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(2 ** 14 + 65) * 10.0 ** rng.integers(
+        -8, 20, 2 ** 14 + 65)
+    vals[::97], vals[1::97] = 0.0, -0.0
+    f = GridFunction(IV, vals)
+    path = tmp_path / "f.csv"
+    f.to_csv(path)
+    g = GridFunction.from_csv(path)
+    assert np.array_equal(f.values.view(np.uint64), g.values.view(np.uint64))
+
+
 def test_grid_function_clamps_and_errors():
     f = GridFunction.from_callable(IV, 16, lambda t: t)
     assert f.eval(1.0 + 1e-12) == 1.0

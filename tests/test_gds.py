@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN, circle_system
+from guided_dynamics import gds
 from guided_dynamics.exprlang import _scalar, as_callable, parse
 from guided_dynamics.gds import (CircleSpace,
                                  ContractionMinimalityCertificate,
@@ -592,24 +593,70 @@ def test_zero_band_flat_coefficient_is_cheap(value):
     assert len(calls) < 100
 
 
+def _savetxt_bytes(path, columns, header):
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+    return path.read_bytes()
+
+
+# rows that cross a block boundary of write_csv
+_BLOCK_CROSSING = gds._CSV_BLOCK_ROWS + 904
+
+
 @pytest.mark.parametrize("columns,header", [
     ([np.array([0.1, -0.0, 1e300, 2.0 ** -1074, 3.0])], "t"),
     ([np.linspace(-1.0, 1.0, 11), np.sin(np.arange(11.0))], "t,value"),
     ([np.array([0.5, -0.0, 1.0 / 3.0]), np.array([-1e-17, 7.0, -0.0]),
       np.array([0, 3, 14], dtype=np.int64)], "t,value,depth"),
     ([np.empty(0), np.empty(0), np.empty(0)], "x,y,u"),
-    # 5000 rows cross the 4096-row block boundary
-    ([np.linspace(-1.0, 1.0, 5000) ** 3,
-      np.where(np.arange(5000) % 7 == 0, -0.0,
-               np.exp(np.linspace(-700.0, 700.0, 5000))),
-      np.arange(5000, dtype=np.int64) % 97], "t,value,depth"),
+    ([np.linspace(-1.0, 1.0, _BLOCK_CROSSING) ** 3,
+      np.where(np.arange(_BLOCK_CROSSING) % 7 == 0, -0.0,
+               np.exp(np.linspace(-700.0, 700.0, _BLOCK_CROSSING))),
+      np.arange(_BLOCK_CROSSING, dtype=np.int64) % 97], "t,value,depth"),
 ])
 def test_write_csv_matches_savetxt(tmp_path, columns, header):
-    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    ours = tmp_path / "ours.csv"
     write_csv(ours, header, columns)
-    np.savetxt(ref, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=header, comments="")
-    assert ours.read_bytes() == ref.read_bytes()
+    assert ours.read_bytes() == _savetxt_bytes(tmp_path / "ref.csv",
+                                               columns, header)
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+_POW10_NEIGHBOURS = [np.nextafter(10.0 ** k, side) for k in range(-5, 18)
+                     for side in (-np.inf, np.inf)]
+# 17-digit ties, rounded half-even: ...345.62|5 -> .62, ...345.37|5 -> .38;
+# every odd n / 2**18 in [0.5, 1) has 18 digits ending in 5
+_TIES = [123456789012345.625, 123456789012345.375, 987654321098765.125,
+         -131073 / 2 ** 18, 262143 / 2 ** 18, 0.75 + 2.0 ** -18]
+_FIXED_RANGE = st.floats(1e-4, 1e17, exclude_max=True).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.one_of(st.integers(0, 2 ** 64 - 1),
+                               _FIXED_RANGE.map(lambda v: _bits(v)[0])),
+                     min_size=1, max_size=60),
+       n_columns=st.integers(1, 3))
+@example(bits=_bits(0.0, -0.0, np.nan, np.inf, -np.inf), n_columns=1)
+@example(bits=_bits(1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+                    -1e-4), n_columns=2)
+@example(bits=_bits(np.nextafter(1e17, 0.0), 2.0 ** -1074, 1e300),
+         n_columns=3)
+@example(bits=_bits(*_POW10_NEIGHBOURS), n_columns=2)
+@example(bits=_bits(*_TIES, 0.5, 0.125, -2.0 ** -13, 3 * 2.0 ** 40),
+         n_columns=1)
+def test_write_csv_bytes_match_savetxt(tmp_path_factory, bits, n_columns):
+    """%.17g text of any float64 bit pattern, in one to three columns."""
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    values = values[:len(values) // n_columns * n_columns]
+    columns = list(values.reshape(-1, n_columns).T)
+    path = tmp_path_factory.mktemp("csv")
+    write_csv(path / "ours.csv", "a,b,c"[:2 * n_columns - 1], columns)
+    assert (path / "ours.csv").read_bytes() == _savetxt_bytes(
+        path / "ref.csv", columns, "a,b,c"[:2 * n_columns - 1])
 
 
 def test_conjugate_pair_probe_verdicts_agree():
