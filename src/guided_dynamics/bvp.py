@@ -32,8 +32,8 @@ from .errors import (CornerMismatch, DegenerateParametrization, NoBracket,
                      NotSolvableError)
 from .exprlang import Expression, _scalar, as_callable, differentiate
 from .funceq import GridFunction
-from .gds import (ContractionMinimalityCertificate, GeneratorMap,
-                  GuidedSystem, GuidingSet, Interval,
+from .gds import (MAX_CYCLE_LEN, ContractionMinimalityCertificate,
+                  GeneratorMap, GuidedSystem, GuidingSet, Interval,
                   check_contraction_minimality, find_guided_cycles,
                   probe_minimality, verify_conjugacy, write_csv,
                   zero_band_guiding)
@@ -395,7 +395,8 @@ class SolvabilityReport:
 
 
 def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
-                        depth: int = 10 ** 5, max_cycle_len: int = 6,
+                        depth: int = 10 ** 5,
+                        max_cycle_len: int = MAX_CYCLE_LEN,
                         rng=None) -> SolvabilityReport:
     """Layered decision. (1) A contraction certificate proves minimality
     of the unguided dynamics, conclusive when the guiding sets are empty.

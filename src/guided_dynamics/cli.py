@@ -39,7 +39,13 @@ SPACE_KEYS = {"interval": {"type", "a", "b"},
               "circle": {"type", "period"},
               "graph": {"type", "nodes", "tables"}}
 TOLERANCE_KEYS = {"tol_lambda", "tol", "tol_data", "corner_tol"}
-BUDGET_KEYS = {"cell_cap", "max_iter", "m_max", "max_cycle_len"}
+# budget -> (keyword of the library call, subcommands it bounds); a budget
+# missing from the config is not passed, so the library's default applies
+BUDGETS = {"cell_cap": ("cell_cap", ("orbit", "probe", "weak-attractor",
+                                     "overdet")),
+           "max_iter": ("max_iter", ("solve-fe",)),
+           "m_max": ("m_max", ("certify", "solve-fe")),
+           "max_cycle_len": ("max_len", ("cycles",))}
 
 NEGATIVE_VERDICT_EXIT = 1
 CONFIG_ERROR_EXIT = 2
@@ -60,6 +66,11 @@ class JobConfig:
     @property
     def budgets(self):
         return self.raw.get("budgets", {})
+
+    def budgets_for(self, command):
+        """The budgets that bound `command`, keyed by library keyword."""
+        return {BUDGETS[key][0]: value for key, value in self.budgets.items()
+                if command in BUDGETS[key][1]}
 
     @property
     def problem(self):
@@ -162,7 +173,7 @@ def load_config(path: str) -> JobConfig:
             if key not in SPACE_KEYS[kind]:
                 raise SchemaError(f"unknown key {key!r}", f"/space/{key}")
     for section, allowed in (("tolerances", TOLERANCE_KEYS),
-                             ("budgets", BUDGET_KEYS)):
+                             ("budgets", BUDGETS)):
         if not isinstance(raw.get(section, {}), dict):
             raise SchemaError(f"{section!r} must be an object", f"/{section}")
         for key in raw.get(section, {}):
@@ -212,88 +223,76 @@ def _jsonable(obj):
     return str(obj)
 
 
-def emit(report, args, exit_code):
+def emit(report, args, exit_code, to_csv=None):
+    """Write the report and return exit_code. With --out, a subcommand
+    that has a CSV writes it there (`to_csv(path)`) and prints its report;
+    any other writes its report there and prints nothing."""
     doc = _jsonable(report)
     if not args.no_meta:
         doc["meta"] = {"tool": "gds", "timestamp": time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "report_to_out", False) and args.out:
+    if args.out and to_csv is None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
+        if args.out:
+            to_csv(args.out)
         sys.stdout.write(text)
     return exit_code
 
 
 # --------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: (cfg, args) -> (report, exit code[, to_csv])
 # --------------------------------------------------------------------------
 
-def cmd_orbit(args):
-    cfg = load_config(args.config)
-    system = cfg.guided_system()
-    cloud = gds_mod.guided_orbit_set(system, args.x0, args.depth, args.eps,
-                                     cell_cap=int(cfg.budgets.get(
-                                         "cell_cap", 500_000)))
-    if args.out:
-        cloud.to_csv(args.out)
+def cmd_orbit(cfg, args):
+    cloud = gds_mod.guided_orbit_set(cfg.guided_system(), args.x0,
+                                     args.depth, args.eps,
+                                     **cfg.budgets_for(args.command))
     report = {"command": "orbit", "seed": cloud.seed,
               "coverage": cloud.coverage, "points": int(len(cloud.points)),
               "eps": cloud.eps, "saturated": cloud.saturated,
               "partial": cloud.partial, "depth_used": cloud.depth_used}
-    return emit(report, args, 0)
+    return report, 0, cloud.to_csv
 
 
-def cmd_probe(args):
-    cfg = load_config(args.config)
-    system = cfg.guided_system()
-    verdict = gds_mod.probe_minimality(system, args.eps, args.depth,
-                                       cell_cap=int(cfg.budgets.get(
-                                           "cell_cap", 500_000)))
+def cmd_probe(cfg, args):
+    verdict = gds_mod.probe_minimality(cfg.guided_system(), args.eps,
+                                       args.depth,
+                                       **cfg.budgets_for(args.command))
     report = {"command": "probe", "verdict": verdict.kind,
               "eps": verdict.eps, "depth": verdict.depth,
               "coverage": verdict.coverage, "via": verdict.via,
               "witness": verdict.witness,
               "witness_nodes": verdict.witness_nodes,
               "note": verdict.note}
-    args.report_to_out = True
-    code = NEGATIVE_VERDICT_EXIT if verdict.is_not_minimal else 0
-    return emit(report, args, code)
+    return report, NEGATIVE_VERDICT_EXIT if verdict.is_not_minimal else 0
 
 
-def cmd_weak_attractor(args):
-    cfg = load_config(args.config)
-    system = cfg.guided_system()
-    verdict = gds_mod.probe_weak_attractor(system, args.x0, args.eps,
-                                           args.depth,
-                                           cell_cap=int(cfg.budgets.get(
-                                               "cell_cap", 500_000)))
+def cmd_weak_attractor(cfg, args):
+    verdict = gds_mod.probe_weak_attractor(cfg.guided_system(), args.x0,
+                                           args.eps, args.depth,
+                                           **cfg.budgets_for(args.command))
     report = {"command": "weak-attractor", "verdict": verdict.kind,
               "x0": verdict.x0, "eps": verdict.eps,
               "witness_seed": verdict.witness_seed}
-    args.report_to_out = True
-    return emit(report, args, NEGATIVE_VERDICT_EXIT
-                if verdict.kind == "no" else 0)
+    return report, NEGATIVE_VERDICT_EXIT if verdict.kind == "no" else 0
 
 
-def cmd_cycles(args):
-    cfg = load_config(args.config)
-    system = cfg.guided_system()
-    max_len = args.max_len
-    if max_len is None:
-        max_len = cfg.budgets.get("max_cycle_len", 6)
-    rep = gds_mod.find_guided_cycles(system, max_len)
+def cmd_cycles(cfg, args):
+    budgets = cfg.budgets_for(args.command)
+    if args.max_len is not None:
+        budgets["max_len"] = args.max_len
+    rep = gds_mod.find_guided_cycles(cfg.guided_system(), **budgets)
     report = {"command": "cycles", "max_len": rep.max_len,
               "n_seeds": rep.n_seeds,
               "cycles": [{"points": c.points, "generators": list(c.gens)}
                          for c in rep.cycles]}
-    args.report_to_out = True
-    return emit(report, args, NEGATIVE_VERDICT_EXIT if rep.cycles else 0)
+    return report, NEGATIVE_VERDICT_EXIT if rep.cycles else 0
 
 
-def cmd_graph_min(args):
-    cfg = load_config(args.config)
+def cmd_graph_min(cfg, args):
     system = cfg.guided_system()
     cells = (args.grid if args.grid is not None
              else getattr(system.space, "n_nodes", 64))
@@ -303,43 +302,33 @@ def cmd_graph_min(args):
               "n_edges": int(len(graph.edges)),
               "approximate": graph.approximate,
               "minimal_subsystems": comps}
-    args.report_to_out = True
-    return emit(report, args, 0)
+    return report, 0
 
 
-def cmd_certify(args):
-    cfg = load_config(args.config)
-    system = cfg.funceq_system()
-    m_max = int(cfg.budgets.get("m_max", 64))
-    outcome = funceq_mod.certify_contraction(system, m_max=m_max,
-                                             M=args.grid)
+def cmd_certify(cfg, args):
+    outcome = funceq_mod.certify_contraction(
+        cfg.funceq_system(), M=args.grid, **cfg.budgets_for(args.command))
     ok = isinstance(outcome, funceq_mod.ContractionCertificate)
     report = {"command": "certify", "certified": ok, **outcome.to_dict()}
-    args.report_to_out = True
-    return emit(report, args, 0 if ok else NEGATIVE_VERDICT_EXIT)
+    return report, 0 if ok else NEGATIVE_VERDICT_EXIT
 
 
-def cmd_solve_fe(args):
-    cfg = load_config(args.config)
+def cmd_solve_fe(cfg, args):
     system = cfg.funceq_system()
     h_src = args.h or cfg.problem.get("h")
     if h_src is None:
         raise SchemaError("solve-fe needs an right-hand side h",
                           "/problem/h")
     h = _parse_expr_at(h_src, "/problem/h")
-    f, rep = funceq_mod.solve_neumann(
-        system, h, tol=args.tol, M=args.grid,
-        max_iter=int(cfg.budgets.get("max_iter", 20000)),
-        m_max=int(cfg.budgets.get("m_max", 64)))
-    if args.out:
-        f.to_csv(args.out)
+    f, rep = funceq_mod.solve_neumann(system, h, tol=args.tol, M=args.grid,
+                                      **cfg.budgets_for(args.command))
     report = {"command": "solve-fe", "residual": rep.residual,
               "iterations": rep.iterations, "grid": args.grid,
               "certificate": rep.certificate.to_dict()}
-    return emit(report, args, 0)
+    return report, 0, f.to_csv
 
 
-def _pconf_from_config(cfg, args):
+def _pconf_from_config(cfg):
     problem = cfg.problem
     anchors = problem.get("anchors")
     if anchors is None:
@@ -351,25 +340,22 @@ def _pconf_from_config(cfg, args):
     return pconf_mod.validate_pconfiguration(maps, space, anchors, tol=tol)
 
 
-def cmd_validate_pconf(args):
-    cfg = load_config(args.config)
-    args.report_to_out = True
+def cmd_validate_pconf(cfg, args):
     try:
-        pc = _pconf_from_config(cfg, args)
+        pc = _pconf_from_config(cfg)
     except PConfigViolation as exc:
         report = {"command": "validate-pconf", "valid": False,
                   "condition": exc.condition, "witness": exc.witness,
                   "message": str(exc)}
-        return emit(report, args, NEGATIVE_VERDICT_EXIT)
+        return report, NEGATIVE_VERDICT_EXIT
     report = {"command": "validate-pconf", "valid": True,
               "anchors": list(pc.anchors),
               "guiding": [g for g in pc.guiding]}
-    return emit(report, args, 0)
+    return report, 0
 
 
-def cmd_solve_ivp(args):
-    cfg = load_config(args.config)
-    pc = _pconf_from_config(cfg, args)
+def cmd_solve_ivp(cfg, args):
+    pc = _pconf_from_config(cfg)
     problem = cfg.problem
     h_src = args.h or problem.get("h")
     if h_src is None:
@@ -387,10 +373,8 @@ def cmd_solve_ivp(args):
     sol = pconf_mod.solve_ivp(pconf_mod.IvpProblem(pc, h, c, mu,
                                                    tol_data=tol_data),
                               args.grid)
-    if args.out:
-        sol.f.to_csv(args.out)
     report = {"command": "solve-ivp", **sol.diagnostics.to_dict()}
-    return emit(report, args, 0)
+    return report, 0, sol.f.to_csv
 
 
 def _require(section, keys, pointer):
@@ -431,8 +415,7 @@ OVERDET_KEYS = {"jensen": ("interval", "A", "B"), "cauchy": ("B",),
                 "affine": ("interval", "A", "B")}
 
 
-def cmd_overdet(args):
-    cfg = load_config(args.config)
+def cmd_overdet(cfg, args):
     problem = cfg.problem
     kind = problem.get("kind")
     if kind not in OVERDET_KEYS:
@@ -471,40 +454,35 @@ def cmd_overdet(args):
             tuple(problem["interval"]), problem["A"], problem["B"], rules,
             name="affine")
     try:
-        cloud = cauchy_mod.propagate_values(
-            prob, args.depth, args.eps,
-            cell_cap=int(cfg.budgets.get("cell_cap", 2 ** 22)))
+        cloud = cauchy_mod.propagate_values(prob, args.depth, args.eps,
+                                            **cfg.budgets_for(args.command))
     except ResolutionTooCoarse as exc:
         raise argparse.ArgumentError(None, f"argument --eps: {exc}") from exc
     rep = cauchy_mod.check_consistency(cloud, args.eps, args.tol)
-    if args.out:
-        cloud.to_csv(args.out)
     report = {"command": "overdet", "kind": kind,
               "verdict": rep.verdict, "points": int(len(cloud)),
               "max_collision_gap": rep.max_collision_gap,
               "n_collisions": rep.n_collisions,
               "saturated": cloud.saturated, "partial": cloud.partial}
-    return emit(report, args,
-                0 if rep.consistent else NEGATIVE_VERDICT_EXIT)
+    return (report, 0 if rep.consistent else NEGATIVE_VERDICT_EXIT,
+            cloud.to_csv)
 
 
-def cmd_affine_analyze(args):
-    cfg = load_config(args.config)
+def cmd_affine_analyze(cfg, args):
     problem = cfg.problem
     _require(problem, ("A1", "A2", "b1", "b2"), "/problem")
     _require_numeric(problem, ("A1", "A2"), "/problem", ndim=2)
     _require_numeric(problem, ("b1", "b2"), "/problem", ndim=1)
-    args.report_to_out = True
     try:
         analysis = cauchy_mod.analyze_affine(
             problem["A1"], problem["A2"], problem["b1"], problem["b2"])
     except HypothesisFailure as exc:
         report = {"command": "affine-analyze", "ok": False,
                   "failed_condition": exc.condition, "message": str(exc)}
-        return emit(report, args, NEGATIVE_VERDICT_EXIT)
+        return report, NEGATIVE_VERDICT_EXIT
     report = {"command": "affine-analyze", "ok": True,
               **analysis.to_dict()}
-    return emit(report, args, 0)
+    return report, 0
 
 
 def _bvp_problem(cfg):
@@ -524,11 +502,9 @@ def _bvp_problem(cfg):
                                var="z"))
 
 
-def cmd_build_bvp(args):
-    cfg = load_config(args.config)
+def cmd_build_bvp(cfg, args):
     system = bvp_mod.build_boundary_system(
         _bvp_problem(cfg), rng=np.random.default_rng(args.seed))
-    args.report_to_out = True
     report = {
         "command": "build-bvp",
         "interval": [system.interval.a, system.interval.b],
@@ -540,16 +516,14 @@ def cmd_build_bvp(args):
         "conjugacy_map_defect": system.conjugacy.map_defect,
         "properness_violations": system.conjugacy.properness_violations,
     }
-    return emit(report, args, 0)
+    return report, 0
 
 
-def cmd_analyze_bvp(args):
-    cfg = load_config(args.config)
+def cmd_analyze_bvp(cfg, args):
     rng = np.random.default_rng(args.seed)
     system = bvp_mod.build_boundary_system(_bvp_problem(cfg), rng=rng)
     rep = bvp_mod.analyze_solvability(system, eps=args.eps,
                                       depth=args.depth, rng=rng)
-    args.report_to_out = True
     report = {
         "command": "analyze-bvp", "status": rep.status, "route": rep.route,
         "grade": rep.grade,
@@ -558,12 +532,11 @@ def cmd_analyze_bvp(args):
                    for c in rep.cycle_report.cycles],
         "notes": rep.notes,
     }
-    return emit(report, args,
-                NEGATIVE_VERDICT_EXIT if rep.status == "not_solvable" else 0)
+    return report, (NEGATIVE_VERDICT_EXIT if rep.status == "not_solvable"
+                    else 0)
 
 
-def cmd_solve_bvp(args):
-    cfg = load_config(args.config)
+def cmd_solve_bvp(cfg, args):
     problem = _bvp_problem(cfg)
     try:
         sol = bvp_mod.solve_bvp(problem, M=args.grid, mu=args.mu,
@@ -576,32 +549,27 @@ def cmd_solve_bvp(args):
                                      "generators": list(
                                          rep.witness_cycle.gens)}
                                     if rep and rep.witness_cycle else None)}
-        args.report_to_out = True
-        return emit(report, args, NEGATIVE_VERDICT_EXIT)
-    if args.out:
-        sol.field_csv(args.out)
+        return report, NEGATIVE_VERDICT_EXIT
     report = {"command": "solve-bvp",
               **sol.verification.to_dict(verdict=sol.solvability.status
                                          if sol.solvability else "skipped"),
               "chi0_defect": sol.triple.chi0_defect,
               "collocation_residual": sol.ivp_diagnostics.residual,
               "grid": args.grid}
-    return emit(report, args, 0)
+    return report, 0, sol.field_csv
 
 
-def cmd_verify_conjugacy(args):
-    cfg = load_config(args.config)
+def cmd_verify_conjugacy(cfg, args):
     system = bvp_mod.build_boundary_system(
         _bvp_problem(cfg), rng=np.random.default_rng(args.seed))
     rep = system.conjugacy
-    args.report_to_out = True
     report = {"command": "verify-conjugacy", "ok": rep.ok,
               "map_defect": rep.map_defect,
               "guiding_defects": list(rep.guiding_defects),
               "inv_defect": rep.inv_defect,
               "properness_checked": rep.properness_checked,
               "properness_violations": rep.properness_violations}
-    return emit(report, args, 0 if rep.ok else NEGATIVE_VERDICT_EXIT)
+    return report, 0 if rep.ok else NEGATIVE_VERDICT_EXIT
 
 
 HANDLERS = {
@@ -710,9 +678,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return CONFIG_ERROR_EXIT if exc.code not in (0, None) else 0
-    args.report_to_out = False
     try:
-        return HANDLERS[args.command](args)
+        cfg = load_config(args.config)
+        report, code, *to_csv = HANDLERS[args.command](cfg, args)
+        return emit(report, args, code, *to_csv)
     except SchemaError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return CONFIG_ERROR_EXIT

@@ -12,6 +12,7 @@ from the node tables; every application of A is a sparse product.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +139,11 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path, domain=None):
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        """Read (t, value) rows. The t column must be the uniform grid on
+        domain (default [t_0, t_M]) within 1e-9 (1 + step)."""
+        with warnings.catch_warnings():     # no rows is the error below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[0] < 2 or data.shape[1] < 2:
             raise ValueError(f"CSV grid needs two rows of (t, value), got "
                              f"{data.shape[0]} rows of {data.shape[1]} "
@@ -146,9 +151,11 @@ class GridFunction:
         ts, vals = data[:, 0], data[:, 1]
         if domain is None:
             domain = Interval(float(ts[0]), float(ts[-1]))
-        step = np.diff(ts)
-        if np.max(np.abs(step - step[0])) > 1e-9 * (abs(step[0]) + 1):
-            raise ValueError("CSV grid is not uniform")
+        M = len(ts) - 1
+        nodes = grid_nodes(domain, M)
+        if not np.max(np.abs(ts - nodes)) <= 1e-9 * (1 + domain.length / M):
+            raise ValueError(f"CSV t column is not the uniform grid of {M} "
+                             f"cells on [{nodes[0]}, {nodes[-1]}]")
         return cls(domain, vals)
 
 

@@ -27,6 +27,7 @@ from .exprlang import Expression, _scalar, as_callable, differentiate
 TOL_LAMBDA = 1e-9
 TOL_STEP = 1e-9
 TOL_RANGE = 1e-9
+MAX_CYCLE_LEN = 6    # default length bound of the guided cycle search
 
 __all__ = [
     "Interval", "CircleSpace", "FiniteGraphSpace",
@@ -1022,7 +1023,7 @@ class CycleReport:
         return len(self.cycles) == 0
 
 
-def find_guided_cycles(system: GuidedSystem, max_len: int,
+def find_guided_cycles(system: GuidedSystem, max_len: int = MAX_CYCLE_LEN,
                        tol_cycle: float = 1e-7) -> CycleReport:
     """Search for proper cycles whose points all lie inside the union of
     guiding sets (within tol_lambda), starting from seeds inside that

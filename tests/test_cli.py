@@ -1,13 +1,14 @@
+import functools
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from guided_dynamics import cli
-from guided_dynamics import gds
+from guided_dynamics import cauchy, cli, funceq, gds
 from guided_dynamics.cli import load_config, main
 from guided_dynamics.errors import SchemaError
 
@@ -271,26 +272,46 @@ def test_weak_attractor_command(capsys):
     assert json.loads(out)["verdict"] == "no"
 
 
-def test_cell_cap_budget_reaches_probes(tmp_path, capsys):
-    # 50 fine cells per closure cannot cover the golden rotation's
-    # 629 eps-cells: both probes give up, as the library does with
-    # cell_cap=50
-    with open(cfg("circle_irrational.json")) as fh:
-        doc = json.load(fh)
-    doc["budgets"] = {"cell_cap": 50}
-    path = tmp_path / "capped.json"
-    path.write_text(json.dumps(doc))
-    system = load_config(str(path)).guided_system()
-    for argv, verdict in (
-            (["probe"], gds.probe_minimality(system, 0.01, 10 ** 5,
-                                              cell_cap=50)),
-            (["weak-attractor", "--x0", "0.3"], gds.probe_weak_attractor(
-                system, 0.3, 0.01, 10 ** 5, cell_cap=50))):
-        code, out, _ = run(capsys, argv + ["--config", str(path),
-                                           "--no-meta"])
-        assert code == 0
-        assert verdict.kind == "inconclusive"
-        assert json.loads(out)["verdict"] == verdict.kind
+# certified at m = 2, so m_max = 1 refuses the certificate
+QUADRATIC_COEFFS = {"coeffs": ["t*t/2", "0.5"]}
+# subcommand -> config, keys replaced in it, flags, and the library call
+# that its budgets reach
+BUDGET_RUNS = {
+    "orbit": ("circle_irrational.json", {}, ["--x0", "0.3"],
+              gds, "guided_orbit_set"),
+    "probe": ("circle_irrational.json", {}, [], gds, "probe_minimality"),
+    "weak-attractor": ("circle_irrational.json", {}, ["--x0", "0.3"],
+                       gds, "probe_weak_attractor"),
+    "overdet": ("jensen.json", {}, [], cauchy, "propagate_values"),
+    "certify": ("standard_funceq.json", QUADRATIC_COEFFS, [],
+                funceq, "certify_contraction"),
+    "solve-fe": ("standard_funceq.json", QUADRATIC_COEFFS, ["--h", "t"],
+                 funceq, "solve_neumann"),
+    "cycles": ("circle_rational.json", {}, [], gds, "find_guided_cycles"),
+}
+LIBRARY_KEYWORD = {"cell_cap": "cell_cap", "max_iter": "max_iter",
+                   "m_max": "m_max", "max_cycle_len": "max_len"}
+
+
+@pytest.mark.parametrize("budget,command", [
+    (budget, command) for budget, (_, commands) in cli.BUDGETS.items()
+    for command in commands])
+def test_cell_cap_budget_reaches_probes(tmp_path, capsys, monkeypatch,
+                                        budget, command):
+    # a budget of 1 in the config gives the run the library call gives
+    # with that keyword set to 1, and the default gives another run
+    config, replaced, flags, module, name = BUDGET_RUNS[command]
+    with open(cfg(config), encoding="utf-8") as fh:
+        doc = {**json.load(fh), **replaced}
+    base, capped = tmp_path / "base.json", tmp_path / "capped.json"
+    base.write_text(json.dumps(doc))
+    capped.write_text(json.dumps({**doc, "budgets": {budget: 1}}))
+    argv = [command, *flags, "--no-meta", "--config"]
+    got = run(capsys, argv + [str(capped)])
+    default = run(capsys, argv + [str(base)])
+    monkeypatch.setattr(module, name, functools.partial(
+        getattr(module, name), **{LIBRARY_KEYWORD[budget]: 1}))
+    assert got == run(capsys, argv + [str(base)]) != default
 
 
 def test_cycles_command(capsys):
@@ -355,6 +376,8 @@ def test_budget_not_a_positive_integer_is_config_error(tmp_path, capsys,
     "t,value\n0.5,1\n",                      # one row
     "t\n-1\n0\n1\n",                         # one column
     "t,value\n-1,0\n0.1,0\n1,0\n",           # not uniform
+    "t,value\n-1,0\n-0.5,0\n0,0\n",          # zeros sampled on [-1, 0]
+    "t,value\n0,0\n0.5,0.25\n1,1\n",         # t^2 sampled on [0, 1]
 ])
 def test_solve_ivp_malformed_csv_h_is_config_error(tmp_path, capsys, text):
     h_csv = tmp_path / "h.csv"
@@ -363,6 +386,55 @@ def test_solve_ivp_malformed_csv_h_is_config_error(tmp_path, capsys, text):
                                 cfg("standard_pconf.json"), "--h",
                                 str(h_csv), "--no-meta"])
     assert code == 2 and "/problem/h" in err
+
+
+def test_header_only_csv_h_prints_only_the_config_error(tmp_path, capsys):
+    h_csv = tmp_path / "h.csv"
+    h_csv.write_text("t,value\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["solve-ivp", "--config",
+                                      cfg("standard_pconf.json"), "--h",
+                                      str(h_csv), "--no-meta"])
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+# subcommand -> config and flags of one run that ends in a report
+OUT_RUNS = {
+    "orbit": ("circle_rational.json", ["--x0", "0.0", "--depth", "50"]),
+    "probe": ("circle_rational.json", []),
+    "weak-attractor": ("circle_rational.json", ["--x0", "0.0"]),
+    "cycles": ("circle_rational.json", []),
+    "graph-min": ("graph_chain.json", []),
+    "certify": ("standard_funceq.json", []),
+    "solve-fe": ("standard_funceq.json", ["--h", "t"]),
+    "solve-ivp": ("standard_pconf.json", []),
+    "validate-pconf": ("standard_pconf.json", []),
+    "overdet": ("jensen.json", []),
+    "affine-analyze": ("affine_scalar.json", []),
+    "build-bvp": ("straight_bvp.json", []),
+    "analyze-bvp": ("straight_bvp.json", []),
+    "solve-bvp": ("straight_bvp.json", []),
+    "verify-conjugacy": ("straight_bvp.json", []),
+}
+CSV_COMMANDS = {"orbit", "solve-fe", "solve-ivp", "overdet", "solve-bvp"}
+
+
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_out_takes_the_csv_or_else_the_report(tmp_path, capsys, command):
+    config, flags = OUT_RUNS[command]
+    argv = [command, "--config", cfg(config), *flags, "--no-meta"]
+    code, report, _ = run(capsys, argv)
+    out = tmp_path / "out"
+    assert run(capsys, argv + ["--out", str(out)]) == (
+        (code, report, "") if command in CSV_COMMANDS else (code, "", ""))
+    json.loads(report)
+    written = out.read_text()
+    if command in CSV_COMMANDS:
+        assert written.count("\n") > 1 and "{" not in written
+    else:
+        assert written == report
 
 
 def test_orbit_command_csv(tmp_path, capsys):
@@ -458,7 +530,7 @@ def test_ill_typed_problem_values_exit_two(tmp_path, capsys, command,
 
 
 def test_debug_flag_prints_traceback(monkeypatch, capsys):
-    def broken(args):
+    def broken(cfg, args):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli.HANDLERS, "probe", broken)

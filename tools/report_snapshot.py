@@ -6,10 +6,13 @@ it: the second sits next to the left end of every interval config and the
 parabolic fixed point -1 of `quadratic_pconf`; `graph-min` also at
 `--grid 3` and `--grid 4096`, the coarsest odd and a fine grid) and writes
 one JSON object mapping the argv, joined by spaces, to [exit code, stdout,
-stderr, sha256 of the CSV]. Subcommands that write a CSV run with `--out`
-into a scratch directory; the last entry is null when no file was written
-or the subcommand writes none. Two snapshots diff cleanly, so a refactor
-that must keep reports and CSVs byte-identical can be checked against its
+stderr, `--out` file]. Every run passes `--out` into a scratch directory,
+so the snapshot also pins where output goes: a subcommand that writes a
+CSV (`CSV_COMMANDS`) writes it there and prints its report, and the last
+entry is the file's sha256; any other subcommand writes its report there
+and prints nothing, and the last entry is the file's text. It is null
+when no file was written. Two snapshots diff cleanly, so a refactor that
+must keep reports and CSVs byte-identical can be checked against its
 parent commit:
 
     python tools/report_snapshot.py new.json
@@ -46,46 +49,48 @@ WORKLOAD_SEEDS = (1, 2, 3)
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _take_sha256(path):
-    """sha256 of the file, which is then removed; None when absent."""
+def _take_out(path, csv):
+    """sha256 (a CSV) or text of the file, which is then removed; None
+    when absent."""
     if not path.exists():
         return None
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    data = path.read_bytes()
     path.unlink()
-    return digest
+    return hashlib.sha256(data).hexdigest() if csv else data.decode()
 
 
-def _run(cli, argv, csv):
-    """[exit code, stdout, stderr, CSV sha256] of one `--no-meta` run."""
-    extra = ["--out", str(csv)] if argv[0] in CSV_COMMANDS else []
+def _run(cli, argv, out_path):
+    """[exit code, stdout, stderr, `--out` file] of one `--no-meta` run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv + extra + ["--no-meta"])
-    return [code, out.getvalue(), err.getvalue(), _take_sha256(csv)]
+        code = cli.main(argv + ["--out", str(out_path), "--no-meta"])
+    return [code, out.getvalue(), err.getvalue(),
+            _take_out(out_path, argv[0] in CSV_COMMANDS)]
 
 
-def _config_runs(cli, csv):
+def _config_runs(cli, out_path):
     runs = {}
     for config in sorted(Path("configs").glob("*.json")):
         for command in cli.HANDLERS:
             for args in EXTRA_ARGS.get(command, ([],)):
                 argv = [command, "--config", config.as_posix(), *args]
-                runs[" ".join(argv)] = _run(cli, argv, csv)
+                runs[" ".join(argv)] = _run(cli, argv, out_path)
     return runs
 
 
-def _workload_runs(cli, csv):
+def _workload_runs(cli, out_path):
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(PERFBENCH))
     import workloads
 
-    scratch = str(csv.parent)
+    scratch = str(out_path.parent)
     runs = {}
     for name in workloads.BUILDERS:
         for seed in WORKLOAD_SEEDS:
-            wl = workloads.build(name, seed, csv.parent / f"{name}-{seed}")
+            wl = workloads.build(name, seed,
+                                 out_path.parent / f"{name}-{seed}")
             for task in wl.tasks:
-                run = _run(cli, list(task.argv), csv)
+                run = _run(cli, list(task.argv), out_path)
                 key = f"{name} seed={seed} " + " ".join(task.argv)
                 runs[key.replace(scratch, "<tmp>")] = [
                     v.replace(scratch, "<tmp>") if isinstance(v, str) else v
@@ -99,8 +104,8 @@ def snapshot(root, workloads=False):
     from guided_dynamics import cli
 
     with tempfile.TemporaryDirectory() as scratch:
-        csv = Path(scratch) / "out.csv"
-        return (_workload_runs if workloads else _config_runs)(cli, csv)
+        out_path = Path(scratch) / "out"
+        return (_workload_runs if workloads else _config_runs)(cli, out_path)
 
 
 def main():
