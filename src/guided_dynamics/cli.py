@@ -38,7 +38,7 @@ TOP_LEVEL_KEYS = {"space", "maps", "guiding", "coeffs", "problem",
 SPACE_KEYS = {"interval": {"type", "a", "b"},
               "circle": {"type", "period"},
               "graph": {"type", "nodes", "tables"}}
-TOLERANCE_KEYS = {"tol_lambda", "tol", "tol_data", "corner_tol"}
+TOLERANCE_KEYS = {"tol_lambda", "tol", "tol_data"}
 # budget -> (keyword of the library call, subcommands it bounds); a budget
 # missing from the config is not passed, so the library's default applies
 BUDGETS = {"cell_cap": ("cell_cap", ("orbit", "probe", "weak-attractor",
@@ -62,6 +62,10 @@ class JobConfig:
     @property
     def tolerances(self):
         return self.raw.get("tolerances", {})
+
+    @property
+    def tol_lambda(self):
+        return float(self.tolerances.get("tol_lambda", gds_mod.TOL_LAMBDA))
 
     @property
     def budgets(self):
@@ -127,9 +131,8 @@ class JobConfig:
     def guided_system(self):
         maps = self.generator_maps()
         guiding = self.guiding_sets(len(maps))
-        tol_lambda = float(self.tolerances.get("tol_lambda", 1e-9))
         return gds_mod.GuidedSystem(self.space(), maps, guiding,
-                                    tol_lambda=tol_lambda)
+                                    tol_lambda=self.tol_lambda)
 
     def funceq_system(self):
         maps = self.generator_maps()
@@ -137,7 +140,8 @@ class JobConfig:
             raise SchemaError("missing 'coeffs' section", "/coeffs")
         guiding = self.guiding_sets(len(maps))
         return funceq_mod.FunceqSystem(self.space(), maps,
-                                       self.parsed_coeffs, guiding=guiding)
+                                       self.parsed_coeffs, guiding=guiding,
+                                       tol_lambda=self.tol_lambda)
 
 
 def _parse_expr_at(source, pointer, var="t"):
@@ -180,6 +184,12 @@ def load_config(path: str) -> JobConfig:
             if key not in allowed:
                 raise SchemaError(f"unknown key {key!r}",
                                   f"/{section}/{key}")
+    for key, value in raw.get("tolerances", {}).items():
+        # NaN, inf and ints beyond any float fail the comparison too
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not 0 <= value <= sys.float_info.max:
+            raise SchemaError(f"expected a finite number >= 0, got "
+                              f"{value!r}", f"/tolerances/{key}")
     for key, value in raw.get("budgets", {}).items():
         if isinstance(value, bool) or not isinstance(value, int) \
                 or value < 1:

@@ -115,8 +115,14 @@ class CircleSpace:
         return max(1, int(math.ceil(self.period / eps)))
 
     def cell_index(self, x, n_cells):
+        """Cell of each point x in [0, period], as normalize returns it:
+        x = period is the angle 0, in cell 0."""
+        x = np.asarray(x, dtype=float)
         w = self.period / n_cells
-        idx = np.floor(self.normalize(x) / w).astype(np.int64)
+        idx = np.floor(x / w).astype(np.int64)
+        if self.period / w < n_cells:
+            # x = period rounds into the last cell, not to n_cells
+            idx = np.where(x == self.period, 0, idx)
         return np.mod(idx, n_cells)
 
     def cell_left_edges(self, n_cells):
@@ -263,14 +269,20 @@ class GuidingSet:
             return np.full(x.shape, np.inf)
         if isinstance(space, CircleSpace):
             x = space.normalize(x)
-        best = np.full(x.shape, np.inf)
-        # fmin: x = +-inf lies inf away, where inf - inf gives NaN
+        best = None
+        # fmin: x = +-inf lies inf away, where inf - inf gives NaN; a zero
+        # distance is +0.0 also at x = -0.0, where maximum takes the 0.0
         with np.errstate(invalid="ignore"):
             for k in _shifts(space):
-                xc = x + k
-                j = np.searchsorted(self._lo, xc, side="right")
-                best = np.minimum(best, np.fmin(
-                    np.maximum(xc - self._reach[j], 0.0), self._next[j] - xc))
+                xc = x + k if k else x
+                j = self._lo.searchsorted(xc, side="right")
+                d = self._reach[j]
+                np.subtract(xc, d, out=d)
+                np.maximum(d, 0.0, out=d)
+                after = self._next[j]
+                np.subtract(after, xc, out=after)
+                np.fmin(d, after, out=d)
+                best = d if best is None else np.minimum(best, d, out=best)
         return best
 
     def contains(self, x, space, tol=TOL_LAMBDA):
@@ -314,6 +326,35 @@ def _shifts(space):
     """The translates at which a point meets a union: -P, 0, +P on a circle."""
     return ((-space.period, 0.0, space.period)
             if isinstance(space, CircleSpace) else (0.0,))
+
+
+def _step_rule(guiding, space, tol):
+    """The allowed-step mask distance(x) > tol of a guiding set, for
+    points x as normalize returns them (finite or NaN) and tol >= 0: None
+    when the set is empty (every step is allowed), else a function of x.
+
+    At each shift k, x + k must lie more than tol past the members
+    starting at or before it and more than tol before the next one: the
+    float comparisons of distance, NaN blocked. On a circle the arcs start
+    in [0, P), so no x in [0, P] comes within tol at the shift -P when the
+    first arc starts beyond tol, nor at +P when every arc ends more than
+    tol before P; those shifts are skipped."""
+    if guiding.is_empty:
+        return None
+    lo, reach, nxt = guiding._lo, guiding._reach, guiding._next
+    shifts = [k for k in _shifts(space)
+              if not (k < 0.0 and lo[0] > tol
+                      or k > 0.0 and space.period - reach[-1] > tol)]
+
+    def allowed(x):
+        mask = None
+        for k in shifts:
+            xc = x + k if k else x
+            j = lo.searchsorted(xc, side="right")
+            ok = (xc - reach[j] > tol) & (nxt[j] - xc > tol)
+            mask = ok if mask is None else mask & ok
+        return mask
+    return allowed
 
 
 def _merge_intervals(lo, hi, slack):
@@ -397,6 +438,11 @@ class GuidedSystem:
             self.coefficients = tuple(as_callable(c) for c in coefficients)
             if len(self.coefficients) != n:
                 raise ValueError("one coefficient per generator required")
+        for name, tol in (("tol_lambda", tol_lambda), ("tol_step", tol_step),
+                          ("tol_range", tol_range)):
+            if not 0.0 <= tol < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{tol!r}")
         self.tol_lambda = tol_lambda
         self.tol_step = tol_step
         self.tol_range = tol_range
@@ -685,6 +731,13 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
     cell cap. With keep_points, points[k] holds seed k's representatives
     (the first candidate to land in each occupied fine cell) in fine-cell
     order; otherwise points is None.
+
+    Each level normalizes its candidates once: the cell indices and the
+    frontier are taken from that one array. A step is tested by each
+    guiding set's rule from _step_rule, built once per call (no mask for
+    an empty set). No seed holds more fine cells than all seeds together,
+    so cells are counted per seed only from the level their total passes
+    cell_cap.
     """
     space = system.space
     n_seeds = len(seeds)
@@ -693,10 +746,12 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
     occ = np.zeros(n_seeds * n_fine, dtype=bool)
     covd = np.zeros(n_seeds * n_cov, dtype=bool)
     cov_count = np.zeros(n_seeds, dtype=np.int64)
-    occ_count = np.zeros(n_seeds, dtype=np.int64)
+    n_occ, occ_count = 0, None
     hit = np.zeros(n_seeds, dtype=bool)
     partial = np.zeros(n_seeds, dtype=bool)
     active = np.ones(n_seeds, dtype=bool)
+    steps = [(gen, _step_rule(lam, space, system.tol_lambda))
+             for gen, lam in zip(system.generators, system.guiding)]
     kept = []
 
     # level 0 absorbs the seeds themselves; each later level their images
@@ -719,32 +774,42 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
         linf = csid * n_fine + space.cell_index(cand, n_fine)
         ulinf, first = np.unique(linf, return_index=True)
         new = ~occ[ulinf]
-        occ[ulinf[new]] = True
+        cells = ulinf[new]
+        occ[cells] = True
         sel = first[new]
         pts, sid = cand[sel], csid[sel]
         if keep_points:
-            kept.append((ulinf[new], pts))
-        occ_count += np.bincount(sid, minlength=n_seeds)
-        over = occ_count > cell_cap
-        partial |= over & active
-        active &= ~over
-        keep = active[sid]
-        pts, sid = pts[keep], sid[keep]
+            kept.append((cells, pts))
+        n_occ += sel.size
+        if n_occ > cell_cap:
+            if occ_count is None:
+                occ_count = occ.reshape(n_seeds, n_fine).sum(axis=1)
+            else:
+                occ_count += np.bincount(sid, minlength=n_seeds)
+            over = occ_count > cell_cap
+            partial |= over & active
+            active &= ~over
+        if not active.all():
+            keep = active[sid]
+            pts, sid = pts[keep], sid[keep]
         if level >= depth or pts.size == 0:
             break
         outs_p, outs_s = [], []
-        for i, gen in enumerate(system.generators):
-            mask = system.allowed_mask(i, pts)
-            if not np.any(mask):
-                continue
-            outs_p.append(space.normalize(
-                np.asarray(gen(pts[mask]), dtype=float)))
-            outs_s.append(sid[mask])
+        for gen, allowed in steps:
+            p, s = pts, sid
+            if allowed is not None:
+                mask = allowed(pts)
+                if not mask.any():
+                    continue
+                p, s = pts[mask], sid[mask]
+            outs_p.append(np.asarray(gen(p), dtype=float))
+            outs_s.append(s)
         if not outs_p:
             # every frontier point is blocked: all closures are complete
             sid = sid[:0]
             break
-        cand, csid = np.concatenate(outs_p), np.concatenate(outs_s)
+        cand = space.normalize(np.concatenate(outs_p))
+        csid = np.concatenate(outs_s)
         level += 1
     in_frontier = np.zeros(n_seeds, dtype=bool)
     in_frontier[sid] = True

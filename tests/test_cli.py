@@ -371,6 +371,41 @@ def test_budget_not_a_positive_integer_is_config_error(tmp_path, capsys,
     assert code == 2 and f"/budgets/{key}" in err
 
 
+@pytest.mark.parametrize("value", [float("nan"), "x", None, -1.0])
+def test_tolerance_not_a_finite_nonnegative_number_is_config_error(
+        tmp_path, capsys, value):
+    # json.dumps writes NaN, which json.load reads back
+    with open(cfg("circle_rational.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["tolerances"] = {"tol_lambda": value}
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run(capsys, ["probe", "--config", str(path), "--eps",
+                                "0.05", "--no-meta"])
+    assert code == 2 and "/tolerances/tol_lambda" in err
+
+
+def test_corner_tol_is_an_unknown_tolerance(tmp_path, capsys):
+    with open(cfg("straight_bvp.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["tolerances"] = {"corner_tol": 1e-7}
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run(capsys, ["build-bvp", "--config", str(path)])
+    assert code == 2 and "/tolerances/corner_tol" in err
+
+
+def test_tol_lambda_reaches_funceq_systems(tmp_path):
+    with open(cfg("standard_funceq.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["tolerances"] = {"tol_lambda": 1e-6}
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(raw))
+    config = load_config(str(path))
+    assert config.funceq_system()._system.tol_lambda == 1e-6
+    assert config.guided_system().tol_lambda == 1e-6
+
+
 @pytest.mark.parametrize("text", [
     "t,value\n",                              # header only
     "t,value\n0.5,1\n",                      # one row

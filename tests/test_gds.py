@@ -22,8 +22,10 @@ from guided_dynamics.gds import (CircleSpace,
                                  zero_band_guiding)
 from guided_dynamics.gds import (_closures, _interval_images,
                                  _merge_intervals, _range_cover_defect,
-                                 _validate_witness, _witness_intervals,
-                                 write_csv)
+                                 _step_rule, _validate_witness,
+                                 _witness_intervals, write_csv)
+
+TWO_PI = 2 * math.pi
 
 
 def standard_interval_system():
@@ -744,6 +746,192 @@ def test_batched_closures_do_not_couple_seeds(turn, seeds, eps, depth, mult,
         assert np.array_equal(pts[k], pts1)
 
 
+def cell_index_reference(space, x, n_cells):
+    """Reference: the cell index the kernel took before its one
+    normalization per level; on a circle it normalized x again."""
+    if not isinstance(space, CircleSpace):
+        return space.cell_index(x, n_cells)
+    idx = np.floor(space.normalize(x) / (space.period / n_cells))
+    return np.mod(idx.astype(np.int64), n_cells)
+
+
+def closures_reference(system, seeds, depth, eps, fine_mult, cell_cap,
+                       retire_covered=False, target=None, keep_points=False):
+    """Reference: the level loop of _closures before its lean level step
+    (each generator's images normalized apart, the cell indices
+    normalized again, allowed_mask per generator, per-seed cell counts
+    every level)."""
+    space = system.space
+    n_seeds = len(seeds)
+    n_fine = space.cell_count(eps / fine_mult)
+    n_cov = space.cell_count(eps)
+    occ = np.zeros(n_seeds * n_fine, dtype=bool)
+    covd = np.zeros(n_seeds * n_cov, dtype=bool)
+    cov_count = np.zeros(n_seeds, dtype=np.int64)
+    occ_count = np.zeros(n_seeds, dtype=np.int64)
+    hit = np.zeros(n_seeds, dtype=bool)
+    partial = np.zeros(n_seeds, dtype=bool)
+    active = np.ones(n_seeds, dtype=bool)
+    kept = []
+    cand = space.normalize(np.asarray(seeds, dtype=float)).astype(float)
+    csid = np.arange(n_seeds)
+    level = 0
+    while True:
+        lin = csid * n_cov + cell_index_reference(space, cand, n_cov)
+        if retire_covered:
+            fresh = np.unique(lin[~covd[lin]])
+            covd[fresh] = True
+            cov_count += np.bincount(fresh // n_cov, minlength=n_seeds)
+            active &= cov_count < n_cov
+        else:
+            covd[lin] = True
+        if target is not None:
+            hit[csid[space.metric(cand, target) <= eps]] = True
+            active &= ~hit
+        linf = csid * n_fine + cell_index_reference(space, cand, n_fine)
+        ulinf, first = np.unique(linf, return_index=True)
+        new = ~occ[ulinf]
+        occ[ulinf[new]] = True
+        sel = first[new]
+        pts, sid = cand[sel], csid[sel]
+        if keep_points:
+            kept.append((ulinf[new], pts))
+        occ_count += np.bincount(sid, minlength=n_seeds)
+        over = occ_count > cell_cap
+        partial |= over & active
+        active &= ~over
+        keep = active[sid]
+        pts, sid = pts[keep], sid[keep]
+        if level >= depth or pts.size == 0:
+            break
+        outs_p, outs_s = [], []
+        for i, gen in enumerate(system.generators):
+            mask = system.allowed_mask(i, pts)
+            if not np.any(mask):
+                continue
+            outs_p.append(space.normalize(
+                np.asarray(gen(pts[mask]), dtype=float)))
+            outs_s.append(sid[mask])
+        if not outs_p:
+            sid = sid[:0]
+            break
+        cand, csid = np.concatenate(outs_p), np.concatenate(outs_s)
+        level += 1
+    in_frontier = np.zeros(n_seeds, dtype=bool)
+    in_frontier[sid] = True
+    saturated = active & ~in_frontier
+    if not retire_covered:
+        cov_count = covd.reshape(n_seeds, n_cov).sum(axis=1)
+    points = None
+    if keep_points:
+        keys = np.concatenate([k for k, _ in kept])
+        order = np.argsort(keys)
+        counts = np.bincount(keys // n_fine, minlength=n_seeds)
+        points = np.split(np.concatenate([p for _, p in kept])[order],
+                          np.cumsum(counts)[:-1])
+    return cov_count, saturated, partial, hit, level, points
+
+
+# circle rotations without and with guiding arcs; a reflection whose
+# image of a tiny angle is np.mod(-tiny, 2 pi) = 2 pi, guided by an arc
+# across the seam and beside an arc from 0 (the shifts +P and -P); an
+# interval system whose images leave [-1, 1] and are clipped
+KERNEL_SYSTEMS = {
+    "circle unguided": GuidedSystem(CircleSpace(), [
+        parse("t + 1"), parse("t + 1.4142135623730951")]),
+    "circle arcs": GuidedSystem(CircleSpace(), [
+        parse(f"t + {TWO_PI * GOLDEN!r}"), parse(f"t + {TWO_PI * 0.3!r}")],
+        guiding=[[(0.5, 0.9), (3.0, 3.0)], [(2.0, 2.4), (5.5, 5.5)]]),
+    "circle seam": GuidedSystem(CircleSpace(), [
+        parse("-t"), parse("t + 2.3"), parse("t + 1")],
+        guiding=[[(6.0, 6.6)], [(0.0, 0.3)], []]),
+    "interval clipped": GuidedSystem(Interval(-1.0, 1.0), [
+        parse("1.5*t + 0.4"), parse("(t - 1)/2")],
+        guiding=[[(-0.2, 0.1)], []], validate=False),
+}
+# 2 pi / 62.5: 63 eps-cells and 125, 500 and 1000 fine cells, counts at
+# which 2 pi / (2 pi / n) rounds below n
+SEAM_EPS = TWO_PI / 62.5
+
+
+@given(st.sampled_from(sorted(KERNEL_SYSTEMS)),
+       st.lists(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                          st.sampled_from([-1e-300, 1e-300])),
+                min_size=1, max_size=6),
+       st.sampled_from([0.05, 0.02, SEAM_EPS]), st.integers(0, 300),
+       st.sampled_from([2, 8, 16]), st.sampled_from([0, 40, 500_000]),
+       st.sampled_from(["none", "covered", "target"]), st.booleans())
+@example("circle seam", [-1e-300, 1e-300], SEAM_EPS, 3, 8, 500_000, "none",
+         True)
+@settings(max_examples=150, deadline=None)
+def test_closures_match_reference(name, units, eps, depth, mult, cap,
+                                  retire, keep_points):
+    system = KERNEL_SYSTEMS[name]
+    space = system.space
+    # a unit in [0, 1) names a point of the space; +-1e-300 stay as given
+    seeds = np.array([u if abs(u) < 1e-200 else
+                      (space.a + u * space.length
+                       if isinstance(space, Interval) else u * space.period)
+                      for u in units])
+    kw = {"retire_covered": retire == "covered",
+          "target": 0.5 if retire == "target" else None,
+          "keep_points": keep_points}
+    got = _closures(system, seeds, depth, eps, mult, cap, **kw)
+    want = closures_reference(system, seeds, depth, eps, mult, cap, **kw)
+    for g, w in zip(got[:4], want[:4]):
+        assert np.array_equal(g, w)
+    assert got[4] == want[4]
+    if keep_points:
+        assert len(got[5]) == len(want[5])
+        assert all(np.array_equal(g, w) for g, w in zip(got[5], want[5]))
+    else:
+        assert got[5] is None and want[5] is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
+def test_step_rule_matches_distance(data, tol):
+    space, gset = data.draw(unions())
+    # the system holds the guiding set as the kernel sees it: on a
+    # circle, arcs moved to start in [0, 2 pi)
+    lam = GuidedSystem(space, [parse("t")], [gset], tol_lambda=tol,
+                       validate=False).guiding[0]
+    rule = _step_rule(lam, space, tol)
+    ends = np.ravel(lam.intervals)
+    near = np.r_[ends, ends - tol, ends + tol]
+    x = np.r_[near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf),
+              -1e-300, 0.0, space.length, -1.0, 1.0, np.nan]
+    x = space.normalize(x)
+    if isinstance(space, CircleSpace):
+        x = np.r_[x, space.period]   # np.mod(-1e-300, P) gives P too
+    want = lam.distance(x, space) > tol
+    if rule is None:
+        assert lam.is_empty and want.all()
+    else:
+        assert np.array_equal(rule(x), want)
+
+
+def test_circle_cell_index_puts_the_seam_point_in_cell_zero():
+    # x = P (np.mod of a tiny negative angle) is the angle 0; P / (P / n)
+    # rounds below n for some n (25 and 63 for 2 pi)
+    rng = np.random.default_rng(3)
+    for period in (TWO_PI, 1.0, 7.3):
+        space = CircleSpace(period)
+        x = np.r_[0.0, rng.uniform(0.0, period, 200), period]
+        for n in range(1, 400):
+            got = space.cell_index(x, n)
+            assert got[0] == got[-1] == 0
+            assert np.array_equal(got, cell_index_reference(space, x, n))
+
+
+@pytest.mark.parametrize("key", ["tol_lambda", "tol_step", "tol_range"])
+def test_guided_system_rejects_tolerances_not_finite_nonnegative(key):
+    for value in (math.nan, math.inf, -1e-12):
+        with pytest.raises(ValueError, match=key):
+            GuidedSystem(Interval(-1.0, 1.0), [parse("t/2")],
+                         **{key: value})
+
+
 def witness_intervals_loop(space, rep_points, pad):
     """Reference: the pad-and-merge loop the vectorized version replaced."""
     pts = np.sort(np.asarray(rep_points, dtype=float))
@@ -790,7 +978,6 @@ def test_witness_intervals_match_loop(space):
 # witness validation and orbit graphs against per-interval loops
 # --------------------------------------------------------------------------
 
-TWO_PI = 2 * math.pi
 # increasing, decreasing and non-monotone maps of [-1, 1] and of the
 # circle, plus images of zero width and images 1.5 tau wide that straddle
 # a cell edge at 2 cells (tau = 1e-9 of a cell width)
@@ -1207,6 +1394,15 @@ def test_distance_matches_broadcast(case, free):
     with np.errstate(invalid="ignore"):
         got, want = gset.distance(x, space), broadcast_distance(gset, x, space)
     assert np.array_equal(got, want, equal_nan=True)
+    # a zero distance is +0.0, also at x = -0.0
+    assert not np.signbit(got[got == 0.0]).any()
+
+
+def test_distance_at_negative_zero_is_positive_zero():
+    # the member ends at x, so x - reach is -0.0 - 0.0 = -0.0
+    for space in (Interval(-1.0, 1.0), CircleSpace()):
+        d = GuidingSet([(-0.5, 0.0)]).distance(np.array([-0.0, 0.0]), space)
+        assert d.tolist() == [0.0, 0.0] and not np.signbit(d).any()
 
 
 def pad_merge_reference(pts, pad):
