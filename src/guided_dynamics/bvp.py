@@ -32,8 +32,8 @@ from .errors import (CornerMismatch, DegenerateParametrization, NoBracket,
                      NotSolvableError)
 from .exprlang import Expression, _scalar, as_callable, differentiate
 from .funceq import GridFunction
-from .gds import (MAX_CYCLE_LEN, ContractionMinimalityCertificate,
-                  GeneratorMap, GuidedSystem, GuidingSet, Interval,
+from .gds import (ContractionMinimalityCertificate, GeneratorMap,
+                  GuidedSystem, GuidingSet, Interval,
                   check_contraction_minimality, find_guided_cycles,
                   probe_minimality, verify_conjugacy, write_csv,
                   zero_band_guiding)
@@ -42,6 +42,7 @@ from .pconf import IvpProblem, solve_ivp, validate_pconfiguration
 TOL_SLOPE = 1e-8
 Z_TABLE_N = 257      # nodes of the omega table that starts the z(t) Newton
 Z_MAX_ITER = 100     # hard cap on the z(t) steps of one element
+SCAN_N = 4097        # grid of the omega' and delta_i' scans of a build
 
 __all__ = [
     "BoundaryProblem", "BoundarySystem", "SolutionTriple", "BvpSolution",
@@ -218,7 +219,7 @@ def project_pi3(p, system: BoundarySystem):
     return float(xs), float(ys)
 
 
-def build_boundary_system(problem: BoundaryProblem, grid_n: int = 4097,
+def build_boundary_system(problem: BoundaryProblem,
                           rng=None) -> BoundarySystem:
     """Construct the guided systems on Gamma and on I = [-m, n], validate
     the induced P-configuration, and verify the omega-conjugacy between
@@ -228,7 +229,7 @@ def build_boundary_system(problem: BoundaryProblem, grid_n: int = 4097,
     omega_d = differentiate(omega)
     omega_d2 = differentiate(omega_d)
 
-    zs = np.linspace(-1.0, 1.0, grid_n)
+    zs = np.linspace(-1.0, 1.0, SCAN_N)
     slope = omega_d(zs)
     if float(np.min(slope)) <= TOL_SLOPE:
         raise DegenerateParametrization(
@@ -288,7 +289,7 @@ def build_boundary_system(problem: BoundaryProblem, grid_n: int = 4097,
     # coincidence check: delta_i' vanishes on the mapped bands and nowhere
     # else (grid scan at the derivative root tolerance)
     defect = 0.0
-    t_grid = interval.grid(grid_n)
+    t_grid = interval.grid(SCAN_N)
     for lam, delta in ((lambda1, delta1), (lambda2, delta2)):
         vals = delta.derivative(t_grid)
         if not lam.is_empty:
@@ -307,7 +308,7 @@ def build_boundary_system(problem: BoundaryProblem, grid_n: int = 4097,
 
     gamma_system = GuidedSystem(z_iv, [zeta1, zeta2], [omega1, omega2])
     conj = verify_conjugacy(gamma_system, interval_system, omega, z_of_t,
-                            samples=100, tol=1e-9, rng=rng)
+                            samples=100, rng=rng)
     return BoundarySystem(
         problem=problem, interval=interval, omega=omega, z_of_t=z_of_t,
         delta1=delta1, delta2=delta2, omega_sets=(omega1, omega2),
@@ -396,7 +397,6 @@ class SolvabilityReport:
 
 def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
                         depth: int = 10 ** 5,
-                        max_cycle_len: int = MAX_CYCLE_LEN,
                         rng=None) -> SolvabilityReport:
     """Layered decision. (1) A contraction certificate proves minimality
     of the unguided dynamics, conclusive when the guiding sets are empty.
@@ -446,7 +446,7 @@ def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
         notes.append("tangency-segment hypotheses fail; fixed-point route "
                      "skipped")
 
-    cycles = find_guided_cycles(isys, max_cycle_len)
+    cycles = find_guided_cycles(isys)
     witness = cycles.cycles[0] if cycles.cycles else None
     if cycles.cycles:
         if status == "solvable":
@@ -483,12 +483,12 @@ class BoundaryReduction:
 
 
 def reduce_boundary_data(problem: BoundaryProblem, system: BoundarySystem,
-                         M: int = 1024,
-                         corner_tol: float = 1e-7) -> BoundaryReduction:
+                         M: int = 1024) -> BoundaryReduction:
     """h(t) = g_gamma(z(t)) - g1(x(t)) - g2(y(t)) + g(O) on [-m, n].
 
     With the additive constant pinned to g(O), corner compatibility makes
-    h vanish at both interval ends; the defects are reported and checked.
+    h vanish at both interval ends; the defects are reported and checked
+    against 1e-7.
     """
     gO = problem.g_origin
 
@@ -501,7 +501,7 @@ def reduce_boundary_data(problem: BoundaryProblem, system: BoundarySystem,
 
     ends = h_fn(np.array([system.interval.a, system.interval.b]))
     d_a, d_b = abs(float(ends[0])), abs(float(ends[1]))
-    if max(d_a, d_b) > corner_tol:
+    if max(d_a, d_b) > 1e-7:
         raise CornerMismatch(
             f"reduced data does not vanish at the interval ends: "
             f"h(-m) = {float(ends[0])!r}, h(n) = {float(ends[1])!r}")
@@ -556,14 +556,11 @@ class BvpSolution:
             self._chi_smooth = CubicSpline(chi.nodes, chi.values)
         return self._chi_smooth
 
-    def field(self, x, y, outside=np.nan, tol=1e-9):
+    def field(self, x, y):
         """Sample u on points of the closed domain; outside points get
-        `outside`."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inside = self.system.contains(x, y, tol)
-        u = self._field_raw(x, y)
-        return np.where(inside, u, outside)
+        NaN."""
+        return np.where(self.system.contains(x, y), self._field_raw(x, y),
+                        np.nan)
 
     def _field_raw(self, x, y):
         p = self.problem
@@ -575,14 +572,15 @@ class BvpSolution:
                 np.asarray(p.g2(y), dtype=float) - p.g_origin +
                 chi(t) - chi(p.n * x) - chi(-p.m * y))
 
-    def field_csv(self, path, step=1.0 / 64):
-        xs = np.arange(0.0, 1.0 + step / 2, step)
-        ys = np.arange(0.0, 1.0 + step / 2, step)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        inside = self.system.contains(X.ravel(), Y.ravel())
-        U = self.field(X.ravel(), Y.ravel())
-        write_csv(path, "x,y,u",
-                  [X.ravel()[inside], Y.ravel()[inside], U[inside]])
+    def field_csv(self, path):
+        """u at the nodes of the 1/64 lattice of [0, 1]^2 inside the
+        domain."""
+        xs = np.arange(0.0, 1.0 + 1.0 / 128, 1.0 / 64)
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        X, Y = X.ravel(), Y.ravel()
+        inside = self.system.contains(X, Y)
+        X, Y = X[inside], Y[inside]
+        write_csv(path, "x,y,u", [X, Y, self._field_raw(X, Y)])
 
 
 def solve_bvp(problem: BoundaryProblem, M: int = 512, mu: float = 0.0,
@@ -627,9 +625,9 @@ def solve_bvp(problem: BoundaryProblem, M: int = 512, mu: float = 0.0,
     return solution
 
 
-def verify_solution(solution: BvpSolution, fd_step: float = 1.0 / 128,
-                    n_boundary: int = 1024) -> BvpVerification:
-    """Boundary sup-defects (axes sampled densely, Gamma at the curve
+def verify_solution(solution: BvpSolution,
+                    fd_step: float = 1.0 / 128) -> BvpVerification:
+    """Boundary sup-defects (axes at 1024 points, Gamma at the curve
     images of the chi collocation nodes, where the interpolants of the
     reduction cancel exactly) and the interior finite-difference residual
     of the factored operator."""
@@ -637,7 +635,7 @@ def verify_solution(solution: BvpSolution, fd_step: float = 1.0 / 128,
     system = solution.system
     m, n = p.m, p.n
 
-    xs = np.linspace(0.0, 1.0, n_boundary)
+    xs = np.linspace(0.0, 1.0, 1024)
     d1 = float(np.max(np.abs(
         solution._field_raw(xs, np.zeros_like(xs)) -
         np.asarray(p.g1(xs), dtype=float))))

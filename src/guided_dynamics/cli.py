@@ -2,10 +2,14 @@
 artifact emission.
 
 Exit codes: 0 verdict/solve success, 1 negative domain verdict (e.g.
-NotSolvable, Inconsistent, NotMinimal), 2 usage/config error, 3 numeric
-failure. Reports are JSON (sorted keys); grids are CSV. A fixed --seed
-drives every randomized sampling step, so identical invocations produce
-byte-identical reports (--no-meta drops the timestamp block).
+NotSolvable, Inconsistent, NotMinimal), 2 usage/config error (a flag the
+subcommand does not read included), 3 numeric failure; a package error
+carries its own code and stderr label. Reports are JSON (sorted keys);
+grids are CSV. `--seed` drives the randomized sampling of build-bvp,
+analyze-bvp and verify-conjugacy; solve-bvp samples its conjugacy and
+contraction checks at a fixed seed 0 and takes no --seed. Identical
+invocations produce byte-identical reports (--no-meta drops the timestamp
+block).
 """
 
 from __future__ import annotations
@@ -24,13 +28,9 @@ from . import cauchy as cauchy_mod
 from . import funceq as funceq_mod
 from . import gds as gds_mod
 from . import pconf as pconf_mod
-from .errors import (BudgetExceeded, CornerMismatch, DataMismatch,
-                     DegenerateParametrization, DomainError,
-                     ExprSyntaxError, GuidedDynamicsError,
-                     HypothesisFailure, IllConditioned, MapEscape,
-                     NoBracket, NoConvergence, NotASolution, NotCertified,
-                     NotInvertible, NotSolvableError, PConfigViolation,
-                     ResolutionTooCoarse, SchemaError)
+from .errors import (ExprSyntaxError, GuidedDynamicsError, HypothesisFailure,
+                     NotSolvableError, PConfigViolation, ResolutionTooCoarse,
+                     SchemaError)
 from .exprlang import parse as parse_expr
 
 TOP_LEVEL_KEYS = {"space", "maps", "guiding", "coeffs", "problem",
@@ -53,56 +53,39 @@ NUMERIC_FAILURE_EXIT = 3
 
 
 class JobConfig:
-    def __init__(self, raw, path="<config>"):
+    """A config that load_config has checked."""
+
+    def __init__(self, raw):
         self.raw = raw
-        self.path = path
-        self.parsed_maps = None
-        self.parsed_coeffs = None
-
-    @property
-    def tolerances(self):
-        return self.raw.get("tolerances", {})
-
-    @property
-    def tol_lambda(self):
-        return float(self.tolerances.get("tol_lambda", gds_mod.TOL_LAMBDA))
-
-    @property
-    def budgets(self):
-        return self.raw.get("budgets", {})
+        self.tolerances = raw.get("tolerances", {})
+        self.tol_lambda = float(self.tolerances.get("tol_lambda",
+                                                    gds_mod.TOL_LAMBDA))
+        self.problem = raw.get("problem", {})
+        self.parsed_maps = self.parsed_coeffs = None
 
     def budgets_for(self, command):
         """The budgets that bound `command`, keyed by library keyword."""
-        return {BUDGETS[key][0]: value for key, value in self.budgets.items()
+        return {BUDGETS[key][0]: value
+                for key, value in self.raw.get("budgets", {}).items()
                 if command in BUDGETS[key][1]}
-
-    @property
-    def problem(self):
-        return self.raw.get("problem", {})
 
     def space(self):
         section = self.raw.get("space")
         if section is None:
             raise SchemaError("missing 'space' section", "/space")
-        kind = section.get("type")
+        kind = section["type"]
         if kind == "interval":
             return gds_mod.Interval(float(section["a"]), float(section["b"]))
         if kind == "circle":
             return gds_mod.CircleSpace(float(section.get(
                 "period", 2.0 * np.pi)))
-        if kind == "graph":
-            return gds_mod.FiniteGraphSpace(int(section["nodes"]))
-        raise SchemaError(f"unknown space type {kind!r}", "/space/type")
+        return gds_mod.FiniteGraphSpace(section["nodes"])
 
     def generator_maps(self):
         space = self.space()
         if isinstance(space, gds_mod.FiniteGraphSpace):
-            tables = self.raw["space"].get("tables")
-            if tables is None:
-                raise SchemaError("graph space needs 'tables'",
-                                  "/space/tables")
             return [gds_mod.GeneratorMap(None, None, label=i, table=tab)
-                    for i, tab in enumerate(tables)]
+                    for i, tab in enumerate(self.raw["space"]["tables"])]
         if self.parsed_maps is None:
             raise SchemaError("missing 'maps' section", "/maps")
         return [gds_mod.map_from(expr, label=i)
@@ -112,16 +95,9 @@ class JobConfig:
         section = self.raw.get("guiding")
         if section is None:
             return None
-        sets = []
-        for entry in section:
-            intervals = []
-            for item in entry:
-                if isinstance(item, (int, float)):
-                    intervals.append((float(item), float(item)))
-                else:
-                    intervals.append((float(item[0]),
-                                      float(item[-1])))
-            sets.append(gds_mod.GuidingSet(intervals))
+        # load_config checked each item: a point or an interval [lo, hi]
+        sets = [gds_mod.GuidingSet([(x, x) if _is_number(x) else x
+                                    for x in entry]) for entry in section]
         if len(sets) != n:
             raise SchemaError(
                 f"need one guiding entry per generator ({n}), got "
@@ -156,6 +132,66 @@ def _parse_expr_at(source, pointer, var="t"):
             pointer) from exc
 
 
+def _require(section, keys, pointer):
+    missing = set(keys) - set(section)
+    if missing:
+        raise SchemaError(f"missing keys {sorted(missing)}", pointer)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    # NaN, inf and ints beyond any float fail the comparison
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value, item_test=lambda item: True):
+    """A nonempty list whose items all pass item_test."""
+    return isinstance(value, list) and bool(value) and \
+        all(map(item_test, value))
+
+
+def _is_pair(value, item_test):
+    return _is_list(value, item_test) and len(value) == 2
+
+
+# space key -> (test of its value, what the value must be)
+SPACE_VALUES = {
+    "a": (_is_finite, "a finite number"),
+    "b": (_is_finite, "a finite number"),
+    "period": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "nodes": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "tables": (lambda v: _is_list(v, lambda t: _is_list(t, _is_int)),
+               "a list of lists of integers"),
+}
+
+
+def _check_space(space):
+    kind = space.get("type")
+    if not isinstance(kind, str) or kind not in SPACE_KEYS:
+        raise SchemaError(f"unknown space type {kind!r}", "/space/type")
+    for key in space:
+        if key not in SPACE_KEYS[kind]:
+            raise SchemaError(f"unknown key {key!r}", f"/space/{key}")
+    _require(space, SPACE_KEYS[kind] - {"period"}, "/space")
+    for key, value in space.items():
+        if key in SPACE_VALUES and not SPACE_VALUES[key][0](value):
+            raise SchemaError(f"expected {SPACE_VALUES[key][1]}, got "
+                              f"{value!r}", f"/space/{key}")
+    if kind == "interval" and not space["a"] < space["b"]:
+        raise SchemaError("'a' must be less than 'b'", "/space/b")
+    for i, table in enumerate(space.get("tables", ())):
+        if len(table) != space["nodes"]:
+            raise SchemaError(f"need one entry per node ({space['nodes']})",
+                              f"/space/tables/{i}")
+
+
 def load_config(path: str) -> JobConfig:
     """Read, schema-validate, and pre-parse a job config."""
     try:
@@ -168,34 +204,39 @@ def load_config(path: str) -> JobConfig:
     for key in raw:
         if key not in TOP_LEVEL_KEYS:
             raise SchemaError(f"unknown key {key!r}", f"/{key}")
-    space = raw.get("space")
-    if space is not None:
-        kind = space.get("type")
-        if kind not in SPACE_KEYS:
-            raise SchemaError(f"unknown space type {kind!r}", "/space/type")
-        for key in space:
-            if key not in SPACE_KEYS[kind]:
-                raise SchemaError(f"unknown key {key!r}", f"/space/{key}")
-    for section, allowed in (("tolerances", TOLERANCE_KEYS),
-                             ("budgets", BUDGETS)):
+    for section in ("space", "problem", "tolerances", "budgets"):
         if not isinstance(raw.get(section, {}), dict):
             raise SchemaError(f"{section!r} must be an object", f"/{section}")
-        for key in raw.get(section, {}):
+    for section in ("maps", "coeffs", "guiding"):
+        if section in raw and not _is_list(raw[section]):
+            raise SchemaError(f"{section!r} must be a nonempty list",
+                              f"/{section}")
+    if "space" in raw:
+        _check_space(raw["space"])
+    for section, allowed, test, shape in (
+            ("tolerances", TOLERANCE_KEYS, lambda v: _is_finite(v) and v >= 0,
+             "a finite number >= 0"),
+            ("budgets", BUDGETS, lambda v: _is_int(v) and v >= 1,
+             "an integer >= 1")):
+        for key, value in raw.get(section, {}).items():
             if key not in allowed:
                 raise SchemaError(f"unknown key {key!r}",
                                   f"/{section}/{key}")
-    for key, value in raw.get("tolerances", {}).items():
-        # NaN, inf and ints beyond any float fail the comparison too
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not 0 <= value <= sys.float_info.max:
-            raise SchemaError(f"expected a finite number >= 0, got "
-                              f"{value!r}", f"/tolerances/{key}")
-    for key, value in raw.get("budgets", {}).items():
-        if isinstance(value, bool) or not isinstance(value, int) \
-                or value < 1:
-            raise SchemaError(f"expected an integer >= 1, got {value!r}",
-                              f"/budgets/{key}")
-    cfg = JobConfig(raw, path)
+            if not test(value):
+                raise SchemaError(f"expected {shape}, got {value!r}",
+                                  f"/{section}/{key}")
+    for i, entry in enumerate(raw.get("guiding", ())):
+        if not isinstance(entry, list):
+            raise SchemaError("a guiding entry must be a list",
+                              f"/guiding/{i}")
+        for j, item in enumerate(entry):
+            # a point, or an interval [lo, hi] with lo <= hi
+            if not (_is_finite(item) or _is_pair(item, _is_finite)
+                    and item[0] <= item[1]):
+                raise SchemaError("expected a number or an interval "
+                                  "[lo, hi] with lo <= hi",
+                                  f"/guiding/{i}/{j}")
+    cfg = JobConfig(raw)
     if "maps" in raw:
         cfg.parsed_maps = [
             _parse_expr_at(src, f"/maps/{i}")
@@ -344,10 +385,12 @@ def _pconf_from_config(cfg):
     if anchors is None:
         raise SchemaError("P-configuration needs problem.anchors",
                           "/problem/anchors")
-    maps = cfg.generator_maps()
-    space = cfg.space()
-    tol = float(cfg.tolerances.get("tol", 1e-8))
-    return pconf_mod.validate_pconfiguration(maps, space, anchors, tol=tol)
+    if not _is_list(anchors, _is_finite):
+        raise SchemaError("'anchors' must be a list of numbers",
+                          "/problem/anchors")
+    return pconf_mod.validate_pconfiguration(
+        cfg.generator_maps(), cfg.space(), anchors,
+        tol=float(cfg.tolerances.get("tol", 1e-8)))
 
 
 def cmd_validate_pconf(cfg, args):
@@ -365,6 +408,7 @@ def cmd_validate_pconf(cfg, args):
 
 
 def cmd_solve_ivp(cfg, args):
+    _require_numeric(cfg.problem, ("c", "mu"), "/problem")
     pc = _pconf_from_config(cfg)
     problem = cfg.problem
     h_src = args.h or problem.get("h")
@@ -387,16 +431,6 @@ def cmd_solve_ivp(cfg, args):
     return report, 0, sol.f.to_csv
 
 
-def _require(section, keys, pointer):
-    missing = set(keys) - set(section)
-    if missing:
-        raise SchemaError(f"missing keys {sorted(missing)}", pointer)
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _require_numeric(section, keys, pointer, ndim=0):
     """Each present key must hold a JSON number or, up to ndim levels
     deep, a nonempty rectangular nested list of numbers."""
@@ -411,14 +445,6 @@ def _require_numeric(section, keys, pointer, ndim=0):
             raise SchemaError(f"{key!r} must be {shape}", f"{pointer}/{key}")
 
 
-def _require_interval(section, pointer):
-    value = section.get("interval")
-    if not (isinstance(value, list) and len(value) == 2
-            and all(_is_number(v) for v in value)):
-        raise SchemaError("'interval' must be a list of two numbers",
-                          f"{pointer}/interval")
-
-
 # overdet kind -> problem keys it reads
 OVERDET_KEYS = {"jensen": ("interval", "A", "B"), "cauchy": ("B",),
                 "geometric_mean": ("interval", "A", "B"),
@@ -428,11 +454,13 @@ OVERDET_KEYS = {"jensen": ("interval", "A", "B"), "cauchy": ("B",),
 def cmd_overdet(cfg, args):
     problem = cfg.problem
     kind = problem.get("kind")
-    if kind not in OVERDET_KEYS:
+    if not isinstance(kind, str) or kind not in OVERDET_KEYS:
         raise SchemaError(f"unknown overdet kind {kind!r}", "/problem/kind")
     _require(problem, OVERDET_KEYS[kind], "/problem")
-    if "interval" in OVERDET_KEYS[kind]:
-        _require_interval(problem, "/problem")
+    if "interval" in OVERDET_KEYS[kind] and \
+            not _is_pair(problem["interval"], _is_number):
+        raise SchemaError("'interval' must be a list of two numbers",
+                          "/problem/interval")
     _require_numeric(problem, ("A", "B", "weight"), "/problem")
     if kind == "jensen":
         prob = cauchy_mod.OverdetProblem.jensen(
@@ -502,6 +530,7 @@ def _bvp_problem(cfg):
         if key not in required:
             raise SchemaError(f"unknown key {key!r}", f"/problem/{key}")
     _require(problem, required, "/problem")
+    _require_numeric(problem, ("m", "n"), "/problem")
     return bvp_mod.BoundaryProblem(
         alpha1=_parse_expr_at(problem["alpha1"], "/problem/alpha1", var="z"),
         alpha2=_parse_expr_at(problem["alpha2"], "/problem/alpha2", var="z"),
@@ -582,25 +611,6 @@ def cmd_verify_conjugacy(cfg, args):
     return report, 0 if rep.ok else NEGATIVE_VERDICT_EXIT
 
 
-HANDLERS = {
-    "orbit": cmd_orbit,
-    "probe": cmd_probe,
-    "weak-attractor": cmd_weak_attractor,
-    "cycles": cmd_cycles,
-    "graph-min": cmd_graph_min,
-    "certify": cmd_certify,
-    "solve-fe": cmd_solve_fe,
-    "solve-ivp": cmd_solve_ivp,
-    "validate-pconf": cmd_validate_pconf,
-    "overdet": cmd_overdet,
-    "affine-analyze": cmd_affine_analyze,
-    "build-bvp": cmd_build_bvp,
-    "analyze-bvp": cmd_analyze_bvp,
-    "solve-bvp": cmd_solve_bvp,
-    "verify-conjugacy": cmd_verify_conjugacy,
-}
-
-
 def _arg_type(convert, accept, expected):
     """An argparse type: convert the text and keep values `accept` takes;
     anything else is a usage error (exit 2)."""
@@ -622,20 +632,38 @@ _nonnegative_int = _arg_type(int, lambda v: v >= 0,
 _positive_float = _arg_type(float, lambda v: 0.0 < v < np.inf,
                             "a positive finite number")
 
-# defaults of the common flags, per subcommand; a flag given on the command
-# line is used as given. graph-min's --grid, solve-ivp's --c/--mu and
-# cycles' --max-len default from the config instead.
-FLAG_DEFAULTS = {
-    "orbit": {"eps": 0.01, "depth": 10 ** 4},
-    "probe": {"eps": 0.01, "depth": 10 ** 5},
-    "weak-attractor": {"eps": 0.01, "depth": 10 ** 5},
-    "certify": {"grid": 1024},
-    "solve-fe": {"grid": 1024, "tol": 1e-12},
-    "solve-ivp": {"grid": 512},
-    "overdet": {"eps": 2.0 ** -12, "depth": 14, "tol": 1e-9},
-    "analyze-bvp": {"eps": 0.01, "depth": 10 ** 5},
-    "solve-bvp": {"grid": 512, "eps": 0.01, "depth": 10 ** 5, "mu": 0.0},
+# every flag's type; --eps and --tol are positive, --depth >= 0
+FLAG_TYPES = {"--x0": float, "--eps": _positive_float,
+              "--depth": _nonnegative_int, "--grid": _positive_int,
+              "--tol": _positive_float, "--seed": int, "--h": str,
+              "--c": float, "--mu": float, "--max-len": _positive_int}
+# subcommand -> (handler, the flags it reads and their defaults); every
+# subcommand also takes --config --out --no-meta --debug. A flag given on
+# the command line is used as given; `...` marks a required flag, and a
+# default of None leaves the value to the config (or the library).
+COMMANDS = {
+    "orbit": (cmd_orbit, {"--x0": ..., "--eps": 0.01, "--depth": 10 ** 4}),
+    "probe": (cmd_probe, {"--eps": 0.01, "--depth": 10 ** 5}),
+    "weak-attractor": (cmd_weak_attractor,
+                       {"--x0": ..., "--eps": 0.01, "--depth": 10 ** 5}),
+    "cycles": (cmd_cycles, {"--max-len": None}),
+    "graph-min": (cmd_graph_min, {"--grid": None}),
+    "certify": (cmd_certify, {"--grid": 1024}),
+    "solve-fe": (cmd_solve_fe, {"--h": None, "--grid": 1024, "--tol": 1e-12}),
+    "solve-ivp": (cmd_solve_ivp,
+                  {"--h": None, "--c": None, "--mu": None, "--grid": 512}),
+    "validate-pconf": (cmd_validate_pconf, {}),
+    "overdet": (cmd_overdet,
+                {"--eps": 2.0 ** -12, "--depth": 14, "--tol": 1e-9}),
+    "affine-analyze": (cmd_affine_analyze, {}),
+    "build-bvp": (cmd_build_bvp, {"--seed": 0}),
+    "analyze-bvp": (cmd_analyze_bvp,
+                    {"--seed": 0, "--eps": 0.01, "--depth": 10 ** 5}),
+    "solve-bvp": (cmd_solve_bvp, {"--grid": 512, "--mu": 0.0, "--eps": 0.01,
+                                  "--depth": 10 ** 5}),
+    "verify-conjugacy": (cmd_verify_conjugacy, {"--seed": 0}),
 }
+HANDLERS = {name: handler for name, (handler, _) in COMMANDS.items()}
 
 
 def build_parser():
@@ -645,41 +673,17 @@ def build_parser():
                     "equations, and the characteristic boundary value "
                     "problem.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--eps", type=_positive_float, default=None)
-        p.add_argument("--depth", type=_nonnegative_int, default=None)
-        p.add_argument("--grid", type=_positive_int, default=None)
-        p.add_argument("--tol", type=_positive_float, default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-meta", action="store_true")
         p.add_argument("--debug", action="store_true",
                        help="print the traceback of an internal error")
-        if name == "orbit":
-            p.add_argument("--x0", type=float, required=True)
-        if name == "weak-attractor":
-            p.add_argument("--x0", type=float, required=True)
-        if name == "cycles":
-            p.add_argument("--max-len", type=_positive_int, default=None)
-        if name in ("solve-ivp",):
-            p.add_argument("--h", default=None)
-            p.add_argument("--c", type=float, default=None)
-            p.add_argument("--mu", type=float, default=None)
-        if name == "solve-fe":
-            p.add_argument("--h", default=None)
-        if name == "solve-bvp":
-            p.add_argument("--mu", type=float, default=None)
-        p.set_defaults(**FLAG_DEFAULTS.get(name, {}))
+        for flag, default in flags.items():
+            p.add_argument(flag, type=FLAG_TYPES[flag], default=default,
+                           required=default is ...)
     return parser
-
-
-_NUMERIC_ERRORS = (NoConvergence, IllConditioned, NotCertified,
-                   BudgetExceeded, DomainError, MapEscape, NoBracket,
-                   NotInvertible, NotASolution)
-_VERDICT_ERRORS = (PConfigViolation, HypothesisFailure, DataMismatch,
-                   CornerMismatch, DegenerateParametrization)
 
 
 def main(argv=None) -> int:
@@ -692,24 +696,15 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         report, code, *to_csv = HANDLERS[args.command](cfg, args)
         return emit(report, args, code, *to_csv)
-    except SchemaError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return CONFIG_ERROR_EXIT
+    except GuidedDynamicsError as exc:
+        sys.stderr.write(f"{exc.label}: {exc}\n")
+        return exc.exit_code
     except argparse.ArgumentError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return CONFIG_ERROR_EXIT
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return CONFIG_ERROR_EXIT
-    except _VERDICT_ERRORS as exc:
-        sys.stderr.write(f"rejected: {exc}\n")
-        return NEGATIVE_VERDICT_EXIT
-    except _NUMERIC_ERRORS as exc:
-        sys.stderr.write(f"numeric failure: {exc}\n")
-        return NUMERIC_FAILURE_EXIT
-    except GuidedDynamicsError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return NUMERIC_FAILURE_EXIT
     except Exception as exc:  # never panic on malformed input
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         if args.debug:

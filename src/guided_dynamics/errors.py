@@ -5,9 +5,14 @@ exceptions; they are returned as report records. Exceptions are reserved for
 violated preconditions and numeric failures.
 """
 
+REJECTED = (1, "rejected")
+NUMERIC_FAILURE = (3, "numeric failure")
+
 
 class GuidedDynamicsError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. The CLI exits with `exit_code`
+    and writes `label: message` to stderr."""
+    exit_code, label = 3, "error"
 
 
 class ExprSyntaxError(GuidedDynamicsError, ValueError):
@@ -26,6 +31,7 @@ class ExprSyntaxError(GuidedDynamicsError, ValueError):
 class DomainError(GuidedDynamicsError, ArithmeticError):
     """Evaluation hit a real-arithmetic domain violation (log/sqrt of a
     negative number, division by zero). Carries the offending subexpression."""
+    exit_code, label = NUMERIC_FAILURE
 
     def __init__(self, message, subexpression=None, x=None):
         super().__init__(message)
@@ -35,6 +41,7 @@ class DomainError(GuidedDynamicsError, ArithmeticError):
 
 class MapEscape(GuidedDynamicsError, ValueError):
     """A generator map left the state space beyond tolerance."""
+    exit_code, label = NUMERIC_FAILURE
 
     def __init__(self, message, generator=None, point=None, image=None):
         super().__init__(message)
@@ -45,19 +52,23 @@ class MapEscape(GuidedDynamicsError, ValueError):
 
 class BudgetExceeded(GuidedDynamicsError, RuntimeError):
     """A configured enumeration budget was exhausted."""
+    exit_code, label = NUMERIC_FAILURE
 
 
 class NotCertified(GuidedDynamicsError, RuntimeError):
     """Neumann solve refused: no contraction certificate exists up to m_max."""
+    exit_code, label = NUMERIC_FAILURE
 
 
 class NoConvergence(GuidedDynamicsError, RuntimeError):
     """Fixed-point iteration did not converge within max_iter."""
+    exit_code, label = NUMERIC_FAILURE
 
 
 class NotASolution(GuidedDynamicsError, ValueError):
     """The supplied function does not satisfy the equation it is checked
     against (precondition gate)."""
+    exit_code, label = NUMERIC_FAILURE
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -66,6 +77,7 @@ class NotASolution(GuidedDynamicsError, ValueError):
 
 class HypothesisFailure(GuidedDynamicsError, ValueError):
     """A theorem hypothesis gate failed. Names the condition and witness."""
+    exit_code, label = REJECTED
 
     def __init__(self, condition, witness=None, detail=""):
         msg = f"hypothesis failed: {condition}"
@@ -78,6 +90,7 @@ class HypothesisFailure(GuidedDynamicsError, ValueError):
 
 class PConfigViolation(GuidedDynamicsError, ValueError):
     """A map family is not a valid generalized P-configuration."""
+    exit_code, label = REJECTED
 
     def __init__(self, condition, witness=None, detail=""):
         msg = f"P-configuration violation: {condition}"
@@ -90,10 +103,12 @@ class PConfigViolation(GuidedDynamicsError, ValueError):
 
 class DataMismatch(GuidedDynamicsError, ValueError):
     """Problem data violates the compatibility constraint h(a0) = h(aN)."""
+    exit_code, label = REJECTED
 
 
 class IllConditioned(GuidedDynamicsError, RuntimeError):
     """Estimated condition number of the normal system exceeds the cap."""
+    exit_code, label = NUMERIC_FAILURE
 
     def __init__(self, message, condition_estimate=None):
         super().__init__(message)
@@ -102,11 +117,13 @@ class IllConditioned(GuidedDynamicsError, RuntimeError):
 
 class CornerMismatch(GuidedDynamicsError, ValueError):
     """Boundary data parts disagree at a shared corner."""
+    exit_code, label = REJECTED
 
 
 class DegenerateParametrization(GuidedDynamicsError, ValueError):
     """The curve conjugation is not strictly monotone; omega is not
     invertible at the requested tolerance."""
+    exit_code, label = REJECTED
 
 
 class ResolutionTooCoarse(GuidedDynamicsError, ValueError):
@@ -115,10 +132,12 @@ class ResolutionTooCoarse(GuidedDynamicsError, ValueError):
 
 class NoBracket(GuidedDynamicsError, ValueError):
     """Bisection bracket endpoints do not straddle a sign change."""
+    exit_code, label = NUMERIC_FAILURE
 
 
 class NotInvertible(GuidedDynamicsError, ValueError):
     """phi_inv fails to invert phi at a sample point."""
+    exit_code, label = NUMERIC_FAILURE
 
     def __init__(self, message, point=None, defect=None):
         super().__init__(message)
@@ -139,6 +158,7 @@ class NotSolvableError(GuidedDynamicsError, ValueError):
 
 class SchemaError(GuidedDynamicsError, ValueError):
     """Config document violates the schema. Carries a JSON pointer."""
+    exit_code, label = 2, "config error"
 
     def __init__(self, message, pointer=""):
         super().__init__(f"{message} (at {pointer or '/'})")

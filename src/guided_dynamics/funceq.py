@@ -254,10 +254,10 @@ def apply_operator(system: FunceqSystem, f: GridFunction) -> GridFunction:
 
 
 def compute_g_n(system: FunceqSystem, n: int, mode: str = "iterated",
-                M: int = 1024, budget: int = 10 ** 6) -> GridFunction:
+                M: int = 1024) -> GridFunction:
     """g_n = A^n 1. 'iterated' applies the grid operator n times;
     'explicit' evaluates the multi-index product sum by exact pointwise
-    composition (no interpolation), at cost N^n."""
+    composition (no interpolation), at cost N^n, refused past 10^6."""
     if n < 0:
         raise ValueError("n must be >= 0")
     domain = system.space
@@ -268,9 +268,9 @@ def compute_g_n(system: FunceqSystem, n: int, mode: str = "iterated",
         return GridFunction(domain, g)
     if mode != "explicit":
         raise ValueError(f"unknown mode {mode!r}")
-    if system.n_maps ** n > budget:
+    if system.n_maps ** n > 10 ** 6:
         raise BudgetExceeded(
-            f"explicit g_n needs {system.n_maps ** n} terms > {budget}")
+            f"explicit g_n needs {system.n_maps ** n} terms > {10 ** 6}")
     nodes = grid_nodes(domain, M)
 
     def recurse(x, k):
@@ -373,12 +373,11 @@ class MaxPrincipleVerdict:
     residual: float
 
 
-def check_max_principle(system: FunceqSystem, f: GridFunction,
-                        tol: float, tol_level: float = None,
-                        eps: float = 0.01, depth: int = 5000):
+def check_max_principle(system: FunceqSystem, f: GridFunction, tol: float):
     """For an (approximate) solution of the homogeneous equation, verify
-    that f stays at its max (resp. min) level along the guided orbit cloud
-    of the argmax (resp. argmin)."""
+    that f stays at its max (resp. min) level, within max(10 tol, 1e-8),
+    along the guided orbit cloud (eps 0.01, depth 5000) of the argmax
+    (resp. argmin)."""
     nodes = f.nodes
     a_tab, d_tab = system.node_tables(f.domain, f.M)
     total = np.zeros_like(nodes)
@@ -404,8 +403,6 @@ def check_max_principle(system: FunceqSystem, f: GridFunction,
         raise NotASolution(
             f"homogeneous residual {residual!r} >= tol {tol!r}",
             residual=residual)
-    if tol_level is None:
-        tol_level = max(10.0 * tol, 1e-8)
     gsys = system.as_guided_system()
     worst = 0.0
     j_max = int(np.argmax(f.values))
@@ -413,11 +410,11 @@ def check_max_principle(system: FunceqSystem, f: GridFunction,
     n_pts = 0
     for j, side in ((j_max, +1.0), (j_min, -1.0)):
         level = f.values[j]
-        cloud = guided_orbit_set(gsys, nodes[j], depth, eps)
+        cloud = guided_orbit_set(gsys, nodes[j], 5000, 0.01)
         vals = f.eval(cloud.points)
         worst = max(worst, float(np.max(side * (level - vals))))
         n_pts += cloud.points.size
-    return MaxPrincipleVerdict(passed=worst <= tol_level,
+    return MaxPrincipleVerdict(passed=worst <= max(10.0 * tol, 1e-8),
                                worst_violation=worst,
                                argmax=float(nodes[j_max]),
                                argmin=float(nodes[j_min]),
@@ -472,14 +469,12 @@ class TriangularUniquenessVerdict:
 
 
 def verify_triangular_uniqueness(family: TriangularFamily,
-                                 system: GuidedSystem, F, tol: float,
-                                 samples: int = 64,
-                                 residual_tol: float = None):
-    """Hypothesis gate for the triangular-family uniqueness statement, then
-    componentwise constancy of (P^-1 F), in the inductive order component
-    1 first."""
+                                 system: GuidedSystem, F, tol: float):
+    """Hypothesis gate for the triangular-family uniqueness statement
+    (checked at 64 grid points), then componentwise constancy of
+    (P^-1 F), in the inductive order component 1 first."""
     space = system.space
-    xs = space.grid(samples)
+    xs = space.grid(64)
     for i in range(family.n_maps):
         for x in xs:
             A = family.matrix(i, x)
@@ -518,8 +513,7 @@ def verify_triangular_uniqueness(family: TriangularFamily,
         for j, x in enumerate(nodes):
             res[:, j] -= family.matrix(i, x) @ Fi[j]
     residual = float(np.max(np.abs(res)))
-    if residual_tol is None:
-        residual_tol = max(10.0 * tol, 1e-8)
+    residual_tol = max(10.0 * tol, 1e-8)
     if residual >= residual_tol:
         raise NotASolution(
             f"vector equation residual {residual!r} >= {residual_tol!r}",

@@ -28,6 +28,7 @@ TOL_LAMBDA = 1e-9
 TOL_STEP = 1e-9
 TOL_RANGE = 1e-9
 MAX_CYCLE_LEN = 6    # default length bound of the guided cycle search
+TOL_CYCLE = 1e-7     # distance at which a cycle search path closes
 
 __all__ = [
     "Interval", "CircleSpace", "FiniteGraphSpace",
@@ -294,13 +295,14 @@ class GuidingSet:
         shift by -period, 0 or +period."""
         return _inside_one(space, self._lo - tol, self._hi + tol, lo, hi)
 
-    def sample(self, per_interval=9):
+    def sample(self):
+        """Point members, and 33 equally spaced points of each interval."""
         pts = []
         for lo, hi in self.intervals:
             if hi - lo == 0.0:
                 pts.append(lo)
             else:
-                pts.extend(np.linspace(lo, hi, per_interval))
+                pts.extend(np.linspace(lo, hi, 33))
         return np.array(pts, dtype=float)
 
     def __repr__(self):
@@ -415,8 +417,7 @@ class GuidedSystem:
     """State space + generators + guiding sets (+ optional coefficients)."""
 
     def __init__(self, space, generators, guiding=None, coefficients=None,
-                 tol_lambda=TOL_LAMBDA, tol_step=TOL_STEP,
-                 tol_range=TOL_RANGE, validate=True):
+                 tol_lambda=TOL_LAMBDA, tol_step=TOL_STEP, validate=True):
         self.space = space
         self.generators = tuple(map_from(g, label=i)
                                 for i, g in enumerate(generators))
@@ -438,14 +439,12 @@ class GuidedSystem:
             self.coefficients = tuple(as_callable(c) for c in coefficients)
             if len(self.coefficients) != n:
                 raise ValueError("one coefficient per generator required")
-        for name, tol in (("tol_lambda", tol_lambda), ("tol_step", tol_step),
-                          ("tol_range", tol_range)):
+        for name, tol in (("tol_lambda", tol_lambda), ("tol_step", tol_step)):
             if not 0.0 <= tol < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got "
                                  f"{tol!r}")
         self.tol_lambda = tol_lambda
         self.tol_step = tol_step
-        self.tol_range = tol_range
         if validate:
             self._validate()
 
@@ -466,8 +465,7 @@ class GuidedSystem:
             xs = space.grid(513)
             for g in self.generators:
                 img = np.asarray(g(xs), dtype=float)
-                if isinstance(space, Interval) and not space.contains(
-                        img, self.tol_range):
+                if isinstance(space, Interval) and not space.contains(img):
                     bad = int(np.argmax(np.maximum(space.a - img,
                                                    img - space.b)))
                     raise MapEscape(
@@ -959,8 +957,8 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
         # witnesses for NotMinimal; one more batched run over just those
         # seeds recovers their representatives
         stuck = np.flatnonzero(saturated & ~done)
-        *_, reps = _closures(system, batch[stuck], depth, eps, mult,
-                             cell_cap, keep_points=True)
+        reps = _closures(system, batch[stuck], depth, eps, mult, cell_cap,
+                         keep_points=True)[-1] if stuck.size else ()
         for k, pts in zip(stuck, reps):
             # the first robust witness decides; else the first tight one
             witness, robust = _closure_witness(system, pts, eps,
@@ -1081,19 +1079,19 @@ class CycleReport:
     cycles: list
     max_len: int
     n_seeds: int
-    tol_cycle: float
 
     @property
     def empty(self):
         return len(self.cycles) == 0
 
 
-def find_guided_cycles(system: GuidedSystem, max_len: int = MAX_CYCLE_LEN,
-                       tol_cycle: float = 1e-7) -> CycleReport:
+def find_guided_cycles(system: GuidedSystem,
+                       max_len: int = MAX_CYCLE_LEN) -> CycleReport:
     """Search for proper cycles whose points all lie inside the union of
     guiding sets (within tol_lambda), starting from seeds inside that
-    union. An empty list is evidence that no guided cycle exists up to
-    max_len at the working resolution."""
+    union; a path closes when it returns within TOL_CYCLE of its start. An
+    empty list is evidence that no guided cycle exists up to max_len at
+    the working resolution."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     space = system.space
@@ -1124,9 +1122,9 @@ def find_guided_cycles(system: GuidedSystem, max_len: int = MAX_CYCLE_LEN,
             nxt = float(space.normalize(np.atleast_1d(np.asarray(
                 system.generators[i](np.atleast_1d(point)), dtype=float)))[0])
             gens = path_gens + (i,)
-            if space.metric(nxt, start) <= tol_cycle and len(gens) >= 1:
+            if space.metric(nxt, start) <= TOL_CYCLE and len(gens) >= 1:
                 pts = np.array(path_pts + [nxt])
-                key = _cycle_key(space, pts[:-1], gens, tol_cycle)
+                key = _cycle_key(space, pts[:-1], gens)
                 if key not in seen_keys:
                     seen_keys.add(key)
                     found.append(Orbit(points=pts, gens=gens))
@@ -1140,12 +1138,11 @@ def find_guided_cycles(system: GuidedSystem, max_len: int = MAX_CYCLE_LEN,
 
     for s in uniq:
         dfs(s, s, [s], ())
-    return CycleReport(cycles=found, max_len=max_len, n_seeds=len(uniq),
-                       tol_cycle=tol_cycle)
+    return CycleReport(cycles=found, max_len=max_len, n_seeds=len(uniq))
 
 
-def _cycle_key(space, pts, gens, tol_cycle):
-    scale = max(tol_cycle, 1e-12) * 10.0
+def _cycle_key(space, pts, gens):
+    scale = TOL_CYCLE * 10.0
     n = len(pts)
     variants = []
     for r in range(n):
@@ -1166,7 +1163,6 @@ def _cycle_key(space, pts, gens, tol_cycle):
 class ContractionMinimalityCertificate:
     lipschitz: tuple
     range_cover_defect: float
-    samples: int
     guiding_empty: bool
     note: str = ""
 
@@ -1179,11 +1175,10 @@ class ContractionRefusal:
     detail: str = ""
 
 
-def check_contraction_minimality(system: GuidedSystem, samples: int = 256,
-                                 rng=None):
-    """Certificate iff every generator strictly contracts sampled pairs
+def check_contraction_minimality(system: GuidedSystem, rng=None):
+    """Certificate iff every generator strictly contracts 256 sampled pairs
     (and its grid Lipschitz estimate is < 1 when a derivative is known) and
-    the union of generator ranges covers the space within tol_range.
+    the union of generator ranges covers the space within TOL_RANGE.
 
     The certificate concerns the unguided dynamics; it implies guided
     minimality only when every guiding set is empty (guiding_empty flag).
@@ -1194,8 +1189,8 @@ def check_contraction_minimality(system: GuidedSystem, samples: int = 256,
     rng = np.random.default_rng(0) if rng is None else rng
     lip = []
     for i, gen in enumerate(system.generators):
-        xs = space.random(rng, samples)
-        ys = space.random(rng, samples)
+        xs = space.random(rng, 256)
+        ys = space.random(rng, 256)
         keep = space.metric(xs, ys) > 0
         xs, ys = xs[keep], ys[keep]
         dxy = space.metric(xs, ys)
@@ -1225,11 +1220,11 @@ def check_contraction_minimality(system: GuidedSystem, samples: int = 256,
                 failed="contraction", generator=i,
                 detail=f"Lipschitz estimate {est!r} >= 1")
     defect = _range_cover_defect(system)
-    if defect > system.tol_range:
+    if defect > TOL_RANGE:
         return ContractionRefusal(failed="range_cover", generator=-1,
                                   detail=f"uncovered gap {defect!r}")
     return ContractionMinimalityCertificate(
-        lipschitz=tuple(lip), range_cover_defect=defect, samples=samples,
+        lipschitz=tuple(lip), range_cover_defect=defect,
         guiding_empty=all(g.is_empty for g in system.guiding))
 
 
@@ -1368,17 +1363,16 @@ class ConjugacyReport:
     properness_checked: int
     properness_violations: int
     samples: int
-    tol: float
     ok: bool
 
 
 def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
-                     phi_inv, samples: int = 100, rng=None,
-                     tol: float = 1e-9, n_orbits: int = 100,
-                     orbit_len: int = 8) -> ConjugacyReport:
+                     phi_inv, samples: int = 100,
+                     rng=None) -> ConjugacyReport:
     """Check that phi intertwines the generators (max defect over samples),
     carries guiding sets onto guiding sets (sampled Hausdorff distance),
-    and maps proper orbits to proper orbits."""
+    and maps proper orbits to proper orbits (100 random orbits of 8
+    steps); each defect must be at most 1e-9."""
     if sys_a.n_generators != sys_b.n_generators:
         raise ValueError("systems must share the generator count")
     rng = np.random.default_rng(0) if rng is None else rng
@@ -1388,6 +1382,7 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
     fx = np.asarray(f(xs), dtype=float)
     back = np.asarray(f_inv(fx), dtype=float)
     inv_defect = float(np.max(sys_a.space.metric(back, xs)))
+    tol = 1e-9
     if inv_defect > tol:
         k = int(np.argmax(sys_a.space.metric(back, xs)))
         raise NotInvertible("phi_inv fails to invert phi",
@@ -1410,16 +1405,16 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
         if ga.is_empty != gb.is_empty:
             guiding_defects.append(float("inf"))
             continue
-        sa = np.asarray(f(ga.sample(33)), dtype=float)
+        sa = np.asarray(f(ga.sample()), dtype=float)
         d1 = float(np.max(gb.distance(sa, sys_b.space)))
-        sb = gb.sample(33)
+        sb = gb.sample()
         d2 = float(np.max(np.min(np.abs(
             sys_b.space.metric(sb[:, None], sa[None, :])), axis=1)))
         guiding_defects.append(max(d1, d2))
     violations = 0
     checked = 0
-    pts = sys_a.space.random(rng, n_orbits)
-    for _ in range(orbit_len):
+    pts = sys_a.space.random(rng, 100)
+    for _ in range(8):
         masks = np.column_stack([sys_a.allowed_mask(i, pts)
                                  for i in range(sys_a.n_generators)])
         counts = masks.sum(axis=1)
@@ -1453,7 +1448,7 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
                            inv_defect=inv_defect,
                            properness_checked=checked,
                            properness_violations=violations,
-                           samples=samples, tol=tol, ok=ok)
+                           samples=samples, ok=ok)
 
 
 # --------------------------------------------------------------------------

@@ -73,9 +73,9 @@ class PConfiguration:
         return GuidedSystem(self.interval, self.maps, self.guiding)
 
 
-def validate_pconfiguration(maps, interval, anchors, tol: float = 1e-8,
-                            grid_n: int = 2049) -> PConfiguration:
-    """Check the P-configuration conditions on a validation grid and
+def validate_pconfiguration(maps, interval, anchors,
+                            tol: float = 1e-8) -> PConfiguration:
+    """Check the P-configuration conditions on a 2049-point grid and
     return the configuration, or raise PConfigViolation naming the first
     violated condition with a witness point.
 
@@ -98,7 +98,7 @@ def validate_pconfiguration(maps, interval, anchors, tol: float = 1e-8,
         if not g.has_derivative:
             raise PConfigViolation("derivative_missing",
                                    detail=f"map {g.label}")
-    ts = np.linspace(interval.a, interval.b, grid_n)
+    ts = np.linspace(interval.a, interval.b, 2049)
     deriv = [np.asarray(g.derivative(ts), dtype=float) for g in gmaps]
     total = sum(deriv)
     j = int(np.argmax(np.abs(total - 1.0)))
@@ -135,15 +135,13 @@ def validate_pconfiguration(maps, interval, anchors, tol: float = 1e-8,
                           tol=tol)
 
 
-def extract_guiding_sets(pconf: PConfiguration,
-                         tol: float = DERIVATIVE_ROOT_TOL,
-                         grid_n: int = 8193):
+def extract_guiding_sets(pconf: PConfiguration):
     """Lambda_i = {t : delta_i'(t) = 0} as closed intervals. Zeros below
     the derivative tolerance are widened to the full sub-tolerance band,
     the same conservative membership convention the orbit machinery uses.
     """
-    return tuple(zero_band_guiding(g.derivative, pconf.interval, tol=tol,
-                                   grid_n=grid_n)
+    return tuple(zero_band_guiding(g.derivative, pconf.interval,
+                                   tol=DERIVATIVE_ROOT_TOL)
                  for g in pconf.maps)
 
 

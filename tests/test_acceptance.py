@@ -220,7 +220,7 @@ def test_criterion_10_conjugacy(straight_system, curved_system):
         report = verify_conjugacy(system.gamma_system,
                                   system.interval_system,
                                   system.omega, system.z_of_t,
-                                  samples=100, n_orbits=100)
+                                  samples=100)
         assert report.map_defect < 1e-9
         assert max(report.guiding_defects) < 1e-9
         assert report.properness_violations == 0

@@ -108,11 +108,54 @@ def test_schema_error_via_loader(tmp_path):
 
 
 def test_reports_deterministic(capsys):
-    argv = ["probe", "--config", cfg("circle_rational.json"),
+    argv = ["analyze-bvp", "--config", cfg("straight_bvp.json"),
             "--seed", "7", "--no-meta"]
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
+    assert code1 == 0
     assert (code1, out1) == (code2, out2)
+
+
+BASE_CONFIG = {"space": {"type": "interval", "a": -1.0, "b": 1.0},
+               "maps": ["(t+1)/2", "(t-1)/2"]}
+
+
+@pytest.mark.parametrize("command,replaced,pointer", [
+    ("probe", {"space": 5}, "/space"),
+    ("probe", {"space": {"type": "interval", "b": 1.0}}, "/space"),
+    ("probe", {"space": {"type": "interval", "a": -1.0}}, "/space"),
+    ("probe", {"space": {"type": "interval", "a": "x", "b": 1.0}},
+     "/space/a"),
+    ("probe", {"space": {"type": "interval", "a": 1.0, "b": -1.0}},
+     "/space/b"),
+    ("probe", {"space": {"type": ["interval"]}}, "/space/type"),
+    ("probe", {"space": {"type": "circle", "period": -1}}, "/space/period"),
+    ("probe", {"space": {"type": "graph", "nodes": "x",
+                         "tables": [[0]]}}, "/space/nodes"),
+    ("probe", {"space": {"type": "graph", "nodes": 3,
+                         "tables": [[1, 2]]}}, "/space/tables/0"),
+    ("probe", {"guiding": 5}, "/guiding"),
+    ("probe", {"guiding": [5]}, "/guiding/0"),
+    ("probe", {"guiding": [[["a", "b"]]]}, "/guiding/0/0"),
+    ("probe", {"guiding": [[], [[0.5, 0.2]]]}, "/guiding/1/0"),
+    ("probe", {"maps": "t/2"}, "/maps"),
+    ("certify", {"coeffs": []}, "/coeffs"),
+    ("validate-pconf", {"problem": 5}, "/problem"),
+    ("validate-pconf", {"problem": {"anchors": "x"}}, "/problem/anchors"),
+    ("solve-ivp", {"problem": {"anchors": [-1, 0, 1], "c": "x"}},
+     "/problem/c"),
+    ("build-bvp", {"problem": {"alpha1": "(1+z)/2", "alpha2": "(1-z)/2",
+                               "m": "x", "n": 1.0, "g1": "t^2", "g2": "t^2",
+                               "gGamma": "z^2"}}, "/problem/m"),
+])
+def test_malformed_section_is_config_error(tmp_path, capsys, command,
+                                           replaced, pointer):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**BASE_CONFIG, **replaced}))
+    code, out, err = run(capsys, [command, "--config", str(path),
+                                  "--no-meta"])
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and f"(at {pointer})" in err
 
 
 def test_overdet_jensen(capsys):
@@ -456,6 +499,49 @@ OUT_RUNS = {
 CSV_COMMANDS = {"orbit", "solve-fe", "solve-ivp", "overdet", "solve-bvp"}
 
 
+# subcommand -> the flags it reads besides --config --out --no-meta --debug
+READS = {
+    "orbit": {"--x0", "--eps", "--depth"},
+    "probe": {"--eps", "--depth"},
+    "weak-attractor": {"--x0", "--eps", "--depth"},
+    "cycles": {"--max-len"},
+    "graph-min": {"--grid"},
+    "certify": {"--grid"},
+    "solve-fe": {"--h", "--grid", "--tol"},
+    "solve-ivp": {"--h", "--c", "--mu", "--grid"},
+    "validate-pconf": set(),
+    "overdet": {"--eps", "--depth", "--tol"},
+    "affine-analyze": set(),
+    "build-bvp": {"--seed"},
+    "analyze-bvp": {"--seed", "--eps", "--depth"},
+    "solve-bvp": {"--grid", "--mu", "--eps", "--depth"},
+    "verify-conjugacy": {"--seed"},
+}
+# numeric and seed flags; a subcommand that does not read one rejects it
+FORMER_COMMON = ("--eps", "--depth", "--grid", "--tol", "--seed")
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a.choices, dict))
+    for command, parser in sub.choices.items():
+        flags = {f for a in parser._actions for f in a.option_strings}
+        assert flags == READS[command] | {
+            "-h", "--help", "--config", "--out", "--no-meta", "--debug"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in sorted(cli.HANDLERS)
+    for flag in FORMER_COMMON if flag not in READS[command]])
+def test_unread_flag_is_usage_error(capsys, command, flag):
+    config, flags = OUT_RUNS[command]
+    code, out, err = run(capsys, [command, "--config", cfg(config), *flags,
+                                  flag, "1", "--no-meta"])
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} 1\n" in err
+
+
 @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
 def test_out_takes_the_csv_or_else_the_report(tmp_path, capsys, command):
     config, flags = OUT_RUNS[command]
@@ -553,6 +639,7 @@ def test_overdet_missing_keys_exit_two(tmp_path, capsys):
                         "b2": [1.0]}, "/problem/A2"),
     ("affine-analyze", {"A1": [[1.0]], "A2": [[1.0]], "b1": [0.0],
                         "b2": "1"}, "/problem/b2"),
+    ("overdet", {"kind": ["jensen"]}, "/problem/kind"),
 ])
 def test_ill_typed_problem_values_exit_two(tmp_path, capsys, command,
                                            problem, pointer):
@@ -649,7 +736,10 @@ def test_numeric_flags_rejected(capsys, command, config, flag, value,
                                   f"{flag}={value}", "--no-meta"])
     assert code == 2
     assert out == ""
-    assert f"argument {flag}: expected {expected}" in err
+    if flag in READS[command]:
+        assert f"argument {flag}: expected {expected}" in err
+    else:
+        assert f"unrecognized arguments: {flag}={value}\n" in err
 
 
 @pytest.mark.parametrize("flags,points", [

@@ -924,7 +924,7 @@ def test_circle_cell_index_puts_the_seam_point_in_cell_zero():
             assert np.array_equal(got, cell_index_reference(space, x, n))
 
 
-@pytest.mark.parametrize("key", ["tol_lambda", "tol_step", "tol_range"])
+@pytest.mark.parametrize("key", ["tol_lambda", "tol_step"])
 def test_guided_system_rejects_tolerances_not_finite_nonnegative(key):
     for value in (math.nan, math.inf, -1e-12):
         with pytest.raises(ValueError, match=key):
