@@ -33,7 +33,7 @@ from .errors import (CornerMismatch, DegenerateParametrization, NoBracket,
 from .exprlang import Expression, _scalar, as_callable, differentiate
 from .funceq import GridFunction
 from .gds import (ContractionMinimalityCertificate, GeneratorMap,
-                  GuidedSystem, GuidingSet, Interval,
+                  GuidedSystem, GuidingSet, Interval, allowed_generators,
                   check_contraction_minimality, find_guided_cycles,
                   probe_minimality, verify_conjugacy, write_csv,
                   zero_band_guiding)
@@ -424,16 +424,14 @@ def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
            and all(lo > -m + 1e-12 and hi < -1e-12
                    for lo, hi in lam2.intervals))
     if hyp:
-        union = GuidingSet(list(lam1.intervals) + list(lam2.intervals))
         results = []
         for outer, inner in ((system.delta1, system.delta2),
                              (system.delta2, system.delta1)):
             fn, dfn = _compose(outer, inner)
             fp = fixed_point(fn, (system.interval.a, system.interval.b),
                              d_fn=dfn)
-            fp.in_guiding = bool(union.distance(
-                fp.t_star, system.interval)[0] <= isys.tol_lambda) \
-                if not union.is_empty else False
+            fp.in_guiding = len(allowed_generators(isys, fp.t_star)) < \
+                isys.n_generators
             results.append(fp)
         fps = tuple(results)
         if status is None:

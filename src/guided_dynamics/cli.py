@@ -190,6 +190,9 @@ def _check_space(space):
         if len(table) != space["nodes"]:
             raise SchemaError(f"need one entry per node ({space['nodes']})",
                               f"/space/tables/{i}")
+        if not all(0 <= node < space["nodes"] for node in table):
+            raise SchemaError(f"entries must be nodes in [0, "
+                              f"{space['nodes']})", f"/space/tables/{i}")
 
 
 def load_config(path: str) -> JobConfig:
@@ -531,6 +534,10 @@ def _bvp_problem(cfg):
             raise SchemaError(f"unknown key {key!r}", f"/problem/{key}")
     _require(problem, required, "/problem")
     _require_numeric(problem, ("m", "n"), "/problem")
+    for key in ("m", "n"):
+        if not (_is_finite(problem[key]) and problem[key] > 0):
+            raise SchemaError(f"expected a finite number > 0, got "
+                              f"{problem[key]!r}", f"/problem/{key}")
     return bvp_mod.BoundaryProblem(
         alpha1=_parse_expr_at(problem["alpha1"], "/problem/alpha1", var="z"),
         alpha2=_parse_expr_at(problem["alpha2"], "/problem/alpha2", var="z"),

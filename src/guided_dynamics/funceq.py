@@ -494,7 +494,7 @@ def verify_triangular_uniqueness(family: TriangularFamily,
             raise HypothesisFailure("coefficients sum to the identity",
                                     witness=float(x))
     for i in range(family.n_maps):
-        off = xs[system.guiding[i].distance(xs, space) > system.tol_lambda]
+        off = xs[system.allowed_mask(i, xs)]
         for x in off[:: max(1, len(off) // 16)]:
             if np.linalg.det(family.matrix(i, x)) <= 0.0:
                 raise HypothesisFailure(

@@ -264,30 +264,30 @@ class GuidingSet:
 
     def distance(self, x, space):
         """Pointwise distance from x (scalar or array) to the set: beyond
-        the members starting at or before x, or before the next one."""
+        the members starting at or before x, or before the next one; on a
+        circle, from the angle of x to the arcs as _circle_arcs moves them."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.is_empty:
             return np.full(x.shape, np.inf)
+        arcs = self
         if isinstance(space, CircleSpace):
             x = space.normalize(x)
+            arcs = _circle_arcs(self, space.period)
         best = None
         # fmin: x = +-inf lies inf away, where inf - inf gives NaN; a zero
         # distance is +0.0 also at x = -0.0, where maximum takes the 0.0
         with np.errstate(invalid="ignore"):
             for k in _shifts(space):
                 xc = x + k if k else x
-                j = self._lo.searchsorted(xc, side="right")
-                d = self._reach[j]
+                j = arcs._lo.searchsorted(xc, side="right")
+                d = arcs._reach[j]
                 np.subtract(xc, d, out=d)
                 np.maximum(d, 0.0, out=d)
-                after = self._next[j]
+                after = arcs._next[j]
                 np.subtract(after, xc, out=after)
                 np.fmin(d, after, out=d)
                 best = d if best is None else np.minimum(best, d, out=best)
         return best
-
-    def contains(self, x, space, tol=TOL_LAMBDA):
-        return self.distance(x, space) <= tol
 
     def covers_interval(self, lo, hi, space, tol=TOL_LAMBDA):
         """Mask of the intervals [lo, hi] (scalars or arrays) that lie
@@ -331,16 +331,17 @@ def _shifts(space):
 
 
 def _step_rule(guiding, space, tol):
-    """The allowed-step mask distance(x) > tol of a guiding set, for
-    points x as normalize returns them (finite or NaN) and tol >= 0: None
+    """The allowed-step mask distance(x) > tol of a guiding set, for tol
+    >= 0 and arrays x (on a circle, as normalize returns them): None
     when the set is empty (every step is allowed), else a function of x.
 
     At each shift k, x + k must lie more than tol past the members
     starting at or before it and more than tol before the next one: the
-    float comparisons of distance, NaN blocked. On a circle the arcs start
-    in [0, P), so no x in [0, P] comes within tol at the shift -P when the
-    first arc starts beyond tol, nor at +P when every arc ends more than
-    tol before P; those shifts are skipped."""
+    subtractions of distance, whose fmin also answers alike at +-inf and
+    NaN. On a circle the arcs start in [0, P), so no x in [0, P] comes
+    within tol at the shift -P when the first arc starts beyond tol, nor
+    at +P when every arc ends more than tol before P; those shifts are
+    skipped."""
     if guiding.is_empty:
         return None
     lo, reach, nxt = guiding._lo, guiding._reach, guiding._next
@@ -353,7 +354,7 @@ def _step_rule(guiding, space, tol):
         for k in shifts:
             xc = x + k if k else x
             j = lo.searchsorted(xc, side="right")
-            ok = (xc - reach[j] > tol) & (nxt[j] - xc > tol)
+            ok = np.fmin(xc - reach[j], nxt[j] - xc) > tol
             mask = ok if mask is None else mask & ok
         return mask
     return allowed
@@ -445,6 +446,9 @@ class GuidedSystem:
                                  f"{tol!r}")
         self.tol_lambda = tol_lambda
         self.tol_step = tol_step
+        # each generator's allowed-step rule, built once (None: no guiding)
+        self.rules = tuple(_step_rule(g, space, tol_lambda)
+                           for g in self.guiding)
         if validate:
             self._validate()
 
@@ -493,12 +497,23 @@ class GuidedSystem:
                     f"guiding sets intersect at {float(common[0])!r}; the "
                     "intersection over all generators must be empty")
 
-    def allowed_mask(self, i, points):
-        return self.guiding[i].distance(points, self.space) > self.tol_lambda
+    def allowed_mask(self, i, x):
+        """dist(x, Lambda_i) > tol_lambda at the points x (a scalar is 1-d)
+        as a mask, from rules[i]; on a circle, at the angles of x."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        rule = self.rules[i]
+        if rule is None:
+            return np.ones(x.shape, dtype=bool)
+        with np.errstate(invalid="ignore"):    # x = +-inf: inf - inf
+            if isinstance(self.space, CircleSpace):
+                x = self.space.normalize(x)
+            return rule(x)
 
-    def allowed(self, x):
-        return tuple(i for i in range(self.n_generators)
-                     if bool(self.allowed_mask(i, np.atleast_1d(x))[0]))
+    def step(self, i, x):
+        """delta_i(x), normalized, as a float array (a scalar is 1-d)."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return self.space.normalize(
+            np.asarray(self.generators[i](x), dtype=float))
 
 
 def _classify_monotone(gen, xs):
@@ -520,7 +535,8 @@ def _classify_monotone(gen, xs):
 
 def allowed_generators(system: GuidedSystem, x) -> tuple:
     """Indices i with dist(x, Lambda_i) > tol_lambda (0-based)."""
-    return system.allowed(x)
+    return tuple(i for i in range(system.n_generators)
+                 if system.allowed_mask(i, x)[0])
 
 
 # --------------------------------------------------------------------------
@@ -543,11 +559,9 @@ def validate_orbit(system: GuidedSystem, orbit: Orbit, tol_step=None) -> bool:
     pts = np.asarray(orbit.points, dtype=float)
     for j, i in enumerate(orbit.gens):
         x_prev, x_next = pts[j], pts[j + 1]
-        if system.guiding[i].distance(x_prev, system.space)[0] <= system.tol_lambda:
+        if not system.allowed_mask(i, x_prev)[0]:
             return False
-        img = system.space.normalize(np.asarray(
-            system.generators[i](np.atleast_1d(x_prev)), dtype=float))[0]
-        if system.space.metric(img, x_next) > tol:
+        if system.space.metric(system.step(i, x_prev)[0], x_next) > tol:
             return False
     return True
 
@@ -731,11 +745,10 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
     order; otherwise points is None.
 
     Each level normalizes its candidates once: the cell indices and the
-    frontier are taken from that one array. A step is tested by each
-    guiding set's rule from _step_rule, built once per call (no mask for
-    an empty set). No seed holds more fine cells than all seeds together,
-    so cells are counted per seed only from the level their total passes
-    cell_cap.
+    frontier are taken from that one array, and the system's rules test
+    the steps on it (no mask for an empty guiding set). No seed holds more
+    fine cells than all seeds together, so cells are counted per seed
+    only from the level their total passes cell_cap.
     """
     space = system.space
     n_seeds = len(seeds)
@@ -748,8 +761,7 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
     hit = np.zeros(n_seeds, dtype=bool)
     partial = np.zeros(n_seeds, dtype=bool)
     active = np.ones(n_seeds, dtype=bool)
-    steps = [(gen, _step_rule(lam, space, system.tol_lambda))
-             for gen, lam in zip(system.generators, system.guiding)]
+    steps = tuple(zip(system.generators, system.rules))
     kept = []
 
     # level 0 absorbs the seeds themselves; each later level their images
@@ -1106,38 +1118,31 @@ def find_guided_cycles(system: GuidedSystem,
         if all(space.metric(s, u) > 1e-12 for u in uniq):
             uniq.append(float(s))
 
-    def in_lambda(x):
-        return any(g.distance(x, space)[0] <= system.tol_lambda
-                   for g in system.guiding)
-
     found = []
     seen_keys = set()
 
-    def dfs(start, point, path_pts, path_gens):
-        if len(path_gens) >= max_len:
-            return
-        for i in range(system.n_generators):
-            if system.guiding[i].distance(point, space)[0] <= system.tol_lambda:
-                continue
-            nxt = float(space.normalize(np.atleast_1d(np.asarray(
-                system.generators[i](np.atleast_1d(point)), dtype=float)))[0])
+    def dfs(start, path_pts, path_gens, allowed):
+        for i in allowed:
+            nxt = float(system.step(i, path_pts[-1])[0])
             gens = path_gens + (i,)
-            if space.metric(nxt, start) <= TOL_CYCLE and len(gens) >= 1:
+            if space.metric(nxt, start) <= TOL_CYCLE:
                 pts = np.array(path_pts + [nxt])
                 key = _cycle_key(space, pts[:-1], gens)
                 if key not in seen_keys:
                     seen_keys.add(key)
                     found.append(Orbit(points=pts, gens=gens))
                 continue
-            if not in_lambda(nxt):
+            # prune at the length bound and at revisits inside the path
+            if len(gens) >= max_len or any(
+                    space.metric(nxt, q) <= 1e-12 for q in path_pts[1:]):
                 continue
-            # prune revisits inside the current path
-            if any(space.metric(nxt, q) <= 1e-12 for q in path_pts[1:]):
-                continue
-            dfs(start, nxt, path_pts + [nxt], gens)
+            # a path goes on only inside the union of the guiding sets
+            nxt_allowed = allowed_generators(system, nxt)
+            if len(nxt_allowed) < system.n_generators:
+                dfs(start, path_pts + [nxt], gens, nxt_allowed)
 
     for s in uniq:
-        dfs(s, s, [s], ())
+        dfs(s, [s], (), allowed_generators(system, s))
     return CycleReport(cycles=found, max_len=max_len, n_seeds=len(uniq))
 
 
@@ -1371,8 +1376,9 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
                      rng=None) -> ConjugacyReport:
     """Check that phi intertwines the generators (max defect over samples),
     carries guiding sets onto guiding sets (sampled Hausdorff distance),
-    and maps proper orbits to proper orbits (100 random orbits of 8
-    steps); each defect must be at most 1e-9."""
+    and maps proper orbits to proper orbits (100 random 8-step orbits of
+    sys_a, each step allowed in sys_b at the image under phi); each
+    defect must be at most 1e-9."""
     if sys_a.n_generators != sys_b.n_generators:
         raise ValueError("systems must share the generator count")
     rng = np.random.default_rng(0) if rng is None else rng
@@ -1389,9 +1395,7 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
                             point=float(xs[k]), defect=inv_defect)
     map_defect = 0.0
     for i in range(sys_a.n_generators):
-        img_a = sys_a.space.normalize(
-            np.asarray(sys_a.generators[i](xs), dtype=float))
-        lhs = np.asarray(f(img_a), dtype=float)
+        lhs = np.asarray(f(sys_a.step(i, xs)), dtype=float)
         rhs = np.asarray(sys_b.generators[i](fx), dtype=float)
         d = sys_b.space.metric(sys_b.space.normalize(lhs),
                                sys_b.space.normalize(rhs))
@@ -1436,10 +1440,8 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
             if not np.any(sel):
                 continue
             checked += int(sel.sum())
-            dist_b = sys_b.guiding[i].distance(fx_pts[sel], sys_b.space)
-            violations += int(np.sum(dist_b <= 1e-12))
-            nxt[sel] = sys_a.space.normalize(np.asarray(
-                sys_a.generators[i](pts[sel]), dtype=float))
+            violations += int(np.sum(~sys_b.allowed_mask(i, fx_pts[sel])))
+            nxt[sel] = sys_a.step(i, pts[sel])
         pts = nxt
     max_guid = max(guiding_defects) if guiding_defects else 0.0
     ok = (map_defect <= tol and max_guid <= tol and violations == 0)

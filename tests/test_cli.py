@@ -147,6 +147,11 @@ BASE_CONFIG = {"space": {"type": "interval", "a": -1.0, "b": 1.0},
     ("build-bvp", {"problem": {"alpha1": "(1+z)/2", "alpha2": "(1-z)/2",
                                "m": "x", "n": 1.0, "g1": "t^2", "g2": "t^2",
                                "gGamma": "z^2"}}, "/problem/m"),
+    ("probe", {"space": {"type": "graph", "nodes": 3,
+                         "tables": [[0, 1, 2], [5, 0, 0]]}},
+     "/space/tables/1"),
+    ("probe", {"space": {"type": "graph", "nodes": 3,
+                         "tables": [[0, -1, 2]]}}, "/space/tables/0"),
 ])
 def test_malformed_section_is_config_error(tmp_path, capsys, command,
                                            replaced, pointer):
@@ -623,6 +628,10 @@ def test_overdet_missing_keys_exit_two(tmp_path, capsys):
     assert "/problem/rules/0" in err
 
 
+STRAIGHT_BVP = {"alpha1": "(1+z)/2", "alpha2": "(1-z)/2", "m": 1.0,
+                "n": 1.0, "g1": "t^2", "g2": "t^2", "gGamma": "z^2"}
+
+
 @pytest.mark.parametrize("command,problem,pointer", [
     ("overdet", {"kind": "jensen", "interval": 5, "A": 0.0, "B": 1.0},
      "/problem/interval"),
@@ -640,6 +649,11 @@ def test_overdet_missing_keys_exit_two(tmp_path, capsys):
     ("affine-analyze", {"A1": [[1.0]], "A2": [[1.0]], "b1": [0.0],
                         "b2": "1"}, "/problem/b2"),
     ("overdet", {"kind": ["jensen"]}, "/problem/kind"),
+    ("build-bvp", {**STRAIGHT_BVP, "m": -1}, "/problem/m"),
+    ("analyze-bvp", {**STRAIGHT_BVP, "n": 0}, "/problem/n"),
+    ("solve-bvp", {**STRAIGHT_BVP, "m": 0.0}, "/problem/m"),
+    ("verify-conjugacy", {**STRAIGHT_BVP, "n": -2.5}, "/problem/n"),
+    ("build-bvp", {**STRAIGHT_BVP, "m": float("inf")}, "/problem/m"),
 ])
 def test_ill_typed_problem_values_exit_two(tmp_path, capsys, command,
                                            problem, pointer):

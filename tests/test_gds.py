@@ -20,10 +20,11 @@ from guided_dynamics.gds import (CircleSpace,
                                  probe_minimality, probe_weak_attractor,
                                  validate_orbit, verify_conjugacy,
                                  zero_band_guiding)
-from guided_dynamics.gds import (_closures, _interval_images,
-                                 _merge_intervals, _range_cover_defect,
-                                 _step_rule, _validate_witness,
-                                 _witness_intervals, write_csv)
+from guided_dynamics.gds import (_circle_arcs, _closures,
+                                 _interval_images, _merge_intervals,
+                                 _range_cover_defect, _step_rule,
+                                 _validate_witness, _witness_intervals,
+                                 write_csv)
 
 TWO_PI = 2 * math.pi
 
@@ -416,6 +417,20 @@ def test_mismatched_conjugacy_fails():
                               samples=64)
     assert not report.ok
     assert report.map_defect > 0.1
+
+
+def test_conjugacy_properness_uses_tol_lambda():
+    # every step maps onto p, allowed in sys_a (2e-9 from its guiding
+    # point) but within sys_b's tol_lambda 1e-9 of its guiding point
+    p = 0.25
+    sys_a, sys_b = (GuidedSystem(Interval(-1.0, 1.0), [parse("0.25")],
+                                 [GuidingSet.points([p + off])])
+                    for off in (2e-9, 5e-10))
+    report = verify_conjugacy(sys_a, sys_b, parse("t"), parse("t"))
+    # the first step of each of the 100 orbits starts off p
+    assert report.properness_checked == 800
+    assert report.properness_violations == 700
+    assert not report.ok
 
 
 def test_conjugacy_affine_rescaling():
@@ -894,8 +909,9 @@ def test_step_rule_matches_distance(data, tol):
     space, gset = data.draw(unions())
     # the system holds the guiding set as the kernel sees it: on a
     # circle, arcs moved to start in [0, 2 pi)
-    lam = GuidedSystem(space, [parse("t")], [gset], tol_lambda=tol,
-                       validate=False).guiding[0]
+    system = GuidedSystem(space, [parse("t")], [gset], tol_lambda=tol,
+                          validate=False)
+    lam = system.guiding[0]
     rule = _step_rule(lam, space, tol)
     ends = np.ravel(lam.intervals)
     near = np.r_[ends, ends - tol, ends + tol]
@@ -909,6 +925,16 @@ def test_step_rule_matches_distance(data, tol):
         assert lam.is_empty and want.all()
     else:
         assert np.array_equal(rule(x), want)
+    # allowed_mask answers from the same rule for points not normalized:
+    # the set's own ends, +-inf, beyond an interval's ends, and angles
+    # below 0 and above P on a circle
+    lo, hi = (0.0, TWO_PI) if isinstance(space, CircleSpace) else (-1.0, 1.0)
+    raw = np.r_[near, np.ravel(gset.intervals), lo - 0.5, hi + 0.5,
+                lo - 1e-300, hi + 1e-12, lo - TWO_PI - 1.0, hi + 7.0,
+                np.inf, -np.inf, np.nan]
+    with np.errstate(invalid="ignore"):
+        want = lam.distance(raw, space) > tol
+    assert np.array_equal(system.allowed_mask(0, raw), want)
 
 
 def test_circle_cell_index_puts_the_seam_point_in_cell_zero():
@@ -1271,12 +1297,20 @@ def test_circle_arcs_are_matched_modulo_the_period():
     (lo, hi), = system.guiding[0].intervals
     assert lo == pytest.approx(13.0 - 2 * TWO_PI, abs=1e-14)
     assert hi - lo == 0.5
-    assert system.allowed(0.5) == (1,)
-    assert system.allowed(0.4) == (0, 1)
+    assert allowed_generators(system, 0.5) == (1,)
+    assert allowed_generators(system, 0.4) == (0, 1)
     # an arc as long as the circle is the whole circle
     system = two_rotations([[(-1.0, TWO_PI - 1.0)], []])
     assert system.guiding[0].intervals == ((0.0, TWO_PI),)
     assert not system.allowed_mask(0, np.linspace(0.0, 20.0, 101)).any()
+
+
+def test_bare_circle_set_measures_arcs_modulo_the_period():
+    # [14, 14.5] starts beyond [-P, 2P): it is [14 - 4 pi, 14.5 - 4 pi]
+    lam = GuidingSet([(14.0, 14.5)])
+    assert lam.distance(14.2 - 2 * TWO_PI, CircleSpace())[0] == 0.0
+    assert lam.distance(14.0 - 2 * TWO_PI - 0.5, CircleSpace())[0] == \
+        pytest.approx(0.5)
 
 
 def test_circle_arcs_in_range_are_kept():
@@ -1301,9 +1335,9 @@ def test_circle_guiding_intersection_is_taken_modulo_the_period(arcs):
 
 def test_circle_guiding_across_the_seam_apart_is_accepted():
     system = two_rotations([[(TWO_PI - 0.5, TWO_PI + 0.5)], [(1.0, 2.0)]])
-    assert system.allowed(0.25) == (1,)
-    assert system.allowed(1.5) == (0,)
-    assert system.allowed(3.0) == (0, 1)
+    assert allowed_generators(system, 0.25) == (1,)
+    assert allowed_generators(system, 1.5) == (0,)
+    assert allowed_generators(system, 3.0) == (0, 1)
 
 
 def test_covers_interval_sees_the_circle_seam():
@@ -1335,10 +1369,12 @@ def test_covers_interval_sees_the_circle_seam():
 
 def broadcast_distance(gset, x, space):
     """Reference: the point-by-member broadcast GuidingSet.distance
-    replaced."""
+    replaced, against the arcs as _circle_arcs moves them on a circle."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if gset.is_empty:
         return np.full(x.shape, np.inf)
+    if isinstance(space, CircleSpace):
+        gset = _circle_arcs(gset, space.period)
     lo = np.array([iv[0] for iv in gset.intervals])[None, :]
     hi = np.array([iv[1] for iv in gset.intervals])[None, :]
     shifts = (0.0,)
