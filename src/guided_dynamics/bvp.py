@@ -42,6 +42,7 @@ from .pconf import IvpProblem, solve_ivp, validate_pconfiguration
 TOL_SLOPE = 1e-8
 Z_TABLE_N = 257      # nodes of the omega table that starts the z(t) Newton
 Z_MAX_ITER = 100     # hard cap on the z(t) steps of one element
+Z_MEMO_N = 2 ** 16   # solved z(t) values a boundary system keeps (1 MB)
 SCAN_N = 4097        # grid of the omega' and delta_i' scans of a build
 
 __all__ = [
@@ -127,10 +128,20 @@ def _make_z_of_t(omega_fn, omega_d_fn):
     is accepted when omega(z) == t exactly or when its step or its bracket
     reaches ulp size. t <= omega(-1) (and NaN) maps to -1 and
     t >= omega(1) to +1, as a bisection on [-1, 1] would give.
+
+    Solved values are memoized: a sorted table of the exact bits of each
+    inner t (int64) beside its z. A call looks its values up and runs
+    Newton only on its distinct misses. Each element's iteration depends
+    on its own t alone, so a memoized z is bit-identical to a fresh one.
+    The memo holds at most Z_MEMO_N values and starts over with the new
+    ones when they do not fit; a call with more inner values than that
+    bypasses it.
     """
     z_tab = np.linspace(-1.0, 1.0, Z_TABLE_N)
     w_tab = np.maximum.accumulate(np.asarray(omega_fn(z_tab), dtype=float))
     w_lo, w_hi = w_tab[0], w_tab[-1]
+    memo_keys = np.empty(0, dtype=np.int64)
+    memo_z = np.empty(0)
 
     def newton(t):
         j = np.clip(np.searchsorted(w_tab, t, side="right") - 1,
@@ -157,13 +168,40 @@ def _make_z_of_t(omega_fn, omega_d_fn):
                                     lo[todo], hi[todo])
         return out
 
+    def memoized(t):
+        nonlocal memo_keys, memo_z
+        keys = t.view(np.int64)
+        if memo_keys.size:
+            pos = np.minimum(np.searchsorted(memo_keys, keys),
+                             memo_keys.size - 1)
+            out = memo_z[pos]
+            miss = memo_keys[pos] != keys
+        else:
+            out = np.empty_like(t)
+            miss = np.ones(t.size, dtype=bool)
+        if miss.any():
+            miss_keys = keys[miss]
+            new_keys = np.unique(miss_keys)
+            new_z = newton(new_keys.view(np.float64))
+            out[miss] = new_z[np.searchsorted(new_keys, miss_keys)]
+            if memo_keys.size + new_keys.size > Z_MEMO_N:
+                memo_keys, memo_z = new_keys, new_z
+            else:
+                at = np.searchsorted(memo_keys, new_keys)
+                memo_keys = np.insert(memo_keys, at, new_keys)
+                memo_z = np.insert(memo_z, at, new_z)
+        return out
+
     def z_of_t(t):
         t = np.asarray(t, dtype=float)
         tt = t.ravel()
         out = np.where(tt > w_lo, 1.0, -1.0)
         inner = (tt > w_lo) & (tt < w_hi)
-        if inner.any():
+        n_inner = np.count_nonzero(inner)
+        if n_inner > Z_MEMO_N:
             out[inner] = newton(tt[inner])
+        elif n_inner:
+            out[inner] = memoized(tt[inner])
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
     return z_of_t
 
@@ -201,7 +239,7 @@ class BoundarySystem:
              (t >= self.interval.a - tol) & (t <= self.interval.b + tol)
         if np.any(ok):
             zt = self.z_of_t(np.where(ok, t, 0.0))
-            x_star, _ = self.curve_point(zt)
+            x_star = self.problem.alpha1(zt)
             # moving from (x, y) along +(m, n) must reach Gamma
             ok = ok & ((x_star - x) / self.problem.m >= -tol)
         return ok

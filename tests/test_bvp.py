@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from conftest import curved_problem, cycle_problem, straight_problem
+from guided_dynamics import bvp
 from guided_dynamics.bvp import (BoundaryProblem, analyze_solvability,
                                  build_boundary_system, fixed_point,
                                  project_pi3, reduce_boundary_data,
@@ -10,7 +13,7 @@ from guided_dynamics.bvp import (BoundaryProblem, analyze_solvability,
 from guided_dynamics.errors import (CornerMismatch,
                                     DegenerateParametrization, NoBracket,
                                     NotSolvableError)
-from guided_dynamics.exprlang import _scalar, parse
+from guided_dynamics.exprlang import _scalar, differentiate, parse
 from guided_dynamics.gds import validate_orbit
 
 
@@ -185,6 +188,83 @@ def test_z_of_t_ends_and_clamping(straight_system, curved_system,
                                       [-1.0, -1.0, 1.0, 1.0, -1.0])
         grid = np.linspace(a, b, 12).reshape(3, 4)
         assert system.z_of_t(grid).shape == (3, 4)
+
+
+def fresh_z_of_t(system):
+    return bvp._make_z_of_t(system.omega, differentiate(system.omega))
+
+
+def solved_alone(fresh, values, monkeypatch):
+    """z of each value from a separate one-element call, with the memo
+    off (each call is larger than a zero-size memo)."""
+    flat = np.asarray(values, dtype=float).ravel()
+    with monkeypatch.context() as patch:
+        patch.setattr(bvp, "Z_MEMO_N", 0)
+        z = [fresh(np.array([v]))[0] for v in flat]
+    return np.array(z).reshape(np.shape(values))
+
+
+def memo_size(z_of_t):
+    memoized = inspect.getclosurevars(z_of_t).nonlocals["memoized"]
+    return inspect.getclosurevars(memoized).nonlocals["memo_keys"].size
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_z_of_t_memo_is_bit_exact(straight_system, curved_system,
+                                  cycle_system, monkeypatch):
+    rng = np.random.default_rng(7)
+    for system in (straight_system, curved_system, cycle_system):
+        a, b = system.interval.a, system.interval.b
+        fresh = fresh_z_of_t(system)
+
+        def alone(values):
+            return solved_alone(fresh, values, monkeypatch)
+
+        ts = np.linspace(a, b, 4097)
+        grid = rng.permutation(np.concatenate([ts, ts[::5], ts[1::7]]))
+        # scalars first, then batches holding them, overlapping subsets
+        for v in grid[:20]:
+            z = system.z_of_t(float(v))
+            assert type(z) is float
+            assert_same_bits(z, alone(v))
+        want = alone(grid)
+        assert_same_bits(system.z_of_t(grid), want)
+        assert_same_bits(system.z_of_t(grid[100:3000]), want[100:3000])
+        assert_same_bits(system.z_of_t(grid[2000:]), want[2000:])
+        odd = np.array([0.0, -0.0, np.nan, a, b, 0.5 * a, 0.0, -0.0])
+        assert_same_bits(system.z_of_t(odd), alone(odd))
+        # neighbours a few ulps from values already solved: keys that a
+        # float-typed key table would merge
+        near = grid[:10, None].view(np.int64) + np.arange(1, 9)
+        near = near.view(np.float64)
+        assert_same_bits(system.z_of_t(near), alone(near))
+        assert_same_bits(system.z_of_t(np.array(0.5 * b)), alone(0.5 * b))
+        shaped = grid[:12].reshape(3, 4)
+        assert_same_bits(system.z_of_t(shaped), want[:12].reshape(3, 4))
+        # a caller writing to a result does not reach the memo
+        out = system.z_of_t(grid[:50])
+        out[:] = 0.0
+        assert_same_bits(system.z_of_t(grid[:50]), want[:50])
+
+
+def test_z_of_t_memo_stays_bounded(curved_system, monkeypatch):
+    monkeypatch.setattr(bvp, "Z_MEMO_N", 64)
+    z_of_t = fresh_z_of_t(curved_system)
+    reference = fresh_z_of_t(curved_system)
+    a, b = curved_system.interval.a, curved_system.interval.b
+    ts = np.random.default_rng(3).permutation(np.linspace(a, b, 301)[1:-1])
+    # batches that fill, overflow (start over) and skip the memo
+    for lo, hi in ((0, 40), (20, 60), (60, 100), (0, 64), (50, 250),
+                   (30, 90), (250, 299), (0, 40)):
+        assert_same_bits(z_of_t(ts[lo:hi]),
+                         solved_alone(reference, ts[lo:hi], monkeypatch))
+        assert memo_size(z_of_t) <= 64
+    assert memo_size(z_of_t) > 0
 
 
 # --------------------------------------------------------------------------
