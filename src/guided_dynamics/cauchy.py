@@ -5,10 +5,14 @@ Cauchy-equation analysis in R^n.
 The propagation realizes the constructive uniqueness argument: the two
 generators alpha(x) = F(a, x) and beta(x) = F(x, b) are strict contractions
 whose ranges cover [a, b], so the orbit set of the endpoints is dense and
-the boundary values A = f(a), B = f(b) propagate to a value cloud. The
-updates are affine in (A, B, v): v(map(t)) = cA(t) A + cB(t) B + cv(t) v(t)
-+ c0(t), which covers every equation shape used here (Jensen, the Cauchy
-equation on the boundary of the unit square, the geometric mean).
+the boundary values A = f(a), B = f(b) propagate to a value cloud.
+`OverdetProblem` gates on exactly that hypothesis with the contraction
+certificate `gds.check_contraction_minimality`: a contracting family whose
+ranges cover [a, b] has [a, b] as its attractor (Hutchinson, Indiana Univ.
+Math. J. 30, 1981). The updates are affine in (A, B, v): v(map(t)) =
+cA(t) A + cB(t) B + cv(t) v(t) + c0(t), which covers every equation shape
+used here (Jensen, the Cauchy equation on the boundary of the unit square,
+the geometric mean).
 
 The BFS keeps one point per eps/2-cell and records every collision (two
 derivations of one cell); `check_consistency` tests all of them.
@@ -21,15 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisFailure, ResolutionTooCoarse
-from .exprlang import Num, _scalar, as_callable
-from .gds import Interval, write_csv
+from .errors import HypothesisFailure, MapEscape, ResolutionTooCoarse
+from .exprlang import Expression, Num, _scalar, as_callable
+from .gds import (ContractionRefusal, GuidedSystem, Interval,
+                  check_contraction_minimality, write_csv)
 
 __all__ = [
     "PropagationRule", "OverdetProblem", "PropagationCloud", "Collision",
     "ConsistencyReport", "AffineCauchyAnalysis",
     "propagate_values", "check_consistency", "analyze_affine",
-    "verify_linear_solution", "orbit_convergence_rates",
+    "orbit_convergence_rates",
 ]
 
 
@@ -45,8 +50,10 @@ class PropagationRule:
     label: int = 0
 
     def __post_init__(self):
-        self.map = as_callable(self.map) if not isinstance(self.map, str) \
-            else None
+        # an Expression map stays one, so the rules' guided system gets
+        # its derivative for the contraction certificate
+        if not isinstance(self.map, Expression):
+            self.map = as_callable(self.map)
         self.c_A, self.c_B, self.c_v, self.c_0 = (
             as_callable(c if callable(c) else Num(float(c)))
             for c in (self.c_A, self.c_B, self.c_v, self.c_0))
@@ -60,70 +67,34 @@ class PropagationRule:
 class OverdetProblem:
     """Interval, boundary seed values, and propagation rules.
 
-    Validation mirrors the uniqueness hypotheses: each map sends the
-    interval into itself, strictly contracts sampled pairs, and the
-    endpoints are attained by some map (root-bracketed).
+    The rule maps form the unguided system `self.system`, which checks
+    that they send the interval into itself; `check_contraction_minimality`
+    then certifies the uniqueness hypotheses: each map strictly contracts
+    sampled pairs, and the map ranges cover the interval. A failed
+    hypothesis is a `HypothesisFailure`.
     """
 
-    def __init__(self, interval, A, B, rules, name="custom",
-                 validate=True, rng=None):
+    def __init__(self, interval, A, B, rules):
         self.interval = interval if isinstance(interval, Interval) else \
             Interval(*interval)
         self.A = float(A)
         self.B = float(B)
         self.rules = tuple(rules)
-        self.name = name
-        if validate:
-            self._validate(np.random.default_rng(0) if rng is None else rng)
-
-    def _validate(self, rng, samples=256):
-        iv = self.interval
-        grid = iv.grid(2049)
-        for rule in self.rules:
-            img = np.asarray(rule.map(grid), dtype=float)
-            if np.min(img) < iv.a - 1e-9 or np.max(img) > iv.b + 1e-9:
-                raise HypothesisFailure(
-                    "maps stay inside the interval",
-                    witness=float(grid[int(np.argmax(
-                        np.maximum(iv.a - img, img - iv.b)))]),
-                    detail=f"rule {rule.label}")
-            xs = iv.random(rng, samples)
-            ys = iv.random(rng, samples)
-            keep = xs != ys
-            xs, ys = xs[keep], ys[keep]
-            fx = np.asarray(rule.map(xs), dtype=float)
-            fy = np.asarray(rule.map(ys), dtype=float)
-            bad = np.abs(fx - fy) >= np.abs(xs - ys)
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                raise HypothesisFailure(
-                    "strict contraction",
-                    witness=(float(xs[k]), float(ys[k])),
-                    detail=f"rule {rule.label}")
-        for endpoint in (iv.a, iv.b):
-            if not self._attained(endpoint, grid):
-                raise HypothesisFailure(
-                    "endpoint attained by some map", witness=endpoint)
-
-    def _attained(self, target, grid, tol=1e-9):
-        for rule in self.rules:
-            img = np.asarray(rule.map(grid), dtype=float)
-            gap = np.abs(img - target)
-            j = int(np.argmin(gap))
-            if gap[j] <= tol:
-                return True
-            # root of map(t) - target on the first bracketing grid step
-            sign = np.sign(img - target)
-            flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-            if flips.size:
-                # imported here: scipy.optimize takes about 0.2 s to load,
-                # and most endpoints are attained on the grid
-                from scipy.optimize import brentq
-                root = brentq(lambda t: _scalar(rule.map, t) - target,
-                              grid[flips[0]], grid[flips[0] + 1])
-                if abs(_scalar(rule.map, root) - target) <= tol:
-                    return True
-        return False
+        try:
+            self.system = GuidedSystem(self.interval,
+                                       [rule.map for rule in self.rules])
+        except MapEscape as exc:
+            raise HypothesisFailure(
+                "maps stay inside the interval", witness=exc.point,
+                detail=f"rule {self.rules[exc.generator].label}") from exc
+        verdict = check_contraction_minimality(self.system)
+        if isinstance(verdict, ContractionRefusal):
+            if verdict.failed == "range_cover":
+                raise HypothesisFailure("map ranges cover the interval",
+                                        detail=verdict.detail)
+            raise HypothesisFailure(
+                "strict contraction", witness=verdict.witness,
+                detail=f"rule {self.rules[verdict.generator].label}")
 
     # ---- builders for the equation shapes used in the corpus ----
 
@@ -138,7 +109,7 @@ class OverdetProblem:
             PropagationRule(map=lambda t: w1 * np.asarray(t, float) + w2 * b,
                             c_B=w2, c_v=w1, label=1),
         )
-        return cls(interval, A, B, rules, name="jensen")
+        return cls(interval, A, B, rules)
 
     @classmethod
     def cauchy_boundary(cls, B):
@@ -152,8 +123,7 @@ class OverdetProblem:
             PropagationRule(map=lambda t: (np.asarray(t, float) - 1.0) / 2.0,
                             c_B=-0.5, c_v=0.5, label=1),
         )
-        return cls((-1.0, 1.0), -float(B), float(B), rules,
-                   name="cauchy_boundary")
+        return cls((-1.0, 1.0), -float(B), float(B), rules)
 
     @classmethod
     def geometric_mean(cls, interval, A, B):
@@ -167,7 +137,7 @@ class OverdetProblem:
             PropagationRule(map=lambda t: np.sqrt(b * np.asarray(t, float)),
                             c_B=0.5, c_v=0.5, label=1),
         )
-        return cls(interval, A, B, rules, name="geometric_mean")
+        return cls(interval, A, B, rules)
 
 
 @dataclass
@@ -276,9 +246,8 @@ def propagate_values(problem: OverdetProblem, depth: int, eps: float,
     saturated = partial = False
     for level in range(1, depth + 1):
         src_p, src_v = grown[-1][:2]
-        cand_p = np.concatenate([
-            np.clip(np.asarray(rule.map(src_p), dtype=float), iv.a, iv.b)
-            for rule in problem.rules])
+        cand_p = np.concatenate([problem.system.step(i, src_p)
+                                 for i in range(labels.size)])
         cand_v = np.concatenate([
             np.asarray(rule.apply(src_p, src_v, problem.A, problem.B),
                        dtype=float)
@@ -467,33 +436,3 @@ def orbit_convergence_rates(analysis: AffineCauchyAnalysis, which: int,
             rates.append(float(new_err / err))
         err = new_err
     return rates
-
-
-def verify_linear_solution(maps, c=None, f=None, samples: int = 100,
-                           rng=None, sampler=None):
-    """Residual sup over samples of |f(m1(x) + m2(x)) - f(m1(x)) -
-    f(m2(x))| for f(x) = c . x by default (an arbitrary f callable may be
-    supplied, e.g. to confirm non-linear solutions when hypotheses fail).
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    if f is None:
-        if c is None:
-            raise ValueError("need either c or f")
-        cvec = np.atleast_1d(np.asarray(c, dtype=float))
-        f = lambda x: float(cvec @ np.asarray(x, dtype=float))
-        dim = cvec.size
-    else:
-        dim = None
-    if sampler is None:
-        if dim is None:
-            raise ValueError("need a sampler when f is supplied directly")
-        sampler = lambda r, d=dim: r.uniform(-1.0, 1.0, d)
-    m1, m2 = maps
-    worst = 0.0
-    for _ in range(samples):
-        x = sampler(rng)
-        y1 = np.asarray(m1(x), dtype=float)
-        y2 = np.asarray(m2(x), dtype=float)
-        resid = abs(f(y1 + y2) - f(y1) - f(y2))
-        worst = max(worst, resid)
-    return worst

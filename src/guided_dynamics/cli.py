@@ -435,16 +435,16 @@ def cmd_solve_ivp(cfg, args):
 
 
 def _require_numeric(section, keys, pointer, ndim=0):
-    """Each present key must hold a JSON number or, up to ndim levels
-    deep, a nonempty rectangular nested list of numbers."""
+    """Each present key must hold a finite JSON number or, up to ndim
+    levels deep, a nonempty rectangular nested list of them."""
     for key in keys:
         if key not in section:
             continue
         arr = np.array(section[key], dtype=object)
         if arr.ndim > ndim or arr.size == 0 or \
-                not all(_is_number(v) for v in arr.flat):
-            shape = ("a number", "a number or a list of numbers",
-                     "a number or a matrix of numbers")[ndim]
+                not all(_is_finite(v) for v in arr.flat):
+            shape = ("a finite number", "a finite number or a list of them",
+                     "a finite number or a matrix of them")[ndim]
             raise SchemaError(f"{key!r} must be {shape}", f"{pointer}/{key}")
 
 
@@ -460,10 +460,15 @@ def cmd_overdet(cfg, args):
     if not isinstance(kind, str) or kind not in OVERDET_KEYS:
         raise SchemaError(f"unknown overdet kind {kind!r}", "/problem/kind")
     _require(problem, OVERDET_KEYS[kind], "/problem")
-    if "interval" in OVERDET_KEYS[kind] and \
-            not _is_pair(problem["interval"], _is_number):
-        raise SchemaError("'interval' must be a list of two numbers",
-                          "/problem/interval")
+    if "interval" in OVERDET_KEYS[kind]:
+        iv = problem["interval"]
+        lowest = 0.0 if kind == "geometric_mean" else -np.inf
+        if not (_is_pair(iv, _is_finite) and lowest < iv[0] < iv[1]
+                and _is_finite(iv[1] - iv[0])):
+            raise SchemaError(
+                "'interval' must be two finite numbers a < b with b - a "
+                "finite" + (" and a > 0" if kind == "geometric_mean" else ""),
+                "/problem/interval")
     _require_numeric(problem, ("A", "B", "weight"), "/problem")
     if kind == "jensen":
         prob = cauchy_mod.OverdetProblem.jensen(
@@ -476,10 +481,10 @@ def cmd_overdet(cfg, args):
             tuple(problem["interval"]), problem["A"], problem["B"])
     else:
         rules = []
-        specs = problem.get("rules", [])
-        if not isinstance(specs, list):
-            raise SchemaError("'rules' must be a list of rule objects",
-                              "/problem/rules")
+        specs = problem.get("rules")
+        if not _is_list(specs):
+            raise SchemaError("'rules' must be a nonempty list of rule "
+                              "objects", "/problem/rules")
         for i, spec_rule in enumerate(specs):
             pointer = f"/problem/rules/{i}"
             if not isinstance(spec_rule, dict):
@@ -492,8 +497,7 @@ def cmd_overdet(cfg, args):
                 c_v=spec_rule.get("cv", 0.0), c_0=spec_rule.get("c0", 0.0),
                 label=i))
         prob = cauchy_mod.OverdetProblem(
-            tuple(problem["interval"]), problem["A"], problem["B"], rules,
-            name="affine")
+            tuple(problem["interval"]), problem["A"], problem["B"], rules)
     try:
         cloud = cauchy_mod.propagate_values(prob, args.depth, args.eps,
                                             **cfg.budgets_for(args.command))
@@ -638,12 +642,15 @@ _nonnegative_int = _arg_type(int, lambda v: v >= 0,
                              "a non-negative integer")
 _positive_float = _arg_type(float, lambda v: 0.0 < v < np.inf,
                             "a positive finite number")
+_finite_float = _arg_type(float, lambda v: abs(v) < np.inf,
+                          "a finite number")
 
 # every flag's type; --eps and --tol are positive, --depth >= 0
-FLAG_TYPES = {"--x0": float, "--eps": _positive_float,
+FLAG_TYPES = {"--x0": _finite_float, "--eps": _positive_float,
               "--depth": _nonnegative_int, "--grid": _positive_int,
               "--tol": _positive_float, "--seed": int, "--h": str,
-              "--c": float, "--mu": float, "--max-len": _positive_int}
+              "--c": _finite_float, "--mu": _finite_float,
+              "--max-len": _positive_int}
 # subcommand -> (handler, the flags it reads and their defaults); every
 # subcommand also takes --config --out --no-meta --debug. A flag given on
 # the command line is used as given; `...` marks a required flag, and a

@@ -50,11 +50,6 @@ class MapEscape(GuidedDynamicsError, ValueError):
         self.image = image
 
 
-class BudgetExceeded(GuidedDynamicsError, RuntimeError):
-    """A configured enumeration budget was exhausted."""
-    exit_code, label = NUMERIC_FAILURE
-
-
 class NotCertified(GuidedDynamicsError, RuntimeError):
     """Neumann solve refused: no contraction certificate exists up to m_max."""
     exit_code, label = NUMERIC_FAILURE

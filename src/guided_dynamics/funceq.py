@@ -1,7 +1,7 @@
 """The operator A f = sum_i a_i * (f o delta_i) on grid functions:
-application, iterated/explicit power functions g_n = A^n 1, contraction
-certificates, Neumann-series solving of f - Af = h, and the
-maximum-principle and triangular-family uniqueness checks.
+application, the power functions g_n = A^n 1, contraction certificates,
+Neumann-series solving of f - Af = h, and the maximum-principle and
+triangular-family uniqueness checks.
 
 Grid functions are piecewise linear on a uniform grid. Linear
 interpolation preserves positivity and the sup-norm bounds the certificate
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .errors import (BudgetExceeded, DomainError, HypothesisFailure,
-                     MapEscape, NoConvergence, NotASolution, NotCertified)
+from .errors import (DomainError, HypothesisFailure, MapEscape,
+                     NoConvergence, NotASolution, NotCertified)
 from .exprlang import Num, _scalar, as_callable
 from .gds import (CircleSpace, GuidedSystem, GuidingSet, Interval,
                   guided_orbit_set, map_from, write_csv, zero_band_guiding)
@@ -253,38 +253,14 @@ def apply_operator(system: FunceqSystem, f: GridFunction) -> GridFunction:
     return f.copy_with(system.grid_operator(f.domain, f.M) @ f.values)
 
 
-def compute_g_n(system: FunceqSystem, n: int, mode: str = "iterated",
-                M: int = 1024) -> GridFunction:
-    """g_n = A^n 1. 'iterated' applies the grid operator n times;
-    'explicit' evaluates the multi-index product sum by exact pointwise
-    composition (no interpolation), at cost N^n, refused past 10^6."""
+def compute_g_n(system: FunceqSystem, n: int, M: int = 1024) -> GridFunction:
+    """g_n = A^n 1: the grid operator applied n times to the ones."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    domain = system.space
-    if mode == "iterated":
-        g = np.ones(M + 1)
-        for _ in range(n):
-            g = system.grid_operator(domain, M) @ g
-        return GridFunction(domain, g)
-    if mode != "explicit":
-        raise ValueError(f"unknown mode {mode!r}")
-    if system.n_maps ** n > 10 ** 6:
-        raise BudgetExceeded(
-            f"explicit g_n needs {system.n_maps ** n} terms > {10 ** 6}")
-    nodes = grid_nodes(domain, M)
-
-    def recurse(x, k):
-        if k == 0:
-            return np.ones_like(x)
-        total = np.zeros_like(x)
-        for coeff, mp in zip(system.coeffs, system.maps):
-            img = np.asarray(mp(x), dtype=float)
-            if isinstance(domain, Interval):
-                img = np.clip(img, domain.a, domain.b)
-            total += np.asarray(coeff(x), dtype=float) * recurse(img, k - 1)
-        return total
-
-    return GridFunction(domain, recurse(nodes, n))
+    g = np.ones(M + 1)
+    for _ in range(n):
+        g = system.grid_operator(system.space, M) @ g
+    return GridFunction(system.space, g)
 
 
 @dataclass

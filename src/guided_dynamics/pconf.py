@@ -63,12 +63,6 @@ class PConfiguration:
             self._guiding = extract_guiding_sets(self)
         return self._guiding
 
-    @property
-    def anchor_shift(self):
-        """C with sum_i delta_i(t) = t + C (equals the sum of interior
-        anchors)."""
-        return float(sum(self.anchors[1:-1]))
-
     def as_guided_system(self):
         return GuidedSystem(self.interval, self.maps, self.guiding)
 

@@ -166,7 +166,7 @@ def test_criterion_07_overdeterminedness():
         PropagationRule(map=lambda t: (np.asarray(t, float) + 2.0) / 2.0,
                         c_B=1.0, c_v=1.0, label=1),
     )
-    bad = OverdetProblem((1.0, 2.0), 1.0, 0.3, rules, name="additive")
+    bad = OverdetProblem((1.0, 2.0), 1.0, 0.3, rules)
     cloud = propagate_values(bad, 1, 1e-3)
     report = check_consistency(cloud, 1e-3, 1e-9)
     assert not report.consistent

@@ -9,8 +9,7 @@ from guided_dynamics.cauchy import (Collision, OverdetProblem,
                                     PropagationRule,
                                     analyze_affine, check_consistency,
                                     orbit_convergence_rates,
-                                    propagate_values,
-                                    verify_linear_solution)
+                                    propagate_values)
 from guided_dynamics.errors import HypothesisFailure
 from guided_dynamics.exprlang import parse
 
@@ -24,7 +23,7 @@ def additive_problem(B=0.3):
         PropagationRule(map=lambda t: (np.asarray(t, float) + 2.0) / 2.0,
                         c_B=1.0, c_v=1.0, label=1),
     )
-    return OverdetProblem((1.0, 2.0), 1.0, B, rules, name="additive")
+    return OverdetProblem((1.0, 2.0), 1.0, B, rules)
 
 
 # --------------------------------------------------------------------------
@@ -96,8 +95,17 @@ def test_different_seeds_differ_interior():
 def test_hypothesis_gate_rejects_expanding_map():
     rules = (PropagationRule(map=lambda t: np.asarray(t, float),
                              c_v=1.0, label=0),)
-    with pytest.raises(HypothesisFailure):
+    with pytest.raises(HypothesisFailure) as info:
         OverdetProblem((0.0, 1.0), 0.0, 1.0, rules)
+    assert info.value.condition == "strict contraction"
+    assert str(info.value).endswith("(rule 0)")
+    # the first of the seeded random pairs
+    assert info.value.witness == (0.6369616873214543, 0.8775289058717961)
+
+
+def test_rule_map_must_be_callable():
+    with pytest.raises(TypeError):
+        PropagationRule(map="t/2")
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +203,7 @@ def three_rule_affine(A, B):
         PropagationRule(map=parse("t/3+1/3"), c_A=0.25, c_B=parse("t/4"),
                         c_v=parse("0.5-t/8"), c_0=-0.1, label=2),
     )
-    return OverdetProblem((0.0, 1.0), A, B, rules, name="affine3")
+    return OverdetProblem((0.0, 1.0), A, B, rules)
 
 
 PROBLEMS = {
@@ -346,6 +354,26 @@ def test_orbit_convergence_rates():
 # --------------------------------------------------------------------------
 # linear solution verification
 # --------------------------------------------------------------------------
+
+def verify_linear_solution(maps, c=None, f=None, samples=100, sampler=None):
+    """Residual sup over samples of |f(m1(x) + m2(x)) - f(m1(x)) -
+    f(m2(x))| for f(x) = c . x by default, or for an arbitrary f (with a
+    sampler), e.g. to confirm non-linear solutions when hypotheses fail."""
+    rng = np.random.default_rng(0)
+    if f is None:
+        cvec = np.atleast_1d(np.asarray(c, dtype=float))
+        f = lambda x: float(cvec @ np.asarray(x, dtype=float))
+        if sampler is None:
+            sampler = lambda r: r.uniform(-1.0, 1.0, cvec.size)
+    m1, m2 = maps
+    worst = 0.0
+    for _ in range(samples):
+        x = sampler(rng)
+        y1 = np.asarray(m1(x), dtype=float)
+        y2 = np.asarray(m2(x), dtype=float)
+        worst = max(worst, abs(f(y1 + y2) - f(y1) - f(y2)))
+    return worst
+
 
 def test_verify_linear_affine_maps():
     analysis = analyze_affine([[1.0]], [[1.0]], [0.0], [1.0])

@@ -626,6 +626,13 @@ def test_overdet_missing_keys_exit_two(tmp_path, capsys):
                                 "--no-meta"])
     assert code == 2
     assert "/problem/rules/0" in err
+    path.write_text(json.dumps({
+        "problem": {"kind": "affine", "interval": [1.0, 2.0], "A": 1.0,
+                    "B": 0.3}}))
+    code, _, err = run(capsys, ["overdet", "--config", str(path),
+                                "--no-meta"])
+    assert code == 2
+    assert "(at /problem/rules)" in err
 
 
 STRAIGHT_BVP = {"alpha1": "(1+z)/2", "alpha2": "(1-z)/2", "m": 1.0,
@@ -654,6 +661,20 @@ STRAIGHT_BVP = {"alpha1": "(1+z)/2", "alpha2": "(1-z)/2", "m": 1.0,
     ("solve-bvp", {**STRAIGHT_BVP, "m": 0.0}, "/problem/m"),
     ("verify-conjugacy", {**STRAIGHT_BVP, "n": -2.5}, "/problem/n"),
     ("build-bvp", {**STRAIGHT_BVP, "m": float("inf")}, "/problem/m"),
+    ("overdet", {"kind": "jensen", "interval": [1.0, 0.0], "A": 0.0,
+                 "B": 1.0}, "/problem/interval"),
+    ("overdet", {"kind": "geometric_mean", "interval": [0.0, 4.0],
+                 "A": 0.0, "B": 2.0}, "/problem/interval"),
+    ("overdet", {"kind": "jensen", "interval": [0.0, float("inf")],
+                 "A": 0.0, "B": 1.0}, "/problem/interval"),
+    ("overdet", {"kind": "jensen", "interval": [-1e308, 1e308], "A": 0.0,
+                 "B": 1.0}, "/problem/interval"),
+    ("overdet", {"kind": "jensen", "interval": [0.0, 1.0],
+                 "A": float("nan"), "B": 1.0}, "/problem/A"),
+    ("overdet", {"kind": "jensen", "interval": [0.0, 1.0],
+                 "A": float("inf"), "B": 1.0}, "/problem/A"),
+    ("affine-analyze", {"A1": [[float("nan")]], "A2": [[1.0]],
+                        "b1": [0.0], "b2": [1.0]}, "/problem/A1"),
 ])
 def test_ill_typed_problem_values_exit_two(tmp_path, capsys, command,
                                            problem, pointer):
@@ -804,6 +825,9 @@ def test_overdet_counts_every_collision(capsys):
     ([{"map": "t/2", "cA": [1], "cv": 0.5}], "/problem/rules/0/cA"),
     ([{"map": "t/2", "cA": 0.5, "cv": None}], "/problem/rules/0/cv"),
     ([{"map": "t/2", "cA": 0.5, "cB": True}], "/problem/rules/0/cB"),
+    ([], "/problem/rules"),
+    ([{"map": "t/2", "cA": float("nan"), "cv": 0.5}],
+     "/problem/rules/0/cA"),
 ])
 def test_overdet_affine_rule_schema(tmp_path, capsys, rules, pointer):
     path = tmp_path / "affine.json"
@@ -815,6 +839,47 @@ def test_overdet_affine_rule_schema(tmp_path, capsys, rules, pointer):
     assert code == 2
     assert out == ""
     assert err.startswith("config error:") and f"(at {pointer})" in err
+
+
+@pytest.mark.parametrize("maps,condition", [
+    # the Cantor function's data are consistent, but its maps leave the
+    # middle third uncovered
+    (["t/3", "(2+t)/3"], "map ranges cover the interval (uncovered gap "
+                         "0.333"),
+    (["2*t", "t/2"], "maps stay inside the interval (rule 0)"),
+    # monotone, with end-to-end slope 0.46 but slope 10.45 at t = 0.5
+    (["0.45*t + 0.005*(1+tanh(2000*(t-0.5)))", "0.45+0.55*t"],
+     "strict contraction (rule 0)"),
+])
+def test_overdet_hypothesis_gate_exit_one(tmp_path, capsys, maps,
+                                          condition):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"problem": {
+        "kind": "affine", "interval": [0.0, 1.0], "A": 0.0, "B": 1.0,
+        "rules": [{"map": maps[0], "cv": 0.5},
+                  {"map": maps[1], "cB": 0.5, "cv": 0.5}]}}))
+    code, out, err = run(capsys, ["overdet", "--config", str(path),
+                                  "--no-meta"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"rejected: hypothesis failed: {condition}")
+
+
+@pytest.mark.parametrize("command,config,flag,value", [
+    ("orbit", "circle_irrational.json", "--x0", "nan"),
+    ("weak-attractor", "circle_irrational.json", "--x0", "inf"),
+    ("solve-ivp", "standard_pconf.json", "--mu", "nan"),
+    ("solve-ivp", "standard_pconf.json", "--c", "-inf"),
+    ("solve-bvp", "straight_bvp.json", "--mu", "nan"),
+])
+def test_non_finite_flag_is_usage_error(capsys, command, config, flag,
+                                        value):
+    code, out, err = run(capsys, [command, "--config", cfg(config),
+                                  f"{flag}={value}", "--no-meta"])
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: expected a finite number, got {value!r}" \
+        in err
 
 
 @pytest.mark.parametrize("grid", ["1", "2", "3"])

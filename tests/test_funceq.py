@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import circle_guiding, rotation_map
-from guided_dynamics.errors import (BudgetExceeded, HypothesisFailure,
-                                    MapEscape, NotASolution, NotCertified)
+from guided_dynamics.errors import (HypothesisFailure, MapEscape,
+                                    NotASolution, NotCertified)
 from guided_dynamics.exprlang import parse
 from guided_dynamics.funceq import (ContractionCertificate,
                                     ContractionFailure, FunceqSystem,
                                     GridFunction, TriangularFamily,
                                     apply_operator, certify_contraction,
                                     check_max_principle, compute_g_n,
-                                    interp_weights, solve_neumann,
+                                    grid_nodes, interp_weights, solve_neumann,
                                     verify_triangular_uniqueness)
 from guided_dynamics.gds import CircleSpace, GuidedSystem, Interval, map_from
 
@@ -237,12 +237,32 @@ def test_g_n_sum_one(half_coeff_system):
         assert np.max(np.abs(g.values - 1.0)) < 1e-12
 
 
+def explicit_g_n(system, n, M):
+    """g_n = A^n 1 at the grid nodes as the multi-index product sum, by
+    exact pointwise composition (no interpolation): the oracle of the
+    iterated grid operator, at cost N^n."""
+    domain = system.space
+
+    def recurse(x, k):
+        if k == 0:
+            return np.ones_like(x)
+        total = np.zeros_like(x)
+        for coeff, mp in zip(system.coeffs, system.maps):
+            img = np.asarray(mp(x), dtype=float)
+            if isinstance(domain, Interval):
+                img = np.clip(img, domain.a, domain.b)
+            total += np.asarray(coeff(x), dtype=float) * recurse(img, k - 1)
+        return total
+
+    return GridFunction(domain, recurse(grid_nodes(domain, M), n))
+
+
 def test_g_n_iterated_vs_explicit_exact_cases(quarter_coeff_system,
                                               half_coeff_system):
     for system in (quarter_coeff_system, half_coeff_system):
         for n in (1, 2, 3):
-            it = compute_g_n(system, n, "iterated", M=100)
-            ex = compute_g_n(system, n, "explicit", M=100)
+            it = compute_g_n(system, n, M=100)
+            ex = explicit_g_n(system, n, M=100)
             assert np.max(np.abs(it.values - ex.values)) < 1e-12
 
 
@@ -251,18 +271,13 @@ def test_g_n_iterated_vs_explicit_interpolation_scale(
     # with a curved coefficient the iterated route pays one interpolation
     # of g_1, so the modes agree at the grid's h^2 scale, not exactly
     M = 100
-    it = compute_g_n(quadratic_coeff_system, 2, "iterated", M=M)
-    ex = compute_g_n(quadratic_coeff_system, 2, "explicit", M=M)
+    it = compute_g_n(quadratic_coeff_system, 2, M=M)
+    ex = explicit_g_n(quadratic_coeff_system, 2, M=M)
     gap = np.max(np.abs(it.values - ex.values))
     assert gap < (2.0 / M) ** 2
-    it2 = compute_g_n(quadratic_coeff_system, 2, "iterated", M=2 * M)
-    ex2 = compute_g_n(quadratic_coeff_system, 2, "explicit", M=2 * M)
+    it2 = compute_g_n(quadratic_coeff_system, 2, M=2 * M)
+    ex2 = explicit_g_n(quadratic_coeff_system, 2, M=2 * M)
     assert np.max(np.abs(it2.values - ex2.values)) < gap
-
-
-def test_g_n_explicit_budget(quarter_coeff_system):
-    with pytest.raises(BudgetExceeded):
-        compute_g_n(quarter_coeff_system, 21, "explicit", M=4)
 
 
 def test_g_n_monotone_when_subunit(quarter_coeff_system,

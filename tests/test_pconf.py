@@ -25,12 +25,10 @@ from guided_dynamics.pconf import (IvpProblem, extract_guiding_sets,
 
 def test_validate_standard_pair(standard_pconf):
     assert standard_pconf.anchors == (-1.0, 0.0, 1.0)
-    assert standard_pconf.anchor_shift == 0.0
 
 
 def test_validate_three_map_affine(three_map_pconf):
     assert three_map_pconf.n_maps == 3
-    assert three_map_pconf.anchor_shift == 3.0
 
 
 def test_validate_rejects_wrong_order():
