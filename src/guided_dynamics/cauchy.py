@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -182,7 +183,9 @@ class PropagationCloud:
         # fmax skips NaN gaps, which compare false against any bound
         return float(np.fmax.reduce(self.collision_gaps, initial=0.0))
 
+    @cached_property
     def order(self):
+        """The indices that sort the points, computed once per cloud."""
         return np.argsort(self.points)
 
     def path(self, idx):
@@ -206,9 +209,21 @@ class PropagationCloud:
         return t, v
 
     def to_csv(self, path):
-        o = self.order()
+        o = self.order
         write_csv(path, "t,value,depth",
                   [self.points[o], self.values[o], self.depths[o]])
+
+
+def _joined_columns(levels):
+    """Concatenate per-level tuples of arrays column by column, emptying
+    `levels`: each column's pieces are freed before the next column is
+    joined, so at most one column is held twice."""
+    columns = [list(column) for column in zip(*levels)]
+    levels.clear()
+    joined = []
+    while columns:
+        joined.append(np.concatenate(columns.pop(0)))
+    return joined
 
 
 def propagate_values(problem: OverdetProblem, depth: int, eps: float,
@@ -269,10 +284,8 @@ def propagate_values(problem: OverdetProblem, depth: int, eps: float,
         if n > cell_cap:
             partial = True
             break
-    points, values, depths, parents, rule_ids = (
-        np.concatenate(column) for column in zip(*grown))
-    col_owner, col_points, col_values, col_depths = (
-        np.concatenate(column) for column in zip(*hits))
+    points, values, depths, parents, rule_ids = _joined_columns(grown)
+    col_owner, col_points, col_values, col_depths = _joined_columns(hits)
     return PropagationCloud(
         problem=problem, points=points, values=values, depths=depths,
         parents=parents, rule_ids=rule_ids, collision_owner=col_owner,
@@ -308,7 +321,7 @@ def check_consistency(cloud: PropagationCloud, eps: float,
     `Collision`, or else the first pair of neighbouring points over the
     cap.
     """
-    o = cloud.order()
+    o = cloud.order
     p = cloud.points[o]
     v = cloud.values[o]
     span = max(cloud.problem.interval.length, 1e-300)

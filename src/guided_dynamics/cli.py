@@ -186,6 +186,8 @@ def _check_space(space):
                               f"{value!r}", f"/space/{key}")
     if kind == "interval" and not space["a"] < space["b"]:
         raise SchemaError("'a' must be less than 'b'", "/space/b")
+    if kind == "interval" and not _is_finite(space["b"] - space["a"]):
+        raise SchemaError("the length 'b' - 'a' must be finite", "/space")
     for i, table in enumerate(space.get("tables", ())):
         if len(table) != space["nodes"]:
             raise SchemaError(f"need one entry per node ({space['nodes']})",
@@ -680,28 +682,35 @@ COMMANDS = {
 HANDLERS = {name: handler for name, (handler, _) in COMMANDS.items()}
 
 
-def build_parser():
+def build_parser(command=None):
+    """The gds parser. Given a known subcommand, only that subcommand's
+    parser is built, under a usage line that still names every subcommand;
+    else all of them are, for --help and the invalid-choice message."""
     parser = argparse.ArgumentParser(
         prog="gds",
         description="Guided dynamical systems, Cauchy-type functional "
                     "equations, and the characteristic boundary value "
                     "problem.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
+    one = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in [command] if one else COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--no-meta", action="store_true")
         p.add_argument("--debug", action="store_true",
                        help="print the traceback of an internal error")
-        for flag, default in flags.items():
+        for flag, default in COMMANDS[name][1].items():
             p.add_argument(flag, type=FLAG_TYPES[flag], default=default,
                            required=default is ...)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

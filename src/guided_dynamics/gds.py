@@ -635,6 +635,17 @@ _SHOWN = _byte_words(((_FIELD_BYTE >= _START) & (_FIELD_BYTE < _STOP)
 _SHOWN_PLAIN = _byte_words((_FIELD_BYTE < np.arange(25)[:, None])
                            | (_FIELD_BYTE == 25))      # by text length
 
+# an integer 0 <= v < _INT_LIMIT is an 8-byte field, one word: bytes 0-3
+# its four digits with leading zeros (_QUAD_TEXT[v]), byte 4 the separator.
+# %.17g of float(v) prints those digits without the leading zeros;
+# _QUAD_SHOWN[v] shows them and the separator.
+_INT_LIMIT = 10 ** 4
+_QUAD_DIGITS = np.ones(10000, dtype=np.intp)   # digits of 0 .. 9999
+for _step in (10, 100, 1000):
+    _QUAD_DIGITS[_step:] += 1
+_QUAD_SHOWN = _byte_words((np.arange(8) >= 4 - _QUAD_DIGITS[:, None])
+                          & (np.arange(8) <= 4))[0]
+
 
 def _scaled(ax, e):
     """(hi, lo) with hi + lo = ax * 10**(16 - e) exactly: Dekker's
@@ -702,6 +713,14 @@ def _format_fields(x, text, shown, sep):
             shown[slow, k] = _SHOWN_PLAIN[k][lengths]
 
 
+def _format_ints(v, text, shown, sep):
+    """Write each integer v in [0, _INT_LIMIT) and then the separator byte
+    sep into its 8-byte field (one word of text and of shown)."""
+    v = v.astype(np.intp)
+    text[:, 0] = _QUAD_TEXT[v] | (sep << 32)
+    shown[:, 0] = _QUAD_SHOWN[v]
+
+
 def write_csv(path, header, columns):
     """Write the columns as CSV rows of %.17g numbers under a one-line
     header: the bytes np.savetxt(fmt="%.17g", delimiter=",",
@@ -709,20 +728,35 @@ def write_csv(path, header, columns):
     float64. Every |x| in [1e-4, 1e17), where %.17g prints fixed notation,
     is formatted in NumPy, exactly: Dekker's error-free product gives the
     17 digits rounded half-even. The rest (0, nan, inf, |x| < 1e-4 and
-    |x| >= 1e17) go through "%.17g" % x one by one. Rows are formatted
-    _CSV_BLOCK_ROWS at a time so the memory held stays bounded."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
+    |x| >= 1e17) go through "%.17g" % x one by one. An integer-dtype
+    column (int or uint, any width) whose values in a block all lie in
+    [0, 10**4) is written from a digit table instead: the text of such a v
+    is its decimal digits, %.17g of float(v). A block holding a negative
+    value or one of 10**4 or more is cast to float64 and takes the float
+    path. Rows are formatted _CSV_BLOCK_ROWS at a time so the memory held
+    stays bounded."""
+    columns = [np.asarray(c) for c in columns]
     seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     n = len(columns[0])
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
         for start in range(0, n, _CSV_BLOCK_ROWS):
             stop = min(n, start + _CSV_BLOCK_ROWS)
-            text = np.empty((stop - start, 4 * len(columns)), dtype=_WORD)
+            block = [c[start:stop] for c in columns]
+            # fields of 1 word (digit table) or 4 (float path)
+            widths = [1 if c.dtype.kind in "iu" and c.min() >= 0
+                      and c.max() < _INT_LIMIT else 4 for c in block]
+            text = np.empty((stop - start, sum(widths)), dtype=_WORD)
             shown = np.empty_like(text)
-            for k, (c, sep) in enumerate(zip(columns, seps)):
-                _format_fields(c[start:stop], text[:, 4 * k:4 * k + 4],
-                               shown[:, 4 * k:4 * k + 4], sep)
+            at = 0
+            for c, sep, width in zip(block, seps, widths):
+                fields = np.s_[:, at:at + width]
+                if width == 1:
+                    _format_ints(c, text[fields], shown[fields], sep)
+                else:
+                    _format_fields(c.astype(float, copy=False), text[fields],
+                                   shown[fields], sep)
+                at += width
             fh.write(text.view(np.uint8)[shown.view(bool)])
 
 

@@ -65,9 +65,28 @@ def test_cloud_affine_in_seeds():
                           10, 2.0 ** -10)
     c2 = propagate_values(OverdetProblem.jensen((0.0, 1.0), 0.0, 2.0),
                           10, 2.0 ** -10)
-    o1, o2 = c1.order(), c2.order()
+    o1, o2 = c1.order, c2.order
     assert np.array_equal(c1.points[o1], c2.points[o2])
     assert np.max(np.abs(c2.values[o2] - 2.0 * c1.values[o1])) < 1e-12
+
+
+def test_cloud_sorts_its_points_once(tmp_path, monkeypatch):
+    # check_consistency and to_csv share one argsort of the points
+    cloud = propagate_values(OverdetProblem.jensen((0.0, 1.0), 0.0, 1.0),
+                             10, 2.0 ** -10)
+    sorts = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        sorts.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    check_consistency(cloud, 2.0 ** -10, 1e-9)
+    cloud.to_csv(tmp_path / "cloud.csv")
+    assert sorts == [len(cloud)]
+    rows = np.loadtxt(tmp_path / "cloud.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], np.sort(cloud.points))
 
 
 def test_equal_seeds_agree_on_common_points():
@@ -86,7 +105,7 @@ def test_different_seeds_differ_interior():
                          8, 2.0 ** -8)
     b = propagate_values(OverdetProblem.jensen((0.0, 1.0), 0.0, 0.5),
                          8, 2.0 ** -8)
-    oa, ob = a.order(), b.order()
+    oa, ob = a.order, b.order
     interior = (a.points[oa] > 0.1) & (a.points[oa] < 0.9)
     assert np.max(np.abs(a.values[oa][interior] -
                          b.values[ob][interior])) > 0.1

@@ -163,6 +163,21 @@ def test_malformed_section_is_config_error(tmp_path, capsys, command,
     assert err.startswith("config error:") and f"(at {pointer})" in err
 
 
+def test_interval_space_whose_length_overflows_is_config_error(tmp_path,
+                                                               capsys):
+    # b - a = 2e308 overflows to inf: refused as the config's fault, not
+    # run into a NaN grid
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "space": {"type": "interval", "a": -1e308, "b": 1e308},
+        "maps": ["t/2", "(1+t)/2"]}))
+    code, out, err = run(capsys, ["probe", "--config", str(path),
+                                  "--no-meta"])
+    assert (code, out) == (2, "")
+    assert err == ("config error: the length 'b' - 'a' must be finite "
+                   "(at /space)\n")
+
+
 def test_overdet_jensen(capsys):
     code, out, _ = run(capsys, ["overdet", "--config", cfg("jensen.json"),
                                 "--depth", "14", "--no-meta"])
@@ -533,6 +548,55 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         flags = {f for a in parser._actions for f in a.option_strings}
         assert flags == READS[command] | {
             "-h", "--help", "--config", "--out", "--no-meta", "--debug"}
+
+
+def _full_parser_run(capsys, argv):
+    """Exit code and stderr of argv under the parser of every subcommand."""
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().err
+    raise AssertionError(f"{argv} parsed")
+
+
+def _bad_flag_runs(command):
+    """Argument lists that the parser of `command` refuses."""
+    yield [command]                                    # no --config
+    yield [command, "--config", "c.json", "--bogus", "1"]
+    yield [command, "--config", "c.json", "--out"]     # no value
+    for flag, default in cli.COMMANDS[command][1].items():
+        if cli.FLAG_TYPES[flag] is not str:
+            yield [command, "--config", "c.json", flag, "x"]
+        if default is ...:
+            yield [command, "--config", "c.json"]      # required flag
+
+
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_one_subcommand_parser_errs_as_the_full_parser(capsys, command):
+    sub = next(a for a in cli.build_parser(command)._actions
+               if isinstance(a.choices, dict))
+    assert list(sub.choices) == [command]
+    for argv in _bad_flag_runs(command):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert _full_parser_run(capsys, argv) == (2, err)
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out, err = run(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    assert "{" + ",".join(cli.COMMANDS) + "}" in out
+    assert len(cli.COMMANDS) == 15
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["bogus", "--config", "c"],
+                                  ["--no-meta", "probe"], []])
+def test_unknown_or_missing_command_exits_two(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert _full_parser_run(capsys, argv) == (2, err)
+    assert ("invalid choice: 'bogus'" in err if argv[:1] == ["bogus"]
+            else "error:" in err)
 
 
 @pytest.mark.parametrize("command,flag", [

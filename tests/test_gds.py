@@ -618,6 +618,36 @@ def _savetxt_bytes(path, columns, header):
 
 # rows that cross a block boundary of write_csv
 _BLOCK_CROSSING = gds._CSV_BLOCK_ROWS + 904
+_INT_DTYPES = (np.int64, np.int32, np.uint64)
+# 0, 1 and each 10**k - 1, 10**k through one decade past the digit-table
+# limit 10**4
+_INT_EDGES = [0, 1] + [v for k in range(1, 6) for v in (10 ** k - 1, 10 ** k)]
+# per dtype: its extremes; the int64 and uint64 ones round in float64
+_INT_EXTREMES = {np.int64: [2 ** 53 + 1, 2 ** 63 - 1, -2 ** 63, -1],
+                 np.int32: [2 ** 31 - 1, -2 ** 31, -1, -9999],
+                 np.uint64: [2 ** 53 + 1, 2 ** 64 - 1, 2 ** 63]}
+
+
+def _int_column_cases():
+    """Integer columns alone, first, in the middle and last, empty, and
+    across a block boundary with the digit-table path taken in one block
+    and not in the other."""
+    rows = np.arange(_BLOCK_CROSSING)
+    past = rows >= gds._CSV_BLOCK_ROWS
+    for dtype in _INT_DTYPES:
+        edges = np.array(_INT_EDGES, dtype=dtype)
+        below = edges[edges < gds._INT_LIMIT]
+        extremes = np.array(_INT_EXTREMES[dtype], dtype=dtype)
+        floats = np.linspace(-1.0, 1.0, below.size)
+        yield [edges], "d"
+        yield [extremes, extremes[::-1] % 10], "d,e"
+        yield [below, floats, below[::-1]], "d,t,e"
+        yield [floats, below, floats ** 3], "t,d,v"
+        yield [np.empty(0, dtype=dtype), np.empty(0)], "d,t"
+        yield [(rows % 9973).astype(dtype),
+               np.where(past, 10 ** 4 + rows, rows % 10).astype(dtype),
+               np.where(past, rows % 7, extremes[-1]).astype(dtype),
+               np.cos(rows)], "a,b,c,t"
 
 
 @pytest.mark.parametrize("columns,header", [
@@ -630,6 +660,7 @@ _BLOCK_CROSSING = gds._CSV_BLOCK_ROWS + 904
       np.where(np.arange(_BLOCK_CROSSING) % 7 == 0, -0.0,
                np.exp(np.linspace(-700.0, 700.0, _BLOCK_CROSSING))),
       np.arange(_BLOCK_CROSSING, dtype=np.int64) % 97], "t,value,depth"),
+    *_int_column_cases(),
 ])
 def test_write_csv_matches_savetxt(tmp_path, columns, header):
     ours = tmp_path / "ours.csv"
@@ -674,6 +705,38 @@ def test_write_csv_bytes_match_savetxt(tmp_path_factory, bits, n_columns):
     write_csv(path / "ours.csv", "a,b,c"[:2 * n_columns - 1], columns)
     assert (path / "ours.csv").read_bytes() == _savetxt_bytes(
         path / "ref.csv", columns, "a,b,c"[:2 * n_columns - 1])
+
+
+@st.composite
+def _csv_column(draw, rows):
+    """A float64 column of any bits, or an integer column of one of
+    _INT_DTYPES whose values lie below the digit-table limit, at it, or
+    anywhere in the dtype's range."""
+    dtype = draw(st.sampled_from((np.float64,) + _INT_DTYPES))
+    if dtype is np.float64:
+        bits = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=rows,
+                             max_size=rows))
+        return np.array(bits, dtype=np.uint64).view(np.float64)
+    info = np.iinfo(dtype)
+    lo = draw(st.sampled_from([0, int(info.min)]))
+    hi = draw(st.sampled_from([gds._INT_LIMIT - 1, gds._INT_LIMIT,
+                               int(info.max)]))
+    return np.array(draw(st.lists(st.integers(lo, hi), min_size=rows,
+                                  max_size=rows)), dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 40), n_columns=st.integers(1, 3))
+def test_write_csv_integer_columns_match_savetxt(tmp_path_factory, data,
+                                                 rows, n_columns):
+    """%.17g text of int64, int32 and uint64 columns, beside float64
+    columns in any position."""
+    columns = [data.draw(_csv_column(rows)) for _ in range(n_columns)]
+    header = "a,b,c"[:2 * n_columns - 1]
+    path = tmp_path_factory.mktemp("csv")
+    write_csv(path / "ours.csv", header, columns)
+    assert (path / "ours.csv").read_bytes() == _savetxt_bytes(
+        path / "ref.csv", columns, header)
 
 
 def test_conjugate_pair_probe_verdicts_agree():

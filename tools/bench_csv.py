@@ -4,7 +4,10 @@ Writes two point clouds in the shapes the CLI writes most: 2**18 + 1 rows
 x 2 columns (`solve-fe --out`, a grid `t,value`) and 2**19 + 1 rows x 3
 columns (`overdet --out` on Jensen at eps 2**-18, `t,value,depth`), into a
 scratch directory, and prints ns per number for each writer, best of 5.
-Both write the same bytes; the script checks that too.
+Both write the same bytes; the script checks that too. On the
+`t,value,depth` shape it also times `write_csv` on the two float columns
+alone and on the integer `depth` column alone, so each formatting path
+shows its own cost per number.
 
     python tools/bench_csv.py
     python tools/bench_csv.py --root ../parent-checkout
@@ -66,6 +69,13 @@ def main():
             print(f"{rows} rows x {len(columns)} columns: write_csv "
                   f"{ns:.0f} ns/number, np.savetxt {ref_ns:.0f} ns/number"
                   f"{'' if same else ' (BYTES DIFFER)'}")
+            if len(columns) == 3:
+                floats_ns = _best_ns(lambda p: write_csv(
+                    p, "t,value", columns[:2]), ours, 2 * rows)
+                int_ns = _best_ns(lambda p: write_csv(
+                    p, "depth", columns[2:]), ours, rows)
+                print(f"  write_csv alone: t,value {floats_ns:.0f} "
+                      f"ns/number, depth {int_ns:.0f} ns/number")
     sys.exit(1 if differ else 0)
 
 
