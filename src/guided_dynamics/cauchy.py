@@ -247,18 +247,34 @@ def propagate_values(problem: OverdetProblem, depth: int, eps: float,
         raise ResolutionTooCoarse(
             f"{eps!r} puts both endpoint seeds in one eps/2-cell; it must "
             f"be below twice the interval length {iv.length!r}")
+    grown, hits, saturated, partial = _levels(problem, depth, seeds,
+                                              seed_cells, n_half, cell_cap)
+    points, values, depths, parents, rule_ids = _joined_columns(grown)
+    col_owner, col_points, col_values, col_depths = _joined_columns(hits)
+    return PropagationCloud(
+        problem=problem, points=points, values=values, depths=depths,
+        parents=parents, rule_ids=rule_ids, collision_owner=col_owner,
+        collision_points=col_points, collision_values=col_values,
+        collision_depths=col_depths, eps=eps, saturated=saturated,
+        partial=partial)
+
+
+def _levels(problem, depth, seeds, seed_cells, n_half, cell_cap):
+    """The BFS of `propagate_values`: per level, (points, values, depths,
+    parents, rule ids) of the new points and (owner, point, value, depth)
+    of the collisions, then the saturated and partial flags. The owner
+    table and the last level's temporaries die on return, before the
+    caller joins the pieces."""
+    iv = problem.interval
     owner = np.full(n_half, -1, dtype=np.int64)
     owner[seed_cells] = (0, 1)
     no_parent = np.full(2, -1, dtype=np.int64)
-    # per level: (points, values, depths, parents, rule ids) of the new
-    # points, and (owner, point, value, depth) of the collisions
     grown = [(seeds, np.array([problem.A, problem.B]),
               np.zeros(2, dtype=np.int64), no_parent, no_parent)]
     hits = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
              np.empty(0, dtype=np.int64))]
     labels = np.array([rule.label for rule in problem.rules], dtype=np.int64)
     n = 2
-    saturated = partial = False
     for level in range(1, depth + 1):
         src_p, src_v = grown[-1][:2]
         cand_p = np.concatenate([problem.system.step(i, src_p)
@@ -275,23 +291,14 @@ def propagate_values(problem: OverdetProblem, depth: int, eps: float,
         hits.append((owner[cells[lost]], cand_p[lost], cand_v[lost],
                      np.full(lost.size, level)))
         if not win.size:
-            saturated = True
-            break
+            return grown, hits, True, False
         parents = np.tile(np.arange(n - src_p.size, n), labels.size)
         grown.append((cand_p[win], cand_v[win], np.full(win.size, level),
                       parents[win], np.repeat(labels, src_p.size)[win]))
         n += win.size
         if n > cell_cap:
-            partial = True
-            break
-    points, values, depths, parents, rule_ids = _joined_columns(grown)
-    col_owner, col_points, col_values, col_depths = _joined_columns(hits)
-    return PropagationCloud(
-        problem=problem, points=points, values=values, depths=depths,
-        parents=parents, rule_ids=rule_ids, collision_owner=col_owner,
-        collision_points=col_points, collision_values=col_values,
-        collision_depths=col_depths, eps=eps, saturated=saturated,
-        partial=partial)
+            return grown, hits, False, True
+    return grown, hits, False, False
 
 
 @dataclass

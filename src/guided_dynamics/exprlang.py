@@ -9,12 +9,21 @@ Grammar (EBNF), with ``t`` the default variable name:
     atom   := NUMBER | "pi" | "e" | IDENT "(" expr ")" | IDENT | "(" expr ")" ;
 
 Precedence is ^ above unary minus above * / above + -, with ^
-right-associative. Trees are immutable; evaluation is pure and accepts
-floats or numpy arrays, through one numpy function generated from the tree
-on its first evaluation. A float runs it as a 0-d array, so a float and a
-one-element array give the same value or the same error (overflow to +-inf
-included). ``sign`` is accepted as a function so that printed derivatives
-of ``abs`` re-parse; sign(0) evaluates to 0 by convention.
+right-associative. A source may nest at most MAX_DEPTH levels (each
+operator, function call and pair of parentheses is one level); `parse`
+refuses deeper ones with ExprSyntaxError. The parser runs on an explicit
+stack, and printing, compiling and differentiating walk trees on one, so
+every accepted tree goes through each of them and differentiates twice.
+
+Trees are immutable; evaluation is pure and accepts floats or numpy
+arrays, through one numpy function generated from the tree on its first
+evaluation: one statement per distinct subexpression (equal subtrees are
+computed once), each temporary released after its last use, so an
+evaluation holds a few arrays at a time rather than one per node. A float
+runs it as a 0-d array, so a float and a one-element array give the same
+value or the same error (overflow to +-inf included). ``sign`` is accepted
+as a function so that printed derivatives of ``abs`` re-parse; sign(0)
+evaluates to 0 by convention.
 """
 
 from __future__ import annotations
@@ -235,11 +244,37 @@ def _tokenize(source):
     return tokens
 
 
+# Sources nested deeper than this many levels are refused by `parse`. No
+# walk in this module is bounded by the interpreter's stack, so this is a
+# limit on input: it admits sums of a few hundred terms. (The dataclasses'
+# own == and pickling recurse and fail on trees from about 330 levels.)
+MAX_DEPTH = 350
+
+
+# binary operator -> (precedence, node class); unary minus binds tighter
+# than * and / and looser than ^, which is right-associative
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div),
+           "^": (4, Pow)}
+_NEG = 3
+
+
 class _Parser:
+    """Operator-precedence parser for the grammar above, on two explicit
+    stacks (no recursion, so no nesting reaches the interpreter's stack).
+
+    ``operands`` holds ``(node, depth)``: the source's nesting depth, where
+    each operator, function call and pair of parentheses is one level
+    above what it holds. ``pending`` holds ``(precedence, operator,
+    offset)``; an open parenthesis or function call has precedence 0 and
+    its function name (or "(") as operator.
+    """
+
     def __init__(self, tokens, var):
         self.tokens = tokens
         self.var = var
         self.i = 0
+        self.operands = []
+        self.pending = []
 
     def peek(self):
         return self.tokens[self.i]
@@ -254,67 +289,47 @@ class _Parser:
         got = text if text else "end of input"
         raise ExprSyntaxError(f"unexpected {got!r}", offset, expected=expected)
 
-    def expect_op(self, symbol):
-        kind, text, offset = self.peek()
-        if kind == "op" and text == symbol:
-            return self.advance()
-        self.fail((symbol,))
+    def level(self, offset, *depths):
+        """The depth one level above ``depths``, refused past MAX_DEPTH."""
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        return depth
 
-    def parse(self):
-        node = self.expr()
-        kind, text, offset = self.peek()
-        if kind != "eof":
-            self.fail(("operator", "end of input"))
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
+    def reduce(self, bound):
+        """Apply the pending operators of precedence ``bound`` or more."""
+        operands, pending = self.operands, self.pending
+        while pending and pending[-1][0] >= bound:
+            prec, op, offset = pending.pop()
+            node, depth = operands.pop()
+            if prec == _NEG:
+                # fold a negated literal so printed negative constants
+                # round-trip to the same tree
+                node = Num(-node.value) if isinstance(node, Num) else \
+                    Neg(node)
             else:
-                return node
+                lhs, ldepth = operands.pop()
+                node = _BINARY[op][1](lhs, node)
+                depth = max(depth, ldepth)
+            operands.append((node, self.level(offset, depth)))
 
-    def term(self):
-        node = self.factor()
+    def operand(self):
+        """Read prefix minuses and opening parentheses or calls up to an
+        atom, and push the atom."""
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
+            kind, text, offset = self.peek()
+            if kind == "op" and text in "-(":
                 self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if text == "*" else Div(node, rhs)
-            else:
-                return node
-
-    def factor(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            inner = self.factor()
-            # fold a negated literal so printed negative constants
-            # round-trip to the same tree
-            if isinstance(inner, Num):
-                return Num(-inner.value)
-            return Neg(inner)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Pow(base, self.factor())
-        return base
-
-    def atom(self):
-        kind, text, offset = self.peek()
-        if kind == "number":
-            self.advance()
-            return Num(float(text))
-        if kind == "ident":
+                self.pending.append((_NEG, "-", offset) if text == "-" else
+                                    (0, "(", offset))
+                continue
+            if kind == "number":
+                self.advance()
+                self.operands.append((Num(float(text)), 1))
+                return
+            if kind != "ident":
+                self.fail(("NUMBER", "IDENT", "(", "-"))
             self.advance()
             nkind, ntext, _ = self.peek()
             if nkind == "op" and ntext == "(":
@@ -323,26 +338,49 @@ class _Parser:
                         f"unknown function {text!r}", offset,
                         expected=FUNCTIONS)
                 self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
+                self.pending.append((0, text, offset))
+                continue
             if text == self.var:
-                return Var(text)
-            if text in _CONSTANTS:
-                return Const(text)
-            raise ExprSyntaxError(
-                f"unknown identifier {text!r}", offset,
-                expected=(self.var, "pi", "e") + FUNCTIONS)
-        if kind == "op" and text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        self.fail(("NUMBER", "IDENT", "(", "-"))
+                node = Var(text)
+            elif text in _CONSTANTS:
+                node = Const(text)
+            else:
+                raise ExprSyntaxError(
+                    f"unknown identifier {text!r}", offset,
+                    expected=(self.var, "pi", "e") + FUNCTIONS)
+            self.operands.append((node, 1))
+            return
+
+    def parse(self):
+        while True:
+            self.operand()
+            while True:
+                kind, text, offset = self.peek()
+                if kind == "op" and text in _BINARY:
+                    prec = _BINARY[text][0]
+                    # ^ is right-associative: an equal one stays pending
+                    self.reduce(prec + 1 if text == "^" else prec)
+                    self.advance()
+                    self.pending.append((prec, text, offset))
+                    break
+                self.reduce(1)
+                if not self.pending:
+                    if kind != "eof":
+                        self.fail(("operator", "end of input"))
+                    return self.operands[0][0]
+                if not (kind == "op" and text == ")"):
+                    self.fail((")",))
+                self.advance()
+                _, opener, opened = self.pending.pop()
+                node, depth = self.operands.pop()
+                if opener != "(":
+                    node = Call(opener, node)
+                self.operands.append((node, self.level(opened, depth)))
 
 
 def parse(source: str, var: str = "t") -> Expression:
-    """Parse ``source`` into an expression tree over the variable ``var``."""
+    """Parse ``source`` into an expression tree over the variable ``var``.
+    A source nested deeper than MAX_DEPTH levels is an ExprSyntaxError."""
     return _Parser(_tokenize(source), var).parse()
 
 
@@ -358,15 +396,34 @@ def _children(node):
     return ()
 
 
-def _fold(node, visit, memo=None):
-    """Post-order walk returning ``visit(node, *child_results)``. With a
-    ``memo`` dict, a subtree shared by identity is visited once."""
-    if memo is not None and id(node) in memo:
-        return memo[id(node)]
-    out = visit(node, *[_fold(c, visit, memo) for c in _children(node)])
-    if memo is not None:
-        memo[id(node)] = out
-    return out
+def _fold(root, visit, memo=None):
+    """Post-order walk returning ``visit(node, *child_results)``, children
+    left to right, on an explicit stack (any depth). With a ``memo`` dict,
+    a subtree shared by identity is visited once."""
+    results = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:
+            # (node, k): the results of its k children are on top
+            node, k = node
+            args = results[-k:]
+            del results[-k:]
+            out = visit(node, *args)
+        elif memo is not None and id(node) in memo:
+            results.append(memo[id(node)])
+            continue
+        else:
+            children = _children(node)
+            if children:
+                stack.append((node, len(children)))
+                stack.extend(reversed(children))
+                continue
+            out = visit(node)
+        if memo is not None:
+            memo[id(node)] = out
+        results.append(out)
+    return results[0]
 
 
 # --------------------------------------------------------------------------
@@ -438,19 +495,29 @@ def _fresh(value, x):
     return np.full(x.shape, value, dtype=float)
 
 
+# the local names of the compiled body's values
+_VALUE_NAME = re.compile(r"\bv\d+\b")
+
+
 class _Emitter:
-    """Tree-walk visitor writing one straight-line statement per node.
+    """Tree-walk visitor writing one straight-line statement per distinct
+    subexpression.
 
     Visiting returns ``(operand, varies)``: the operand is a literal or a
     local name, ``varies`` says whether it depends on the variable. A
     varying operand is a numpy array or numpy scalar computed from ``xa``;
     everything else is a Python float. Guarded nodes emit one check raising
     the node's DomainError, reduced with ``.any()`` when the operand varies.
+    A statement or check whose text was already emitted is not repeated:
+    its operands are the same immutable values, so it would compute the
+    same bits (or pass again).
     """
 
     def __init__(self, env):
         self.env = env
         self.lines = []
+        self.names = {}  # statement text -> the name it was bound to
+        self.tested = set()
         self.uses_var = False
 
     def bind(self, value):
@@ -459,14 +526,37 @@ class _Emitter:
         return name
 
     def let(self, text, varies):
-        name = f"v{len(self.lines)}"
-        self.lines.append(f"{name} = {text}")
+        name = self.names.get(text)
+        if name is None:
+            name = self.names[text] = f"v{len(self.names)}"
+            self.lines.append(f"{name} = {text}")
         return name, varies
 
-    def guard(self, varies, cond, error):
-        """Raise ``error`` (source text) when ``cond`` holds anywhere."""
+    def guard(self, varies, cond, error, *args):
+        """Raise ``error(*args)`` (source text) when ``cond`` holds
+        anywhere."""
         test = f"({cond}).any()" if varies else cond
-        self.lines.append(f"if {test}: raise {error}")
+        if test not in self.tested:
+            self.tested.add(test)
+            self.lines.append(f"if {test}: raise {error(*args)}")
+
+    def freed(self, keep):
+        """The lines with a ``del`` of each value name after the last line
+        that reads it (guards included); ``keep`` is never freed."""
+        last = {}
+        for i, line in enumerate(self.lines):
+            for name in _VALUE_NAME.findall(line):
+                last[name] = i
+        last.pop(keep, None)
+        frees = {}
+        for name, i in last.items():
+            frees.setdefault(i, []).append(name)
+        lines = []
+        for i, line in enumerate(self.lines):
+            lines.append(line)
+            if i in frees:
+                lines.append("del " + ", ".join(frees[i]))
+        return lines
 
     def domain_error(self, message, node):
         return (f"DomainError({message!r}, subexpression={self.bind(node)}, "
@@ -500,7 +590,7 @@ class _Emitter:
             return self.power(node, a, av, b, bv)
         if isinstance(node, Div):
             self.guard(bv, f"{b} == 0.0",
-                       self.domain_error("division by zero", node))
+                       self.domain_error, "division by zero", node)
         if isinstance(node, _BinOp):
             return self.let(f"{a} {node.op} {b}", av or bv)
         raise TypeError(f"not an expression node: {node!r}")
@@ -509,7 +599,7 @@ class _Emitter:
         if node.func in _CALL_GUARDS:
             op, message = _CALL_GUARDS[node.func]
             self.guard(varies, f"{a} {op} 0.0",
-                       self.domain_error(message, node))
+                       self.domain_error, message, node)
         text = f"np_{node.func}({a})"
         return self.let(text if varies else f"float({text})", varies)
 
@@ -523,14 +613,14 @@ class _Emitter:
                 return self.product(a, av, int(expo))
             if not integral or expo < 0.0:
                 op = "==" if integral else "<=" if expo < 0.0 else "<"
-                self.guard(av, f"{a} {op} 0.0", self.pow_error(node, a, b))
+                self.guard(av, f"{a} {op} 0.0", self.pow_error, node, a, b)
             varies = av
         else:
             varies = av or bv
             self.guard(varies,
                        f"(({a} == 0.0) & ({b} < 0.0)) | "
                        f"(({a} < 0.0) & ({b} != np_floor({b})))",
-                       self.pow_error(node, a, b))
+                       self.pow_error, node, a, b)
         if varies:
             return self.let(f"np_power({a}, {b})", varies)
         return self.let(f"{a} ** {b}", varies)
@@ -569,7 +659,7 @@ def _compile(node):
     lines = ["def evaluate(x):"]
     if emit.uses_var:
         lines.append("    xa = asarray(x, dtype=float)")
-    lines += ["    " + line for line in emit.lines]
+    lines += ["    " + line for line in emit.freed(result)]
     lines += [f"    if isinstance(x, ndarray): return fresh({result}, x)",
               f"    return float({result})"]
     exec(_bytecode("\n".join(lines)), env)
@@ -645,7 +735,8 @@ def _pow(a, b):
 
 
 def contains_var(node: Expression) -> bool:
-    return _fold(node, lambda n, *parts: isinstance(n, Var) or any(parts))
+    return _fold(node, lambda n, *parts: isinstance(n, Var) or any(parts),
+                 {})
 
 
 def differentiate(node: Expression) -> Expression:
@@ -655,31 +746,35 @@ def differentiate(node: Expression) -> Expression:
     (both conventions hold off the kink, which is all the numeric layers
     rely on).
     """
+    return _fold(node, _derivative, {})
+
+
+def _derivative(node, *d):
+    """The derivative of ``node`` from its children's derivatives ``d``."""
     if isinstance(node, (Num, Const)):
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0)
     if isinstance(node, Neg):
-        return _negate(differentiate(node.arg))
+        return _negate(d[0])
     if isinstance(node, Add):
-        return _add(differentiate(node.lhs), differentiate(node.rhs))
+        return _add(*d)
     if isinstance(node, Sub):
-        return _sub(differentiate(node.lhs), differentiate(node.rhs))
+        return _sub(*d)
     if isinstance(node, Mul):
-        da, db = differentiate(node.lhs), differentiate(node.rhs)
+        da, db = d
         return _add(_mul(da, node.rhs), _mul(node.lhs, db))
     if isinstance(node, Div):
-        da, db = differentiate(node.lhs), differentiate(node.rhs)
+        da, db = d
         num = _sub(_mul(da, node.rhs), _mul(node.lhs, db))
         return _divide(num, _pow(node.rhs, Num(2.0)))
     if isinstance(node, Pow):
         f, g = node.lhs, node.rhs
-        df = differentiate(f)
+        df, dg = d
         if not contains_var(g):
             # g * f^(g-1) * f'
             expo = _sub(g, Num(1.0)) if _is_num(g) else Sub(g, Num(1.0))
             return _mul(_mul(g, _pow(f, expo)), df)
-        dg = differentiate(g)
         if not contains_var(f):
             # f^g * log(f) * g'
             return _mul(_mul(node, Call("log", f)), dg)
@@ -687,7 +782,7 @@ def differentiate(node: Expression) -> Expression:
         return _mul(node, _add(_mul(dg, Call("log", f)),
                                _divide(_mul(g, df), f)))
     if isinstance(node, Call):
-        da = differentiate(node.arg)
+        (da,) = d
         u = node.arg
         if node.func == "sin":
             outer = Call("cos", u)

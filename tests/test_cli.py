@@ -270,6 +270,40 @@ def test_solve_fe_csv(tmp_path, capsys):
     assert np.max(np.abs(data[:, 1] - (4.0 / 3.0) * data[:, 0])) < 1e-9
 
 
+DEEP_SOURCES = {"sum of 2000 terms": " + ".join(["t"] * 2000),
+                "400 parentheses": "(" * 400 + "t" + ")" * 400}
+
+
+@pytest.mark.parametrize("source", DEEP_SOURCES.values(), ids=DEEP_SOURCES)
+def test_deep_expression_is_a_config_error(tmp_path, capsys, source):
+    path = tmp_path / "deep_map.json"
+    path.write_text(json.dumps({
+        "space": {"type": "interval", "a": -1.0, "b": 1.0},
+        "maps": ["(t+1)/2", source], "coeffs": ["0.25", "0.25"]}))
+    for argv, pointer in (
+            (["--config", cfg("standard_funceq.json"), "--h", source],
+             "/problem/h"),
+            (["--config", str(path), "--h", "t"], "/maps/1")):
+        code, out, err = run(capsys, ["solve-fe"] + argv + ["--no-meta"])
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and "nested deeper" in err
+        assert pointer in err
+
+
+def test_solve_fe_with_a_300_term_h(tmp_path, capsys):
+    out_csv = tmp_path / "f.csv"
+    code, _, _ = run(capsys, ["solve-fe", "--config",
+                              cfg("standard_funceq.json"),
+                              "--h", " + ".join(["0.001*t"] * 300),
+                              "--grid", "512", "--out", str(out_csv),
+                              "--no-meta"])
+    assert code == 0
+    data = np.loadtxt(out_csv, delimiter=",", skiprows=1)
+    # h = 0.3 t, so f = 0.4 t
+    assert np.max(np.abs(data[:, 1] - 0.4 * data[:, 0])) < 1e-9
+
+
 def test_solve_bvp_report_keys(tmp_path, capsys):
     out_csv = tmp_path / "u.csv"
     code, out, _ = run(capsys, ["solve-bvp", "--config",

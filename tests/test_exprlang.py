@@ -1,5 +1,8 @@
+import copy
+import dis
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guided_dynamics.errors import DomainError, ExprSyntaxError
-from guided_dynamics.exprlang import (FUNCTIONS, MAX_PRODUCT_POWER, Add,
-                                      Call, Const, Div, Mul, Neg, Num, Pow,
-                                      Sub, Var, contains_var, differentiate,
-                                      parse, to_source)
+from guided_dynamics.exprlang import (FUNCTIONS, MAX_DEPTH,
+                                      MAX_PRODUCT_POWER, Add, Call, Const,
+                                      Div, Mul, Neg, Num, Pow, Sub, Var,
+                                      contains_var, differentiate, parse,
+                                      to_source)
 
 GOLDEN_TREES = {
     "(t+1)/2": "Div(Add(Var('t'), Num(1.0)), Num(2.0))",
@@ -262,7 +266,10 @@ def _grow(children):
         st.builds(lambda op, a, b: op(a, b),
                   st.sampled_from([Add, Sub, Mul, Div]), children, children),
         st.builds(Pow, children, st.sampled_from(_EXPONENTS).map(Num)),
-        st.builds(Pow, children, children))
+        st.builds(Pow, children, children),
+        # a subtree repeated by value (an equal copy, not the same object)
+        st.builds(lambda op, a: op(a, copy.deepcopy(a)),
+                  st.sampled_from([Add, Sub, Mul, Div, Pow]), children))
 
 
 expression_trees = st.recursive(
@@ -370,3 +377,79 @@ def test_evaluated_tree_pickles():
     tree(0.5)
     again = pickle.loads(pickle.dumps(tree))
     assert again == tree and again(0.5) == tree(0.5)
+
+
+def _funceq_h(coefs, a, b):
+    """The shape of the grid-solve workload's h: f - a f((t+1)/2) -
+    b f((t-1)/2) for a cubic f."""
+    def poly(var):
+        return " + ".join(f"({c!r})*({var})^{k}" if k else f"({c!r})"
+                          for k, c in enumerate(coefs))
+    return (f"{poly('t')} - ({a!r})*({poly('(t+1)/2')}) "
+            f"- ({b!r})*({poly('(t-1)/2')})")
+
+
+def test_compiled_eval_frees_temporaries():
+    """Equal subexpressions are computed once and every temporary is freed
+    after its last use: a grid evaluation holds a few arrays at a time,
+    not one per node."""
+    tree = parse(_funceq_h([0.3, -0.7, 0.2, 0.9], 0.25, 0.2))
+    xs = np.linspace(-1.0, 1.0, 2 ** 18 + 1)
+    tree(xs[:3])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = tree(xs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * xs.nbytes
+    assert got[::4096].tolist() == [tree(float(x)) for x in xs[::4096]]
+
+
+def test_equal_subtrees_share_one_statement():
+    tree = parse("((t+1)/2)*((t+1)/2) + sin((t+1)/2) - (t+1)")
+    tree(0.5)
+    stores = [ins for ins in dis.get_instructions(tree._compiled)
+              if ins.opname == "STORE_FAST" and ins.argval.startswith("v")]
+    # t+1, /2, the product, sin, the sum, the difference
+    assert len(stores) == 6
+    # Num(-0.0) == Num(0.0), but -0*t and 0*t are different statements
+    assert math.copysign(1.0, parse("-0*t - 0*t")(1.0)) == -1.0
+
+
+DEEPEST = {  # sources exactly MAX_DEPTH levels deep
+    "sum": " + ".join(["t"] * MAX_DEPTH),
+    "product": "*".join(["t"] * MAX_DEPTH),
+    "quotient": "/".join(["t"] * MAX_DEPTH),
+    "power": "^".join(["t"] * MAX_DEPTH),
+    "calls": "sin(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+    "parentheses": "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+}
+
+
+@pytest.mark.parametrize("source", DEEPEST.values(), ids=DEEPEST)
+def test_deepest_source_compiles_prints_and_differentiates_twice(source):
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        parse(f"({source})")
+    tree = parse(source)
+    printed = to_source(tree)
+    assert to_source(parse(printed)) == printed
+    d = differentiate(tree)
+    d2 = differentiate(d)
+    with np.errstate(all="ignore"):
+        for expr in (tree, d, d2):
+            assert expr(np.linspace(0.5, 0.9, 3)).shape == (3,)
+            assert type(expr(0.7)) is float
+
+
+def test_parse_refuses_deep_sources_at_the_level_past_the_bound():
+    with pytest.raises(ExprSyntaxError, match="nested deeper") as exc:
+        parse("(" * 400 + "t" + ")" * 400)
+    assert exc.value.offset == 400 - MAX_DEPTH
+    source = " + ".join(["t"] * 2000)
+    with pytest.raises(ExprSyntaxError, match="nested deeper") as exc:
+        parse(source)
+    # the operator that makes the sum MAX_DEPTH + 1 levels deep
+    assert exc.value.offset == source.index("+") + 4 * (MAX_DEPTH - 1)
