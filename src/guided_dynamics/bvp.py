@@ -33,10 +33,10 @@ from .errors import (CornerMismatch, DegenerateParametrization, NoBracket,
 from .exprlang import Expression, _scalar, as_callable, differentiate
 from .funceq import GridFunction
 from .gds import (ContractionMinimalityCertificate, GeneratorMap,
-                  GuidedSystem, GuidingSet, Interval, allowed_generators,
-                  check_contraction_minimality, find_guided_cycles,
-                  probe_minimality, verify_conjugacy, write_csv,
-                  zero_band_guiding)
+                  GuidedSystem, GuidingSet, Interval, _distinct,
+                  allowed_generators, check_contraction_minimality,
+                  find_guided_cycles, probe_minimality, verify_conjugacy,
+                  write_csv, zero_band_guiding)
 from .pconf import IvpProblem, solve_ivp, validate_pconfiguration
 
 TOL_SLOPE = 1e-8
@@ -181,7 +181,7 @@ def _make_z_of_t(omega_fn, omega_d_fn):
             miss = np.ones(t.size, dtype=bool)
         if miss.any():
             miss_keys = keys[miss]
-            new_keys = np.unique(miss_keys)
+            new_keys = _distinct(miss_keys)
             new_z = newton(new_keys.view(np.float64))
             out[miss] = new_z[np.searchsorted(new_keys, miss_keys)]
             if memo_keys.size + new_keys.size > Z_MEMO_N:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import HypothesisFailure, MapEscape, ResolutionTooCoarse
 from .exprlang import Expression, Num, _scalar, as_callable
-from .gds import (ContractionRefusal, GuidedSystem, Interval,
+from .gds import (ContractionRefusal, GuidedSystem, Interval, _first_claims,
                   check_contraction_minimality, write_csv)
 
 __all__ = [
@@ -284,8 +284,7 @@ def _levels(problem, depth, seeds, seed_cells, n_half, cell_cap):
                        dtype=float)
             for rule in problem.rules])
         cells = iv.cell_index(cand_p, n_half)
-        free = np.flatnonzero(owner[cells] < 0)
-        win = np.sort(free[np.unique(cells[free], return_index=True)[1]])
+        win = np.sort(_first_claims(cells, owner[cells] < 0))
         owner[cells[win]] = np.arange(n, n + win.size)
         lost = np.delete(np.arange(cand_p.size), win)
         hits.append((owner[cells[lost]], cand_p[lost], cand_v[lost],

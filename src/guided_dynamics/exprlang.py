@@ -12,8 +12,9 @@ Precedence is ^ above unary minus above * / above + -, with ^
 right-associative. A source may nest at most MAX_DEPTH levels (each
 operator, function call and pair of parentheses is one level); `parse`
 refuses deeper ones with ExprSyntaxError. The parser runs on an explicit
-stack, and printing, compiling and differentiating walk trees on one, so
-every accepted tree goes through each of them and differentiates twice.
+stack, and printing, compiling, differentiating, comparing, hashing and
+pickling walk trees on one, so every accepted tree goes through each of
+them and differentiates twice.
 
 Trees are immutable; evaluation is pure and accepts floats or numpy
 arrays, through one numpy function generated from the tree on its first
@@ -71,11 +72,38 @@ class Expression:
     def __str__(self):
         return to_source(self)
 
-    def __getstate__(self):
-        # the compiled function is rebuilt on demand, never pickled
-        state = dict(self.__dict__)
-        state.pop("_compiled", None)
-        return state
+    # Equality, hashing and pickling (copying too) walk the tree on an
+    # explicit stack, as printing and compiling do: the dataclass versions
+    # recursed, and failed on trees a few hundred levels deep.
+    def __eq__(self, other):
+        if not isinstance(other, Expression):
+            return NotImplemented
+        # a pair of shared subtrees is compared once
+        pairs, seen = [(self, other)], set()
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if a.__class__ is not b.__class__ or _own(a) != _own(b):
+                return False
+            seen.add((id(a), id(b)))
+            pairs.extend(zip(_children(a), _children(b)))
+        return True
+
+    def __hash__(self):
+        return _fold(self, lambda node, *kids: hash(
+            (node.__class__, _own(node), kids)), {})
+
+    def __reduce__(self):
+        # a flat post-order table of (class, own values, child rows); the
+        # compiled function is rebuilt on demand, never pickled
+        table = []
+
+        def row(node, *kids):
+            table.append((node.__class__, _own(node), kids))
+            return len(table) - 1
+        _fold(self, row, {})
+        return _from_table, (tuple(table),)
 
     # Symbolic construction sugar: bvp builds omega = n*alpha1 - m*alpha2.
     def __add__(self, other):
@@ -115,7 +143,7 @@ def _coerce(value):
     return Num(float(value))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Num(Expression):
     value: float
 
@@ -127,7 +155,7 @@ class Num(Expression):
         return 5 if self.value >= 0 else 3
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Var(Expression):
     name: str = "t"
 
@@ -135,7 +163,7 @@ class Var(Expression):
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Const(Expression):
     name: str
 
@@ -143,7 +171,7 @@ class Const(Expression):
         return f"Const({self.name!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Neg(Expression):
     arg: Expression
     precedence = 3
@@ -159,7 +187,7 @@ class _BinOp(Expression):
         return f"{type(self).__name__}({self.lhs!r}, {self.rhs!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Add(_BinOp):
     lhs: Expression
     rhs: Expression
@@ -167,7 +195,7 @@ class Add(_BinOp):
     op = "+"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Sub(_BinOp):
     lhs: Expression
     rhs: Expression
@@ -175,7 +203,7 @@ class Sub(_BinOp):
     op = "-"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Mul(_BinOp):
     lhs: Expression
     rhs: Expression
@@ -183,7 +211,7 @@ class Mul(_BinOp):
     op = "*"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Div(_BinOp):
     lhs: Expression
     rhs: Expression
@@ -191,7 +219,7 @@ class Div(_BinOp):
     op = "/"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Pow(_BinOp):
     lhs: Expression
     rhs: Expression
@@ -199,7 +227,7 @@ class Pow(_BinOp):
     op = "^"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Call(Expression):
     func: str
     arg: Expression
@@ -246,8 +274,7 @@ def _tokenize(source):
 
 # Sources nested deeper than this many levels are refused by `parse`. No
 # walk in this module is bounded by the interpreter's stack, so this is a
-# limit on input: it admits sums of a few hundred terms. (The dataclasses'
-# own == and pickling recurse and fail on trees from about 330 levels.)
+# limit on input: it admits sums of a few hundred terms.
 MAX_DEPTH = 350
 
 
@@ -385,7 +412,7 @@ def parse(source: str, var: str = "t") -> Expression:
 
 
 # --------------------------------------------------------------------------
-# Tree walk shared by printing and compilation
+# Tree walks shared by printing, compiling, ==, hashing and pickling
 # --------------------------------------------------------------------------
 
 def _children(node):
@@ -394,6 +421,26 @@ def _children(node):
     if isinstance(node, _BinOp):
         return (node.lhs, node.rhs)
     return ()
+
+
+def _own(node):
+    """The node's fields other than its children, in field order (they
+    come first)."""
+    if isinstance(node, Num):
+        return (node.value,)
+    if isinstance(node, (Var, Const)):
+        return (node.name,)
+    if isinstance(node, Call):
+        return (node.func,)
+    return ()
+
+
+def _from_table(table):
+    """The tree that `Expression.__reduce__` flattened into ``table``."""
+    built = []
+    for cls, own, kids in table:
+        built.append(cls(*own, *(built[k] for k in kids)))
+    return built[-1]
 
 
 def _fold(root, visit, memo=None):

@@ -764,6 +764,33 @@ _REFINE_MULTS = (2, 8, 32)   # single-seed closures escalate on stalls
 _PROBE_MULTS = (16, 64)      # many-seed probes start fine to avoid restarts
 
 
+def _heads(ordered):
+    """Mask of the first element of each run of equal values."""
+    if not ordered.size:
+        return np.zeros(0, dtype=bool)
+    return np.concatenate(([True], ordered[1:] != ordered[:-1]))
+
+
+def _distinct(keys):
+    """The distinct integer keys, sorted, as NumPy's ``unique`` gives them,
+    from a sort and an adjacent-difference mask (``unique`` itself takes a
+    slower hash path)."""
+    ordered = np.sort(keys)
+    return ordered[_heads(ordered)]
+
+
+def _first_claims(keys, free):
+    """First-claim dedup: for each distinct key among the candidates
+    marked ``free``, the index of the first such candidate, in candidate
+    order, to carry it. The indices come in key order: the first indices
+    that NumPy's ``unique`` returns for ``keys[free]``, mapped back to
+    ``keys``."""
+    # method calls: the np.* wrappers cost microseconds on thin frontiers
+    sub = keys[free]
+    order = sub.argsort(kind="stable")
+    return free.nonzero()[0][order[_heads(sub[order])]]
+
+
 def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
               retire_covered=False, target=None, keep_points=False):
     """Guided BFS from many seeds at once: one shared vectorized frontier
@@ -777,6 +804,11 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
     cell cap. With keep_points, points[k] holds seed k's representatives
     (the first candidate to land in each occupied fine cell) in fine-cell
     order; otherwise points is None.
+
+    Dedup is by first claim (`_first_claims`): of the candidates that land
+    in a free (seed, fine cell), the first in candidate order claims it.
+    The claimants form the next frontier in (seed, cell) order, and the
+    candidates after it are each generator's images of it in turn.
 
     Each level normalizes its candidates once: the cell indices and the
     frontier are taken from that one array, and the system's rules test
@@ -806,7 +838,7 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
         lin = csid * n_cov + space.cell_index(cand, n_cov)
         if retire_covered:
             # count per level only when a seed can retire on the count
-            fresh = np.unique(lin[~covd[lin]])
+            fresh = _distinct(lin[~covd[lin]])
             covd[fresh] = True
             cov_count += np.bincount(fresh // n_cov, minlength=n_seeds)
             active &= cov_count < n_cov
@@ -816,11 +848,9 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
             hit[csid[space.metric(cand, target) <= eps]] = True
             active &= ~hit
         linf = csid * n_fine + space.cell_index(cand, n_fine)
-        ulinf, first = np.unique(linf, return_index=True)
-        new = ~occ[ulinf]
-        cells = ulinf[new]
+        sel = _first_claims(linf, ~occ[linf])
+        cells = linf[sel]
         occ[cells] = True
-        sel = first[new]
         pts, sid = cand[sel], csid[sel]
         if keep_points:
             kept.append((cells, pts))
@@ -895,7 +925,7 @@ def guided_orbit_set(system: GuidedSystem, x0, depth: int, eps: float,
         saturated[0] = False
     n_half = space.cell_count(eps / 2.0)
     cells = space.cell_index(pts, n_half)
-    _, keep = np.unique(cells, return_index=True)
+    keep = _first_claims(cells, np.ones(cells.size, dtype=bool))
     return OrbitCloud(points=np.sort(pts[keep]),
                       coverage=int(cov[0]) / n_cov, eps=eps,
                       n_cov_cells=n_cov, saturated=bool(saturated[0]),

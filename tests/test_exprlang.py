@@ -444,6 +444,22 @@ def test_deepest_source_compiles_prints_and_differentiates_twice(source):
             assert type(expr(0.7)) is float
 
 
+@pytest.mark.parametrize("source", DEEPEST.values(), ids=DEEPEST)
+def test_deepest_source_compares_hashes_and_pickles(source):
+    tree, again = parse(source), parse(source)
+    assert tree == again and hash(tree) == hash(again)
+    # a left-associative chain holds its deepest leaf first, a
+    # right-associative one last
+    for changed in (source.replace("t", "2", 1),
+                    source[::-1].replace("t", "2", 1)[::-1]):
+        assert tree != parse(changed)
+    d = differentiate(tree)
+    for expr in (tree, d):
+        for copied in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
+            assert copied == expr and hash(copied) == hash(expr)
+    assert to_source(pickle.loads(pickle.dumps(tree))) == to_source(tree)
+
+
 def test_parse_refuses_deep_sources_at_the_level_past_the_bound():
     with pytest.raises(ExprSyntaxError, match="nested deeper") as exc:
         parse("(" * 400 + "t" + ")" * 400)

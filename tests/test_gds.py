@@ -20,11 +20,11 @@ from guided_dynamics.gds import (CircleSpace,
                                  probe_minimality, probe_weak_attractor,
                                  validate_orbit, verify_conjugacy,
                                  zero_band_guiding)
-from guided_dynamics.gds import (_circle_arcs, _closures,
-                                 _interval_images, _merge_intervals,
-                                 _range_cover_defect, _step_rule,
-                                 _validate_witness, _witness_intervals,
-                                 write_csv)
+from guided_dynamics.gds import (_circle_arcs, _closures, _distinct,
+                                 _first_claims, _interval_images,
+                                 _merge_intervals, _range_cover_defect,
+                                 _step_rule, _validate_witness,
+                                 _witness_intervals, write_csv)
 
 TWO_PI = 2 * math.pi
 
@@ -930,6 +930,12 @@ KERNEL_SYSTEMS = {
 # 2 pi / 62.5: 63 eps-cells and 125, 500 and 1000 fine cells, counts at
 # which 2 pi / (2 pi / n) rounds below n
 SEAM_EPS = TWO_PI / 62.5
+# the kernel at width, as `probe` runs it: a seed at each eps-cell's left
+# edge (126 at eps 0.05), so every level dedups thousands of candidates
+# across seeds; the examples below retire all seeds on full coverage at
+# level 22 (unguided), 117 of them before depth 40 (arcs), and 46 on the
+# cell cap (arcs)
+WIDE_UNITS = [k / 126 for k in range(126)]
 
 
 @given(st.sampled_from(sorted(KERNEL_SYSTEMS)),
@@ -941,6 +947,12 @@ SEAM_EPS = TWO_PI / 62.5
        st.sampled_from(["none", "covered", "target"]), st.booleans())
 @example("circle seam", [-1e-300, 1e-300], SEAM_EPS, 3, 8, 500_000, "none",
          True)
+@example("circle unguided", WIDE_UNITS, 0.05, 30, 16, 500_000, "covered",
+         True)
+@example("circle arcs", WIDE_UNITS, 0.05, 40, 16, 500_000, "covered", True)
+@example("circle arcs", WIDE_UNITS, 0.05, 20, 16, 150, "covered", False)
+@example("circle unguided", WIDE_UNITS, 0.05, 3, 16, 500_000, "covered",
+         False)
 @settings(max_examples=150, deadline=None)
 def test_closures_match_reference(name, units, eps, depth, mult, cap,
                                   retire, keep_points):
@@ -964,6 +976,32 @@ def test_closures_match_reference(name, units, eps, depth, mult, cap,
         assert all(np.array_equal(g, w) for g, w in zip(got[5], want[5]))
     else:
         assert got[5] is None and want[5] is None
+
+
+INT64_ENDS = [-2 ** 63, 2 ** 63 - 1]
+
+
+@given(st.lists(st.tuples(st.one_of(st.integers(-5, 20),
+                                    st.sampled_from(INT64_ENDS)),
+                          st.booleans()), max_size=60))
+@example([])
+@example([(3, True)])
+@example([(3, False)])
+@example([(4, False), (1, False), (4, False)])   # every key taken
+@example([(7, True)] * 5)                        # all one key
+@example([(7, False), (7, True), (7, True)])
+@settings(max_examples=300, deadline=None)
+def test_dedup_helpers_match_numpy_unique(pairs):
+    keys = np.array([k for k, _ in pairs], dtype=np.int64)
+    free = np.array([f for _, f in pairs], dtype=bool)
+    before = keys.copy()
+    got = _distinct(keys)
+    assert got.dtype == np.int64 and np.array_equal(got, np.unique(keys))
+    claims = _first_claims(keys, free)
+    cells, first = np.unique(keys[free], return_index=True)
+    assert np.array_equal(claims, np.flatnonzero(free)[first])
+    assert np.array_equal(keys[claims], cells)
+    assert np.array_equal(keys, before)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,8 +1,13 @@
 """Time the batched orbit-closure kernel, `gds._closures`, alone.
 
-Two frontiers on the golden-type circle system: rotations by
-2 pi (1 - phi) and by 0.7 turns, guided at {0, pi} and {pi/2, 3 pi/2}
-(phi the golden section 0.618...):
+Two circle systems:
+
+- golden: rotations by 2 pi (1 - phi) and by 0.7 turns, guided at
+  {0, pi} and {pi/2, 3 pi/2} (phi the golden section 0.618...);
+- sqrt2-rad: rotations by sqrt(2) and 2 sqrt(2) rad, unguided (a close
+  rational approximant, so its closures take many levels).
+
+Each runs two frontiers:
 
 - thin: one seed, eps 0.002, fine_mult 8, depth 10**4, keeping the
   representatives, as `orbit --eps 0.002` runs it; a few new cells per
@@ -33,11 +38,20 @@ PHI = (math.sqrt(5.0) - 1.0) / 2.0
 REPEATS = 5
 
 
-def _system(gds, parse, counter=None):
-    """The golden-type system; with a counter (a one-item list), every
-    generator adds the size of its images to it."""
-    maps = [gds.map_from(parse(f"t + {TWO_PI * v!r}"), label=i)
-            for i, v in enumerate((1.0 - PHI, 0.7))]
+# name -> (rotation angles, guiding points per generator or None)
+SYSTEMS = {
+    "golden": ((TWO_PI * (1.0 - PHI), TWO_PI * 0.7),
+               [[0.0, math.pi], [math.pi / 2, 3 * math.pi / 2]]),
+    "sqrt2-rad": ((math.sqrt(2.0), 2 * math.sqrt(2.0)), None),
+}
+
+
+def _system(gds, parse, name, counter=None):
+    """The named system; with a counter (a one-item list), every generator
+    adds the size of its images to it."""
+    angles, points = SYSTEMS[name]
+    maps = [gds.map_from(parse(f"t + {a!r}"), label=i)
+            for i, a in enumerate(angles)]
     if counter is not None:
         for g in maps:
             def counted(x, fn=g.fn):
@@ -45,8 +59,7 @@ def _system(gds, parse, counter=None):
                 counter[0] += len(y)
                 return y
             g.fn = counted
-    guiding = [gds.GuidingSet.points([0.0, math.pi]),
-               gds.GuidingSet.points([math.pi / 2, 3 * math.pi / 2])]
+    guiding = points and [gds.GuidingSet.points(p) for p in points]
     return gds.GuidedSystem(gds.CircleSpace(TWO_PI), maps, guiding)
 
 
@@ -67,22 +80,24 @@ def main():
     from guided_dynamics import gds
     from guided_dynamics.exprlang import parse
 
-    system = _system(gds, parse)
-    for name, seeds, depth, eps, mult, kw in _cases(gds):
-        seeds = np.asarray(seeds, dtype=float)
-        counter = [len(seeds)]
-        *_, levels, _ = gds._closures(_system(gds, parse, counter), seeds,
-                                      depth, eps, mult, 500_000, **kw)
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            gds._closures(system, seeds, depth, eps, mult, 500_000, **kw)
-            best = min(best, time.perf_counter() - start)
-        # level 0 absorbs the seeds, so `levels` steps run levels + 1
-        print(f"{name}: {len(seeds)} seed(s), {levels + 1} levels, "
-              f"{counter[0]} candidates: {best / (levels + 1) * 1e6:.1f} "
-              f"us/level, {counter[0] / best:.3g} candidates/s "
-              f"({best:.3f} s)")
+    for name in SYSTEMS:
+        system = _system(gds, parse, name)
+        for frontier, seeds, depth, eps, mult, kw in _cases(gds):
+            seeds = np.asarray(seeds, dtype=float)
+            counter = [len(seeds)]
+            *_, levels, _ = gds._closures(
+                _system(gds, parse, name, counter), seeds, depth, eps, mult,
+                500_000, **kw)
+            best = float("inf")
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                gds._closures(system, seeds, depth, eps, mult, 500_000, **kw)
+                best = min(best, time.perf_counter() - start)
+            # level 0 absorbs the seeds, so `levels` steps run levels + 1
+            print(f"{name} {frontier}: {len(seeds)} seed(s), {levels + 1} "
+                  f"levels, {counter[0]} candidates: "
+                  f"{best / (levels + 1) * 1e6:.1f} us/level, "
+                  f"{counter[0] / best:.3g} candidates/s ({best:.3f} s)")
 
 
 if __name__ == "__main__":
