@@ -14,21 +14,23 @@ cA(t) A + cB(t) B + cv(t) v(t) + c0(t), which covers every equation shape
 used here (Jensen, the Cauchy equation on the boundary of the unit square,
 the geometric mean).
 
-The BFS keeps one point per eps/2-cell and records every collision (two
-derivations of one cell); `check_consistency` tests all of them.
+The BFS is the closure kernel of `gds` with the values as its payload. A
+level's candidates are each rule's images of the frontier, in cell order,
+in turn; the first to reach an eps/2-cell claims it, and every other one is
+a collision (two derivations of one cell), which `check_consistency` tests.
+The cell cap counts the seeds. The cloud comes in point order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import HypothesisFailure, MapEscape, ResolutionTooCoarse
 from .exprlang import Expression, Num, _scalar, as_callable
-from .gds import (ContractionRefusal, GuidedSystem, Interval, _first_claims,
+from .gds import (ContractionRefusal, GuidedSystem, Interval, _closures,
                   check_contraction_minimality, write_csv)
 
 __all__ = [
@@ -153,9 +155,11 @@ class Collision:
 
 @dataclass
 class PropagationCloud:
-    """Propagated points, their values and derivations, and every
-    collision (a candidate reaching an owned eps/2-cell) as the owner's
-    index, the candidate's point and value, and its BFS level."""
+    """Propagated points in point order, their values and derivations
+    (the parent's index and the index in `problem.rules` of the rule that
+    made the point, -1 at the seeds), and every collision (a candidate
+    reaching an owned eps/2-cell) as the owner's index, the candidate's
+    point and value, and its BFS level."""
     problem: OverdetProblem
     points: np.ndarray
     values: np.ndarray
@@ -183,121 +187,55 @@ class PropagationCloud:
         # fmax skips NaN gaps, which compare false against any bound
         return float(np.fmax.reduce(self.collision_gaps, initial=0.0))
 
-    @cached_property
-    def order(self):
-        """The indices that sort the points, computed once per cloud."""
-        return np.argsort(self.points)
-
     def path(self, idx):
-        """Rule labels from the seed to entry idx."""
-        labels = []
+        """The seed of entry idx and the indices of the rules that lead
+        from it to idx."""
+        steps = []
         k = int(idx)
         while self.parents[k] >= 0:
-            labels.append(int(self.rule_ids[k]))
+            steps.append(int(self.rule_ids[k]))
             k = int(self.parents[k])
-        return k, labels[::-1]
+        return k, steps[::-1]
 
     def recompute(self, idx):
         """Replay the derivation path; must reproduce the value bitwise."""
-        seed, labels = self.path(idx)
+        seed, steps = self.path(idx)
         t = self.points[seed]
         v = self.values[seed]
-        for lab in labels:
-            rule = self.problem.rules[lab]
+        for i in steps:
+            rule = self.problem.rules[i]
             v = _scalar(rule.apply, t, v, self.problem.A, self.problem.B)
             t = _scalar(rule.map, t)
         return t, v
 
     def to_csv(self, path):
-        o = self.order
         write_csv(path, "t,value,depth",
-                  [self.points[o], self.values[o], self.depths[o]])
-
-
-def _joined_columns(levels):
-    """Concatenate per-level tuples of arrays column by column, emptying
-    `levels`: each column's pieces are freed before the next column is
-    joined, so at most one column is held twice."""
-    columns = [list(column) for column in zip(*levels)]
-    levels.clear()
-    joined = []
-    while columns:
-        joined.append(np.concatenate(columns.pop(0)))
-    return joined
+                  [self.points, self.values, self.depths])
 
 
 def propagate_values(problem: OverdetProblem, depth: int, eps: float,
                      cell_cap: int = 2 ** 22) -> PropagationCloud:
-    """BFS from the endpoint seeds applying the affine updates, one
-    vectorized step per level, deduplicating per eps/2-cell.
-
-    A level's candidates are every rule applied to the frontier,
-    rule-major. The first candidate (in that order) to land in an empty
-    cell claims it; the winners are appended in candidate order and form
-    the next frontier. Every other candidate is a collision with its
-    cell's owner. The BFS stops at `depth` levels, when a level adds no
-    point (saturated) or when the cloud exceeds `cell_cap` points
-    (partial). The owner table holds one int64 per eps/2-cell.
+    """BFS from the endpoint seeds applying the affine updates: one run of
+    `gds._closures` with the endpoints as one seed and the values as its
+    payload, deduplicated per eps/2-cell (claim order: module docstring).
+    It stops at `depth` levels, when a level adds no point (saturated), or
+    when the cloud, seeds included, exceeds `cell_cap` points (partial).
     """
     iv = problem.interval
     n_half = iv.cell_count(eps / 2.0)
-    seeds = np.array([iv.a, iv.b], dtype=float)
-    seed_cells = iv.cell_index(seeds, n_half)
+    seeds = np.array([[iv.a, iv.b]])
+    seed_cells = iv.cell_index(seeds[0], n_half)
     if seed_cells[0] == seed_cells[1]:
         raise ResolutionTooCoarse(
             f"{eps!r} puts both endpoint seeds in one eps/2-cell; it must "
             f"be below twice the interval length {iv.length!r}")
-    grown, hits, saturated, partial = _levels(problem, depth, seeds,
-                                              seed_cells, n_half, cell_cap)
-    points, values, depths, parents, rule_ids = _joined_columns(grown)
-    col_owner, col_points, col_values, col_depths = _joined_columns(hits)
-    return PropagationCloud(
-        problem=problem, points=points, values=values, depths=depths,
-        parents=parents, rule_ids=rule_ids, collision_owner=col_owner,
-        collision_points=col_points, collision_values=col_values,
-        collision_depths=col_depths, eps=eps, saturated=saturated,
-        partial=partial)
-
-
-def _levels(problem, depth, seeds, seed_cells, n_half, cell_cap):
-    """The BFS of `propagate_values`: per level, (points, values, depths,
-    parents, rule ids) of the new points and (owner, point, value, depth)
-    of the collisions, then the saturated and partial flags. The owner
-    table and the last level's temporaries die on return, before the
-    caller joins the pieces."""
-    iv = problem.interval
-    owner = np.full(n_half, -1, dtype=np.int64)
-    owner[seed_cells] = (0, 1)
-    no_parent = np.full(2, -1, dtype=np.int64)
-    grown = [(seeds, np.array([problem.A, problem.B]),
-              np.zeros(2, dtype=np.int64), no_parent, no_parent)]
-    hits = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
-             np.empty(0, dtype=np.int64))]
-    labels = np.array([rule.label for rule in problem.rules], dtype=np.int64)
-    n = 2
-    for level in range(1, depth + 1):
-        src_p, src_v = grown[-1][:2]
-        cand_p = np.concatenate([problem.system.step(i, src_p)
-                                 for i in range(labels.size)])
-        cand_v = np.concatenate([
-            np.asarray(rule.apply(src_p, src_v, problem.A, problem.B),
-                       dtype=float)
-            for rule in problem.rules])
-        cells = iv.cell_index(cand_p, n_half)
-        win = np.sort(_first_claims(cells, owner[cells] < 0))
-        owner[cells[win]] = np.arange(n, n + win.size)
-        lost = np.delete(np.arange(cand_p.size), win)
-        hits.append((owner[cells[lost]], cand_p[lost], cand_v[lost],
-                     np.full(lost.size, level)))
-        if not win.size:
-            return grown, hits, True, False
-        parents = np.tile(np.arange(n - src_p.size, n), labels.size)
-        grown.append((cand_p[win], cand_v[win], np.full(win.size, level),
-                      parents[win], np.repeat(labels, src_p.size)[win]))
-        n += win.size
-        if n > cell_cap:
-            return grown, hits, False, True
-    return grown, hits, False, False
+    rules, A, B = problem.rules, problem.A, problem.B
+    _, saturated, partial, _, _, (claims, hits) = _closures(
+        problem.system, seeds, depth, eps, 2, cell_cap, count_cover=False,
+        payload=((A, B), lambda i, t, v: rules[i].apply(t, v, A, B)))
+    return PropagationCloud(    # the losers are the collisions
+        problem, *claims, *hits, eps=eps, saturated=bool(saturated[0]),
+        partial=bool(partial[0]))
 
 
 @dataclass
@@ -327,9 +265,7 @@ def check_consistency(cloud: PropagationCloud, eps: float,
     `Collision`, or else the first pair of neighbouring points over the
     cap.
     """
-    o = cloud.order
-    p = cloud.points[o]
-    v = cloud.values[o]
+    p, v = cloud.points, cloud.values
     span = max(cloud.problem.interval.length, 1e-300)
     lip = max((float(np.max(v)) - float(np.min(v))) / span, 1e-12) \
         if v.size > 1 else 1e-12
@@ -349,11 +285,9 @@ def check_consistency(cloud: PropagationCloud, eps: float,
             existing_value=float(cloud.values[own[k]]),
             new_value=float(cloud.collision_values[k]), gap=float(gaps[k]),
             depth=int(cloud.collision_depths[k]))
-    elif p.size > 1:
-        dp = np.diff(p)
-        dv = np.abs(np.diff(v))
-        near = dp <= eps
-        bad = near & (dv > cap)
+    else:
+        # neighbours in point order, the cloud's own order
+        bad = (np.diff(p) <= eps) & (np.abs(np.diff(v)) > cap)
         if np.any(bad):
             k = int(np.argmax(bad))
             verdict = "inconsistent"

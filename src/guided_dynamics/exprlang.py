@@ -72,9 +72,15 @@ class Expression:
     def __str__(self):
         return to_source(self)
 
+    def __repr__(self):
+        # the constructor call, e.g. Call('sin', Var('t')), at any depth
+        return _fold(self, lambda node, *kids: "{}({})".format(
+            node.__class__.__name__,
+            ", ".join([*map(repr, _own(node)), *kids])), {})
+
     # Equality, hashing and pickling (copying too) walk the tree on an
-    # explicit stack, as printing and compiling do: the dataclass versions
-    # recursed, and failed on trees a few hundred levels deep.
+    # explicit stack, as printing, repr and compiling do: the dataclass
+    # versions recursed, and failed on trees a few hundred levels deep.
     def __eq__(self, other):
         if not isinstance(other, Expression):
             return NotImplemented
@@ -147,9 +153,6 @@ def _coerce(value):
 class Num(Expression):
     value: float
 
-    def __repr__(self):
-        return f"Num({self.value!r})"
-
     @property
     def precedence(self):
         return 5 if self.value >= 0 else 3
@@ -159,16 +162,10 @@ class Num(Expression):
 class Var(Expression):
     name: str = "t"
 
-    def __repr__(self):
-        return f"Var({self.name!r})"
-
 
 @dataclass(frozen=True, repr=False, eq=False)
 class Const(Expression):
     name: str
-
-    def __repr__(self):
-        return f"Const({self.name!r})"
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -176,15 +173,9 @@ class Neg(Expression):
     arg: Expression
     precedence = 3
 
-    def __repr__(self):
-        return f"Neg({self.arg!r})"
-
 
 class _BinOp(Expression):
     op = "?"
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.lhs!r}, {self.rhs!r})"
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -231,9 +222,6 @@ class Pow(_BinOp):
 class Call(Expression):
     func: str
     arg: Expression
-
-    def __repr__(self):
-        return f"Call({self.func!r}, {self.arg!r})"
 
 
 # --------------------------------------------------------------------------

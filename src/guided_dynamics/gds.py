@@ -791,19 +791,56 @@ def _first_claims(keys, free):
     return free.nonzero()[0][order[_heads(sub[order])]]
 
 
+def _provenance(sel, blocks, keys):
+    """The generator and the parent's key of each candidate index in
+    `sel`, from the level's blocks (start, generator, mask of the frontier
+    or None for all of it) and the frontier's keys; -1 at level 0."""
+    if not blocks:
+        return np.full((2, sel.size), -1, dtype=np.int64)
+    starts, gens, masks = zip(*blocks)
+    b = np.searchsorted(starts, sel, side="right") - 1
+    src = sel - np.take(starts, b)
+    for k, mask in enumerate(masks):
+        if mask is not None:
+            src[b == k] = mask.nonzero()[0][src[b == k]]
+    return np.take(gens, b), keys[src]
+
+
+def _joined(levels, order=slice(None)):
+    """Per-level tuples of arrays joined column by column (each column's
+    pieces freed first) and taken in `order`, with each row's level last."""
+    columns = [list(column) for column in zip(*levels)]
+    columns.append([np.full(lv[0].size, k) for k, lv in enumerate(levels)])
+    levels.clear()
+    joined = []
+    while columns:
+        joined.append(np.concatenate(columns.pop(0))[order])
+    return joined
+
+
 def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
-              retire_covered=False, target=None, keep_points=False):
+              retire_covered=False, target=None, keep_points=False,
+              count_cover=True, payload=None):
     """Guided BFS from many seeds at once: one shared vectorized frontier
     carrying a seed-id column, deduplicated per seed at resolution
-    eps/fine_mult.
+    eps/fine_mult. A seed is a start point or a row of start points.
 
     A seed retires once it touches every eps-cell (retire_covered) or
     enters B(target, eps) (hit). Returns (cov_count, saturated, partial,
     hit, depth_used, points) indexed by seed: 'saturated' marks seeds whose
-    frontier emptied before they retired, 'partial' those that blew the
-    cell cap. With keep_points, points[k] holds seed k's representatives
-    (the first candidate to land in each occupied fine cell) in fine-cell
-    order; otherwise points is None.
+    frontier emptied before they retired, 'partial' those whose fine
+    cells, start points included, outnumber cell_cap; cov_count counts
+    eps-cells touched (None without count_cover or retire_covered). With
+    keep_points, points[k] is seed k's representatives (the first to land
+    in each occupied fine cell) in fine-cell order; else points is None.
+
+    A payload (start values, update) gives each point a value, and
+    update(i, p, v) the values of generator i's images of frontier points
+    p with values v. points is then (claims, losers): (point, value,
+    level, parent, generator) of each representative in fine-cell order
+    (point order for one seed on an interval), and (owner, point, value,
+    level) of each candidate that lands in a taken cell, in BFS order.
+    Parents (-1 at a start point) and owners index the claims.
 
     Dedup is by first claim (`_first_claims`): of the candidates that land
     in a free (seed, fine cell), the first in candidate order claims it.
@@ -814,46 +851,64 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
     frontier are taken from that one array, and the system's rules test
     the steps on it (no mask for an empty guiding set). No seed holds more
     fine cells than all seeds together, so cells are counted per seed
-    only from the level their total passes cell_cap.
+    only from the level their total passes cell_cap. A level's candidates
+    are freed before the next level's are made.
     """
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim == 1:
+        seeds = seeds[:, None]
     space = system.space
     n_seeds = len(seeds)
     n_fine = space.cell_count(eps / fine_mult)
     n_cov = space.cell_count(eps)
+    count_cover = count_cover or retire_covered
     occ = np.zeros(n_seeds * n_fine, dtype=bool)
-    covd = np.zeros(n_seeds * n_cov, dtype=bool)
+    covd = np.zeros(n_seeds * n_cov, dtype=bool) if count_cover else None
     cov_count = np.zeros(n_seeds, dtype=np.int64)
     n_occ, occ_count = 0, None
     hit = np.zeros(n_seeds, dtype=bool)
     partial = np.zeros(n_seeds, dtype=bool)
     active = np.ones(n_seeds, dtype=bool)
     steps = tuple(zip(system.generators, system.rules))
-    kept = []
+    claimed, kept, lost, blocks, cells = [], [], [], [], None
+    if payload is not None:
+        cand_v, update = np.asarray(payload[0], dtype=float), payload[1]
 
     # level 0 absorbs the seeds themselves; each later level their images
-    cand = space.normalize(np.asarray(seeds, dtype=float)).astype(float)
-    csid = np.arange(n_seeds)
+    cand = space.normalize(seeds.ravel()).astype(float)
+    csid = np.repeat(np.arange(n_seeds), seeds.shape[1])
     level = 0
     while True:
-        lin = csid * n_cov + space.cell_index(cand, n_cov)
         if retire_covered:
             # count per level only when a seed can retire on the count
+            lin = csid * n_cov + space.cell_index(cand, n_cov)
             fresh = _distinct(lin[~covd[lin]])
             covd[fresh] = True
             cov_count += np.bincount(fresh // n_cov, minlength=n_seeds)
             active &= cov_count < n_cov
-        else:
-            covd[lin] = True
+        elif count_cover:
+            covd[csid * n_cov + space.cell_index(cand, n_cov)] = True
         if target is not None:
             hit[csid[space.metric(cand, target) <= eps]] = True
             active &= ~hit
-        linf = csid * n_fine + space.cell_index(cand, n_fine)
+        linf = space.cell_index(cand, n_fine)
+        if n_seeds > 1:
+            linf += csid * n_fine
         sel = _first_claims(linf, ~occ[linf])
+        pts, sid = cand[sel], csid[sel]
+        if payload is not None:
+            vals = cand_v[sel]
+            kept.append((pts, vals, *_provenance(sel, blocks, cells)))
+            out = np.delete(np.arange(cand.size), sel)
+            lost.append((linf[out], cand[out], cand_v[out]))
+            del cand_v, out
         cells = linf[sel]
         occ[cells] = True
-        pts, sid = cand[sel], csid[sel]
-        if keep_points:
-            kept.append((cells, pts))
+        del cand, csid, linf
+        if payload is not None or keep_points:
+            claimed.append(cells)
+            if payload is None:
+                kept.append(pts)
         n_occ += sel.size
         if n_occ > cell_cap:
             if occ_count is None:
@@ -866,16 +921,22 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
         if not active.all():
             keep = active[sid]
             pts, sid = pts[keep], sid[keep]
+            if payload is not None:
+                vals, cells = vals[keep], cells[keep]
         if level >= depth or pts.size == 0:
             break
-        outs_p, outs_s = [], []
-        for gen, allowed in steps:
-            p, s = pts, sid
+        outs_p, outs_s, outs_v, blocks = [], [], [], []
+        for i, (gen, allowed) in enumerate(steps):
+            p, s, mask = pts, sid, None
             if allowed is not None:
                 mask = allowed(pts)
                 if not mask.any():
                     continue
                 p, s = pts[mask], sid[mask]
+            if payload is not None:
+                blocks.append((sum(map(len, outs_s)), i, mask))
+                outs_v.append(np.asarray(update(
+                    i, p, vals if mask is None else vals[mask]), dtype=float))
             outs_p.append(np.asarray(gen(p), dtype=float))
             outs_s.append(s)
         if not outs_p:
@@ -884,19 +945,35 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
             break
         cand = space.normalize(np.concatenate(outs_p))
         csid = np.concatenate(outs_s)
+        if payload is not None:
+            cand_v = np.concatenate(outs_v)
+        del outs_p, outs_s, outs_v
         level += 1
     in_frontier = np.zeros(n_seeds, dtype=bool)
     in_frontier[sid] = True
     saturated = active & ~in_frontier
     if not retire_covered:
-        cov_count = covd.reshape(n_seeds, n_cov).sum(axis=1)
+        cov_count = covd.reshape(n_seeds, n_cov).sum(axis=1) \
+            if count_cover else None
     points = None
-    if keep_points:
-        keys = np.concatenate([k for k, _ in kept])
-        order = np.argsort(keys)
-        counts = np.bincount(keys // n_fine, minlength=n_seeds)
-        points = np.split(np.concatenate([p for _, p in kept])[order],
-                          np.cumsum(counts)[:-1])
+    if claimed:
+        keys = np.concatenate(claimed)
+        claimed.clear()
+        # each level's keys come sorted, and a stable sort merges the runs
+        order = keys.argsort(kind="stable")
+        if payload is None:
+            counts = np.bincount(keys // n_fine, minlength=n_seeds)
+            points = np.split(np.concatenate(kept)[order],
+                              np.cumsum(counts)[:-1])
+        else:
+            # each claimed key's index; key -1 (no parent) gives -1
+            index = np.full(occ.size + 1, -1, dtype=np.int64)
+            index[keys[order]] = np.arange(keys.size)
+            del keys
+            pts, vals, gens, parents, depths = _joined(kept, order)
+            keys, *hits = _joined(lost)
+            points = ((pts, vals, depths, index[parents], gens),
+                      (index[keys], *hits))
     return cov_count, saturated, partial, hit, level, points
 
 

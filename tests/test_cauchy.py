@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guided_dynamics.cauchy import (Collision, OverdetProblem,
@@ -24,6 +24,16 @@ def additive_problem(B=0.3):
                         c_B=1.0, c_v=1.0, label=1),
     )
     return OverdetProblem((1.0, 2.0), 1.0, B, rules)
+
+
+def three_rule_affine(A, B):
+    rules = (
+        PropagationRule(map=parse("t/2"), c_A=0.5, c_v=0.5, label=0),
+        PropagationRule(map=parse("(1+t)/2"), c_v=0.5, c_0=0.25, label=1),
+        PropagationRule(map=parse("t/3+1/3"), c_A=0.25, c_B=parse("t/4"),
+                        c_v=parse("0.5-t/8"), c_0=-0.1, label=2),
+    )
+    return OverdetProblem((0.0, 1.0), A, B, rules)
 
 
 # --------------------------------------------------------------------------
@@ -50,13 +60,24 @@ def test_geometric_mean_log_values():
 
 
 def test_propagation_path_replays_bitwise():
-    prob = OverdetProblem.geometric_mean((1.0, 4.0), 0.0, 2.0)
-    cloud = propagate_values(prob, 12, 1e-3)
-    rng = np.random.default_rng(0)
-    for idx in rng.integers(0, len(cloud), 25):
-        t, v = cloud.recompute(int(idx))
-        assert t == cloud.points[idx]
-        assert v == cloud.values[idx]
+    # every index, on clouds with a fractional weight, seed values of
+    # both signs, rules whose ranges overlap and rules whose labels are
+    # not their indices
+    jensen = OverdetProblem.jensen((0.0, 1.0), 0.0, 1.0)
+    relabelled = OverdetProblem((0.0, 1.0), 0.0, 1.0, (
+        PropagationRule(map=jensen.rules[1].map, c_B=0.5, c_v=0.5, label=1),
+        PropagationRule(map=jensen.rules[0].map, c_v=0.5, label=7)))
+    for problem, depth, eps in (
+            (OverdetProblem.geometric_mean((1.0, 4.0), 0.0, 2.0), 12, 1e-3),
+            (OverdetProblem.jensen((-1.0, 2.0), 0.3, -1.7, weight=1 / 3),
+             9, 2.0 ** -6),
+            (OverdetProblem.cauchy_boundary(0.7), 10, 2.0 ** -9),
+            (three_rule_affine(0.5, -1.0), 8, 2.0 ** -8),
+            (relabelled, 7, 2.0 ** -7)):
+        cloud = propagate_values(problem, depth, eps)
+        for idx in range(len(cloud)):
+            assert cloud.recompute(idx) == (cloud.points[idx],
+                                            cloud.values[idx])
 
 
 def test_cloud_affine_in_seeds():
@@ -65,28 +86,27 @@ def test_cloud_affine_in_seeds():
                           10, 2.0 ** -10)
     c2 = propagate_values(OverdetProblem.jensen((0.0, 1.0), 0.0, 2.0),
                           10, 2.0 ** -10)
-    o1, o2 = c1.order, c2.order
-    assert np.array_equal(c1.points[o1], c2.points[o2])
-    assert np.max(np.abs(c2.values[o2] - 2.0 * c1.values[o1])) < 1e-12
+    assert np.array_equal(c1.points, c2.points)
+    assert np.max(np.abs(c2.values - 2.0 * c1.values)) < 1e-12
 
 
 def test_cloud_sorts_its_points_once(tmp_path, monkeypatch):
-    # check_consistency and to_csv share one argsort of the points
+    # the cloud comes in point order: check_consistency and to_csv read
+    # its columns as they are, with no sort
     cloud = propagate_values(OverdetProblem.jensen((0.0, 1.0), 0.0, 1.0),
                              10, 2.0 ** -10)
+    assert np.all(np.diff(cloud.points) > 0)
     sorts = []
-    argsort = np.argsort
-
-    def counted(a, *args, **kwargs):
-        sorts.append(np.size(a))
-        return argsort(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", counted)
+    for name in ("argsort", "sort", "lexsort"):
+        def counted(a, *args, _f=getattr(np, name), **kwargs):
+            sorts.append(np.size(a))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
     check_consistency(cloud, 2.0 ** -10, 1e-9)
     cloud.to_csv(tmp_path / "cloud.csv")
-    assert sorts == [len(cloud)]
+    assert sorts == []
     rows = np.loadtxt(tmp_path / "cloud.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(rows[:, 0], np.sort(cloud.points))
+    assert np.array_equal(rows[:, 0], cloud.points)
 
 
 def test_equal_seeds_agree_on_common_points():
@@ -105,10 +125,8 @@ def test_different_seeds_differ_interior():
                          8, 2.0 ** -8)
     b = propagate_values(OverdetProblem.jensen((0.0, 1.0), 0.0, 0.5),
                          8, 2.0 ** -8)
-    oa, ob = a.order, b.order
-    interior = (a.points[oa] > 0.1) & (a.points[oa] < 0.9)
-    assert np.max(np.abs(a.values[oa][interior] -
-                         b.values[ob][interior])) > 0.1
+    interior = (a.points > 0.1) & (a.points < 0.9)
+    assert np.max(np.abs(a.values[interior] - b.values[interior])) > 0.1
 
 
 def test_hypothesis_gate_rejects_expanding_map():
@@ -154,9 +172,12 @@ def test_truncated_cloud_vacuously_consistent():
 
 def reference_propagate(problem, depth, eps, cell_cap=2 ** 22,
                         max_logged_collisions=10000):
-    """The per-candidate loop propagate_values replaced, kept as the
-    reference: arrays, flags, max gap and the first collisions, logged as
-    (point, new_point, existing_value, new_value, gap, depth)."""
+    """A per-candidate loop with propagate_values' policy, kept as the
+    reference: each level's candidates are every rule applied in turn to
+    the frontier in cell order, the first to reach an empty cell claims it,
+    and the cap counts the seeds. Returns the arrays in point order (parents
+    as indices into them), flags, max gap and the first collisions, logged
+    as (point, new_point, existing_value, new_value, gap, depth)."""
     iv = problem.interval
     n_half = max(1, int(math.ceil(iv.length / (eps / 2.0))))
     width = iv.length / n_half
@@ -172,7 +193,12 @@ def reference_propagate(problem, depth, eps, cell_cap=2 ** 22,
     frontier = np.array([0, 1], dtype=np.int64)
     saturated = partial = False
     level = 0
-    while level < depth and frontier.size:
+    while True:
+        if len(pts) > cell_cap:
+            partial = True
+            break
+        if level >= depth:
+            break
         src_p = np.array(pts)[frontier]
         src_v = np.array(vals)[frontier]
         cand_p = np.concatenate([np.clip(np.asarray(
@@ -181,11 +207,11 @@ def reference_propagate(problem, depth, eps, cell_cap=2 ** 22,
             src_p, src_v, problem.A, problem.B), dtype=float)
             for r in problem.rules])
         cand_par = np.concatenate([frontier for _ in problem.rules])
-        cand_rule = np.concatenate([np.full(frontier.size, r.label)
-                                    for r in problem.rules])
+        cand_rule = np.concatenate([np.full(frontier.size, i)
+                                    for i in range(len(problem.rules))])
         cand_cells = cell_of(cand_p)
         level += 1
-        fresh = []
+        fresh = {}
         for j in range(cand_p.size):
             c = int(cand_cells[j])
             if c in cells:
@@ -203,26 +229,20 @@ def reference_propagate(problem, depth, eps, cell_cap=2 ** 22,
                 deps.append(level)
                 pars.append(int(cand_par[j]))
                 rids.append(int(cand_rule[j]))
-                fresh.append(len(pts) - 1)
+                fresh[c] = len(pts) - 1
         if not fresh:
             saturated = True
             break
-        if len(pts) > cell_cap:
-            partial = True
-            break
-        frontier = np.array(fresh, dtype=np.int64)
-    return (np.array(pts), np.array(vals), np.array(deps), np.array(pars),
-            np.array(rids), collisions, max_gap, saturated, partial)
-
-
-def three_rule_affine(A, B):
-    rules = (
-        PropagationRule(map=parse("t/2"), c_A=0.5, c_v=0.5, label=0),
-        PropagationRule(map=parse("(1+t)/2"), c_v=0.5, c_0=0.25, label=1),
-        PropagationRule(map=parse("t/3+1/3"), c_A=0.25, c_B=parse("t/4"),
-                        c_v=parse("0.5-t/8"), c_0=-0.1, label=2),
-    )
-    return OverdetProblem((0.0, 1.0), A, B, rules)
+        frontier = np.array([fresh[c] for c in sorted(fresh)],
+                            dtype=np.int64)
+    order = np.argsort(pts)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    pars = np.array(pars)
+    pars = np.where(pars < 0, -1, rank[pars])
+    return (np.array(pts)[order], np.array(vals)[order],
+            np.array(deps)[order], pars[order], np.array(rids)[order],
+            collisions, max_gap, saturated, partial)
 
 
 PROBLEMS = {
@@ -240,6 +260,12 @@ PROBLEMS = {
        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
        st.integers(0, 11), st.integers(3, 10),
        st.one_of(st.just(2 ** 22), st.integers(1, 300)))
+# overlapping rule ranges: three cells have another first claimant in
+# cell order than in candidate order
+@example("affine-3-rule", 0.5, -1.0, 5, 6, 2 ** 22)
+# the two seeds alone exceed the cap: nothing is propagated
+@example("jensen-1/2", 0.0, 1.0, 4, 5, 1)
+@example("affine-3-rule", 0.5, -1.0, 0, 5, 1)
 @settings(max_examples=80, deadline=None)
 def test_propagation_matches_reference_loop(name, A, B, depth, k, cell_cap):
     problem = PROBLEMS[name](A, B)

@@ -25,6 +25,8 @@ GOLDEN_TREES = {
     "tanh(abs(t))": "Call('tanh', Call('abs', Var('t')))",
     "pi*e": "Mul(Const('pi'), Const('e'))",
     "1e-3 + t": "Add(Num(0.001), Var('t'))",
+    "sin(t) + 2*t^2":
+        "Add(Call('sin', Var('t')), Mul(Num(2.0), Pow(Var('t'), Num(2.0))))",
 }
 
 
@@ -458,6 +460,19 @@ def test_deepest_source_compares_hashes_and_pickles(source):
         for copied in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
             assert copied == expr and hash(copied) == hash(expr)
     assert to_source(pickle.loads(pickle.dumps(tree))) == to_source(tree)
+
+
+@pytest.mark.parametrize("source", DEEPEST.values(), ids=DEEPEST)
+def test_deepest_source_and_derivative_repr(source):
+    tree = parse(source)
+    d = differentiate(tree)
+    # one Var leaf per t of the source, and a copy prints the same
+    assert repr(tree).count("Var('t')") == source.count("t")
+    for expr in (tree, d):
+        text = repr(expr)
+        assert text.startswith(f"{type(expr).__name__}(")
+        assert text.count("(") == text.count(")")
+        assert repr(pickle.loads(pickle.dumps(expr))) == text
 
 
 def test_parse_refuses_deep_sources_at_the_level_past_the_bound():

@@ -978,6 +978,60 @@ def test_closures_match_reference(name, units, eps, depth, mult, cap,
         assert got[5] is None and want[5] is None
 
 
+def payload_update(i, p, v):
+    return 0.5 * v + p - i
+
+
+@given(st.sampled_from(sorted(KERNEL_SYSTEMS)),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                max_size=4),
+       st.booleans(), st.integers(0, 40), st.sampled_from([2, 8]),
+       st.sampled_from([1, 40, 500_000]))
+@example("circle arcs", [0.1, 0.6], True, 40, 8, 500_000)
+@example("interval clipped", [0.2, 0.7, 0.95], False, 20, 2, 40)
+@settings(max_examples=80, deadline=None)
+def test_closures_payload_replays_its_claims(name, units, one_seed, depth,
+                                             mult, cap):
+    # a payload run claims what a keep_points run claims, and each claim
+    # is its generator's image of its parent, with the updated value
+    system = KERNEL_SYSTEMS[name]
+    space = system.space
+    starts = np.array([space.a + u * space.length
+                       if isinstance(space, Interval) else u * space.period
+                       for u in units])
+    seeds = starts[None, :] if one_seed else starts
+    eps = 0.05
+    got = _closures(system, seeds, depth, eps, mult, cap,
+                    payload=(-starts, payload_update))
+    want = _closures(system, seeds, depth, eps, mult, cap, keep_points=True)
+    for g, w in zip(got[:4], want[:4]):
+        assert np.array_equal(g, w)
+    assert got[4] == want[4]
+    (pts, vals, levels, parents, gens), (owners, lpts, lvals, llevels) = \
+        got[5]
+    assert np.array_equal(pts, np.concatenate(want[5]))
+    root = parents < 0
+    assert np.array_equal(root, gens < 0) and np.array_equal(root,
+                                                             levels == 0)
+    assert set(zip(pts[root], vals[root])) <= set(
+        zip(space.normalize(starts), -starts))
+    for i, gen in enumerate(system.generators):
+        kids = np.flatnonzero(gens == i)
+        src = parents[kids]
+        assert np.all(system.allowed_mask(i, pts[src]))
+        assert np.array_equal(pts[kids], space.normalize(
+            np.asarray(gen(pts[src]), dtype=float)))
+        assert np.array_equal(vals[kids],
+                              payload_update(i, pts[src], vals[src]))
+        assert np.array_equal(levels[kids], levels[src] + 1)
+    # a loser shares its owner's fine cell, and comes no earlier
+    n_fine = space.cell_count(eps / mult)
+    assert np.array_equal(space.cell_index(lpts, n_fine),
+                          space.cell_index(pts[owners], n_fine))
+    assert np.all(llevels >= levels[owners])
+    assert np.all(np.diff(llevels) >= 0)
+
+
 INT64_ENDS = [-2 ** 63, 2 ** 63 - 1]
 
 

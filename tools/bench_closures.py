@@ -1,4 +1,4 @@
-"""Time the batched orbit-closure kernel, `gds._closures`, alone.
+"""Time the orbit-closure kernel `gds._closures` and its overdet caller.
 
 Two circle systems:
 
@@ -18,6 +18,11 @@ Each runs two frontiers:
 For each it prints the levels run, the candidates made (the seeds plus
 every generator image, counted in a separate run), microseconds per level
 and candidates per second, best of 5.
+
+The kernel's other caller, `cauchy.propagate_values`, which runs it with
+a value payload, is timed on Jensen's equation on [0, 1] at eps 2**-16 and
+2**-18, depth k + 4 for eps 2**-k, as `overdet` runs it: the points and
+collisions of the cloud and milliseconds per call, best of 5.
 
     python tools/bench_closures.py
     python tools/bench_closures.py --root ../parent-checkout
@@ -77,7 +82,7 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import numpy as np
-    from guided_dynamics import gds
+    from guided_dynamics import cauchy, gds
     from guided_dynamics.exprlang import parse
 
     for name in SYSTEMS:
@@ -98,6 +103,18 @@ def main():
                   f"levels, {counter[0]} candidates: "
                   f"{best / (levels + 1) * 1e6:.1f} us/level, "
                   f"{counter[0] / best:.3g} candidates/s ({best:.3f} s)")
+
+    problem = cauchy.OverdetProblem.jensen((0.0, 1.0), 0.0, 1.0)
+    for k in (16, 18):
+        cloud = cauchy.propagate_values(problem, k + 4, 2.0 ** -k)
+        best = float("inf")
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            cauchy.propagate_values(problem, k + 4, 2.0 ** -k)
+            best = min(best, time.perf_counter() - start)
+        print(f"jensen propagate eps=2^-{k}: {len(cloud)} points, "
+              f"{cloud.collision_owner.size} collisions: "
+              f"{best * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":
