@@ -40,6 +40,8 @@ from .gds import (ContractionMinimalityCertificate, GeneratorMap,
 from .pconf import IvpProblem, solve_ivp, validate_pconfiguration
 
 TOL_SLOPE = 1e-8
+TOL_CURVE = 1e-9     # curve checks of a BoundaryProblem, triangle membership
+TOL_CORNER = 1e-8    # agreement of the boundary data at the corners
 Z_TABLE_N = 257      # nodes of the omega table that starts the z(t) Newton
 Z_MAX_ITER = 100     # hard cap on the z(t) steps of one element
 Z_MEMO_N = 2 ** 16   # solved z(t) values a boundary system keeps (1 MB)
@@ -62,7 +64,7 @@ class BoundaryProblem:
     parameter z in [-1, 1]).
     """
 
-    def __init__(self, alpha1, alpha2, m, n, g1, g2, g_gamma, tol=1e-9):
+    def __init__(self, alpha1, alpha2, m, n, g1, g2, g_gamma):
         if not (m > 0 and n > 0):
             raise ValueError("m, n must be positive")
         if not (isinstance(alpha1, Expression) and
@@ -78,7 +80,6 @@ class BoundaryProblem:
         self.g1 = as_callable(g1)
         self.g2 = as_callable(g2)
         self.g_gamma = as_callable(g_gamma)
-        self.tol = tol
         self._validate()
         self.g_origin = _scalar(self.g1, 0.0)
 
@@ -92,13 +93,13 @@ class BoundaryProblem:
         }
         for name, (fn, z, want) in ends.items():
             got = _scalar(fn, z)
-            if abs(got - want) > self.tol:
+            if abs(got - want) > TOL_CURVE:
                 raise ValueError(f"curve endpoint violated: {name}, "
                                  f"got {got!r}")
         zs = np.linspace(-1.0, 1.0, 2049)
-        if np.min(self.d_alpha1(zs)) < -self.tol:
+        if np.min(self.d_alpha1(zs)) < -TOL_CURVE:
             raise ValueError("alpha1 must be nondecreasing")
-        if np.max(self.d_alpha2(zs)) > self.tol:
+        if np.max(self.d_alpha2(zs)) > TOL_CURVE:
             raise ValueError("alpha2 must be nonincreasing")
         g1_0 = _scalar(self.g1, 0.0)
         g2_0 = _scalar(self.g2, 0.0)
@@ -106,14 +107,13 @@ class BoundaryProblem:
         g2_1 = _scalar(self.g2, 1.0)
         gg_m1 = _scalar(self.g_gamma, -1.0)
         gg_p1 = _scalar(self.g_gamma, 1.0)
-        corner_tol = max(self.tol, 1e-8)
-        if abs(g1_0 - g2_0) > corner_tol:
+        if abs(g1_0 - g2_0) > TOL_CORNER:
             raise CornerMismatch(
                 f"g1(0) = {g1_0!r} != g2(0) = {g2_0!r} at the origin")
-        if abs(g1_1 - gg_p1) > corner_tol:
+        if abs(g1_1 - gg_p1) > TOL_CORNER:
             raise CornerMismatch(
                 f"g1(1) = {g1_1!r} != g_gamma(+1) = {gg_p1!r} at A1")
-        if abs(g2_1 - gg_m1) > corner_tol:
+        if abs(g2_1 - gg_m1) > TOL_CORNER:
             raise CornerMismatch(
                 f"g2(1) = {g2_1!r} != g_gamma(-1) = {gg_m1!r} at A2")
 
@@ -230,8 +230,9 @@ class BoundarySystem:
         z = np.asarray(z, dtype=float)
         return self.problem.alpha1(z), self.problem.alpha2(z)
 
-    def contains(self, x, y, tol=1e-9):
-        """Membership in the closed curvilinear triangle."""
+    def contains(self, x, y):
+        """Membership in the closed curvilinear triangle, within TOL_CURVE."""
+        tol = TOL_CURVE
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         t = self.omega_xy(x, y)
@@ -368,8 +369,8 @@ class FixedPointResult:
     in_guiding: bool = False
 
 
-def fixed_point(map_fn, bracket, d_fn=None, tol=1e-13) -> FixedPointResult:
-    """Brent's method (scipy.optimize.brentq, xtol=tol) on map(t) - t. The
+def fixed_point(map_fn, bracket, d_fn=None) -> FixedPointResult:
+    """Brent's method (scipy.optimize.brentq, xtol=1e-13) on map(t) - t. The
     attracting-fixed-point statement needs derivative < 1;
     |derivative - 1| < 1e-6 is reported inconclusive."""
     fn = as_callable(map_fn)
@@ -390,7 +391,7 @@ def fixed_point(map_fn, bracket, d_fn=None, tol=1e-13) -> FixedPointResult:
     else:
         # imported here: scipy.optimize takes about 0.2 s to load
         from scipy.optimize import brentq
-        t_star, info = brentq(g, lo, hi, xtol=tol, full_output=True)
+        t_star, info = brentq(g, lo, hi, xtol=1e-13, full_output=True)
         it = info.iterations
     if d_fn is not None:
         deriv = _scalar(as_callable(d_fn), t_star)

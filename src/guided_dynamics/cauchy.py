@@ -231,7 +231,7 @@ def propagate_values(problem: OverdetProblem, depth: int, eps: float,
             f"be below twice the interval length {iv.length!r}")
     rules, A, B = problem.rules, problem.A, problem.B
     _, saturated, partial, _, _, (claims, hits) = _closures(
-        problem.system, seeds, depth, eps, 2, cell_cap, count_cover=False,
+        problem.system, seeds, depth, eps, 2, cell_cap,
         payload=((A, B), lambda i, t, v: rules[i].apply(t, v, A, B)))
     return PropagationCloud(    # the losers are the collisions
         problem, *claims, *hits, eps=eps, saturated=bool(saturated[0]),

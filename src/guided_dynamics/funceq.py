@@ -109,7 +109,7 @@ class GridFunction:
     def constant(cls, domain, M, value):
         return cls(domain, np.full(M + 1, float(value)))
 
-    def eval(self, x, tol_step=1e-9):
+    def eval(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
@@ -118,7 +118,7 @@ class GridFunction:
         else:
             a, b = self.domain.a, self.domain.b
             low, high = np.min(x), np.max(x)
-            if low < a - tol_step or high > b + tol_step:
+            if low < a - 1e-9 or high > b + 1e-9:
                 raise DomainError(
                     f"evaluation outside [{a}, {b}] beyond tolerance "
                     f"(query range [{low}, {high}])", x=x)
@@ -182,17 +182,16 @@ class FunceqSystem:
         self.guiding = self._system.guiding
         self._grid_operators = {}
 
-    def _coeff_zero_band(self, coeff, tol=1e-9):
+    def _coeff_zero_band(self, coeff):
         if isinstance(self.space, CircleSpace):
-            scan = zero_band_guiding(coeff, Interval(0.0, self.space.period),
-                                     tol=tol)
+            scan = zero_band_guiding(coeff, Interval(0.0, self.space.period))
             ivs = list(scan.intervals)
             if len(ivs) >= 2 and ivs[0][0] <= 1e-12 and \
                     ivs[-1][1] >= self.space.period - 1e-12:
                 first, last = ivs[0], ivs[-1]
                 ivs = ivs[1:-1] + [(last[0], first[1] + self.space.period)]
             return GuidingSet(ivs)
-        return zero_band_guiding(coeff, self.space, tol=tol)
+        return zero_band_guiding(coeff, self.space)
 
     @property
     def n_maps(self):

@@ -216,7 +216,7 @@ class GeneratorMap:
         return f"GeneratorMap(label={self.label}{src})"
 
 
-def map_from(obj, label=0, var="t"):
+def map_from(obj, label=0):
     """Build a GeneratorMap from an Expression (derivative derived
     symbolically) or a bare callable."""
     if isinstance(obj, GeneratorMap):
@@ -418,7 +418,7 @@ class GuidedSystem:
     """State space + generators + guiding sets (+ optional coefficients)."""
 
     def __init__(self, space, generators, guiding=None, coefficients=None,
-                 tol_lambda=TOL_LAMBDA, tol_step=TOL_STEP, validate=True):
+                 tol_lambda=TOL_LAMBDA, validate=True):
         self.space = space
         self.generators = tuple(map_from(g, label=i)
                                 for i, g in enumerate(generators))
@@ -440,12 +440,10 @@ class GuidedSystem:
             self.coefficients = tuple(as_callable(c) for c in coefficients)
             if len(self.coefficients) != n:
                 raise ValueError("one coefficient per generator required")
-        for name, tol in (("tol_lambda", tol_lambda), ("tol_step", tol_step)):
-            if not 0.0 <= tol < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got "
-                                 f"{tol!r}")
+        if not 0.0 <= tol_lambda < math.inf:
+            raise ValueError(f"tol_lambda must be finite and >= 0, got "
+                             f"{tol_lambda!r}")
         self.tol_lambda = tol_lambda
-        self.tol_step = tol_step
         # each generator's allowed-step rule, built once (None: no guiding)
         self.rules = tuple(_step_rule(g, space, tol_lambda)
                            for g in self.guiding)
@@ -552,16 +550,16 @@ class Orbit:
         return len(self.points)
 
 
-def validate_orbit(system: GuidedSystem, orbit: Orbit, tol_step=None) -> bool:
+def validate_orbit(system: GuidedSystem, orbit: Orbit,
+                   tol_step=TOL_STEP) -> bool:
     """Re-validate an orbit: every step uses an allowed generator and
     reproduces the stored point within tol_step."""
-    tol = system.tol_step if tol_step is None else tol_step
     pts = np.asarray(orbit.points, dtype=float)
     for j, i in enumerate(orbit.gens):
         x_prev, x_next = pts[j], pts[j + 1]
         if not system.allowed_mask(i, x_prev)[0]:
             return False
-        if system.space.metric(system.step(i, x_prev)[0], x_next) > tol:
+        if system.space.metric(system.step(i, x_prev)[0], x_next) > tol_step:
             return False
     return True
 
@@ -572,6 +570,7 @@ def validate_orbit(system: GuidedSystem, orbit: Orbit, tol_step=None) -> bool:
 
 @dataclass
 class OrbitCloud:
+    """A closure from guided_orbit_set; points sorted, one per eps/2-cell."""
     points: np.ndarray
     coverage: float
     eps: float
@@ -582,7 +581,7 @@ class OrbitCloud:
     seed: float
 
     def to_csv(self, path):
-        write_csv(path, "t", [np.sort(self.points)])
+        write_csv(path, "t", [self.points])
 
 
 # rows formatted per block in write_csv; 2**14 rows keep each temporary at
@@ -818,21 +817,21 @@ def _joined(levels, order=slice(None)):
     return joined
 
 
-def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
-              retire_covered=False, target=None, keep_points=False,
-              count_cover=True, payload=None):
+def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
+              target=None, keep_points=False, payload=None):
     """Guided BFS from many seeds at once: one shared vectorized frontier
     carrying a seed-id column, deduplicated per seed at resolution
     eps/fine_mult. A seed is a start point or a row of start points.
 
-    A seed retires once it touches every eps-cell (retire_covered) or
-    enters B(target, eps) (hit). Returns (cov_count, saturated, partial,
-    hit, depth_used, points) indexed by seed: 'saturated' marks seeds whose
+    cover: "count" counts the eps-cells each seed touches (cov_count) at
+    the end, "retire" each level, retiring a seed that touches every one;
+    None marks none (cov_count None). A seed also retires on entering
+    B(target, eps) (hit). Returns (cov_count, saturated, partial, hit,
+    depth_used, points) indexed by seed: 'saturated' marks seeds whose
     frontier emptied before they retired, 'partial' those whose fine
-    cells, start points included, outnumber cell_cap; cov_count counts
-    eps-cells touched (None without count_cover or retire_covered). With
-    keep_points, points[k] is seed k's representatives (the first to land
-    in each occupied fine cell) in fine-cell order; else points is None.
+    cells, start points included, outnumber cell_cap. With keep_points,
+    points[k] is seed k's representatives (the first to land in each
+    occupied fine cell) in fine-cell order; else points is None.
 
     A payload (start values, update) gives each point a value, and
     update(i, p, v) the values of generator i's images of frontier points
@@ -861,10 +860,9 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
     n_seeds = len(seeds)
     n_fine = space.cell_count(eps / fine_mult)
     n_cov = space.cell_count(eps)
-    count_cover = count_cover or retire_covered
     occ = np.zeros(n_seeds * n_fine, dtype=bool)
-    covd = np.zeros(n_seeds * n_cov, dtype=bool) if count_cover else None
-    cov_count = np.zeros(n_seeds, dtype=np.int64)
+    covd = None if cover is None else np.zeros(n_seeds * n_cov, dtype=bool)
+    cov_count = None if cover is None else np.zeros(n_seeds, dtype=np.int64)
     n_occ, occ_count = 0, None
     hit = np.zeros(n_seeds, dtype=bool)
     partial = np.zeros(n_seeds, dtype=bool)
@@ -879,14 +877,13 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
     csid = np.repeat(np.arange(n_seeds), seeds.shape[1])
     level = 0
     while True:
-        if retire_covered:
-            # count per level only when a seed can retire on the count
+        if cover == "retire":
             lin = csid * n_cov + space.cell_index(cand, n_cov)
             fresh = _distinct(lin[~covd[lin]])
             covd[fresh] = True
             cov_count += np.bincount(fresh // n_cov, minlength=n_seeds)
             active &= cov_count < n_cov
-        elif count_cover:
+        elif cover == "count":
             covd[csid * n_cov + space.cell_index(cand, n_cov)] = True
         if target is not None:
             hit[csid[space.metric(cand, target) <= eps]] = True
@@ -952,9 +949,8 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap,
     in_frontier = np.zeros(n_seeds, dtype=bool)
     in_frontier[sid] = True
     saturated = active & ~in_frontier
-    if not retire_covered:
-        cov_count = covd.reshape(n_seeds, n_cov).sum(axis=1) \
-            if count_cover else None
+    if cover == "count":
+        cov_count = covd.reshape(n_seeds, n_cov).sum(axis=1)
     points = None
     if claimed:
         keys = np.concatenate(claimed)
@@ -994,7 +990,8 @@ def guided_orbit_set(system: GuidedSystem, x0, depth: int, eps: float,
     seed = np.atleast_1d(np.asarray(x0, dtype=float))[:1]
     for mult in _REFINE_MULTS:
         cov, saturated, partial, _, used, (pts,) = _closures(
-            system, seed, depth, eps, mult, cell_cap, keep_points=True)
+            system, seed, depth, eps, mult, cell_cap, cover="count",
+            keep_points=True)
         if cov[0] == n_cov or not saturated[0] or partial[0] or \
                 _closure_witness(system, pts, eps)[0] is not None:
             break
@@ -1049,10 +1046,10 @@ def _witness_intervals(space, rep_points, pad):
 def _validate_witness(system, intervals):
     """Forward closure of a union of sorted intervals ((n, 2) array): for
     every member and every generator allowed on it, the (exact, for
-    monotone maps) image must land inside one member dilated by tol_step."""
+    monotone maps) image must land inside one member dilated by TOL_STEP."""
     space = system.space
     lo, hi = intervals[:, 0], intervals[:, 1]
-    w_lo, w_hi = lo - system.tol_step, hi + system.tol_step
+    w_lo, w_hi = lo - TOL_STEP, hi + TOL_STEP
     for i, gen in enumerate(system.generators):
         moved = ~system.guiding[i].covers_interval(lo, hi, space,
                                                    system.tol_lambda)
@@ -1065,21 +1062,32 @@ def _validate_witness(system, intervals):
     return True
 
 
-def _closure_witness(system, pts, eps, tight=True):
+def _closure_witness(system, pts, eps):
     """(intervals, robust): a closure's representatives pts padded by half
-    an eps/2-cell (robust) or else, with tight, by tol_lambda, validated
-    forward-closed; (None, False) when neither validates. A closure
-    saturated short of full coverage counts only with one: one point per
-    dedup cell also stalls closures that are not closed (close rational
-    approximants, steps below the cell near parabolic fixed points)."""
+    an eps/2-cell (robust) or else by tol_lambda, validated forward-closed;
+    (None, False) when neither validates. A closure saturated short of
+    full coverage counts only with one: one point per dedup cell also
+    stalls closures that are not closed (close rational approximants,
+    steps below the cell near parabolic fixed points)."""
     space = system.space
-    pads = (space.length / space.cell_count(eps / 2.0) / 2.0,
-            system.tol_lambda)[:2 if tight else 1]
-    for pad in pads:
+    robust = space.length / space.cell_count(eps / 2.0) / 2.0
+    for pad in (robust, system.tol_lambda):
         witness = _witness_intervals(space, pts, pad)
         if _validate_witness(system, witness):
-            return witness, pad == pads[0]
+            return witness, pad == robust
     return None, False
+
+
+def _stalled_witnesses(system, seeds, stuck, depth, eps, mult, cap):
+    """(k, intervals, robust) for each k in stuck, in order, whose seed's
+    saturated closure has a witness (`_closure_witness`): one batched rerun
+    keeps their representatives, and each is validated only when asked."""
+    reps = _closures(system, seeds[stuck], depth, eps, mult, cap,
+                     keep_points=True)[-1] if stuck.size else ()
+    for k, pts in zip(stuck, reps):
+        witness, robust = _closure_witness(system, pts, eps)
+        if witness is not None:
+            yield k, witness, robust
 
 
 def probe_minimality(system: GuidedSystem, eps: float, depth: int,
@@ -1103,20 +1111,15 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
     for mult in _PROBE_MULTS:
         batch = seeds[unresolved]
         cov_count, saturated, _, _, _, _ = _closures(
-            system, batch, depth, eps, mult, cell_cap, retire_covered=True)
+            system, batch, depth, eps, mult, cell_cap, cover="retire")
         coverage = cov_count / n_cov
         done = coverage >= 1.0
-        # saturated seeds stopped short of full coverage: candidate
-        # witnesses for NotMinimal; one more batched run over just those
-        # seeds recovers their representatives
+        # seeds saturated short of full coverage may hold a NotMinimal
+        # witness: the first robust one decides, else the first tight one
         stuck = np.flatnonzero(saturated & ~done)
-        reps = _closures(system, batch[stuck], depth, eps, mult, cell_cap,
-                         keep_points=True)[-1] if stuck.size else ()
-        for k, pts in zip(stuck, reps):
-            # the first robust witness decides; else the first tight one
-            witness, robust = _closure_witness(system, pts, eps,
-                                               tight_fallback is None)
-            if witness is None:
+        for k, witness, robust in _stalled_witnesses(
+                system, batch, stuck, depth, eps, mult, cell_cap):
+            if not robust and tight_fallback is not None:
                 continue
             seed, n = float(batch[k]), len(witness)
             verdict = MinimalityVerdict(
@@ -1185,22 +1188,18 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
     seeds = space.cell_left_edges(n_cov)
     unresolved = np.arange(n_cov)
     for mult in _PROBE_MULTS:
-        batch = seeds[unresolved]
         _, saturated, _, hit, _, _ = _closures(
-            system, batch, depth, eps, mult, cell_cap, target=x0)
+            system, seeds[unresolved], depth, eps, mult, cell_cap, target=x0)
+        stuck = unresolved[saturated]    # no hit seed is saturated
         unresolved = unresolved[~hit]
-        saturated_last = saturated[~hit]
         if unresolved.size == 0:
             return WeakAttractorVerdict(kind="yes", x0=float(x0), eps=eps,
                                         depth=depth)
-    # the representatives of the saturated seeds, as in probe_minimality
-    stuck = seeds[unresolved[saturated_last]]
-    *_, reps = _closures(system, stuck, depth, eps, mult, cell_cap,
-                         keep_points=True)
-    for seed, pts in zip(stuck, reps):
-        if _closure_witness(system, pts, eps)[0] is not None:
-            return WeakAttractorVerdict(kind="no", x0=float(x0), eps=eps,
-                                        depth=depth, witness_seed=float(seed))
+    # the first saturated seed whose closure has a witness
+    for k, _, _ in _stalled_witnesses(system, seeds, stuck, depth, eps,
+                                      mult, cell_cap):
+        return WeakAttractorVerdict(kind="no", x0=float(x0), eps=eps,
+                                    depth=depth, witness_seed=float(seeds[k]))
     return WeakAttractorVerdict(kind="inconclusive", x0=float(x0),
                                 eps=eps, depth=depth)
 

@@ -27,6 +27,7 @@ from guided_dynamics.gds import (_circle_arcs, _closures, _distinct,
                                  _witness_intervals, write_csv)
 
 TWO_PI = 2 * math.pi
+COVERS = [None, "count", "retire"]     # the kernel's coverage modes
 
 
 def standard_interval_system():
@@ -169,6 +170,46 @@ def test_not_minimal_witness_is_forward_closed():
                             start + span + shift <= whi + 1e-9:
                         contained = True
             assert contained
+
+
+def test_probe_minimality_falls_back_on_first_tight_witness(monkeypatch):
+    # No configs/ probe reaches the tolerance-band fallback, so witness
+    # validation is stubbed. A quarter turn's closures are saturated
+    # four-point sets at both rungs (12 seeds at eps 0.55); only the
+    # tol_lambda pads validate, and with robust_at also the robust pads
+    # of the closure through that point.
+    system = GuidedSystem(CircleSpace(), [parse(f"t + {TWO_PI / 4!r}")])
+    eps = 0.55
+    seeds = system.space.cell_left_edges(system.space.cell_count(eps))
+    assert len(seeds) == 12
+    seeds = seeds.tolist()
+
+    def stub(robust_at=None):
+        tight = []
+
+        def validate(system, intervals):
+            if np.max(intervals[:, 1] - intervals[:, 0]) < 1e-6:
+                tight.append(tuple(map(tuple, intervals.tolist())))
+                return True
+            lo, hi = intervals.T
+            return robust_at is not None and \
+                bool(np.any((lo <= robust_at) & (robust_at <= hi)))
+        monkeypatch.setattr(gds, "_validate_witness", validate)
+        return tight
+
+    tight = stub()
+    verdict = probe_minimality(system, eps, 100)
+    assert len(tight) == 2 * len(seeds)     # every seed, at both rungs
+    assert tight[0] != tight[-1]
+    assert verdict.kind == "not_minimal"
+    assert verdict.witness == tight[0]
+    assert verdict.note == (f"seed {seeds[0]!r}: set invariant through "
+                            f"exact guiding exclusions (4 interval(s))")
+    # a robust witness after it still wins: seed 2's closure holds seed 5
+    stub(robust_at=seeds[5])
+    verdict = probe_minimality(system, eps, 100)
+    assert verdict.note == (f"seed {seeds[2]!r}: forward-closed set of 4 "
+                            f"interval(s)")
 
 
 # --------------------------------------------------------------------------
@@ -806,21 +847,20 @@ def test_blocked_frontier_at_depth_limit_is_saturated():
                 min_size=2, max_size=6),
        st.sampled_from([0.05, 0.02]), st.integers(0, 300),
        st.sampled_from([2, 16]), st.sampled_from([40, 500_000]),
-       st.sampled_from(["none", "covered", "target"]))
+       st.sampled_from(COVERS), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_batched_closures_do_not_couple_seeds(turn, seeds, eps, depth, mult,
-                                              cap, retire):
+                                              cap, cover, target):
     system = circle_system(turn, 0.5)
-    kw = {"retire_covered": retire == "covered",
-          "target": 1.0 if retire == "target" else None,
+    kw = {"cover": cover, "target": 1.0 if target else None,
           "keep_points": True}
     cov, sat, part, hit, _, pts = _closures(system, np.array(seeds), depth,
                                             eps, mult, cap, **kw)
     for k, seed in enumerate(seeds):
         c1, s1, p1, h1, _, (pts1,) = _closures(system, np.array([seed]),
                                                depth, eps, mult, cap, **kw)
-        assert (cov[k], sat[k], part[k], hit[k]) == (c1[0], s1[0], p1[0],
-                                                      h1[0])
+        assert (sat[k], part[k], hit[k]) == (s1[0], p1[0], h1[0])
+        assert (cov is c1 is None) if cover is None else cov[k] == c1[0]
         assert np.array_equal(pts[k], pts1)
 
 
@@ -834,11 +874,12 @@ def cell_index_reference(space, x, n_cells):
 
 
 def closures_reference(system, seeds, depth, eps, fine_mult, cell_cap,
-                       retire_covered=False, target=None, keep_points=False):
+                       cover=None, target=None, keep_points=False):
     """Reference: the level loop of _closures before its lean level step
     (each generator's images normalized apart, the cell indices
     normalized again, allowed_mask per generator, per-seed cell counts
-    every level)."""
+    every level). It marks coverage for every cover and drops the count
+    for cover=None."""
     space = system.space
     n_seeds = len(seeds)
     n_fine = space.cell_count(eps / fine_mult)
@@ -856,7 +897,7 @@ def closures_reference(system, seeds, depth, eps, fine_mult, cell_cap,
     level = 0
     while True:
         lin = csid * n_cov + cell_index_reference(space, cand, n_cov)
-        if retire_covered:
+        if cover == "retire":
             fresh = np.unique(lin[~covd[lin]])
             covd[fresh] = True
             cov_count += np.bincount(fresh // n_cov, minlength=n_seeds)
@@ -898,8 +939,10 @@ def closures_reference(system, seeds, depth, eps, fine_mult, cell_cap,
     in_frontier = np.zeros(n_seeds, dtype=bool)
     in_frontier[sid] = True
     saturated = active & ~in_frontier
-    if not retire_covered:
+    if cover == "count":
         cov_count = covd.reshape(n_seeds, n_cov).sum(axis=1)
+    elif cover is None:
+        cov_count = None
     points = None
     if keep_points:
         keys = np.concatenate([k for k, _ in kept])
@@ -934,7 +977,8 @@ SEAM_EPS = TWO_PI / 62.5
 # edge (126 at eps 0.05), so every level dedups thousands of candidates
 # across seeds; the examples below retire all seeds on full coverage at
 # level 22 (unguided), 117 of them before depth 40 (arcs), and 46 on the
-# cell cap (arcs)
+# cell cap (arcs); the last runs as `weak-attractor` does, without cover
+# and with a target
 WIDE_UNITS = [k / 126 for k in range(126)]
 
 
@@ -944,18 +988,21 @@ WIDE_UNITS = [k / 126 for k in range(126)]
                 min_size=1, max_size=6),
        st.sampled_from([0.05, 0.02, SEAM_EPS]), st.integers(0, 300),
        st.sampled_from([2, 8, 16]), st.sampled_from([0, 40, 500_000]),
-       st.sampled_from(["none", "covered", "target"]), st.booleans())
-@example("circle seam", [-1e-300, 1e-300], SEAM_EPS, 3, 8, 500_000, "none",
+       st.sampled_from(COVERS), st.booleans(), st.booleans())
+@example("circle seam", [-1e-300, 1e-300], SEAM_EPS, 3, 8, 500_000, "count",
+         False, True)
+@example("circle unguided", WIDE_UNITS, 0.05, 30, 16, 500_000, "retire",
+         False, True)
+@example("circle arcs", WIDE_UNITS, 0.05, 40, 16, 500_000, "retire", False,
          True)
-@example("circle unguided", WIDE_UNITS, 0.05, 30, 16, 500_000, "covered",
-         True)
-@example("circle arcs", WIDE_UNITS, 0.05, 40, 16, 500_000, "covered", True)
-@example("circle arcs", WIDE_UNITS, 0.05, 20, 16, 150, "covered", False)
-@example("circle unguided", WIDE_UNITS, 0.05, 3, 16, 500_000, "covered",
+@example("circle arcs", WIDE_UNITS, 0.05, 20, 16, 150, "retire", False,
          False)
+@example("circle unguided", WIDE_UNITS, 0.05, 3, 16, 500_000, "retire",
+         False, False)
+@example("circle arcs", WIDE_UNITS, 0.05, 40, 16, 500_000, None, True, False)
 @settings(max_examples=150, deadline=None)
 def test_closures_match_reference(name, units, eps, depth, mult, cap,
-                                  retire, keep_points):
+                                  cover, target, keep_points):
     system = KERNEL_SYSTEMS[name]
     space = system.space
     # a unit in [0, 1) names a point of the space; +-1e-300 stay as given
@@ -963,19 +1010,27 @@ def test_closures_match_reference(name, units, eps, depth, mult, cap,
                       (space.a + u * space.length
                        if isinstance(space, Interval) else u * space.period)
                       for u in units])
-    kw = {"retire_covered": retire == "covered",
-          "target": 0.5 if retire == "target" else None,
+    kw = {"cover": cover, "target": 0.5 if target else None,
           "keep_points": keep_points}
     got = _closures(system, seeds, depth, eps, mult, cap, **kw)
-    want = closures_reference(system, seeds, depth, eps, mult, cap, **kw)
+    assert_same_closures(got, closures_reference(system, seeds, depth, eps,
+                                                 mult, cap, **kw))
+    if cover is None:
+        # no cover drops the count and changes nothing else
+        count = _closures(system, seeds, depth, eps, mult, cap,
+                          **{**kw, "cover": "count"})
+        assert_same_closures(got, (None, *count[1:]))
+
+
+def assert_same_closures(got, want):
     for g, w in zip(got[:4], want[:4]):
-        assert np.array_equal(g, w)
+        assert g is w is None or np.array_equal(g, w)
     assert got[4] == want[4]
-    if keep_points:
+    if want[5] is None:
+        assert got[5] is None
+    else:
         assert len(got[5]) == len(want[5])
         assert all(np.array_equal(g, w) for g, w in zip(got[5], want[5]))
-    else:
-        assert got[5] is None and want[5] is None
 
 
 def payload_update(i, p, v):
@@ -1105,12 +1160,11 @@ def test_circle_cell_index_puts_the_seam_point_in_cell_zero():
             assert np.array_equal(got, cell_index_reference(space, x, n))
 
 
-@pytest.mark.parametrize("key", ["tol_lambda", "tol_step"])
-def test_guided_system_rejects_tolerances_not_finite_nonnegative(key):
+def test_guided_system_rejects_tol_lambda_not_finite_nonnegative():
     for value in (math.nan, math.inf, -1e-12):
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match="tol_lambda"):
             GuidedSystem(Interval(-1.0, 1.0), [parse("t/2")],
-                         **{key: value})
+                         tol_lambda=value)
 
 
 def witness_intervals_loop(space, rep_points, pad):
@@ -1205,7 +1259,7 @@ def image_inside_loop(system, gen, lo, hi, intervals):
         start = float(space.normalize(np.array([img_lo]))[0])
         img_lo, img_hi = start, start + span
     return any(arc_inside_loop(space, img_lo, img_hi, wlo, whi,
-                               system.tol_step) for wlo, whi in intervals)
+                               gds.TOL_STEP) for wlo, whi in intervals)
 
 
 def validate_witness_loop(system, intervals):

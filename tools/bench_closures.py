@@ -7,13 +7,16 @@ Two circle systems:
 - sqrt2-rad: rotations by sqrt(2) and 2 sqrt(2) rad, unguided (a close
   rational approximant, so its closures take many levels).
 
-Each runs two frontiers:
+Each runs three frontiers:
 
 - thin: one seed, eps 0.002, fine_mult 8, depth 10**4, keeping the
-  representatives, as `orbit --eps 0.002` runs it; a few new cells per
-  level, so the fixed cost of a level dominates;
+  representatives and counting coverage, as `orbit --eps 0.002` runs it;
+  a few new cells per level, so the fixed cost of a level dominates;
 - wide: one seed per eps-cell (629 seeds), eps 0.01, fine_mult 16, depth
-  10**5, retiring seeds on full coverage, as `probe --eps 0.01` runs it.
+  10**5, retiring seeds on full coverage, as `probe --eps 0.01` runs it;
+- wide-target: the same seeds, retiring those that enter B(1.0, 0.01)
+  and marking no coverage, as the first pass of `weak-attractor --eps
+  0.01 --x0 1.0` runs it.
 
 For each it prints the levels run, the candidates made (the seeds plus
 every generator image, counted in a separate run), microseconds per level
@@ -28,10 +31,13 @@ collisions of the cloud and milliseconds per call, best of 5.
     python tools/bench_closures.py --root ../parent-checkout
 
 `--root` names the checkout whose `src/` is timed (default: the one
-holding this script). BLAS runs on one thread, as the benchmark pins it.
+holding this script). A kernel older than its `cover` argument runs each
+case as its own callers ran it: coverage marked unless retiring. BLAS
+runs on one thread, as the benchmark pins it.
 """
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -71,8 +77,21 @@ def _system(gds, parse, name, counter=None):
 def _cases(gds):
     space = gds.CircleSpace(TWO_PI)
     seeds = space.cell_left_edges(space.cell_count(0.01))
-    return (("thin", [0.3], 10 ** 4, 0.002, 8, {"keep_points": True}),
-            ("wide", seeds, 10 ** 5, 0.01, 16, {"retire_covered": True}))
+    return (("thin", [0.3], 10 ** 4, 0.002, 8,
+             {"cover": "count", "keep_points": True}),
+            ("wide", seeds, 10 ** 5, 0.01, 16, {"cover": "retire"}),
+            ("wide-target", seeds, 10 ** 5, 0.01, 16, {"target": 1.0}))
+
+
+def _kernel_kwargs(gds, kw):
+    """kw for the checkout's kernel: one without `cover` marks coverage
+    by default and retires covered seeds with `retire_covered`."""
+    if "cover" in inspect.signature(gds._closures).parameters:
+        return kw
+    kw = dict(kw)
+    if kw.pop("cover", None) == "retire":
+        kw["retire_covered"] = True
+    return kw
 
 
 def main():
@@ -89,6 +108,7 @@ def main():
         system = _system(gds, parse, name)
         for frontier, seeds, depth, eps, mult, kw in _cases(gds):
             seeds = np.asarray(seeds, dtype=float)
+            kw = _kernel_kwargs(gds, kw)
             counter = [len(seeds)]
             *_, levels, _ = gds._closures(
                 _system(gds, parse, name, counter), seeds, depth, eps, mult,
