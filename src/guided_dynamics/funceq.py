@@ -351,8 +351,8 @@ class MaxPrincipleVerdict:
 def check_max_principle(system: FunceqSystem, f: GridFunction, tol: float):
     """For an (approximate) solution of the homogeneous equation, verify
     that f stays at its max (resp. min) level, within max(10 tol, 1e-8),
-    along the guided orbit cloud (eps 0.01, depth 5000) of the argmax
-    (resp. argmin)."""
+    on the guided orbit closure of the argmax (resp. argmin) up to full
+    eps-coverage (eps 0.01, depth 5000)."""
     nodes = f.nodes
     a_tab, d_tab = system.node_tables(f.domain, f.M)
     total = np.zeros_like(nodes)

@@ -570,11 +570,13 @@ def validate_orbit(system: GuidedSystem, orbit: Orbit,
 
 @dataclass
 class OrbitCloud:
-    """A closure from guided_orbit_set; points sorted, one per eps/2-cell."""
+    """A closure from guided_orbit_set; points sorted, one per eps/2-cell.
+    It stops at full coverage, unsaturated (untested there), and depth_used
+    is the level that touched the last eps-cell. saturated means stalled or
+    blocked short of full coverage, with a validated witness."""
     points: np.ndarray
     coverage: float
     eps: float
-    n_cov_cells: int
     saturated: bool
     partial: bool
     depth_used: int
@@ -823,9 +825,9 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
     carrying a seed-id column, deduplicated per seed at resolution
     eps/fine_mult. A seed is a start point or a row of start points.
 
-    cover: "count" counts the eps-cells each seed touches (cov_count) at
-    the end, "retire" each level, retiring a seed that touches every one;
-    None marks none (cov_count None). A seed also retires on entering
+    cover: "retire" counts the eps-cells each seed touches (cov_count)
+    each level and retires a seed that touches every one; None marks none
+    (cov_count None). A seed also retires on entering
     B(target, eps) (hit). Returns (cov_count, saturated, partial, hit,
     depth_used, points) indexed by seed: 'saturated' marks seeds whose
     frontier emptied before they retired, 'partial' those whose fine
@@ -878,13 +880,15 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
     level = 0
     while True:
         if cover == "retire":
-            lin = csid * n_cov + space.cell_index(cand, n_cov)
-            fresh = _distinct(lin[~covd[lin]])
-            covd[fresh] = True
-            cov_count += np.bincount(fresh // n_cov, minlength=n_seeds)
+            if n_seeds == 1:     # one row: a scatter and a count, no sort
+                covd[space.cell_index(cand, n_cov)] = True
+                cov_count[0] = np.count_nonzero(covd)
+            else:
+                lin = csid * n_cov + space.cell_index(cand, n_cov)
+                fresh = _distinct(lin[~covd[lin]])
+                covd[fresh] = True
+                cov_count += np.bincount(fresh // n_cov, minlength=n_seeds)
             active &= cov_count < n_cov
-        elif cover == "count":
-            covd[csid * n_cov + space.cell_index(cand, n_cov)] = True
         if target is not None:
             hit[csid[space.metric(cand, target) <= eps]] = True
             active &= ~hit
@@ -949,8 +953,6 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
     in_frontier = np.zeros(n_seeds, dtype=bool)
     in_frontier[sid] = True
     saturated = active & ~in_frontier
-    if cover == "count":
-        cov_count = covd.reshape(n_seeds, n_cov).sum(axis=1)
     points = None
     if claimed:
         keys = np.concatenate(claimed)
@@ -976,7 +978,8 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
 def guided_orbit_set(system: GuidedSystem, x0, depth: int, eps: float,
                      cell_cap: int = 500_000) -> OrbitCloud:
     """Breadth-first closure of {x0} under allowed generators, pruned to one
-    representative per eps/2-cell; coverage counts eps-cells touched.
+    representative per eps/2-cell; coverage counts eps-cells touched. At
+    full coverage it stops, unsaturated, as probe seeds retire (OrbitCloud).
 
     One representative per dedup cell prunes the phase diversity that
     isometries (circle rotations) need to fill every cell, so a closure
@@ -986,13 +989,12 @@ def guided_orbit_set(system: GuidedSystem, x0, depth: int, eps: float,
     if depth < 0:
         raise ValueError("depth must be >= 0")
     space = system.space
-    n_cov = space.cell_count(eps)
     seed = np.atleast_1d(np.asarray(x0, dtype=float))[:1]
     for mult in _REFINE_MULTS:
         cov, saturated, partial, _, used, (pts,) = _closures(
-            system, seed, depth, eps, mult, cell_cap, cover="count",
+            system, seed, depth, eps, mult, cell_cap, cover="retire",
             keep_points=True)
-        if cov[0] == n_cov or not saturated[0] or partial[0] or \
+        if not saturated[0] or \
                 _closure_witness(system, pts, eps)[0] is not None:
             break
     else:
@@ -1001,10 +1003,9 @@ def guided_orbit_set(system: GuidedSystem, x0, depth: int, eps: float,
     cells = space.cell_index(pts, n_half)
     keep = _first_claims(cells, np.ones(cells.size, dtype=bool))
     return OrbitCloud(points=np.sort(pts[keep]),
-                      coverage=int(cov[0]) / n_cov, eps=eps,
-                      n_cov_cells=n_cov, saturated=bool(saturated[0]),
-                      partial=bool(partial[0]), depth_used=used,
-                      seed=float(seed[0]))
+                      coverage=int(cov[0]) / space.cell_count(eps), eps=eps,
+                      saturated=bool(saturated[0]), partial=bool(partial[0]),
+                      depth_used=used, seed=float(seed[0]))
 
 
 # --------------------------------------------------------------------------
@@ -1114,9 +1115,9 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
             system, batch, depth, eps, mult, cell_cap, cover="retire")
         coverage = cov_count / n_cov
         done = coverage >= 1.0
-        # seeds saturated short of full coverage may hold a NotMinimal
+        # saturated seeds (covered ones retire) may hold a NotMinimal
         # witness: the first robust one decides, else the first tight one
-        stuck = np.flatnonzero(saturated & ~done)
+        stuck = np.flatnonzero(saturated)
         for k, witness, robust in _stalled_witnesses(
                 system, batch, stuck, depth, eps, mult, cell_cap):
             if not robust and tight_fallback is not None:
@@ -1132,8 +1133,7 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
             if robust:
                 return verdict
             tight_fallback = verdict
-        if np.any(~done):
-            worst = min(worst, float(np.min(coverage[~done])))
+        worst = float(np.min(coverage[~done], initial=worst))
         unresolved = unresolved[~done]
         if unresolved.size == 0:
             break

@@ -674,6 +674,17 @@ def test_orbit_command_csv(tmp_path, capsys):
     assert pts.shape == (2,)
 
 
+def test_orbit_stops_at_full_coverage(capsys):
+    # the chain 0 -> 1 -> 2, entered at 0.3 (node 0), touches its last
+    # node at level 2 and stops there, with saturation untested
+    code, out, _ = run(capsys, ["orbit", "--config", cfg("graph_chain.json"),
+                                "--x0", "0.3", "--no-meta"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["coverage"], doc["saturated"], doc["depth_used"]) == \
+        (1.0, False, 2)
+
+
 def test_solve_ivp_accepts_csv_grid_h(tmp_path, capsys):
     from guided_dynamics.funceq import GridFunction
     from guided_dynamics.gds import Interval

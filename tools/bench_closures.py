@@ -1,26 +1,36 @@
-"""Time the orbit-closure kernel `gds._closures` and its overdet caller.
+"""Time the orbit-closure kernel `gds._closures` and its callers.
 
-Two circle systems:
+Three circle systems:
 
 - golden: rotations by 2 pi (1 - phi) and by 0.7 turns, guided at
   {0, pi} and {pi/2, 3 pi/2} (phi the golden section 0.618...);
 - sqrt2-rad: rotations by sqrt(2) and 2 sqrt(2) rad, unguided (a close
-  rational approximant, so its closures take many levels).
+  rational approximant, so its closures take many levels);
+- one-rad: rotations by 1 and 2 rad, unguided.
 
-Each runs three frontiers:
+golden and sqrt2-rad each run three frontiers:
 
 - thin: one seed, eps 0.002, fine_mult 8, depth 10**4, keeping the
-  representatives and counting coverage, as `orbit --eps 0.002` runs it;
-  a few new cells per level, so the fixed cost of a level dominates;
+  representatives and retiring the seed on full coverage, as the second
+  rung of `orbit --eps 0.002` runs it; a few new cells per level, so the
+  fixed cost of a level dominates;
 - wide: one seed per eps-cell (629 seeds), eps 0.01, fine_mult 16, depth
   10**5, retiring seeds on full coverage, as `probe --eps 0.01` runs it;
 - wide-target: the same seeds, retiring those that enter B(1.0, 0.01)
   and marking no coverage, as the first pass of `weak-attractor --eps
   0.01 --x0 1.0` runs it.
 
+one-rad runs thin-starved: thin's seed and depth at eps 0.005 and
+fine_mult 2, as the first rung of `orbit --eps 0.005` runs it in the
+timed checkout. It never reaches full coverage, so it shows what
+counting coverage costs per level.
+
 For each it prints the levels run, the candidates made (the seeds plus
 every generator image, counted in a separate run), microseconds per level
-and candidates per second, best of 5.
+and candidates per second, best of 5. Then it times the whole
+`guided_orbit_set` ladder on golden from 0.3 at eps 0.002 and depth
+10**4, as `orbit --eps 0.002` runs it: points, levels and milliseconds
+per call, best of 5.
 
 The kernel's other caller, `cauchy.propagate_values`, which runs it with
 a value payload, is timed on Jensen's equation on [0, 1] at eps 2**-16 and
@@ -54,6 +64,7 @@ SYSTEMS = {
     "golden": ((TWO_PI * (1.0 - PHI), TWO_PI * 0.7),
                [[0.0, math.pi], [math.pi / 2, 3 * math.pi / 2]]),
     "sqrt2-rad": ((math.sqrt(2.0), 2 * math.sqrt(2.0)), None),
+    "one-rad": ((1.0, 2.0), None),
 }
 
 
@@ -75,22 +86,41 @@ def _system(gds, parse, name, counter=None):
 
 
 def _cases(gds):
+    """(system, frontier, seeds, depth, eps, fine_mult, kernel kwargs)."""
     space = gds.CircleSpace(TWO_PI)
     seeds = space.cell_left_edges(space.cell_count(0.01))
-    return (("thin", [0.3], 10 ** 4, 0.002, 8,
-             {"cover": "count", "keep_points": True}),
-            ("wide", seeds, 10 ** 5, 0.01, 16, {"cover": "retire"}),
-            ("wide-target", seeds, 10 ** 5, 0.01, 16, {"target": 1.0}))
+    thin = {"cover": "retire", "keep_points": True}
+    for name in ("golden", "sqrt2-rad"):
+        yield name, "thin", [0.3], 10 ** 4, 0.002, 8, thin
+        yield name, "wide", seeds, 10 ** 5, 0.01, 16, {"cover": "retire"}
+        yield name, "wide-target", seeds, 10 ** 5, 0.01, 16, {"target": 1.0}
+    yield "one-rad", "thin-starved", [0.3], 10 ** 4, 0.005, 2, thin
 
 
-def _kernel_kwargs(gds, kw):
-    """kw for the checkout's kernel: one without `cover` marks coverage
-    by default and retires covered seeds with `retire_covered`."""
-    if "cover" in inspect.signature(gds._closures).parameters:
+def _best(call):
+    """Best wall time of REPEATS calls, in seconds."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _kernel_kwargs(gds, frontier, kw):
+    """kw for the checkout's kernel, thin-starved as the checkout's `orbit`
+    runs it. A kernel without `cover` marks coverage by default and
+    retires covered seeds with `retire_covered`, which `orbit` did not
+    set; a later `orbit` may count coverage at the end (cover "count")
+    in place of retiring."""
+    starved = frontier == "thin-starved"
+    if "cover" not in inspect.signature(gds._closures).parameters:
+        kw = dict(kw)
+        if kw.pop("cover", None) == "retire" and not starved:
+            kw["retire_covered"] = True
         return kw
-    kw = dict(kw)
-    if kw.pop("cover", None) == "retire":
-        kw["retire_covered"] = True
+    if starved and 'cover="count"' in inspect.getsource(gds.guided_orbit_set):
+        return {**kw, "cover": "count"}
     return kw
 
 
@@ -104,34 +134,33 @@ def main():
     from guided_dynamics import cauchy, gds
     from guided_dynamics.exprlang import parse
 
-    for name in SYSTEMS:
+    for name, frontier, seeds, depth, eps, mult, kw in _cases(gds):
         system = _system(gds, parse, name)
-        for frontier, seeds, depth, eps, mult, kw in _cases(gds):
-            seeds = np.asarray(seeds, dtype=float)
-            kw = _kernel_kwargs(gds, kw)
-            counter = [len(seeds)]
-            *_, levels, _ = gds._closures(
-                _system(gds, parse, name, counter), seeds, depth, eps, mult,
-                500_000, **kw)
-            best = float("inf")
-            for _ in range(REPEATS):
-                start = time.perf_counter()
-                gds._closures(system, seeds, depth, eps, mult, 500_000, **kw)
-                best = min(best, time.perf_counter() - start)
-            # level 0 absorbs the seeds, so `levels` steps run levels + 1
-            print(f"{name} {frontier}: {len(seeds)} seed(s), {levels + 1} "
-                  f"levels, {counter[0]} candidates: "
-                  f"{best / (levels + 1) * 1e6:.1f} us/level, "
-                  f"{counter[0] / best:.3g} candidates/s ({best:.3f} s)")
+        seeds = np.asarray(seeds, dtype=float)
+        kw = _kernel_kwargs(gds, frontier, kw)
+        counter = [len(seeds)]
+        *_, levels, _ = gds._closures(
+            _system(gds, parse, name, counter), seeds, depth, eps, mult,
+            500_000, **kw)
+        best = _best(lambda: gds._closures(system, seeds, depth, eps, mult,
+                                           500_000, **kw))
+        # level 0 absorbs the seeds, so `levels` steps run levels + 1
+        print(f"{name} {frontier}: {len(seeds)} seed(s), {levels + 1} "
+              f"levels, {counter[0]} candidates: "
+              f"{best / (levels + 1) * 1e6:.1f} us/level, "
+              f"{counter[0] / best:.3g} candidates/s ({best:.3f} s)")
+
+    system = _system(gds, parse, "golden")
+    cloud = gds.guided_orbit_set(system, 0.3, 10 ** 4, 0.002)
+    best = _best(lambda: gds.guided_orbit_set(system, 0.3, 10 ** 4, 0.002))
+    print(f"golden orbit eps=0.002: {len(cloud.points)} points, depth_used "
+          f"{cloud.depth_used}: {best * 1e3:.1f} ms")
 
     problem = cauchy.OverdetProblem.jensen((0.0, 1.0), 0.0, 1.0)
     for k in (16, 18):
         cloud = cauchy.propagate_values(problem, k + 4, 2.0 ** -k)
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            cauchy.propagate_values(problem, k + 4, 2.0 ** -k)
-            best = min(best, time.perf_counter() - start)
+        best = _best(lambda: cauchy.propagate_values(problem, k + 4,
+                                                     2.0 ** -k))
         print(f"jensen propagate eps=2^-{k}: {len(cloud)} points, "
               f"{cloud.collision_owner.size} collisions: "
               f"{best * 1e3:.1f} ms")
