@@ -389,7 +389,6 @@ def fixed_point(map_fn, bracket, d_fn=None) -> FixedPointResult:
         # brentq refuses: the end nearer a root stands for it
         t_star, it = (lo if abs(g_lo) <= abs(g_hi) else hi), 0
     else:
-        # imported here: scipy.optimize takes about 0.2 s to load
         from scipy.optimize import brentq
         t_star, info = brentq(g, lo, hi, xtol=1e-13, full_output=True)
         it = info.iterations

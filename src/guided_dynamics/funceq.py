@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (DomainError, HypothesisFailure, MapEscape,
                      NoConvergence, NotASolution, NotCertified)
@@ -60,6 +59,7 @@ def interpolation_matrix(domain, images, coeffs):
     """sum_i diag(coeffs[i]) J(images[i]) as an (M+1) x (M+1) CSR matrix,
     J(y) the rows of linear interpolation at y. Each row holds two entries
     per map in map order, duplicates unsummed, filled in place."""
+    import scipy.sparse
     n, N = len(images[0]), len(images)
     index = np.int32 if 2 * N * n < 2 ** 31 else np.int64
     cols = np.empty((n, N, 2), dtype=index)

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import MapEscape, NotInvertible
 from .exprlang import Expression, _scalar, as_callable, differentiate
@@ -1209,6 +1207,7 @@ def _probe_weak_attractor_graph(system, x0, eps, depth):
     target = int(x0)
     if not 0 <= target < graph.n_nodes:
         raise ValueError(f"x0 = {x0!r} is not a node of the graph")
+    from scipy.sparse import csgraph
     unreached = np.ones(graph.n_nodes, dtype=bool)
     # nodes that reach x0 are those x0 reaches along reversed edges
     unreached[csgraph.breadth_first_order(
@@ -1473,6 +1472,7 @@ def build_orbit_graph(system: GuidedSystem, cells: int) -> OrbitGraph:
 
 def _sparse_adjacency(graph):
     """n_nodes x n_nodes CSR matrix, nonzero where an edge runs."""
+    from scipy import sparse
     src, dst = graph.edges[:, 0], graph.edges[:, 1]
     return sparse.csr_matrix((np.ones(len(src)), (src, dst)),
                              shape=(graph.n_nodes, graph.n_nodes))
@@ -1483,6 +1483,7 @@ def minimal_subsystems(graph: OrbitGraph) -> list:
     smallest member. At least one is always returned for graphs whose
     every node has out-degree >= 1 (and singletons without self-loops are
     reported when a node has no outgoing edges at all)."""
+    from scipy.sparse import csgraph
     n_comp, label = csgraph.connected_components(
         _sparse_adjacency(graph), directed=True, connection="strong")
     src, dst = label[graph.edges[:, 0]], label[graph.edges[:, 1]]
@@ -1632,8 +1633,6 @@ def zero_band_guiding(fn, interval: Interval, tol: float = 1e-9,
     if not (starts.size or dips.size):
         return GuidingSet()
 
-    # imported here: scipy.optimize takes about 0.2 s to load, and most
-    # scans have nothing to refine
     from scipy.optimize import elementwise
     exact = dict(xatol=0.0, fatol=0.0, frtol=0.0)
     res = elementwise.find_minimum(

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .errors import DataMismatch, IllConditioned, PConfigViolation
 from .exprlang import _scalar, as_callable
@@ -185,6 +183,7 @@ def _collocation_system(pc, problem, nodes, step, h_vals, M):
     """The (M+2) x (M+1) collocation matrix: the equation rows I - P, P
     the interpolation matrix of the maps, plus one central-difference
     derivative row. Used for residual diagnostics."""
+    import scipy.sparse
     iv = pc.interval
     P = interpolation_matrix(iv, [g(nodes) for g in pc.maps],
                              [1.0] * pc.n_maps)
@@ -251,6 +250,7 @@ def _second_derivative_system(problem, nodes, step, M):
     Returns the 2(M+1) square CSC system, the right-hand side of its w
     rows (the F rows have right-hand side 0) and the exact 1-norm of S.
     """
+    import scipy.sparse
     pc = problem.pconf
     iv = pc.interval
     n = M + 1
@@ -355,6 +355,7 @@ def solve_ivp(problem: IvpProblem, M: int,
     (condition_estimate = inf) or the estimated condition exceeds
     cond_cap.
     """
+    from scipy.sparse.linalg import LinearOperator, onenormest, splu
     pc = problem.pconf
     a0, aN = pc.interval.a, pc.interval.b
     nodes = np.linspace(a0, aN, M + 1)

@@ -270,6 +270,21 @@ def test_solve_fe_csv(tmp_path, capsys):
     assert np.max(np.abs(data[:, 1] - (4.0 / 3.0) * data[:, 0])) < 1e-9
 
 
+@pytest.mark.parametrize("command,config", [
+    ("solve-fe", "standard_funceq.json"), ("solve-ivp", "standard_pconf.json")])
+def test_missing_h_is_config_error(tmp_path, capsys, command, config):
+    with open(cfg(config), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw.get("problem", {}).pop("h", None)
+    path = tmp_path / config
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, [command, "--config", str(path),
+                                  "--no-meta"])
+    assert code == 2
+    assert out == ""
+    assert f"{command} needs h" in err and "/problem/h" in err
+
+
 DEEP_SOURCES = {"sum of 2000 terms": " + ".join(["t"] * 2000),
                 "400 parentheses": "(" * 400 + "t" + ")" * 400}
 
@@ -842,12 +857,10 @@ def test_grid_default_only_when_absent(capsys, argv, grid):
 
 
 def test_singular_ivp_factor_is_numeric_failure(monkeypatch, capsys):
-    from guided_dynamics import pconf
-
     def singular(matrix):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(pconf, "splu", singular)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
     code, out, err = run(capsys, ["solve-ivp", "--config",
                                   cfg("standard_pconf.json"), "--grid",
                                   "64", "--no-meta"])
@@ -1014,3 +1027,86 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
+
+
+# prefix of a fresh-interpreter test script: record(step) notes the step
+# with the scipy and guided_dynamics modules loaded so far
+MODULES_SCRIPT = """\
+import contextlib, io, json, sys
+steps = []
+def record(step):
+    steps.append([step, sorted(m for m in sys.modules if m == "scipy" or
+                               m.startswith(("scipy.", "guided_dynamics.")))])
+"""
+
+
+def fresh_modules(code, *args):
+    """[[step, loaded modules], ...] recorded by `code` (appended to
+    MODULES_SCRIPT) in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_SCRIPT + code + "print(json.dumps("
+         "steps))\n", *args], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_and_config_load_leave_scipy_unloaded():
+    # a config load needs only cli and what cli imports at module level;
+    # SciPy and the subcommand modules load when a subcommand uses them
+    steps = fresh_modules(
+        "import guided_dynamics\n"
+        "record('import guided_dynamics')\n"
+        "from guided_dynamics import cli\n"
+        "record('from guided_dynamics import cli')\n"
+        "for path in sys.argv[1:]:\n"
+        "    cli.load_config(path)\n"
+        "record('cli.load_config')\n",
+        *(cfg(name) for name in sorted(os.listdir(CONFIGS))))
+    assert steps[0] == ["import guided_dynamics", []]
+    for step, modules in steps[1:]:
+        assert modules == ["guided_dynamics." + name for name in
+                           ("cli", "errors", "exprlang", "gds")], step
+
+
+SCIPY_FREE_RUNS = [
+    [command, "--config", cfg(config), *x0]
+    for config in ("circle_irrational.json", "circle_rational.json")
+    for command, x0 in (("probe", []), ("orbit", ["--x0", "0.3"]),
+                        ("weak-attractor", ["--x0", "0.3"]), ("cycles", []))
+] + [["overdet", "--config", cfg("jensen.json")],
+     ["affine-analyze", "--config", cfg("cauchy_gamma_star.json")],
+     ["affine-analyze", "--config", cfg("affine_scalar.json")]]
+
+
+def test_subcommands_without_linear_algebra_leave_scipy_unloaded():
+    # one interpreter runs them in turn: modules only accumulate, so a
+    # step that loads SciPy is the first step that lists it
+    steps = fresh_modules(
+        "from guided_dynamics import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv + ['--no-meta'])\n"
+        "    record([argv, code])\n", json.dumps(SCIPY_FREE_RUNS))
+    assert len(steps) == len(SCIPY_FREE_RUNS)
+    for (argv, code), modules in steps:
+        assert code != cli.NUMERIC_FAILURE_EXIT, argv
+        assert not [m for m in modules if m.startswith("scipy")], argv
+
+
+def test_package_names_resolve_on_first_access():
+    steps = fresh_modules(
+        "import guided_dynamics as g\n"
+        "assert all(getattr(g, name) is not None for name in g.__all__)\n"
+        "assert g.GridFunction is g.funceq.GridFunction\n"
+        "assert g.parse is g.exprlang.parse\n"
+        "star = {}\n"
+        "exec('from guided_dynamics import *', star)\n"
+        "record(sorted(set(g.__all__) - set(star)))\n"
+        "record(hasattr(g, 'no_such_name'))\n"
+        "try:\n"
+        "    g.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    record(str(exc))\n")
+    assert [step for step, _ in steps] == [
+        [], False, "module 'guided_dynamics' has no attribute 'no_such_name'"]

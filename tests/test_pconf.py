@@ -397,7 +397,7 @@ def test_singular_factor_raises_ill_conditioned(monkeypatch,
     def singular(matrix):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(pconf, "splu", singular)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
     with pytest.raises(IllConditioned) as exc:
         solve_ivp(IvpProblem(standard_pconf, parse("0"), 0.0, 0.0), 64)
     assert exc.value.condition_estimate == np.inf
