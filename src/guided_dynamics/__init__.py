@@ -17,34 +17,22 @@ Module map:
 - ``bvp``: the third-order boundary value problem end to end.
 - ``cli``: the ``gds`` command line front end.
 
-Each ``gds`` run is a fresh process and loads only the code its
-subcommand runs: the submodules and the names re-exported from them load
-on first access (``guided_dynamics.gds``, ``guided_dynamics.GridFunction``,
-``from guided_dynamics import *``), ``cli`` imports a subcommand's module
-inside its handler, and SciPy is imported inside each function that calls
-it, never at module level.
+Each ``gds`` run is a fresh process, so SciPy is imported inside each
+function that calls it, never at module level: a run loads only the SciPy
+subpackages its subcommand uses.
 """
 
-import importlib
+from . import bvp, cauchy, cli, errors, exprlang, funceq, gds, pconf
+from .exprlang import differentiate, parse, to_source
+from .funceq import FunceqSystem, GridFunction
+from .gds import (CircleSpace, FiniteGraphSpace, GeneratorMap, GuidedSystem,
+                  GuidingSet, Interval)
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("bvp", "cauchy", "cli", "errors", "exprlang", "funceq", "gds",
-               "pconf")
-# re-exported name -> submodule that defines it
-_EXPORTS = {"parse": "exprlang", "differentiate": "exprlang",
-            "to_source": "exprlang", "GridFunction": "funceq",
-            "FunceqSystem": "funceq", "Interval": "gds", "CircleSpace": "gds",
-            "FiniteGraphSpace": "gds", "GeneratorMap": "gds",
-            "GuidingSet": "gds", "GuidedSystem": "gds"}
-
-__all__ = [*_SUBMODULES, *_EXPORTS]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _EXPORTS:
-        module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = [
+    "bvp", "cauchy", "cli", "errors", "exprlang", "funceq", "gds", "pconf",
+    "parse", "differentiate", "to_source", "GridFunction", "FunceqSystem",
+    "Interval", "CircleSpace", "FiniteGraphSpace", "GeneratorMap",
+    "GuidingSet", "GuidedSystem",
+]

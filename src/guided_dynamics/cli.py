@@ -23,7 +23,11 @@ import traceback
 
 import numpy as np
 
+from . import bvp as bvp_mod
+from . import cauchy as cauchy_mod
+from . import funceq as funceq_mod
 from . import gds as gds_mod
+from . import pconf as pconf_mod
 from .errors import (ExprSyntaxError, GuidedDynamicsError, HypothesisFailure,
                      NotSolvableError, PConfigViolation, ResolutionTooCoarse,
                      SchemaError)
@@ -107,7 +111,6 @@ class JobConfig:
                                     tol_lambda=self.tol_lambda)
 
     def funceq_system(self):
-        from . import funceq as funceq_mod
         maps = self.generator_maps()
         if self.parsed_coeffs is None:
             raise SchemaError("missing 'coeffs' section", "/coeffs")
@@ -359,7 +362,6 @@ def cmd_graph_min(cfg, args):
 
 
 def cmd_certify(cfg, args):
-    from . import funceq as funceq_mod
     outcome = funceq_mod.certify_contraction(
         cfg.funceq_system(), M=args.grid, **cfg.budgets_for(args.command))
     ok = isinstance(outcome, funceq_mod.ContractionCertificate)
@@ -368,7 +370,6 @@ def cmd_certify(cfg, args):
 
 
 def cmd_solve_fe(cfg, args):
-    from . import funceq as funceq_mod
     system = cfg.funceq_system()
     h_src = args.h or cfg.problem.get("h")
     if h_src is None:
@@ -383,7 +384,6 @@ def cmd_solve_fe(cfg, args):
 
 
 def _pconf_from_config(cfg):
-    from . import pconf as pconf_mod
     problem = cfg.problem
     anchors = problem.get("anchors")
     if anchors is None:
@@ -412,8 +412,6 @@ def cmd_validate_pconf(cfg, args):
 
 
 def cmd_solve_ivp(cfg, args):
-    from . import funceq as funceq_mod
-    from . import pconf as pconf_mod
     _require_numeric(cfg.problem, ("c", "mu"), "/problem")
     pc = _pconf_from_config(cfg)
     problem = cfg.problem
@@ -458,7 +456,6 @@ OVERDET_KEYS = {"jensen": ("interval", "A", "B"), "cauchy": ("B",),
 
 
 def cmd_overdet(cfg, args):
-    from . import cauchy as cauchy_mod
     problem = cfg.problem
     kind = problem.get("kind")
     if not isinstance(kind, str) or kind not in OVERDET_KEYS:
@@ -518,7 +515,6 @@ def cmd_overdet(cfg, args):
 
 
 def cmd_affine_analyze(cfg, args):
-    from . import cauchy as cauchy_mod
     problem = cfg.problem
     _require(problem, ("A1", "A2", "b1", "b2"), "/problem")
     _require_numeric(problem, ("A1", "A2"), "/problem", ndim=2)
@@ -536,7 +532,6 @@ def cmd_affine_analyze(cfg, args):
 
 
 def _bvp_problem(cfg):
-    from . import bvp as bvp_mod
     problem = cfg.problem
     required = {"alpha1", "alpha2", "m", "n", "g1", "g2", "gGamma"}
     for key in problem:
@@ -559,7 +554,6 @@ def _bvp_problem(cfg):
 
 
 def cmd_build_bvp(cfg, args):
-    from . import bvp as bvp_mod
     system = bvp_mod.build_boundary_system(
         _bvp_problem(cfg), rng=np.random.default_rng(args.seed))
     report = {
@@ -577,7 +571,6 @@ def cmd_build_bvp(cfg, args):
 
 
 def cmd_analyze_bvp(cfg, args):
-    from . import bvp as bvp_mod
     rng = np.random.default_rng(args.seed)
     system = bvp_mod.build_boundary_system(_bvp_problem(cfg), rng=rng)
     rep = bvp_mod.analyze_solvability(system, eps=args.eps,
@@ -595,7 +588,6 @@ def cmd_analyze_bvp(cfg, args):
 
 
 def cmd_solve_bvp(cfg, args):
-    from . import bvp as bvp_mod
     problem = _bvp_problem(cfg)
     try:
         sol = bvp_mod.solve_bvp(problem, M=args.grid, mu=args.mu,
@@ -619,7 +611,6 @@ def cmd_solve_bvp(cfg, args):
 
 
 def cmd_verify_conjugacy(cfg, args):
-    from . import bvp as bvp_mod
     system = bvp_mod.build_boundary_system(
         _bvp_problem(cfg), rng=np.random.default_rng(args.seed))
     rep = system.conjugacy

@@ -1014,21 +1014,6 @@ def test_solve_bvp_small_grids(capsys, grid):
     assert run(capsys, argv) == first
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 0.2 s and 15 MB in a fresh process: only
-    # a scan or a fixed point that needs a solver may load it
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import guided_dynamics.cli, sys\n"
-            "assert 'scipy.optimize' not in sys.modules\n"
-            "from guided_dynamics.gds import Interval, zero_band_guiding\n"
-            "assert zero_band_guiding(lambda t: 0.5 + t * t,\n"
-            "                         Interval(-1.0, 1.0)).is_empty\n"
-            "assert 'scipy.optimize' not in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   timeout=120)
-
-
 # prefix of a fresh-interpreter test script: record(step) notes the step
 # with the scipy and guided_dynamics modules loaded so far
 MODULES_SCRIPT = """\
@@ -1052,8 +1037,7 @@ def fresh_modules(code, *args):
 
 
 def test_import_and_config_load_leave_scipy_unloaded():
-    # a config load needs only cli and what cli imports at module level;
-    # SciPy and the subcommand modules load when a subcommand uses them
+    # SciPy loads when a subcommand uses it, never with the package
     steps = fresh_modules(
         "import guided_dynamics\n"
         "record('import guided_dynamics')\n"
@@ -1063,10 +1047,21 @@ def test_import_and_config_load_leave_scipy_unloaded():
         "    cli.load_config(path)\n"
         "record('cli.load_config')\n",
         *(cfg(name) for name in sorted(os.listdir(CONFIGS))))
-    assert steps[0] == ["import guided_dynamics", []]
-    for step, modules in steps[1:]:
+    assert len(steps) == 3
+    for step, modules in steps:
         assert modules == ["guided_dynamics." + name for name in
-                           ("cli", "errors", "exprlang", "gds")], step
+                           ("bvp", "cauchy", "cli", "errors", "exprlang",
+                            "funceq", "gds", "pconf")], step
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # a zero-band scan with nothing to refine needs no solver
+    steps = fresh_modules(
+        "from guided_dynamics.gds import Interval, zero_band_guiding\n"
+        "record(zero_band_guiding(lambda t: 0.5 + t * t,\n"
+        "                         Interval(-1.0, 1.0)).is_empty)\n")
+    assert steps[0][0] is True
+    assert "scipy.optimize" not in steps[0][1]
 
 
 SCIPY_FREE_RUNS = [
@@ -1094,19 +1089,13 @@ def test_subcommands_without_linear_algebra_leave_scipy_unloaded():
         assert not [m for m in modules if m.startswith("scipy")], argv
 
 
-def test_package_names_resolve_on_first_access():
-    steps = fresh_modules(
-        "import guided_dynamics as g\n"
-        "assert all(getattr(g, name) is not None for name in g.__all__)\n"
-        "assert g.GridFunction is g.funceq.GridFunction\n"
-        "assert g.parse is g.exprlang.parse\n"
-        "star = {}\n"
-        "exec('from guided_dynamics import *', star)\n"
-        "record(sorted(set(g.__all__) - set(star)))\n"
-        "record(hasattr(g, 'no_such_name'))\n"
-        "try:\n"
-        "    g.no_such_name\n"
-        "except AttributeError as exc:\n"
-        "    record(str(exc))\n")
-    assert [step for step, _ in steps] == [
-        [], False, "module 'guided_dynamics' has no attribute 'no_such_name'"]
+def test_package_names_resolve():
+    import guided_dynamics as g
+    assert all(getattr(g, name) is not None for name in g.__all__)
+    assert g.GridFunction is g.funceq.GridFunction
+    assert g.parse is g.exprlang.parse
+    star = {}
+    exec("from guided_dynamics import *", star)
+    assert set(g.__all__) <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        g.no_such_name
