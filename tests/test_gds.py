@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -695,6 +698,17 @@ def _int_column_cases():
                np.cos(rows)], "a,b,c,t"
 
 
+def _many_block_cases():
+    """Three whole blocks, the middle one's integers past the digit-table
+    limit, and 17 blocks, the last of one row."""
+    rows = np.arange(3 * gds._CSV_BLOCK_ROWS)
+    middle = (rows >= gds._CSV_BLOCK_ROWS) & (rows < 2 * gds._CSV_BLOCK_ROWS)
+    yield [np.where(middle, 10 ** 4 + rows, rows % 10), np.sin(rows)], "d,t"
+    rows = np.arange(16 * gds._CSV_BLOCK_ROWS + 1)
+    yield [np.where(rows % 5 == 0, 0.0, np.tan(rows) * 1e-3),
+           rows % 23], "t,d"
+
+
 @pytest.mark.parametrize("columns,header", [
     ([np.array([0.1, -0.0, 1e300, 2.0 ** -1074, 3.0])], "t"),
     ([np.linspace(-1.0, 1.0, 11), np.sin(np.arange(11.0))], "t,value"),
@@ -706,10 +720,55 @@ def _int_column_cases():
                np.exp(np.linspace(-700.0, 700.0, _BLOCK_CROSSING))),
       np.arange(_BLOCK_CROSSING, dtype=np.int64) % 97], "t,value,depth"),
     *_int_column_cases(),
+    *_many_block_cases(),
 ])
-def test_write_csv_matches_savetxt(tmp_path, columns, header):
+def test_write_csv_matches_savetxt(tmp_path, monkeypatch, columns, header):
+    # one, two and three formatting threads, whatever the CPU count
+    ref = _savetxt_bytes(tmp_path / "ref.csv", columns, header)
     ours = tmp_path / "ours.csv"
-    write_csv(ours, header, columns)
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(gds, "_csv_cpus", lambda: threads)
+        write_csv(ours, header, columns)
+        assert ours.read_bytes() == ref, threads
+
+
+def test_write_csv_raises_what_a_worker_raises(tmp_path, monkeypatch):
+    # of three threads, worker 1 fails on block 1 while worker 2 is still
+    # formatting block 2; both have ended when write_csv raises
+    rows = gds._CSV_BLOCK_ROWS
+    caller = threading.current_thread()
+    format_fields = gds._format_fields
+
+    def fail_on_block_1(x, *args):
+        if x[0] == rows and threading.current_thread() is not caller:
+            raise ValueError("formatting failed in a worker")
+        if x[0] == 2 * rows:
+            time.sleep(0.2)
+        format_fields(x, *args)
+
+    monkeypatch.setattr(gds, "_csv_cpus", lambda: 3)
+    monkeypatch.setattr(gds, "_format_fields", fail_on_block_1)
+    before = threading.enumerate()
+    with pytest.raises(ValueError, match="failed in a worker"):
+        write_csv(tmp_path / "t.csv", "t", [np.arange(5.0 * rows)])
+    assert threading.enumerate() == before
+
+
+def test_write_csv_eight_threads_switching_fast(tmp_path, monkeypatch):
+    # more threads than CPUs, the GIL handed over every 10 us: a block lost
+    # or written out of order changes the bytes, a deadlock outlasts the join
+    columns, header = list(_many_block_cases())[-1]
+    monkeypatch.setattr(gds, "_csv_cpus", lambda: 8)
+    ours = tmp_path / "ours.csv"
+    writer = threading.Thread(target=write_csv, args=(ours, header, columns))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writer.start()
+        writer.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive()
     assert ours.read_bytes() == _savetxt_bytes(tmp_path / "ref.csv",
                                                columns, header)
 
