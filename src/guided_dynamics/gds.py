@@ -887,7 +887,7 @@ def _joined(levels, order=slice(None)):
 
 
 def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
-              target=None, keep_points=False, payload=None):
+              target=None, keep_points=False, payload=None, links=None):
     """Guided BFS from many seeds at once: one shared vectorized frontier
     carrying a seed-id column, deduplicated per seed at resolution
     eps/fine_mult. A seed is a start point or a row of start points.
@@ -909,6 +909,18 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
     (point order for one seed on an interval), and (owner, point, value,
     level) of each candidate that lands in a taken cell, in BFS order.
     Parents (-1 at a start point) and owners index the claims.
+
+    links, an int array with one entry per seed, turns on retirement by
+    orbit inclusion: seed k retires when one of its candidates lands in a
+    fine cell holding a start point of a seed with a lower index, and
+    links[k] is set to the lowest such seed of its first such candidate's
+    cell (-1 for a seed that does not retire so). The candidate stands
+    for that start point, as a claimed cell's representative stands for a
+    later candidate in it, so seed k's closure holds that seed's; `_roots`
+    follows the links to the seed that ran to its own end, whose outcome
+    k takes. A seed that retires on coverage or the target at a level
+    does not retire so there, and none that retires so is saturated or
+    partial.
 
     Dedup is by first claim (`_first_claims`): of the candidates that land
     in a free (seed, fine cell), the first in candidate order claims it.
@@ -944,6 +956,13 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
     # level 0 absorbs the seeds themselves; each later level their images
     cand = space.normalize(seeds.ravel()).astype(float)
     csid = np.repeat(np.arange(n_seeds), seeds.shape[1])
+    owner = None
+    if links is not None:
+        links[:] = -1
+        # the lowest seed with a start point in each fine cell; n_seeds
+        # where there is none
+        owner = np.full(n_fine, n_seeds)
+        np.minimum.at(owner, space.cell_index(cand, n_fine), csid)
     level = 0
     while True:
         if cover == "retire":
@@ -960,6 +979,16 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
             hit[csid[space.metric(cand, target) <= eps]] = True
             active &= ~hit
         linf = space.cell_index(cand, n_fine)
+        if owner is not None:
+            own = owner[linf]
+            reach = own < csid
+            if reach.any():
+                first = _first_claims(csid, reach)
+                first = first[active[csid[first]]]
+                linked = csid[first]
+                links[linked] = own[first]
+                active[linked] = False
+            del own, reach
         if n_seeds > 1:
             linf += csid * n_fine
         sel = _first_claims(linf, ~occ[linf])
@@ -1146,6 +1175,20 @@ def _closure_witness(system, pts, eps):
     return None, False
 
 
+def _roots(links):
+    """Each seed's root under the links `_closures` sets: the seed itself
+    where its link is -1, else the root of the seed it links to. Links
+    point to lower indices, so resolving them in index order ends every
+    chain at a seed that ran to its own end; pointer jumping does that
+    in a few array steps."""
+    root = np.where(links < 0, np.arange(links.size), links)
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return root
+        root = up
+
+
 def _stalled_witnesses(system, seeds, stuck, depth, eps, mult, cap):
     """(k, intervals, robust) for each k in stuck, in order, whose seed's
     saturated closure has a witness (`_closure_witness`): one batched rerun
@@ -1164,7 +1207,9 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
 
     MinimalEvidence iff every seed reaches full eps-coverage; NotMinimal iff
     some seed's closure saturates on a proper subset whose padded hull is
-    verified forward-closed; Inconclusive otherwise.
+    verified forward-closed; Inconclusive otherwise. A seed whose closure
+    reaches the start cell of an earlier seed takes that seed's outcome
+    (`_closures` links).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -1178,9 +1223,12 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
     tight_fallback = None
     for mult in _PROBE_MULTS:
         batch = seeds[unresolved]
+        links = np.empty(batch.size, dtype=np.int64)
         cov_count, saturated, _, _, _, _ = _closures(
-            system, batch, depth, eps, mult, cell_cap, cover="retire")
-        coverage = cov_count / n_cov
+            system, batch, depth, eps, mult, cell_cap, cover="retire",
+            links=links)
+        # a seed that reached an earlier seed takes its root's coverage
+        coverage = cov_count[_roots(links)] / n_cov
         done = coverage >= 1.0
         # saturated seeds (covered ones retire) may hold a NotMinimal
         # witness: the first robust one decides, else the first tight one
@@ -1247,7 +1295,8 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
     """Yes iff from every eps-cell seed some proper orbit enters B(x0, eps)
     within depth; No with a witness seed whose saturated closure never
     does and has a validated forward-closed witness; Inconclusive
-    otherwise."""
+    otherwise. A seed whose closure reaches the start cell of an earlier
+    seed takes that seed's outcome (`_closures` links)."""
     space = system.space
     if isinstance(space, FiniteGraphSpace):
         return _probe_weak_attractor_graph(system, x0, eps, depth)
@@ -1255,10 +1304,12 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
     seeds = space.cell_left_edges(n_cov)
     unresolved = np.arange(n_cov)
     for mult in _PROBE_MULTS:
+        links = np.empty(unresolved.size, dtype=np.int64)
         _, saturated, _, hit, _, _ = _closures(
-            system, seeds[unresolved], depth, eps, mult, cell_cap, target=x0)
-        stuck = unresolved[saturated]    # no hit seed is saturated
-        unresolved = unresolved[~hit]
+            system, seeds[unresolved], depth, eps, mult, cell_cap, target=x0,
+            links=links)
+        stuck = unresolved[saturated]    # no hit or linked seed is saturated
+        unresolved = unresolved[~hit[_roots(links)]]
         if unresolved.size == 0:
             return WeakAttractorVerdict(kind="yes", x0=float(x0), eps=eps,
                                         depth=depth)

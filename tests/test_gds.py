@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import time
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import GOLDEN, circle_system
 from guided_dynamics import gds
+from guided_dynamics.cli import load_config
 from guided_dynamics.exprlang import _scalar, as_callable, parse
 from guided_dynamics.gds import (CircleSpace,
                                  ContractionMinimalityCertificate,
@@ -30,6 +32,7 @@ from guided_dynamics.gds import (_circle_arcs, _closures, _distinct,
                                  _witness_intervals, write_csv)
 
 TWO_PI = 2 * math.pi
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 COVERS = [None, "retire"]     # the kernel's coverage modes
 
 
@@ -206,7 +209,9 @@ def test_probe_minimality_falls_back_on_first_tight_witness(monkeypatch):
 
     tight = stub()
     verdict = probe_minimality(system, eps, 100)
-    assert len(tight) == 2 * len(seeds)     # every seed, at both rungs
+    # seeds 3-11 reach the start of seed k mod 3 and take its outcome, so
+    # only the 3 root seeds are stuck, at both rungs
+    assert len(tight) == 2 * 3
     assert tight[0] != tight[-1]
     assert verdict.kind == "not_minimal"
     assert verdict.witness == tight[0]
@@ -251,6 +256,114 @@ def test_weak_attractor_no_needs_a_witness(x0, eps):
     verdict = probe_weak_attractor(quadratic_pair(), x0, eps, 10 ** 5)
     assert verdict.kind == "inconclusive"
     assert verdict.witness_seed is None
+
+
+# --------------------------------------------------------------------------
+# probe seeds retired by orbit inclusion
+# --------------------------------------------------------------------------
+
+# name -> (system, eps, depth, weak-attractor target)
+CHAIN_CASES = {
+    "golden guided": (lambda: circle_system(GOLDEN, 0.3), 0.05, 10 ** 5,
+                      1.0),
+    "sqrt2 rad": (lambda: GuidedSystem(CircleSpace(), [
+        parse("t + 1.4142135623730951"), parse("t + 2.8284271247461903")]),
+        0.05, 10 ** 5, 1.0),
+    "rational guided": (lambda: circle_system(0.25, 0.5), 0.05, 10 ** 5,
+                        0.3),
+    "interval pair": (standard_interval_system, 0.02, 10 ** 4, 0.0),
+    "quarter turn": (lambda: GuidedSystem(CircleSpace(), [
+        parse(f"t + {TWO_PI / 4!r}")]), 0.55, 100, 1.0),
+}
+
+
+def per_seed_closures(system, seeds, *args, links=None, **kw):
+    """Oracle kernel: with links, each seed runs as a batch of one, so no
+    seed can reach an earlier one and every link stays -1."""
+    if links is None:
+        return _closures(system, seeds, *args, **kw)
+    links[:] = -1
+    runs = [_closures(system, seeds[k:k + 1], *args, **kw)
+            for k in range(len(seeds))]
+    columns = [None if runs[0][i] is None else
+               np.concatenate([run[i] for run in runs]) for i in range(4)]
+    return (*columns, max(run[4] for run in runs), None)
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_probes_match_a_per_seed_oracle(monkeypatch, name):
+    make, eps, depth, x0 = CHAIN_CASES[name]
+
+    def probes():
+        return (probe_minimality(make(), eps, depth),
+                probe_weak_attractor(make(), x0, eps, depth))
+    got = probes()
+    monkeypatch.setattr(gds, "_closures", per_seed_closures)
+    want = probes()
+    assert got[0].kind == want[0].kind
+    if want[0].kind == "not_minimal":
+        assert (got[0].witness, got[0].note) == (want[0].witness,
+                                                 want[0].note)
+    assert (got[1].kind, got[1].witness_seed) == (want[1].kind,
+                                                  want[1].witness_seed)
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES) + ["quadratic pair"])
+def test_chained_seeds_take_their_roots_outcome(monkeypatch, name):
+    # each many-seed run links seeds only to lower indices, and the next
+    # rung reruns exactly the seeds whose root was not covered (not hit):
+    # a seed whose root is stuck or unresolved never counts as covered
+    make, eps, depth, x0 = CHAIN_CASES.get(
+        name, (quadratic_pair, 0.02, 10 ** 5, -0.999))
+    runs = []
+
+    def spy(system, seeds, *args, links=None, **kw):
+        out = _closures(system, seeds, *args, links=links, **kw)
+        if links is not None:
+            runs.append((np.asarray(seeds, dtype=float), links.copy(),
+                         *out[:4]))
+        return out
+    monkeypatch.setattr(gds, "_closures", spy)
+    verdicts = (probe_minimality(make(), eps, depth),
+                probe_weak_attractor(make(), x0, eps, depth))
+    n_cov = make().space.cell_count(eps)
+    chained = 0
+    for k, (seeds, links, cov, sat, part, hit) in enumerate(runs):
+        linked = np.flatnonzero(links >= 0)
+        chained += linked.size
+        assert np.all(links[linked] < linked)
+        assert not sat[linked].any() and not part[linked].any()
+        root = gds._roots(links)
+        assert np.all(links[root] < 0)
+        done = hit[root] if cov is None else cov[root] == n_cov
+        if cov is not None:
+            assert np.all(cov[linked] < n_cov)
+        following = runs[k + 1] if k + 1 < len(runs) else None
+        if following is not None and (following[2] is None) == (cov is None):
+            assert np.array_equal(following[0], seeds[~done])
+        elif done.all():
+            assert verdicts[cov is None].kind in ("minimal_evidence", "yes")
+    assert chained > 0
+
+
+@pytest.mark.parametrize("make,eps,kind,cells", [
+    (lambda: load_config(os.path.join(CONFIGS, "circle_irrational.json"))
+     .guided_system(), 0.005, "minimal_evidence", 1257),
+    (lambda: GuidedSystem(CircleSpace(), [parse("t + 1"), parse("t + 2")]),
+     0.005, "inconclusive", 710),
+    (lambda: GuidedSystem(CircleSpace(), [
+        parse(f"t + {TWO_PI * (1 / 3 + math.sqrt(2) * 1e-7)!r}")]),
+     0.01, "inconclusive", 3),
+    (quadratic_pair, 0.02, "inconclusive", 94),
+], ids=["circle_irrational", "one-rad", "near-third", "quadratic_pconf"])
+def test_probe_hard_cases_keep_their_verdicts(make, eps, kind, cells):
+    # rotations with close rational approximants (710/113 for 1 rad) and a
+    # pair with parabolic fixed points: never not_minimal, and each reads
+    # the coverage it read when every seed ran to its own end
+    system = make()
+    verdict = probe_minimality(system, eps, 10 ** 5)
+    assert verdict.kind == kind
+    assert verdict.coverage == cells / system.space.cell_count(eps)
 
 
 # --------------------------------------------------------------------------
