@@ -887,7 +887,7 @@ def _joined(levels, order=slice(None)):
 
 
 def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
-              target=None, keep_points=False, payload=None, links=None):
+              target=None, keep_points=False, payload=None, chain=False):
     """Guided BFS from many seeds at once: one shared vectorized frontier
     carrying a seed-id column, deduplicated per seed at resolution
     eps/fine_mult. A seed is a start point or a row of start points.
@@ -910,17 +910,19 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
     level) of each candidate that lands in a taken cell, in BFS order.
     Parents (-1 at a start point) and owners index the claims.
 
-    links, an int array with one entry per seed, turns on retirement by
-    orbit inclusion: seed k retires when one of its candidates lands in a
-    fine cell holding a start point of a seed with a lower index, and
-    links[k] is set to the lowest such seed of its first such candidate's
-    cell (-1 for a seed that does not retire so). The candidate stands
-    for that start point, as a claimed cell's representative stands for a
-    later candidate in it, so seed k's closure holds that seed's; `_roots`
-    follows the links to the seed that ran to its own end, whose outcome
-    k takes. A seed that retires on coverage or the target at a level
-    does not retire so there, and none that retires so is saturated or
-    partial.
+    With chain, which the probes' passes set and a run that keeps points
+    does not (its seeds must run to their own ends), a seed of a run of
+    many also retires by orbit inclusion: when one of its candidates
+    lands in a fine cell holding a start point of a seed with a lower
+    index, it links to the lowest such seed of its first such candidate's
+    cell and takes, at the end, that seed's outcome (cov_count,
+    saturated, partial, hit). The candidate stands for that start point,
+    as a claimed cell's representative stands for a later candidate in
+    it, so the seed's closure holds the other's. Links point to lower
+    indices, so every chain ends at a seed that ran to its own end
+    (`_roots`). A seed that retires on coverage or the target at a level
+    does not link there. A seed that takes a saturated outcome may hold
+    more than its root: `_stalled_witnesses` runs it to its own end.
 
     Dedup is by first claim (`_first_claims`): of the candidates that land
     in a free (seed, fine cell), the first in candidate order claims it.
@@ -957,8 +959,8 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
     cand = space.normalize(seeds.ravel()).astype(float)
     csid = np.repeat(np.arange(n_seeds), seeds.shape[1])
     owner = None
-    if links is not None:
-        links[:] = -1
+    if chain and n_seeds > 1:
+        links = np.full(n_seeds, -1)
         # the lowest seed with a start point in each fine cell; n_seeds
         # where there is none
         owner = np.full(n_fine, n_seeds)
@@ -1049,6 +1051,11 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
     in_frontier = np.zeros(n_seeds, dtype=bool)
     in_frontier[sid] = True
     saturated = active & ~in_frontier
+    if owner is not None:
+        root = _roots(links)
+        saturated, partial, hit = saturated[root], partial[root], hit[root]
+        if cov_count is not None:
+            cov_count = cov_count[root]
     points = None
     if claimed:
         keys = np.concatenate(claimed)
@@ -1176,11 +1183,11 @@ def _closure_witness(system, pts, eps):
 
 
 def _roots(links):
-    """Each seed's root under the links `_closures` sets: the seed itself
-    where its link is -1, else the root of the seed it links to. Links
-    point to lower indices, so resolving them in index order ends every
-    chain at a seed that ran to its own end; pointer jumping does that
-    in a few array steps."""
+    """Each seed's root under the links of a chained `_closures` run: the
+    seed itself where its link is -1, else the root of the seed it links
+    to. Links point to lower indices, so resolving them in index order
+    ends every chain at a seed that ran to its own end; pointer jumping
+    does that in a few array steps."""
     root = np.where(links < 0, np.arange(links.size), links)
     while True:
         up = root[root]
@@ -1189,16 +1196,27 @@ def _roots(links):
         root = up
 
 
-def _stalled_witnesses(system, seeds, stuck, depth, eps, mult, cap):
-    """(k, intervals, robust) for each k in stuck, in order, whose seed's
-    saturated closure has a witness (`_closure_witness`): one batched rerun
-    keeps their representatives, and each is validated only when asked."""
-    reps = _closures(system, seeds[stuck], depth, eps, mult, cap,
-                     keep_points=True)[-1] if stuck.size else ()
-    for k, pts in zip(stuck, reps):
-        witness, robust = _closure_witness(system, pts, eps)
-        if witness is not None:
-            yield k, witness, robust
+def _stalled_witnesses(system, seeds, stuck, depth, eps, mult, cap, **kw):
+    """(k, intervals, robust, cov) for each k in stuck, in order, whose
+    seed saturates on its own closure and that closure has a witness
+    (`_closure_witness`); cov is its cov_count. Reruns with the pass's
+    cover or target (kw) keep the seeds' representatives, so each runs to
+    its own end: a seed that took a root's saturated outcome in a chained
+    pass may cover, or saturate on a larger closure. They run in batches
+    that double from one seed, so a witness found early spares the later
+    reruns, and each closure is validated only when asked."""
+    start, size = 0, 1
+    while start < stuck.size:
+        batch = stuck[start:start + size]
+        cov, saturated, _, _, _, reps = _closures(
+            system, seeds[batch], depth, eps, mult, cap, keep_points=True,
+            **kw)
+        for i in np.flatnonzero(saturated):
+            witness, robust = _closure_witness(system, reps[i], eps)
+            if witness is not None:
+                yield (batch[i], witness, robust,
+                       None if cov is None else cov[i])
+        start, size = start + size, 2 * size
 
 
 def probe_minimality(system: GuidedSystem, eps: float, depth: int,
@@ -1209,7 +1227,8 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
     some seed's closure saturates on a proper subset whose padded hull is
     verified forward-closed; Inconclusive otherwise. A seed whose closure
     reaches the start cell of an earlier seed takes that seed's outcome
-    (`_closures` links).
+    (`_closures` chain), and depth bounds each seed's own levels, not the
+    chained path to its root's end.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -1223,24 +1242,23 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
     tight_fallback = None
     for mult in _PROBE_MULTS:
         batch = seeds[unresolved]
-        links = np.empty(batch.size, dtype=np.int64)
         cov_count, saturated, _, _, _, _ = _closures(
             system, batch, depth, eps, mult, cell_cap, cover="retire",
-            links=links)
-        # a seed that reached an earlier seed takes its root's coverage
-        coverage = cov_count[_roots(links)] / n_cov
+            chain=True)
+        coverage = cov_count / n_cov
         done = coverage >= 1.0
         # saturated seeds (covered ones retire) may hold a NotMinimal
         # witness: the first robust one decides, else the first tight one
         stuck = np.flatnonzero(saturated)
-        for k, witness, robust in _stalled_witnesses(
-                system, batch, stuck, depth, eps, mult, cell_cap):
+        for k, witness, robust, cov in _stalled_witnesses(
+                system, batch, stuck, depth, eps, mult, cell_cap,
+                cover="retire"):
             if not robust and tight_fallback is not None:
                 continue
             seed, n = float(batch[k]), len(witness)
             verdict = MinimalityVerdict(
                 kind="not_minimal", eps=eps, depth=depth,
-                coverage=float(coverage[k]),
+                coverage=float(cov / n_cov),
                 witness=tuple(map(tuple, witness.tolist())),
                 note=f"seed {seed!r}: forward-closed set of {n} interval(s)"
                 if robust else f"seed {seed!r}: set invariant through "
@@ -1296,7 +1314,8 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
     within depth; No with a witness seed whose saturated closure never
     does and has a validated forward-closed witness; Inconclusive
     otherwise. A seed whose closure reaches the start cell of an earlier
-    seed takes that seed's outcome (`_closures` links)."""
+    seed takes that seed's outcome (`_closures` chain), and depth bounds
+    each seed's own levels, not the chained path to its root's end."""
     space = system.space
     if isinstance(space, FiniteGraphSpace):
         return _probe_weak_attractor_graph(system, x0, eps, depth)
@@ -1304,18 +1323,17 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
     seeds = space.cell_left_edges(n_cov)
     unresolved = np.arange(n_cov)
     for mult in _PROBE_MULTS:
-        links = np.empty(unresolved.size, dtype=np.int64)
         _, saturated, _, hit, _, _ = _closures(
             system, seeds[unresolved], depth, eps, mult, cell_cap, target=x0,
-            links=links)
-        stuck = unresolved[saturated]    # no hit or linked seed is saturated
-        unresolved = unresolved[~hit[_roots(links)]]
+            chain=True)
+        stuck = unresolved[saturated]    # no hit seed is saturated
+        unresolved = unresolved[~hit]
         if unresolved.size == 0:
             return WeakAttractorVerdict(kind="yes", x0=float(x0), eps=eps,
                                         depth=depth)
     # the first saturated seed whose closure has a witness
-    for k, _, _ in _stalled_witnesses(system, seeds, stuck, depth, eps,
-                                      mult, cell_cap):
+    for k, *_ in _stalled_witnesses(system, seeds, stuck, depth, eps, mult,
+                                    cell_cap, target=x0):
         return WeakAttractorVerdict(kind="no", x0=float(x0), eps=eps,
                                     depth=depth, witness_seed=float(seeds[k]))
     return WeakAttractorVerdict(kind="inconclusive", x0=float(x0),

@@ -209,9 +209,7 @@ def test_probe_minimality_falls_back_on_first_tight_witness(monkeypatch):
 
     tight = stub()
     verdict = probe_minimality(system, eps, 100)
-    # seeds 3-11 reach the start of seed k mod 3 and take its outcome, so
-    # only the 3 root seeds are stuck, at both rungs
-    assert len(tight) == 2 * 3
+    assert len(tight) == 2 * len(seeds)     # every seed, at both rungs
     assert tight[0] != tight[-1]
     assert verdict.kind == "not_minimal"
     assert verdict.witness == tight[0]
@@ -277,12 +275,11 @@ CHAIN_CASES = {
 }
 
 
-def per_seed_closures(system, seeds, *args, links=None, **kw):
-    """Oracle kernel: with links, each seed runs as a batch of one, so no
-    seed can reach an earlier one and every link stays -1."""
-    if links is None:
+def per_seed_closures(system, seeds, *args, chain=False, **kw):
+    """Oracle kernel: a chained pass runs each seed as a batch of one, so
+    no seed can reach an earlier one."""
+    if not chain:
         return _closures(system, seeds, *args, **kw)
-    links[:] = -1
     runs = [_closures(system, seeds[k:k + 1], *args, **kw)
             for k in range(len(seeds))]
     columns = [None if runs[0][i] is None else
@@ -302,27 +299,34 @@ def test_probes_match_a_per_seed_oracle(monkeypatch, name):
     want = probes()
     assert got[0].kind == want[0].kind
     if want[0].kind == "not_minimal":
-        assert (got[0].witness, got[0].note) == (want[0].witness,
-                                                 want[0].note)
+        assert (got[0].witness, got[0].note, got[0].coverage) == (
+            want[0].witness, want[0].note, want[0].coverage)
     assert (got[1].kind, got[1].witness_seed) == (want[1].kind,
                                                   want[1].witness_seed)
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_CASES) + ["quadratic pair"])
 def test_chained_seeds_take_their_roots_outcome(monkeypatch, name):
-    # each many-seed run links seeds only to lower indices, and the next
-    # rung reruns exactly the seeds whose root was not covered (not hit):
-    # a seed whose root is stuck or unresolved never counts as covered
+    # each chained pass links seeds only to lower indices, a linked seed
+    # reports its root's outcome, and the next rung reruns exactly the
+    # seeds whose root was not covered (not hit): a seed whose root is
+    # stuck or unresolved never counts as covered
     make, eps, depth, x0 = CHAIN_CASES.get(
         name, (quadratic_pair, 0.02, 10 ** 5, -0.999))
-    runs = []
+    roots, found, runs = gds._roots, [], []
 
-    def spy(system, seeds, *args, links=None, **kw):
-        out = _closures(system, seeds, *args, links=links, **kw)
-        if links is not None:
-            runs.append((np.asarray(seeds, dtype=float), links.copy(),
-                         *out[:4]))
+    def spy_roots(links):
+        found.append(links.copy())
+        return roots(links)
+
+    def spy(system, seeds, *args, chain=False, **kw):
+        n = len(found)
+        out = _closures(system, seeds, *args, chain=chain, **kw)
+        if chain:
+            links = found[n] if len(found) > n else np.full(len(seeds), -1)
+            runs.append((np.asarray(seeds, dtype=float), links, *out[:4]))
         return out
+    monkeypatch.setattr(gds, "_roots", spy_roots)
     monkeypatch.setattr(gds, "_closures", spy)
     verdicts = (probe_minimality(make(), eps, depth),
                 probe_weak_attractor(make(), x0, eps, depth))
@@ -332,18 +336,49 @@ def test_chained_seeds_take_their_roots_outcome(monkeypatch, name):
         linked = np.flatnonzero(links >= 0)
         chained += linked.size
         assert np.all(links[linked] < linked)
-        assert not sat[linked].any() and not part[linked].any()
-        root = gds._roots(links)
+        root = roots(links)
         assert np.all(links[root] < 0)
-        done = hit[root] if cov is None else cov[root] == n_cov
-        if cov is not None:
-            assert np.all(cov[linked] < n_cov)
+        for outcome in (cov, sat, part, hit):
+            assert outcome is None or np.array_equal(outcome, outcome[root])
+        done = hit if cov is None else cov == n_cov
         following = runs[k + 1] if k + 1 < len(runs) else None
         if following is not None and (following[2] is None) == (cov is None):
             assert np.array_equal(following[0], seeds[~done])
         elif done.all():
             assert verdicts[cov is None].kind in ("minimal_evidence", "yes")
     assert chained > 0
+
+
+def test_probes_try_chained_seeds_on_their_own_closures(monkeypatch):
+    # A turn just over a quarter: seed 3's closure reaches seed 0's start
+    # cell at level 3, so the chained pass gives it seed 0's stuck outcome,
+    # but its own saturated closure holds its start point, which seed 0's
+    # does not. Witness validation is stubbed so that only sets around
+    # seed 3's start validate: the verdicts must name seed 3, as when
+    # every seed runs to its own end, not give up on seed 0's closure.
+    system = GuidedSystem(CircleSpace(), [parse(f"t + {TWO_PI / 4 + 1e-7!r}")])
+    eps = 0.55
+    seeds = system.space.cell_left_edges(system.space.cell_count(eps))
+    assert len(seeds) == 12
+    start = float(seeds[3])
+
+    def validate(system, intervals):
+        return bool(np.any(np.abs(intervals.mean(axis=1) - start) < 1e-9))
+    monkeypatch.setattr(gds, "_validate_witness", validate)
+    verdict = probe_minimality(system, eps, 100)
+    assert verdict.kind == "not_minimal"
+    assert verdict.note == f"seed {start!r}: forward-closed set of 4 " \
+                           f"interval(s)"
+    # B(x0, eps) between seeds 1 and 2 catches the orbits through them
+    # but none through seeds 0, 3, 6 and 9
+    attractor = probe_weak_attractor(system, float(seeds[1] + seeds[2]) / 2,
+                                     eps, 100)
+    assert attractor.kind == "no"
+    assert attractor.witness_seed == start
+    monkeypatch.setattr(gds, "_closures", per_seed_closures)
+    assert probe_minimality(system, eps, 100).note == verdict.note
+    assert probe_weak_attractor(system, float(seeds[1] + seeds[2]) / 2, eps,
+                                100).witness_seed == start
 
 
 @pytest.mark.parametrize("make,eps,kind,cells", [

@@ -18,7 +18,7 @@ golden and sqrt2-rad each run three frontiers:
   fixed cost of a level dominates;
 - wide: one seed per eps-cell (629 seeds), eps 0.01, fine_mult 16, depth
   10**5, retiring seeds on full coverage and on reaching an earlier
-  seed's start cell (the kernel's `links`), as the first pass of `probe
+  seed's start cell (the kernel's `chain`), as the first pass of `probe
   --eps 0.01` runs it;
 - wide-target: the same seeds, retiring those that enter B(1.0, 0.01) or
   reach an earlier seed's start cell and marking no coverage, as the
@@ -32,8 +32,7 @@ counting coverage costs per level. circle-irrational runs wide at eps
 
 For each it prints the levels run, the candidates made (the seeds plus
 every generator image, counted in a separate run), microseconds per level
-and candidates per second, best of 5; for a wide frontier also the seeds
-that retired on reaching an earlier seed. Then it times the whole
+and candidates per second, best of 5. Then it times the whole
 `guided_orbit_set` ladder on golden from 0.3 at eps 0.002 and depth
 10**4, as `orbit --eps 0.002` runs it: points, levels and milliseconds
 per call, best of 5.
@@ -49,7 +48,7 @@ collisions of the cloud and milliseconds per call, best of 5.
 `--root` names the checkout whose `src/` is timed (default: the one
 holding this script). A kernel older than its `cover` argument runs each
 case as its own callers ran it: coverage marked unless retiring. A
-kernel without `links` runs the wide frontiers without it, as its
+kernel without `chain` runs the wide frontiers without it, as its
 probes did. BLAS runs on one thread, as the benchmark pins it.
 """
 
@@ -95,17 +94,16 @@ def _system(gds, parse, name, counter=None):
 
 
 def _cases(gds):
-    """(system, frontier, seeds, depth, eps, fine_mult, kernel kwargs);
-    "links" asks for a links array with one entry per seed."""
+    """(system, frontier, seeds, depth, eps, fine_mult, kernel kwargs)."""
     space = gds.CircleSpace(TWO_PI)
     seeds = space.cell_left_edges(space.cell_count(0.01))
     thin = {"cover": "retire", "keep_points": True}
-    wide = {"cover": "retire", "links": True}
+    wide = {"cover": "retire", "chain": True}
     for name in ("golden", "sqrt2-rad"):
         yield name, "thin", [0.3], 10 ** 4, 0.002, 8, thin
         yield name, "wide", seeds, 10 ** 5, 0.01, 16, wide
         yield (name, "wide-target", seeds, 10 ** 5, 0.01, 16,
-               {"target": 1.0, "links": True})
+               {"target": 1.0, "chain": True})
     yield "one-rad", "thin-starved", [0.3], 10 ** 4, 0.005, 2, thin
     yield ("circle-irrational", "wide",
            space.cell_left_edges(space.cell_count(0.002)), 10 ** 5, 0.002,
@@ -127,11 +125,11 @@ def _kernel_kwargs(gds, frontier, kw):
     runs it. A kernel without `cover` marks coverage by default and
     retires covered seeds with `retire_covered`, which `orbit` did not
     set; a later `orbit` may count coverage at the end (cover "count")
-    in place of retiring. A kernel without `links` runs without it."""
+    in place of retiring. A kernel without `chain` runs without it."""
     starved = frontier == "thin-starved"
     params = inspect.signature(gds._closures).parameters
-    if "links" not in params:
-        kw = {k: v for k, v in kw.items() if k != "links"}
+    if "chain" not in params:
+        kw = {k: v for k, v in kw.items() if k != "chain"}
     if "cover" not in params:
         kw = dict(kw)
         if kw.pop("cover", None) == "retire" and not starved:
@@ -155,8 +153,6 @@ def main():
     for name, frontier, seeds, depth, eps, mult, kw in _cases(gds):
         system = _system(gds, parse, name)
         seeds = np.asarray(seeds, dtype=float)
-        if "links" in kw:
-            kw = {**kw, "links": np.empty(len(seeds), dtype=np.int64)}
         kw = _kernel_kwargs(gds, frontier, kw)
         counter = [len(seeds)]
         *_, levels, _ = gds._closures(
@@ -164,12 +160,9 @@ def main():
             500_000, **kw)
         best = _best(lambda: gds._closures(system, seeds, depth, eps, mult,
                                            500_000, **kw))
-        chained = ("" if "links" not in kw else
-                   f", {np.count_nonzero(kw['links'] >= 0)} reached an "
-                   f"earlier seed")
         # level 0 absorbs the seeds, so `levels` steps run levels + 1
         print(f"{name} {frontier}: {len(seeds)} seed(s), {levels + 1} "
-              f"levels, {counter[0]} candidates{chained}: "
+              f"levels, {counter[0]} candidates: "
               f"{best / (levels + 1) * 1e6:.1f} us/level, "
               f"{counter[0] / best:.3g} candidates/s ({best:.3f} s)")
 
