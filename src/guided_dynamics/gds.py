@@ -886,21 +886,22 @@ def _joined(levels, order=slice(None)):
     return joined
 
 
-def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
-              target=None, keep_points=False, payload=None, chain=False):
+def _closures(system, seeds, depth, eps, fine_mult, cell_cap, target=None,
+              keep_points=False, payload=None):
     """Guided BFS from many seeds at once: one shared vectorized frontier
     carrying a seed-id column, deduplicated per seed at resolution
     eps/fine_mult. A seed is a start point or a row of start points.
 
-    cover: "retire" counts the eps-cells each seed touches (cov_count)
-    each level and retires a seed that touches every one; None marks none
-    (cov_count None). A seed also retires on entering
-    B(target, eps) (hit). Returns (cov_count, saturated, partial, hit,
-    depth_used, points) indexed by seed: 'saturated' marks seeds whose
-    frontier emptied before they retired, 'partial' those whose fine
-    cells, start points included, outnumber cell_cap. With keep_points,
-    points[k] is seed k's representatives (the first to land in each
-    occupied fine cell) in fine-cell order; else points is None.
+    A run with neither a target nor a payload counts the eps-cells each
+    seed touches (cov_count) each level and retires a seed that touches
+    every one; any other run counts none (cov_count None). A seed with a
+    target retires on entering B(target, eps) (hit). Returns (cov_count,
+    saturated, partial, hit, depth_used, points) indexed by seed:
+    'saturated' marks seeds whose frontier emptied before they retired,
+    'partial' those whose fine cells, start points included, outnumber
+    cell_cap. With keep_points, points[k] is seed k's representatives
+    (the first to land in each occupied fine cell) in fine-cell order;
+    else points is None.
 
     A payload (start values, update) gives each point a value, and
     update(i, p, v) the values of generator i's images of frontier points
@@ -910,12 +911,12 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
     level) of each candidate that lands in a taken cell, in BFS order.
     Parents (-1 at a start point) and owners index the claims.
 
-    With chain, which the probes' passes set and a run that keeps points
-    does not (its seeds must run to their own ends), a seed of a run of
-    many also retires by orbit inclusion: when one of its candidates
+    A run of more than one seed that keeps no points and carries no
+    payload settles seeds by orbit inclusion (a run that keeps points
+    must run each seed to its own end): when one of a seed's candidates
     lands in a fine cell holding a start point of a seed with a lower
-    index, it links to the lowest such seed of its first such candidate's
-    cell and takes, at the end, that seed's outcome (cov_count,
+    index, the seed links to the lowest such seed of its first such
+    candidate's cell and takes, at the end, that seed's outcome (cov_count,
     saturated, partial, hit). The candidate stands for that start point,
     as a claimed cell's representative stands for a later candidate in
     it, so the seed's closure holds the other's. Links point to lower
@@ -944,8 +945,9 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
     n_fine = space.cell_count(eps / fine_mult)
     n_cov = space.cell_count(eps)
     occ = np.zeros(n_seeds * n_fine, dtype=bool)
-    covd = None if cover is None else np.zeros(n_seeds * n_cov, dtype=bool)
-    cov_count = None if cover is None else np.zeros(n_seeds, dtype=np.int64)
+    cover = target is None and payload is None
+    covd = np.zeros(n_seeds * n_cov, dtype=bool) if cover else None
+    cov_count = np.zeros(n_seeds, dtype=np.int64) if cover else None
     n_occ, occ_count = 0, None
     hit = np.zeros(n_seeds, dtype=bool)
     partial = np.zeros(n_seeds, dtype=bool)
@@ -959,7 +961,7 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
     cand = space.normalize(seeds.ravel()).astype(float)
     csid = np.repeat(np.arange(n_seeds), seeds.shape[1])
     owner = None
-    if chain and n_seeds > 1:
+    if n_seeds > 1 and not keep_points and payload is None:
         links = np.full(n_seeds, -1)
         # the lowest seed with a start point in each fine cell; n_seeds
         # where there is none
@@ -967,7 +969,7 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, cover=None,
         np.minimum.at(owner, space.cell_index(cand, n_fine), csid)
     level = 0
     while True:
-        if cover == "retire":
+        if cover:
             if n_seeds == 1:     # one row: a scatter and a count, no sort
                 covd[space.cell_index(cand, n_cov)] = True
                 cov_count[0] = np.count_nonzero(covd)
@@ -1095,8 +1097,7 @@ def guided_orbit_set(system: GuidedSystem, x0, depth: int, eps: float,
     seed = np.atleast_1d(np.asarray(x0, dtype=float))[:1]
     for mult in _REFINE_MULTS:
         cov, saturated, partial, _, used, (pts,) = _closures(
-            system, seed, depth, eps, mult, cell_cap, cover="retire",
-            keep_points=True)
+            system, seed, depth, eps, mult, cell_cap, keep_points=True)
         if not saturated[0] or \
                 _closure_witness(system, pts, eps)[0] is not None:
             break
@@ -1196,21 +1197,22 @@ def _roots(links):
         root = up
 
 
-def _stalled_witnesses(system, seeds, stuck, depth, eps, mult, cap, **kw):
+def _stalled_witnesses(system, seeds, stuck, depth, eps, mult, cap,
+                       target=None):
     """(k, intervals, robust, cov) for each k in stuck, in order, whose
     seed saturates on its own closure and that closure has a witness
     (`_closure_witness`); cov is its cov_count. Reruns with the pass's
-    cover or target (kw) keep the seeds' representatives, so each runs to
-    its own end: a seed that took a root's saturated outcome in a chained
-    pass may cover, or saturate on a larger closure. They run in batches
-    that double from one seed, so a witness found early spares the later
+    target keep the seeds' representatives, so each runs to its own end:
+    a seed that took a root's saturated outcome in a chained pass may
+    cover, or saturate on a larger closure. They run in batches that
+    double from one seed, so a witness found early spares the later
     reruns, and each closure is validated only when asked."""
     start, size = 0, 1
     while start < stuck.size:
         batch = stuck[start:start + size]
         cov, saturated, _, _, _, reps = _closures(
-            system, seeds[batch], depth, eps, mult, cap, keep_points=True,
-            **kw)
+            system, seeds[batch], depth, eps, mult, cap, target=target,
+            keep_points=True)
         for i in np.flatnonzero(saturated):
             witness, robust = _closure_witness(system, reps[i], eps)
             if witness is not None:
@@ -1227,7 +1229,7 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
     some seed's closure saturates on a proper subset whose padded hull is
     verified forward-closed; Inconclusive otherwise. A seed whose closure
     reaches the start cell of an earlier seed takes that seed's outcome
-    (`_closures` chain), and depth bounds each seed's own levels, not the
+    (`_closures`), and depth bounds each seed's own levels, not the
     chained path to its root's end.
     """
     if eps <= 0:
@@ -1243,16 +1245,14 @@ def probe_minimality(system: GuidedSystem, eps: float, depth: int,
     for mult in _PROBE_MULTS:
         batch = seeds[unresolved]
         cov_count, saturated, _, _, _, _ = _closures(
-            system, batch, depth, eps, mult, cell_cap, cover="retire",
-            chain=True)
+            system, batch, depth, eps, mult, cell_cap)
         coverage = cov_count / n_cov
         done = coverage >= 1.0
         # saturated seeds (covered ones retire) may hold a NotMinimal
         # witness: the first robust one decides, else the first tight one
         stuck = np.flatnonzero(saturated)
         for k, witness, robust, cov in _stalled_witnesses(
-                system, batch, stuck, depth, eps, mult, cell_cap,
-                cover="retire"):
+                system, batch, stuck, depth, eps, mult, cell_cap):
             if not robust and tight_fallback is not None:
                 continue
             seed, n = float(batch[k]), len(witness)
@@ -1314,8 +1314,8 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
     within depth; No with a witness seed whose saturated closure never
     does and has a validated forward-closed witness; Inconclusive
     otherwise. A seed whose closure reaches the start cell of an earlier
-    seed takes that seed's outcome (`_closures` chain), and depth bounds
-    each seed's own levels, not the chained path to its root's end."""
+    seed takes that seed's outcome (`_closures`), and depth bounds each
+    seed's own levels, not the chained path to its root's end."""
     space = system.space
     if isinstance(space, FiniteGraphSpace):
         return _probe_weak_attractor_graph(system, x0, eps, depth)
@@ -1324,8 +1324,7 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
     unresolved = np.arange(n_cov)
     for mult in _PROBE_MULTS:
         _, saturated, _, hit, _, _ = _closures(
-            system, seeds[unresolved], depth, eps, mult, cell_cap, target=x0,
-            chain=True)
+            system, seeds[unresolved], depth, eps, mult, cell_cap, target=x0)
         stuck = unresolved[saturated]    # no hit seed is saturated
         unresolved = unresolved[~hit]
         if unresolved.size == 0:

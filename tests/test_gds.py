@@ -28,12 +28,11 @@ from guided_dynamics.gds import (CircleSpace,
 from guided_dynamics.gds import (_circle_arcs, _closures, _distinct,
                                  _first_claims, _interval_images,
                                  _merge_intervals, _range_cover_defect,
-                                 _step_rule, _validate_witness,
+                                 _roots, _step_rule, _validate_witness,
                                  _witness_intervals, write_csv)
 
 TWO_PI = 2 * math.pi
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
-COVERS = [None, "retire"]     # the kernel's coverage modes
 
 
 def standard_interval_system():
@@ -275,16 +274,30 @@ CHAIN_CASES = {
 }
 
 
-def per_seed_closures(system, seeds, *args, chain=False, **kw):
-    """Oracle kernel: a chained pass runs each seed as a batch of one, so
-    no seed can reach an earlier one."""
-    if not chain:
-        return _closures(system, seeds, *args, **kw)
-    runs = [_closures(system, seeds[k:k + 1], *args, **kw)
-            for k in range(len(seeds))]
-    columns = [None if runs[0][i] is None else
-               np.concatenate([run[i] for run in runs]) for i in range(4)]
-    return (*columns, max(run[4] for run in runs), None)
+def chains(seeds, kw):
+    """Whether the kernel settles this run's seeds by orbit inclusion."""
+    return len(seeds) > 1 and not kw.get("keep_points") and \
+        kw.get("payload") is None
+
+
+def per_seed_oracle(monkeypatch):
+    """Patch in an oracle kernel that runs each seed of a run the kernel
+    would chain as a batch of one, so no seed can reach an earlier one;
+    the returned list gets the size of each run it splits."""
+    splits = []
+
+    def per_seed_closures(system, seeds, *args, **kw):
+        if not chains(seeds, kw):
+            return _closures(system, seeds, *args, **kw)
+        splits.append(len(seeds))
+        runs = [_closures(system, seeds[k:k + 1], *args, **kw)
+                for k in range(len(seeds))]
+        columns = [None if runs[0][i] is None else
+                   np.concatenate([run[i] for run in runs])
+                   for i in range(4)]
+        return (*columns, max(run[4] for run in runs), None)
+    monkeypatch.setattr(gds, "_closures", per_seed_closures)
+    return splits
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_CASES))
@@ -295,8 +308,9 @@ def test_probes_match_a_per_seed_oracle(monkeypatch, name):
         return (probe_minimality(make(), eps, depth),
                 probe_weak_attractor(make(), x0, eps, depth))
     got = probes()
-    monkeypatch.setattr(gds, "_closures", per_seed_closures)
+    splits = per_seed_oracle(monkeypatch)
     want = probes()
+    assert splits, "the oracle ran every pass as the kernel does"
     assert got[0].kind == want[0].kind
     if want[0].kind == "not_minimal":
         assert (got[0].witness, got[0].note, got[0].coverage) == (
@@ -319,10 +333,13 @@ def test_chained_seeds_take_their_roots_outcome(monkeypatch, name):
         found.append(links.copy())
         return roots(links)
 
-    def spy(system, seeds, *args, chain=False, **kw):
+    def spy(system, seeds, *args, **kw):
+        # every pass (a run that keeps no points); a pass of one seed is
+        # not chained and has no links
         n = len(found)
-        out = _closures(system, seeds, *args, chain=chain, **kw)
-        if chain:
+        out = _closures(system, seeds, *args, **kw)
+        if not kw.get("keep_points"):
+            assert (len(found) > n) == chains(seeds, kw)
             links = found[n] if len(found) > n else np.full(len(seeds), -1)
             runs.append((np.asarray(seeds, dtype=float), links, *out[:4]))
         return out
@@ -375,10 +392,11 @@ def test_probes_try_chained_seeds_on_their_own_closures(monkeypatch):
                                      eps, 100)
     assert attractor.kind == "no"
     assert attractor.witness_seed == start
-    monkeypatch.setattr(gds, "_closures", per_seed_closures)
+    splits = per_seed_oracle(monkeypatch)
     assert probe_minimality(system, eps, 100).note == verdict.note
     assert probe_weak_attractor(system, float(seeds[1] + seeds[2]) / 2, eps,
                                 100).witness_seed == start
+    assert splits
 
 
 @pytest.mark.parametrize("make,eps,kind,cells", [
@@ -1058,20 +1076,20 @@ def test_blocked_frontier_at_depth_limit_is_saturated():
                 min_size=2, max_size=6),
        st.sampled_from([0.05, 0.02]), st.integers(0, 300),
        st.sampled_from([2, 16]), st.sampled_from([40, 500_000]),
-       st.sampled_from(COVERS), st.booleans())
+       st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_batched_closures_do_not_couple_seeds(turn, seeds, eps, depth, mult,
-                                              cap, cover, target):
+                                              cap, target):
+    # a run that keeps points is not chained: each seed runs to its end
     system = circle_system(turn, 0.5)
-    kw = {"cover": cover, "target": 1.0 if target else None,
-          "keep_points": True}
+    kw = {"target": 1.0 if target else None, "keep_points": True}
     cov, sat, part, hit, _, pts = _closures(system, np.array(seeds), depth,
                                             eps, mult, cap, **kw)
     for k, seed in enumerate(seeds):
         c1, s1, p1, h1, _, (pts1,) = _closures(system, np.array([seed]),
                                                depth, eps, mult, cap, **kw)
         assert (sat[k], part[k], hit[k]) == (s1[0], p1[0], h1[0])
-        assert (cov is c1 is None) if cover is None else cov[k] == c1[0]
+        assert (cov is c1 is None) if target else cov[k] == c1[0]
         assert np.array_equal(pts[k], pts1)
 
 
@@ -1179,10 +1197,11 @@ KERNEL_SYSTEMS = {
 SEAM_EPS = TWO_PI / 62.5
 # the kernel at width, as `probe` runs it: a seed at each eps-cell's left
 # edge (126 at eps 0.05), so every level dedups thousands of candidates
-# across seeds; the examples below retire all seeds on full coverage at
-# level 22 (unguided), 117 of them before depth 40 (arcs), and 46 on the
-# cell cap (arcs); the last runs as `weak-attractor` does, without cover
-# and with a target
+# across seeds; the first two examples below keep points, so no seed is
+# chained, and retire all seeds on full coverage at level 22 (unguided)
+# and 117 of them before depth 40 (arcs); the other three keep none, so
+# seeds also settle by orbit inclusion, as in `probe`'s passes; the last
+# runs as `weak-attractor` does, with a target and so without cover
 WIDE_UNITS = [k / 126 for k in range(126)]
 
 
@@ -1192,23 +1211,18 @@ WIDE_UNITS = [k / 126 for k in range(126)]
                 min_size=1, max_size=6),
        st.sampled_from([0.05, 0.02, SEAM_EPS]), st.integers(0, 300),
        st.sampled_from([2, 8, 16]), st.sampled_from([0, 40, 500_000]),
-       st.sampled_from(COVERS), st.booleans(), st.booleans())
-@example("circle seam", [-1e-300, 1e-300], SEAM_EPS, 3, 8, 500_000,
-         "retire", False, True)
-@example("circle seam", [0.3], SEAM_EPS, 300, 8, 500_000, "retire", False,
+       st.booleans(), st.booleans())
+@example("circle seam", [-1e-300, 1e-300], SEAM_EPS, 3, 8, 500_000, False,
          True)
-@example("circle unguided", WIDE_UNITS, 0.05, 30, 16, 500_000, "retire",
-         False, True)
-@example("circle arcs", WIDE_UNITS, 0.05, 40, 16, 500_000, "retire", False,
-         True)
-@example("circle arcs", WIDE_UNITS, 0.05, 20, 16, 150, "retire", False,
-         False)
-@example("circle unguided", WIDE_UNITS, 0.05, 3, 16, 500_000, "retire",
-         False, False)
-@example("circle arcs", WIDE_UNITS, 0.05, 40, 16, 500_000, None, True, False)
+@example("circle seam", [0.3], SEAM_EPS, 300, 8, 500_000, False, True)
+@example("circle unguided", WIDE_UNITS, 0.05, 30, 16, 500_000, False, True)
+@example("circle arcs", WIDE_UNITS, 0.05, 40, 16, 500_000, False, True)
+@example("circle arcs", WIDE_UNITS, 0.05, 20, 16, 150, False, False)
+@example("circle unguided", WIDE_UNITS, 0.05, 3, 16, 500_000, False, False)
+@example("circle arcs", WIDE_UNITS, 0.05, 40, 16, 500_000, True, False)
 @settings(max_examples=150, deadline=None)
 def test_closures_match_reference(name, units, eps, depth, mult, cap,
-                                  cover, target, keep_points):
+                                  target, keep_points):
     system = KERNEL_SYSTEMS[name]
     space = system.space
     # a unit in [0, 1) names a point of the space; +-1e-300 stay as given
@@ -1216,17 +1230,26 @@ def test_closures_match_reference(name, units, eps, depth, mult, cap,
                       (space.a + u * space.length
                        if isinstance(space, Interval) else u * space.period)
                       for u in units])
-    kw = {"cover": cover, "target": 0.5 if target else None,
-          "keep_points": keep_points}
-    got = _closures(system, seeds, depth, eps, mult, cap, **kw)
-    assert_same_closures(got, closures_reference(system, seeds, depth, eps,
-                                                 mult, cap, **kw))
-    if cover is None:
-        # counting coverage changes nothing while no seed covers every cell
-        retire = _closures(system, seeds, depth, eps, mult, cap,
-                           **{**kw, "cover": "retire"})
-        if np.all(retire[0] < space.cell_count(eps)):
-            assert_same_closures(got, (None, *retire[1:]))
+    kw = {"target": 0.5 if target else None, "keep_points": keep_points}
+    found = []
+
+    def spy_roots(links):
+        found.append(links)
+        return _roots(links)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gds, "_roots", spy_roots)
+        got = _closures(system, seeds, depth, eps, mult, cap, **kw)
+    want = closures_reference(system, seeds, depth, eps, mult, cap,
+                              cover=None if target else "retire", **kw)
+    if chains(seeds, kw):
+        # a seed that links runs no further and takes its root's outcome;
+        # a root runs to its own end as in the reference
+        root = _roots(found.pop())
+        assert got[4] <= want[4]
+        want = (*(None if w is None else w[root] for w in want[:4]),
+                got[4], want[5])
+    assert not found
+    assert_same_closures(got, want)
 
 
 def assert_same_closures(got, want):
@@ -1254,8 +1277,10 @@ def payload_update(i, p, v):
 @settings(max_examples=80, deadline=None)
 def test_closures_payload_replays_its_claims(name, units, one_seed, depth,
                                              mult, cap):
-    # a payload run claims what a keep_points run claims, and each claim
-    # is its generator's image of its parent, with the updated value
+    # a payload run claims what a keep_points run claims for each seed
+    # that does not cover (a payload run counts no coverage, so covers
+    # nothing), and each claim is its generator's image of its parent,
+    # with the updated value
     system = KERNEL_SYSTEMS[name]
     space = system.space
     starts = np.array([space.a + u * space.length
@@ -1266,12 +1291,19 @@ def test_closures_payload_replays_its_claims(name, units, one_seed, depth,
     got = _closures(system, seeds, depth, eps, mult, cap,
                     payload=(-starts, payload_update))
     want = _closures(system, seeds, depth, eps, mult, cap, keep_points=True)
-    for g, w in zip(got[:4], want[:4]):
-        assert np.array_equal(g, w)
-    assert got[4] == want[4]
+    # each claim's seed, carried as its value
+    seed_of = _closures(system, seeds, depth, eps, mult, cap, payload=(
+        np.arange(len(seeds)).repeat(starts.size // len(seeds)),
+        lambda i, p, v: v))[5][0][1]
+    open_ = want[0] < space.cell_count(eps)
+    assert got[0] is None
+    for g, w in zip(got[1:4], want[1:4]):
+        assert np.array_equal(g[open_], w[open_])
+    assert got[4] == want[4] if open_.all() else got[4] >= want[4]
     (pts, vals, levels, parents, gens), (owners, lpts, lvals, llevels) = \
         got[5]
-    assert np.array_equal(pts, np.concatenate(want[5]))
+    for k in np.flatnonzero(open_):
+        assert np.array_equal(pts[seed_of == k], want[5][k])
     root = parents < 0
     assert np.array_equal(root, gens < 0) and np.array_equal(root,
                                                              levels == 0)
