@@ -302,9 +302,24 @@ def emit(report, args, exit_code, to_csv=None):
 # Subcommand handlers: (cfg, args) -> (report, exit code[, to_csv])
 # --------------------------------------------------------------------------
 
+def _seeded_system(cfg, x0):
+    """The config's guided system, once x0 is a point of its space: a node
+    of a graph, a point of an interval (within its tolerance); any finite
+    x0 is an angle of a circle."""
+    system = cfg.guided_system()
+    space = system.space
+    graph = isinstance(space, gds_mod.FiniteGraphSpace)
+    if not space.contains(x0) or (graph and x0 != int(x0)):
+        where = (f"a node of the graph (0 to {space.n_nodes - 1})" if graph
+                 else f"in the interval [{space.a!r}, {space.b!r}]")
+        raise argparse.ArgumentError(None,
+                                     f"argument --x0: {x0!r} is not {where}")
+    return system
+
+
 def cmd_orbit(cfg, args):
-    cloud = gds_mod.guided_orbit_set(cfg.guided_system(), args.x0,
-                                     args.depth, args.eps,
+    cloud = gds_mod.guided_orbit_set(_seeded_system(cfg, args.x0),
+                                     args.x0, args.depth, args.eps,
                                      **cfg.budgets_for(args.command))
     report = {"command": "orbit", "seed": cloud.seed,
               "coverage": cloud.coverage, "points": int(len(cloud.points)),
@@ -327,8 +342,8 @@ def cmd_probe(cfg, args):
 
 
 def cmd_weak_attractor(cfg, args):
-    verdict = gds_mod.probe_weak_attractor(cfg.guided_system(), args.x0,
-                                           args.eps, args.depth,
+    verdict = gds_mod.probe_weak_attractor(_seeded_system(cfg, args.x0),
+                                           args.x0, args.eps, args.depth,
                                            **cfg.budgets_for(args.command))
     report = {"command": "weak-attractor", "verdict": verdict.kind,
               "x0": verdict.x0, "eps": verdict.eps,
@@ -350,6 +365,11 @@ def cmd_cycles(cfg, args):
 
 def cmd_graph_min(cfg, args):
     system = cfg.guided_system()
+    graph = isinstance(system.space, gds_mod.FiniteGraphSpace)
+    if args.grid is not None and args.grid < 2 and not graph:
+        raise argparse.ArgumentError(
+            None, f"argument --grid: expected at least 2 cells, got "
+            f"{args.grid}")
     cells = (args.grid if args.grid is not None
              else getattr(system.space, "n_nodes", 64))
     graph = gds_mod.build_orbit_graph(system, int(cells))

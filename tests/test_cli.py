@@ -690,10 +690,10 @@ def test_orbit_command_csv(tmp_path, capsys):
 
 
 def test_orbit_stops_at_full_coverage(capsys):
-    # the chain 0 -> 1 -> 2, entered at 0.3 (node 0), touches its last
-    # node at level 2 and stops there, with saturation untested
+    # the chain 0 -> 1 -> 2, entered at node 0, touches its last node at
+    # level 2 and stops there, with saturation untested
     code, out, _ = run(capsys, ["orbit", "--config", cfg("graph_chain.json"),
-                                "--x0", "0.3", "--no-meta"])
+                                "--x0", "0", "--no-meta"])
     assert code == 0
     doc = json.loads(out)
     assert (doc["coverage"], doc["saturated"], doc["depth_used"]) == \
@@ -1101,3 +1101,45 @@ def test_package_names_resolve():
     assert set(g.__all__) <= set(star)
     with pytest.raises(AttributeError, match="no_such_name"):
         g.no_such_name
+
+
+@pytest.mark.parametrize("command", ["orbit", "weak-attractor"])
+@pytest.mark.parametrize("config,x0", [
+    ("graph_chain.json", "2.7"), ("graph_chain.json", "-0.5"),
+    ("graph_chain.json", "5"), ("graph_chain.json", "-3"),
+    ("standard_pconf.json", "5"), ("standard_pconf.json", "-1.5")])
+def test_x0_off_the_space_is_a_usage_error(capsys, command, config, x0):
+    # a fraction of a node is no node, and a node past either end of the
+    # graph or a point past the interval is no point of the space
+    code, out, err = run(capsys, [command, "--config", cfg(config), "--x0",
+                                  x0, "--no-meta"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: argument --x0")
+
+
+@pytest.mark.parametrize("command", ["orbit", "weak-attractor"])
+@pytest.mark.parametrize("config,x0,seed", [
+    ("graph_chain.json", "1", 1.0), ("graph_chain.json", "2", 2.0),
+    ("standard_pconf.json", "1", 1.0), ("standard_pconf.json", "-1", -1.0),
+    ("circle_irrational.json", "-55.5", -55.5),
+    ("circle_irrational.json", "100", 100.0)])
+def test_x0_on_the_space_runs(capsys, command, config, x0, seed):
+    # every node, both ends of an interval, and any angle of a circle
+    code, out, _ = run(capsys, [command, "--config", cfg(config), "--x0",
+                                x0, "--no-meta"])
+    assert code in (0, 1)
+    doc = json.loads(out)
+    assert doc["seed" if command == "orbit" else "x0"] == seed
+
+
+def test_graph_min_grid_below_two_is_a_usage_error(capsys):
+    code, out, err = run(capsys, ["graph-min", "--config",
+                                  cfg("circle_irrational.json"), "--grid",
+                                  "1", "--no-meta"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: argument --grid")
+    # a graph has its own nodes and ignores the grid
+    code, out, _ = run(capsys, ["graph-min", "--config",
+                                cfg("graph_chain.json"), "--grid", "1",
+                                "--no-meta"])
+    assert code == 0 and json.loads(out)["n_nodes"] == 3

@@ -18,8 +18,9 @@ golden and sqrt2-rad each run three frontiers:
   fixed cost of a level dominates;
 - wide: one seed per eps-cell (629 seeds), eps 0.01, fine_mult 16, depth
   10**5, retiring seeds on full coverage and on reaching an earlier
-  seed's start cell (the kernel's `chain`), as the first pass of `probe
-  --eps 0.01` runs it;
+  seed's start cell (orbit inclusion, as the kernel settles a run of
+  many seeds that keeps no points), as the first pass of `probe --eps
+  0.01` runs it;
 - wide-target: the same seeds, retiring those that enter B(1.0, 0.01) or
   reach an earlier seed's start cell and marking no coverage, as the
   first pass of `weak-attractor --eps 0.01 --x0 1.0` runs it.
@@ -46,10 +47,11 @@ collisions of the cloud and milliseconds per call, best of 5.
     python tools/bench_closures.py --root ../parent-checkout
 
 `--root` names the checkout whose `src/` is timed (default: the one
-holding this script). A kernel older than its `cover` argument runs each
-case as its own callers ran it: coverage marked unless retiring. A
-kernel without `chain` runs the wide frontiers without it, as its
-probes did. BLAS runs on one thread, as the benchmark pins it.
+holding this script). A case names only its target and whether it keeps
+points; a kernel that still takes `cover` and `chain` gets the values
+its callers passed for the same run (coverage without a target, orbit
+inclusion without kept points), so both checkouts time the same runs.
+BLAS runs on one thread, as the benchmark pins it.
 """
 
 import argparse
@@ -97,13 +99,13 @@ def _cases(gds):
     """(system, frontier, seeds, depth, eps, fine_mult, kernel kwargs)."""
     space = gds.CircleSpace(TWO_PI)
     seeds = space.cell_left_edges(space.cell_count(0.01))
-    thin = {"cover": "retire", "keep_points": True}
-    wide = {"cover": "retire", "chain": True}
+    thin = {"keep_points": True}
+    wide = {}
     for name in ("golden", "sqrt2-rad"):
         yield name, "thin", [0.3], 10 ** 4, 0.002, 8, thin
         yield name, "wide", seeds, 10 ** 5, 0.01, 16, wide
         yield (name, "wide-target", seeds, 10 ** 5, 0.01, 16,
-               {"target": 1.0, "chain": True})
+               {"target": 1.0})
     yield "one-rad", "thin-starved", [0.3], 10 ** 4, 0.005, 2, thin
     yield ("circle-irrational", "wide",
            space.cell_left_edges(space.cell_count(0.002)), 10 ** 5, 0.002,
@@ -120,23 +122,13 @@ def _best(call):
     return best
 
 
-def _kernel_kwargs(gds, frontier, kw):
-    """kw for the checkout's kernel, thin-starved as the checkout's `orbit`
-    runs it. A kernel without `cover` marks coverage by default and
-    retires covered seeds with `retire_covered`, which `orbit` did not
-    set; a later `orbit` may count coverage at the end (cover "count")
-    in place of retiring. A kernel without `chain` runs without it."""
-    starved = frontier == "thin-starved"
+def _kernel_kwargs(gds, kw):
+    """kw for the checkout's kernel: one that takes `cover` and `chain`
+    gets the values its callers passed for this run."""
     params = inspect.signature(gds._closures).parameters
-    if "chain" not in params:
-        kw = {k: v for k, v in kw.items() if k != "chain"}
-    if "cover" not in params:
-        kw = dict(kw)
-        if kw.pop("cover", None) == "retire" and not starved:
-            kw["retire_covered"] = True
-        return kw
-    if starved and 'cover="count"' in inspect.getsource(gds.guided_orbit_set):
-        return {**kw, "cover": "count"}
+    if "cover" in params:
+        kw = {**kw, "cover": None if kw.get("target") is not None
+              else "retire", "chain": not kw.get("keep_points")}
     return kw
 
 
@@ -153,7 +145,7 @@ def main():
     for name, frontier, seeds, depth, eps, mult, kw in _cases(gds):
         system = _system(gds, parse, name)
         seeds = np.asarray(seeds, dtype=float)
-        kw = _kernel_kwargs(gds, frontier, kw)
+        kw = _kernel_kwargs(gds, kw)
         counter = [len(seeds)]
         *_, levels, _ = gds._closures(
             _system(gds, parse, name, counter), seeds, depth, eps, mult,

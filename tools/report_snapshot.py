@@ -1,9 +1,11 @@
 """Snapshot every `gds` subcommand's report on every `configs/` file.
 
 Runs `cli.main(argv + ["--no-meta"])` in-process for each subcommand on
-each config (`--x0 0.3` and `--x0 -0.999` where the subcommand requires
-it: the second sits next to the left end of every interval config and the
-parabolic fixed point -1 of `quadratic_pconf`; `graph-min` also at
+each config (`--x0 0.3`, `--x0 -0.999` and `--x0 1` where the subcommand
+requires it: the second sits next to the left end of every interval
+config and the parabolic fixed point -1 of `quadratic_pconf`, the third
+is the right end of every interval config and a node of a graph, which
+takes no other of the three; `graph-min` also at
 `--grid 3` and `--grid 4096`, the coarsest odd and a fine grid) and writes
 one JSON object mapping the argv, joined by spaces, to [exit code, stdout,
 stderr, `--out` file]. Every run passes `--out` into a scratch directory,
@@ -41,7 +43,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-X0_ARGS = (["--x0", "0.3"], ["--x0", "-0.999"])
+X0_ARGS = (["--x0", "0.3"], ["--x0", "-0.999"], ["--x0", "1"])
 EXTRA_ARGS = {"graph-min": ([], ["--grid", "3"], ["--grid", "4096"]),
               "orbit": X0_ARGS, "weak-attractor": X0_ARGS}
 CSV_COMMANDS = ("orbit", "solve-fe", "solve-ivp", "overdet", "solve-bvp")
