@@ -308,9 +308,9 @@ def _seeded_system(cfg, x0):
     x0 is an angle of a circle."""
     system = cfg.guided_system()
     space = system.space
-    graph = isinstance(space, gds_mod.FiniteGraphSpace)
-    if not space.contains(x0) or (graph and x0 != int(x0)):
-        where = (f"a node of the graph (0 to {space.n_nodes - 1})" if graph
+    if not space.contains(x0):
+        where = (f"a node of the graph (0 to {space.n_nodes - 1})"
+                 if isinstance(space, gds_mod.FiniteGraphSpace)
                  else f"in the interval [{space.a!r}, {space.b!r}]")
         raise argparse.ArgumentError(None,
                                      f"argument --x0: {x0!r} is not {where}")

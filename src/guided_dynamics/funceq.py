@@ -30,7 +30,8 @@ __all__ = [
     "ContractionFailure", "NeumannReport", "MaxPrincipleVerdict",
     "TriangularFamily", "TriangularUniquenessVerdict",
     "interp_weights", "interpolation_matrix",
-    "apply_operator", "compute_g_n", "certify_contraction", "solve_neumann",
+    "apply_operator", "compute_g_n", "power_norms", "certify_contraction",
+    "iterate_contraction", "solve_neumann",
     "check_max_principle", "verify_triangular_uniqueness",
 ]
 
@@ -283,21 +284,45 @@ class ContractionFailure:
                 "m_max": self.m_max}
 
 
+def power_norms(A, m_max):
+    """[1, sup A 1, sup A^2 1, ...] up to the first sup A^m 1 below
+    1 - margin, or to m = m_max. For an entrywise nonnegative matrix A,
+    sup A^m 1 is the sup-norm of A^m (the positive-operator identity
+    ||A^m|| = ||A^m 1||), so entry m is ||A^m|| and a last entry below
+    1 - margin certifies A^m as a contraction."""
+    g = np.ones(A.shape[0])
+    norms = [1.0]
+    while len(norms) <= m_max and norms[-1] >= 1.0 - CONTRACTION_MARGIN:
+        g = A @ g
+        norms.append(float(np.max(g)))
+    return norms
+
+
+def iterate_contraction(A, b, x, converged, max_iter):
+    """Iterate x <- A x + b from x until converged(x, change) holds for an
+    iterate and its sup-norm change from the one before. Returns the
+    iterate and the number of sweeps; raises NoConvergence after
+    max_iter sweeps."""
+    for it in range(1, max_iter + 1):
+        new = A @ x + b
+        change = float(np.max(np.abs(new - x)))
+        x = new
+        if converged(x, change):
+            return x, it
+    raise NoConvergence(f"no convergence after {max_iter} iterations")
+
+
 def certify_contraction(system: FunceqSystem, m_max: int = 64,
                         M: int = 1024):
     """Smallest m <= m_max with sup-grid g_m < 1 - margin, else a failure
     report carrying sup g_{m_max}. Relies on the positive-operator norm
     identity ||A^m|| = ||A^m 1||, hence requires a_i >= 0 (validated at
     system construction)."""
-    A = system.grid_operator(system.space, M)
-    g = np.ones(M + 1)
-    norm = 1.0
-    for m in range(1, m_max + 1):
-        g = A @ g
-        norm = float(np.max(g))
-        if norm < 1.0 - CONTRACTION_MARGIN:
-            return ContractionCertificate(m=m, norm=norm, grid=M)
-    return ContractionFailure(m_max=m_max, norm=norm, grid=M)
+    norms = power_norms(system.grid_operator(system.space, M), m_max)
+    if norms[-1] < 1.0 - CONTRACTION_MARGIN:
+        return ContractionCertificate(m=len(norms) - 1, norm=norms[-1],
+                                      grid=M)
+    return ContractionFailure(m_max=m_max, norm=norms[-1], grid=M)
 
 
 @dataclass
@@ -310,7 +335,8 @@ class NeumannReport:
 
 def solve_neumann(system: FunceqSystem, h, tol: float = 1e-12,
                   max_iter: int = 20000, M: int = 1024, m_max: int = 64):
-    """Solve f - Af = h by the fixed-point iteration f <- Af + h.
+    """Solve f - Af = h by the fixed-point iteration f <- Af + h, until
+    one sweep changes f by less than tol.
 
     Refuses (NotCertified) unless a contraction certificate exists; the
     certificate is what makes the iteration and the solution's uniqueness
@@ -325,17 +351,11 @@ def solve_neumann(system: FunceqSystem, h, tol: float = 1e-12,
             f"no contraction certificate up to m={m_max} "
             f"(sup g_m = {cert.norm!r})")
     A = system.grid_operator(system.space, M)
-    f_vals = h_grid.values.copy()
-    for it in range(1, max_iter + 1):
-        new_vals = A @ f_vals + h_grid.values
-        change = float(np.max(np.abs(new_vals - f_vals)))
-        f_vals = new_vals
-        if change < tol:
-            residual = float(np.max(np.abs(
-                f_vals - A @ f_vals - h_grid.values)))
-            return GridFunction(system.space, f_vals), NeumannReport(
-                residual=residual, iterations=it, certificate=cert, tol=tol)
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
+    f_vals, it = iterate_contraction(A, h_grid.values, h_grid.values,
+                                     lambda _, change: change < tol, max_iter)
+    residual = float(np.max(np.abs(f_vals - A @ f_vals - h_grid.values)))
+    return GridFunction(system.space, f_vals), NeumannReport(
+        residual=residual, iterations=it, certificate=cert, tol=tol)
 
 
 @dataclass

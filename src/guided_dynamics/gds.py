@@ -110,7 +110,8 @@ class CircleSpace:
         return np.mod(x, self.period)
 
     def contains(self, x, tol=TOL_RANGE):
-        return True
+        """Whether every x is an angle: any finite real."""
+        return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
 
     def cell_count(self, eps):
         return max(1, int(math.ceil(self.period / eps)))
@@ -156,8 +157,10 @@ class FiniteGraphSpace:
         return np.asarray(x)
 
     def contains(self, x, tol=0.0):
+        """Whether every x is a node: an integer in [0, n_nodes)."""
         x = np.asarray(x)
-        return bool(np.all((x >= 0) & (x < self.n_nodes)))
+        return bool(np.all((x >= 0) & (x < self.n_nodes)
+                           & (x == np.floor(x))))
 
     def cell_count(self, eps):
         return self.n_nodes
@@ -1080,6 +1083,12 @@ def _closures(system, seeds, depth, eps, fine_mult, cell_cap, target=None,
     return cov_count, saturated, partial, hit, level, points
 
 
+def _check_seed(space, x0):
+    """ValueError unless x0 is a point of space (a node of a graph)."""
+    if not space.contains(x0):
+        raise ValueError(f"x0 = {x0!r} is not a point of {space!r}")
+
+
 def guided_orbit_set(system: GuidedSystem, x0, depth: int, eps: float,
                      cell_cap: int = 500_000) -> OrbitCloud:
     """Breadth-first closure of {x0} under allowed generators, pruned to one
@@ -1094,6 +1103,7 @@ def guided_orbit_set(system: GuidedSystem, x0, depth: int, eps: float,
     if depth < 0:
         raise ValueError("depth must be >= 0")
     space = system.space
+    _check_seed(space, x0)
     seed = np.atleast_1d(np.asarray(x0, dtype=float))[:1]
     for mult in _REFINE_MULTS:
         cov, saturated, partial, _, used, (pts,) = _closures(
@@ -1317,6 +1327,7 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
     seed takes that seed's outcome (`_closures`), and depth bounds each
     seed's own levels, not the chained path to its root's end."""
     space = system.space
+    _check_seed(space, x0)
     if isinstance(space, FiniteGraphSpace):
         return _probe_weak_attractor_graph(system, x0, eps, depth)
     n_cov = space.cell_count(eps)
@@ -1342,8 +1353,6 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
 def _probe_weak_attractor_graph(system, x0, eps, depth):
     graph = build_orbit_graph(system, cells=system.space.n_nodes)
     target = int(x0)
-    if not 0 <= target < graph.n_nodes:
-        raise ValueError(f"x0 = {x0!r} is not a node of the graph")
     from scipy.sparse import csgraph
     unreached = np.ones(graph.n_nodes, dtype=bool)
     # nodes that reach x0 are those x0 reaches along reversed edges

@@ -9,15 +9,18 @@ Guiding sets are the derivative zero sets Lambda_i = {t : delta_i'(t) = 0}.
 The IVP is solved through the twice-differentiated equation: w = f''
 satisfies (I - L - K) w = h'' with (L w)(t) = sum_i delta_i'(t)^2
 w(delta_i(t)) and the compact integral part (K w)(t) = sum_i delta_i''(t)
-[mu + int_c^{delta_i(t)} w]. On the grid it is one sparse system in w and
-its cumulative trapezoid integral F, factored once by SuperLU; the
-collocation matrix S of w is its Schur complement and is never formed.
-The condition gate uses the exact 1-norm of S times a 1-norm estimate of
-S^{-1} through the same factor. f is rebuilt by cumulative trapezoid rule
-with f'(c) = mu and its additive constant pinned by the anchor identity
-sum_{0<i<N} f(a_i) = -h(a_0). The value-level collocation system (M+1
-equation rows plus one derivative row) is assembled only to report the
-residuals of the returned solution.
+[mu + int_c^{delta_i(t)} w]; S is its collocation matrix on the grid.
+When every delta_i is affine, K = 0 and S = I - L: if L and L^T are
+certified contractions (funceq.power_norms), S and S^T are solved by
+fixed-point iteration. Otherwise the grid equation is one sparse system in
+w and its cumulative trapezoid integral F, factored once by SuperLU; S is
+then its Schur complement and is never formed. The condition gate uses
+the exact 1-norm of S times a 1-norm estimate of S^{-1} through the same
+solves. f is rebuilt by cumulative trapezoid rule with f'(c) = mu and its
+additive constant pinned by the anchor identity sum_{0<i<N} f(a_i) =
+-h(a_0). The value-level collocation system (M+1 equation rows plus one
+derivative row) is assembled only to report the residuals of the returned
+solution.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataMismatch, IllConditioned, PConfigViolation
+from .errors import (DataMismatch, IllConditioned, NoConvergence,
+                     PConfigViolation)
 from .exprlang import _scalar, as_callable
-from .funceq import GridFunction, interp_weights, interpolation_matrix
+from .funceq import (CONTRACTION_MARGIN, GridFunction, interp_weights,
+                     interpolation_matrix, iterate_contraction, power_norms)
 from .gds import (GuidedSystem, Interval, _merge_intervals,
                   check_contraction_minimality, map_from, probe_minimality,
                   probe_weak_attractor, zero_band_guiding,
@@ -41,6 +46,14 @@ __all__ = [
 ]
 
 DERIVATIVE_ROOT_TOL = 1e-9
+# a map whose |delta_i''| stays below this on the grid is affine: no K term
+AFFINE_TOL = 1e-14
+# the affine route: certificate depth, the a-posteriori error of each
+# solve relative to its sup-norm (a few ulps), and the sweeps one solve
+# may take before the call goes to the factored route
+AFFINE_M_MAX = 64
+AFFINE_RTOL = 4.0 * np.finfo(float).eps
+AFFINE_MAX_SWEEPS = 1000
 
 
 @dataclass
@@ -162,7 +175,6 @@ class IvpDiagnostics:
     derivative_defect: float
     anchor_identity_defect: float
     condition_estimate: float
-    h_end_gap: float
     grid: int
 
     def to_dict(self):
@@ -270,7 +282,7 @@ def _second_derivative_system(problem, nodes, step, M):
         co1 = np.asarray(g.derivative(nodes), dtype=float) ** 2
         w_block += [(idx, k, -co1 * (1.0 - w)), (idx, k + 1, -co1 * w)]
         co2 = _map_second_derivative(g, nodes, step)
-        if np.max(np.abs(co2)) > 1e-14:
+        if np.max(np.abs(co2)) > AFFINE_TOL:
             tau = img - (iv.a + k * step)
             w_block += [
                 (idx, k, -co2 * (tau - tau * tau / (2.0 * step))),
@@ -326,46 +338,64 @@ def _schur_norm1(n, entries, stair_k, stair_a, kc):
     return float(np.max(colsum))
 
 
-def solve_ivp(problem: IvpProblem, M: int,
-              cond_cap: float = 1e13) -> IvpSolution:
-    """Solve the initial value problem on an M+1 node grid.
+def _contraction_solver(problem, nodes, step, M):
+    """The affine route. When every |delta_i''| is at most AFFINE_TOL on
+    the grid, K = 0 and S = I - L with L = sum_i diag(delta_i'^2)
+    J(delta_i), J(y) the rows of linear interpolation at y, assembled as
+    one CSR matrix and never as the (w, F) system. L >= 0 entrywise, so
+    power_norms gives ||L^j|| and ||(L^T)^j||; both must certify a
+    contraction. Each solve of S or S^T iterates x <- A x + b from b and
+    stops when the a-posteriori bound puts its error within AFFINE_RTOL
+    of its sup-norm: with d = x_{k+1} - x_k, x_{k+1} - x = A (I - A)^{-1} d
+    and ||A (I - A)^{-1}|| = ||sum_{k>=1} A^k|| <= sum_{j=1..m} ||A^j|| /
+    (1 - ||A^m||).
 
-    The equation is differentiated twice: w = f'' satisfies
-        w(t) - sum_i delta_i'(t)^2 w(delta_i(t))
-             - sum_i delta_i''(t) [mu + int_c^{delta_i(t)} w] = h''(t),
-    whose operator is invertible (the contraction certificate for the
-    squared-derivative weights plus a compact integral part). Its grid
-    form is the sparse 2(M+1) system of _second_derivative_system in
-    (w, F = cumtrapz w), factored once with SuperLU (COLAMD ordering);
-    w is the w-block of the solution for right-hand side [h'', 0]. Time
-    and memory grow with the fill of the factor, not with M^2. f is then
-    rebuilt by cumulative trapezoid rule with f'(c) = mu and the additive
-    constant pinned by the anchor identity sum_{0<i<N} f(a_i) = -h(a_0).
-    Solving for f by bare value-collocation least squares is first-order
-    only: the homogeneous equation has continuous non-C^2 solutions which
-    the discretization sees as near-null modes. The collocation system is
-    still assembled and its residuals at the returned solution reported.
-
-    The reported condition_estimate is kappa_1(S) = ||S||_1 ||S^{-1}||_1:
-    ||S||_1 exactly, ||S^{-1}||_1 by the Hager-Higham estimator with one
-    start vector (deterministic; it leaves np.random alone).
-
-    Raises DataMismatch when h(a_0) != h(a_N), and IllConditioned when
-    the factorization finds the system exactly singular
-    (condition_estimate = inf) or the estimated condition exceeds
-    cond_cap.
+    Returns (h'', ||S||_1, solve) as _factored_solver does, or None when
+    some map is not affine or either certificate is refused or too slow. A
+    solve that misses its bound within AFFINE_MAX_SWEEPS raises
+    NoConvergence.
     """
-    from scipy.sparse.linalg import LinearOperator, onenormest, splu
+    import scipy.sparse
     pc = problem.pconf
-    a0, aN = pc.interval.a, pc.interval.b
-    nodes = np.linspace(a0, aN, M + 1)
-    step = (aN - a0) / M
-    h_vals = problem.h_values(nodes)
-    h_gap = abs(float(h_vals[0]) - float(h_vals[-1]))
-    if h_gap >= problem.tol_data:
-        raise DataMismatch(
-            f"|h(a_0) - h(a_N)| = {h_gap!r} >= {problem.tol_data!r}")
+    if not all(np.max(np.abs(_map_second_derivative(g, nodes, step)))
+               <= AFFINE_TOL for g in pc.maps):
+        return None
+    L = interpolation_matrix(
+        pc.interval, [np.asarray(g(nodes), dtype=float) for g in pc.maps],
+        [np.asarray(g.derivative(nodes), dtype=float) ** 2 for g in pc.maps])
+    sweeps, rates = {}, []
+    for trans, A in (("N", L), ("T", L.T.tocsr())):
+        norms = power_norms(A, AFFINE_M_MAX)
+        if not norms[-1] < 1.0 - CONTRACTION_MARGIN:
+            return None
+        sweeps[trans] = A, sum(norms[1:]) / (1.0 - norms[-1])
+        rates.append(np.log(norms[-1]) / (len(norms) - 1))
+    # L and L^T share their spectral radius, which both certificates bound:
+    # refuse a contraction too slow to shrink the bound to AFFINE_RTOL
+    # within AFFINE_MAX_SWEEPS sweeps at the better of the two rates
+    if any(np.log(AFFINE_RTOL / gain) < AFFINE_MAX_SWEEPS * min(rates)
+           for _, gain in sweeps.values()):
+        return None
 
+    def solve_s(x, trans="N"):
+        A, gain = sweeps[trans]
+        b = np.ravel(x)
+        return iterate_contraction(
+            A, b, b, lambda y, change:
+            gain * change <= AFFINE_RTOL * np.max(np.abs(y)),
+            AFFINE_MAX_SWEEPS)[0]
+
+    S = scipy.sparse.identity(M + 1, format="csr") - L
+    return (_second_derivative_values(problem, nodes, step),
+            float(abs(S).sum(axis=0).max()), solve_s)
+
+
+def _factored_solver(problem, nodes, step, M):
+    """(right-hand side of the w rows, ||S||_1, solve) through one SuperLU
+    factor of the (w, F) system of _second_derivative_system; solve(x,
+    trans) applies S^{-1} ("N") or S^{-T} ("T"). Raises IllConditioned
+    when the factor is exactly singular."""
+    from scipy.sparse.linalg import splu
     system, rhs, s_norm = _second_derivative_system(problem, nodes, step, M)
     try:
         lu = splu(system)
@@ -379,6 +409,14 @@ def solve_ivp(problem: IvpProblem, M: int,
         return lu.solve(np.concatenate([np.ravel(x), pad]),
                         trans=trans)[:M + 1]
 
+    return rhs, s_norm, solve_s
+
+
+def _gated_solve(solver, M, cond_cap):
+    """w = S^{-1} rhs and kappa_1(S) = ||S||_1 ||S^{-1}||_1 for a solver of
+    _contraction_solver or _factored_solver, after the condition gate."""
+    from scipy.sparse.linalg import LinearOperator, onenormest
+    rhs, s_norm, solve_s = solver
     # t = 1: larger t draws start vectors from the global np.random state
     inv_norm = onenormest(LinearOperator(
         (M + 1, M + 1), matvec=solve_s,
@@ -390,7 +428,71 @@ def solve_ivp(problem: IvpProblem, M: int,
         raise IllConditioned(
             f"second-derivative system condition ~ {cond_est:.3e} "
             f"> {cond_cap:.1e}", condition_estimate=cond_est)
-    w_sol = solve_s(rhs)
+    return solve_s(rhs), cond_est
+
+
+def solve_ivp(problem: IvpProblem, M: int,
+              cond_cap: float = 1e13) -> IvpSolution:
+    """Solve the initial value problem on an M+1 node grid.
+
+    The equation is differentiated twice: w = f'' satisfies
+        w(t) - sum_i delta_i'(t)^2 w(delta_i(t))
+             - sum_i delta_i''(t) [mu + int_c^{delta_i(t)} w] = h''(t),
+    whose operator is invertible (the contraction certificate for the
+    squared-derivative weights plus a compact integral part). Its grid
+    operator S is solved on one of two routes, chosen from the input:
+
+    - affine: every |delta_i''| is at most AFFINE_TOL on the grid, so the
+      integral part vanishes and S = I - L. When power_norms certifies
+      both L and L^T as contractions, S and S^T are solved by fixed-point
+      iteration, each solve stopped by the certificate's a-posteriori
+      bound at a few ulps of its sup-norm (_contraction_solver). The
+      (w, F) system is never assembled, and no factor is taken.
+    - factored: any other input, a refused or too slow certificate, or a
+      solve that misses its bound within AFFINE_MAX_SWEEPS sweeps. The
+      sparse 2(M+1) system of _second_derivative_system in (w, F =
+      cumtrapz w) is factored once with SuperLU (COLAMD ordering); w is
+      the w-block of its solution for right-hand side [h'', 0]. Time and
+      memory grow with the fill of the factor, not with M^2.
+
+    f is then rebuilt by cumulative trapezoid rule with f'(c) = mu and the
+    additive constant pinned by the anchor identity sum_{0<i<N} f(a_i) =
+    -h(a_0). Solving for f by bare value-collocation least squares is
+    first-order only: the homogeneous equation has continuous non-C^2
+    solutions which the discretization sees as near-null modes. The
+    collocation system is still assembled and its residuals at the
+    returned solution reported.
+
+    The reported condition_estimate is kappa_1(S) = ||S||_1 ||S^{-1}||_1:
+    ||S||_1 exactly, ||S^{-1}||_1 by the Hager-Higham estimator with one
+    start vector (deterministic; it leaves np.random alone), through the
+    route's own solves.
+
+    Raises DataMismatch when h(a_0) != h(a_N), and IllConditioned when
+    the factorization finds the system exactly singular
+    (condition_estimate = inf) or the estimated condition exceeds
+    cond_cap.
+    """
+    pc = problem.pconf
+    a0, aN = pc.interval.a, pc.interval.b
+    nodes = np.linspace(a0, aN, M + 1)
+    step = (aN - a0) / M
+    h_vals = problem.h_values(nodes)
+    h_gap = abs(float(h_vals[0]) - float(h_vals[-1]))
+    if h_gap >= problem.tol_data:
+        raise DataMismatch(
+            f"|h(a_0) - h(a_N)| = {h_gap!r} >= {problem.tol_data!r}")
+
+    w_sol = None
+    solver = _contraction_solver(problem, nodes, step, M)
+    if solver is not None:
+        try:
+            w_sol, cond_est = _gated_solve(solver, M, cond_cap)
+        except NoConvergence:   # a solve missed its bound in time
+            pass
+    if w_sol is None:
+        w_sol, cond_est = _gated_solve(
+            _factored_solver(problem, nodes, step, M), M, cond_cap)
 
     F1 = _cumtrapz(w_sol, step)
     fprime = problem.mu + F1 - float(np.interp(problem.c, nodes, F1))
@@ -414,8 +516,7 @@ def solve_ivp(problem: IvpProblem, M: int,
         residual=float(np.max(np.abs(r[:M + 1]))),
         derivative_defect=abs(float(r[M + 1])),
         anchor_identity_defect=anchor_defect,
-        condition_estimate=float(cond_est),
-        h_end_gap=h_gap, grid=M)
+        condition_estimate=float(cond_est), grid=M)
     return IvpSolution(f=f, diagnostics=diag)
 
 

@@ -862,8 +862,8 @@ def test_singular_ivp_factor_is_numeric_failure(monkeypatch, capsys):
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
     code, out, err = run(capsys, ["solve-ivp", "--config",
-                                  cfg("standard_pconf.json"), "--grid",
-                                  "64", "--no-meta"])
+                                  cfg("quadratic_pconf.json"), "--h", "0",
+                                  "--grid", "64", "--no-meta"])
     assert code == 3
     assert out == ""
     assert err.startswith("numeric failure: ")

@@ -530,6 +530,38 @@ def test_orbit_graph_finite_graph_identity():
         [(0, 1, 0), (1, 2, 0), (2, 2, 0)]
 
 
+def test_graph_contains_integer_nodes_only():
+    space = FiniteGraphSpace(5)
+    assert space.contains(2) and space.contains(2.0)
+    assert space.contains(np.array([0, 4]))
+    for x in (2.7, -1, 5, np.nan, np.array([0, 1.5])):
+        assert not space.contains(x)
+
+
+def _chain5():
+    return GuidedSystem(FiniteGraphSpace(5), [GeneratorMap(
+        None, None, 0, table=[1, 2, 3, 4, 4])])
+
+
+@pytest.mark.parametrize("system,x0", [
+    (_chain5(), 2.7), (_chain5(), 5), (_chain5(), -1),
+    (GuidedSystem(Interval(-1.0, 1.0), [parse("t/2")]), 5.0),
+    (GuidedSystem(Interval(-1.0, 1.0), [parse("t/2")]), np.nan),
+    (circle_system(0.1, 0.2), np.nan), (circle_system(0.1, 0.2), np.inf)])
+def test_seed_off_the_space_is_refused(system, x0):
+    with pytest.raises(ValueError, match="is not a point of"):
+        guided_orbit_set(system, x0, 10, 0.1)
+    with pytest.raises(ValueError, match="is not a point of"):
+        probe_weak_attractor(system, x0, 0.1, 10)
+
+
+def test_graph_seed_on_a_node_runs():
+    cloud = guided_orbit_set(_chain5(), 2.0, 10, 0.1)
+    assert cloud.seed == 2.0
+    assert cloud.points.tolist() == [2.0, 3.0, 4.0]
+    assert probe_weak_attractor(_chain5(), 4, 0.1, 10).kind == "yes"
+
+
 def test_minimal_subsystems_chain():
     graph = OrbitGraph(n_nodes=3,
                        edges=np.array([[0, 1, 0], [1, 2, 0], [2, 2, 0]]),

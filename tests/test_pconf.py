@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dgecon
 
 from guided_dynamics import pconf
 from guided_dynamics.errors import (DataMismatch, IllConditioned,
-                                    PConfigViolation)
+                                    NoConvergence, PConfigViolation)
 from guided_dynamics.exprlang import parse
 from guided_dynamics.gds import GuidingSet, Interval
 from guided_dynamics.pconf import (IvpProblem, extract_guiding_sets,
@@ -334,22 +334,33 @@ def _poly_h(coefs, maps):
 
 
 _MAPS = {"standard": ("(t-1)/2", "(t+1)/2"),
-         "quadratic": ("t-((t+1)/2)^2", "((t+1)/2)^2")}
+         "quadratic": ("t-((t+1)/2)^2", "((t+1)/2)^2"),
+         "three-map": ("t/3", "t/3+1", "t/3+2")}
+
+
+@pytest.fixture(scope="session")
+def pconfs(standard_pconf, quadratic_pconf, three_map_pconf):
+    return {"standard": standard_pconf, "quadratic": quadratic_pconf,
+            "three-map": three_map_pconf}
 
 
 @pytest.mark.parametrize("M", [2, 3, 8, 64, 513])
-@pytest.mark.parametrize("name", ["standard", "quadratic"])
-def test_sparse_system_matches_dense_reference(name, M, standard_pconf,
-                                               quadratic_pconf):
-    pc = {"standard": standard_pconf, "quadratic": quadratic_pconf}[name]
+@pytest.mark.parametrize("name", ["standard", "quadratic", "three-map"])
+def test_sparse_system_matches_dense_reference(name, M, pconfs):
+    # the affine configurations take the iterated route of solve_ivp, the
+    # quadratic one the factored route; both against the dense LU of S
+    pc = pconfs[name]
     h = _poly_h([0.3, -0.2, 0.5, 0.1, -0.4, 0.25], _MAPS[name])
-    nodes = np.linspace(-1.0, 1.0, M + 1)
-    for c in (-1.0, -0.77, 0.0, 0.3, 1.0):
+    a0, aN = pc.interval.a, pc.interval.b
+    nodes = np.linspace(a0, aN, M + 1)
+    # the ends, the centre and two off-grid points, as fractions of I
+    for frac in (0.0, 0.115, 0.5, 0.65, 1.0):
+        c = a0 + frac * (aN - a0)
         for mu in (0.0, 0.7):
             problem = IvpProblem(pc, h, c, mu)
             S, rhs = _dense_second_derivative_system(problem, M)
             system, rhs_w, s_norm = pconf._second_derivative_system(
-                problem, nodes, 2.0 / M, M)
+                problem, nodes, (aN - a0) / M, M)
             np.testing.assert_allclose(rhs_w, rhs, rtol=1e-14, atol=1e-14)
             anorm = float(np.abs(S).sum(axis=0).max())
             assert abs(s_norm - anorm) <= 1e-12 * anorm
@@ -393,14 +404,76 @@ def test_condition_grows_linearly_on_quadratic(quadratic_pconf):
 
 
 def test_singular_factor_raises_ill_conditioned(monkeypatch,
-                                                standard_pconf):
+                                                quadratic_pconf):
     def singular(matrix):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
     with pytest.raises(IllConditioned) as exc:
-        solve_ivp(IvpProblem(standard_pconf, parse("0"), 0.0, 0.0), 64)
+        solve_ivp(IvpProblem(quadratic_pconf, parse("0"), 0.0, 0.0), 64)
     assert exc.value.condition_estimate == np.inf
+
+
+def _splu_spy(monkeypatch):
+    import scipy.sparse.linalg
+    calls = []
+    real = scipy.sparse.linalg.splu
+
+    def spy(matrix):
+        calls.append(matrix.shape)
+        return real(matrix)
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", spy)
+    return calls
+
+
+def _lopsided_pconf(p):
+    return validate_pconfiguration([parse(f"{p!r}*t"),
+                                    parse(f"{p!r}+{1 - p!r}*t")],
+                                   Interval(0.0, 1.0), (0.0, p, 1.0))
+
+
+@pytest.mark.parametrize("name,factors", [
+    ("standard", 0), ("three-map", 0), ("quadratic", 1)])
+def test_only_non_affine_configurations_factor(monkeypatch, pconfs, name,
+                                               factors):
+    calls = _splu_spy(monkeypatch)
+    pc = pconfs[name]
+    h = _poly_h([0.3, -0.2, 0.5, 0.1, -0.4, 0.25], _MAPS[name])
+    sol = solve_ivp(IvpProblem(pc, h, pc.interval.a, 0.7), 256)
+    assert len(calls) == factors
+    assert np.isfinite(sol.diagnostics.condition_estimate)
+
+
+@pytest.mark.parametrize("p,factors", [(0.9, 0), (0.99, 1)])
+def test_slow_contraction_takes_the_factor(monkeypatch, p, factors):
+    # sum delta_i'^2 = p^2 + (1 - p)^2: at p = 0.99 the certified rate
+    # 0.98 needs about 2000 sweeps per solve, more than the factor costs
+    calls = _splu_spy(monkeypatch)
+    sol = solve_ivp(IvpProblem(_lopsided_pconf(p), parse("0"), 0.5, 1.0),
+                    512)
+    assert len(calls) == factors
+    np.testing.assert_allclose(sol.f.values, sol.f.nodes - p,
+                               rtol=0, atol=1e-12)
+
+
+def test_iteration_out_of_sweeps_takes_the_factor(monkeypatch,
+                                                  standard_pconf):
+    problem = IvpProblem(standard_pconf, _poly_h(
+        [0.3, -0.2, 0.5, 0.1, -0.4, 0.25], _MAPS["standard"]), 0.0, 0.7)
+    iterated = solve_ivp(problem, 256)
+
+    def out_of_sweeps(*args):
+        raise NoConvergence("no convergence after 1000 iterations")
+
+    calls = _splu_spy(monkeypatch)
+    monkeypatch.setattr(pconf, "iterate_contraction", out_of_sweeps)
+    factored = solve_ivp(problem, 256)
+    assert len(calls) == 1
+    np.testing.assert_allclose(factored.f.values, iterated.f.values,
+                               rtol=0, atol=1e-13)
+    assert abs(factored.diagnostics.condition_estimate
+               / iterated.diagnostics.condition_estimate - 1.0) <= 1e-9
 
 
 def test_solve_ivp_memory_linear_in_grid(quadratic_pconf):

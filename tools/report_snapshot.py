@@ -19,7 +19,7 @@ parent commit:
 
     python tools/report_snapshot.py new.json
     python tools/report_snapshot.py old.json --root ../parent-checkout
-    diff old.json new.json
+    python tools/report_snapshot.py --compare old.json new.json --rtol 1e-9
 
 `--root` names the checkout whose `src/` and `configs/` are used (default:
 the one holding this script). BLAS runs on one thread, as the benchmark
@@ -31,6 +31,13 @@ checkout holding this script (so both snapshots run the same inputs, and
 no bytecode is written under `perfbench/`). Each key is the workload, the
 seed and the argv; the scratch directory the configs are written to
 appears as `<tmp>` in keys, stdout and stderr.
+
+`--compare OLD NEW` writes no snapshot: it prints one line per difference
+between two snapshots and exits 1 if it printed any. A difference is a
+key in only one of them, an exit code, stdout that is not a JSON report,
+stderr or CSV sha256 that is not identical, a report value that is not a
+number and is not identical, or a report number that differs by more
+than `--rtol` (default 0) relative to the larger of the two.
 """
 
 import argparse
@@ -38,6 +45,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -110,15 +118,86 @@ def snapshot(root, workloads=False):
         return (_workload_runs if workloads else _config_runs)(cli, out_path)
 
 
+def _report_diffs(path, old, new, rtol):
+    """(path, old, new) of each leaf where two parsed reports differ:
+    numbers by more than rtol relative, anything else at all."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if number(old) and number(new):
+        same = math.isclose(old, new, rel_tol=rtol) or \
+            (old != old and new != new)     # both NaN
+        return [] if same else [(path, old, new)]
+    if isinstance(old, dict) and isinstance(new, dict) and \
+            old.keys() == new.keys():
+        return [d for k in old
+                for d in _report_diffs(f"{path}/{k}", old[k], new[k], rtol)]
+    if isinstance(old, list) and isinstance(new, list) and \
+            len(old) == len(new):
+        return [d for i, (a, b) in enumerate(zip(old, new))
+                for d in _report_diffs(f"{path}/{i}", a, b, rtol)]
+    return [] if old == new else [(path, old, new)]
+
+
+def _parse_report(text):
+    try:
+        return json.loads(text) if text else None
+    except json.JSONDecodeError:
+        return text
+
+
+def compare(old, new, rtol):
+    """One line per difference between two snapshots, as --compare
+    prints them."""
+    lines = [f"{key}: only in {side}"
+             for side, a, b in (("OLD", old, new), ("NEW", new, old))
+             for key in sorted(a.keys() - b.keys())]
+    for key in sorted(old.keys() & new.keys()):
+        (code_a, out_a, err_a, file_a), (code_b, out_b, err_b, file_b) = \
+            old[key], new[key]
+        argv = key.split()
+        command = argv[2] if argv[1].startswith("seed=") else argv[0]
+        if command in CSV_COMMANDS:
+            reports = (out_a, out_b)
+            if file_a != file_b:
+                lines.append(f"{key}: CSV sha256 {file_a} -> {file_b}")
+        else:
+            reports = (file_a, file_b)
+            if out_a != out_b:
+                lines.append(f"{key}: stdout differs")
+        if code_a != code_b:
+            lines.append(f"{key}: exit code {code_a} -> {code_b}")
+        if err_a != err_b:
+            lines.append(f"{key}: stderr {err_a!r} -> {err_b!r}")
+        lines += [f"{key}: report {path or '/'} {a!r} -> {b!r}"
+                  for path, a, b in _report_diffs(
+                      "", *map(_parse_report, reports), rtol)]
+    return lines
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", help="path of the JSON snapshot to write")
+    parser.add_argument("out", nargs="?",
+                        help="path of the JSON snapshot to write")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        type=Path, help="list the differences between two "
+                                        "snapshots instead")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="relative difference below which --compare "
+                             "lets report numbers pass (default 0)")
     parser.add_argument("--root", default=Path(__file__).resolve().parents[1],
                         type=Path, help="checkout to run (default: this one)")
     parser.add_argument("--workloads", action="store_true",
                         help="run the benchmark workloads' tasks at seeds "
                              "1-3 instead of the configs/ corpus")
     args = parser.parse_args()
+    if args.compare:
+        lines = compare(*(json.loads(path.read_text())
+                          for path in args.compare), args.rtol)
+        print("\n".join(lines + [f"{len(lines)} differences"]))
+        sys.exit(1 if lines else 0)
+    if args.out is None:
+        parser.error("the snapshot path is required without --compare")
     out = Path(args.out).resolve()
     runs = snapshot(args.root.resolve(), args.workloads)
     out.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
