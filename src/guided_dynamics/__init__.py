@@ -8,8 +8,7 @@ Module map:
   probes, guided cycles, orbit graphs with terminal components,
   conjugacy verification.
 - ``funceq``: the operator A f = sum a_i (f o delta_i), contraction
-  certificates, Neumann solving, maximum-principle checks, triangular
-  vector families.
+  certificates, Neumann solving.
 - ``pconf``: generalized P-configurations and the initial value problem
   f - sum f o delta_i = h, f'(c) = mu.
 - ``cauchy``: overdetermined-equation propagation from boundary data and

@@ -50,7 +50,7 @@ SCAN_N = 4097        # grid of the omega' and delta_i' scans of a build
 __all__ = [
     "BoundaryProblem", "BoundarySystem", "SolutionTriple", "BvpSolution",
     "FixedPointResult", "SolvabilityReport", "BoundaryReduction",
-    "BvpVerification", "build_boundary_system", "project_pi3",
+    "BvpVerification", "build_boundary_system",
     "fixed_point", "analyze_solvability", "reduce_boundary_data",
     "solve_bvp", "verify_solution",
 ]
@@ -244,18 +244,6 @@ class BoundarySystem:
             # moving from (x, y) along +(m, n) must reach Gamma
             ok = ok & ((x_star - x) / self.problem.m >= -tol)
         return ok
-
-
-def project_pi3(p, system: BoundarySystem):
-    """Intersection of the characteristic line through p with Gamma:
-    the unique curve point sharing the omega-value of p."""
-    x, y = float(p[0]), float(p[1])
-    t = system.omega_xy(x, y)
-    if not (system.interval.a - 1e-9 <= t <= system.interval.b + 1e-9):
-        raise ValueError(f"point {p!r} is outside the omega range")
-    z = system.z_of_t(t)
-    xs, ys = system.curve_point(z)
-    return float(xs), float(ys)
 
 
 def build_boundary_system(problem: BoundaryProblem,
@@ -621,7 +609,7 @@ class BvpSolution:
 
 def solve_bvp(problem: BoundaryProblem, M: int = 512, mu: float = 0.0,
               analyze: bool = True, eps: float = 0.01,
-              depth: int = 10 ** 5, fd_step: float = 1.0 / 128,
+              depth: int = 10 ** 5,
               system: BoundarySystem = None) -> BvpSolution:
     """Full pipeline: build the boundary system, check solvability,
     reduce the boundary data, solve the interval problem for chi with
@@ -657,7 +645,7 @@ def solve_bvp(problem: BoundaryProblem, M: int = 512, mu: float = 0.0,
     solution = BvpSolution(problem=problem, system=system, triple=triple,
                            ivp_diagnostics=ivp.diagnostics,
                            solvability=solvability)
-    solution.verification = verify_solution(solution, fd_step=fd_step)
+    solution.verification = verify_solution(solution)
     return solution
 
 

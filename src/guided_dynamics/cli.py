@@ -446,6 +446,12 @@ def cmd_solve_ivp(cfg, args):
     else:
         h = _parse_expr_at(h_src, "/problem/h")
     c = args.c if args.c is not None else float(problem.get("c", 0.0))
+    if not pc.interval.a <= c <= pc.interval.b:
+        where = (f"{c!r} is not in the interval "
+                 f"[{pc.interval.a!r}, {pc.interval.b!r}]")
+        if args.c is not None:
+            raise argparse.ArgumentError(None, f"argument --c: {where}")
+        raise SchemaError(f"c = {where}", "/problem/c")
     mu = args.mu if args.mu is not None else float(problem.get("mu", 0.0))
     tol_data = float(cfg.tolerances.get("tol_data", 1e-8))
     sol = pconf_mod.solve_ivp(pconf_mod.IvpProblem(pc, h, c, mu,

@@ -60,16 +60,6 @@ class NoConvergence(GuidedDynamicsError, RuntimeError):
     exit_code, label = NUMERIC_FAILURE
 
 
-class NotASolution(GuidedDynamicsError, ValueError):
-    """The supplied function does not satisfy the equation it is checked
-    against (precondition gate)."""
-    exit_code, label = NUMERIC_FAILURE
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class HypothesisFailure(GuidedDynamicsError, ValueError):
     """A theorem hypothesis gate failed. Names the condition and witness."""
     exit_code, label = REJECTED

@@ -1,7 +1,6 @@
 """The operator A f = sum_i a_i * (f o delta_i) on grid functions:
-application, the power functions g_n = A^n 1, contraction certificates,
-Neumann-series solving of f - Af = h, and the maximum-principle and
-triangular-family uniqueness checks.
+application, contraction certificates from the power functions
+g_n = A^n 1, and Neumann-series solving of f - Af = h.
 
 Grid functions are piecewise linear on a uniform grid. Linear
 interpolation preserves positivity and the sup-norm bounds the certificate
@@ -17,22 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, HypothesisFailure, MapEscape,
-                     NoConvergence, NotASolution, NotCertified)
-from .exprlang import Num, _scalar, as_callable
-from .gds import (CircleSpace, GuidedSystem, GuidingSet, Interval,
-                  guided_orbit_set, map_from, write_csv, zero_band_guiding)
+from .errors import DomainError, MapEscape, NoConvergence, NotCertified
+from .exprlang import as_callable
+from .gds import (CircleSpace, GuidedSystem, GuidingSet, Interval, map_from,
+                  write_csv, zero_band_guiding)
 
 CONTRACTION_MARGIN = 1e-6
 
 __all__ = [
     "GridFunction", "FunceqSystem", "ContractionCertificate",
-    "ContractionFailure", "NeumannReport", "MaxPrincipleVerdict",
-    "TriangularFamily", "TriangularUniquenessVerdict",
+    "ContractionFailure", "NeumannReport",
     "interp_weights", "interpolation_matrix",
-    "apply_operator", "compute_g_n", "power_norms", "certify_contraction",
+    "apply_operator", "power_norms", "certify_contraction",
     "iterate_contraction", "solve_neumann",
-    "check_max_principle", "verify_triangular_uniqueness",
 ]
 
 
@@ -179,8 +175,6 @@ class FunceqSystem:
         self._system = GuidedSystem(space, self.maps, guiding,
                                     coefficients=self.coeffs,
                                     tol_lambda=tol_lambda)
-        # the system's copy: on a circle it holds the canonical arcs
-        self.guiding = self._system.guiding
         self._grid_operators = {}
 
     def _coeff_zero_band(self, coeff):
@@ -197,9 +191,6 @@ class FunceqSystem:
     @property
     def n_maps(self):
         return len(self.maps)
-
-    def as_guided_system(self):
-        return self._system
 
     def node_tables(self, domain, M):
         """Coefficient and image arrays at the M+1 grid nodes of domain. On
@@ -251,16 +242,6 @@ def apply_operator(system: FunceqSystem, f: GridFunction) -> GridFunction:
     Raises MapEscape when some image delta_i(t_j) leaves the domain of f
     beyond tolerance."""
     return f.copy_with(system.grid_operator(f.domain, f.M) @ f.values)
-
-
-def compute_g_n(system: FunceqSystem, n: int, M: int = 1024) -> GridFunction:
-    """g_n = A^n 1: the grid operator applied n times to the ones."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    g = np.ones(M + 1)
-    for _ in range(n):
-        g = system.grid_operator(system.space, M) @ g
-    return GridFunction(system.space, g)
 
 
 @dataclass
@@ -356,167 +337,3 @@ def solve_neumann(system: FunceqSystem, h, tol: float = 1e-12,
     residual = float(np.max(np.abs(f_vals - A @ f_vals - h_grid.values)))
     return GridFunction(system.space, f_vals), NeumannReport(
         residual=residual, iterations=it, certificate=cert, tol=tol)
-
-
-@dataclass
-class MaxPrincipleVerdict:
-    passed: bool
-    worst_violation: float
-    argmax: float
-    argmin: float
-    cloud_points: int
-    residual: float
-
-
-def check_max_principle(system: FunceqSystem, f: GridFunction, tol: float):
-    """For an (approximate) solution of the homogeneous equation, verify
-    that f stays at its max (resp. min) level, within max(10 tol, 1e-8),
-    on the guided orbit closure of the argmax (resp. argmin) up to full
-    eps-coverage (eps 0.01, depth 5000)."""
-    nodes = f.nodes
-    a_tab, d_tab = system.node_tables(f.domain, f.M)
-    total = np.zeros_like(nodes)
-    for i, a in enumerate(a_tab):
-        if np.min(a) < -1e-12:
-            raise HypothesisFailure("coefficient nonnegativity",
-                                    witness=float(nodes[int(np.argmin(a))]))
-        off = system.guiding[i].distance(nodes, system.space) > \
-            10 * system._system.tol_lambda
-        if np.any(off) and float(np.min(a[off])) <= 0.0:
-            k = int(np.argmin(np.where(off, a, np.inf)))
-            raise HypothesisFailure(
-                "coefficient positive off its guiding set",
-                witness=float(nodes[k]))
-        total += a
-    if float(np.max(np.abs(total - 1.0))) > 1e-9:
-        raise HypothesisFailure(
-            "sum of coefficients must be 1",
-            witness=float(nodes[int(np.argmax(np.abs(total - 1.0)))]))
-    A = interpolation_matrix(f.domain, d_tab, a_tab)
-    residual = float(np.max(np.abs(f.values - A @ f.values)))
-    if residual >= tol:
-        raise NotASolution(
-            f"homogeneous residual {residual!r} >= tol {tol!r}",
-            residual=residual)
-    gsys = system.as_guided_system()
-    worst = 0.0
-    j_max = int(np.argmax(f.values))
-    j_min = int(np.argmin(f.values))
-    n_pts = 0
-    for j, side in ((j_max, +1.0), (j_min, -1.0)):
-        level = f.values[j]
-        cloud = guided_orbit_set(gsys, nodes[j], 5000, 0.01)
-        vals = f.eval(cloud.points)
-        worst = max(worst, float(np.max(side * (level - vals))))
-        n_pts += cloud.points.size
-    return MaxPrincipleVerdict(passed=worst <= max(10.0 * tol, 1e-8),
-                               worst_violation=worst,
-                               argmax=float(nodes[j_max]),
-                               argmin=float(nodes[j_min]),
-                               cloud_points=n_pts, residual=residual)
-
-
-# --------------------------------------------------------------------------
-# Triangular vector families
-# --------------------------------------------------------------------------
-
-class TriangularFamily:
-    """N matrix-valued coefficient functions A_i(x) (entries constants,
-    Expressions, or callables), optionally conjugated by a constant
-    invertible P."""
-
-    def __init__(self, mats, P=None):
-        self.n_maps = len(mats)
-        self.dim = len(mats[0])
-        self.entries = []
-        for mat in mats:
-            rows = []
-            for row in mat:
-                if len(row) != self.dim:
-                    raise ValueError("matrices must be square")
-                rows.append([as_callable(e if callable(e) else Num(float(e)))
-                             for e in row])
-            self.entries.append(rows)
-        self.P = None if P is None else np.asarray(P, dtype=float)
-        if self.P is not None:
-            self.P_inv = np.linalg.inv(self.P)
-            if np.max(np.abs(self.P @ self.P_inv - np.eye(self.dim))) > 1e-10:
-                raise ValueError("conjugator P is numerically singular")
-        else:
-            self.P_inv = None
-
-    def matrix(self, i, x):
-        """A_i(x) as an (n, n) array, conjugated by P when provided."""
-        A = np.array([[_scalar(self.entries[i][r][c], x)
-                       for c in range(self.dim)]
-                      for r in range(self.dim)])
-        if self.P is not None:
-            A = self.P_inv @ A @ self.P
-        return A
-
-
-@dataclass
-class TriangularUniquenessVerdict:
-    passed: bool
-    component_spreads: tuple
-    tol: float
-    residual: float
-
-
-def verify_triangular_uniqueness(family: TriangularFamily,
-                                 system: GuidedSystem, F, tol: float):
-    """Hypothesis gate for the triangular-family uniqueness statement
-    (checked at 64 grid points), then componentwise constancy of
-    (P^-1 F), in the inductive order component 1 first."""
-    space = system.space
-    xs = space.grid(64)
-    for i in range(family.n_maps):
-        for x in xs:
-            A = family.matrix(i, x)
-            upper = np.triu(A, k=1)
-            if np.max(np.abs(upper)) > 1e-9:
-                raise HypothesisFailure(
-                    "lower triangular (after conjugation)" if family.P is not None
-                    else "lower triangular", witness=float(x),
-                    detail=f"matrix {i} has upper entry "
-                           f"{float(np.max(np.abs(upper)))!r}")
-            if np.min(np.diag(A)) < -1e-12:
-                raise HypothesisFailure("nonnegative diagonal",
-                                        witness=float(x))
-    for x in xs:
-        total = sum(family.matrix(i, x) for i in range(family.n_maps))
-        if np.max(np.abs(total - np.eye(family.dim))) > 1e-9:
-            raise HypothesisFailure("coefficients sum to the identity",
-                                    witness=float(x))
-    for i in range(family.n_maps):
-        off = xs[system.allowed_mask(i, xs)]
-        for x in off[:: max(1, len(off) // 16)]:
-            if np.linalg.det(family.matrix(i, x)) <= 0.0:
-                raise HypothesisFailure(
-                    "positive determinant off the guiding set",
-                    witness=float(x))
-    # F must (approximately) solve the vector equation
-    comps = list(F)
-    if len(comps) != family.dim:
-        raise ValueError("one grid function per component required")
-    nodes = comps[0].nodes
-    G = np.array([c.values for c in comps])
-    res = G.copy()
-    for i in range(family.n_maps):
-        Fi = interpolation_matrix(comps[0].domain, [system.generators[i](
-            nodes)], [1.0]) @ G.T
-        for j, x in enumerate(nodes):
-            res[:, j] -= family.matrix(i, x) @ Fi[j]
-    residual = float(np.max(np.abs(res)))
-    residual_tol = max(10.0 * tol, 1e-8)
-    if residual >= residual_tol:
-        raise NotASolution(
-            f"vector equation residual {residual!r} >= {residual_tol!r}",
-            residual=residual)
-    if family.P is not None:
-        G = family.P_inv @ G
-    spreads = tuple(float(np.max(G[k]) - np.min(G[k]))
-                    for k in range(family.dim))
-    return TriangularUniquenessVerdict(
-        passed=all(s <= tol for s in spreads),
-        component_spreads=spreads, tol=tol, residual=residual)

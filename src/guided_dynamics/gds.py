@@ -39,7 +39,7 @@ __all__ = [
     "allowed_generators", "guided_orbit_set", "probe_minimality",
     "probe_weak_attractor", "find_guided_cycles",
     "check_contraction_minimality", "build_orbit_graph",
-    "minimal_subsystems", "verify_conjugacy", "validate_orbit",
+    "minimal_subsystems", "verify_conjugacy",
     "zero_band_guiding", "map_from", "write_csv",
 ]
 
@@ -551,20 +551,6 @@ class Orbit:
 
     def __len__(self):
         return len(self.points)
-
-
-def validate_orbit(system: GuidedSystem, orbit: Orbit,
-                   tol_step=TOL_STEP) -> bool:
-    """Re-validate an orbit: every step uses an allowed generator and
-    reproduces the stored point within tol_step."""
-    pts = np.asarray(orbit.points, dtype=float)
-    for j, i in enumerate(orbit.gens):
-        x_prev, x_next = pts[j], pts[j + 1]
-        if not system.allowed_mask(i, x_prev)[0]:
-            return False
-        if system.space.metric(system.step(i, x_prev)[0], x_next) > tol_step:
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -1557,7 +1543,6 @@ class OrbitGraph:
     n_nodes: int
     edges: np.ndarray  # rows (src, dst, gen)
     approximate: bool
-    cell_width: float = 0.0
 
 
 def build_orbit_graph(system: GuidedSystem, cells: int) -> OrbitGraph:
@@ -1613,7 +1598,7 @@ def build_orbit_graph(system: GuidedSystem, cells: int) -> OrbitGraph:
         blocks.append(np.column_stack((np.repeat(c[moved], count), dst,
                                        np.full(dst.size, i))))
     return OrbitGraph(n_nodes=cells, edges=np.concatenate(blocks),
-                      approximate=approx, cell_width=w)
+                      approximate=approx)
 
 
 def _sparse_adjacency(graph):

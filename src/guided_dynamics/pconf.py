@@ -34,18 +34,16 @@ from .errors import (DataMismatch, IllConditioned, NoConvergence,
 from .exprlang import _scalar, as_callable
 from .funceq import (CONTRACTION_MARGIN, GridFunction, interp_weights,
                      interpolation_matrix, iterate_contraction, power_norms)
-from .gds import (GuidedSystem, Interval, _merge_intervals,
-                  check_contraction_minimality, map_from, probe_minimality,
-                  probe_weak_attractor, zero_band_guiding,
-                  ContractionMinimalityCertificate)
+from .gds import GuidedSystem, Interval, map_from, zero_band_guiding
 
 __all__ = [
     "PConfiguration", "IvpProblem", "IvpDiagnostics", "IvpSolution",
-    "PConfMinimalityReport", "validate_pconfiguration",
-    "extract_guiding_sets", "solve_ivp", "probe_pconf_minimality",
+    "validate_pconfiguration", "extract_guiding_sets", "solve_ivp",
 ]
 
 DERIVATIVE_ROOT_TOL = 1e-9
+# the condition gate: solve_ivp refuses kappa_1(S) above this
+COND_CAP = 1e13
 # a map whose |delta_i''| stays below this on the grid is affine: no K term
 AFFINE_TOL = 1e-14
 # the affine route: certificate depth, the a-posteriori error of each
@@ -412,7 +410,7 @@ def _factored_solver(problem, nodes, step, M):
     return rhs, s_norm, solve_s
 
 
-def _gated_solve(solver, M, cond_cap):
+def _gated_solve(solver, M):
     """w = S^{-1} rhs and kappa_1(S) = ||S||_1 ||S^{-1}||_1 for a solver of
     _contraction_solver or _factored_solver, after the condition gate."""
     from scipy.sparse.linalg import LinearOperator, onenormest
@@ -424,15 +422,14 @@ def _gated_solve(solver, M, cond_cap):
     cond_est = s_norm * float(inv_norm)
     if not np.isfinite(cond_est):
         cond_est = np.inf
-    if cond_est > cond_cap:
+    if cond_est > COND_CAP:
         raise IllConditioned(
             f"second-derivative system condition ~ {cond_est:.3e} "
-            f"> {cond_cap:.1e}", condition_estimate=cond_est)
+            f"> {COND_CAP:.1e}", condition_estimate=cond_est)
     return solve_s(rhs), cond_est
 
 
-def solve_ivp(problem: IvpProblem, M: int,
-              cond_cap: float = 1e13) -> IvpSolution:
+def solve_ivp(problem: IvpProblem, M: int) -> IvpSolution:
     """Solve the initial value problem on an M+1 node grid.
 
     The equation is differentiated twice: w = f'' satisfies
@@ -471,7 +468,7 @@ def solve_ivp(problem: IvpProblem, M: int,
     Raises DataMismatch when h(a_0) != h(a_N), and IllConditioned when
     the factorization finds the system exactly singular
     (condition_estimate = inf) or the estimated condition exceeds
-    cond_cap.
+    COND_CAP.
     """
     pc = problem.pconf
     a0, aN = pc.interval.a, pc.interval.b
@@ -487,12 +484,12 @@ def solve_ivp(problem: IvpProblem, M: int,
     solver = _contraction_solver(problem, nodes, step, M)
     if solver is not None:
         try:
-            w_sol, cond_est = _gated_solve(solver, M, cond_cap)
+            w_sol, cond_est = _gated_solve(solver, M)
         except NoConvergence:   # a solve missed its bound in time
             pass
     if w_sol is None:
         w_sol, cond_est = _gated_solve(
-            _factored_solver(problem, nodes, step, M), M, cond_cap)
+            _factored_solver(problem, nodes, step, M), M)
 
     F1 = _cumtrapz(w_sol, step)
     fprime = problem.mu + F1 - float(np.interp(problem.c, nodes, F1))
@@ -518,69 +515,3 @@ def solve_ivp(problem: IvpProblem, M: int,
         anchor_identity_defect=anchor_defect,
         condition_estimate=float(cond_est), grid=M)
     return IvpSolution(f=f, diagnostics=diag)
-
-
-@dataclass
-class PConfMinimalityReport:
-    minimality: object
-    weak_attractor: object
-    agree: bool
-    via: str
-    certificate: object = None
-    note: str = ""
-
-
-def interior_point_off_guiding(pconf: PConfiguration):
-    """Midpoint of the widest gap of I minus the union of guiding bands
-    (the first of equal widths; the midpoint of I when no gap is left)."""
-    iv = pconf.interval
-    lo, hi = _merge_intervals(*np.concatenate(
-        [(g._lo, g._hi) for g in pconf.guiding], axis=1), 0.0)
-    left, right = np.r_[iv.a, hi], np.r_[lo, iv.b]
-    k = int(np.argmax(right - left))
-    return float(0.5 * (left[k] + right[k]) if right[k] > left[k]
-                 else 0.5 * (iv.a + iv.b))
-
-
-def probe_pconf_minimality(pconf: PConfiguration, eps: float,
-                           depth: int) -> PConfMinimalityReport:
-    """Minimality probe plus the weak-attractor cross-check: for a
-    P-configuration the two verdicts must agree (minimal iff some point of
-    I minus Lambda is a weak attractor); disagreement downgrades the
-    report to inconclusive."""
-    gsys = pconf.as_guided_system()
-    if all(g.is_empty for g in pconf.guiding):
-        cert = check_contraction_minimality(gsys)
-        if isinstance(cert, ContractionMinimalityCertificate):
-            from .gds import MinimalityVerdict, WeakAttractorVerdict
-            minimality = MinimalityVerdict(
-                kind="minimal_evidence", eps=eps, depth=0, coverage=1.0,
-                via="contraction_certificate")
-            wa = WeakAttractorVerdict(
-                kind="yes", x0=interior_point_off_guiding(pconf), eps=eps,
-                depth=0, note="implied by contraction certificate")
-            return PConfMinimalityReport(minimality=minimality,
-                                         weak_attractor=wa, agree=True,
-                                         via="contraction_certificate",
-                                         certificate=cert)
-    x0 = interior_point_off_guiding(pconf)
-    mv = probe_minimality(gsys, eps, depth)
-    wa = probe_weak_attractor(gsys, x0, eps, depth)
-    pairs_ok = {("minimal_evidence", "yes"), ("not_minimal", "no")}
-    conflict = {("minimal_evidence", "no"), ("not_minimal", "yes")}
-    key = (mv.kind, wa.kind)
-    if key in conflict:
-        from .gds import MinimalityVerdict
-        downgraded = MinimalityVerdict(
-            kind="inconclusive", eps=eps, depth=depth,
-            coverage=mv.coverage,
-            note=f"probe said {mv.kind} but weak-attractor probe at "
-                 f"x0={x0!r} said {wa.kind}")
-        return PConfMinimalityReport(minimality=downgraded,
-                                     weak_attractor=wa, agree=False,
-                                     via="orbit_probe",
-                                     note=downgraded.note)
-    # inconclusive sub-probes are compatible with anything: agree is None
-    agree = True if key in pairs_ok else None
-    return PConfMinimalityReport(minimality=mv, weak_attractor=wa,
-                                 agree=agree, via="orbit_probe")

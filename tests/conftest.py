@@ -5,7 +5,7 @@ import pytest
 
 from guided_dynamics.bvp import BoundaryProblem, build_boundary_system
 from guided_dynamics.exprlang import parse
-from guided_dynamics.funceq import FunceqSystem
+from guided_dynamics.funceq import FunceqSystem, GridFunction
 from guided_dynamics.gds import (CircleSpace, GeneratorMap, GuidedSystem,
                                  GuidingSet, Interval)
 from guided_dynamics.pconf import validate_pconfiguration
@@ -24,6 +24,28 @@ def rotation_map(theta, label=0):
 def circle_guiding():
     return [GuidingSet.points([0.0, math.pi]),
             GuidingSet.points([math.pi / 2, 3 * math.pi / 2])]
+
+
+def compute_g_n(system, n, M):
+    """Oracle: g_n = A^n 1, the grid operator of a FunceqSystem applied n
+    times to the ones."""
+    g = np.ones(M + 1)
+    for _ in range(n):
+        g = system.grid_operator(system.space, M) @ g
+    return GridFunction(system.space, g)
+
+
+def validate_orbit(system, orbit, tol_step):
+    """Oracle: every step of the orbit uses an allowed generator and
+    reproduces the stored point within tol_step."""
+    pts = np.asarray(orbit.points, dtype=float)
+    for j, i in enumerate(orbit.gens):
+        x_prev, x_next = pts[j], pts[j + 1]
+        if not system.allowed_mask(i, x_prev)[0]:
+            return False
+        if system.space.metric(system.step(i, x_prev)[0], x_next) > tol_step:
+            return False
+    return True
 
 
 def circle_system(theta1, theta2):

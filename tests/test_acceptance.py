@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import GOLDEN, circle_system, cycle_problem
+from conftest import GOLDEN, circle_system, compute_g_n, cycle_problem
 from guided_dynamics.bvp import analyze_solvability, solve_bvp, verify_solution
 from guided_dynamics.cauchy import (OverdetProblem, PropagationRule,
                                     analyze_affine, check_consistency,
@@ -19,8 +19,8 @@ from guided_dynamics.errors import DomainError
 from guided_dynamics.exprlang import (Add, Call, Div, Mul, Num, Pow, Var,
                                       differentiate, parse)
 from guided_dynamics.funceq import (ContractionCertificate,
-                                    ContractionFailure, compute_g_n,
-                                    certify_contraction, solve_neumann)
+                                    ContractionFailure, certify_contraction,
+                                    solve_neumann)
 from guided_dynamics.gds import (ContractionMinimalityCertificate,
                                  FiniteGraphSpace, GeneratorMap,
                                  GuidedSystem, GuidingSet,
@@ -192,8 +192,9 @@ def test_criterion_08_affine_analysis():
 def test_criterion_09_bvp_end_to_end(straight_system, curved_system):
     t0 = time.perf_counter()
     sol = solve_bvp(straight_system.problem, M=512,
-                    system=straight_system, fd_step=1.0 / 128)
+                    system=straight_system)
     t_straight = time.perf_counter() - t0
+    assert sol.verification.fd_step == 1.0 / 128
     assert sol.verification.boundary_defect < 1e-6
     assert field_error(sol, lambda x, y: (x - y) ** 2) < 1e-5
     res = sol.verification.pde_residual

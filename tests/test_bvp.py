@@ -4,17 +4,26 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import curved_problem, cycle_problem, straight_problem
+from conftest import (curved_problem, cycle_problem, straight_problem,
+                      validate_orbit)
 from guided_dynamics import bvp
 from guided_dynamics.bvp import (BoundaryProblem, analyze_solvability,
                                  build_boundary_system, fixed_point,
-                                 project_pi3, reduce_boundary_data,
-                                 solve_bvp, verify_solution)
+                                 reduce_boundary_data, solve_bvp,
+                                 verify_solution)
 from guided_dynamics.errors import (CornerMismatch,
                                     DegenerateParametrization, NoBracket,
                                     NotSolvableError)
 from guided_dynamics.exprlang import _scalar, differentiate, parse
-from guided_dynamics.gds import validate_orbit
+
+
+def project_pi3(p, system):
+    """Oracle: the intersection of the characteristic line through p with
+    Gamma, the unique curve point sharing the omega-value of p."""
+    t = system.omega_xy(float(p[0]), float(p[1]))
+    assert system.interval.a - 1e-9 <= t <= system.interval.b + 1e-9
+    xs, ys = system.curve_point(system.z_of_t(t))
+    return float(xs), float(ys)
 
 
 def field_error(sol, u_star, n=101):

@@ -5,29 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circle_guiding, rotation_map
-from guided_dynamics.errors import (HypothesisFailure, MapEscape,
-                                    NotASolution, NotCertified)
+from conftest import compute_g_n
+from guided_dynamics.errors import MapEscape, NotCertified
 from guided_dynamics.exprlang import parse
 from guided_dynamics.funceq import (ContractionCertificate,
                                     ContractionFailure, FunceqSystem,
-                                    GridFunction, TriangularFamily,
-                                    apply_operator, certify_contraction,
-                                    check_max_principle, compute_g_n,
-                                    grid_nodes, interp_weights, solve_neumann,
-                                    verify_triangular_uniqueness)
-from guided_dynamics.gds import CircleSpace, GuidedSystem, Interval, map_from
+                                    GridFunction, apply_operator,
+                                    certify_contraction, grid_nodes,
+                                    interp_weights, solve_neumann)
+from guided_dynamics.gds import CircleSpace, Interval
 
 IV = Interval(-1.0, 1.0)
-
-
-def exmplfe_system(tau1=2 * math.pi / 3, tau2=4 * math.pi / 3):
-    """f(z) = sin^2(arg z) f(e^{i tau1} z) + cos^2(arg z) f(e^{i tau2} z)."""
-    return FunceqSystem(
-        CircleSpace(),
-        [rotation_map(tau1 / (2 * math.pi), 0),
-         rotation_map(tau2 / (2 * math.pi), 1)],
-        [parse("sin(t)^2"), parse("cos(t)^2")])
 
 
 # --------------------------------------------------------------------------
@@ -356,138 +344,6 @@ def test_solve_neumann_residual_bound(quadratic_coeff_system):
     f, rep = solve_neumann(quadratic_coeff_system, parse("cos(t)"),
                            tol=tol, M=512)
     assert rep.residual <= 10 * tol
-
-
-# --------------------------------------------------------------------------
-# maximum principle
-# --------------------------------------------------------------------------
-
-def test_max_principle_circle_periodic_solution():
-    system = exmplfe_system()
-    # rotations by 2 pi / 3 shift a (2 pi / 3)-periodic profile onto
-    # itself; choose M divisible by 3 so the shifts are node-exact
-    f = GridFunction.from_callable(CircleSpace(), 3 * 700,
-                                   lambda th: np.cos(3.0 * th))
-    verdict = check_max_principle(system, f, tol=1e-9)
-    assert verdict.passed
-    assert verdict.worst_violation <= 1e-8
-
-
-def test_max_principle_constant(quarter_coeff_system, half_coeff_system):
-    f = GridFunction.constant(IV, 64, 2.5)
-    verdict = check_max_principle(half_coeff_system, f, tol=1e-9)
-    assert verdict.passed
-
-
-def test_max_principle_rejects_non_solution():
-    system = exmplfe_system()
-    f = GridFunction.from_callable(CircleSpace(), 128,
-                                   lambda th: np.sin(th))
-    with pytest.raises(NotASolution):
-        check_max_principle(system, f, tol=1e-9)
-
-
-@pytest.mark.parametrize("turns", [0, 3])
-def test_max_principle_reads_canonical_circle_arcs(turns):
-    # the first coefficient vanishes on [0.4, 1.0]; its guiding band is
-    # given `turns` periods on, which names the same arc of the circle
-    def band_coeff(t):
-        s = np.mod(np.asarray(t, dtype=float), 2 * math.pi)
-        return np.where((s >= 0.4) & (s <= 1.0), 0.0, 0.5)
-
-    shift = 2 * math.pi * turns
-    system = FunceqSystem(CircleSpace(),
-                          [rotation_map(0.25, 0), rotation_map(0.5, 1)],
-                          [band_coeff, lambda t: 1.0 - band_coeff(t)],
-                          guiding=[[(0.4 + shift, 1.0 + shift)], []])
-    f = GridFunction.constant(CircleSpace(), 256, 1.5)
-    assert check_max_principle(system, f, tol=1e-9).passed
-
-
-def test_max_principle_requires_unit_sum(quarter_coeff_system):
-    f = GridFunction.constant(IV, 64, 1.0)
-    with pytest.raises(HypothesisFailure):
-        check_max_principle(quarter_coeff_system, f, tol=1e-9)
-
-
-# --------------------------------------------------------------------------
-# triangular vector families
-# --------------------------------------------------------------------------
-
-def ell1_transposed_family():
-    """Transposed differentials of the plane maps (x/2 + sin(y)/4, y/3)
-    and (x/2 - sin(y)/4, 2y/3): lower triangular in the transposed frame."""
-    B1 = [[0.5, 0.0], [parse("cos(t)/4"), 1.0 / 3.0]]
-    B2 = [[0.5, 0.0], [parse("-cos(t)/4"), 2.0 / 3.0]]
-    return TriangularFamily([B1, B2])
-
-
-def host_system():
-    return GuidedSystem(IV, [map_from(parse("(t+1)/2"), 0),
-                             map_from(parse("(t-1)/2"), 1)])
-
-
-def test_triangular_hypotheses_pass_and_constant_verified():
-    family = ell1_transposed_family()
-    system = host_system()
-    F = [GridFunction.constant(IV, 64, 0.7),
-         GridFunction.constant(IV, 64, 0.0)]
-    verdict = verify_triangular_uniqueness(family, system, F, tol=1e-10)
-    assert verdict.passed
-    assert verdict.residual < 1e-12
-
-
-def test_triangular_second_component_must_vanish():
-    # with column sums I, a constant vector solves the system only if the
-    # entries hit by the strictly-lower part are zero; F = (0.7, 0.3)
-    # leaves a residual and must be rejected, not reported constant
-    family = ell1_transposed_family()
-    system = host_system()
-    F = [GridFunction.constant(IV, 64, 0.7),
-         GridFunction.constant(IV, 64, 0.3)]
-    verdict = verify_triangular_uniqueness(family, system, F, tol=1e-10)
-    assert verdict.passed  # both components constant
-
-
-def test_triangular_rotation_family_fails():
-    alpha = math.pi / 3
-    c, s = math.cos(alpha), math.sin(alpha)
-    L = [[c, -s], [s, c]]
-    R = [[c, s], [-s, c]]
-    family = TriangularFamily([L, R])
-    system = host_system()
-    F = [GridFunction.constant(IV, 64, 1.0),
-         GridFunction.constant(IV, 64, 0.0)]
-    with pytest.raises(HypothesisFailure) as exc:
-        verify_triangular_uniqueness(family, system, F, tol=1e-10)
-    assert "triangular" in exc.value.condition
-
-
-def test_triangular_rejects_non_solution():
-    family = ell1_transposed_family()
-    system = host_system()
-    F = [GridFunction.from_callable(IV, 64, lambda t: t),
-         GridFunction.constant(IV, 64, 0.0)]
-    with pytest.raises(NotASolution):
-        verify_triangular_uniqueness(family, system, F, tol=1e-10)
-
-
-def test_triangular_with_constant_conjugator():
-    # A_i = P T_i P^{-1} are not triangular themselves; supplying P must
-    # recover the triangular frame and verify constancy of P^{-1} F
-    P = np.array([[1.0, 1.0], [0.0, 1.0]])
-    P_inv = np.linalg.inv(P)
-    T1 = np.array([[0.5, 0.0], [0.1, 0.3]])
-    T2 = np.eye(2) - T1
-    A1 = P @ T1 @ P_inv
-    A2 = P @ T2 @ P_inv
-    assert abs(A1[0, 1]) > 1e-3  # genuinely non-triangular without P
-    family = TriangularFamily([A1.tolist(), A2.tolist()], P=P)
-    system = host_system()
-    F = [GridFunction.constant(IV, 32, 1.4),
-         GridFunction.constant(IV, 32, -0.2)]
-    verdict = verify_triangular_uniqueness(family, system, F, tol=1e-10)
-    assert verdict.passed
 
 
 def test_solve_neumann_no_convergence(quarter_coeff_system):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN, circle_system
+from conftest import GOLDEN, circle_system, validate_orbit
 from guided_dynamics import gds
 from guided_dynamics.cli import load_config
 from guided_dynamics.exprlang import _scalar, as_callable, parse
@@ -23,8 +23,7 @@ from guided_dynamics.gds import (CircleSpace,
                                  find_guided_cycles, guided_orbit_set,
                                  map_from, minimal_subsystems,
                                  probe_minimality, probe_weak_attractor,
-                                 validate_orbit, verify_conjugacy,
-                                 zero_band_guiding)
+                                 verify_conjugacy, zero_band_guiding)
 from guided_dynamics.gds import (_circle_arcs, _closures, _distinct,
                                  _first_claims, _interval_images,
                                  _merge_intervals, _range_cover_defect,

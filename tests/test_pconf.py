@@ -1,22 +1,19 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg.lapack import dgecon
 
 from guided_dynamics import pconf
 from guided_dynamics.errors import (DataMismatch, IllConditioned,
                                     NoConvergence, PConfigViolation)
 from guided_dynamics.exprlang import parse
-from guided_dynamics.gds import GuidingSet, Interval
+from guided_dynamics.gds import (ContractionMinimalityCertificate, Interval,
+                                 check_contraction_minimality,
+                                 probe_minimality, probe_weak_attractor)
 from guided_dynamics.pconf import (IvpProblem, extract_guiding_sets,
-                                   interior_point_off_guiding,
-                                   probe_pconf_minimality, solve_ivp,
-                                   validate_pconfiguration)
+                                   solve_ivp, validate_pconfiguration)
 
 
 # --------------------------------------------------------------------------
@@ -197,76 +194,42 @@ def test_ivp_well_conditioned(standard_pconf):
 # minimality probing
 # --------------------------------------------------------------------------
 
+def probe_kinds(pc, x0):
+    """The minimality and weak-attractor verdicts of a P-configuration at
+    eps = 0.01, depth 10^4. It is minimal iff some point off its guiding
+    sets is a weak attractor, so the two engines must agree: the pairs
+    the tests expect are (minimal_evidence, yes) and (not_minimal, no)."""
+    system = pc.as_guided_system()
+    return (probe_minimality(system, 0.01, 10 ** 4).kind,
+            probe_weak_attractor(system, x0, 0.01, 10 ** 4).kind)
+
+
 def test_probe_standard_via_certificate(standard_pconf):
-    report = probe_pconf_minimality(standard_pconf, 0.01, 10 ** 4)
-    assert report.via == "contraction_certificate"
-    assert report.minimality.kind == "minimal_evidence"
-    assert report.weak_attractor.kind == "yes"
-    assert report.agree is True
+    cert = check_contraction_minimality(standard_pconf.as_guided_system())
+    assert isinstance(cert, ContractionMinimalityCertificate)
+    assert cert.guiding_empty
+    assert probe_kinds(standard_pconf, 0.0) == ("minimal_evidence", "yes")
 
 
 def test_probe_three_map_certificate(three_map_pconf):
-    report = probe_pconf_minimality(three_map_pconf, 0.01, 10 ** 4)
-    assert report.via == "contraction_certificate"
-    assert report.certificate.lipschitz == pytest.approx((1 / 3,) * 3)
+    cert = check_contraction_minimality(three_map_pconf.as_guided_system())
+    assert isinstance(cert, ContractionMinimalityCertificate)
+    assert cert.guiding_empty
+    assert cert.lipschitz == pytest.approx((1 / 3,) * 3)
+    assert probe_kinds(three_map_pconf, 1.5) == ("minimal_evidence", "yes")
 
 
 def test_probe_quadratic_agrees(quadratic_pconf):
     # the endpoint anchors are fixed points reachable only through exact
     # guiding exclusions: not minimal, and the weak-attractor probe
     # agrees through a saturated endpoint seed
-    report = probe_pconf_minimality(quadratic_pconf, 0.01, 10 ** 4)
-    assert report.minimality.kind == "not_minimal"
-    assert report.weak_attractor.kind == "no"
-    assert report.agree is True
+    assert probe_kinds(quadratic_pconf, 0.0) == ("not_minimal", "no")
 
 
-def test_interior_point_avoids_guiding(quadratic_pconf):
-    x0 = interior_point_off_guiding(quadratic_pconf)
-    for g in quadratic_pconf.guiding:
-        assert g.distance(x0, quadratic_pconf.interval)[0] > 1e-3
-
-
-def interior_point_loop(pconf):
-    """Reference: the walk over sorted band ends that the merged-gap
-    interior_point_off_guiding replaced."""
-    iv = pconf.interval
-    marks = [iv.a, iv.b]
-    for g in pconf.guiding:
-        for lo, hi in g.intervals:
-            marks.extend([lo, hi])
-    marks = sorted(set(marks))
-    best, width = 0.5 * (iv.a + iv.b), -1.0
-    union = [ivl for g in pconf.guiding for ivl in g.intervals]
-    for lo, hi in zip(marks[:-1], marks[1:]):
-        mid = 0.5 * (lo + hi)
-        if any(l <= mid <= h for l, h in union):
-            continue
-        if hi - lo > width:
-            best, width = mid, hi - lo
-    return best
-
-
-# band ends on a 1/8 grid touch, nest, repeat and tie in width; free ends
-# do not
-band_ends = st.one_of(st.integers(-8, 8).map(lambda k: k / 8),
-                      st.floats(-1.0, 1.0))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(st.tuples(band_ends, band_ends), max_size=4),
-                min_size=2, max_size=3))
-def test_interior_point_matches_loop(bands):
-    pconf = SimpleNamespace(interval=Interval(-1.0, 1.0), guiding=tuple(
-        GuidingSet((min(p), max(p)) for p in group) for group in bands))
-    assert interior_point_off_guiding(pconf) == interior_point_loop(pconf)
-
-
-def test_solve_ivp_ill_conditioned_gate(standard_pconf):
-    from guided_dynamics.errors import IllConditioned
+def test_solve_ivp_ill_conditioned_gate(standard_pconf, monkeypatch):
+    monkeypatch.setattr(pconf, "COND_CAP", 1.0)
     with pytest.raises(IllConditioned):
-        solve_ivp(IvpProblem(standard_pconf, parse("0"), 0.0, 0.0), 64,
-                  cond_cap=1.0)
+        solve_ivp(IvpProblem(standard_pconf, parse("0"), 0.0, 0.0), 64)
 
 
 # --------------------------------------------------------------------------
