@@ -416,10 +416,6 @@ class SolvabilityReport:
     probe: object = None
     notes: list = field(default_factory=list)
 
-    @property
-    def solvable(self):
-        return self.status == "solvable"
-
 
 def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
                         depth: int = 10 ** 5,

@@ -39,6 +39,11 @@ SPACE_KEYS = {"interval": {"type", "a", "b"},
               "circle": {"type", "period"},
               "graph": {"type", "nodes", "tables"}}
 TOLERANCE_KEYS = {"tol_lambda", "tol", "tol_data"}
+# every problem key some subcommand reads, and the keys of an affine rule
+PROBLEM_KEYS = {"anchors", "h", "c", "mu", "kind", "interval", "A", "B",
+                "weight", "rules", "A1", "A2", "b1", "b2", "alpha1", "alpha2",
+                "m", "n", "g1", "g2", "gGamma"}
+RULE_KEYS = {"map", "cA", "cB", "cv", "c0"}
 # budget -> (keyword of the library call, subcommands it bounds); a budget
 # missing from the config is not passed, so the library's default applies
 BUDGETS = {"cell_cap": ("cell_cap", ("orbit", "probe", "weak-attractor",
@@ -111,13 +116,19 @@ class JobConfig:
                                     tol_lambda=self.tol_lambda)
 
     def funceq_system(self):
+        """The space, maps and coeffs sections as a FunceqSystem; the
+        guiding and tol_lambda entries are not read."""
         maps = self.generator_maps()
         if self.parsed_coeffs is None:
             raise SchemaError("missing 'coeffs' section", "/coeffs")
-        guiding = self.guiding_sets(len(maps))
-        return funceq_mod.FunceqSystem(self.space(), maps,
-                                       self.parsed_coeffs, guiding=guiding,
-                                       tol_lambda=self.tol_lambda)
+        space = self.space()
+        if isinstance(space, gds_mod.FiniteGraphSpace):
+            raise SchemaError("a functional equation needs an 'interval' "
+                              "or a 'circle' space", "/space/type")
+        if len(self.parsed_coeffs) != len(maps):
+            raise SchemaError(f"need one coefficient per map ({len(maps)}), "
+                              f"got {len(self.parsed_coeffs)}", "/coeffs")
+        return funceq_mod.FunceqSystem(space, maps, self.parsed_coeffs)
 
 
 def _parse_expr_at(source, pointer, var="t"):
@@ -130,6 +141,12 @@ def _parse_expr_at(source, pointer, var="t"):
         raise SchemaError(
             f"expression error: {exc} (offset {exc.offset})",
             pointer) from exc
+
+
+def _refuse_unknown(section, allowed, pointer):
+    for key in section:
+        if key not in allowed:
+            raise SchemaError(f"unknown key {key!r}", f"{pointer}/{key}")
 
 
 def _require(section, keys, pointer):
@@ -176,9 +193,7 @@ def _check_space(space):
     kind = space.get("type")
     if not isinstance(kind, str) or kind not in SPACE_KEYS:
         raise SchemaError(f"unknown space type {kind!r}", "/space/type")
-    for key in space:
-        if key not in SPACE_KEYS[kind]:
-            raise SchemaError(f"unknown key {key!r}", f"/space/{key}")
+    _refuse_unknown(space, SPACE_KEYS[kind], "/space")
     _require(space, SPACE_KEYS[kind] - {"period"}, "/space")
     for key, value in space.items():
         if key in SPACE_VALUES and not SPACE_VALUES[key][0](value):
@@ -206,9 +221,7 @@ def load_config(path: str) -> JobConfig:
         raise SchemaError(f"invalid JSON: {exc}", "/") from exc
     if not isinstance(raw, dict):
         raise SchemaError("config root must be an object", "/")
-    for key in raw:
-        if key not in TOP_LEVEL_KEYS:
-            raise SchemaError(f"unknown key {key!r}", f"/{key}")
+    _refuse_unknown(raw, TOP_LEVEL_KEYS, "")
     for section in ("space", "problem", "tolerances", "budgets"):
         if not isinstance(raw.get(section, {}), dict):
             raise SchemaError(f"{section!r} must be an object", f"/{section}")
@@ -223,13 +236,17 @@ def load_config(path: str) -> JobConfig:
              "a finite number >= 0"),
             ("budgets", BUDGETS, lambda v: _is_int(v) and v >= 1,
              "an integer >= 1")):
+        _refuse_unknown(raw.get(section, {}), allowed, f"/{section}")
         for key, value in raw.get(section, {}).items():
-            if key not in allowed:
-                raise SchemaError(f"unknown key {key!r}",
-                                  f"/{section}/{key}")
             if not test(value):
                 raise SchemaError(f"expected {shape}, got {value!r}",
                                   f"/{section}/{key}")
+    problem = raw.get("problem", {})
+    _refuse_unknown(problem, PROBLEM_KEYS, "/problem")
+    rules = problem.get("rules")
+    for i, rule in enumerate(rules if isinstance(rules, list) else ()):
+        if isinstance(rule, dict):
+            _refuse_unknown(rule, RULE_KEYS, f"/problem/rules/{i}")
     for i, entry in enumerate(raw.get("guiding", ())):
         if not isinstance(entry, list):
             raise SchemaError("a guiding entry must be a list",
@@ -560,9 +577,7 @@ def cmd_affine_analyze(cfg, args):
 def _bvp_problem(cfg):
     problem = cfg.problem
     required = {"alpha1", "alpha2", "m", "n", "g1", "g2", "gGamma"}
-    for key in problem:
-        if key not in required:
-            raise SchemaError(f"unknown key {key!r}", f"/problem/{key}")
+    _refuse_unknown(problem, required, "/problem")
     _require(problem, required, "/problem")
     _require_numeric(problem, ("m", "n"), "/problem")
     for key in ("m", "n"):

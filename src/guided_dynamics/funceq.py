@@ -7,6 +7,12 @@ interpolation preserves positivity and the sup-norm bounds the certificate
 logic relies on; accuracy is recovered by grid refinement. On a grid, A is
 one (M+1) x (M+1) CSR interpolation matrix per (system, grid), built once
 from the node tables; every application of A is a sparse product.
+
+A system is its maps and coefficients; it reads no guiding set. The two
+hypotheses A rests on are checked on the node tables it is built from:
+every image delta_i(t_j) lies in the domain (MapEscape), and every
+a_i(t_j) >= 0 (HypothesisFailure), the sign that makes ||A^m|| = ||A^m 1||.
+Between nodes the coefficients are not read.
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MapEscape, NoConvergence, NotCertified
+from .errors import (DomainError, HypothesisFailure, MapEscape,
+                     NoConvergence, NotCertified)
 from .exprlang import as_callable
-from .gds import (CircleSpace, GuidedSystem, GuidingSet, Interval, map_from,
-                  write_csv, zero_band_guiding)
+from .gds import CircleSpace, Interval, map_from, write_csv
 
 CONTRACTION_MARGIN = 1e-6
 
@@ -102,10 +108,6 @@ class GridFunction:
             vals[-1] = vals[0]
         return cls(domain, vals)
 
-    @classmethod
-    def constant(cls, domain, M, value):
-        return cls(domain, np.full(M + 1, float(value)))
-
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
@@ -124,9 +126,6 @@ class GridFunction:
         return float(out[0]) if scalar else out
 
     __call__ = eval
-
-    def sup(self):
-        return float(np.max(np.abs(self.values)))
 
     def copy_with(self, values):
         return GridFunction(self.domain, values)
@@ -157,49 +156,40 @@ class GridFunction:
 
 
 class FunceqSystem:
-    """A guided system together with coefficient functions a_i >= 0.
+    """The maps delta_i and coefficients a_i of f - sum_i a_i (f o delta_i)
+    = h on an interval or a circle: all that the grid operator A reads.
+    node_tables checks A's hypotheses at the nodes A is built from."""
 
-    When no guiding sets are given they are derived as the zero bands of
-    the coefficients, matching Lambda_i = {x : a_i(x) = 0}.
-    """
-
-    def __init__(self, space, maps, coeffs, guiding=None, tol_lambda=1e-9):
+    def __init__(self, space, maps, coeffs):
         self.space = space
         self.maps = tuple(map_from(m, label=i) for i, m in enumerate(maps))
-        self.coeff_sources = tuple(coeffs)
         self.coeffs = tuple(as_callable(c) for c in coeffs)
         if len(self.coeffs) != len(self.maps):
             raise ValueError("one coefficient per map required")
-        if guiding is None:
-            guiding = [self._coeff_zero_band(c) for c in self.coeffs]
-        self._system = GuidedSystem(space, self.maps, guiding,
-                                    coefficients=self.coeffs,
-                                    tol_lambda=tol_lambda)
         self._grid_operators = {}
-
-    def _coeff_zero_band(self, coeff):
-        if isinstance(self.space, CircleSpace):
-            scan = zero_band_guiding(coeff, Interval(0.0, self.space.period))
-            ivs = list(scan.intervals)
-            if len(ivs) >= 2 and ivs[0][0] <= 1e-12 and \
-                    ivs[-1][1] >= self.space.period - 1e-12:
-                first, last = ivs[0], ivs[-1]
-                ivs = ivs[1:-1] + [(last[0], first[1] + self.space.period)]
-            return GuidingSet(ivs)
-        return zero_band_guiding(coeff, self.space)
 
     @property
     def n_maps(self):
         return len(self.maps)
 
     def node_tables(self, domain, M):
-        """Coefficient and image arrays at the M+1 grid nodes of domain. On
-        an interval images are range-checked, raising MapEscape beyond
-        tolerance, and clipped; on a circle each coefficient and each
-        normalized image must agree at t = 0 and t = period, else
-        DomainError."""
+        """Coefficient and image arrays at the M+1 grid nodes of domain.
+        A coefficient below -1e-9 at a node raises HypothesisFailure naming
+        the first such node. On an interval images are range-checked,
+        raising MapEscape beyond tolerance, and clipped; on a circle each
+        coefficient and each normalized image must agree at t = 0 and
+        t = period, else DomainError."""
         nodes = grid_nodes(domain, M)
         a_tab = [np.asarray(c(nodes), dtype=float) for c in self.coeffs]
+        for i, a in enumerate(a_tab):
+            negative = np.flatnonzero(a < -1e-9)
+            if negative.size:
+                k = negative[0]
+                node = float(nodes[k])
+                raise HypothesisFailure(
+                    "coefficients are nonnegative", witness=node,
+                    detail=f"coefficient {i} is {float(a[k])!r} at node "
+                           f"t={node!r}")
         d_tab = []
         for m in self.maps:
             img = np.asarray(m(nodes), dtype=float)
@@ -207,10 +197,11 @@ class FunceqSystem:
                 excess = np.maximum(domain.a - img, img - domain.b)
                 k = int(np.argmax(excess))
                 if excess[k] > 1e-9:
+                    node, image = float(nodes[k]), float(img[k])
                     raise MapEscape(
                         f"map {m.label} escapes the domain at node "
-                        f"t={nodes[k]!r} (image {img[k]!r})",
-                        generator=m.label, point=nodes[k], image=img[k])
+                        f"t={node!r} (image {image!r})",
+                        generator=m.label, point=node, image=image)
                 img = np.clip(img, domain.a, domain.b)
             d_tab.append(img)
         if isinstance(domain, CircleSpace):
@@ -297,8 +288,8 @@ def certify_contraction(system: FunceqSystem, m_max: int = 64,
                         M: int = 1024):
     """Smallest m <= m_max with sup-grid g_m < 1 - margin, else a failure
     report carrying sup g_{m_max}. Relies on the positive-operator norm
-    identity ||A^m|| = ||A^m 1||, hence requires a_i >= 0 (validated at
-    system construction)."""
+    identity ||A^m|| = ||A^m 1||, hence requires a_i >= 0 (checked at the
+    grid nodes as A is built)."""
     norms = power_norms(system.grid_operator(system.space, M), m_max)
     if norms[-1] < 1.0 - CONTRACTION_MARGIN:
         return ContractionCertificate(m=len(norms) - 1, norm=norms[-1],

@@ -418,10 +418,10 @@ def _circle_arcs(guiding, period):
 
 
 class GuidedSystem:
-    """State space + generators + guiding sets (+ optional coefficients)."""
+    """State space + generators + guiding sets."""
 
-    def __init__(self, space, generators, guiding=None, coefficients=None,
-                 tol_lambda=TOL_LAMBDA, validate=True):
+    def __init__(self, space, generators, guiding=None, tol_lambda=TOL_LAMBDA,
+                 validate=True):
         self.space = space
         self.generators = tuple(map_from(g, label=i)
                                 for i, g in enumerate(generators))
@@ -438,11 +438,6 @@ class GuidedSystem:
                                  for g in self.guiding)
         if len(self.guiding) != n:
             raise ValueError("one guiding set per generator required")
-        self.coefficients = None
-        if coefficients is not None:
-            self.coefficients = tuple(as_callable(c) for c in coefficients)
-            if len(self.coefficients) != n:
-                raise ValueError("one coefficient per generator required")
         if not 0.0 <= tol_lambda < math.inf:
             raise ValueError(f"tol_lambda must be finite and >= 0, got "
                              f"{tol_lambda!r}")
@@ -478,13 +473,6 @@ class GuidedSystem:
                         f"x={xs[bad]!r} (image {img[bad]!r})",
                         generator=g.label, point=xs[bad], image=img[bad])
                 g.monotone = _classify_monotone(g, xs)
-            if self.coefficients is not None:
-                for i, c in enumerate(self.coefficients):
-                    vals = np.asarray(c(xs), dtype=float)
-                    if np.min(vals) < -1e-9:
-                        raise ValueError(
-                            f"coefficient {i} negative at "
-                            f"x={xs[int(np.argmin(vals))]!r}")
         # The guiding sets must have empty common intersection. When it
         # is not empty it holds the left end of a member (the largest left
         # end of the members around one of its points); on a circle, of an

@@ -34,7 +34,7 @@ from .errors import (DataMismatch, IllConditioned, NoConvergence,
 from .exprlang import _scalar, as_callable
 from .funceq import (CONTRACTION_MARGIN, GridFunction, interp_weights,
                      interpolation_matrix, iterate_contraction, power_norms)
-from .gds import GuidedSystem, Interval, map_from, zero_band_guiding
+from .gds import Interval, map_from, zero_band_guiding
 
 __all__ = [
     "PConfiguration", "IvpProblem", "IvpDiagnostics", "IvpSolution",
@@ -71,9 +71,6 @@ class PConfiguration:
         if self._guiding is None:
             self._guiding = extract_guiding_sets(self)
         return self._guiding
-
-    def as_guided_system(self):
-        return GuidedSystem(self.interval, self.maps, self.guiding)
 
 
 def validate_pconfiguration(maps, interval, anchors,

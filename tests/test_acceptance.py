@@ -123,7 +123,8 @@ def test_criterion_05_minimality_probes(standard_pconf):
     assert t_rational < 10.0
 
     t0 = time.perf_counter()
-    system = standard_pconf.as_guided_system()
+    system = GuidedSystem(standard_pconf.interval, standard_pconf.maps,
+                          standard_pconf.guiding)
     cert = check_contraction_minimality(system)
     assert isinstance(cert, ContractionMinimalityCertificate)
     probe = probe_minimality(system, 0.01, 10 ** 4)

@@ -155,6 +155,23 @@ BASE_CONFIG = {"space": {"type": "interval", "a": -1.0, "b": 1.0},
     ("solve-ivp", {"maps": ["(t-1)/2", "(t+1)/2"],
                    "problem": {"anchors": [-1, 0, 1], "h": "(t*t-1)/2",
                                "c": 5.0}}, "/problem/c"),
+    # a functional equation needs one coefficient per map, on an
+    # interval or a circle
+    ("certify", {"coeffs": ["0.25"]}, "/coeffs"),
+    ("solve-fe", {"coeffs": ["0.25"]}, "/coeffs"),
+    ("certify", {"space": {"type": "graph", "nodes": 2,
+                           "tables": [[0, 1], [1, 0]]},
+                 "coeffs": ["0.25", "0.25"]}, "/space/type"),
+    ("solve-fe", {"space": {"type": "graph", "nodes": 2,
+                            "tables": [[0, 1], [1, 0]]},
+                  "coeffs": ["0.25", "0.25"]}, "/space/type"),
+    # a misspelt problem key would otherwise run at the default it meant
+    # to replace
+    ("solve-ivp", {"problem": {"anchors": [-1, 0, 1], "h": "(t*t-1)/2",
+                               "Mu": 5.0}}, "/problem/Mu"),
+    ("overdet", {"problem": {"kind": "jensen", "interval": [0.0, 1.0],
+                             "A": 0.0, "B": 1.0, "wieght": 0.3}},
+     "/problem/wieght"),
 ])
 def test_malformed_section_is_config_error(tmp_path, capsys, command,
                                            replaced, pointer):
@@ -240,6 +257,43 @@ def test_certify_exit_codes(tmp_path, capsys):
     code, out, _ = run(capsys, ["certify", "--config", str(path),
                                 "--no-meta"])
     assert code == 1
+
+
+def funceq_config(tmp_path, coeffs):
+    """standard_funceq.json with its coefficients replaced."""
+    with open(cfg("standard_funceq.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({**raw, "coeffs": coeffs}))
+    return str(path)
+
+
+def test_certify_reads_no_guiding_sets(tmp_path, capsys):
+    # both coefficients vanish at -1 and 1, so their zero sets meet; the
+    # grid operator reads no guiding set, and A 1 = (1 - t^2) / 2
+    path = funceq_config(tmp_path, ["0.25*(1 - t^2)", "0.25*(1 - t^2)"])
+    code, out, _ = run(capsys, ["certify", "--config", path, "--no-meta"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["certified"], doc["m"], doc["norm"]) == (True, 1, 0.5)
+
+
+@pytest.mark.parametrize("coeffs,witness", [
+    # -1.55 at node 1 of the 1024-cell grid, and >= 0 at every point of a
+    # 513-point sample of [-1, 1]
+    (["0.45 - 2*exp(-((t - (-0.998046875))/0.0001)^2)", "0.45"],
+     "-1.55 at node t=-0.998046875"),
+    (["t", "0.25"], "-1.0 at node t=-1.0"),
+])
+def test_coefficient_negative_at_a_node_is_rejected(tmp_path, capsys,
+                                                    coeffs, witness):
+    # ||A^m|| = ||A^m 1|| needs every matrix entry >= 0
+    path = funceq_config(tmp_path, coeffs)
+    for argv in (["certify"], ["solve-fe", "--h", "1"]):
+        code, out, err = run(capsys, argv + ["--config", path, "--no-meta"])
+        assert (code, out) == (1, "")
+        assert err == (f"rejected: hypothesis failed: coefficients are "
+                       f"nonnegative (coefficient 0 is {witness})\n")
 
 
 @pytest.mark.parametrize("maps,coeffs,named", [
@@ -510,14 +564,13 @@ def test_corner_tol_is_an_unknown_tolerance(tmp_path, capsys):
     assert code == 2 and "/tolerances/corner_tol" in err
 
 
-def test_tol_lambda_reaches_funceq_systems(tmp_path):
+def test_tol_lambda_reaches_guided_systems(tmp_path):
     with open(cfg("standard_funceq.json"), encoding="utf-8") as fh:
         raw = json.load(fh)
     raw["tolerances"] = {"tol_lambda": 1e-6}
     path = tmp_path / "tol.json"
     path.write_text(json.dumps(raw))
     config = load_config(str(path))
-    assert config.funceq_system()._system.tol_lambda == 1e-6
     assert config.guided_system().tol_lambda == 1e-6
 
 
@@ -953,6 +1006,9 @@ def test_overdet_counts_every_collision(capsys):
     ([], "/problem/rules"),
     ([{"map": "t/2", "cA": float("nan"), "cv": 0.5}],
      "/problem/rules/0/cA"),
+    # a misspelt coefficient is not a rule with c_v = 0
+    ([{"map": "t/2", "cA": 0.5, "cv": 0.5},
+      {"map": "(1+t)/2", "cB": 0.5, "cV": 0.5}], "/problem/rules/1/cV"),
 ])
 def test_overdet_affine_rule_schema(tmp_path, capsys, rules, pointer):
     path = tmp_path / "affine.json"
@@ -1106,24 +1162,31 @@ def test_package_names_resolve():
         g.no_such_name
 
 
-# public functions that no code in src/ calls, each kept for its reason
+# public functions, methods and properties that no code in src/ reaches,
+# each kept for its reason
 UNCALLED_PUBLIC = {
     "funceq.apply_operator": "perfbench/tracer.py wraps it by name, so "
                              "every --trace 1 run needs it",
     "cauchy.orbit_convergence_rates": "the per-step contraction ratios of "
                                       "the affine Cauchy analysis are a "
                                       "stated acceptance criterion",
+    "cauchy.PropagationCloud.recompute": "the cloud's provenance: it "
+                                         "replays the derivation of a "
+                                         "value from its seed",
+    "bvp.BvpSolution.field": "the solution u(x, y) at any point of the "
+                             "domain; the CSV samples it on one lattice",
 }
 
 
 def test_every_public_function_has_a_caller_in_src():
-    # a public function that only tests call is never run by the report
-    # snapshots that check refactors: it is a claim no `gds` run reaches
+    # a public function or method that only tests call is never run by
+    # the report snapshots that check refactors: it is a claim no `gds`
+    # run reaches
     import ast
     import inspect
     import guided_dynamics as g
     src = os.path.dirname(g.__file__)
-    called = set()
+    called, attributes = set(), set()
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
             continue
@@ -1132,7 +1195,8 @@ def test_every_public_function_has_a_caller_in_src():
         # names imported under another name (`parse as parse_expr`)
         alias = {a.asname: a.name for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) for a in node.names}
-        # (node, name of the top-level def it sits in, if any)
+        # (node, name of the outermost def it sits in: a top-level
+        # function or a method, if any)
         scopes = [(node, None) for node in tree.body]
         while scopes:
             node, owner = scopes.pop()
@@ -1142,19 +1206,31 @@ def test_every_public_function_has_a_caller_in_src():
                 callee = alias.get(callee, callee)
                 if callee != owner:
                     called.add(callee)
+            # a method or property is reached as `obj.name`
+            if isinstance(node, ast.Attribute) and node.attr != owner:
+                attributes.add(node.attr)
             if owner is None and isinstance(node, ast.FunctionDef):
                 owner = node.name
             scopes.extend((child, owner)
                           for child in ast.iter_child_nodes(node))
-    uncalled = {
-        f"{mod}.{name}"
-        for mod in ("exprlang", "gds", "funceq", "pconf", "cauchy", "bvp")
-        for name in getattr(g, mod).__all__
-        if inspect.isfunction(getattr(getattr(g, mod), name))
-        and name not in called}
+    uncalled = set()
+    for mod in ("exprlang", "gds", "funceq", "pconf", "cauchy", "bvp"):
+        module = getattr(g, mod)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and name not in called:
+                uncalled.add(f"{mod}.{name}")
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                uncalled |= {
+                    f"{mod}.{name}.{member}"
+                    for member, value in vars(obj).items()
+                    if not member.startswith("_")
+                    and (inspect.isfunction(value) or isinstance(
+                        value, (property, classmethod, staticmethod)))
+                    and member not in attributes}
     assert not uncalled - UNCALLED_PUBLIC.keys(), \
         f"no caller in src/: {sorted(uncalled - UNCALLED_PUBLIC.keys())}"
-    # the allowlist names only functions that still need it
+    # the allowlist names only functions and methods that still need it
     assert uncalled == UNCALLED_PUBLIC.keys()
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compute_g_n
-from guided_dynamics.errors import MapEscape, NotCertified
+from guided_dynamics.errors import HypothesisFailure, MapEscape, NotCertified
 from guided_dynamics.exprlang import parse
 from guided_dynamics.funceq import (ContractionCertificate,
                                     ContractionFailure, FunceqSystem,
@@ -70,7 +70,7 @@ def test_apply_operator_linear(quarter_coeff_system):
 
 
 def test_apply_operator_constant(quarter_coeff_system):
-    f = GridFunction.constant(IV, 128, 1.0)
+    f = GridFunction(IV, np.ones(129))
     out = apply_operator(quarter_coeff_system, f)
     assert np.max(np.abs(out.values - 0.5)) == 0.0
 
@@ -101,20 +101,37 @@ def test_operator_norm_matches_g1(quarter_coeff_system):
     worst = 0.0
     for _ in range(50):
         f = GridFunction(IV, rng.uniform(-1.0, 1.0, 257))
-        worst = max(worst, apply_operator(quarter_coeff_system, f).sup())
+        out = apply_operator(quarter_coeff_system, f)
+        worst = max(worst, np.max(np.abs(out.values)))
     assert worst <= bound + 1e-12
 
 
 def test_map_escape_detected(quarter_coeff_system):
-    # maps escape at construction time ...
-    with pytest.raises(MapEscape):
-        FunceqSystem(Interval(0.0, 1.0), [parse("t/2 + 0.75")],
-                     [parse("0.5")])
+    # a map escapes where the grid operator is built, at a node ...
+    escaping = FunceqSystem(Interval(0.0, 1.0), [parse("t/2 + 0.75")],
+                            [parse("0.5")])
+    with pytest.raises(MapEscape, match="node t=1.0"):
+        escaping.grid_operator(escaping.space, 4)
     # ... and at application time when the grid function lives on a
     # smaller domain than the system
     f = GridFunction.from_callable(Interval(-0.25, 0.25), 16, lambda t: t)
     with pytest.raises(MapEscape):
         apply_operator(quarter_coeff_system, f)
+
+
+def test_coefficient_sign_is_checked_at_the_grid_nodes():
+    # a dip to -1.55 at node 1 of the 1024-cell grid of [-1, 1], too
+    # narrow to reach any node of the 512-cell grid
+    system = FunceqSystem(
+        IV, [parse("(t+1)/2"), parse("(t-1)/2")],
+        [parse("0.45 - 2*exp(-((t - (-0.998046875))/0.0001)^2)"),
+         parse("0.45")])
+    assert system.grid_operator(IV, 512).min() >= 0.0
+    with pytest.raises(HypothesisFailure) as exc:
+        system.grid_operator(IV, 1024)
+    assert exc.value.condition == "coefficients are nonnegative"
+    assert type(exc.value.witness) is float
+    assert exc.value.witness == -0.998046875
 
 
 def apply_operator_interp(system, f):
@@ -177,7 +194,7 @@ def operator_cases(draw):
         k = draw(st.integers(0, 3))
         coeffs.append(lambda t, c0=c0, c1=c1, k=k:
                       c0 + c1 * (1 + np.sin(k * np.asarray(t))) / 2)
-    system = FunceqSystem(space, maps, coeffs, guiding=[[]] * len(maps))
+    system = FunceqSystem(space, maps, coeffs)
     M = draw(st.integers(1, 300))
     amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
     f = GridFunction.from_callable(space, M, lambda t: sum(
@@ -193,7 +210,8 @@ def test_grid_operator_matches_interp(case):
     system, f = case
     got = system.grid_operator(f.domain, f.M) @ f.values
     want = apply_operator_interp(system, f)
-    assert np.max(np.abs(got - want)) <= 1e-14 * max(f.sup(), 1e-300)
+    sup = np.max(np.abs(f.values))
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(sup, 1e-300)
 
 
 @pytest.mark.parametrize("M", [1, 7, 1024])
@@ -215,8 +233,8 @@ def test_interp_weights_circle_clips_not_wraps(M, y):
 # --------------------------------------------------------------------------
 
 def test_g_n_constant_coefficients(quarter_coeff_system):
-    assert compute_g_n(quarter_coeff_system, 1, M=64).sup() == 0.5
-    assert compute_g_n(quarter_coeff_system, 2, M=64).sup() == 0.25
+    assert np.max(compute_g_n(quarter_coeff_system, 1, M=64).values) == 0.5
+    assert np.max(compute_g_n(quarter_coeff_system, 2, M=64).values) == 0.25
 
 
 def test_g_n_sum_one(half_coeff_system):
@@ -319,7 +337,7 @@ def test_solve_neumann_linear(quarter_coeff_system):
 
 def test_solve_neumann_trivial(quarter_coeff_system):
     f0, _ = solve_neumann(quarter_coeff_system, parse("0"), M=128)
-    assert f0.sup() == 0.0
+    assert np.max(np.abs(f0.values)) == 0.0
     f1, _ = solve_neumann(quarter_coeff_system, parse("1"), M=128)
     assert np.max(np.abs(f1.values - 2.0)) < 1e-11
 

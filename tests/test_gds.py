@@ -442,7 +442,8 @@ def test_guided_cycles_quadratic_pconf_endpoint_fixed_points(
         quadratic_pconf):
     # the endpoint anchors are fixed points of the map whose use is
     # forced there, so each is a guided 1-cycle
-    system = quadratic_pconf.as_guided_system()
+    system = GuidedSystem(quadratic_pconf.interval, quadratic_pconf.maps,
+                          quadratic_pconf.guiding)
     report = find_guided_cycles(system, 6)
     points = sorted(round(float(c.points[0]), 6) for c in report.cycles)
     assert points == [-1.0, 1.0]

@@ -48,14 +48,10 @@ collisions of the cloud and milliseconds per call, best of 5.
 
 `--root` names the checkout whose `src/` is timed (default: the one
 holding this script). A case names only its target and whether it keeps
-points; a kernel that still takes `cover` and `chain` gets the values
-its callers passed for the same run (coverage without a target, orbit
-inclusion without kept points), so both checkouts time the same runs.
-BLAS runs on one thread, as the benchmark pins it.
+points. BLAS runs on one thread, as the benchmark pins it.
 """
 
 import argparse
-import inspect
 import math
 import os
 import sys
@@ -122,16 +118,6 @@ def _best(call):
     return best
 
 
-def _kernel_kwargs(gds, kw):
-    """kw for the checkout's kernel: one that takes `cover` and `chain`
-    gets the values its callers passed for this run."""
-    params = inspect.signature(gds._closures).parameters
-    if "cover" in params:
-        kw = {**kw, "cover": None if kw.get("target") is not None
-              else "retire", "chain": not kw.get("keep_points")}
-    return kw
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=Path(__file__).resolve().parents[1],
@@ -145,7 +131,6 @@ def main():
     for name, frontier, seeds, depth, eps, mult, kw in _cases(gds):
         system = _system(gds, parse, name)
         seeds = np.asarray(seeds, dtype=float)
-        kw = _kernel_kwargs(gds, kw)
         counter = [len(seeds)]
         *_, levels, _ = gds._closures(
             _system(gds, parse, name, counter), seeds, depth, eps, mult,
