@@ -14,6 +14,12 @@ I = [-m, n] that is a P-configuration with anchors (-m, 0, n):
 where z(t) inverts the strictly increasing profile omega(z) =
 n alpha1(z) - m alpha2(z).
 
+A BoundarySystem holds the interval side only, which is all that the
+solvability analysis and the solve read. The Gamma side is built on
+request: `gamma_system` gives (Gamma, zeta, Omega), `verify_omega_conjugacy`
+samples the conjugacy between the two systems, and `omega_guiding_defect`
+cross-checks the mapped guiding sets against delta_i'.
+
 Solvability is decided in layers (contraction certificate, composite
 fixed points, guided-cycle search, minimality probe); the solution is
 reconstructed as u = phi(x) + psi(y) + chi(n x - m y) with chi solving the
@@ -32,8 +38,8 @@ from .errors import (CornerMismatch, DegenerateParametrization, NoBracket,
                      NotSolvableError)
 from .exprlang import Expression, _scalar, as_callable, differentiate
 from .funceq import GridFunction
-from .gds import (ContractionMinimalityCertificate, GeneratorMap,
-                  GuidedSystem, GuidingSet, Interval, _distinct,
+from .gds import (ConjugacyReport, ContractionMinimalityCertificate,
+                  GeneratorMap, GuidedSystem, GuidingSet, Interval, _distinct,
                   allowed_generators, check_contraction_minimality,
                   find_guided_cycles, probe_minimality, verify_conjugacy,
                   write_csv, zero_band_guiding)
@@ -45,12 +51,13 @@ TOL_CORNER = 1e-8    # agreement of the boundary data at the corners
 Z_TABLE_N = 257      # nodes of the omega table that starts the z(t) Newton
 Z_MAX_ITER = 100     # hard cap on the z(t) steps of one element
 Z_MEMO_N = 2 ** 16   # solved z(t) values a boundary system keeps (1 MB)
-SCAN_N = 4097        # grid of the omega' and delta_i' scans of a build
+SCAN_N = 4097        # grid of the omega' and delta_i' scans
 
 __all__ = [
     "BoundaryProblem", "BoundarySystem", "SolutionTriple", "BvpSolution",
     "FixedPointResult", "SolvabilityReport", "BoundaryReduction",
-    "BvpVerification", "build_boundary_system",
+    "BvpVerification", "build_boundary_system", "gamma_system",
+    "verify_omega_conjugacy", "omega_guiding_defect",
     "fixed_point", "analyze_solvability", "reduce_boundary_data",
     "solve_bvp", "verify_solution",
 ]
@@ -218,9 +225,6 @@ class BoundarySystem:
     lambda_sets: tuple     # (Lambda1, Lambda2) on [-m, n]
     pconf: object
     interval_system: GuidedSystem
-    gamma_system: GuidedSystem
-    conjugacy: object
-    omega_guiding_defect: float
 
     def omega_xy(self, x, y):
         return self.problem.n * np.asarray(x, dtype=float) - \
@@ -246,11 +250,10 @@ class BoundarySystem:
         return ok
 
 
-def build_boundary_system(problem: BoundaryProblem,
-                          rng=None) -> BoundarySystem:
-    """Construct the guided systems on Gamma and on I = [-m, n], validate
-    the induced P-configuration, and verify the omega-conjugacy between
-    them."""
+def build_boundary_system(problem: BoundaryProblem) -> BoundarySystem:
+    """Construct the interval system (I, delta, Lambda) on I = [-m, n] that
+    omega conjugates the boundary dynamics onto, and validate the
+    P-configuration it induces. The Gamma side is `gamma_system`."""
     m, n = problem.m, problem.n
     omega = n * problem.alpha1 - m * problem.alpha2
     omega_d = differentiate(omega)
@@ -266,10 +269,8 @@ def build_boundary_system(problem: BoundaryProblem,
     z_of_t = _make_z_of_t(omega, omega_d)
     interval = Interval(-m, n)
 
-    def conjugated(c, alpha, label):
-        """delta = c alpha(z(t)) on I with delta' and delta'', and the map
-        zeta = z(c alpha(z)) it induces on Gamma with zeta'."""
-        da = differentiate(alpha)
+    def conjugated(c, alpha, da, label):
+        """delta = c alpha(z(t)) on I with delta' and delta''."""
         d2a = differentiate(da)
 
         def delta(t):
@@ -284,21 +285,14 @@ def build_boundary_system(problem: BoundaryProblem,
             w1 = omega_d(z)
             return c * (d2a(z) * w1 - da(z) * omega_d2(z)) / w1 ** 3
 
-        def zeta(z):
-            return z_of_t(c * alpha(z))
+        return GeneratorMap(delta, delta_d, label=label, d2fn=delta_d2)
 
-        def zeta_d(z):
-            return c * da(z) / omega_d(zeta(z))
-
-        return (GeneratorMap(delta, delta_d, label=label, d2fn=delta_d2),
-                GeneratorMap(zeta, zeta_d, label=label))
-
-    delta1, zeta1 = conjugated(n, problem.alpha1, 0)
-    delta2, zeta2 = conjugated(-m, problem.alpha2, 1)
+    delta1 = conjugated(n, problem.alpha1, problem.d_alpha1, 0)
+    delta2 = conjugated(-m, problem.alpha2, problem.d_alpha2, 1)
 
     # guiding sets: tangencies of Gamma found in the z-parameter; the
     # interval guiding sets are their omega-images (exact for the strictly
-    # monotone conjugation), then cross-checked against delta_i' directly
+    # monotone conjugation)
     z_iv = Interval(-1.0, 1.0)
     omega1 = zero_band_guiding(problem.d_alpha1, z_iv)
     omega2 = zero_band_guiding(-problem.d_alpha2, z_iv)
@@ -313,11 +307,60 @@ def build_boundary_system(problem: BoundaryProblem,
 
     lambda1 = mapped_bands(omega1)
     lambda2 = mapped_bands(omega2)
-    # coincidence check: delta_i' vanishes on the mapped bands and nowhere
-    # else (grid scan at the derivative root tolerance)
+    # the induced P-configuration orders maps left-to-right
+    pconf = validate_pconfiguration([delta2, delta1], interval,
+                                    (-m, 0.0, n), tol=1e-7)
+    interval_system = GuidedSystem(interval, [delta1, delta2],
+                                   [lambda1, lambda2])
+    return BoundarySystem(
+        problem=problem, interval=interval, omega=omega, z_of_t=z_of_t,
+        delta1=delta1, delta2=delta2, omega_sets=(omega1, omega2),
+        lambda_sets=(lambda1, lambda2), pconf=pconf,
+        interval_system=interval_system)
+
+
+def gamma_system(system: BoundarySystem) -> GuidedSystem:
+    """The guided system (Gamma, zeta, Omega) in the curve parameter z on
+    [-1, 1]: zeta_i = z(c_i alpha_i(z)) with c = (n, -m), the maps that
+    omega conjugates onto delta_i, with zeta_i'."""
+    problem = system.problem
+    omega_d = differentiate(system.omega)
+    z_of_t = system.z_of_t
+
+    def induced(c, alpha, da, label):
+        def zeta(z):
+            return z_of_t(c * alpha(z))
+
+        def zeta_d(z):
+            return c * da(z) / omega_d(zeta(z))
+
+        return GeneratorMap(zeta, zeta_d, label=label)
+
+    return GuidedSystem(
+        Interval(-1.0, 1.0),
+        [induced(problem.n, problem.alpha1, problem.d_alpha1, 0),
+         induced(-problem.m, problem.alpha2, problem.d_alpha2, 1)],
+        list(system.omega_sets))
+
+
+def verify_omega_conjugacy(system: BoundarySystem, rng) -> ConjugacyReport:
+    """verify_conjugacy of gamma_system(system) against the interval
+    system through omega, at 100 samples drawn from rng."""
+    return verify_conjugacy(gamma_system(system), system.interval_system,
+                            system.omega, system.z_of_t, samples=100,
+                            rng=rng)
+
+
+def omega_guiding_defect(system: BoundarySystem) -> float:
+    """Cross-check of the mapped guiding sets against delta_i' on the
+    SCAN_N grid of I: the largest |delta_i'| inside Lambda_i (0 when it
+    vanishes there), or inf when delta_i' drops below 1e-10 more than
+    1e-4 away from Lambda_i."""
+    interval = system.interval
     defect = 0.0
     t_grid = interval.grid(SCAN_N)
-    for lam, delta in ((lambda1, delta1), (lambda2, delta2)):
+    for lam, delta in zip(system.lambda_sets, (system.delta1,
+                                               system.delta2)):
         vals = delta.derivative(t_grid)
         if not lam.is_empty:
             inside = np.abs(vals[lam.distance(t_grid, interval) == 0.0])
@@ -326,22 +369,7 @@ def build_boundary_system(problem: BoundaryProblem,
         off = vals[lam.distance(t_grid, interval) > 1e-4]
         if off.size and float(np.min(off)) < 1e-10:
             defect = max(defect, float("inf"))
-
-    # the induced P-configuration orders maps left-to-right
-    pconf = validate_pconfiguration([delta2, delta1], interval,
-                                    (-m, 0.0, n), tol=1e-7)
-    interval_system = GuidedSystem(interval, [delta1, delta2],
-                                   [lambda1, lambda2])
-
-    gamma_system = GuidedSystem(z_iv, [zeta1, zeta2], [omega1, omega2])
-    conj = verify_conjugacy(gamma_system, interval_system, omega, z_of_t,
-                            samples=100, rng=rng)
-    return BoundarySystem(
-        problem=problem, interval=interval, omega=omega, z_of_t=z_of_t,
-        delta1=delta1, delta2=delta2, omega_sets=(omega1, omega2),
-        lambda_sets=(lambda1, lambda2), pconf=pconf,
-        interval_system=interval_system, gamma_system=gamma_system,
-        conjugacy=conj, omega_guiding_defect=defect)
+    return defect
 
 
 # --------------------------------------------------------------------------

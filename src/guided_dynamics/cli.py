@@ -5,9 +5,10 @@ Exit codes: 0 verdict/solve success, 1 negative domain verdict (e.g.
 NotSolvable, Inconsistent, NotMinimal), 2 usage/config error (a flag the
 subcommand does not read included), 3 numeric failure; a package error
 carries its own code and stderr label. Reports are JSON (sorted keys);
-grids are CSV. `--seed` drives the randomized sampling of build-bvp,
-analyze-bvp and verify-conjugacy; solve-bvp samples its conjugacy and
-contraction checks at a fixed seed 0 and takes no --seed. Identical
+grids are CSV. `--seed` drives the sampled omega-conjugacy check of
+build-bvp and verify-conjugacy and the contraction check of analyze-bvp;
+solve-bvp runs no conjugacy check, samples its contraction check at a
+fixed seed 0 and takes no --seed. Identical
 invocations produce byte-identical reports (--no-meta drops the timestamp
 block).
 """
@@ -595,27 +596,28 @@ def _bvp_problem(cfg):
 
 
 def cmd_build_bvp(cfg, args):
-    system = bvp_mod.build_boundary_system(
-        _bvp_problem(cfg), rng=np.random.default_rng(args.seed))
+    system = bvp_mod.build_boundary_system(_bvp_problem(cfg))
+    conj = bvp_mod.verify_omega_conjugacy(system,
+                                          np.random.default_rng(args.seed))
     report = {
         "command": "build-bvp",
         "interval": [system.interval.a, system.interval.b],
         "anchors": list(system.pconf.anchors),
         "omega_sets": [g for g in system.omega_sets],
         "lambda_sets": [g for g in system.lambda_sets],
-        "omega_guiding_defect": system.omega_guiding_defect,
-        "conjugacy_ok": system.conjugacy.ok,
-        "conjugacy_map_defect": system.conjugacy.map_defect,
-        "properness_violations": system.conjugacy.properness_violations,
+        "omega_guiding_defect": bvp_mod.omega_guiding_defect(system),
+        "conjugacy_ok": conj.ok,
+        "conjugacy_map_defect": conj.map_defect,
+        "properness_violations": conj.properness_violations,
     }
     return report, 0
 
 
 def cmd_analyze_bvp(cfg, args):
-    rng = np.random.default_rng(args.seed)
-    system = bvp_mod.build_boundary_system(_bvp_problem(cfg), rng=rng)
+    system = bvp_mod.build_boundary_system(_bvp_problem(cfg))
     rep = bvp_mod.analyze_solvability(system, eps=args.eps,
-                                      depth=args.depth, rng=rng)
+                                      depth=args.depth,
+                                      rng=np.random.default_rng(args.seed))
     report = {
         "command": "analyze-bvp", "status": rep.status, "route": rep.route,
         "grade": rep.grade,
@@ -652,9 +654,9 @@ def cmd_solve_bvp(cfg, args):
 
 
 def cmd_verify_conjugacy(cfg, args):
-    system = bvp_mod.build_boundary_system(
-        _bvp_problem(cfg), rng=np.random.default_rng(args.seed))
-    rep = system.conjugacy
+    system = bvp_mod.build_boundary_system(_bvp_problem(cfg))
+    rep = bvp_mod.verify_omega_conjugacy(system,
+                                         np.random.default_rng(args.seed))
     report = {"command": "verify-conjugacy", "ok": rep.ok,
               "map_defect": rep.map_defect,
               "guiding_defects": list(rep.guiding_defects),

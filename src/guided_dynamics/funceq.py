@@ -174,25 +174,35 @@ class FunceqSystem:
 
     def node_tables(self, domain, M):
         """Coefficient and image arrays at the M+1 grid nodes of domain.
-        A coefficient below -1e-9 at a node raises HypothesisFailure naming
-        the first such node. On an interval images are range-checked,
-        raising MapEscape beyond tolerance, and clipped; on a circle each
-        coefficient and each normalized image must agree at t = 0 and
-        t = period, else DomainError."""
+        A coefficient that is not finite or is below -1e-9 at a node raises
+        HypothesisFailure naming the first such node, and an image that is
+        not finite raises MapEscape naming its node. On an interval images
+        are range-checked, raising MapEscape beyond tolerance, and clipped;
+        on a circle each coefficient and each normalized image must agree
+        at t = 0 and t = period, else DomainError."""
         nodes = grid_nodes(domain, M)
         a_tab = [np.asarray(c(nodes), dtype=float) for c in self.coeffs]
         for i, a in enumerate(a_tab):
-            negative = np.flatnonzero(a < -1e-9)
-            if negative.size:
-                k = negative[0]
+            bad = np.flatnonzero(~np.isfinite(a) | (a < -1e-9))
+            if bad.size:
+                k = bad[0]
                 node = float(nodes[k])
                 raise HypothesisFailure(
-                    "coefficients are nonnegative", witness=node,
+                    "coefficients are finite" if not np.isfinite(a[k])
+                    else "coefficients are nonnegative", witness=node,
                     detail=f"coefficient {i} is {float(a[k])!r} at node "
                            f"t={node!r}")
         d_tab = []
         for m in self.maps:
             img = np.asarray(m(nodes), dtype=float)
+            nonfinite = np.flatnonzero(~np.isfinite(img))
+            if nonfinite.size:
+                k = nonfinite[0]
+                node, image = float(nodes[k]), float(img[k])
+                raise MapEscape(
+                    f"map {m.label} has no finite image at node "
+                    f"t={node!r} (image {image!r})",
+                    generator=m.label, point=node, image=image)
             if isinstance(domain, Interval):
                 excess = np.maximum(domain.a - img, img - domain.b)
                 k = int(np.argmax(excess))

@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import GOLDEN, circle_system, compute_g_n, cycle_problem
-from guided_dynamics.bvp import analyze_solvability, solve_bvp, verify_solution
+from conftest import GOLDEN, circle_system, compute_g_n
+from guided_dynamics.bvp import (analyze_solvability, gamma_system, solve_bvp,
+                                 verify_solution)
 from guided_dynamics.cauchy import (OverdetProblem, PropagationRule,
                                     analyze_affine, check_consistency,
                                     orbit_convergence_rates,
@@ -22,9 +23,7 @@ from guided_dynamics.funceq import (ContractionCertificate,
                                     ContractionFailure, certify_contraction,
                                     solve_neumann)
 from guided_dynamics.gds import (ContractionMinimalityCertificate,
-                                 FiniteGraphSpace, GeneratorMap,
-                                 GuidedSystem, GuidingSet,
-                                 build_orbit_graph,
+                                 GuidedSystem, build_orbit_graph,
                                  check_contraction_minimality,
                                  minimal_subsystems, probe_minimality,
                                  verify_conjugacy)
@@ -219,7 +218,7 @@ def test_criterion_09_bvp_end_to_end(straight_system, curved_system):
 
 def test_criterion_10_conjugacy(straight_system, curved_system):
     for system in (straight_system, curved_system):
-        report = verify_conjugacy(system.gamma_system,
+        report = verify_conjugacy(gamma_system(system),
                                   system.interval_system,
                                   system.omega, system.z_of_t,
                                   samples=100)

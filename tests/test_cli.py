@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -259,12 +260,12 @@ def test_certify_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
-def funceq_config(tmp_path, coeffs):
-    """standard_funceq.json with its coefficients replaced."""
+def funceq_config(tmp_path, coeffs, maps=("(t+1)/2", "(t-1)/2")):
+    """standard_funceq.json with its coefficients (and maps) replaced."""
     with open(cfg("standard_funceq.json"), encoding="utf-8") as fh:
         raw = json.load(fh)
     path = tmp_path / "coeffs.json"
-    path.write_text(json.dumps({**raw, "coeffs": coeffs}))
+    path.write_text(json.dumps({**raw, "coeffs": coeffs, "maps": maps}))
     return str(path)
 
 
@@ -294,6 +295,31 @@ def test_coefficient_negative_at_a_node_is_rejected(tmp_path, capsys,
         assert (code, out) == (1, "")
         assert err == (f"rejected: hypothesis failed: coefficients are "
                        f"nonnegative (coefficient 0 is {witness})\n")
+
+
+# exp(1000 t) overflows at the nodes t > 0.7098, first at node 0.7109375
+@pytest.mark.parametrize("coeffs,maps,code,err", [
+    (["0.25 + 0*exp(1000*t)", "0.25"], ["(t+1)/2", "(t-1)/2"], 1,
+     "rejected: hypothesis failed: coefficients are finite (coefficient 0 "
+     "is nan at node t=0.7109375)"),
+    (["0.25 + exp(1000*t)", "0.25"], ["(t+1)/2", "(t-1)/2"], 1,
+     "rejected: hypothesis failed: coefficients are finite (coefficient 0 "
+     "is inf at node t=0.7109375)"),
+    (["0.25", "0.25"], ["(t+1)/2 + 0*exp(1000*t)", "(t-1)/2"], 3,
+     "numeric failure: map 0 has no finite image at node t=0.7109375 "
+     "(image nan)"),
+], ids=["nan_coefficient", "inf_coefficient", "nan_image"])
+def test_non_finite_node_value_is_refused(tmp_path, capsys, coeffs, maps,
+                                          code, err):
+    # NaN passes every comparison that bounds a value, so a NaN or inf
+    # entry would reach the matrix, and a NaN image its cell index
+    path = funceq_config(tmp_path, coeffs, maps)
+    for argv in (["certify"], ["solve-fe", "--h", "1"]):
+        with warnings.catch_warnings():
+            # the overflow of exp itself
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = run(capsys, argv + ["--config", path, "--no-meta"])
+        assert got == (code, "", err + "\n")
 
 
 @pytest.mark.parametrize("maps,coeffs,named", [
@@ -431,6 +457,70 @@ def test_verify_conjugacy_command(capsys):
     assert doc["ok"]
     assert doc["map_defect"] < 1e-9
     assert doc["properness_violations"] == 0
+
+
+@pytest.mark.parametrize("config", ["straight_bvp.json", "curved_bvp.json",
+                                    "cycle_bvp.json"])
+def test_only_the_gamma_side_commands_build_the_gamma_system(
+        tmp_path, capsys, monkeypatch, config):
+    # analyze-bvp and solve-bvp read the interval system alone; build-bvp
+    # and verify-conjugacy check the Gamma system against it, once each
+    from guided_dynamics import bvp
+    built, checked = [], []
+    guided, check = bvp.GuidedSystem, bvp.verify_conjugacy
+
+    def spy_guided(*args, **kwargs):
+        built.append(guided(*args, **kwargs))
+        return built[-1]
+
+    def spy_check(*args, **kwargs):
+        checked.append(args[0])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(bvp, "GuidedSystem", spy_guided)
+    monkeypatch.setattr(bvp, "verify_conjugacy", spy_check)
+    for command, gamma_side in (("analyze-bvp", False), ("solve-bvp", False),
+                                ("build-bvp", True),
+                                ("verify-conjugacy", True)):
+        built.clear()
+        checked.clear()
+        code, _, _ = run(capsys, [command, "--config", cfg(config), "--out",
+                                  str(tmp_path / command), "--no-meta"])
+        assert code in (0, 1)
+        # the interval system, then the Gamma system that the check reads
+        assert len(built) == 1 + gamma_side
+        assert checked == built[1:]
+
+
+@pytest.mark.parametrize("config", ["straight_bvp.json", "cycle_bvp.json"])
+def test_analyze_bvp_draws_from_its_own_seed(capsys, monkeypatch, config):
+    # the solvability analysis starts a fresh stream at --seed; no check
+    # draws from it first
+    from guided_dynamics import bvp
+    fresh = np.random.default_rng(7).bit_generator.state
+    contraction = bvp.check_contraction_minimality
+    states = []
+
+    def spy(system, rng=None):
+        states.append(rng.bit_generator.state)
+        return contraction(system, rng=rng)
+
+    monkeypatch.setattr(bvp, "check_contraction_minimality", spy)
+    code, out, _ = run(capsys, ["analyze-bvp", "--config", cfg(config),
+                                "--seed", "7", "--no-meta"])
+    assert states == [fresh]
+    rep = bvp.analyze_solvability(
+        bvp.build_boundary_system(cli._bvp_problem(load_config(cfg(config)))),
+        rng=np.random.default_rng(7))
+    want = {"command": "analyze-bvp", "status": rep.status,
+            "route": rep.route, "grade": rep.grade,
+            "fixed_points": [dataclasses.asdict(fp)
+                             for fp in rep.fixed_points],
+            "cycles": [{"points": c.points, "generators": list(c.gens)}
+                       for c in rep.cycle_report.cycles],
+            "notes": rep.notes}
+    assert json.loads(out) == json.loads(json.dumps(cli._jsonable(want)))
+    assert code == (1 if rep.status == "not_solvable" else 0)
 
 
 def test_weak_attractor_command(capsys):
@@ -1232,6 +1322,47 @@ def test_every_public_function_has_a_caller_in_src():
         f"no caller in src/: {sorted(uncalled - UNCALLED_PUBLIC.keys())}"
     # the allowlist names only functions and methods that still need it
     assert uncalled == UNCALLED_PUBLIC.keys()
+
+
+def unread_imports(root):
+    """`path:line: name` for every name that a module of src/, tests/ or
+    tools/ under `root` imports and never reads; names in the module's
+    `__all__` and `from __future__` imports are exempt."""
+    import ast
+    found = []
+    for folder in ("src/guided_dynamics", "tests", "tools"):
+        for name in sorted(os.listdir(os.path.join(root, folder))):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, folder, name),
+                      encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            imported, read = {}, set()
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                        getattr(node, "module", None) != "__future__":
+                    for a in node.names:
+                        # `import a.b` binds a
+                        imported[a.asname or a.name.split(".")[0]] = \
+                            node.lineno
+                elif isinstance(node, ast.Name) and \
+                        not isinstance(node.ctx, ast.Store):
+                    read.add(node.id)
+                elif isinstance(node, ast.Assign) and any(
+                        getattr(t, "id", None) == "__all__"
+                        for t in node.targets):
+                    read |= set(ast.literal_eval(node.value))
+            found += [f"{folder}/{name}:{line}: {bound}"
+                      for bound, line in sorted(imported.items())
+                      if bound not in read]
+    return found
+
+
+def test_every_imported_name_is_read():
+    # no linter runs here: an import that its module never reads hides
+    # what the module really depends on
+    root = os.path.join(os.path.dirname(__file__), "..")
+    assert unread_imports(root) == []
 
 
 @pytest.mark.parametrize("command", ["orbit", "weak-attractor"])

@@ -17,7 +17,7 @@ from guided_dynamics.gds import (CircleSpace,
                                  ContractionMinimalityCertificate,
                                  ContractionRefusal, FiniteGraphSpace,
                                  GeneratorMap, GuidedSystem, GuidingSet,
-                                 Interval, Orbit, OrbitGraph,
+                                 Interval, OrbitGraph,
                                  allowed_generators, build_orbit_graph,
                                  check_contraction_minimality,
                                  find_guided_cycles, guided_orbit_set,

@@ -16,6 +16,13 @@ separate, untimed call counts the z(t) elements each stage asks for and
 how many of them are distinct (by exact bits), through a counting wrapper
 around the `z_of_t` each boundary system gets.
 
+A `conjugacy` row times the sampled omega-conjugacy check,
+`verify_conjugacy` as the `bvp` module calls it, and counts its z(t)
+elements apart from the stage around it. A checkout whose `solve_bvp`
+runs the check (inside build) is timed there; otherwise the check is
+timed in 5 runs of the `verify-conjugacy` subcommand at seed 0, and the
+row says that `solve_bvp` does not run it.
+
     python tools/bench_bvp.py
     python tools/bench_bvp.py --root ../parent-checkout
 
@@ -54,6 +61,17 @@ def _time_stages(bvp, log):
                 log[stage] = time.perf_counter() - start
         setattr(bvp, name, timed)
 
+    def checked(*args, fn=bvp.verify_conjugacy, **kwargs):
+        outer = log.get("stage")
+        log["stage"] = "conjugacy"
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            log["conjugacy"] = time.perf_counter() - start
+            log["stage"] = outer
+    bvp.verify_conjugacy = checked
+
 
 def _count_z_of_t(np, bvp, log, bits):
     """Make every boundary system's z_of_t append the bits of its input to
@@ -86,25 +104,42 @@ def main():
     log = {}
     _time_stages(bvp, log)
     for config in CONFIGS:
-        problem = cli._bvp_problem(cli.load_config(str(root / "configs" /
-                                                       config)))
+        cfg = cli.load_config(str(root / "configs" / config))
+        problem = cli._bvp_problem(cfg)
         bits = {}
         undo = _count_z_of_t(np, bvp, log, bits)
+        log.pop("conjugacy", None)
         bvp.solve_bvp(problem)
         undo()
-        best = {stage: float("inf") for stage, _ in STAGES}
+        where = "inside build" if "conjugacy" in log else None
+        rows = [stage for stage, _ in STAGES] + ["conjugacy"]
+        best = {stage: float("inf") for stage in rows}
         for _ in range(REPEATS):
             gc.collect()
             bvp.solve_bvp(problem)
             for stage in best:
-                best[stage] = min(best[stage], log[stage])
-        for stage, _ in STAGES:
+                best[stage] = min(best[stage], log.get(stage, best[stage]))
+        if where is None:
+            where = "verify-conjugacy only, solve_bvp does not run it"
+            seed0 = argparse.Namespace(seed=0)
+            check_bits = {}
+            undo = _count_z_of_t(np, bvp, log, check_bits)
+            cli.cmd_verify_conjugacy(cfg, seed0)
+            undo()
+            bits["conjugacy"] = check_bits["conjugacy"]
+            for _ in range(REPEATS):
+                gc.collect()
+                cli.cmd_verify_conjugacy(cfg, seed0)
+                best["conjugacy"] = min(best["conjugacy"], log["conjugacy"])
+        for stage in rows:
             keys = bits.get(stage, [np.empty(0, dtype=np.int64)])
             keys = np.concatenate(keys)
             print(f"{config} {stage}: {best[stage] * 1e3:.1f} ms, z(t) "
                   f"{keys.size} elements requested, "
-                  f"{np.unique(keys).size} distinct")
-        print(f"{config} total: {sum(best.values()) * 1e3:.1f} ms "
+                  f"{np.unique(keys).size} distinct"
+                  + (f" ({where})" if stage == "conjugacy" else ""))
+        print(f"{config} total: "
+              f"{sum(best[stage] for stage, _ in STAGES) * 1e3:.1f} ms "
               f"(sum of the stage bests)")
 
 
