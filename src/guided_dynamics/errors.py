@@ -92,7 +92,7 @@ class DataMismatch(GuidedDynamicsError, ValueError):
 
 
 class IllConditioned(GuidedDynamicsError, RuntimeError):
-    """Estimated condition number of the normal system exceeds the cap."""
+    """A condition number, bounded or estimated, exceeds the cap."""
     exit_code, label = NUMERIC_FAILURE
 
     def __init__(self, message, condition_estimate=None):

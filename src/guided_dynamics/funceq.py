@@ -181,7 +181,10 @@ class FunceqSystem:
         on a circle each coefficient and each normalized image must agree
         at t = 0 and t = period, else DomainError."""
         nodes = grid_nodes(domain, M)
-        a_tab = [np.asarray(c(nodes), dtype=float) for c in self.coeffs]
+        # an overflow or invalid value is refused below, labelled
+        with np.errstate(all="ignore"):
+            a_tab = [np.asarray(c(nodes), dtype=float) for c in self.coeffs]
+            i_tab = [np.asarray(m(nodes), dtype=float) for m in self.maps]
         for i, a in enumerate(a_tab):
             bad = np.flatnonzero(~np.isfinite(a) | (a < -1e-9))
             if bad.size:
@@ -193,8 +196,7 @@ class FunceqSystem:
                     detail=f"coefficient {i} is {float(a[k])!r} at node "
                            f"t={node!r}")
         d_tab = []
-        for m in self.maps:
-            img = np.asarray(m(nodes), dtype=float)
+        for m, img in zip(self.maps, i_tab):
             nonfinite = np.flatnonzero(~np.isfinite(img))
             if nonfinite.size:
                 k = nonfinite[0]
@@ -247,9 +249,13 @@ def apply_operator(system: FunceqSystem, f: GridFunction) -> GridFunction:
 
 @dataclass
 class ContractionCertificate:
+    """||A^m|| = norm < 1 - margin on the grid; norms = [||A^0||, ...,
+    ||A^m||] bound ||(I - A)^{-1}|| <= sum_{k<m} ||A^k|| / (1 - norm).
+    The report carries m, norm and grid only."""
     m: int
     norm: float
     grid: int
+    norms: tuple
 
     def to_dict(self):
         return {"m": self.m, "norm": self.norm, "grid": self.grid}
@@ -303,7 +309,7 @@ def certify_contraction(system: FunceqSystem, m_max: int = 64,
     norms = power_norms(system.grid_operator(system.space, M), m_max)
     if norms[-1] < 1.0 - CONTRACTION_MARGIN:
         return ContractionCertificate(m=len(norms) - 1, norm=norms[-1],
-                                      grid=M)
+                                      grid=M, norms=tuple(norms))
     return ContractionFailure(m_max=m_max, norm=norms[-1], grid=M)
 
 

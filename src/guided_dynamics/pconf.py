@@ -10,30 +10,29 @@ The IVP is solved through the twice-differentiated equation: w = f''
 satisfies (I - L - K) w = h'' with (L w)(t) = sum_i delta_i'(t)^2
 w(delta_i(t)) and the compact integral part (K w)(t) = sum_i delta_i''(t)
 [mu + int_c^{delta_i(t)} w]; S is its collocation matrix on the grid.
-When every delta_i is affine, K = 0 and S = I - L: if L and L^T are
-certified contractions (funceq.power_norms), S and S^T are solved by
-fixed-point iteration. Otherwise the grid equation is one sparse system in
-w and its cumulative trapezoid integral F, factored once by SuperLU; S is
-then its Schur complement and is never formed. The condition gate uses
-the exact 1-norm of S times a 1-norm estimate of S^{-1} through the same
-solves. f is rebuilt by cumulative trapezoid rule with f'(c) = mu and its
-additive constant pinned by the anchor identity sum_{0<i<N} f(a_i) =
--h(a_0). The value-level collocation system (M+1 equation rows plus one
-derivative row) is assembled only to report the residuals of the returned
-solution.
+When every delta_i is affine, K = 0 and w solves the functional equation
+w - L w = h'' of funceq.FunceqSystem(interval, maps, [delta_i'^2]), whose
+certificate also bounds kappa_inf(S). Otherwise the grid equation is one
+sparse system in w and its cumulative trapezoid integral F, factored once
+by SuperLU, and kappa_1(S) is estimated through the factor. f is rebuilt
+by cumulative trapezoid rule with f'(c) = mu and its additive constant
+pinned by the anchor identity sum_{0<i<N} f(a_i) = -h(a_0). The
+value-level collocation system (M+1 equation rows plus one derivative row)
+is assembled only to report the residuals of the returned solution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (DataMismatch, IllConditioned, NoConvergence,
-                     PConfigViolation)
+from .errors import (DataMismatch, IllConditioned, MapEscape,
+                     NoConvergence, PConfigViolation)
 from .exprlang import _scalar, as_callable
-from .funceq import (CONTRACTION_MARGIN, GridFunction, interp_weights,
-                     interpolation_matrix, iterate_contraction, power_norms)
+from .funceq import (ContractionFailure, FunceqSystem, GridFunction,
+                     certify_contraction, interp_weights, interpolation_matrix,
+                     iterate_contraction)
 from .gds import Interval, map_from, zero_band_guiding
 
 __all__ = [
@@ -42,14 +41,14 @@ __all__ = [
 ]
 
 DERIVATIVE_ROOT_TOL = 1e-9
-# the condition gate: solve_ivp refuses kappa_1(S) above this
+# the condition gate: solve_ivp refuses S when its condition bound (affine
+# route) or estimate (factored route) exceeds this
 COND_CAP = 1e13
 # a map whose |delta_i''| stays below this on the grid is affine: no K term
 AFFINE_TOL = 1e-14
-# the affine route: certificate depth, the a-posteriori error of each
-# solve relative to its sup-norm (a few ulps), and the sweeps one solve
-# may take before the call goes to the factored route
-AFFINE_M_MAX = 64
+# the affine route: the a-posteriori error of the solve relative to its
+# sup-norm (a few ulps), and the sweeps it may take before the call goes
+# to the factored route
 AFFINE_RTOL = 4.0 * np.finfo(float).eps
 AFFINE_MAX_SWEEPS = 1000
 
@@ -166,18 +165,19 @@ class IvpProblem:
 
 @dataclass
 class IvpDiagnostics:
+    """condition_bound bounds kappa_inf(S) (affine route),
+    condition_estimate estimates kappa_1(S) (factored route); to_dict
+    leaves out the one that is None."""
     residual: float
     derivative_defect: float
     anchor_identity_defect: float
-    condition_estimate: float
     grid: int
+    condition_estimate: float = None
+    condition_bound: float = None
 
     def to_dict(self):
-        return {"residual": self.residual,
-                "derivative_defect": self.derivative_defect,
-                "anchor_identity_defect": self.anchor_identity_defect,
-                "condition_estimate": self.condition_estimate,
-                "grid": self.grid}
+        return {key: value for key, value in asdict(self).items()
+                if value is not None}
 
 
 @dataclass
@@ -333,64 +333,72 @@ def _schur_norm1(n, entries, stair_k, stair_a, kc):
     return float(np.max(colsum))
 
 
-def _contraction_solver(problem, nodes, step, M):
-    """The affine route. When every |delta_i''| is at most AFFINE_TOL on
-    the grid, K = 0 and S = I - L with L = sum_i diag(delta_i'^2)
-    J(delta_i), J(y) the rows of linear interpolation at y, assembled as
-    one CSR matrix and never as the (w, F) system. L >= 0 entrywise, so
-    power_norms gives ||L^j|| and ||(L^T)^j||; both must certify a
-    contraction. Each solve of S or S^T iterates x <- A x + b from b and
-    stops when the a-posteriori bound puts its error within AFFINE_RTOL
-    of its sup-norm: with d = x_{k+1} - x_k, x_{k+1} - x = A (I - A)^{-1} d
-    and ||A (I - A)^{-1}|| = ||sum_{k>=1} A^k|| <= sum_{j=1..m} ||A^j|| /
-    (1 - ||A^m||).
+def _condition_gate(cond, name):
+    if cond > COND_CAP:
+        raise IllConditioned(
+            f"second-derivative system {name} {cond:.3e} > {COND_CAP:.1e}",
+            condition_estimate=cond)
 
-    Returns (h'', ||S||_1, solve) as _factored_solver does, or None when
-    some map is not affine or either certificate is refused or too slow. A
-    solve that misses its bound within AFFINE_MAX_SWEEPS raises
-    NoConvergence.
+
+def _iterated_solve(problem, nodes, step, M):
+    """The affine route: (w, bound of kappa_inf(S)), or None to take the
+    factored route.
+
+    K = 0 when every |delta_i''| is at most AFFINE_TOL on the grid, and S
+    = I - L for L the grid operator of FunceqSystem(interval, maps,
+    [delta_i'^2]). Its certificate, q = ||L^m|| < 1, gives ||S^{-1}|| <=
+    sum_{k<m} ||L^k|| / (1 - q) (infinity norms on the grid), hence the
+    bound. w <- L w + h'' from h'' stops once its a-posteriori error
+    sum_{j=1..m} ||L^j|| / (1 - q) * ||w_{k+1} - w_k|| is within
+    AFFINE_RTOL of ||w_{k+1}||. None when a map is not affine, an image
+    escapes by more than the grid operator allows (validate_pconfiguration
+    allows more), the certificate is refused or too slow, or the solve
+    misses its bound within AFFINE_MAX_SWEEPS sweeps.
     """
     import scipy.sparse
     pc = problem.pconf
     if not all(np.max(np.abs(_map_second_derivative(g, nodes, step)))
                <= AFFINE_TOL for g in pc.maps):
         return None
-    L = interpolation_matrix(
-        pc.interval, [np.asarray(g(nodes), dtype=float) for g in pc.maps],
-        [np.asarray(g.derivative(nodes), dtype=float) ** 2 for g in pc.maps])
-    sweeps, rates = {}, []
-    for trans, A in (("N", L), ("T", L.T.tocsr())):
-        norms = power_norms(A, AFFINE_M_MAX)
-        if not norms[-1] < 1.0 - CONTRACTION_MARGIN:
-            return None
-        sweeps[trans] = A, sum(norms[1:]) / (1.0 - norms[-1])
-        rates.append(np.log(norms[-1]) / (len(norms) - 1))
-    # L and L^T share their spectral radius, which both certificates bound:
+    system = FunceqSystem(pc.interval, pc.maps, [
+        lambda t, g=g: np.asarray(g.derivative(t), dtype=float) ** 2
+        for g in pc.maps])
+    try:
+        cert = certify_contraction(system, M=M)
+    except MapEscape:
+        return None
+    if isinstance(cert, ContractionFailure):
+        return None
+    gain = sum(cert.norms[1:]) / (1.0 - cert.norm)
     # refuse a contraction too slow to shrink the bound to AFFINE_RTOL
-    # within AFFINE_MAX_SWEEPS sweeps at the better of the two rates
-    if any(np.log(AFFINE_RTOL / gain) < AFFINE_MAX_SWEEPS * min(rates)
-           for _, gain in sweeps.values()):
+    # within AFFINE_MAX_SWEEPS sweeps at its certified rate
+    if np.log(AFFINE_RTOL / gain) < \
+            AFFINE_MAX_SWEEPS * np.log(cert.norm) / cert.m:
+        return None
+    L = system.grid_operator(pc.interval, M)
+    s_norm = float(abs(scipy.sparse.identity(M + 1, format="csr") - L)
+                   .sum(axis=1).max())
+    bound = s_norm * sum(cert.norms[:-1]) / (1.0 - cert.norm)
+    _condition_gate(bound, "condition bound")
+    b = _second_derivative_values(problem, nodes, step)
+    try:
+        return iterate_contraction(
+            L, b, b, lambda y, change:
+            gain * change <= AFFINE_RTOL * np.max(np.abs(y)),
+            AFFINE_MAX_SWEEPS)[0], bound
+    except NoConvergence:
         return None
 
-    def solve_s(x, trans="N"):
-        A, gain = sweeps[trans]
-        b = np.ravel(x)
-        return iterate_contraction(
-            A, b, b, lambda y, change:
-            gain * change <= AFFINE_RTOL * np.max(np.abs(y)),
-            AFFINE_MAX_SWEEPS)[0]
 
-    S = scipy.sparse.identity(M + 1, format="csr") - L
-    return (_second_derivative_values(problem, nodes, step),
-            float(abs(S).sum(axis=0).max()), solve_s)
-
-
-def _factored_solver(problem, nodes, step, M):
-    """(right-hand side of the w rows, ||S||_1, solve) through one SuperLU
-    factor of the (w, F) system of _second_derivative_system; solve(x,
-    trans) applies S^{-1} ("N") or S^{-T} ("T"). Raises IllConditioned
-    when the factor is exactly singular."""
-    from scipy.sparse.linalg import splu
+def _factored_solve(problem, nodes, step, M):
+    """The factored route: (w, kappa_1(S) estimate) through one SuperLU
+    factor of the (w, F) system of _second_derivative_system.
+    kappa_1(S) = ||S||_1 ||S^{-1}||_1 takes ||S||_1 exactly and
+    ||S^{-1}||_1 by the Hager-Higham estimator with one start vector
+    (deterministic; it leaves np.random alone) through solves with S and
+    S^T. Raises IllConditioned when the factor is exactly singular or the
+    estimate exceeds COND_CAP."""
+    from scipy.sparse.linalg import LinearOperator, onenormest, splu
     system, rhs, s_norm = _second_derivative_system(problem, nodes, step, M)
     try:
         lu = splu(system)
@@ -404,14 +412,6 @@ def _factored_solver(problem, nodes, step, M):
         return lu.solve(np.concatenate([np.ravel(x), pad]),
                         trans=trans)[:M + 1]
 
-    return rhs, s_norm, solve_s
-
-
-def _gated_solve(solver, M):
-    """w = S^{-1} rhs and kappa_1(S) = ||S||_1 ||S^{-1}||_1 for a solver of
-    _contraction_solver or _factored_solver, after the condition gate."""
-    from scipy.sparse.linalg import LinearOperator, onenormest
-    rhs, s_norm, solve_s = solver
     # t = 1: larger t draws start vectors from the global np.random state
     inv_norm = onenormest(LinearOperator(
         (M + 1, M + 1), matvec=solve_s,
@@ -419,10 +419,7 @@ def _gated_solve(solver, M):
     cond_est = s_norm * float(inv_norm)
     if not np.isfinite(cond_est):
         cond_est = np.inf
-    if cond_est > COND_CAP:
-        raise IllConditioned(
-            f"second-derivative system condition ~ {cond_est:.3e} "
-            f"> {COND_CAP:.1e}", condition_estimate=cond_est)
+    _condition_gate(cond_est, "condition ~")
     return solve_s(rhs), cond_est
 
 
@@ -436,14 +433,15 @@ def solve_ivp(problem: IvpProblem, M: int) -> IvpSolution:
     squared-derivative weights plus a compact integral part). Its grid
     operator S is solved on one of two routes, chosen from the input:
 
-    - affine: every |delta_i''| is at most AFFINE_TOL on the grid, so the
-      integral part vanishes and S = I - L. When power_norms certifies
-      both L and L^T as contractions, S and S^T are solved by fixed-point
-      iteration, each solve stopped by the certificate's a-posteriori
-      bound at a few ulps of its sup-norm (_contraction_solver). The
-      (w, F) system is never assembled, and no factor is taken.
-    - factored: any other input, a refused or too slow certificate, or a
-      solve that misses its bound within AFFINE_MAX_SWEEPS sweeps. The
+    - affine: every |delta_i''| is at most AFFINE_TOL on the grid, so
+      w - L w = h'' is the functional equation of FunceqSystem(interval,
+      maps, [delta_i'^2]). When certify_contraction certifies L, w is its
+      fixed-point iteration, stopped by the certificate's a-posteriori
+      bound at a few ulps of its sup-norm (_iterated_solve). No factor
+      is taken.
+    - factored: any other input, an image beyond the grid operator's
+      tolerance, a refused or too slow certificate, or a solve that
+      misses its bound within AFFINE_MAX_SWEEPS sweeps. The
       sparse 2(M+1) system of _second_derivative_system in (w, F =
       cumtrapz w) is factored once with SuperLU (COLAMD ordering); w is
       the w-block of its solution for right-hand side [h'', 0]. Time and
@@ -457,14 +455,12 @@ def solve_ivp(problem: IvpProblem, M: int) -> IvpSolution:
     collocation system is still assembled and its residuals at the
     returned solution reported.
 
-    The reported condition_estimate is kappa_1(S) = ||S||_1 ||S^{-1}||_1:
-    ||S||_1 exactly, ||S^{-1}||_1 by the Hager-Higham estimator with one
-    start vector (deterministic; it leaves np.random alone), through the
-    route's own solves.
+    The affine route reports condition_bound >= kappa_inf(S), read from
+    the certificate; the factored route condition_estimate ~ kappa_1(S).
 
     Raises DataMismatch when h(a_0) != h(a_N), and IllConditioned when
     the factorization finds the system exactly singular
-    (condition_estimate = inf) or the estimated condition exceeds
+    (condition_estimate = inf) or the route's condition number exceeds
     COND_CAP.
     """
     pc = problem.pconf
@@ -477,16 +473,13 @@ def solve_ivp(problem: IvpProblem, M: int) -> IvpSolution:
         raise DataMismatch(
             f"|h(a_0) - h(a_N)| = {h_gap!r} >= {problem.tol_data!r}")
 
-    w_sol = None
-    solver = _contraction_solver(problem, nodes, step, M)
-    if solver is not None:
-        try:
-            w_sol, cond_est = _gated_solve(solver, M)
-        except NoConvergence:   # a solve missed its bound in time
-            pass
-    if w_sol is None:
-        w_sol, cond_est = _gated_solve(
-            _factored_solver(problem, nodes, step, M), M)
+    condition = {}
+    iterated = _iterated_solve(problem, nodes, step, M)
+    if iterated is not None:
+        w_sol, condition["condition_bound"] = iterated
+    else:
+        w_sol, condition["condition_estimate"] = _factored_solve(
+            problem, nodes, step, M)
 
     F1 = _cumtrapz(w_sol, step)
     fprime = problem.mu + F1 - float(np.interp(problem.c, nodes, F1))
@@ -509,6 +502,5 @@ def solve_ivp(problem: IvpProblem, M: int) -> IvpSolution:
     diag = IvpDiagnostics(
         residual=float(np.max(np.abs(r[:M + 1]))),
         derivative_defect=abs(float(r[M + 1])),
-        anchor_identity_defect=anchor_defect,
-        condition_estimate=float(cond_est), grid=M)
+        anchor_identity_defect=anchor_defect, grid=M, **condition)
     return IvpSolution(f=f, diagnostics=diag)

@@ -74,6 +74,25 @@ def test_solve_ivp_writes_csv(tmp_path, capsys):
     assert doc["residual"] < 1e-5
 
 
+@pytest.mark.parametrize("config,key,other", [
+    ("standard_pconf.json", "condition_bound", "condition_estimate"),
+    ("quadratic_pconf.json", "condition_estimate", "condition_bound")])
+def test_solve_ivp_reports_its_route_condition_key(capsys, config, key,
+                                                   other):
+    # the affine route reports the certificate's bound of kappa_inf(S),
+    # the factored route its estimate of kappa_1(S)
+    code, out, _ = run(capsys, ["solve-ivp", "--config", cfg(config),
+                                "--h", "0", "--no-meta"])
+    assert code == 0
+    doc = json.loads(out)
+    assert other not in doc
+    if key == "condition_bound":
+        # ||I - L|| = 3/2, m = 1, q = 1/2
+        assert doc[key] == 3.0
+    else:
+        assert np.isfinite(doc[key])
+
+
 def test_missing_config_exit_two(capsys):
     code, _, err = run(capsys, ["solve-bvp", "--config", "missing.json"])
     assert code == 2
@@ -312,12 +331,13 @@ def test_coefficient_negative_at_a_node_is_rejected(tmp_path, capsys,
 def test_non_finite_node_value_is_refused(tmp_path, capsys, coeffs, maps,
                                           code, err):
     # NaN passes every comparison that bounds a value, so a NaN or inf
-    # entry would reach the matrix, and a NaN image its cell index
+    # entry would reach the matrix, and a NaN image its cell index. The
+    # refusal is the one line on stderr: the overflow of exp is expected
+    # where the node tables are evaluated, and warns nothing
     path = funceq_config(tmp_path, coeffs, maps)
     for argv in (["certify"], ["solve-fe", "--h", "1"]):
         with warnings.catch_warnings():
-            # the overflow of exp itself
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             got = run(capsys, argv + ["--config", path, "--no-meta"])
         assert got == (code, "", err + "\n")
 

@@ -322,6 +322,10 @@ def test_certificate_quadratic(quadratic_coeff_system):
     assert cert.m == 2
     # g_2(+-1) = 3/4 by direct substitution, and that is the sup
     assert cert.norm == pytest.approx(0.75, abs=1e-4)
+    # the power norms it read ride along, outside the report
+    assert len(cert.norms) == 3
+    assert cert.norms[0] == 1.0 and cert.norms[-1] == cert.norm
+    assert cert.to_dict() == {"m": 2, "norm": cert.norm, "grid": 1024}
 
 
 # --------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def test_solve_ivp_curved_configuration(quadratic_pconf):
 def test_ivp_well_conditioned(standard_pconf):
     sol = solve_ivp(IvpProblem(standard_pconf, parse("(t*t-1)/2"),
                                0.0, 0.0), 512)
-    assert sol.diagnostics.condition_estimate < 1e6
+    assert sol.diagnostics.condition_bound < 1e6
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +316,9 @@ def pconfs(standard_pconf, quadratic_pconf, three_map_pconf):
 @pytest.mark.parametrize("name", ["standard", "quadratic", "three-map"])
 def test_sparse_system_matches_dense_reference(name, M, pconfs):
     # the affine configurations take the iterated route of solve_ivp, the
-    # quadratic one the factored route; both against the dense LU of S
+    # quadratic one the factored route; both against the dense LU of S.
+    # The iterated route bounds kappa_inf(S), the factored one estimates
+    # kappa_1(S)
     pc = pconfs[name]
     h = _poly_h([0.3, -0.2, 0.5, 0.1, -0.4, 0.25], _MAPS[name])
     a0, aN = pc.interval.a, pc.interval.b
@@ -343,8 +345,12 @@ def test_sparse_system_matches_dense_reference(name, M, pconfs):
             rcond, _ = dgecon(lu, anorm)
             w = scipy.linalg.lu_solve((lu, piv), rhs)
             sol = solve_ivp(problem, M)
-            cond = sol.diagnostics.condition_estimate
-            assert abs(cond * rcond - 1.0) <= 1e-9
+            if name == "quadratic":
+                cond = sol.diagnostics.condition_estimate
+                assert abs(cond * rcond - 1.0) <= 1e-9
+            else:
+                assert np.linalg.cond(S, np.inf) <= \
+                    sol.diagnostics.condition_bound * (1.0 + 1e-12)
             f_ref = _reference_f(problem, M, w)
             assert np.max(np.abs(sol.f.values - f_ref)) <= \
                 1e-8 * np.max(np.abs(f_ref))
@@ -410,7 +416,9 @@ def test_only_non_affine_configurations_factor(monkeypatch, pconfs, name,
     h = _poly_h([0.3, -0.2, 0.5, 0.1, -0.4, 0.25], _MAPS[name])
     sol = solve_ivp(IvpProblem(pc, h, pc.interval.a, 0.7), 256)
     assert len(calls) == factors
-    assert np.isfinite(sol.diagnostics.condition_estimate)
+    condition = (sol.diagnostics.condition_estimate if factors
+                 else sol.diagnostics.condition_bound)
+    assert np.isfinite(condition)
 
 
 @pytest.mark.parametrize("p,factors", [(0.9, 0), (0.99, 1)])
@@ -440,8 +448,27 @@ def test_iteration_out_of_sweeps_takes_the_factor(monkeypatch,
     assert len(calls) == 1
     np.testing.assert_allclose(factored.f.values, iterated.f.values,
                                rtol=0, atol=1e-13)
-    assert abs(factored.diagnostics.condition_estimate
-               / iterated.diagnostics.condition_estimate - 1.0) <= 1e-9
+    # each route reports its own condition key, never both
+    assert set(iterated.diagnostics.to_dict()) & {
+        "condition_bound", "condition_estimate"} == {"condition_bound"}
+    assert set(factored.diagnostics.to_dict()) & {
+        "condition_bound", "condition_estimate"} == {"condition_estimate"}
+
+
+def test_near_escape_configuration_takes_the_factor(monkeypatch):
+    # validate_pconfiguration lets delta_1(-1) = -1 - 5e-9 pass (tol 1e-8),
+    # the grid operator of the affine route refuses it (beyond 1e-9): the
+    # call takes the factored route instead of failing
+    pc = validate_pconfiguration(
+        [parse("0.5*t - 0.500000005"), parse("0.5*t + 0.5")],
+        Interval(-1.0, 1.0), (-1.0, 0.0, 1.0))
+    calls = _splu_spy(monkeypatch)
+    sol = solve_ivp(IvpProblem(pc, parse("0"), 0.0, 1.0), 256)
+    assert len(calls) == 1
+    assert sol.diagnostics.condition_bound is None
+    assert 1.0 < sol.diagnostics.condition_estimate < 10.0
+    np.testing.assert_allclose(sol.f.values, sol.f.nodes, rtol=0,
+                               atol=1e-7)
 
 
 def test_solve_ivp_memory_linear_in_grid(quadratic_pconf):

@@ -35,9 +35,11 @@ appears as `<tmp>` in keys, stdout and stderr.
 `--compare OLD NEW` writes no snapshot: it prints one line per difference
 between two snapshots and exits 1 if it printed any. A difference is a
 key in only one of them, an exit code, stdout that is not a JSON report,
-stderr or CSV sha256 that is not identical, a report value that is not a
-number and is not identical, or a report number that differs by more
-than `--rtol` (default 0) relative to the larger of the two.
+stderr or CSV sha256 that is not identical, a report key in only one of
+the two reports (at any depth: a renamed key shows as one line per name),
+a report value that is not a number and is not identical, or a report
+number that differs by more than `--rtol` (default 0) relative to the
+larger of the two.
 """
 
 import argparse
@@ -119,24 +121,27 @@ def snapshot(root, workloads=False):
 
 
 def _report_diffs(path, old, new, rtol):
-    """(path, old, new) of each leaf where two parsed reports differ:
-    numbers by more than rtol relative, anything else at all."""
+    """One description per difference between two parsed reports: a key
+    that only one of two objects has, numbers that differ by more than
+    rtol relative, and any other leaf that is not identical."""
     def number(v):
         return isinstance(v, (int, float)) and not isinstance(v, bool)
 
     if number(old) and number(new):
         same = math.isclose(old, new, rel_tol=rtol) or \
             (old != old and new != new)     # both NaN
-        return [] if same else [(path, old, new)]
-    if isinstance(old, dict) and isinstance(new, dict) and \
-            old.keys() == new.keys():
-        return [d for k in old
-                for d in _report_diffs(f"{path}/{k}", old[k], new[k], rtol)]
+        return [] if same else [f"{path or '/'} {old!r} -> {new!r}"]
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [f"{path}/{k} only in {side}"
+                for side, a, b in (("OLD", old, new), ("NEW", new, old))
+                for k in sorted(a.keys() - b.keys())] + \
+            [d for k in old if k in new
+             for d in _report_diffs(f"{path}/{k}", old[k], new[k], rtol)]
     if isinstance(old, list) and isinstance(new, list) and \
             len(old) == len(new):
         return [d for i, (a, b) in enumerate(zip(old, new))
                 for d in _report_diffs(f"{path}/{i}", a, b, rtol)]
-    return [] if old == new else [(path, old, new)]
+    return [] if old == new else [f"{path or '/'} {old!r} -> {new!r}"]
 
 
 def _parse_report(text):
@@ -169,9 +174,8 @@ def compare(old, new, rtol):
             lines.append(f"{key}: exit code {code_a} -> {code_b}")
         if err_a != err_b:
             lines.append(f"{key}: stderr {err_a!r} -> {err_b!r}")
-        lines += [f"{key}: report {path or '/'} {a!r} -> {b!r}"
-                  for path, a, b in _report_diffs(
-                      "", *map(_parse_report, reports), rtol)]
+        lines += [f"{key}: report {d}" for d in _report_diffs(
+            "", *map(_parse_report, reports), rtol)]
     return lines
 
 
