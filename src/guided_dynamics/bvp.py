@@ -385,7 +385,7 @@ class FixedPointResult:
     in_guiding: bool = False
 
 
-def fixed_point(map_fn, bracket, d_fn=None) -> FixedPointResult:
+def fixed_point(map_fn, bracket, d_fn) -> FixedPointResult:
     """Brent's method (scipy.optimize.brentq, xtol=1e-13) on map(t) - t. The
     attracting-fixed-point statement needs derivative < 1;
     |derivative - 1| < 1e-6 is reported inconclusive."""
@@ -408,11 +408,7 @@ def fixed_point(map_fn, bracket, d_fn=None) -> FixedPointResult:
         from scipy.optimize import brentq
         t_star, info = brentq(g, lo, hi, xtol=1e-13, full_output=True)
         it = info.iterations
-    if d_fn is not None:
-        deriv = _scalar(as_callable(d_fn), t_star)
-    else:
-        h = 1e-6
-        deriv = (_scalar(fn, t_star + h) - _scalar(fn, t_star - h)) / (2 * h)
+    deriv = _scalar(as_callable(d_fn), t_star)
     return FixedPointResult(t_star=t_star, derivative=deriv,
                             conclusive=abs(deriv - 1.0) >= 1e-6,
                             iterations=it)
@@ -577,7 +573,7 @@ class BvpVerification:
     fd_step: float
     interior_points: int
 
-    def to_dict(self, verdict="solvable"):
+    def to_dict(self, verdict):
         return {"boundary_defect": self.boundary_defect,
                 "pde_residual": self.pde_residual,
                 "verdict": verdict}
@@ -632,9 +628,7 @@ class BvpSolution:
 
 
 def solve_bvp(problem: BoundaryProblem, M: int = 512, mu: float = 0.0,
-              analyze: bool = True, eps: float = 0.01,
-              depth: int = 10 ** 5,
-              system: BoundarySystem = None) -> BvpSolution:
+              eps: float = 0.01, depth: int = 10 ** 5) -> BvpSolution:
     """Full pipeline: build the boundary system, check solvability,
     reduce the boundary data, solve the interval problem for chi with
     chi'(0) = mu, back-substitute phi and psi, and verify.
@@ -642,15 +636,12 @@ def solve_bvp(problem: BoundaryProblem, M: int = 512, mu: float = 0.0,
     The gauge mu only shears the triple: the reconstructed field u is
     invariant because phi and psi absorb the linear terms.
     """
-    if system is None:
-        system = build_boundary_system(problem)
-    solvability = None
-    if analyze:
-        solvability = analyze_solvability(system, eps=eps, depth=depth)
-        if solvability.status == "not_solvable":
-            raise NotSolvableError(
-                f"solvability analysis refused (route "
-                f"{solvability.route})", report=solvability)
+    system = build_boundary_system(problem)
+    solvability = analyze_solvability(system, eps=eps, depth=depth)
+    if solvability.status == "not_solvable":
+        raise NotSolvableError(
+            f"solvability analysis refused (route {solvability.route})",
+            report=solvability)
     reduction = reduce_boundary_data(problem, system, M)
     ivp = solve_ivp(IvpProblem(system.pconf, reduction.h_callable,
                                c=0.0, mu=mu), M)

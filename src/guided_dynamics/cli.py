@@ -645,8 +645,7 @@ def cmd_solve_bvp(cfg, args):
                                     if rep and rep.witness_cycle else None)}
         return report, NEGATIVE_VERDICT_EXIT
     report = {"command": "solve-bvp",
-              **sol.verification.to_dict(verdict=sol.solvability.status
-                                         if sol.solvability else "skipped"),
+              **sol.verification.to_dict(sol.solvability.status),
               "chi0_defect": sol.triple.chi0_defect,
               "collocation_residual": sol.ivp_diagnostics.residual,
               "grid": args.grid}

@@ -32,7 +32,7 @@ CONTRACTION_MARGIN = 1e-6
 __all__ = [
     "GridFunction", "FunceqSystem", "ContractionCertificate",
     "ContractionFailure", "NeumannReport",
-    "interp_weights", "interpolation_matrix",
+    "node_values", "interp_weights", "interpolation_matrix",
     "apply_operator", "power_norms", "certify_contraction",
     "iterate_contraction", "solve_neumann",
 ]
@@ -43,6 +43,22 @@ def grid_nodes(domain, M):
     if isinstance(domain, CircleSpace):
         return np.linspace(0.0, domain.period, M + 1)
     return np.linspace(domain.a, domain.b, M + 1)
+
+
+def node_values(fn, nodes, name):
+    """fn at the nodes, as an array of their shape. A value that is not
+    finite raises HypothesisFailure naming `name` and its first such
+    node; the overflow or invalid value on the way there warns nothing,
+    since it is refused here."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(fn(nodes), dtype=float) * np.ones_like(nodes)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        node = float(nodes[bad[0]])
+        raise HypothesisFailure(
+            "right-hand side is finite", witness=node,
+            detail=f"{name} is {float(vals[bad[0]])!r} at node t={node!r}")
+    return vals
 
 
 def interp_weights(domain, y, M):
@@ -103,7 +119,8 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, domain, M, fn):
-        vals = np.array(as_callable(fn)(grid_nodes(domain, M)), dtype=float)
+        """The right-hand side h = fn at the M+1 nodes (node_values)."""
+        vals = node_values(as_callable(fn), grid_nodes(domain, M), "h")
         if isinstance(domain, CircleSpace):
             vals[-1] = vals[0]
         return cls(domain, vals)
@@ -134,9 +151,9 @@ class GridFunction:
         write_csv(path, "t,value", [self.nodes, self.values])
 
     @classmethod
-    def from_csv(cls, path, domain=None):
+    def from_csv(cls, path, domain):
         """Read (t, value) rows. The t column must be the uniform grid on
-        domain (default [t_0, t_M]) within 1e-9 (1 + step)."""
+        domain within 1e-9 (1 + step)."""
         with warnings.catch_warnings():     # no rows is the error below
             warnings.filterwarnings("ignore", "loadtxt: input contained no")
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -145,8 +162,6 @@ class GridFunction:
                              f"{data.shape[0]} rows of {data.shape[1]} "
                              f"columns")
         ts, vals = data[:, 0], data[:, 1]
-        if domain is None:
-            domain = Interval(float(ts[0]), float(ts[-1]))
         M = len(ts) - 1
         nodes = grid_nodes(domain, M)
         if not np.max(np.abs(ts - nodes)) <= 1e-9 * (1 + domain.length / M):
@@ -167,10 +182,6 @@ class FunceqSystem:
         if len(self.coeffs) != len(self.maps):
             raise ValueError("one coefficient per map required")
         self._grid_operators = {}
-
-    @property
-    def n_maps(self):
-        return len(self.maps)
 
     def node_tables(self, domain, M):
         """Coefficient and image arrays at the M+1 grid nodes of domain.

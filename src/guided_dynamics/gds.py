@@ -67,9 +67,10 @@ class Interval:
     def normalize(self, x):
         return np.clip(x, self.a, self.b)
 
-    def contains(self, x, tol=TOL_RANGE):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return bool(np.all((x >= self.a - tol) & (x <= self.b + tol)))
+        return bool(np.all((x >= self.a - TOL_RANGE)
+                           & (x <= self.b + TOL_RANGE)))
 
     def cell_count(self, eps):
         return max(1, int(math.ceil(self.length / eps)))
@@ -109,7 +110,7 @@ class CircleSpace:
     def normalize(self, x):
         return np.mod(x, self.period)
 
-    def contains(self, x, tol=TOL_RANGE):
+    def contains(self, x):
         """Whether every x is an angle: any finite real."""
         return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
 
@@ -156,7 +157,7 @@ class FiniteGraphSpace:
     def normalize(self, x):
         return np.asarray(x)
 
-    def contains(self, x, tol=0.0):
+    def contains(self, x):
         """Whether every x is a node: an integer in [0, n_nodes)."""
         x = np.asarray(x)
         return bool(np.all((x >= 0) & (x < self.n_nodes)

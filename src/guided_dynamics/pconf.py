@@ -32,7 +32,7 @@ from .errors import (DataMismatch, IllConditioned, MapEscape,
 from .exprlang import _scalar, as_callable
 from .funceq import (ContractionFailure, FunceqSystem, GridFunction,
                      certify_contraction, interp_weights, interpolation_matrix,
-                     iterate_contraction)
+                     iterate_contraction, node_values)
 from .gds import Interval, map_from, zero_band_guiding
 
 __all__ = [
@@ -78,7 +78,8 @@ def validate_pconfiguration(maps, interval, anchors,
     return the configuration, or raise PConfigViolation naming the first
     violated condition with a witness point.
 
-    Maps must be ordered so that map i covers [a_{i-1}, a_i].
+    Maps must be ordered so that map i covers [a_{i-1}, a_i], and each
+    needs its first and second derivatives (derivative_missing).
     """
     interval = interval if isinstance(interval, Interval) else \
         Interval(*interval)
@@ -94,7 +95,7 @@ def validate_pconfiguration(maps, interval, anchors,
         raise PConfigViolation("map_count",
                                detail="need one map per anchor gap")
     for g in gmaps:
-        if not g.has_derivative:
+        if not g.has_derivative or g.d2fn is None:
             raise PConfigViolation("derivative_missing",
                                    detail=f"map {g.label}")
     ts = np.linspace(interval.a, interval.b, 2049)
@@ -160,7 +161,7 @@ class IvpProblem:
     def h_values(self, nodes):
         if isinstance(self.h, GridFunction):
             return self.h.eval(nodes)
-        return np.asarray(as_callable(self.h)(nodes), dtype=float)
+        return node_values(as_callable(self.h), nodes, "h")
 
 
 @dataclass
@@ -220,27 +221,22 @@ def _second_derivative_values(problem, nodes, step):
     from one, and as 0 (h linear between its two samples) from none."""
     from .exprlang import Expression, differentiate
     if isinstance(problem.h, Expression):
-        return np.asarray(
-            differentiate(differentiate(problem.h)).eval(nodes),
-            dtype=float) * np.ones_like(nodes)
-    h_vals = problem.h_values(nodes)
-    inner = (h_vals[:-2] - 2.0 * h_vals[1:-1] + h_vals[2:]) / step ** 2
-    if inner.size >= 2:
-        ends = (2.0 * inner[0] - inner[1], 2.0 * inner[-1] - inner[-2])
-    else:
-        ends = (inner[0], inner[0]) if inner.size else (0.0, 0.0)
-    return np.concatenate(([ends[0]], inner, [ends[1]]))
+        return node_values(differentiate(differentiate(problem.h)).eval,
+                           nodes, "h''")
+
+    def second_differences(nodes):
+        h_vals = problem.h_values(nodes)
+        inner = (h_vals[:-2] - 2.0 * h_vals[1:-1] + h_vals[2:]) / step ** 2
+        if inner.size >= 2:
+            ends = (2.0 * inner[0] - inner[1], 2.0 * inner[-1] - inner[-2])
+        else:
+            ends = (inner[0], inner[0]) if inner.size else (0.0, 0.0)
+        return np.concatenate(([ends[0]], inner, [ends[1]]))
+    return node_values(second_differences, nodes, "h''")
 
 
-def _map_second_derivative(g, nodes, step):
-    if g.d2fn is not None:
-        return np.asarray(g.d2fn(nodes), dtype=float) * np.ones_like(nodes)
-    d1 = np.asarray(g.derivative(nodes), dtype=float) * np.ones_like(nodes)
-    d2 = np.empty_like(d1)
-    d2[1:-1] = (d1[2:] - d1[:-2]) / (2.0 * step)
-    d2[0] = (d1[1] - d1[0]) / step
-    d2[-1] = (d1[-1] - d1[-2]) / step
-    return d2
+def _map_second_derivative(g, nodes):
+    return np.asarray(g.d2fn(nodes), dtype=float) * np.ones_like(nodes)
 
 
 def _second_derivative_system(problem, nodes, step, M):
@@ -276,7 +272,7 @@ def _second_derivative_system(problem, nodes, step, M):
         k, w = interp_weights(iv, img, M)
         co1 = np.asarray(g.derivative(nodes), dtype=float) ** 2
         w_block += [(idx, k, -co1 * (1.0 - w)), (idx, k + 1, -co1 * w)]
-        co2 = _map_second_derivative(g, nodes, step)
+        co2 = _map_second_derivative(g, nodes)
         if np.max(np.abs(co2)) > AFFINE_TOL:
             tau = img - (iv.a + k * step)
             w_block += [
@@ -357,7 +353,7 @@ def _iterated_solve(problem, nodes, step, M):
     """
     import scipy.sparse
     pc = problem.pconf
-    if not all(np.max(np.abs(_map_second_derivative(g, nodes, step)))
+    if not all(np.max(np.abs(_map_second_derivative(g, nodes)))
                <= AFFINE_TOL for g in pc.maps):
         return None
     system = FunceqSystem(pc.interval, pc.maps, [

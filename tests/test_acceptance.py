@@ -191,8 +191,7 @@ def test_criterion_08_affine_analysis():
 
 def test_criterion_09_bvp_end_to_end(straight_system, curved_system):
     t0 = time.perf_counter()
-    sol = solve_bvp(straight_system.problem, M=512,
-                    system=straight_system)
+    sol = solve_bvp(straight_system.problem, M=512)
     t_straight = time.perf_counter() - t0
     assert sol.verification.fd_step == 1.0 / 128
     assert sol.verification.boundary_defect < 1e-6
@@ -207,7 +206,7 @@ def test_criterion_09_bvp_end_to_end(straight_system, curved_system):
     assert t_straight < 30.0
 
     t0 = time.perf_counter()
-    sol_c = solve_bvp(curved_system.problem, M=1024, system=curved_system)
+    sol_c = solve_bvp(curved_system.problem, M=1024)
     t_curved = time.perf_counter() - t0
     err = field_error(sol_c,
                       lambda x, y: x ** 2 + y ** 2 + (x - y) ** 3)

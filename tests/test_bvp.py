@@ -293,7 +293,7 @@ def test_fixed_point_composites():
 
 def test_fixed_point_iterations_are_brentq_count():
     fn = parse("(t+1)/4 + t^3/8")
-    fp = fixed_point(fn, (-1.0, 1.0))
+    fp = fixed_point(fn, (-1.0, 1.0), d_fn=parse("1/4 + 3*t^2/8"))
     root, info = brentq(lambda t: _scalar(fn, t) - t, -1.0, 1.0,
                         xtol=1e-13, full_output=True)
     assert (fp.t_star, fp.iterations) == (root, info.iterations)
@@ -304,7 +304,7 @@ def test_fixed_point_exact_root_at_bracket_end():
     fp = fixed_point(parse("t/2"), (0.0, 1.0), d_fn=parse("0.5"))
     assert fp.t_star == 0.0
     assert fp.conclusive
-    fp = fixed_point(parse("(t+1)/2"), (0.0, 1.0))
+    fp = fixed_point(parse("(t+1)/2"), (0.0, 1.0), d_fn=parse("0.5"))
     assert fp.t_star == 1.0
 
 
@@ -327,9 +327,9 @@ def test_fixed_point_identity_inconclusive():
 
 def test_fixed_point_no_bracket():
     with pytest.raises(NoBracket):
-        fixed_point(parse("t + 1"), (0.0, 1.0))
+        fixed_point(parse("t + 1"), (0.0, 1.0), d_fn=parse("1"))
     with pytest.raises(NoBracket, match="no sign change"):
-        fixed_point(parse("t - 2e-12"), (0.0, 1.0))
+        fixed_point(parse("t - 2e-12"), (0.0, 1.0), d_fn=parse("1"))
 
 
 # --------------------------------------------------------------------------
@@ -390,8 +390,7 @@ def test_corner_mismatch_rejected_before_reduction():
 # --------------------------------------------------------------------------
 
 def test_solve_straight_quadratic(straight_system):
-    sol = solve_bvp(straight_system.problem, M=512,
-                    system=straight_system)
+    sol = solve_bvp(straight_system.problem, M=512)
     assert field_error(sol, lambda x, y: (x - y) ** 2) < 1e-5
     assert sol.verification.boundary_defect < 1e-6
     assert sol.verification.pde_residual < 1e-3
@@ -407,17 +406,15 @@ def test_solve_straight_harmonic_sum(straight_system):
 
 
 def test_solve_curved_manufactured(curved_system):
-    sol = solve_bvp(curved_system.problem, M=1024, system=curved_system)
+    sol = solve_bvp(curved_system.problem, M=1024)
     err = field_error(sol, lambda x, y: x ** 2 + y ** 2 + (x - y) ** 3)
     assert err < 1e-4
     assert sol.verification.boundary_defect < 1e-5
 
 
 def test_gauge_invariance(straight_system):
-    base = solve_bvp(straight_system.problem, M=256,
-                     system=straight_system, analyze=False)
-    sheared = solve_bvp(straight_system.problem, M=256,
-                        system=straight_system, analyze=False, mu=0.7)
+    base = solve_bvp(straight_system.problem, M=256)
+    sheared = solve_bvp(straight_system.problem, M=256, mu=0.7)
     # the triple shears but the field does not
     assert abs(sheared.triple.chi.eval(0.7) -
                base.triple.chi.eval(0.7)) > 0.1
@@ -433,7 +430,7 @@ def test_gauge_invariance(straight_system):
 
 def test_solve_refuses_cycle_system(cycle_system):
     with pytest.raises(NotSolvableError) as exc:
-        solve_bvp(cycle_system.problem, M=128, system=cycle_system)
+        solve_bvp(cycle_system.problem, M=128)
     assert exc.value.report.witness_cycle is not None
 
 
@@ -480,8 +477,7 @@ def test_fd_residual_refines_on_anisotropic_direction():
 
 
 def test_gauge_record_psi_zero(straight_system):
-    sol = solve_bvp(straight_system.problem, M=256,
-                    system=straight_system, analyze=False)
+    sol = solve_bvp(straight_system.problem, M=256)
     assert abs(sol.triple.psi.eval(0.0)) <= 10 * max(
         sol.ivp_diagnostics.residual, 1e-12)
     assert abs(sol.triple.chi.eval(0.0)) <= 10 * max(

@@ -342,6 +342,38 @@ def test_non_finite_node_value_is_refused(tmp_path, capsys, coeffs, maps,
         assert got == (code, "", err + "\n")
 
 
+# h'' = (1400 + (1400 t)^2) exp(700 t^2) overflows at both ends, where
+# h = exp(700) is still finite; the CSV h (SPIKE_CSV) is finite, but its
+# spike of 1e305 at t = 0 overflows the second differences around it
+@pytest.mark.parametrize("argv,detail", [
+    (["solve-fe", "--config", cfg("standard_funceq.json"), "--h",
+      "exp(1000*t)"], "h is inf at node t=0.7109375"),
+    (["solve-ivp", "--config", cfg("standard_pconf.json"), "--h",
+      "exp(1000*t)-exp(1000*t)"], "h is nan at node t=0.7109375"),
+    (["solve-ivp", "--config", cfg("standard_pconf.json"), "--h",
+      "exp(700*t^2)"], "h'' is inf at node t=-1.0"),
+    (["solve-ivp", "--config", cfg("standard_pconf.json"), "--h",
+      "SPIKE_CSV", "--grid", "512"], "h'' is inf at node t=-0.00390625"),
+], ids=["solve_fe_h", "solve_ivp_h", "solve_ivp_h2", "solve_ivp_csv_h2"])
+def test_non_finite_right_hand_side_is_refused(tmp_path, capsys, argv,
+                                               detail):
+    # the tabulated right-hand side would reach the solve; its overflow is
+    # expected where it is tabulated, and the refusal is the one line
+    if "SPIKE_CSV" in argv:
+        from guided_dynamics.funceq import GridFunction
+        from guided_dynamics.gds import Interval
+        vals = np.zeros(513)
+        vals[256] = 1e305
+        h_csv = tmp_path / "h.csv"
+        GridFunction(Interval(-1.0, 1.0), vals).to_csv(h_csv)
+        argv = [str(h_csv) if a == "SPIKE_CSV" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(capsys, argv + ["--no-meta"])
+    assert got == (1, "", f"rejected: hypothesis failed: right-hand side "
+                          f"is finite ({detail})\n")
+
+
 @pytest.mark.parametrize("maps,coeffs,named", [
     # a coefficient that differs at t = 0 and t = period
     (["t + 1", "t + 2"], ["0.5 + 0.1*t/(2*pi)", "0.3"], "coefficient 0"),
@@ -467,6 +499,17 @@ def test_graph_min(capsys):
                                 cfg("graph_chain.json"), "--no-meta"])
     assert code == 0
     assert json.loads(out)["minimal_subsystems"] == [[2]]
+
+
+def test_probe_graph_cycle_is_minimal_evidence(capsys):
+    # the 5-cycle is one terminal SCC holding every node
+    code, out, _ = run(capsys, ["probe", "--config", cfg("graph_cycle.json"),
+                                "--no-meta"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["via"], doc["coverage"]) == (
+        "minimal_evidence", "terminal_scc", 1.0)
+    assert doc["witness_nodes"] is None
 
 
 def test_verify_conjugacy_command(capsys):

@@ -26,7 +26,7 @@ def test_grid_function_roundtrip_csv(tmp_path):
     f = GridFunction.from_callable(IV, 64, lambda t: t ** 3 - t)
     path = tmp_path / "f.csv"
     f.to_csv(path)
-    g = GridFunction.from_csv(path)
+    g = GridFunction.from_csv(path, IV)
     assert np.array_equal(f.values, g.values)
     assert g.domain.a == -1.0 and g.domain.b == 1.0
 
@@ -42,7 +42,7 @@ def test_grid_function_csv_roundtrip_is_bit_exact(tmp_path):
     f = GridFunction(IV, vals)
     path = tmp_path / "f.csv"
     f.to_csv(path)
-    g = GridFunction.from_csv(path)
+    g = GridFunction.from_csv(path, IV)
     assert np.array_equal(f.values.view(np.uint64), g.values.view(np.uint64))
 
 

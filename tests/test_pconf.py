@@ -10,7 +10,7 @@ from guided_dynamics.errors import (DataMismatch, IllConditioned,
                                     NoConvergence, PConfigViolation)
 from guided_dynamics.exprlang import parse
 from guided_dynamics.gds import (ContractionMinimalityCertificate,
-                                 GuidedSystem, Interval,
+                                 GeneratorMap, GuidedSystem, Interval,
                                  check_contraction_minimality,
                                  probe_minimality, probe_weak_attractor)
 from guided_dynamics.pconf import (IvpProblem, extract_guiding_sets,
@@ -50,6 +50,18 @@ def test_validate_rejects_bad_derivative_sum():
         validate_pconfiguration([parse("(t-1)/3"), parse("(t+1)/2")],
                                 Interval(-1.0, 1.0), (-1.0, 0.0, 1.0))
     assert exc.value.condition in ("derivative_sum", "endpoint_images")
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"dfn": lambda t: 0.5 + 0 * t}],
+                         ids=["no_derivative", "no_second_derivative"])
+def test_validate_requires_both_derivatives(kwargs):
+    # solve_ivp reads delta_i' and delta_i'' at the nodes
+    half = GeneratorMap(lambda t: (t + 1) / 2, label=1, **kwargs)
+    with pytest.raises(PConfigViolation) as exc:
+        validate_pconfiguration([parse("(t-1)/2"), half],
+                                Interval(-1.0, 1.0), (-1.0, 0.0, 1.0))
+    assert exc.value.condition == "derivative_missing"
+    assert str(exc.value).endswith("(map 1)")
 
 
 def test_validate_requires_increasing_anchors():
@@ -274,7 +286,7 @@ def _dense_second_derivative_system(problem, M):
         co1 = np.asarray(g.derivative(nodes), dtype=float) ** 2
         np.add.at(S, (idx, k), -co1 * (1.0 - w))
         np.add.at(S, (idx, k + 1), -co1 * w)
-        co2 = pconf._map_second_derivative(g, nodes, step)
+        co2 = pconf._map_second_derivative(g, nodes)
         if np.max(np.abs(co2)) > 1e-14:
             S -= co2[:, None] * (upto(img) - upto(np.array([problem.c])))
             rhs = rhs - co2 * problem.mu
