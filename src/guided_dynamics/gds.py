@@ -1327,13 +1327,10 @@ def probe_weak_attractor(system: GuidedSystem, x0, eps: float, depth: int,
 
 def _probe_weak_attractor_graph(system, x0, eps, depth):
     graph = build_orbit_graph(system, cells=system.space.n_nodes)
-    target = int(x0)
-    from scipy.sparse import csgraph
-    unreached = np.ones(graph.n_nodes, dtype=bool)
     # nodes that reach x0 are those x0 reaches along reversed edges
-    unreached[csgraph.breadth_first_order(
-        _sparse_adjacency(graph).T, target,
-        return_predecessors=False)] = False
+    start, succ = _adjacency(graph.n_nodes, graph.edges[:, 1],
+                             graph.edges[:, 0])
+    unreached = ~np.array(_reached(start, succ, int(x0)))
     if not unreached.any():
         return WeakAttractorVerdict(kind="yes", x0=float(x0), eps=eps,
                                     depth=depth)
@@ -1590,12 +1587,77 @@ def build_orbit_graph(system: GuidedSystem, cells: int) -> OrbitGraph:
                       approximate=approx)
 
 
-def _sparse_adjacency(graph):
-    """n_nodes x n_nodes CSR matrix, nonzero where an edge runs."""
-    from scipy import sparse
-    src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    return sparse.csr_matrix((np.ones(len(src)), (src, dst)),
-                             shape=(graph.n_nodes, graph.n_nodes))
+def _adjacency(n, src, dst):
+    """The edges src -> dst on nodes 0..n-1 as lists in CSR form: the
+    successors of v are succ[start[v]:start[v + 1]], in edge order."""
+    order = np.argsort(src, kind="stable")
+    start = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    return start, dst[order].tolist()
+
+
+def _reached(start, succ, root):
+    """Per node, whether it is reachable from root (root included), by a
+    depth-first search on an explicit stack: O(V + E)."""
+    seen = [False] * (len(start) - 1)
+    seen[root] = True
+    todo = [root]
+    while todo:
+        v = todo.pop()
+        for w in succ[start[v]:start[v + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                todo.append(w)
+    return seen
+
+
+def _strong_components(start, succ):
+    """(count, label): Tarjan's strongly connected components in O(V + E),
+    iterative, so a path of any length needs no recursion. path holds the
+    depth-first path, pos[v] the next edge of v to scan and where[v] the
+    place of v on the component stack. A node whose component is complete
+    gets index n, above every live low-link, so its edges change none."""
+    n = len(start) - 1
+    index, low, label, where = [-1] * n, [0] * n, [-1] * n, [0] * n
+    pos = start[:-1]
+    stack, path = [], []
+    count = visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        where[root] = len(stack)
+        stack.append(root)
+        path.append(root)
+        while path:
+            v = path[-1]
+            p, end, low_v = pos[v], start[v + 1], low[v]
+            while p < end:
+                w = succ[p]
+                p += 1
+                if index[w] < 0:
+                    # descend into w; v resumes after this edge
+                    pos[v], low[v] = p, low_v
+                    index[w] = low[w] = visited
+                    visited += 1
+                    where[w] = len(stack)
+                    stack.append(w)
+                    path.append(w)
+                    break
+                if index[w] < low_v:
+                    low_v = index[w]
+            else:
+                path.pop()
+                if low_v == index[v]:
+                    for w in stack[where[v]:]:
+                        label[w], index[w] = count, n
+                    del stack[where[v]:]
+                    count += 1
+                else:
+                    low[v] = low_v
+                    if low_v < low[path[-1]]:
+                        low[path[-1]] = low_v
+    return count, label
 
 
 def minimal_subsystems(graph: OrbitGraph) -> list:
@@ -1603,9 +1665,9 @@ def minimal_subsystems(graph: OrbitGraph) -> list:
     smallest member. At least one is always returned for graphs whose
     every node has out-degree >= 1 (and singletons without self-loops are
     reported when a node has no outgoing edges at all)."""
-    from scipy.sparse import csgraph
-    n_comp, label = csgraph.connected_components(
-        _sparse_adjacency(graph), directed=True, connection="strong")
+    n_comp, label = _strong_components(*_adjacency(
+        graph.n_nodes, graph.edges[:, 0], graph.edges[:, 1]))
+    label = np.array(label, dtype=np.int64)
     src, dst = label[graph.edges[:, 0]], label[graph.edges[:, 1]]
     exits = np.zeros(n_comp, dtype=bool)
     exits[src[src != dst]] = True

@@ -214,18 +214,18 @@ def _cumtrapz(v, step):
     return out
 
 
-def _second_derivative_values(problem, nodes, step):
-    """h'' on the grid: symbolic when h is an Expression, second
-    differences otherwise, extrapolated to the two end nodes from the
-    interior values that exist: linearly from two or more, constantly
-    from one, and as 0 (h linear between its two samples) from none."""
+def _second_derivative_values(problem, nodes, step, h_vals):
+    """h'' on the grid: symbolic when h is an Expression, otherwise second
+    differences of h_vals (h at the nodes), extrapolated to the two end
+    nodes from the interior values that exist: linearly from two or more,
+    constantly from one, and as 0 (h linear between its two samples) from
+    none."""
     from .exprlang import Expression, differentiate
     if isinstance(problem.h, Expression):
         return node_values(differentiate(differentiate(problem.h)).eval,
                            nodes, "h''")
 
-    def second_differences(nodes):
-        h_vals = problem.h_values(nodes)
+    def second_differences(_):
         inner = (h_vals[:-2] - 2.0 * h_vals[1:-1] + h_vals[2:]) / step ** 2
         if inner.size >= 2:
             ends = (2.0 * inner[0] - inner[1], 2.0 * inner[-1] - inner[-2])
@@ -239,7 +239,7 @@ def _map_second_derivative(g, nodes):
     return np.asarray(g.d2fn(nodes), dtype=float) * np.ones_like(nodes)
 
 
-def _second_derivative_system(problem, nodes, step, M):
+def _second_derivative_system(problem, nodes, step, M, h2):
     """The twice-differentiated equation as one sparse system in (w, F).
 
     F = cumtrapz(w) is carried by the rows F_0 = 0 and
@@ -251,14 +251,15 @@ def _second_derivative_system(problem, nodes, step, M):
     w-equation as its Schur complement, and S is never formed.
 
     Returns the 2(M+1) square CSC system, the right-hand side of its w
-    rows (the F rows have right-hand side 0) and the exact 1-norm of S.
+    rows from h2 = h'' at the nodes (the F rows have right-hand side 0)
+    and the exact 1-norm of S.
     """
     import scipy.sparse
     pc = problem.pconf
     iv = pc.interval
     n = M + 1
     idx = np.arange(n)
-    rhs = _second_derivative_values(problem, nodes, step)
+    rhs = h2
     kc = int(interp_weights(iv, problem.c, M)[0])
     tc = problem.c - (iv.a + kc * step)
     at_c = np.full(n, kc)
@@ -336,9 +337,9 @@ def _condition_gate(cond, name):
             condition_estimate=cond)
 
 
-def _iterated_solve(problem, nodes, step, M):
-    """The affine route: (w, bound of kappa_inf(S)), or None to take the
-    factored route.
+def _iterated_solve(problem, nodes, M, h2):
+    """The affine route: (w, bound of kappa_inf(S)) for h2 = h'' at the
+    nodes, or None to take the factored route.
 
     K = 0 when every |delta_i''| is at most AFFINE_TOL on the grid, and S
     = I - L for L the grid operator of FunceqSystem(interval, maps,
@@ -376,26 +377,27 @@ def _iterated_solve(problem, nodes, step, M):
                    .sum(axis=1).max())
     bound = s_norm * sum(cert.norms[:-1]) / (1.0 - cert.norm)
     _condition_gate(bound, "condition bound")
-    b = _second_derivative_values(problem, nodes, step)
     try:
         return iterate_contraction(
-            L, b, b, lambda y, change:
+            L, h2, h2, lambda y, change:
             gain * change <= AFFINE_RTOL * np.max(np.abs(y)),
             AFFINE_MAX_SWEEPS)[0], bound
     except NoConvergence:
         return None
 
 
-def _factored_solve(problem, nodes, step, M):
-    """The factored route: (w, kappa_1(S) estimate) through one SuperLU
-    factor of the (w, F) system of _second_derivative_system.
+def _factored_solve(problem, nodes, step, M, h2):
+    """The factored route: (w, kappa_1(S) estimate) for h2 = h'' at the
+    nodes through one SuperLU factor of the (w, F) system of
+    _second_derivative_system.
     kappa_1(S) = ||S||_1 ||S^{-1}||_1 takes ||S||_1 exactly and
     ||S^{-1}||_1 by the Hager-Higham estimator with one start vector
     (deterministic; it leaves np.random alone) through solves with S and
     S^T. Raises IllConditioned when the factor is exactly singular or the
     estimate exceeds COND_CAP."""
     from scipy.sparse.linalg import LinearOperator, onenormest, splu
-    system, rhs, s_norm = _second_derivative_system(problem, nodes, step, M)
+    system, rhs, s_norm = _second_derivative_system(problem, nodes, step,
+                                                    M, h2)
     try:
         lu = splu(system)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -469,13 +471,15 @@ def solve_ivp(problem: IvpProblem, M: int) -> IvpSolution:
         raise DataMismatch(
             f"|h(a_0) - h(a_N)| = {h_gap!r} >= {problem.tol_data!r}")
 
+    # h is evaluated once: its second differences reuse h_vals
+    h2 = _second_derivative_values(problem, nodes, step, h_vals)
     condition = {}
-    iterated = _iterated_solve(problem, nodes, step, M)
+    iterated = _iterated_solve(problem, nodes, M, h2)
     if iterated is not None:
         w_sol, condition["condition_bound"] = iterated
     else:
         w_sol, condition["condition_estimate"] = _factored_solve(
-            problem, nodes, step, M)
+            problem, nodes, step, M, h2)
 
     F1 = _cumtrapz(w_sol, step)
     fprime = problem.mu + F1 - float(np.interp(problem.c, nodes, F1))

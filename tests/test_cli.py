@@ -1303,6 +1303,33 @@ def test_subcommands_without_linear_algebra_leave_scipy_unloaded():
         assert not [m for m in modules if m.startswith("scipy")], argv
 
 
+# graph routes: (command, config, flags, exit code)
+GRAPH_RUNS = [
+    ("probe", "graph_chain.json", [], 1),
+    ("probe", "graph_cycle.json", [], 0),
+    ("weak-attractor", "graph_chain.json", ["--x0", "1"], 1),
+    ("weak-attractor", "graph_cycle.json", ["--x0", "1"], 0),
+    ("graph-min", "graph_chain.json", [], 0),
+    ("graph-min", "circle_rational.json", ["--grid", "256"], 0),
+]
+
+
+@pytest.mark.parametrize("command,config,flags,exit_code", GRAPH_RUNS,
+                         ids=[f"{c}-{f}" for c, f, _, _ in GRAPH_RUNS])
+def test_graph_routes_leave_scipy_unloaded(command, config, flags,
+                                           exit_code):
+    # terminal components and reachability are package code; each run
+    # gets its own interpreter, since pytest loads scipy.sparse for the
+    # SparseEfficiencyWarning filter
+    [[code, modules]] = fresh_modules(
+        "from guided_dynamics import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:] + ['--no-meta'])\n"
+        "record(code)\n", command, "--config", cfg(config), *flags)
+    assert code == exit_code
+    assert not [m for m in modules if m.startswith("scipy")]
+
+
 def test_package_names_resolve():
     import guided_dynamics as g
     assert all(getattr(g, name) is not None for name in g.__all__)

@@ -576,10 +576,12 @@ def test_minimal_subsystems_two_cycle_plus_tail():
     assert minimal_subsystems(graph) == [[0, 1]]
 
 
-def brute_force_minimal_sets(n, edges):
+def brute_force_reach(n, edges):
+    """reach[u, v]: v is reachable from u (u itself included), from the
+    transitive closure of the edges (src, dst, ...)."""
     reach = np.eye(n, dtype=bool)
     adj = np.zeros((n, n), dtype=bool)
-    for src, dst, _ in edges:
+    for src, dst, *_ in edges:
         adj[src, dst] = True
     changed = True
     closure = adj.copy()
@@ -587,7 +589,11 @@ def brute_force_minimal_sets(n, edges):
         nxt = closure | (closure @ closure)
         changed = bool((nxt != closure).any())
         closure = nxt
-    reach |= closure
+    return reach | closure
+
+
+def brute_force_minimal_sets(n, edges):
+    reach = brute_force_reach(n, edges)
     out = []
     for v in range(n):
         s = frozenset(np.nonzero(reach[v])[0].tolist())
@@ -641,6 +647,84 @@ def test_terminal_scc_property(n, seed):
         for src, dst, _ in graph.edges.tolist():
             if src in members:
                 assert dst in members
+
+
+@st.composite
+def multigraphs(draw):
+    """(n, edges): a directed multigraph on 1-40 nodes. Each node falls in
+    one of up to four parts, and an edge stays inside its source's part
+    unless it is drawn as a crossing edge (one in ten), so disconnected
+    parts are common; self-loops, repeated edges and nodes without
+    out-edges occur too."""
+    n = draw(st.integers(1, 40))
+    part = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    edges = []
+    for src, pick, cross in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1),
+            st.integers(0, 9)), max_size=3 * n)):
+        inside = [v for v in range(n) if part[v] == part[src]]
+        edges.append((src, pick if cross == 0
+                       else inside[pick % len(inside)]))
+    return n, edges
+
+
+def multigraph_system(n, edges):
+    """A guided system on n nodes whose orbit graph has exactly these
+    edges: generator i follows each node's i-th out-edge and is guided at
+    the nodes with fewer. Built unvalidated, since a node without
+    out-edges lies in every guiding set."""
+    out = [[] for _ in range(n)]
+    for src, dst in edges:
+        out[src].append(dst)
+    k = max(1, max(map(len, out)))
+    return GuidedSystem(
+        FiniteGraphSpace(n),
+        [GeneratorMap(None, None, i, table=np.array(
+            [o[i] if i < len(o) else v for v, o in enumerate(out)]))
+         for i in range(k)],
+        [GuidingSet.points([float(v) for v, o in enumerate(out)
+                            if len(o) <= i]) for i in range(k)],
+        validate=False)
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_graph_routes_match_transitive_closure(multigraph, data):
+    # minimal subsystems are the terminal components of the closure, and
+    # the graph weak-attractor verdict is "every node reaches x0", with
+    # the smallest node that does not as its witness
+    n, edges = multigraph
+    system = multigraph_system(n, edges)
+    graph = build_orbit_graph(system, n)
+    assert sorted(map(tuple, graph.edges[:, :2].tolist())) == sorted(edges)
+    assert minimal_subsystems(graph) == brute_force_minimal_sets(n, edges)
+    x0 = data.draw(st.integers(0, n - 1), label="x0")
+    verdict = probe_weak_attractor(system, x0, 0.1, 10)
+    missing = np.flatnonzero(~brute_force_reach(n, edges)[:, x0])
+    if missing.size:
+        assert (verdict.kind, verdict.witness_seed) == \
+            ("no", float(missing[0]))
+    else:
+        assert (verdict.kind, verdict.witness_seed) == ("yes", None)
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle"])
+def test_graph_routes_on_long_paths_need_no_recursion(shape):
+    # one depth-first path through all 10**5 nodes, in both directions
+    n = 10 ** 5
+    if shape == "path":
+        system = multigraph_system(n, [(v, v + 1) for v in range(n - 1)])
+        terminal = [[n - 1]]
+    else:
+        system = multigraph_system(n, [(v, (v + 1) % n) for v in range(n)])
+        terminal = [list(range(n))]
+    graph = build_orbit_graph(system, n)
+    start = time.perf_counter()
+    assert minimal_subsystems(graph) == terminal
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert probe_weak_attractor(system, n - 1, 0.1, 10).kind == "yes"
+    assert time.perf_counter() - start < 1.0
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from guided_dynamics import pconf
 from guided_dynamics.errors import (DataMismatch, IllConditioned,
                                     NoConvergence, PConfigViolation)
 from guided_dynamics.exprlang import parse
+from guided_dynamics.funceq import GridFunction
 from guided_dynamics.gds import (ContractionMinimalityCertificate,
                                  GeneratorMap, GuidedSystem, Interval,
                                  check_contraction_minimality,
@@ -276,7 +277,8 @@ def _dense_second_derivative_system(problem, M):
         return W
 
     S = np.eye(M + 1)
-    rhs = pconf._second_derivative_values(problem, nodes, step)
+    rhs = pconf._second_derivative_values(problem, nodes, step,
+                                          problem.h_values(nodes))
     idx = np.arange(M + 1)
     for g in pc.maps:
         img = np.clip(np.asarray(g(nodes), dtype=float), a0, aN)
@@ -341,8 +343,10 @@ def test_sparse_system_matches_dense_reference(name, M, pconfs):
         for mu in (0.0, 0.7):
             problem = IvpProblem(pc, h, c, mu)
             S, rhs = _dense_second_derivative_system(problem, M)
+            step = (aN - a0) / M
             system, rhs_w, s_norm = pconf._second_derivative_system(
-                problem, nodes, (aN - a0) / M, M)
+                problem, nodes, step, M, pconf._second_derivative_values(
+                    problem, nodes, step, problem.h_values(nodes)))
             np.testing.assert_allclose(rhs_w, rhs, rtol=1e-14, atol=1e-14)
             anorm = float(np.abs(S).sum(axis=0).max())
             assert abs(s_norm - anorm) <= 1e-12 * anorm
@@ -510,7 +514,36 @@ def test_grid_h_second_derivative_on_small_grids(standard_pconf, M, h,
     # second differences are exact on these polynomials, and the end
     # values come from the interior ones that exist
     nodes = np.linspace(-1.0, 1.0, M + 1)
-    h2 = pconf._second_derivative_values(
-        IvpProblem(standard_pconf, h, 0.0, 0.0), nodes, 2.0 / M)
+    problem = IvpProblem(standard_pconf, h, 0.0, 0.0)
+    h2 = pconf._second_derivative_values(problem, nodes, 2.0 / M,
+                                         problem.h_values(nodes))
     assert h2.shape == nodes.shape
     assert np.max(np.abs(h2 - exact(nodes))) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["standard", "quadratic"])
+@pytest.mark.parametrize("source", ["callable", "csv"])
+def test_solve_ivp_evaluates_h_once(pconfs, tmp_path, name, source):
+    # the data gap, the anchor identity, the collocation residual and the
+    # second differences of h'' all read one evaluation of h, on the
+    # iterated (standard) and the factored (quadratic) route
+    pc = pconfs[name]
+    expr = _poly_h([0.3, -0.2, 0.5, 0.1, -0.4, 0.25], _MAPS[name])
+    calls = []
+    if source == "callable":
+        def h(t):
+            calls.append(np.size(t))
+            return expr.eval(t)
+    else:
+        path = tmp_path / "h.csv"
+        GridFunction.from_callable(pc.interval, 256, expr.eval).to_csv(path)
+        h = GridFunction.from_csv(path, pc.interval)
+        read = h.eval
+
+        def counted(x):
+            calls.append(np.size(x))
+            return read(x)
+        h.eval = counted
+    solve_ivp(IvpProblem(pc, h, pc.interval.a, 0.7), 128)
+    assert calls == [129]
+

@@ -47,11 +47,13 @@ bvp -- each stage of `solve-bvp` at its defaults (M = 512, eps 0.01) on
   `verify_conjugacy` as `verify-conjugacy` runs it at seed 0 (`solve-bvp`
   does not). A separate, untimed run counts the z(t) elements each stage
   asks for and how many are distinct (by exact bits).
-startup -- each subcommand on one `configs/` file in a fresh interpreter,
-  from `import guided_dynamics` to the return of `cli.main` (interpreter
-  start-up itself is not counted; compiling the package is, unless its
-  bytecode is cached), with the exit code, the SciPy subpackages and the
-  package modules loaded by then.
+startup -- each subcommand on one `configs/` file in a fresh interpreter
+  (`probe` and `weak-attractor` also on a graph), from `import
+  guided_dynamics` to the return of `cli.main` (interpreter start-up
+  itself is not counted; compiling the package is, unless its bytecode is
+  cached), with the exit code, the process's peak RSS (`ru_maxrss`, whole
+  process, median of the runs), the SciPy subpackages and the package
+  modules loaded by then.
 """
 
 import argparse
@@ -366,29 +368,31 @@ def run_bvp(root, repeats):
                      "run it)" if row == "conjugacy" else ""))
 
 
-# subcommand -> config file and the flags it needs
-STARTUP_RUNS = {
-    "orbit": ("circle_irrational.json", ["--x0", "0.3"]),
-    "probe": ("circle_rational.json", []),
-    "weak-attractor": ("circle_rational.json", ["--x0", "0.3"]),
-    "cycles": ("circle_irrational.json", []),
-    "graph-min": ("graph_chain.json", []),
-    "certify": ("standard_funceq.json", []),
-    "solve-fe": ("standard_funceq.json", ["--h", "t"]),
-    "solve-ivp": ("standard_pconf.json", []),
-    "validate-pconf": ("standard_pconf.json", []),
-    "overdet": ("jensen.json", []),
-    "affine-analyze": ("affine_scalar.json", []),
-    "build-bvp": ("straight_bvp.json", []),
-    "analyze-bvp": ("straight_bvp.json", []),
-    "solve-bvp": ("straight_bvp.json", []),
-    "verify-conjugacy": ("straight_bvp.json", []),
-}
+# (subcommand, config file, the flags it needs)
+STARTUP_RUNS = [
+    ("orbit", "circle_irrational.json", ["--x0", "0.3"]),
+    ("probe", "circle_rational.json", []),
+    ("probe", "graph_cycle.json", []),
+    ("weak-attractor", "circle_rational.json", ["--x0", "0.3"]),
+    ("weak-attractor", "graph_cycle.json", ["--x0", "1"]),
+    ("cycles", "circle_irrational.json", []),
+    ("graph-min", "graph_chain.json", []),
+    ("certify", "standard_funceq.json", []),
+    ("solve-fe", "standard_funceq.json", ["--h", "t"]),
+    ("solve-ivp", "standard_pconf.json", []),
+    ("validate-pconf", "standard_pconf.json", []),
+    ("overdet", "jensen.json", []),
+    ("affine-analyze", "affine_scalar.json", []),
+    ("build-bvp", "straight_bvp.json", []),
+    ("analyze-bvp", "straight_bvp.json", []),
+    ("solve-bvp", "straight_bvp.json", []),
+    ("verify-conjugacy", "straight_bvp.json", []),
+]
 
 # argv: SRC_DIR OUT_PATH ARG...; prints the seconds, the exit code, the
-# package's modules and SciPy's subpackages
+# peak RSS in MB, the package's modules and SciPy's subpackages
 STARTUP_CHILD = """\
-import contextlib, io, json, sys, time
+import contextlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 start = time.perf_counter()
 from guided_dynamics import cli
@@ -396,7 +400,8 @@ with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[3:] + ["--out", sys.argv[2], "--no-meta"])
 elapsed = time.perf_counter() - start
-print(json.dumps({"s": elapsed, "exit": code, "modules": [
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"s": elapsed, "exit": code, "rss": rss, "modules": [
     name for name, module in sys.modules.items()
     if name.startswith("guided_dynamics.")
     or name.startswith("scipy.") and hasattr(module, "__path__")]}))
@@ -414,7 +419,7 @@ def run_startup(root, repeats):
 
     with tempfile.TemporaryDirectory() as scratch:
         out_path = Path(scratch) / "out"
-        for command, (config, flags) in STARTUP_RUNS.items():
+        for command, config, flags in STARTUP_RUNS:
             runs = []
             for _ in range(repeats):
                 proc = subprocess.run(
@@ -426,9 +431,11 @@ def run_startup(root, repeats):
                 out_path.unlink(missing_ok=True)
                 runs.append(json.loads(proc.stdout))
             modules = runs[-1]["modules"]
+            rss = statistics.median(r["rss"] for r in runs)
             print(f"{command:16} {config:22} "
                   f"{summary([r['s'] for r in runs])}, exit "
-                  f"{runs[-1]['exit']}: {loaded(modules, 'scipy.')} | "
+                  f"{runs[-1]['exit']}, peak RSS {rss:.1f} MB: "
+                  f"{loaded(modules, 'scipy.')} | "
                   f"{loaded(modules, 'guided_dynamics.')}")
 
 
