@@ -1,10 +1,11 @@
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import straight_problem, validate_orbit
+from conftest import curved_problem, straight_problem, validate_orbit
 from guided_dynamics import bvp
 from guided_dynamics.bvp import (BoundaryProblem, analyze_solvability,
                                  build_boundary_system, fixed_point,
@@ -454,18 +455,22 @@ def test_fd_stencil_annihilates_balanced_direction():
     assert sol.verification.pde_residual < 1e-8
 
 
-def test_fd_residual_refines_on_anisotropic_direction():
-    # with m = 1, n = 2 the characteristic coordinate t = 2x - y is not
-    # annihilated by the stencil, so a transcendental chi shows the
-    # genuine second-order truncation of the residual
+def anisotropic_problem():
+    """m = 1, n = 2 with u* = sin(3x) + exp(y) - 1 + sin(2(2x - y))."""
     a1 = parse("(1+z)/2", var="z")
     a2 = parse("(1-z)/2", var="z")
     g1 = parse("sin(3*t) + sin(4*t)")                 # u*(x, 0)
     g2 = parse("exp(t) - 1 + sin(-2*t)")              # u*(0, y)
     g_gamma = parse("sin(3*(1+z)/2) + exp((1-z)/2) - 1 + sin(3*z + 1)",
                     var="z")
-    prob = BoundaryProblem(a1, a2, 1.0, 2.0, g1, g2, g_gamma)
-    sol = solve_bvp(prob, M=2048)
+    return BoundaryProblem(a1, a2, 1.0, 2.0, g1, g2, g_gamma)
+
+
+def test_fd_residual_refines_on_anisotropic_direction():
+    # with m = 1, n = 2 the characteristic coordinate t = 2x - y is not
+    # annihilated by the stencil, so a transcendental chi shows the
+    # genuine second-order truncation of the residual
+    sol = solve_bvp(anisotropic_problem(), M=2048)
 
     def u_star(x, y):
         return np.sin(3 * x) + np.exp(y) - 1 + np.sin(2 * (2 * x - y))
@@ -474,6 +479,120 @@ def test_fd_residual_refines_on_anisotropic_direction():
     coarse = verify_solution(sol, fd_step=1.0 / 16)
     fine = verify_solution(sol, fd_step=1.0 / 32)
     assert fine.pde_residual < coarse.pde_residual / 3.0
+
+
+# the 12 points besides the node itself that the residual stencil reads
+FD_OFFSETS = [(2, 1), (2, -1), (-2, 1), (-2, -1), (0, 1), (0, -1),
+              (1, 2), (1, -2), (-1, 2), (-1, -2), (1, 0), (-1, 0)]
+
+
+def per_offset_interior(system, h):
+    """Oracle: the nodes of the h lattice of [0, 1]^2 that lie in the
+    domain with their whole stencil, membership asked on the lattice and
+    on each of its 12 shifted copies."""
+    xs = np.arange(0.0, 1.0 + h / 2, h)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    X, Y = X.ravel(), Y.ravel()
+    inside = system.contains(X, Y)
+    for ox, oy in FD_OFFSETS:
+        inside &= system.contains(X + ox * h, Y + oy * h)
+    return X[inside], Y[inside]
+
+
+def per_offset_verification(solution, fd_step):
+    """Oracle: verify_solution with u evaluated at the shifted points of
+    every w difference separately, 16 evaluations per interior node."""
+    p = solution.problem
+    system = solution.system
+    m, n = p.m, p.n
+    xs = np.linspace(0.0, 1.0, 1024)
+    d1 = float(np.max(np.abs(
+        solution._field_raw(xs, np.zeros_like(xs)) -
+        np.asarray(p.g1(xs), dtype=float))))
+    d2 = float(np.max(np.abs(
+        solution._field_raw(np.zeros_like(xs), xs) -
+        np.asarray(p.g2(xs), dtype=float))))
+    z = system.z_of_t(solution.triple.chi.nodes)
+    cx, cy = system.curve_point(z)
+    dg = float(np.max(np.abs(
+        solution._field_raw(cx, cy) -
+        np.asarray(p.g_gamma(z), dtype=float))))
+    h = fd_step
+    X, Y = per_offset_interior(system, h)
+    u = solution._field_raw
+
+    def w(px, py):
+        return (u(px + h, py + h) - u(px + h, py - h) -
+                u(px - h, py + h) + u(px - h, py - h)) / (4 * h * h)
+
+    if X.size:
+        resid = (m * (w(X + h, Y) - w(X - h, Y)) +
+                 n * (w(X, Y + h) - w(X, Y - h))) / (2 * h)
+        pde_res = float(np.max(np.abs(resid)))
+    else:
+        pde_res = float("nan")
+    return bvp.BvpVerification(
+        boundary_defect=max(d1, d2, dg), axis1_defect=d1, axis2_defect=d2,
+        curve_defect=dg, pde_residual=pde_res, fd_step=h,
+        interior_points=int(X.size))
+
+
+FD_PROBLEMS = {"straight": straight_problem, "curved": curved_problem,
+               "anisotropic": anisotropic_problem}
+
+
+@pytest.fixture(scope="module")
+def fd_solutions():
+    solved = {}
+
+    def solution(name):
+        if name not in solved:
+            solved[name] = solve_bvp(FD_PROBLEMS[name]())
+        return solved[name]
+    return solution
+
+
+@pytest.mark.parametrize("fd_step", [1.0 / 16, 1.0 / 32, 1.0 / 128,
+                                     1.0 / 256])
+@pytest.mark.parametrize("name", list(FD_PROBLEMS))
+def test_verify_solution_matches_per_offset_oracle(fd_solutions, name,
+                                                   fd_step):
+    sol = fd_solutions(name)
+    got = verify_solution(sol, fd_step=fd_step)
+    want = per_offset_verification(sol, fd_step)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert got.interior_points > 0
+
+
+def test_verify_solution_evaluates_each_stencil_point_once(fd_solutions,
+                                                           monkeypatch):
+    sol = fd_solutions("curved")
+    h = 1.0 / 128
+    X, Y = per_offset_interior(sol.system, h)
+    sizes, points = [], []
+    contains, field_raw = sol.system.contains, sol._field_raw
+
+    def counted_contains(x, y):
+        sizes.append(np.size(x))
+        return contains(x, y)
+
+    def recorded_field(x, y):
+        points.append(np.column_stack([np.ravel(x), np.ravel(y)]))
+        return field_raw(x, y)
+
+    monkeypatch.setattr(sol.system, "contains", counted_contains)
+    monkeypatch.setattr(sol, "_field_raw", recorded_field)
+    verify_solution(sol, fd_step=h)
+    # one membership call, on the 129 x 129 lattice padded by two steps
+    assert sizes == [133 * 133]
+    # the axes and the curve first, then the residual stencil
+    assert [len(pts) for pts in points[:3]] == [1024, 1024,
+                                                sol.triple.chi.nodes.size]
+    seen = [tuple(pt) for pts in points[3:] for pt in pts.tolist()]
+    assert len(set(seen)) == len(seen)
+    want = {(x + ox * h, y + oy * h) for x, y in zip(X.tolist(), Y.tolist())
+            for ox, oy in FD_OFFSETS}
+    assert set(seen) == want
 
 
 def test_gauge_record_psi_zero(straight_system):

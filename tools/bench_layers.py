@@ -46,7 +46,10 @@ bvp -- each stage of `solve-bvp` at its defaults (M = 512, eps 0.01) on
   `bvp` module, and their sum per run; and the conjugacy check,
   `verify_conjugacy` as `verify-conjugacy` runs it at seed 0 (`solve-bvp`
   does not). A separate, untimed run counts the z(t) elements each stage
-  asks for and how many are distinct (by exact bits).
+  asks for and how many are distinct (by exact bits); on the verify row
+  also the points it sends to `BoundarySystem.contains` and to the field
+  (`BvpSolution._field_raw`; 2561 of them are the boundary checks), and
+  in how many calls.
 startup -- each subcommand on one `configs/` file in a fresh interpreter
   (`probe` and `weak-attractor` also on a graph), from `import
   guided_dynamics` to the return of `cli.main` (interpreter start-up
@@ -313,10 +316,15 @@ def run_bvp(root, repeats):
                 log["stage"] = outer
         setattr(bvp, name, timed)
 
-    def z_bits(call):
+    # methods whose points the counted run records, by row label
+    point_methods = (("contains", bvp.BoundarySystem, "contains"),
+                     ("field", bvp.BvpSolution, "_field_raw"))
+
+    def counted_run(call):
         """Run call() with every boundary system's z_of_t recording the
-        bits of its inputs; {row: [int64 arrays]}."""
-        bits, make = {}, bvp._make_z_of_t
+        bits of its inputs, and `contains` and the field their point
+        counts; ({row: [int64 arrays]}, {(row, label): [sizes]})."""
+        bits, sizes, make = {}, {}, bvp._make_z_of_t
 
         def counted_make(*args):
             z_of_t = make(*args)
@@ -326,12 +334,24 @@ def run_bvp(root, repeats):
                 bits.setdefault(log.get("stage"), []).append(keys)
                 return z_of_t(t)
             return counted
+
+        def sized(label, method):
+            def counted_method(self, x, y):
+                sizes.setdefault((log.get("stage"), label), []).append(
+                    np.size(x))
+                return method(self, x, y)
+            return counted_method
+        originals = [getattr(cls, name) for _, cls, name in point_methods]
         bvp._make_z_of_t = counted_make
+        for (label, cls, name), method in zip(point_methods, originals):
+            setattr(cls, name, sized(label, method))
         try:
             call()
         finally:
             bvp._make_z_of_t = make
-        return bits
+            for (_, cls, name), method in zip(point_methods, originals):
+                setattr(cls, name, method)
+        return bits, sizes
 
     seed0 = argparse.Namespace(seed=0)
     for config in ("straight_bvp.json", "curved_bvp.json"):
@@ -343,8 +363,8 @@ def run_bvp(root, repeats):
 
         def check():
             cli.cmd_verify_conjugacy(cfg, seed0)
-        bits = z_bits(solve)
-        bits["conjugacy"] = z_bits(check)["conjugacy"]
+        bits, sizes = counted_run(solve)
+        bits["conjugacy"] = counted_run(check)[0]["conjugacy"]
         runs = {row: [] for row, _ in BVP_STAGES}
         for _ in range(repeats):
             wall(solve)
@@ -362,8 +382,14 @@ def run_bvp(root, repeats):
                       f"sum in each run)")
                 continue
             keys = np.concatenate(bits.get(row, [np.empty(0, np.int64)]))
+            points = "".join(
+                f", {label} {sum(sizes[row, label])} points in "
+                f"{len(sizes[row, label])} call"
+                + "s" * (len(sizes[row, label]) != 1)
+                for label, _, _ in point_methods if (row, label) in sizes)
             print(f"{config} {row}: {summary(seconds)}, z(t) {keys.size} "
                   f"elements requested, {np.unique(keys).size} distinct"
+                  + (points if row == "verify" else "")
                   + (" (verify-conjugacy at seed 0; solve-bvp does not "
                      "run it)" if row == "conjugacy" else ""))
 
