@@ -34,13 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CornerMismatch, DegenerateParametrization, NoBracket,
+from .errors import (CornerMismatch, DegenerateParametrization,
                      NotSolvableError)
 from .exprlang import Expression, _scalar, as_callable, differentiate
 from .funceq import GridFunction
 from .gds import (ConjugacyReport, ContractionMinimalityCertificate,
                   GeneratorMap, GuidedSystem, GuidingSet, Interval, _distinct,
-                  allowed_generators, check_contraction_minimality,
+                  _newton, allowed_generators, check_contraction_minimality,
                   find_guided_cycles, probe_minimality, verify_conjugacy,
                   write_csv, zero_band_guiding)
 from .pconf import IvpProblem, solve_ivp, validate_pconfiguration
@@ -49,9 +49,9 @@ TOL_SLOPE = 1e-8
 TOL_CURVE = 1e-9     # curve checks of a BoundaryProblem, triangle membership
 TOL_CORNER = 1e-8    # agreement of the boundary data at the corners
 Z_TABLE_N = 257      # nodes of the omega table that starts the z(t) Newton
-Z_MAX_ITER = 100     # hard cap on the z(t) steps of one element
 Z_MEMO_N = 2 ** 16   # solved z(t) values a boundary system keeps (1 MB)
 SCAN_N = 4097        # grid of the omega' and delta_i' scans
+FP_SCAN_N = 1025     # grid of the composite fixed-point scan
 
 __all__ = [
     "BoundaryProblem", "BoundarySystem", "SolutionTriple", "BvpSolution",
@@ -129,12 +129,10 @@ def _make_z_of_t(omega_fn, omega_d_fn):
     """Inverse of the strictly increasing omega on [-1, 1].
 
     A monotone table of omega, built once, gives every t its bracket
-    (searchsorted) and starting point (linear interpolation). Newton then
-    runs on all elements together, each keeping its own bracket; a step
-    that leaves the bracket is replaced by the bracket midpoint. An element
-    is accepted when omega(z) == t exactly or when its step or its bracket
-    reaches ulp size. t <= omega(-1) (and NaN) maps to -1 and
-    t >= omega(1) to +1, as a bisection on [-1, 1] would give.
+    (searchsorted) and starting point (linear interpolation), and
+    `gds._newton` solves omega(z) = t on all elements together. t <=
+    omega(-1) (and NaN) maps to -1 and t >= omega(1) to +1, as a bisection
+    on [-1, 1] would give.
 
     Solved values are memoized: a sorted table of the exact bits of each
     inner t (int64) beside its z. A call looks its values up and runs
@@ -153,27 +151,8 @@ def _make_z_of_t(omega_fn, omega_d_fn):
     def newton(t):
         j = np.clip(np.searchsorted(w_tab, t, side="right") - 1,
                     0, Z_TABLE_N - 2)
-        lo, hi = z_tab[j], z_tab[j + 1]
-        z = np.interp(t, w_tab, z_tab)
-        out = np.empty_like(t)
-        active = np.arange(t.size)
-        for _ in range(Z_MAX_ITER):
-            f = np.asarray(omega_fn(z), dtype=float) - t
-            fp = np.asarray(omega_d_fn(z), dtype=float)
-            lo = np.where(f < 0.0, z, lo)
-            hi = np.where(f > 0.0, z, hi)
-            z_new = z - f / fp
-            z_new = np.where((z_new > lo) & (z_new < hi), z_new,
-                             0.5 * (lo + hi))
-            ulp = np.spacing(np.abs(z_new))
-            exact = f == 0.0
-            out[active] = np.where(exact, z, z_new)
-            todo = ~(exact | (np.abs(z_new - z) <= ulp) | (hi - lo <= ulp))
-            if not todo.any():
-                break
-            active, t, z, lo, hi = (active[todo], t[todo], z_new[todo],
-                                    lo[todo], hi[todo])
-        return out
+        return _newton(omega_fn, omega_d_fn, t, z_tab[j], z_tab[j + 1],
+                       np.interp(t, w_tab, z_tab))[0]
 
     def memoized(t):
         nonlocal memo_keys, memo_z
@@ -307,9 +286,10 @@ def build_boundary_system(problem: BoundaryProblem) -> BoundarySystem:
 
     lambda1 = mapped_bands(omega1)
     lambda2 = mapped_bands(omega2)
-    # the induced P-configuration orders maps left-to-right
+    # the induced P-configuration orders maps left-to-right; Lambda as above
     pconf = validate_pconfiguration([delta2, delta1], interval,
                                     (-m, 0.0, n), tol=1e-7)
+    pconf._guiding = (lambda2, lambda1)
     interval_system = GuidedSystem(interval, [delta1, delta2],
                                    [lambda1, lambda2])
     return BoundarySystem(
@@ -385,43 +365,47 @@ class FixedPointResult:
     in_guiding: bool = False
 
 
-def fixed_point(map_fn, bracket, d_fn) -> FixedPointResult:
-    """Brent's method (scipy.optimize.brentq, xtol=1e-13) on map(t) - t. The
+class FixedPoints(tuple):
+    """The fixed points `fixed_point` finds; iterations sums their steps."""
+    iterations = property(lambda self: sum(fp.iterations for fp in self))
+
+
+def fixed_point(map_fn, bracket, d_fn) -> FixedPoints:
+    """Every fixed point of map on the bracket, in increasing t.
+
+    g = map - id is scanned on FP_SCAN_N nodes, and each maximal run of
+    the scan where g changes sign or |g| <= 1e-12 is one fixed point: a
+    run with a sign change is solved by `gds._newton` on its first one,
+    started at the linear interpolation of the scan values, and a run
+    without one is its node of least |g|, with 0 iterations. The
     attracting-fixed-point statement needs derivative < 1;
     |derivative - 1| < 1e-6 is reported inconclusive."""
-    fn = as_callable(map_fn)
-    lo, hi = float(bracket[0]), float(bracket[1])
-
-    def g(t):
-        return _scalar(fn, t) - t
-
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo < -1e-12 and g_hi < -1e-12 or (g_lo > 1e-12 and g_hi > 1e-12):
-        raise NoBracket(
-            f"map(t) - t has no sign change on [{lo}, {hi}] "
-            f"(values {g_lo!r}, {g_hi!r})")
-    if g_lo != 0 and g_hi != 0 and (g_lo > 0) == (g_hi > 0):
-        # both ends within 1e-12 of a fixed point but of one sign, which
-        # brentq refuses: the end nearer a root stands for it
-        t_star, it = (lo if abs(g_lo) <= abs(g_hi) else hi), 0
-    else:
-        from scipy.optimize import brentq
-        t_star, info = brentq(g, lo, hi, xtol=1e-13, full_output=True)
-        it = info.iterations
-    deriv = _scalar(as_callable(d_fn), t_star)
-    return FixedPointResult(t_star=t_star, derivative=deriv,
-                            conclusive=abs(deriv - 1.0) >= 1e-6,
-                            iterations=it)
-
-
-def _compose(g_outer: GeneratorMap, g_inner: GeneratorMap):
-    def fn(t):
-        return g_outer(g_inner(t))
-
-    def dfn(t):
-        return g_outer.derivative(g_inner(t)) * g_inner.derivative(t)
-
-    return fn, dfn
+    ts = np.linspace(float(bracket[0]), float(bracket[1]), FP_SCAN_N)
+    g = np.asarray(map_fn(ts), dtype=float) - ts
+    near, cross = np.abs(g) <= 1e-12, g[:-1] * g[1:] < 0.0
+    # node j is cell 2j and the step to node j + 1 cell 2j + 1, which is
+    # in a run when g changes sign on it or both of its nodes are near
+    cells = np.empty(2 * FP_SCAN_N - 1, dtype=bool)
+    cells[0::2], cells[1::2] = near, cross | (near[:-1] & near[1:])
+    starts, stops = np.flatnonzero(np.diff(np.r_[False, cells, False])
+                                   ).reshape(-1, 2).T
+    first = np.r_[2 * np.flatnonzero(cross) + 1, cells.size]
+    first = first[np.searchsorted(first, starts)]
+    solved = first < stops
+    j = (first[solved] - 1) // 2
+    t_star, steps = np.empty(starts.size), np.zeros(starts.size, np.int64)
+    t_star[solved], steps[solved] = _newton(
+        lambda t: np.asarray(map_fn(t), dtype=float) - t,
+        lambda t: np.asarray(d_fn(t), dtype=float) - 1.0, np.zeros(j.size),
+        ts[j + (g[j] > 0.0)], ts[j + (g[j] < 0.0)],
+        ts[j] + g[j] / (g[j] - g[j + 1]) * (ts[j + 1] - ts[j]))
+    for r in np.flatnonzero(~solved):
+        nodes = slice(starts[r] // 2, stops[r] // 2 + 1)
+        t_star[r] = ts[nodes][np.argmin(np.abs(g[nodes]))]
+    deriv = np.asarray(d_fn(t_star), dtype=float)
+    return FixedPoints(FixedPointResult(t, d, abs(d - 1.0) >= 1e-6, k)
+                       for t, d, k in zip(t_star.tolist(), deriv.tolist(),
+                                          steps.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -446,10 +430,10 @@ def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
                         rng=None) -> SolvabilityReport:
     """Layered decision. (1) A contraction certificate proves minimality
     of the unguided dynamics, conclusive when the guiding sets are empty.
-    (2) When every tangency lies strictly inside its boundary arc, the
+    (2) When every tangency lies strictly inside its boundary arc, all
     composite fixed points of delta1 o delta2 and delta2 o delta1 decide:
-    a fixed point off the guiding union is a weak attractor (solvable);
-    both fixed points inside it form a guided cycle (not solvable).
+    an attracting one off the guiding union is a weak attractor
+    (solvable); all of them inside it is not solvable; none decides none.
     (3) A guided cycle found by forward search refutes minimality
     outright. (4) Otherwise the minimality probe gives graded evidence.
     """
@@ -470,17 +454,15 @@ def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
            and all(lo > -m + 1e-12 and hi < -1e-12
                    for lo, hi in lam2.intervals))
     if hyp:
-        results = []
         for outer, inner in ((system.delta1, system.delta2),
                              (system.delta2, system.delta1)):
-            fn, dfn = _compose(outer, inner)
-            fp = fixed_point(fn, (system.interval.a, system.interval.b),
-                             d_fn=dfn)
+            fps += fixed_point(lambda t: outer(inner(t)), (-m, n),
+                               lambda t: outer.derivative(inner(t)) *
+                               inner.derivative(t))
+        for fp in fps:
             fp.in_guiding = len(allowed_generators(isys, fp.t_star)) < \
                 isys.n_generators
-            results.append(fp)
-        fps = tuple(results)
-        if status is None:
+        if status is None and fps:
             if all(fp.in_guiding for fp in fps):
                 status, route = "not_solvable", "composite_fixed_points"
             elif any(fp.conclusive and fp.derivative < 1.0

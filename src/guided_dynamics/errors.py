@@ -115,11 +115,6 @@ class ResolutionTooCoarse(GuidedDynamicsError, ValueError):
     """The cell width eps puts both endpoint seeds in one eps/2-cell."""
 
 
-class NoBracket(GuidedDynamicsError, ValueError):
-    """Bisection bracket endpoints do not straddle a sign change."""
-    exit_code, label = NUMERIC_FAILURE
-
-
 class NotInvertible(GuidedDynamicsError, ValueError):
     """phi_inv fails to invert phi at a sample point."""
     exit_code, label = NUMERIC_FAILURE

@@ -21,8 +21,8 @@ arrays, through one numpy function generated from the tree on its first
 evaluation: one statement per distinct subexpression (equal subtrees are
 computed once), each temporary released after its last use, so an
 evaluation holds a few arrays at a time rather than one per node. A float
-runs it as a 0-d array, so a float and a one-element array give the same
-value or the same error (overflow to +-inf included). ``sign`` is accepted
+x runs it as the array [x], so a float and a one-element array give the
+same value or the same error (overflow to +-inf included). ``sign`` is accepted
 as a function so that printed derivatives of ``abs`` re-parse; sign(0)
 evaluates to 0 by convention.
 """
@@ -682,21 +682,22 @@ def _bytecode(source):
 
 
 def _compile(node):
-    """One Python function evaluating ``node`` with numpy on
-    ``asarray(x, dtype=float)``: a new float array shaped like an array
-    ``x``, a float for anything else."""
+    """One Python function evaluating ``node`` with numpy on an array x,
+    or on ``[x]`` for anything else (NumPy may round otherwise on scalars):
+    a new float array shaped like an array ``x``, or a float."""
     env = {"DomainError": DomainError, "ndarray": np.ndarray,
            "asarray": np.asarray, "fresh": _fresh, "pow_error": _pow_error,
            "np_floor": np.floor, "np_power": np.power}
     env.update({f"np_{f}": getattr(np, f) for f in FUNCTIONS})
     emit = _Emitter(env)
-    result, _ = _fold(node, emit, {})
+    result, varies = _fold(node, emit, {})
     lines = ["def evaluate(x):"]
     if emit.uses_var:
-        lines.append("    xa = asarray(x, dtype=float)")
+        lines.append("    xa = asarray(x if isinstance(x, ndarray) else [x], "
+                     "dtype=float)")
     lines += ["    " + line for line in emit.freed(result)]
     lines += [f"    if isinstance(x, ndarray): return fresh({result}, x)",
-              f"    return float({result})"]
+              f"    return float({result}{'[0]' if varies else ''})"]
     exec(_bytecode("\n".join(lines)), env)
     return env["evaluate"]
 

@@ -29,6 +29,7 @@ TOL_STEP = 1e-9
 TOL_RANGE = 1e-9
 MAX_CYCLE_LEN = 6    # default length bound of the guided cycle search
 TOL_CYCLE = 1e-7     # distance at which a cycle search path closes
+NEWTON_MAX_ITER = 100  # hard cap on the `_newton` steps of one element
 
 __all__ = [
     "Interval", "CircleSpace", "FiniteGraphSpace",
@@ -474,11 +475,12 @@ class GuidedSystem:
                         f"x={xs[bad]!r} (image {img[bad]!r})",
                         generator=g.label, point=xs[bad], image=img[bad])
                 g.monotone = _classify_monotone(g, xs)
-        # The guiding sets must have empty common intersection. When it
-        # is not empty it holds the left end of a member (the largest left
-        # end of the members around one of its points); on a circle, of an
-        # arc, and distance matches arcs modulo the period.
-        if all(not g.is_empty for g in self.guiding) and self.n_generators > 1:
+        # The guiding sets must have empty common intersection (with one
+        # generator, its guiding set must be empty). When it is not empty
+        # it holds the left end of a member (the largest left end of the
+        # members around one of its points); on a circle, of an arc, and
+        # distance matches arcs modulo the period.
+        if all(not g.is_empty for g in self.guiding):
             ends = np.concatenate([g._lo for g in self.guiding])
             common = ends[np.all([g.distance(ends, space) == 0.0
                                   for g in self.guiding], axis=0)]
@@ -1777,23 +1779,52 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
 
 
 # --------------------------------------------------------------------------
-# Zero-band scanning (derivative roots -> guiding sets)
+# Scalar roots: bracketed Newton, zero bands (derivative roots -> guiding sets)
 # --------------------------------------------------------------------------
 
-def zero_band_guiding(fn, interval: Interval, tol: float = 1e-9,
+def _newton(fn, dfn, y, neg, pos, x):
+    """Roots of fn(x) = y for the arrays y, neg, pos and x at once (fn and
+    dfn act on arrays): Newton's method from each start x on its bracket
+    between neg and pos, where fn - y is negative and positive. A step that
+    leaves the open bracket is replaced by the midpoint, so a zero dfn (its
+    warnings suppressed) bisects. An element is accepted when fn(x) == y
+    exactly or its step or bracket reaches one ulp, within NEWTON_MAX_ITER
+    steps; it depends on its own data alone. Returns roots and steps."""
+    out, steps = np.empty_like(x), np.empty(x.shape, dtype=np.int64)
+    active = np.arange(x.size)
+    for k in range(1, NEWTON_MAX_ITER + 1):
+        f = np.asarray(fn(x), dtype=float) - y
+        fp = np.asarray(dfn(x), dtype=float)
+        neg, pos = np.where(f < 0.0, x, neg), np.where(f > 0.0, x, pos)
+        lo, hi = np.minimum(neg, pos), np.maximum(neg, pos)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = x - f / fp
+        x_new = np.where((x_new > lo) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        ulp = np.spacing(np.abs(x_new))
+        exact = f == 0.0
+        out[active] = np.where(exact, x, x_new)
+        steps[active] = k
+        todo = ~(exact | (np.abs(x_new - x) <= ulp) | (hi - lo <= ulp))
+        if not todo.any():
+            break
+        active, y, x, neg, pos = (active[todo], y[todo], x_new[todo],
+                                  neg[todo], pos[todo])
+    return out, steps
+
+
+def zero_band_guiding(fn: Expression, interval: Interval, tol: float = 1e-9,
                       grid_n: int = 8193) -> GuidingSet:
-    """Roots of a nonnegative function as a union of closed intervals:
+    """Roots of a nonnegative expression as a union of closed intervals:
     contiguous sub-tolerance runs are widened to where fn crosses tol, and
     grid-local minima whose refined value dips below tol are included as
-    tangential roots, widened the same way. fn must be elementwise.
+    tangential roots, widened the same way.
 
-    One scipy.optimize.elementwise.find_minimum call refines every
-    surviving minimum and one find_root call on fn - tol places every
-    crossing (Chandrupatla's bracketing methods); a scan with no run and
-    no surviving minimum calls neither."""
-    f = as_callable(fn)
+    fn is an expression. One `_newton` call refines every candidate
+    minimum as the root of fn' on [t_(j-1), t_(j+1)] from t_j, one more
+    every crossing as a root of fn = tol from the linear interpolation of
+    the values on either side; a scan with neither differentiates nothing."""
     ts = np.linspace(interval.a, interval.b, grid_n)
-    vs = np.asarray(f(ts), dtype=float)
+    vs = np.asarray(fn(ts), dtype=float)
     below = vs < tol
 
     # maximal sub-tolerance runs [j, k]: edges of the padded mask
@@ -1815,21 +1846,22 @@ def zero_band_guiding(fn, interval: Interval, tol: float = 1e-9,
     if not (starts.size or dips.size):
         return GuidingSet()
 
-    from scipy.optimize import elementwise
-    exact = dict(xatol=0.0, fatol=0.0, frtol=0.0)
-    res = elementwise.find_minimum(
-        f, (ts[dips - 1], ts[dips], ts[dips + 1]), tolerances=exact)
-    dips, t_min = dips[res.f_x < tol], res.x[res.f_x < tol]
+    dfn = differentiate(fn)
+    t_min = _newton(dfn, differentiate(dfn), np.zeros(dips.size),
+                    ts[dips - 1], ts[dips + 1], ts[dips])[0]
+    v_min = np.asarray(fn(t_min), dtype=float)
+    keep = v_min < tol
+    dips, t_min, v_min = dips[keep], t_min[keep], v_min[keep]
 
-    # a band [lo, hi] lies between the samples out_lo and out_hi; an end
-    # with a sample beyond it is a tol crossing between the two
-    lo, hi = np.r_[ts[starts], t_min], np.r_[ts[stops], t_min]
-    out_lo, out_hi = np.r_[starts - 1, dips - 1], np.r_[stops + 1, dips + 1]
-    lo_x, hi_x = out_lo >= 0, out_hi < grid_n
-    crossings = elementwise.find_root(
-        lambda t: f(t) - tol, (np.r_[ts[out_lo[lo_x]], hi[hi_x]],
-                               np.r_[lo[lo_x], ts[out_hi[hi_x]]]),
-        tolerances=exact).x
-    lo[lo_x], hi[hi_x] = np.split(crossings, [lo_x.sum()])
+    # a band [lo, hi] lies between the samples beyond its ends; an end with
+    # a sample beyond it is a tol crossing between the two
+    ends = np.r_[ts[starts], t_min, ts[stops], t_min]
+    v_end = np.r_[vs[starts], v_min, vs[stops], v_min]
+    beyond = np.r_[starts - 1, dips - 1, stops + 1, dips + 1]
+    x = (beyond >= 0) & (beyond < grid_n)    # the ends that are crossings
+    b, inner, v_in = beyond[x], ends[x], v_end[x]
+    start = inner + (tol - v_in) / (vs[b] - v_in) * (ts[b] - inner)
+    ends[x] = _newton(fn, dfn, np.full(b.size, tol), inner, ts[b], start)[0]
+    lo, hi = np.split(ends, 2)
 
     return GuidingSet(zip(*_merge_intervals(lo, hi, (ts[1] - ts[0]) * 1e-6)))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (DataMismatch, IllConditioned, MapEscape,
                      NoConvergence, PConfigViolation)
-from .exprlang import _scalar, as_callable
+from .exprlang import _scalar, as_callable, differentiate
 from .funceq import (ContractionFailure, FunceqSystem, GridFunction,
                      certify_contraction, interp_weights, interpolation_matrix,
                      iterate_contraction, node_values)
@@ -136,11 +136,11 @@ def validate_pconfiguration(maps, interval, anchors,
 
 
 def extract_guiding_sets(pconf: PConfiguration):
-    """Lambda_i = {t : delta_i'(t) = 0} as closed intervals. Zeros below
-    the derivative tolerance are widened to the full sub-tolerance band,
-    the same conservative membership convention the orbit machinery uses.
-    """
-    return tuple(zero_band_guiding(g.derivative, pconf.interval,
+    """Lambda_i = {t : delta_i'(t) = 0} as closed intervals, from the maps'
+    expressions. Zeros below the derivative tolerance are widened to the
+    full sub-tolerance band, the same conservative membership convention
+    the orbit machinery uses."""
+    return tuple(zero_band_guiding(differentiate(g.source), pconf.interval,
                                    tol=DERIVATIVE_ROOT_TOL)
                  for g in pconf.maps)
 

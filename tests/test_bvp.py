@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from guided_dynamics.bvp import (BoundaryProblem, analyze_solvability,
                                  reduce_boundary_data, solve_bvp,
                                  verify_omega_conjugacy, verify_solution)
 from guided_dynamics.errors import (CornerMismatch,
-                                    DegenerateParametrization, NoBracket,
+                                    DegenerateParametrization,
                                     NotSolvableError)
 from guided_dynamics.exprlang import _scalar, differentiate, parse
+from guided_dynamics.gds import GuidedSystem, GuidingSet, Interval, map_from
 
 
 def project_pi3(p, system):
@@ -161,6 +163,8 @@ def test_cycle_system_guiding_bands(cycle_system):
     lo2, hi2 = lam2.intervals[0]
     assert lo2 < -1.0 / 3.0 < hi2
     assert omega_guiding_defect(cycle_system) < 1e-6
+    # the P-configuration orders the maps delta2, delta1
+    assert cycle_system.pconf.guiding == (lam2, lam1)
 
 
 def bisection_z_of_t(system, t, iters=90):
@@ -283,29 +287,44 @@ def test_z_of_t_memo_stays_bounded(curved_system, monkeypatch):
 # --------------------------------------------------------------------------
 
 def test_fixed_point_composites():
-    fp = fixed_point(parse("(t+1)/4"), (-1.0, 1.0),
-                     d_fn=parse("0.25"))
+    [fp] = fixed_point(parse("(t+1)/4"), (-1.0, 1.0),
+                       d_fn=parse("0.25"))
     assert fp.t_star == pytest.approx(1.0 / 3.0, abs=1e-13)
     assert fp.derivative == 0.25
     assert fp.conclusive
-    fp2 = fixed_point(parse("(t-1)/4"), (-1.0, 1.0), d_fn=parse("0.25"))
+    [fp2] = fixed_point(parse("(t-1)/4"), (-1.0, 1.0), d_fn=parse("0.25"))
     assert fp2.t_star == pytest.approx(-1.0 / 3.0, abs=1e-13)
 
 
-def test_fixed_point_iterations_are_brentq_count():
+def test_fixed_point_matches_brentq():
+    # brentq (test-only oracle) on the same bracket
     fn = parse("(t+1)/4 + t^3/8")
-    fp = fixed_point(fn, (-1.0, 1.0), d_fn=parse("1/4 + 3*t^2/8"))
-    root, info = brentq(lambda t: _scalar(fn, t) - t, -1.0, 1.0,
-                        xtol=1e-13, full_output=True)
-    assert (fp.t_star, fp.iterations) == (root, info.iterations)
+    [fp] = fixed_point(fn, (-1.0, 1.0), d_fn=parse("1/4 + 3*t^2/8"))
+    root = brentq(lambda t: _scalar(fn, t) - t, -1.0, 1.0, xtol=1e-13)
+    assert abs(fp.t_star - root) <= 1e-13
     assert 0 < fp.iterations < 45   # 45 was the bisection's count
 
 
+def test_fixed_point_finds_every_crossing():
+    # map - id = -(t + 0.4)(t - 0.1)(t - 0.7)/2: three crossings, none
+    # of them a scan node
+    fps = fixed_point(parse("t - 0.5*(t + 0.4)*(t - 0.1)*(t - 0.7)"),
+                      (-1.0, 1.0),
+                      d_fn=parse("1 - 0.5*((t - 0.1)*(t - 0.7) + "
+                                 "(t + 0.4)*(t - 0.7) + (t + 0.4)*(t - 0.1))"))
+    assert [fp.t_star for fp in fps] == pytest.approx([-0.4, 0.1, 0.7],
+                                                      abs=1e-13)
+    assert [fp.derivative for fp in fps] == pytest.approx(
+        [1 - 0.5 * 0.55, 1 + 0.5 * 0.3, 1 - 0.5 * 0.66], abs=1e-13)
+    assert all(fp.conclusive and 0 < fp.iterations < 45 for fp in fps)
+    assert fps.iterations == sum(fp.iterations for fp in fps)
+
+
 def test_fixed_point_exact_root_at_bracket_end():
-    fp = fixed_point(parse("t/2"), (0.0, 1.0), d_fn=parse("0.5"))
+    [fp] = fixed_point(parse("t/2"), (0.0, 1.0), d_fn=parse("0.5"))
     assert fp.t_star == 0.0
     assert fp.conclusive
-    fp = fixed_point(parse("(t+1)/2"), (0.0, 1.0), d_fn=parse("0.5"))
+    [fp] = fixed_point(parse("(t+1)/2"), (0.0, 1.0), d_fn=parse("0.5"))
     assert fp.t_star == 1.0
 
 
@@ -314,23 +333,22 @@ def test_fixed_point_exact_root_at_bracket_end():
     ("t - 1e-13*(2 - t)", 1.0),      # g = -2e-13 at 0, -1e-13 at 1
 ])
 def test_fixed_point_same_sign_tiny_bracket(source, t_star):
-    # both ends pass the 1e-12 bracket test with one sign, which brentq
-    # refuses: the end with the smaller |map(t) - t| is returned
-    fp = fixed_point(parse(source), (0.0, 1.0), d_fn=parse("1"))
+    # every node is within 1e-12 of a fixed point, with one sign: the run
+    # is one fixed point, at the node with the smallest |map(t) - t|
+    [fp] = fixed_point(parse(source), (0.0, 1.0), d_fn=parse("1"))
     assert (fp.t_star, fp.iterations) == (t_star, 0)
     assert not fp.conclusive
 
 
 def test_fixed_point_identity_inconclusive():
-    fp = fixed_point(parse("t"), (-1.0, 1.0), d_fn=parse("1"))
+    [fp] = fixed_point(parse("t"), (-1.0, 1.0), d_fn=parse("1"))
     assert not fp.conclusive
+    assert fp.t_star == -1.0
 
 
 def test_fixed_point_no_bracket():
-    with pytest.raises(NoBracket):
-        fixed_point(parse("t + 1"), (0.0, 1.0), d_fn=parse("1"))
-    with pytest.raises(NoBracket, match="no sign change"):
-        fixed_point(parse("t - 2e-12"), (0.0, 1.0), d_fn=parse("1"))
+    assert fixed_point(parse("t + 1"), (0.0, 1.0), d_fn=parse("1")) == ()
+    assert fixed_point(parse("t - 2e-12"), (0.0, 1.0), d_fn=parse("1")) == ()
 
 
 # --------------------------------------------------------------------------
@@ -359,6 +377,45 @@ def test_solvability_cycle_system(cycle_system):
     assert validate_orbit(cycle_system.interval_system,
                           report.witness_cycle, tol_step=1e-6)
     assert all(fp.in_guiding for fp in report.fixed_points)
+
+
+def test_solvability_reads_every_composite_fixed_point():
+    # delta1 o delta2 crosses the diagonal three times (attracting,
+    # repelling, attracting); Lambda1 holds the two right ones, and
+    # Lambda2 holds the conjugate of the left one, so only the left fixed
+    # point of delta1 o delta2 is outside the guiding union, and no pair of
+    # conjugate fixed points makes a guided 2-cycle. One fixed point per
+    # composite does not decide this: brentq on [-1, 1] picks the right
+    # one of delta1 o delta2 and the left one of delta2 o delta1, both
+    # guided, which reads not_solvable.
+    d1 = map_from(parse("0.45*t + 0.5 + 0.05*sin(40*t + 13)"), label=0)
+    d2 = map_from(parse("(t-1)/2"), label=1)
+    ts = np.linspace(-1.0, 1.0, 2001)
+    g = d1(d2(ts)) - ts
+    roots = [brentq(lambda t: _scalar(d1, _scalar(d2, t)) - t,
+                    ts[i], ts[i + 1], xtol=1e-15)
+             for i in np.flatnonzero(g[:-1] * g[1:] < 0)]
+    assert len(roots) == 3
+    t_l, t_m, t_r = roots
+    u_l = (t_l - 1) / 2
+    lam1 = GuidingSet([(t_m - 0.005, t_m + 0.005),
+                       (t_r - 0.005, t_r + 0.005)])
+    lam2 = GuidingSet([(u_l - 0.005, u_l + 0.005)])
+    isys = GuidedSystem(Interval(-1.0, 1.0), [d1, d2], [lam1, lam2])
+    system = SimpleNamespace(
+        interval=Interval(-1.0, 1.0), interval_system=isys,
+        lambda_sets=(lam1, lam2), delta1=d1, delta2=d2,
+        problem=SimpleNamespace(m=1.0, n=1.0))
+    report = analyze_solvability(system)
+    assert (report.status, report.route, report.grade) == \
+        ("solvable", "composite_fixed_points", "certified")
+    assert report.cycle_report.empty
+    fps = report.fixed_points
+    want = roots + [(t - 1) / 2 for t in roots]
+    assert [fp.t_star for fp in fps] == pytest.approx(want, abs=1e-13)
+    assert [fp.in_guiding for fp in fps] == [False, True, True,
+                                             True, False, False]
+    assert [fp.derivative < 1.0 for fp in fps] == [True, False, True] * 2
 
 
 # --------------------------------------------------------------------------

@@ -1271,8 +1271,9 @@ def test_import_and_config_load_leave_scipy_unloaded():
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # a zero-band scan with nothing to refine needs no solver
     steps = fresh_modules(
+        "from guided_dynamics.exprlang import parse\n"
         "from guided_dynamics.gds import Interval, zero_band_guiding\n"
-        "record(zero_band_guiding(lambda t: 0.5 + t * t,\n"
+        "record(zero_band_guiding(parse('0.5 + t * t'),\n"
         "                         Interval(-1.0, 1.0)).is_empty)\n")
     assert steps[0][0] is True
     assert "scipy.optimize" not in steps[0][1]
@@ -1285,7 +1286,12 @@ SCIPY_FREE_RUNS = [
                         ("weak-attractor", ["--x0", "0.3"]), ("cycles", []))
 ] + [["overdet", "--config", cfg("jensen.json")],
      ["affine-analyze", "--config", cfg("cauchy_gamma_star.json")],
-     ["affine-analyze", "--config", cfg("affine_scalar.json")]]
+     ["affine-analyze", "--config", cfg("affine_scalar.json")]] + [
+    # composite fixed points and zero bands are the package's own Newton
+    ["analyze-bvp", "--config", cfg(config)]
+    for config in ("straight_bvp.json", "curved_bvp.json", "cycle_bvp.json")
+] + [["build-bvp", "--config", cfg("cycle_bvp.json")],
+     ["validate-pconf", "--config", cfg("quadratic_pconf.json")]]
 
 
 def test_subcommands_without_linear_algebra_leave_scipy_unloaded():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import GOLDEN, circle_system, validate_orbit
 from guided_dynamics import gds
 from guided_dynamics.cli import load_config
-from guided_dynamics.exprlang import _scalar, as_callable, parse
+from guided_dynamics.exprlang import Expression, _scalar, as_callable, parse
 from guided_dynamics.gds import (CircleSpace,
                                  ContractionMinimalityCertificate,
                                  ContractionRefusal, FiniteGraphSpace,
@@ -26,7 +26,8 @@ from guided_dynamics.gds import (CircleSpace,
                                  verify_conjugacy, zero_band_guiding)
 from guided_dynamics.gds import (_circle_arcs, _closures, _distinct,
                                  _first_claims, _interval_images,
-                                 _merge_intervals, _range_cover_defect,
+                                 _merge_intervals, _newton,
+                                 _range_cover_defect,
                                  _roots, _step_rule, _validate_witness,
                                  _witness_intervals, write_csv)
 
@@ -66,6 +67,16 @@ def test_guiding_set_intersection_rejected():
         GuidedSystem(Interval(0.0, 1.0),
                      [map_from(parse("t/2"), 0), map_from(parse("t/2"), 1)],
                      [GuidingSet.points([0.5]), GuidingSet.points([0.5])])
+
+
+def test_one_generator_guiding_set_rejected():
+    # with one generator the common intersection is its guiding set
+    with pytest.raises(ValueError, match="intersect"):
+        GuidedSystem(Interval(0.0, 1.0), [parse("t/2")],
+                     [GuidingSet([(0.0, 1.0)])])
+    with pytest.raises(ValueError, match="intersect"):
+        GuidedSystem(CircleSpace(), [parse("t + 1")],
+                     [GuidingSet.points([2.0])])
 
 
 def test_range_escape_rejected():
@@ -752,9 +763,12 @@ def test_mismatched_conjugacy_fails():
 def test_conjugacy_properness_uses_tol_lambda():
     # every step maps onto p, allowed in sys_a (2e-9 from its guiding
     # point) but within sys_b's tol_lambda 1e-9 of its guiding point
+    # (one generator with a guiding point: systems that validation
+    # refuses, since their guiding sets intersect)
     p = 0.25
     sys_a, sys_b = (GuidedSystem(Interval(-1.0, 1.0), [parse("0.25")],
-                                 [GuidingSet.points([p + off])])
+                                 [GuidingSet.points([p + off])],
+                                 validate=False)
                     for off in (2e-9, 5e-10))
     report = verify_conjugacy(sys_a, sys_b, parse("t"), parse("t"))
     # the first step of each of the 100 orbits starts off p
@@ -786,7 +800,7 @@ def test_zero_band_detects_quadratic_contact():
               .replace("297/128", "2.3203125")
               .replace("513/64", "8.015625")
               .replace("729/128", "5.6953125"))
-    band = zero_band_guiding(s.eval, Interval(-1.0, 1.0), tol=1e-9)
+    band = zero_band_guiding(s, Interval(-1.0, 1.0), tol=1e-9)
     assert len(band.intervals) == 1
     lo, hi = band.intervals[0]
     assert lo < 1.0 / 3.0 < hi
@@ -794,7 +808,8 @@ def test_zero_band_detects_quadratic_contact():
 
 
 def test_zero_band_interval_run():
-    fn = lambda t: np.maximum(np.asarray(t, float) - 0.5, 0.0)
+    # max(t - 0.5, 0), exactly
+    fn = parse("(t - 0.5 + abs(t - 0.5))/2")
     band = zero_band_guiding(fn, Interval(0.0, 1.0), tol=1e-9)
     assert len(band.intervals) == 1
     lo, hi = band.intervals[0]
@@ -803,7 +818,7 @@ def test_zero_band_interval_run():
 
 
 def test_zero_band_empty():
-    band = zero_band_guiding(parse("0.5 + t^2").eval, Interval(-1.0, 1.0))
+    band = zero_band_guiding(parse("0.5 + t^2"), Interval(-1.0, 1.0))
     assert band.is_empty
 
 
@@ -926,18 +941,56 @@ def test_zero_band_matches_loops(source, interval, grid_n):
 
 
 @pytest.mark.parametrize("value", [5e-9, 1e-9])
-def test_zero_band_flat_coefficient_is_cheap(value):
+def test_zero_band_flat_coefficient_is_cheap(value, monkeypatch):
     # a flat value in [tol, 10 tol) passes the dip prefilter at every grid
     # point; all of them are refined together, not one search each
     calls = []
+    evaluate = Expression.eval
 
-    def fn(t):
+    def counted(node, t):
         calls.append(np.size(t))
-        return np.full(np.shape(t), value)
+        return evaluate(node, t)
 
-    band = zero_band_guiding(fn, Interval(-1.0, 1.0), grid_n=8193)
+    monkeypatch.setattr(Expression, "eval", counted)
+    band = zero_band_guiding(parse(repr(value)), Interval(-1.0, 1.0),
+                             grid_n=8193)
     assert band.is_empty
     assert len(calls) < 100
+
+
+def test_newton_solves_mixed_elements_in_one_call():
+    # one piecewise F holds every case, each in its own bracket:
+    # x^3 on [0, 1] (increasing; F' = 0 at the start 0, and an exact root
+    # at the end 1 started there), (3 - x)^2 on [2, 3] (decreasing),
+    # 2x + |x - 4.5| on [4, 5] (a kink at the root 4.5) and
+    # sign(x - 6.3) with F' = 0 on [6, 7], the derivative of |x - 6.3| as
+    # a zero-band dip refines it
+    def fn(x):
+        return np.select([x < 1.5, x < 3.5, x < 5.5],
+                         [x ** 3, (3.0 - x) ** 2, 2.0 * x + np.abs(x - 4.5)],
+                         np.sign(x - 6.3))
+
+    def dfn(x):
+        return np.select([x < 1.5, x < 3.5, x < 5.5],
+                         [3.0 * x ** 2, 2.0 * (x - 3.0),
+                          2.0 + np.sign(x - 4.5)], 0.0)
+
+    y = np.array([0.001, 1.0, 0.25, 9.0, 0.0])
+    neg = np.array([0.0, 0.0, 3.0, 4.0, 6.0])
+    pos = np.array([1.0, 1.0, 2.0, 5.0, 7.0])
+    start = np.array([0.0, 1.0, 2.2, 4.0, 6.9])
+    roots, steps = _newton(fn, dfn, y, neg, pos, start)
+    want = np.array([np.cbrt(0.001), 1.0, 2.5, 4.5, 6.3])
+    assert np.all(np.abs(roots - want) <= 2 * np.spacing(want))
+    assert roots[1] == 1.0 and steps[1] == 1
+    assert roots[3] == 4.5
+    assert np.all((steps >= 1) & (steps < gds.NEWTON_MAX_ITER))
+    # each element's iteration is its own: solved alone, the same bits
+    for k in range(y.size):
+        alone = _newton(fn, dfn, y[k:k + 1], neg[k:k + 1], pos[k:k + 1],
+                        start[k:k + 1])
+        assert (alone[0][0].tobytes(), alone[1][0]) == \
+            (roots[k].tobytes(), steps[k])
 
 
 def _savetxt_bytes(path, columns, header):
@@ -1175,8 +1228,9 @@ def test_orbit_cloud_budget_flagged():
 def test_blocked_frontier_at_depth_limit_is_saturated():
     # the only step is forbidden everywhere, so every singleton is a
     # closed orbit, even when the block is met at the last allowed level
+    # (a system that validation refuses: its guiding sets intersect)
     system = GuidedSystem(Interval(0.0, 1.0), [map_from(parse("t/2"), 0)],
-                          guiding=[[(0.0, 1.0)]])
+                          guiding=[[(0.0, 1.0)]], validate=False)
     cloud = guided_orbit_set(system, 0.3, 1, 0.1)
     assert cloud.saturated and cloud.depth_used == 0
     verdict = probe_minimality(system, 0.1, 1)
@@ -1683,7 +1737,8 @@ def build_orbit_graph_loop(system, cells):
 def guided_cases(draw):
     """A space, one or two generators, and a guiding set on the first:
     up to three intervals, some nested or overlapping, some across the
-    circle seam."""
+    circle seam. A nonempty guiding set comes with a second generator:
+    with one, it would be the common intersection, which must be empty."""
     circle = draw(st.booleans())
     space = CircleSpace() if circle else Interval(-1.0, 1.0)
     lo, hi = (0.0, TWO_PI) if circle else (-1.0, 1.0)
@@ -1700,6 +1755,8 @@ def guided_cases(draw):
     if ivs and draw(st.booleans()):
         a, b = ivs[0]
         ivs.append((a + 0.25 * (b - a), a + 0.5 * (b - a)))
+    if ivs and len(srcs) == 1:
+        srcs.append(draw(st.sampled_from([n for n in names if n != srcs[0]])))
     guiding = [ivs] + [[]] * (len(srcs) - 1)
     return GuidedSystem(space, [map_from(parse(src), k)
                                 for k, src in enumerate(srcs)], guiding)
@@ -1731,14 +1788,17 @@ def test_validate_witness_matches_loop(system, data):
     if guide != "as drawn":
         # guide the first generator off some witness intervals exactly, or
         # off those it maps out of the witness (which then validates when
-        # it is the only generator)
+        # it is the only generator). The generators were validated above;
+        # the guided system is not, since one guided generator has a
+        # nonempty common intersection.
         ivs = tuple(map(tuple, witness.tolist()))
         gen = system.generators[0]
         picked = data.draw(st.lists(st.sampled_from(ivs), max_size=3)) \
             if guide == "some" else \
             [iv for iv in ivs if not image_inside_loop(system, gen, *iv, ivs)]
         guiding = [picked] + [[]] * (system.n_generators - 1)
-        system = GuidedSystem(space, system.generators, guiding)
+        system = GuidedSystem(space, system.generators, guiding,
+                              validate=False)
     assert _validate_witness(system, witness) == \
         validate_witness_loop(system, tuple(map(tuple, witness.tolist())))
 
@@ -1907,13 +1967,16 @@ def test_circle_guiding_across_the_seam_apart_is_accepted():
 def test_covers_interval_sees_the_circle_seam():
     # the same guiding arc written across the seam and below 0: both
     # spellings skip the six cells inside it, where allowed_mask forbids
-    # the rotation, and validate the same witnesses
-    systems = [GuidedSystem(CircleSpace(), [parse("t + 1.5707963267948966")],
-                            [[arc]])
+    # the quarter rotation, and validate the same witnesses (an unguided
+    # second rotation keeps the common intersection of the guiding sets
+    # empty)
+    systems = [GuidedSystem(CircleSpace(), [parse("t + 1.5707963267948966"),
+                                            parse("t + 1")], [[arc], []])
                for arc in ((TWO_PI - 0.3, TWO_PI + 0.3), (-0.3, 0.3))]
     graphs = [build_orbit_graph(s, 64) for s in systems]
     assert np.array_equal(graphs[0].edges, graphs[1].edges)
-    assert sorted(set(range(64)) - set(graphs[0].edges[:, 0].tolist())) == \
+    quarter_edges = graphs[0].edges[graphs[0].edges[:, 2] == 0]
+    assert sorted(set(range(64)) - set(quarter_edges[:, 0].tolist())) == \
         [0, 1, 2, 61, 62, 63]
     for system in systems:
         assert not system.allowed_mask(0, np.array([0.0, 0.25, TWO_PI - 0.25

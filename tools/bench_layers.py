@@ -413,6 +413,10 @@ STARTUP_RUNS = [
     ("analyze-bvp", "straight_bvp.json", []),
     ("solve-bvp", "straight_bvp.json", []),
     ("verify-conjugacy", "straight_bvp.json", []),
+    # configs with guiding bands, which run the zero-band root solves
+    ("analyze-bvp", "cycle_bvp.json", []),
+    ("build-bvp", "cycle_bvp.json", []),
+    ("validate-pconf", "quadratic_pconf.json", []),
 ]
 
 # argv: SRC_DIR OUT_PATH ARG...; prints the seconds, the exit code, the
