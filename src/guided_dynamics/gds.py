@@ -1785,30 +1785,52 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
 def _newton(fn, dfn, y, neg, pos, x):
     """Roots of fn(x) = y for the arrays y, neg, pos and x at once (fn and
     dfn act on arrays): Newton's method from each start x on its bracket
-    between neg and pos, where fn - y is negative and positive. A step that
-    leaves the open bracket is replaced by the midpoint, so a zero dfn (its
-    warnings suppressed) bisects. An element is accepted when fn(x) == y
-    exactly or its step or bracket reaches one ulp, within NEWTON_MAX_ITER
-    steps; it depends on its own data alone. Returns roots and steps."""
+    between neg and pos, where fn - y must be strictly negative and
+    positive. A step strictly inside the bracket, or onto an end that has
+    not been an iterate, is taken; any other step is replaced by the
+    midpoint, so a zero dfn (its warnings suppressed) bisects. An element
+    ends at x when
+      - fn(x) == y exactly;
+      - its step is not taken and is at most one ulp of x (it settled);
+      - once an inside step was shorter than the inside step before it, a
+        step is not taken or is no shorter than the last inside step (it
+        stalled in fn's rounding noise);
+    and at its next iterate when that is within one ulp of x. At most
+    NEWTON_MAX_ITER steps; each element depends on its own data alone.
+    Returns roots and steps."""
     out, steps = np.empty_like(x), np.empty(x.shape, dtype=np.int64)
     active = np.arange(x.size)
+    # an end that has not been an iterate sits one ulp outside the
+    # bracket, so that a step landing exactly on it is inside
+    width = pos - neg
+    neg, pos = np.nextafter(neg, neg - width), np.nextafter(pos, pos + width)
+    # the last inside step's length, and it again while it was shorter
+    # than the inside step before it (else NaN)
+    last = shrunk = np.full(x.size, np.nan)
     for k in range(1, NEWTON_MAX_ITER + 1):
         f = np.asarray(fn(x), dtype=float) - y
         fp = np.asarray(dfn(x), dtype=float)
         neg, pos = np.where(f < 0.0, x, neg), np.where(f > 0.0, x, pos)
         lo, hi = np.minimum(neg, pos), np.maximum(neg, pos)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = x - f / fp
-        x_new = np.where((x_new > lo) & (x_new < hi), x_new, 0.5 * (lo + hi))
-        ulp = np.spacing(np.abs(x_new))
-        exact = f == 0.0
-        out[active] = np.where(exact, x, x_new)
+            step = f / fp
+        x_new = x - step
+        inside = (x_new > lo) & (x_new < hi)
+        size = np.abs(step)
+        ulp = np.spacing(np.abs(x))
+        at_x = (f == 0.0) | np.where(inside, size >= shrunk,
+                                     (size <= ulp) | ~np.isnan(shrunk))
+        x_new = np.where(at_x, x, np.where(inside, x_new, 0.5 * (lo + hi)))
+        out[active] = x_new
         steps[active] = k
-        todo = ~(exact | (np.abs(x_new - x) <= ulp) | (hi - lo <= ulp))
-        if not todo.any():
+        todo = np.abs(x_new - x) > ulp
+        active = active[todo]
+        if not active.size:
             break
-        active, y, x, neg, pos = (active[todo], y[todo], x_new[todo],
-                                  neg[todo], pos[todo])
+        shrunk = np.where(inside, np.where(size < last, size, np.nan),
+                          shrunk)[todo]
+        last = np.where(inside, size, last)[todo]
+        y, x, neg, pos = y[todo], x_new[todo], neg[todo], pos[todo]
     return out, steps
 
 

@@ -4,6 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 
 from conftest import curved_problem, straight_problem, validate_orbit
@@ -265,6 +268,53 @@ def test_z_of_t_memo_is_bit_exact(straight_system, curved_system,
         out = system.z_of_t(grid[:50])
         out[:] = 0.0
         assert_same_bits(system.z_of_t(grid[:50]), want[:50])
+
+
+def test_z_of_t_takes_few_newton_steps(curved_system, monkeypatch):
+    # on the curved domain omega's rounding noise exceeds ulp(z) near
+    # z = 0; those elements stop once their steps stall in it
+    steps = []
+
+    def counted(*args):
+        roots, k = newton(*args)
+        steps.append(k.max())
+        return roots, k
+    newton = bvp._newton
+    monkeypatch.setattr(bvp, "_newton", counted)
+    a, b = curved_system.interval.a, curved_system.interval.b
+    fresh_z_of_t(curved_system)(np.linspace(a, b, 4097))
+    assert len(steps) == 1 and steps[0] <= 8
+
+
+@st.composite
+def increasing_polynomials(draw):
+    """omega = c + the integral of 0.1 + q^2 for a random q of degree at
+    most 3, so omega' >= 0.1 on [-1, 1]."""
+    coef = st.floats(-2.0, 2.0, allow_subnormal=False)
+    q = Polynomial(draw(st.lists(coef, min_size=1, max_size=4)))
+    return (Polynomial([0.1]) + q * q).integ(k=draw(coef))
+
+
+@given(omega=increasing_polynomials(),
+       u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_z_of_t_matches_bisection_on_polynomials(omega, u):
+    d_omega = omega.deriv()
+    w_lo, w_hi = omega(-1.0), omega(1.0)
+    t = w_lo + np.array(u) * (w_hi - w_lo)
+    z = bvp._make_z_of_t(omega, d_omega)(t)
+    lo, hi = np.full(t.size, -1.0), np.full(t.size, 1.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = omega(mid) < t
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    # within a few units of omega's rounding error (Horner: eps times the
+    # coefficients' sum), taken back to z through omega'
+    noise = np.finfo(float).eps * np.abs(omega.coef).sum() / d_omega(lo)
+    assert np.all(np.abs(z - lo) <= 8 * noise)
+    alone = [bvp._make_z_of_t(omega, d_omega)(t[k:k + 1])[0]
+             for k in range(t.size)]
+    assert_same_bits(z, alone)
 
 
 def test_z_of_t_memo_stays_bounded(curved_system, monkeypatch):

@@ -993,6 +993,46 @@ def test_newton_solves_mixed_elements_in_one_call():
             (roots[k].tobytes(), steps[k])
 
 
+def test_newton_steps_onto_an_end_it_has_not_visited():
+    # F(x) = x on [0, 1] from 0.5 and F(x) = x - 0.5 on [0.5, 1] from 0.75:
+    # the first step lands exactly on the root at a bracket end
+    roots, steps = _newton(lambda x: x, np.ones_like, np.array([0.0, 0.5]),
+                           np.array([0.0, 0.5]), np.array([1.0, 1.0]),
+                           np.array([0.5, 0.75]))
+    assert roots.tolist() == [0.0, 0.5]
+    assert np.all(steps <= 3)
+
+
+def test_newton_settles_within_an_ulp():
+    # x^3 + x = y: each element stops once its Newton step is below one
+    # ulp, although its iterate has just become a bracket end
+    y = np.linspace(1.01, 3.99, 1000)
+    roots, steps = _newton(lambda x: x ** 3 + x, lambda x: 3.0 * x * x + 1.0,
+                           y, np.full(y.size, 0.5), np.full(y.size, 1.5),
+                           np.ones(y.size))
+    lo, hi = np.full(y.size, 0.5), np.full(y.size, 1.5)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = mid ** 3 + mid < y
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    assert np.all(steps <= 6)
+    assert np.all(np.abs(roots - lo) <= 2 * np.spacing(lo))
+
+
+def test_newton_stall_needs_shrinking_steps():
+    # far starts whose first steps do not shrink are not rounding noise:
+    # log x = 0 from 0.1 on [0.1, 2] (the second step is longer than the
+    # first) and atan x = 0 from 1.4 on [-10, 10] (it overshoots to -1.41)
+    for fn, dfn, neg, pos, start, want in (
+            (np.log, np.reciprocal, 0.1, 2.0, 0.1, 1.0),
+            (np.arctan, lambda x: 1.0 / (1.0 + x * x), -10.0, 10.0, 1.4,
+             0.0)):
+        roots, steps = _newton(fn, dfn, np.zeros(1), np.array([neg]),
+                               np.array([pos]), np.array([start]))
+        assert abs(roots[0] - want) <= 1e-15
+        assert steps[0] < 10
+
+
 def _savetxt_bytes(path, columns, header):
     np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
                header=header, comments="")

@@ -2,6 +2,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 TOOL = os.path.join(os.path.dirname(__file__), "..", "tools",
                     "report_snapshot.py")
 
@@ -44,3 +46,42 @@ def test_compare_names_each_key_of_a_rename():
         "solve-ivp --config a.json: report /residual 1e-05 -> 2e-05",
     ]
 
+
+
+def test_compare_measures_moved_csvs_on_sampled_rows(tmp_path):
+    # a CSV keeps its hash beside 257 evenly spaced rows; a moved CSV's
+    # line gives the largest relative change of those rows, and under a
+    # positive --rtol a change within it passes
+    tool = load_tool()
+    path = tmp_path / "out.csv"
+
+    def entry(values):
+        path.write_text("t,value\n" + "".join(
+            f"{i!r},{v!r}\n" for i, v in enumerate(values)))
+        return tool._take_out(path, csv=True)
+
+    values = [1.0 + 0.5 * i for i in range(1000)]
+    old = entry(values)
+    assert not path.exists()
+    assert (old["header"], old["rows"], len(old["sample"])) == \
+        ("t,value", 1000, 257)
+    assert old["sample"][0] == "0,1.0" and old["sample"][-1] == "999,500.5"
+    values[999] *= 1.0 + 1e-13    # a sampled row: the last
+    new = entry(values)
+    key = "solve-bvp --config c.json"
+
+    def diffs(rtol):
+        return tool.compare({key: [0, "", "", old]}, {key: [0, "", "", new]},
+                            rtol)
+    [line] = diffs(0.0)
+    head = f"{key}: CSV sha256 {old['sha256']} -> {new['sha256']}, " \
+        "largest relative change "
+    assert line.startswith(head) and line.endswith(" in 257 sampled rows")
+    assert float(line[len(head):].split()[0]) == pytest.approx(1e-13,
+                                                               rel=0.01)
+    assert diffs(1e-12) == []
+    assert len(diffs(1e-14)) == 1
+    shorter = entry(values[:-1])
+    [line] = tool.compare({key: [0, "", "", old]},
+                          {key: [0, "", "", shorter]}, 1.0)
+    assert line.endswith("rows 1000 -> 999, not compared")

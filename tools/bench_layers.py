@@ -46,8 +46,11 @@ bvp -- each stage of `solve-bvp` at its defaults (M = 512, eps 0.01) on
   `bvp` module, and their sum per run; and the conjugacy check,
   `verify_conjugacy` as `verify-conjugacy` runs it at seed 0 (`solve-bvp`
   does not). A separate, untimed run counts the z(t) elements each stage
-  asks for and how many are distinct (by exact bits); on the verify row
-  also the points it sends to `BoundarySystem.contains` and to the field
+  asks for and how many are distinct (by exact bits), and the calls of
+  the bracketed Newton `gds._newton` it makes (z(t), fixed points and zero
+  bands), their loop iterations (a call's largest element step count)
+  and the largest element step count; on the verify row also the points
+  it sends to `BoundarySystem.contains` and to the field
   (`BvpSolution._field_raw`; 2561 of them are the boundary checks), and
   in how many calls.
 startup -- each subcommand on one `configs/` file in a fresh interpreter
@@ -300,7 +303,7 @@ BVP_STAGES = (("build", "build_boundary_system"),
 
 def run_bvp(root, repeats):
     import numpy as np
-    from guided_dynamics import bvp, cli
+    from guided_dynamics import bvp, cli, gds
     # each stage records its seconds in log[row] and names itself in
     # log["stage"] while it runs, for the z(t) counts
     log = {}
@@ -322,9 +325,16 @@ def run_bvp(root, repeats):
 
     def counted_run(call):
         """Run call() with every boundary system's z_of_t recording the
-        bits of its inputs, and `contains` and the field their point
-        counts; ({row: [int64 arrays]}, {(row, label): [sizes]})."""
+        bits of its inputs, `contains` and the field their point counts,
+        and `_newton` each call's element step counts; ({row: [int64
+        arrays]}, {(row, label): [sizes]}, {row: [step arrays]})."""
         bits, sizes, make = {}, {}, bvp._make_z_of_t
+        steps, newton = {}, gds._newton
+
+        def counted_newton(*args):
+            roots, k = newton(*args)
+            steps.setdefault(log.get("stage"), []).append(k)
+            return roots, k
 
         def counted_make(*args):
             z_of_t = make(*args)
@@ -343,15 +353,17 @@ def run_bvp(root, repeats):
             return counted_method
         originals = [getattr(cls, name) for _, cls, name in point_methods]
         bvp._make_z_of_t = counted_make
+        bvp._newton = gds._newton = counted_newton
         for (label, cls, name), method in zip(point_methods, originals):
             setattr(cls, name, sized(label, method))
         try:
             call()
         finally:
             bvp._make_z_of_t = make
+            bvp._newton = gds._newton = newton
             for (_, cls, name), method in zip(point_methods, originals):
                 setattr(cls, name, method)
-        return bits, sizes
+        return bits, sizes, steps
 
     seed0 = argparse.Namespace(seed=0)
     for config in ("straight_bvp.json", "curved_bvp.json"):
@@ -363,8 +375,10 @@ def run_bvp(root, repeats):
 
         def check():
             cli.cmd_verify_conjugacy(cfg, seed0)
-        bits, sizes = counted_run(solve)
-        bits["conjugacy"] = counted_run(check)[0]["conjugacy"]
+        bits, sizes, steps = counted_run(solve)
+        check_bits, _, check_steps = counted_run(check)
+        bits["conjugacy"] = check_bits["conjugacy"]
+        steps["conjugacy"] = check_steps.get("conjugacy", [])
         runs = {row: [] for row, _ in BVP_STAGES}
         for _ in range(repeats):
             wall(solve)
@@ -387,8 +401,13 @@ def run_bvp(root, repeats):
                 f"{len(sizes[row, label])} call"
                 + "s" * (len(sizes[row, label]) != 1)
                 for label, _, _ in point_methods if (row, label) in sizes)
+            counts = [k for k in steps.get(row, []) if k.size]
             print(f"{config} {row}: {summary(seconds)}, z(t) {keys.size} "
-                  f"elements requested, {np.unique(keys).size} distinct"
+                  f"elements requested, {np.unique(keys).size} distinct, "
+                  f"_newton {len(counts)} call" + "s" * (len(counts) != 1)
+                  + f", {sum(int(k.max()) for k in counts)} loop iterations, "
+                  f"largest element step count "
+                  f"{max((int(k.max()) for k in counts), default=0)}"
                   + (points if row == "verify" else "")
                   + (" (verify-conjugacy at seed 0; solve-bvp does not "
                      "run it)" if row == "conjugacy" else ""))

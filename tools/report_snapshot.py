@@ -11,11 +11,12 @@ one JSON object mapping the argv, joined by spaces, to [exit code, stdout,
 stderr, `--out` file]. Every run passes `--out` into a scratch directory,
 so the snapshot also pins where output goes: a subcommand that writes a
 CSV (`CSV_COMMANDS`) writes it there and prints its report, and the last
-entry is the file's sha256; any other subcommand writes its report there
-and prints nothing, and the last entry is the file's text. It is null
-when no file was written. Two snapshots diff cleanly, so a refactor that
-must keep reports and CSVs byte-identical can be checked against its
-parent commit:
+entry holds the file's sha256, its header, its row count and a sample of
+`CSV_SAMPLE_ROWS` evenly spaced rows (every row of a shorter file); any
+other subcommand writes its report there and prints nothing, and the
+last entry is the file's text. It is null when no file was written. Two
+snapshots diff cleanly, so a refactor that must keep reports and CSVs
+byte-identical can be checked against its parent commit:
 
     python tools/report_snapshot.py new.json
     python tools/report_snapshot.py old.json --root ../parent-checkout
@@ -35,11 +36,16 @@ appears as `<tmp>` in keys, stdout and stderr.
 `--compare OLD NEW` writes no snapshot: it prints one line per difference
 between two snapshots and exits 1 if it printed any. A difference is a
 key in only one of them, an exit code, stdout that is not a JSON report,
-stderr or CSV sha256 that is not identical, a report key in only one of
-the two reports (at any depth: a renamed key shows as one line per name),
-a report value that is not a number and is not identical, or a report
-number that differs by more than `--rtol` (default 0) relative to the
-larger of the two.
+stderr that is not identical, a report key in only one of the two reports
+(at any depth: a renamed key shows as one line per name), a report value
+that is not a number and is not identical, a report number that differs
+by more than `--rtol` (default 0) relative to the larger of the two, or a
+CSV whose sha256 moved. The line of a moved CSV gives the largest
+relative change of its sampled rows (each value against the largest
+magnitude of its column in the two samples). Under a positive `--rtol` a
+moved CSV passes when its header and row count are unchanged and its
+sampled rows moved, by at most that much; its other rows are not
+compared.
 """
 
 import argparse
@@ -58,17 +64,26 @@ EXTRA_ARGS = {"graph-min": ([], ["--grid", "3"], ["--grid", "4096"]),
               "orbit": X0_ARGS, "weak-attractor": X0_ARGS}
 CSV_COMMANDS = ("orbit", "solve-fe", "solve-ivp", "overdet", "solve-bvp")
 WORKLOAD_SEEDS = (1, 2, 3)
+CSV_SAMPLE_ROWS = 257
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _take_out(path, csv):
-    """sha256 (a CSV) or text of the file, which is then removed; None
-    when absent."""
+    """Text of the file, or for a CSV its sha256, header, row count and
+    evenly spaced sample rows; the file is then removed. None when
+    absent."""
     if not path.exists():
         return None
     data = path.read_bytes()
     path.unlink()
-    return hashlib.sha256(data).hexdigest() if csv else data.decode()
+    if not csv:
+        return data.decode()
+    header, *rows = data.decode().splitlines()
+    last = len(rows) - 1
+    picks = sorted({round(i * last / (CSV_SAMPLE_ROWS - 1))
+                    for i in range(CSV_SAMPLE_ROWS)}) if rows else []
+    return {"sha256": hashlib.sha256(data).hexdigest(), "header": header,
+            "rows": len(rows), "sample": [rows[i] for i in picks]}
 
 
 def _run(cli, argv, out_path):
@@ -144,11 +159,51 @@ def _report_diffs(path, old, new, rtol):
     return [] if old == new else [f"{path or '/'} {old!r} -> {new!r}"]
 
 
+def _csv_change(old, new):
+    """Largest relative change between the sampled rows of two CSV
+    entries, each value against the largest magnitude of its column in
+    the two samples; None when their headers or row counts differ or a
+    row is not numbers (a refused `solve-bvp` writes its report there)."""
+    if (old["header"], old["rows"]) != (new["header"], new["rows"]):
+        return None
+
+    def columns(entry):
+        return list(zip(*([float(v) for v in row.split(",")]
+                          for row in entry["sample"])))
+    try:
+        pairs = list(zip(columns(old), columns(new)))
+    except ValueError:
+        return None
+    worst = 0.0
+    for a, b in pairs:
+        scale = max((abs(v) for v in a + b if v == v), default=0.0)
+        for x, y in zip(a, b):
+            if x == y or x != x and y != y:     # both NaN are equal
+                continue
+            change = abs(x - y) / scale if scale else math.inf
+            worst = max(worst, change if change == change else math.inf)
+    return worst
+
+
 def _parse_report(text):
     try:
         return json.loads(text) if text else None
     except json.JSONDecodeError:
         return text
+
+
+def _csv_diff(key, old, new, rtol):
+    """The line of a CSV entry that moved, none when it passes rtol."""
+    if old is None or new is None:
+        return [f"{key}: CSV {old and old['sha256']} -> "
+                f"{new and new['sha256']}"]
+    change = _csv_change(old, new)
+    if change is not None and 0.0 < change <= rtol:
+        return []
+    moved = (f"rows {old['rows']} -> {new['rows']}, not compared"
+             if change is None else f"largest relative change {change:.3g} "
+             f"in {len(new['sample'])} sampled rows")
+    return [f"{key}: CSV sha256 {old['sha256']} -> {new['sha256']}, {moved}"]
 
 
 def compare(old, new, rtol):
@@ -165,7 +220,7 @@ def compare(old, new, rtol):
         if command in CSV_COMMANDS:
             reports = (out_a, out_b)
             if file_a != file_b:
-                lines.append(f"{key}: CSV sha256 {file_a} -> {file_b}")
+                lines += _csv_diff(key, file_a, file_b, rtol)
         else:
             reports = (file_a, file_b)
             if out_a != out_b:
