@@ -1784,17 +1784,20 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
 
 def _newton(fn, dfn, y, neg, pos, x):
     """Roots of fn(x) = y for the arrays y, neg, pos and x at once (fn and
-    dfn act on arrays): Newton's method from each start x on its bracket
-    between neg and pos, where fn - y must be strictly negative and
-    positive. A step strictly inside the bracket, or onto an end that has
-    not been an iterate, is taken; any other step is replaced by the
-    midpoint, so a zero dfn (its warnings suppressed) bisects. An element
-    ends at x when
+    dfn act on arrays; fn is continuous with derivative dfn): Newton's
+    method from each start x on its bracket between neg and pos, where
+    fn - y must be strictly negative and positive. A step strictly inside
+    the bracket, or onto an end that has not been an iterate, is taken;
+    any other step is replaced by the midpoint, so a zero dfn (its warnings
+    suppressed) bisects. An element ends at x when
       - fn(x) == y exactly;
-      - its step is not taken and is at most one ulp of x (it settled);
-      - once an inside step was shorter than the inside step before it, a
-        step is not taken or is no shorter than the last inside step (it
-        stalled in fn's rounding noise);
+      - its step is not taken, points into the bracket and is at most one
+        ulp of x (it settled);
+      - x was reached by an inside step over which dfn did not change (to
+        one ulp), and the new step is not taken or is no shorter than that
+        one. fn was linear over that step to rounding, so the step landed
+        on a root up to rounding, and a step that does not shrink is fn's
+        rounding noise;
     and at its next iterate when that is within one ulp of x. At most
     NEWTON_MAX_ITER steps; each element depends on its own data alone.
     Returns roots and steps."""
@@ -1804,9 +1807,9 @@ def _newton(fn, dfn, y, neg, pos, x):
     # bracket, so that a step landing exactly on it is inside
     width = pos - neg
     neg, pos = np.nextafter(neg, neg - width), np.nextafter(pos, pos + width)
-    # the last inside step's length, and it again while it was shorter
-    # than the inside step before it (else NaN)
-    last = shrunk = np.full(x.size, np.nan)
+    # the length of the inside step that reached x, and dfn where that
+    # step started (NaN when x is a start or a midpoint)
+    last = fp_last = np.full(x.size, np.nan)
     for k in range(1, NEWTON_MAX_ITER + 1):
         f = np.asarray(fn(x), dtype=float) - y
         fp = np.asarray(dfn(x), dtype=float)
@@ -1814,22 +1817,24 @@ def _newton(fn, dfn, y, neg, pos, x):
         lo, hi = np.minimum(neg, pos), np.maximum(neg, pos)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f / fp
-        x_new = x - step
+        x_new, mid = x - step, 0.5 * (lo + hi)
         inside = (x_new > lo) & (x_new < hi)
         size = np.abs(step)
         ulp = np.spacing(np.abs(x))
-        at_x = (f == 0.0) | np.where(inside, size >= shrunk,
-                                     (size <= ulp) | ~np.isnan(shrunk))
-        x_new = np.where(at_x, x, np.where(inside, x_new, 0.5 * (lo + hi)))
+        # x is a bracket end: an inward step moves it towards mid
+        settled = (size <= ulp) & (step * (mid - x) < 0.0)
+        linear = np.abs(fp - fp_last) <= np.spacing(np.abs(fp))
+        at_x = (f == 0.0) | np.where(inside, linear & (size >= last),
+                                     linear | settled)
+        x_new = np.where(at_x, x, np.where(inside, x_new, mid))
         out[active] = x_new
         steps[active] = k
         todo = np.abs(x_new - x) > ulp
         active = active[todo]
         if not active.size:
             break
-        shrunk = np.where(inside, np.where(size < last, size, np.nan),
-                          shrunk)[todo]
-        last = np.where(inside, size, last)[todo]
+        last = np.where(inside, size, np.nan)[todo]
+        fp_last = np.where(inside, fp, np.nan)[todo]
         y, x, neg, pos = y[todo], x_new[todo], neg[todo], pos[todo]
     return out, steps
 

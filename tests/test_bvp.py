@@ -272,7 +272,8 @@ def test_z_of_t_memo_is_bit_exact(straight_system, curved_system,
 
 def test_z_of_t_takes_few_newton_steps(curved_system, monkeypatch):
     # on the curved domain omega's rounding noise exceeds ulp(z) near
-    # z = 0; those elements stop once their steps stall in it
+    # z = 0; omega' does not change over a step that short, and those
+    # elements stop once a step does not shrink
     steps = []
 
     def counted(*args):

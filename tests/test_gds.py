@@ -817,6 +817,19 @@ def test_zero_band_interval_run():
     assert abs(hi - 0.5) < 1e-6
 
 
+def test_zero_band_finds_a_tilted_flat_dip():
+    # 1e-6 u^4 - 4e-9 u + 8e-10 with u = 4096 t - 1024.2, one grid step per
+    # unit of u: its minimum 5e-10 < tol at u = 0.1 lies between grid
+    # nodes, and fn' is a cubic whose Newton steps from the scan minimum
+    # shrink towards its flat point u = 0 before they grow again
+    fn = parse("1e-6*(4096*t - 1024.2)^4 - 4e-9*(4096*t - 1024.2) + 8e-10")
+    band = zero_band_guiding(fn, Interval(-1.0, 1.0), tol=1e-9)
+    assert len(band.intervals) == 1
+    lo, hi = band.intervals[0]
+    assert lo < 1024.3 / 4096 < hi
+    assert hi - lo < 1e-4
+
+
 def test_zero_band_empty():
     band = zero_band_guiding(parse("0.5 + t^2"), Interval(-1.0, 1.0))
     assert band.is_empty
@@ -1003,6 +1016,17 @@ def test_newton_steps_onto_an_end_it_has_not_visited():
     assert np.all(steps <= 3)
 
 
+def test_newton_settles_only_into_its_bracket():
+    # (x - 0.25)(x - 0.75) = 1e-18 on [0.25, 1] from 0.25: F - y is -1e-18
+    # at the start and its sub-ulp Newton step leaves the bracket outwards,
+    # towards the root just left of 0.25; the root in the bracket is 0.75
+    roots, steps = _newton(lambda x: (x - 0.25) * (x - 0.75),
+                           lambda x: 2.0 * x - 1.0, np.array([1e-18]),
+                           np.array([0.25]), np.array([1.0]),
+                           np.array([0.25]))
+    assert abs(roots[0] - 0.75) <= 2 * np.spacing(0.75)
+
+
 def test_newton_settles_within_an_ulp():
     # x^3 + x = y: each element stops once its Newton step is below one
     # ulp, although its iterate has just become a bracket end
@@ -1019,18 +1043,24 @@ def test_newton_settles_within_an_ulp():
     assert np.all(np.abs(roots - lo) <= 2 * np.spacing(lo))
 
 
-def test_newton_stall_needs_shrinking_steps():
-    # far starts whose first steps do not shrink are not rounding noise:
-    # log x = 0 from 0.1 on [0.1, 2] (the second step is longer than the
-    # first) and atan x = 0 from 1.4 on [-10, 10] (it overshoots to -1.41)
-    for fn, dfn, neg, pos, start, want in (
-            (np.log, np.reciprocal, 0.1, 2.0, 0.1, 1.0),
-            (np.arctan, lambda x: 1.0 / (1.0 + x * x), -10.0, 10.0, 1.4,
-             0.0)):
-        roots, steps = _newton(fn, dfn, np.zeros(1), np.array([neg]),
+def test_newton_far_starts_reach_the_root():
+    # Newton's global phase is not rounding noise, however its steps grow
+    # or shrink: log x = 0 from 0.1 on [0.1, 2] (the second step is longer
+    # than the first), atan x = 0 from 1.4 on [-10, 10] (it overshoots to
+    # -1.41), and x^3 = 1e-3 from -1 on [-1, 1] and from -0.18 on
+    # [-0.18, 0.12] (the steps shrink towards the flat point 0, then grow)
+    for fn, dfn, y, neg, pos, start, want in (
+            (np.log, np.reciprocal, 0.0, 0.1, 2.0, 0.1, 1.0),
+            (np.arctan, lambda x: 1.0 / (1.0 + x * x), 0.0, -10.0, 10.0,
+             1.4, 0.0),
+            (lambda x: x ** 3, lambda x: 3.0 * x * x, 1e-3, -1.0, 1.0, -1.0,
+             0.1),
+            (lambda x: x ** 3, lambda x: 3.0 * x * x, 1e-3, -0.18, 0.12,
+             -0.18, 0.1)):
+        roots, steps = _newton(fn, dfn, np.array([y]), np.array([neg]),
                                np.array([pos]), np.array([start]))
         assert abs(roots[0] - want) <= 1e-15
-        assert steps[0] < 10
+        assert steps[0] < 20
 
 
 def _savetxt_bytes(path, columns, header):

@@ -47,7 +47,6 @@ def test_compare_names_each_key_of_a_rename():
     ]
 
 
-
 def test_compare_measures_moved_csvs_on_sampled_rows(tmp_path):
     # a CSV keeps its hash beside 257 evenly spaced rows; a moved CSV's
     # line gives the largest relative change of those rows, and under a
@@ -81,7 +80,25 @@ def test_compare_measures_moved_csvs_on_sampled_rows(tmp_path):
                                                                rel=0.01)
     assert diffs(1e-12) == []
     assert len(diffs(1e-14)) == 1
-    shorter = entry(values[:-1])
-    [line] = tool.compare({key: [0, "", "", old]},
-                          {key: [0, "", "", shorter]}, 1.0)
-    assert line.endswith("rows 1000 -> 999, not compared")
+    # a CSV that passes is still listed, as passed on its sampled rows
+    [line] = tool.sampled_passes({key: [0, "", "", old]},
+                                 {key: [0, "", "", new]}, 1e-12)
+    assert line.startswith(f"{key}: CSV sha256 {old['sha256']} -> "
+                           f"{new['sha256']} passed on its 257 sampled rows "
+                           "only, largest relative change ")
+    assert tool.sampled_passes({key: [0, "", "", old]},
+                               {key: [0, "", "", new]}, 1e-14) == []
+
+    def compare_to(entry):
+        [line] = tool.compare({key: [0, "", "", old]},
+                              {key: [0, "", "", entry]}, 1.0)
+        return line
+    assert compare_to(entry(values[:-1])).endswith(
+        "rows 1000 -> 999, not compared")
+    # a refused solve-bvp writes its report where the CSV would be
+    words = entry(["refused"] * 1000)
+    assert compare_to(words).endswith(", not numbers, not compared")
+    path.write_text("t,other\n" + "".join(
+        f"{i!r},{v!r}\n" for i, v in enumerate(values)))
+    assert compare_to(tool._take_out(path, csv=True)).endswith(
+        ", header changed, not compared")

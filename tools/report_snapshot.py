@@ -45,7 +45,8 @@ relative change of its sampled rows (each value against the largest
 magnitude of its column in the two samples). Under a positive `--rtol` a
 moved CSV passes when its header and row count are unchanged and its
 sampled rows moved, by at most that much; its other rows are not
-compared.
+compared, so each CSV that passed this way is listed after the
+differences, without counting as one.
 """
 
 import argparse
@@ -200,10 +201,36 @@ def _csv_diff(key, old, new, rtol):
     change = _csv_change(old, new)
     if change is not None and 0.0 < change <= rtol:
         return []
-    moved = (f"rows {old['rows']} -> {new['rows']}, not compared"
-             if change is None else f"largest relative change {change:.3g} "
-             f"in {len(new['sample'])} sampled rows")
+    if change is not None:
+        moved = (f"largest relative change {change:.3g} in "
+                 f"{len(new['sample'])} sampled rows")
+    elif old["header"] != new["header"]:
+        moved = "header changed, not compared"
+    elif old["rows"] != new["rows"]:
+        moved = f"rows {old['rows']} -> {new['rows']}, not compared"
+    else:
+        moved = "not numbers, not compared"
     return [f"{key}: CSV sha256 {old['sha256']} -> {new['sha256']}, {moved}"]
+
+
+def _command(key):
+    argv = key.split()
+    return argv[2] if argv[1].startswith("seed=") else argv[0]
+
+
+def sampled_passes(old, new, rtol):
+    """One line per CSV whose sha256 moved but which passes rtol on its
+    sampled rows: its other rows were not compared."""
+    lines = []
+    for key in sorted(old.keys() & new.keys()):
+        a, b = old[key][3], new[key][3]
+        if (_command(key) in CSV_COMMANDS and a and b and a != b
+                and not _csv_diff(key, a, b, rtol)):
+            lines.append(f"{key}: CSV sha256 {a['sha256']} -> {b['sha256']} "
+                         f"passed on its {len(b['sample'])} sampled rows "
+                         f"only, largest relative change "
+                         f"{_csv_change(a, b):.3g}")
+    return lines
 
 
 def compare(old, new, rtol):
@@ -215,9 +242,7 @@ def compare(old, new, rtol):
     for key in sorted(old.keys() & new.keys()):
         (code_a, out_a, err_a, file_a), (code_b, out_b, err_b, file_b) = \
             old[key], new[key]
-        argv = key.split()
-        command = argv[2] if argv[1].startswith("seed=") else argv[0]
-        if command in CSV_COMMANDS:
+        if _command(key) in CSV_COMMANDS:
             reports = (out_a, out_b)
             if file_a != file_b:
                 lines += _csv_diff(key, file_a, file_b, rtol)
@@ -251,9 +276,13 @@ def main():
                              "1-3 instead of the configs/ corpus")
     args = parser.parse_args()
     if args.compare:
-        lines = compare(*(json.loads(path.read_text())
-                          for path in args.compare), args.rtol)
-        print("\n".join(lines + [f"{len(lines)} differences"]))
+        old, new = (json.loads(path.read_text()) for path in args.compare)
+        lines = compare(old, new, args.rtol)
+        passes = sampled_passes(old, new, args.rtol)
+        print("\n".join(lines + passes + [
+            f"{len(lines)} differences" + (f", {len(passes)} moved CSVs "
+                                           "passed on sampled rows only"
+                                           if passes else "")]))
         sys.exit(1 if lines else 0)
     if args.out is None:
         parser.error("the snapshot path is required without --compare")
