@@ -299,6 +299,27 @@ def build_boundary_system(problem: BoundaryProblem) -> BoundarySystem:
         interval_system=interval_system)
 
 
+class _GammaSystem(GuidedSystem):
+    """The guided system of `gamma_system`, whose maps are zeta_i =
+    z(c_i alpha_i(z)). `step_each` evaluates c_i alpha_i on each
+    generator's points and inverts omega once for all of them; z(t) is
+    exact per element, so that is `step` per generator, bit for bit."""
+
+    def __init__(self, z_of_t, scaled, generators, guiding):
+        self.z_of_t = z_of_t
+        self.scaled = scaled    # (c_i, alpha_i, alpha_i') per generator
+        super().__init__(Interval(-1.0, 1.0), generators, guiding)
+
+    def step_each(self, chosen, x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        t = np.empty_like(x)
+        for i, (c, alpha, _) in enumerate(self.scaled):
+            sel = chosen == i
+            if np.any(sel):
+                t[sel] = c * alpha(x[sel])
+        return self.space.normalize(np.asarray(self.z_of_t(t), dtype=float))
+
+
 def gamma_system(system: BoundarySystem) -> GuidedSystem:
     """The guided system (Gamma, zeta, Omega) in the curve parameter z on
     [-1, 1]: zeta_i = z(c_i alpha_i(z)) with c = (n, -m), the maps that
@@ -306,6 +327,8 @@ def gamma_system(system: BoundarySystem) -> GuidedSystem:
     problem = system.problem
     omega_d = differentiate(system.omega)
     z_of_t = system.z_of_t
+    scaled = ((problem.n, problem.alpha1, problem.d_alpha1),
+              (-problem.m, problem.alpha2, problem.d_alpha2))
 
     def induced(c, alpha, da, label):
         def zeta(z):
@@ -316,10 +339,9 @@ def gamma_system(system: BoundarySystem) -> GuidedSystem:
 
         return GeneratorMap(zeta, zeta_d, label=label)
 
-    return GuidedSystem(
-        Interval(-1.0, 1.0),
-        [induced(problem.n, problem.alpha1, problem.d_alpha1, 0),
-         induced(-problem.m, problem.alpha2, problem.d_alpha2, 1)],
+    return _GammaSystem(
+        z_of_t, scaled,
+        [induced(*maps, label) for label, maps in enumerate(scaled)],
         list(system.omega_sets))
 
 
@@ -402,7 +424,13 @@ def fixed_point(map_fn, bracket, d_fn) -> FixedPoints:
     for r in np.flatnonzero(~solved):
         nodes = slice(starts[r] // 2, stops[r] // 2 + 1)
         t_star[r] = ts[nodes][np.argmin(np.abs(g[nodes]))]
-    deriv = np.asarray(d_fn(t_star), dtype=float)
+    return _results(t_star, d_fn(t_star), steps)
+
+
+def _results(t_star, deriv, steps):
+    """FixedPoints at t_star with the map's derivative and the steps
+    that solved them; |derivative - 1| < 1e-6 is inconclusive."""
+    deriv = np.asarray(deriv, dtype=float)
     return FixedPoints(FixedPointResult(t, d, abs(d - 1.0) >= 1e-6, k)
                        for t, d, k in zip(t_star.tolist(), deriv.tolist(),
                                           steps.tolist()))
@@ -434,6 +462,8 @@ def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
     composite fixed points of delta1 o delta2 and delta2 o delta1 decide:
     an attracting one off the guiding union is a weak attractor
     (solvable); all of them inside it is not solvable; none decides none.
+    Only delta1 o delta2 is solved; the fixed points of delta2 o delta1
+    are their delta2-images, in the same order, with 0 iterations.
     (3) A guided cycle found by forward search refutes minimality
     outright. (4) Otherwise the minimality probe gives graded evidence.
     """
@@ -454,11 +484,17 @@ def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
            and all(lo > -m + 1e-12 and hi < -1e-12
                    for lo, hi in lam2.intervals))
     if hyp:
-        for outer, inner in ((system.delta1, system.delta2),
-                             (system.delta2, system.delta1)):
-            fps += fixed_point(lambda t: outer(inner(t)), (-m, n),
-                               lambda t: outer.derivative(inner(t)) *
-                               inner.derivative(t))
+        d1, d2 = system.delta1, system.delta2
+        fps = fixed_point(lambda t: d1(d2(t)), (-m, n),
+                          lambda t: d1.derivative(d2(t)) * d2.derivative(t))
+        # delta2 maps them one-to-one onto the fixed points of delta2 o
+        # delta1: x = delta1(delta2(x)) gives y = delta2(x) with
+        # delta2(delta1(y)) = y
+        if fps:
+            ys = np.asarray(d2(np.array([fp.t_star for fp in fps])),
+                            dtype=float)
+            fps += _results(ys, d2.derivative(d1(ys)) * d1.derivative(ys),
+                            np.zeros(ys.size, np.int64))
         for fp in fps:
             fp.in_guiding = len(allowed_generators(isys, fp.t_star)) < \
                 isys.n_generators

@@ -507,6 +507,18 @@ class GuidedSystem:
         return self.space.normalize(
             np.asarray(self.generators[i](x), dtype=float))
 
+    def step_each(self, chosen, x):
+        """delta_{chosen[k]}(x[k]) for every k, normalized, as a float
+        array; each chosen[k] must be a generator index. Each generator
+        steps its own points, as `step` does."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty_like(x)
+        for i in range(self.n_generators):
+            sel = chosen == i
+            if np.any(sel):
+                out[sel] = self.step(i, x[sel])
+        return out
+
 
 def _classify_monotone(gen, xs):
     if gen.has_derivative:
@@ -1702,8 +1714,9 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
     """Check that phi intertwines the generators (max defect over samples),
     carries guiding sets onto guiding sets (sampled Hausdorff distance),
     and maps proper orbits to proper orbits (100 random 8-step orbits of
-    sys_a, each step allowed in sys_b at the image under phi); each
-    defect must be at most 1e-9."""
+    sys_a, each step allowed in sys_b at the image under phi; one
+    `sys_a.step_each` call moves all orbits a step); each defect must be
+    at most 1e-9."""
     if sys_a.n_generators != sys_b.n_generators:
         raise ValueError("systems must share the generator count")
     rng = np.random.default_rng(0) if rng is None else rng
@@ -1759,15 +1772,13 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
             chosen[sel] = i
             running += masks[:, i]
         fx_pts = np.asarray(f(pts), dtype=float)
-        nxt = pts.copy()
         for i in range(sys_a.n_generators):
             sel = chosen == i
-            if not np.any(sel):
-                continue
-            checked += int(sel.sum())
-            violations += int(np.sum(~sys_b.allowed_mask(i, fx_pts[sel])))
-            nxt[sel] = sys_a.step(i, pts[sel])
-        pts = nxt
+            if np.any(sel):
+                checked += int(sel.sum())
+                violations += int(np.sum(~sys_b.allowed_mask(
+                    i, fx_pts[sel])))
+        pts[live] = sys_a.step_each(chosen[live], pts[live])
     max_guid = max(guiding_defects) if guiding_defects else 0.0
     ok = (map_defect <= tol and max_guid <= tol and violations == 0)
     return ConjugacyReport(map_defect=map_defect,

@@ -149,6 +149,32 @@ def test_conjugated_derivatives_match_central_differences(curved_system,
             assert np.max(np.abs(zeta.derivative(zs) - fd)) < 1e-8
 
 
+@pytest.mark.parametrize("name", ["straight_system", "curved_system",
+                                  "cycle_system"])
+def test_gamma_step_each_is_step_per_generator(request, monkeypatch, name):
+    # the Gamma system inverts omega once for the points of both
+    # generators, which must give each generator's own step bit for bit
+    system = request.getfixturevalue(name)
+    gsys = gamma_system(system)
+    rng = np.random.default_rng(11)
+    zs = rng.uniform(-1.0, 1.0, 64)
+    for chosen in (np.zeros(64, np.int64), np.ones(64, np.int64),
+                   rng.integers(0, 2, 64), np.empty(0, np.int64)):
+        x = zs[:chosen.size]
+        want = np.empty_like(x)
+        for i in range(gsys.n_generators):
+            want[chosen == i] = gsys.step(i, x[chosen == i])
+        for got in (gsys.step_each(chosen, x),
+                    GuidedSystem.step_each(gsys, chosen, x)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    # the conjugacy check reads the same orbits through the default path
+    fast = verify_omega_conjugacy(system, np.random.default_rng(3))
+    monkeypatch.setattr(bvp._GammaSystem, "step_each",
+                        GuidedSystem.step_each)
+    assert verify_omega_conjugacy(system, np.random.default_rng(3)) == fast
+
+
 def test_conjugacy_reports(straight_system, curved_system):
     for system in (straight_system, curved_system):
         conj = verify_omega_conjugacy(system, np.random.default_rng(0))
@@ -430,15 +456,13 @@ def test_solvability_cycle_system(cycle_system):
     assert all(fp.in_guiding for fp in report.fixed_points)
 
 
-def test_solvability_reads_every_composite_fixed_point():
-    # delta1 o delta2 crosses the diagonal three times (attracting,
-    # repelling, attracting); Lambda1 holds the two right ones, and
-    # Lambda2 holds the conjugate of the left one, so only the left fixed
-    # point of delta1 o delta2 is outside the guiding union, and no pair of
-    # conjugate fixed points makes a guided 2-cycle. One fixed point per
-    # composite does not decide this: brentq on [-1, 1] picks the right
-    # one of delta1 o delta2 and the left one of delta2 o delta1, both
-    # guided, which reads not_solvable.
+def planted_three_roots():
+    """A generic interval system on [-1, 1] whose delta1 o delta2 crosses
+    the diagonal three times (attracting, repelling, attracting), with
+    the three roots by brentq. Lambda1 holds the two right ones, and
+    Lambda2 holds the conjugate of the left one, so only the left fixed
+    point of delta1 o delta2 is outside the guiding union, and no pair of
+    conjugate fixed points makes a guided 2-cycle."""
     d1 = map_from(parse("0.45*t + 0.5 + 0.05*sin(40*t + 13)"), label=0)
     d2 = map_from(parse("(t-1)/2"), label=1)
     ts = np.linspace(-1.0, 1.0, 2001)
@@ -457,6 +481,14 @@ def test_solvability_reads_every_composite_fixed_point():
         interval=Interval(-1.0, 1.0), interval_system=isys,
         lambda_sets=(lam1, lam2), delta1=d1, delta2=d2,
         problem=SimpleNamespace(m=1.0, n=1.0))
+    return system, roots
+
+
+def test_solvability_reads_every_composite_fixed_point():
+    # One fixed point per composite does not decide the planted system:
+    # brentq on [-1, 1] picks the right one of delta1 o delta2 and the
+    # left one of delta2 o delta1, both guided, which reads not_solvable.
+    system, roots = planted_three_roots()
     report = analyze_solvability(system)
     assert (report.status, report.route, report.grade) == \
         ("solvable", "composite_fixed_points", "certified")
@@ -467,6 +499,34 @@ def test_solvability_reads_every_composite_fixed_point():
     assert [fp.in_guiding for fp in fps] == [False, True, True,
                                              True, False, False]
     assert [fp.derivative < 1.0 for fp in fps] == [True, False, True] * 2
+
+
+@pytest.mark.parametrize("name", ["straight_system", "curved_system",
+                                  "cycle_system", "planted"])
+def test_second_composite_fixed_points_are_delta2_images(request, name):
+    # delta2 maps the fixed points of delta1 o delta2 one-to-one onto those
+    # of delta2 o delta1, so the analysis solves only the first composite
+    system = planted_three_roots()[0] if name == "planted" else \
+        request.getfixturevalue(name)
+    d1, d2 = system.delta1, system.delta2
+    fps = analyze_solvability(system).fixed_points
+    k = len(fps) // 2
+    assert k and len(fps) == 2 * k
+    first, second = fps[:k], fps[k:]
+    assert [fp.t_star for fp in second] == \
+        d2(np.array([fp.t_star for fp in first])).tolist()
+    assert [fp.iterations for fp in second] == [0] * k
+    # an independent solve of delta2 o delta1: simple roots agree to
+    # rounding, the cycle domain's tangent root within its flat stretch
+    solved = fixed_point(lambda t: d2(d1(t)),
+                         (-system.problem.m, system.problem.n),
+                         lambda t: d2.derivative(d1(t)) * d1.derivative(t))
+    assert len(solved) == k
+    for fp, ref in zip(second, solved):
+        assert fp.conclusive == ref.conclusive
+        assert abs(fp.t_star - ref.t_star) <= \
+            (1e-12 if ref.conclusive else 1e-5)
+        assert fp.derivative == pytest.approx(ref.derivative, abs=1e-9)
 
 
 # --------------------------------------------------------------------------

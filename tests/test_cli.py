@@ -530,17 +530,22 @@ def test_only_the_gamma_side_commands_build_the_gamma_system(
     # and verify-conjugacy check the Gamma system against it, once each
     from guided_dynamics import bvp
     built, checked = [], []
-    guided, check = bvp.GuidedSystem, bvp.verify_conjugacy
+    guided, gamma, check = (bvp.GuidedSystem, bvp._GammaSystem,
+                            bvp.verify_conjugacy)
 
-    def spy_guided(*args, **kwargs):
-        built.append(guided(*args, **kwargs))
-        return built[-1]
+    def spy(cls):
+        def spy_build(*args, **kwargs):
+            built.append(cls(*args, **kwargs))
+            return built[-1]
+        return spy_build
 
     def spy_check(*args, **kwargs):
         checked.append(args[0])
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(bvp, "GuidedSystem", spy_guided)
+    # the Gamma system has its own type, a GuidedSystem
+    monkeypatch.setattr(bvp, "GuidedSystem", spy(guided))
+    monkeypatch.setattr(bvp, "_GammaSystem", spy(gamma))
     monkeypatch.setattr(bvp, "verify_conjugacy", spy_check)
     for command, gamma_side in (("analyze-bvp", False), ("solve-bvp", False),
                                 ("build-bvp", True),

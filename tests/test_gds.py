@@ -760,6 +760,17 @@ def test_mismatched_conjugacy_fails():
     assert report.map_defect > 0.1
 
 
+def test_step_each_steps_each_point_by_its_generator():
+    # on the circle, so that the images are normalized as by step
+    system = circle_system(GOLDEN, 0.7)
+    x = np.linspace(0.0, 6.0, 9)
+    chosen = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1])
+    got = system.step_each(chosen, x)
+    want = [system.step(i, xk)[0] for i, xk in zip(chosen, x)]
+    assert got.tolist() == want
+    assert system.step_each(chosen[:0], x[:0]).shape == (0,)
+
+
 def test_conjugacy_properness_uses_tol_lambda():
     # every step maps onto p, allowed in sys_a (2e-9 from its guiding
     # point) but within sys_b's tol_lambda 1e-9 of its guiding point

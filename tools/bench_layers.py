@@ -41,18 +41,21 @@ expr -- `Expression.eval` on the expressions the benchmark's workloads
   2**12, 2**15 and 2**18 + 1 points, with the tracemalloc peak of one call
   and the statement count of the compiled body.
 bvp -- each stage of `solve-bvp` at its defaults (M = 512, eps 0.01) on
-  configs/straight_bvp.json and configs/curved_bvp.json: build, analyze,
-  reduce, solve_ivp (the chi solve) and verify, timed by wrappers in the
-  `bvp` module, and their sum per run; and the conjugacy check,
+  configs/straight_bvp.json, configs/curved_bvp.json and
+  configs/cycle_bvp.json: build, analyze, reduce, solve_ivp (the chi
+  solve) and verify, timed by wrappers in the `bvp` module, and their sum
+  per run (the cycle domain is refused as not solvable after analyze, so
+  it has those two stages only); and the conjugacy check,
   `verify_conjugacy` as `verify-conjugacy` runs it at seed 0 (`solve-bvp`
   does not). A separate, untimed run counts the z(t) elements each stage
   asks for and how many are distinct (by exact bits), and the calls of
   the bracketed Newton `gds._newton` it makes (z(t), fixed points and zero
   bands), their loop iterations (a call's largest element step count)
-  and the largest element step count; on the verify row also the points
-  it sends to `BoundarySystem.contains` and to the field
-  (`BvpSolution._field_raw`; 2561 of them are the boundary checks), and
-  in how many calls.
+  and the largest element step count; on the analyze row also the calls
+  of `bvp.fixed_point` and, within them, the loop iterations and the
+  z(t) elements requested; on the verify row the points it sends to
+  `BoundarySystem.contains` and to the field (`BvpSolution._field_raw`;
+  2561 of them are the boundary checks), and in how many calls.
 startup -- each subcommand on one `configs/` file in a fresh interpreter
   (`probe` and `weak-attractor` also on a graph), from `import
   guided_dynamics` to the return of `cli.main` (interpreter start-up
@@ -304,6 +307,7 @@ BVP_STAGES = (("build", "build_boundary_system"),
 def run_bvp(root, repeats):
     import numpy as np
     from guided_dynamics import bvp, cli, gds
+    from guided_dynamics.errors import NotSolvableError
     # each stage records its seconds in log[row] and names itself in
     # log["stage"] while it runs, for the z(t) counts
     log = {}
@@ -326,24 +330,41 @@ def run_bvp(root, repeats):
     def counted_run(call):
         """Run call() with every boundary system's z_of_t recording the
         bits of its inputs, `contains` and the field their point counts,
-        and `_newton` each call's element step counts; ({row: [int64
-        arrays]}, {(row, label): [sizes]}, {row: [step arrays]})."""
+        `_newton` each call's element step counts and `fixed_point` its
+        calls; ({key: [int64 arrays]}, {(row, label): [sizes]}, {key:
+        [step arrays]}, {row: calls}). A key is the row, or (row,
+        "fixed_point") for what `fixed_point` asks for."""
         bits, sizes, make = {}, {}, bvp._make_z_of_t
         steps, newton = {}, gds._newton
+        calls, fixed = {}, bvp.fixed_point
+
+        def record(table, value):
+            stage = log.get("stage")
+            table.setdefault(stage, []).append(value)
+            if log.get("fixed_point"):
+                table.setdefault((stage, "fixed_point"), []).append(value)
 
         def counted_newton(*args):
             roots, k = newton(*args)
-            steps.setdefault(log.get("stage"), []).append(k)
+            record(steps, k)
             return roots, k
 
         def counted_make(*args):
             z_of_t = make(*args)
 
             def counted(t):
-                keys = np.array(t, dtype=float).ravel().view(np.int64)
-                bits.setdefault(log.get("stage"), []).append(keys)
+                record(bits, np.array(t, dtype=float).ravel().view(np.int64))
                 return z_of_t(t)
             return counted
+
+        def counted_fixed(*args):
+            stage = log.get("stage")
+            calls[stage] = calls.get(stage, 0) + 1
+            log["fixed_point"] = True
+            try:
+                return fixed(*args)
+            finally:
+                log["fixed_point"] = False
 
         def sized(label, method):
             def counted_method(self, x, y):
@@ -354,6 +375,7 @@ def run_bvp(root, repeats):
         originals = [getattr(cls, name) for _, cls, name in point_methods]
         bvp._make_z_of_t = counted_make
         bvp._newton = gds._newton = counted_newton
+        bvp.fixed_point = counted_fixed
         for (label, cls, name), method in zip(point_methods, originals):
             setattr(cls, name, sized(label, method))
         try:
@@ -361,39 +383,55 @@ def run_bvp(root, repeats):
         finally:
             bvp._make_z_of_t = make
             bvp._newton = gds._newton = newton
+            bvp.fixed_point = fixed
             for (_, cls, name), method in zip(point_methods, originals):
                 setattr(cls, name, method)
-        return bits, sizes, steps
+        return bits, sizes, steps, calls
+
+    def loops(counts):
+        """The loop iterations of `_newton` calls (each call's largest
+        element step count), summed."""
+        return sum(int(k.max()) for k in counts if k.size)
 
     seed0 = argparse.Namespace(seed=0)
-    for config in ("straight_bvp.json", "curved_bvp.json"):
+    for config in ("straight_bvp.json", "curved_bvp.json", "cycle_bvp.json"):
         cfg = cli.load_config(str(root / "configs" / config))
         problem = cli._bvp_problem(cfg)
 
         def solve():
-            bvp.solve_bvp(problem)
+            for row, _ in BVP_STAGES:
+                log.pop(row, None)
+            try:
+                bvp.solve_bvp(problem)
+            except NotSolvableError:    # cycle_bvp.json, after analyze
+                pass
 
         def check():
             cli.cmd_verify_conjugacy(cfg, seed0)
-        bits, sizes, steps = counted_run(solve)
-        check_bits, _, check_steps = counted_run(check)
+        bits, sizes, steps, calls = counted_run(solve)
+        check_bits, _, check_steps, _ = counted_run(check)
         bits["conjugacy"] = check_bits["conjugacy"]
         steps["conjugacy"] = check_steps.get("conjugacy", [])
         runs = {row: [] for row, _ in BVP_STAGES}
         for _ in range(repeats):
             wall(solve)
             for row in runs:
-                runs[row].append(log[row])
+                if row in log:
+                    runs[row].append(log[row])
+        runs = {row: seconds for row, seconds in runs.items() if seconds}
+        stages = list(runs)
         runs["conjugacy"] = []
         for _ in range(repeats):
             wall(check)
             runs["conjugacy"].append(log["conjugacy"])
-        runs["total"] = [sum(stages) for stages in
-                         zip(*(runs[row] for row, _ in BVP_STAGES))]
+        runs["total"] = [sum(run) for run in
+                         zip(*(runs[row] for row in stages))]
         for row, seconds in runs.items():
             if row == "total":
                 print(f"{config} total: {summary(seconds)} (the stages' "
-                      f"sum in each run)")
+                      f"sum in each run"
+                      + ("" if len(stages) == len(BVP_STAGES) else
+                         "; solve-bvp refuses it after analyze") + ")")
                 continue
             keys = np.concatenate(bits.get(row, [np.empty(0, np.int64)]))
             points = "".join(
@@ -401,14 +439,21 @@ def run_bvp(root, repeats):
                 f"{len(sizes[row, label])} call"
                 + "s" * (len(sizes[row, label]) != 1)
                 for label, _, _ in point_methods if (row, label) in sizes)
+            fixed = "" if row not in calls else (
+                f", fixed_point {calls[row]} call"
+                + "s" * (calls[row] != 1)
+                + f" ({loops(steps.get((row, 'fixed_point'), []))} loop "
+                f"iterations, z(t) "
+                f"{sum(k.size for k in bits.get((row, 'fixed_point'), []))}"
+                " elements requested)")
             counts = [k for k in steps.get(row, []) if k.size]
             print(f"{config} {row}: {summary(seconds)}, z(t) {keys.size} "
                   f"elements requested, {np.unique(keys).size} distinct, "
                   f"_newton {len(counts)} call" + "s" * (len(counts) != 1)
-                  + f", {sum(int(k.max()) for k in counts)} loop iterations, "
+                  + f", {loops(counts)} loop iterations, "
                   f"largest element step count "
                   f"{max((int(k.max()) for k in counts), default=0)}"
-                  + (points if row == "verify" else "")
+                  + fixed + (points if row == "verify" else "")
                   + (" (verify-conjugacy at seed 0; solve-bvp does not "
                      "run it)" if row == "conjugacy" else ""))
 
