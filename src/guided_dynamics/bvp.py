@@ -445,19 +445,18 @@ class SolvabilityReport:
     status: str  # "solvable" | "not_solvable" | "inconclusive"
     route: str
     grade: str   # "certified" | "evidence"
-    certificate: object = None
     fixed_points: tuple = ()
     cycle_report: object = None
     witness_cycle: object = None
-    probe: object = None
     notes: list = field(default_factory=list)
 
 
 def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
                         depth: int = 10 ** 5,
                         rng=None) -> SolvabilityReport:
-    """Layered decision. (1) A contraction certificate proves minimality
-    of the unguided dynamics, conclusive when the guiding sets are empty.
+    """Layered decision. (1) When the guiding sets are empty, a contraction
+    certificate proves minimality of the unguided dynamics; with a guiding
+    set it decides nothing and is not sought.
     (2) When every tangency lies strictly inside its boundary arc, all
     composite fixed points of delta1 o delta2 and delta2 o delta1 decide:
     an attracting one off the guiding union is a weak attractor
@@ -474,9 +473,9 @@ def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
     status = route = None
     grade = "certified"
 
-    cert = check_contraction_minimality(isys, rng=rng)
-    guiding_empty = lam1.is_empty and lam2.is_empty
-    if isinstance(cert, ContractionMinimalityCertificate) and guiding_empty:
+    if lam1.is_empty and lam2.is_empty and isinstance(
+            check_contraction_minimality(isys, rng=rng),
+            ContractionMinimalityCertificate):
         status, route = "solvable", "contraction_certificate"
 
     fps = ()
@@ -516,7 +515,6 @@ def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
                          "solvable verdict; treating as not solvable")
         status, route = "not_solvable", route if status == "not_solvable" \
             else "guided_cycle"
-    probe = None
     if status is None:
         probe = probe_minimality(isys, eps, depth)
         grade = "evidence"
@@ -527,9 +525,8 @@ def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
         else:
             status, route = "inconclusive", "minimality_probe"
     return SolvabilityReport(status=status, route=route, grade=grade,
-                             certificate=cert, fixed_points=fps,
-                             cycle_report=cycles, witness_cycle=witness,
-                             probe=probe, notes=notes)
+                             fixed_points=fps, cycle_report=cycles,
+                             witness_cycle=witness, notes=notes)
 
 
 # --------------------------------------------------------------------------
@@ -539,14 +536,14 @@ def analyze_solvability(system: BoundarySystem, eps: float = 0.01,
 @dataclass
 class BoundaryReduction:
     h: GridFunction
-    h_callable: object
     end_defect_a: float
     end_defect_b: float
 
 
 def reduce_boundary_data(problem: BoundaryProblem, system: BoundarySystem,
                          M: int = 1024) -> BoundaryReduction:
-    """h(t) = g_gamma(z(t)) - g1(x(t)) - g2(y(t)) + g(O) on [-m, n].
+    """h(t) = g_gamma(z(t)) - g1(x(t)) - g2(y(t)) + g(O) at the M + 1 grid
+    nodes of [-m, n], the nodes of the chi solve of `solve_bvp`.
 
     With the additive constant pinned to g(O), corner compatibility makes
     h vanish at both interval ends; the defects are reported and checked
@@ -568,8 +565,7 @@ def reduce_boundary_data(problem: BoundaryProblem, system: BoundarySystem,
             f"reduced data does not vanish at the interval ends: "
             f"h(-m) = {float(ends[0])!r}, h(n) = {float(ends[1])!r}")
     h_grid = GridFunction.from_callable(system.interval, M, h_fn)
-    return BoundaryReduction(h=h_grid, h_callable=h_fn,
-                             end_defect_a=d_a, end_defect_b=d_b)
+    return BoundaryReduction(h=h_grid, end_defect_a=d_a, end_defect_b=d_b)
 
 
 @dataclass
@@ -661,8 +657,7 @@ def solve_bvp(problem: BoundaryProblem, M: int = 512, mu: float = 0.0,
             f"solvability analysis refused (route {solvability.route})",
             report=solvability)
     reduction = reduce_boundary_data(problem, system, M)
-    ivp = solve_ivp(IvpProblem(system.pconf, reduction.h_callable,
-                               c=0.0, mu=mu), M)
+    ivp = solve_ivp(IvpProblem(system.pconf, reduction.h, c=0.0, mu=mu), M)
     chi = ivp.f
     chi0 = abs(chi.eval(0.0))
     m, n = problem.m, problem.n

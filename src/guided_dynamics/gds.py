@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ TOL_RANGE = 1e-9
 MAX_CYCLE_LEN = 6    # default length bound of the guided cycle search
 TOL_CYCLE = 1e-7     # distance at which a cycle search path closes
 NEWTON_MAX_ITER = 100  # hard cap on the `_newton` steps of one element
+ZERO_BAND_N = 8193     # grid of the `zero_band_guiding` scans
 
 __all__ = [
     "Interval", "CircleSpace", "FiniteGraphSpace",
@@ -760,64 +760,34 @@ def write_csv(path, header, columns):
     value or one of 10**4 or more is cast to float64 and takes the float
     path.
 
-    Rows are formatted in blocks of _CSV_BLOCK_ROWS, written in order, by
-    one thread per CPU the process may run on, at most one per block: the
-    calling thread formats blocks 0, T, 2T, ... of T threads and worker j
-    blocks j, j + T, ... NumPy releases the GIL in its loops, so the
-    threads format at once. Each thread holds at most one block, so the
-    memory held stays bounded; a CSV of one block starts no thread. The
-    bytes do not depend on the thread count. Every worker has ended when
-    write_csv returns or raises, and an exception raised while formatting
-    a block in a worker is raised here."""
+    Rows are formatted in blocks of _CSV_BLOCK_ROWS and written in block
+    order, in groups of one block per thread: one thread per CPU the
+    process may run on, at most one per block. The calling thread formats
+    the first block of a group and a thread pool of the other threads the
+    rest (NumPy releases the GIL in its loops, so they format at once);
+    the next group starts once this one is written, so at most one block
+    per thread is held. A CSV of one block starts no thread. The bytes do
+    not depend on the thread count. An exception raised while formatting
+    a block is raised here, and every worker has ended when write_csv
+    returns or raises."""
     columns = [np.asarray(c) for c in columns]
     seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     starts = range(0, len(columns[0]), _CSV_BLOCK_ROWS)
     threads = max(1, min(_csv_cpus(), len(starts)))
-    done = {}        # block index -> its bytes, or what formatting raised
-    cond = threading.Condition()
-    stop = False
-
-    def work(first):
-        for k in range(first, len(starts), threads):
-            with cond:      # wait until this worker's last block is taken
-                cond.wait_for(lambda: stop or k - threads not in done)
-                if stop:
-                    return
-            try:
-                out = _csv_block(columns, seps, starts[k])
-            except BaseException as exc:
-                out = exc
-            with cond:
-                done[k] = out
-                cond.notify_all()
-            if isinstance(out, BaseException):
-                return
-
-    workers = [threading.Thread(target=work, args=(j,))
-               for j in range(1, threads)]
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
-        try:
-            for w in workers:
-                w.start()
-            for k, start in enumerate(starts):
-                if k % threads == 0:
-                    out = _csv_block(columns, seps, start)
-                else:
-                    with cond:
-                        cond.wait_for(lambda: k in done)
-                        out = done.pop(k)
-                        cond.notify_all()
-                    if isinstance(out, BaseException):
-                        raise out
-                fh.write(out)
-        finally:
-            with cond:
-                stop = True
-                cond.notify_all()
-            for w in workers:
-                if w.is_alive():
-                    w.join()
+        if threads == 1:
+            for start in starts:
+                fh.write(_csv_block(columns, seps, start))
+            return
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            for k in range(0, len(starts), threads):
+                group = [pool.submit(_csv_block, columns, seps, start)
+                         for start in starts[k + 1:k + threads]]
+                fh.write(_csv_block(columns, seps, starts[k]))
+                for future in group:
+                    fh.write(future.result())
 
 
 _REFINE_MULTS = (2, 8, 32)   # single-seed closures escalate on stalls
@@ -1731,11 +1701,16 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
         k = int(np.argmax(sys_a.space.metric(back, xs)))
         raise NotInvertible("phi_inv fails to invert phi",
                             point=float(xs[k]), defect=inv_defect)
+    # one `step_each` call steps the samples by every generator; row i of
+    # lhs is phi(delta_i(xs))
+    n_gen = sys_a.n_generators
+    lhs = np.asarray(f(sys_a.step_each(np.repeat(np.arange(n_gen), xs.size),
+                                       np.tile(xs, n_gen))),
+                     dtype=float).reshape(n_gen, xs.size)
     map_defect = 0.0
-    for i in range(sys_a.n_generators):
-        lhs = np.asarray(f(sys_a.step(i, xs)), dtype=float)
+    for i in range(n_gen):
         rhs = np.asarray(sys_b.generators[i](fx), dtype=float)
-        d = sys_b.space.metric(sys_b.space.normalize(lhs),
+        d = sys_b.space.metric(sys_b.space.normalize(lhs[i]),
                                sys_b.space.normalize(rhs))
         map_defect = max(map_defect, float(np.max(d)))
     guiding_defects = []
@@ -1850,18 +1825,19 @@ def _newton(fn, dfn, y, neg, pos, x):
     return out, steps
 
 
-def zero_band_guiding(fn: Expression, interval: Interval, tol: float = 1e-9,
-                      grid_n: int = 8193) -> GuidingSet:
+def zero_band_guiding(fn: Expression, interval: Interval,
+                      tol: float = 1e-9) -> GuidingSet:
     """Roots of a nonnegative expression as a union of closed intervals:
     contiguous sub-tolerance runs are widened to where fn crosses tol, and
     grid-local minima whose refined value dips below tol are included as
-    tangential roots, widened the same way.
+    tangential roots, widened the same way. fn is scanned on ZERO_BAND_N
+    grid points.
 
     fn is an expression. One `_newton` call refines every candidate
     minimum as the root of fn' on [t_(j-1), t_(j+1)] from t_j, one more
     every crossing as a root of fn = tol from the linear interpolation of
     the values on either side; a scan with neither differentiates nothing."""
-    ts = np.linspace(interval.a, interval.b, grid_n)
+    ts = np.linspace(interval.a, interval.b, ZERO_BAND_N)
     vs = np.asarray(fn(ts), dtype=float)
     below = vs < tol
 
@@ -1896,7 +1872,7 @@ def zero_band_guiding(fn: Expression, interval: Interval, tol: float = 1e-9,
     ends = np.r_[ts[starts], t_min, ts[stops], t_min]
     v_end = np.r_[vs[starts], v_min, vs[stops], v_min]
     beyond = np.r_[starts - 1, dips - 1, stops + 1, dips + 1]
-    x = (beyond >= 0) & (beyond < grid_n)    # the ends that are crossings
+    x = (beyond >= 0) & (beyond < ts.size)   # the ends that are crossings
     b, inner, v_in = beyond[x], ends[x], v_end[x]
     start = inner + (tol - v_in) / (vs[b] - v_in) * (ts[b] - inner)
     ends[x] = _newton(fn, dfn, np.full(b.size, tol), inner, ts[b], start)[0]

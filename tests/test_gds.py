@@ -945,10 +945,11 @@ def golden_min(f, lo, hi, iters=200):
     ("1 + sin(40*t)", (0.0, 2 * math.pi), 8193),  # many curved minima
     ("(t - 0.5)^2", (0.0, 1.0), 4),               # two grid minima, one dip
 ])
-def test_zero_band_matches_loops(source, interval, grid_n):
+def test_zero_band_matches_loops(source, interval, grid_n, monkeypatch):
     fn = parse(source)
     iv = Interval(*interval)
-    band = zero_band_guiding(fn, iv, grid_n=grid_n)
+    monkeypatch.setattr(gds, "ZERO_BAND_N", grid_n)
+    band = zero_band_guiding(fn, iv)
     ref = zero_band_loops(fn, iv, grid_n=grid_n)
     # the library solvers stop at other floats than the loops did
     assert len(band.intervals) == len(ref)
@@ -976,8 +977,7 @@ def test_zero_band_flat_coefficient_is_cheap(value, monkeypatch):
         return evaluate(node, t)
 
     monkeypatch.setattr(Expression, "eval", counted)
-    band = zero_band_guiding(parse(repr(value)), Interval(-1.0, 1.0),
-                             grid_n=8193)
+    band = zero_band_guiding(parse(repr(value)), Interval(-1.0, 1.0))
     assert band.is_empty
     assert len(calls) < 100
 
@@ -1168,6 +1168,44 @@ def test_write_csv_raises_what_a_worker_raises(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="failed in a worker"):
         write_csv(tmp_path / "t.csv", "t", [np.arange(5.0 * rows)])
     assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("threads", [2, 3, 8])
+def test_write_csv_holds_one_block_per_thread(tmp_path, monkeypatch,
+                                              threads):
+    # while block 0 is held back, at most threads - 1 later blocks are
+    # formatted: the memory held stays bounded however long the CSV
+    rows = gds._CSV_BLOCK_ROWS
+    release = threading.Event()
+    formatted = []
+    csv_block = gds._csv_block
+
+    def held_back(columns, seps, start):
+        if start == 0:
+            release.wait(timeout=120)
+        out = csv_block(columns, seps, start)
+        formatted.append(start)
+        return out
+
+    monkeypatch.setattr(gds, "_csv_cpus", lambda: threads)
+    monkeypatch.setattr(gds, "_csv_block", held_back)
+    columns = [np.arange((2 * threads + 1) * rows, dtype=float)]
+    ours = tmp_path / "ours.csv"
+    writer = threading.Thread(target=write_csv, args=(ours, "t", columns))
+    writer.start()
+    try:
+        deadline = time.monotonic() + 60
+        while len(formatted) < threads - 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)     # time for a block past the bound to show
+        held = len(formatted)
+    finally:
+        release.set()
+        writer.join(timeout=120)
+    assert not writer.is_alive()
+    assert held == threads - 1
+    assert ours.read_bytes() == _savetxt_bytes(tmp_path / "ref.csv",
+                                               columns, "t")
 
 
 def test_write_csv_eight_threads_switching_fast(tmp_path, monkeypatch):

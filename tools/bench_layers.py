@@ -31,7 +31,8 @@ closures -- the orbit-closure kernel `gds._closures` on four circle
 csv -- `gds.write_csv` against `np.savetxt` on 2**14 x 2, 2**18 + 1 x 2
   (`solve-fe --out`) and 2**19 + 1 x 3 (`overdet --out` on Jensen at
   eps 2**-18, `t,value,depth`) point clouds, in ns per number, with the
-  threads `write_csv` formatted on; on the 3-column shape also its two
+  threads `write_csv` formatted on and the tracemalloc peak of one write
+  (the blocks it holds at once); on the 3-column shape also its two
   float columns and its integer column alone. Both writers must write
   the same bytes: the tool exits 1 when they do not.
 expr -- `Expression.eval` on the expressions the benchmark's workloads
@@ -91,6 +92,19 @@ def wall(call):
     start = time.perf_counter()
     call()
     return time.perf_counter() - start
+
+
+def peak_mb(call):
+    """tracemalloc peak of one call(), in MB above what was traced before
+    it (allocations of every thread count)."""
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    call()
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+    return peak / 2 ** 20
 
 
 def summary(seconds, unit="ms", scale=1e3):
@@ -229,6 +243,7 @@ def run_csv(root, repeats):
                 gds, lambda: gds.write_csv(ours, header, columns))
             ours_ns = ns(lambda: gds.write_csv(ours, header, columns),
                          numbers)
+            ours_mb = peak_mb(lambda: gds.write_csv(ours, header, columns))
             ref_ns = ns(lambda: np.savetxt(
                 ref, np.column_stack(columns), fmt="%.17g", delimiter=",",
                 header=header, comments=""), numbers)
@@ -236,7 +251,8 @@ def run_csv(root, repeats):
             differ |= not same
             print(f"{rows} rows x {len(columns)} columns, write_csv on "
                   f"{threads} thread{'s' if threads > 1 else ''}:\n"
-                  f"  write_csv {ours_ns}\n  np.savetxt {ref_ns}"
+                  f"  write_csv {ours_ns}, tracemalloc peak {ours_mb:.1f} MB\n"
+                  f"  np.savetxt {ref_ns}"
                   f"{'' if same else ' (BYTES DIFFER)'}")
             if len(columns) == 3:
                 floats_ns = ns(lambda: gds.write_csv(
@@ -284,16 +300,9 @@ def run_expr(root, repeats):
             xs = np.linspace(-1.0, 1.0, n)
             e.eval(xs)
             runs = [wall(lambda: e.eval(xs)) for _ in range(repeats)]
-            # allocations made during one call, above those before it
-            gc.collect()
-            tracemalloc.start()
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            e.eval(xs)
-            peak = tracemalloc.get_traced_memory()[1] - base
-            tracemalloc.stop()
-            print(f"{label} n={n}: {summary(runs)}, peak "
-                  f"{peak / 2 ** 20:.1f} MB, {statements} statements")
+            peak = peak_mb(lambda: e.eval(xs))
+            print(f"{label} n={n}: {summary(runs)}, peak {peak:.1f} MB, "
+                  f"{statements} statements")
 
 
 # (row, function of the bvp module it times)
