@@ -286,10 +286,9 @@ def build_boundary_system(problem: BoundaryProblem) -> BoundarySystem:
 
     lambda1 = mapped_bands(omega1)
     lambda2 = mapped_bands(omega2)
-    # the induced P-configuration orders maps left-to-right; Lambda as above
+    # the induced P-configuration orders maps left-to-right
     pconf = validate_pconfiguration([delta2, delta1], interval,
                                     (-m, 0.0, n), tol=1e-7)
-    pconf._guiding = (lambda2, lambda1)
     interval_system = GuidedSystem(interval, [delta1, delta2],
                                    [lambda1, lambda2])
     return BoundarySystem(

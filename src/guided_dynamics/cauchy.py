@@ -182,11 +182,6 @@ class PropagationCloud:
         return np.abs(self.collision_values -
                       self.values[self.collision_owner])
 
-    @property
-    def max_collision_gap(self):
-        # fmax skips NaN gaps, which compare false against any bound
-        return float(np.fmax.reduce(self.collision_gaps, initial=0.0))
-
     def path(self, idx):
         """The seed of entry idx and the indices of the rules that lead
         from it to idx."""
@@ -294,7 +289,9 @@ def check_consistency(cloud: PropagationCloud, eps: float,
             witness = ((float(p[k]), float(v[k])),
                        (float(p[k + 1]), float(v[k + 1])))
     return ConsistencyReport(
-        verdict=verdict, max_collision_gap=cloud.max_collision_gap,
+        verdict=verdict,
+        # fmax skips NaN gaps, which compare false against any bound
+        max_collision_gap=float(np.fmax.reduce(gaps, initial=0.0)),
         n_collisions=int(own.size), lipschitz_estimate=lip,
         modulus_cap=cap, witness=witness, partial=cloud.partial)
 

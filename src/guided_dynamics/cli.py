@@ -6,9 +6,10 @@ NotSolvable, Inconsistent, NotMinimal), 2 usage/config error (a flag the
 subcommand does not read included), 3 numeric failure; a package error
 carries its own code and stderr label. Reports are JSON (sorted keys);
 grids are CSV. `--seed` drives the sampled omega-conjugacy check of
-build-bvp and verify-conjugacy and the contraction check of analyze-bvp;
-solve-bvp runs no conjugacy check, samples its contraction check at a
-fixed seed 0 and takes no --seed. Identical
+build-bvp and verify-conjugacy and the contraction check of analyze-bvp,
+which runs only when both guiding sets are empty (with a tangency the
+seed changes nothing); solve-bvp runs no conjugacy check, samples its
+contraction check at a fixed seed 0 and takes no --seed. Identical
 invocations produce byte-identical reports (--no-meta drops the timestamp
 block).
 """
@@ -370,10 +371,8 @@ def cmd_weak_attractor(cfg, args):
 
 
 def cmd_cycles(cfg, args):
-    budgets = cfg.budgets_for(args.command)
-    if args.max_len is not None:
-        budgets["max_len"] = args.max_len
-    rep = gds_mod.find_guided_cycles(cfg.guided_system(), **budgets)
+    rep = gds_mod.find_guided_cycles(cfg.guided_system(),
+                                     **cfg.budgets_for(args.command))
     report = {"command": "cycles", "max_len": rep.max_len,
               "n_seeds": rep.n_seeds,
               "cycles": [{"points": c.points, "generators": list(c.gens)}
@@ -445,7 +444,7 @@ def cmd_validate_pconf(cfg, args):
         return report, NEGATIVE_VERDICT_EXIT
     report = {"command": "validate-pconf", "valid": True,
               "anchors": list(pc.anchors),
-              "guiding": [g for g in pc.guiding]}
+              "guiding": list(pconf_mod.extract_guiding_sets(pc))}
     return report, 0
 
 
@@ -692,8 +691,7 @@ _finite_float = _arg_type(float, lambda v: abs(v) < np.inf,
 FLAG_TYPES = {"--x0": _finite_float, "--eps": _positive_float,
               "--depth": _nonnegative_int, "--grid": _positive_int,
               "--tol": _positive_float, "--seed": int, "--h": str,
-              "--c": _finite_float, "--mu": _finite_float,
-              "--max-len": _positive_int}
+              "--c": _finite_float, "--mu": _finite_float}
 # subcommand -> (handler, the flags it reads and their defaults); every
 # subcommand also takes --config --out --no-meta --debug. A flag given on
 # the command line is used as given; `...` marks a required flag, and a
@@ -703,7 +701,7 @@ COMMANDS = {
     "probe": (cmd_probe, {"--eps": 0.01, "--depth": 10 ** 5}),
     "weak-attractor": (cmd_weak_attractor,
                        {"--x0": ..., "--eps": 0.01, "--depth": 10 ** 5}),
-    "cycles": (cmd_cycles, {"--max-len": None}),
+    "cycles": (cmd_cycles, {}),
     "graph-min": (cmd_graph_min, {"--grid": None}),
     "certify": (cmd_certify, {"--grid": 1024}),
     "solve-fe": (cmd_solve_fe, {"--h": None, "--grid": 1024, "--tol": 1e-12}),

@@ -30,6 +30,7 @@ MAX_CYCLE_LEN = 6    # default length bound of the guided cycle search
 TOL_CYCLE = 1e-7     # distance at which a cycle search path closes
 NEWTON_MAX_ITER = 100  # hard cap on the `_newton` steps of one element
 ZERO_BAND_N = 8193     # grid of the `zero_band_guiding` scans
+ZERO_BAND_TOL = 1e-9   # value below which they count a point as a root
 
 __all__ = [
     "Interval", "CircleSpace", "FiniteGraphSpace",
@@ -1678,6 +1679,12 @@ class ConjugacyReport:
     ok: bool
 
 
+def _nth_allowed(masks, pick):
+    """Per row of the boolean matrix masks, the column of its
+    (pick + 1)-th True entry; pick must be below the row's count."""
+    return np.argmax(np.cumsum(masks, axis=1) > pick[:, None], axis=1)
+
+
 def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
                      phi_inv, samples: int = 100,
                      rng=None) -> ConjugacyReport:
@@ -1686,7 +1693,7 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
     and maps proper orbits to proper orbits (100 random 8-step orbits of
     sys_a, each step allowed in sys_b at the image under phi; one
     `sys_a.step_each` call moves all orbits a step); each defect must be
-    at most 1e-9."""
+    at most 1e-9, and a NaN defect fails."""
     if sys_a.n_generators != sys_b.n_generators:
         raise ValueError("systems must share the generator count")
     rng = np.random.default_rng(0) if rng is None else rng
@@ -1697,25 +1704,21 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
     back = np.asarray(f_inv(fx), dtype=float)
     inv_defect = float(np.max(sys_a.space.metric(back, xs)))
     tol = 1e-9
-    if inv_defect > tol:
+    if not inv_defect <= tol:
         k = int(np.argmax(sys_a.space.metric(back, xs)))
         raise NotInvertible("phi_inv fails to invert phi",
                             point=float(xs[k]), defect=inv_defect)
-    # one `step_each` call steps the samples by every generator; row i of
-    # lhs is phi(delta_i(xs))
-    n_gen = sys_a.n_generators
-    lhs = np.asarray(f(sys_a.step_each(np.repeat(np.arange(n_gen), xs.size),
-                                       np.tile(xs, n_gen))),
-                     dtype=float).reshape(n_gen, xs.size)
-    map_defect = 0.0
-    for i in range(n_gen):
-        rhs = np.asarray(sys_b.generators[i](fx), dtype=float)
-        d = sys_b.space.metric(sys_b.space.normalize(lhs[i]),
-                               sys_b.space.normalize(rhs))
-        map_defect = max(map_defect, float(np.max(d)))
+    # one `step_each` call per system steps the samples by every
+    # generator; block i of lhs is phi(delta_i(xs)), of rhs delta_i(fx)
+    gens = np.arange(sys_a.n_generators)
+    each = np.repeat(gens, xs.size)
+    lhs = np.asarray(f(sys_a.step_each(each, np.tile(xs, gens.size))),
+                     dtype=float)
+    rhs = sys_b.step_each(each, np.tile(fx, gens.size))
+    map_defect = float(np.max(sys_b.space.metric(
+        sys_b.space.normalize(lhs), rhs)))
     guiding_defects = []
-    for i in range(sys_a.n_generators):
-        ga, gb = sys_a.guiding[i], sys_b.guiding[i]
+    for ga, gb in zip(sys_a.guiding, sys_b.guiding):
         if ga.is_empty and gb.is_empty:
             guiding_defects.append(0.0)
             continue
@@ -1727,34 +1730,27 @@ def verify_conjugacy(sys_a: GuidedSystem, sys_b: GuidedSystem, phi,
         sb = gb.sample()
         d2 = float(np.max(np.min(np.abs(
             sys_b.space.metric(sb[:, None], sa[None, :])), axis=1)))
-        guiding_defects.append(max(d1, d2))
+        guiding_defects.append(float(np.maximum(d1, d2)))
     violations = 0
     checked = 0
     pts = sys_a.space.random(rng, 100)
     for _ in range(8):
-        masks = np.column_stack([sys_a.allowed_mask(i, pts)
-                                 for i in range(sys_a.n_generators)])
+        masks = np.column_stack([sys_a.allowed_mask(i, pts) for i in gens])
         counts = masks.sum(axis=1)
         live = counts > 0
         if not np.any(live):
             break
-        # pick a random allowed generator per orbit
+        # a random allowed generator per live orbit, and whether sys_b
+        # allows it at the orbit's image
         pick = (rng.random(pts.size) * counts).astype(np.int64)
-        chosen = np.full(pts.size, -1, dtype=np.int64)
-        running = np.zeros(pts.size, dtype=np.int64)
-        for i in range(sys_a.n_generators):
-            sel = live & masks[:, i] & (running == pick)
-            chosen[sel] = i
-            running += masks[:, i]
-        fx_pts = np.asarray(f(pts), dtype=float)
-        for i in range(sys_a.n_generators):
-            sel = chosen == i
-            if np.any(sel):
-                checked += int(sel.sum())
-                violations += int(np.sum(~sys_b.allowed_mask(
-                    i, fx_pts[sel])))
-        pts[live] = sys_a.step_each(chosen[live], pts[live])
-    max_guid = max(guiding_defects) if guiding_defects else 0.0
+        chosen = _nth_allowed(masks, pick)[live]
+        fx_live = np.asarray(f(pts[live]), dtype=float)
+        allowed = np.column_stack([sys_b.allowed_mask(i, fx_live)
+                                   for i in gens])
+        checked += chosen.size
+        violations += int(np.sum(~allowed[np.arange(chosen.size), chosen]))
+        pts[live] = sys_a.step_each(chosen, pts[live])
+    max_guid = float(np.max(guiding_defects))
     ok = (map_defect <= tol and max_guid <= tol and violations == 0)
     return ConjugacyReport(map_defect=map_defect,
                            guiding_defects=tuple(guiding_defects),
@@ -1825,18 +1821,18 @@ def _newton(fn, dfn, y, neg, pos, x):
     return out, steps
 
 
-def zero_band_guiding(fn: Expression, interval: Interval,
-                      tol: float = 1e-9) -> GuidingSet:
+def zero_band_guiding(fn: Expression, interval: Interval) -> GuidingSet:
     """Roots of a nonnegative expression as a union of closed intervals:
     contiguous sub-tolerance runs are widened to where fn crosses tol, and
     grid-local minima whose refined value dips below tol are included as
     tangential roots, widened the same way. fn is scanned on ZERO_BAND_N
-    grid points.
+    grid points; tol is ZERO_BAND_TOL.
 
     fn is an expression. One `_newton` call refines every candidate
     minimum as the root of fn' on [t_(j-1), t_(j+1)] from t_j, one more
     every crossing as a root of fn = tol from the linear interpolation of
     the values on either side; a scan with neither differentiates nothing."""
+    tol = ZERO_BAND_TOL
     ts = np.linspace(interval.a, interval.b, ZERO_BAND_N)
     vs = np.asarray(fn(ts), dtype=float)
     below = vs < tol

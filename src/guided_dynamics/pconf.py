@@ -40,7 +40,6 @@ __all__ = [
     "validate_pconfiguration", "extract_guiding_sets", "solve_ivp",
 ]
 
-DERIVATIVE_ROOT_TOL = 1e-9
 # the condition gate: solve_ivp refuses S when its condition bound (affine
 # route) or estimate (factored route) exceeds this
 COND_CAP = 1e13
@@ -58,18 +57,10 @@ class PConfiguration:
     interval: Interval
     anchors: tuple
     maps: tuple
-    tol: float
-    _guiding: tuple = None
 
     @property
     def n_maps(self):
         return len(self.maps)
-
-    @property
-    def guiding(self):
-        if self._guiding is None:
-            self._guiding = extract_guiding_sets(self)
-        return self._guiding
 
 
 def validate_pconfiguration(maps, interval, anchors,
@@ -131,17 +122,15 @@ def validate_pconfiguration(maps, interval, anchors,
                                    witness=float(ts[j]),
                                    detail=f"delta_{i + 1}({ts[j]!r}) = "
                                           f"{img[j]!r}")
-    return PConfiguration(interval=interval, anchors=anchors, maps=gmaps,
-                          tol=tol)
+    return PConfiguration(interval=interval, anchors=anchors, maps=gmaps)
 
 
 def extract_guiding_sets(pconf: PConfiguration):
     """Lambda_i = {t : delta_i'(t) = 0} as closed intervals, from the maps'
-    expressions. Zeros below the derivative tolerance are widened to the
+    expressions. Zeros below `gds.ZERO_BAND_TOL` are widened to the
     full sub-tolerance band, the same conservative membership convention
     the orbit machinery uses."""
-    return tuple(zero_band_guiding(differentiate(g.source), pconf.interval,
-                                   tol=DERIVATIVE_ROOT_TOL)
+    return tuple(zero_band_guiding(differentiate(g.source), pconf.interval)
                  for g in pconf.maps)
 
 

@@ -27,7 +27,7 @@ from guided_dynamics.gds import (ContractionMinimalityCertificate,
                                  check_contraction_minimality,
                                  minimal_subsystems, probe_minimality,
                                  verify_conjugacy)
-from guided_dynamics.pconf import IvpProblem, solve_ivp
+from guided_dynamics.pconf import IvpProblem, extract_guiding_sets, solve_ivp
 
 from test_gds import brute_force_minimal_sets, random_guided_graph
 from test_bvp import field_error
@@ -123,7 +123,7 @@ def test_criterion_05_minimality_probes(standard_pconf):
 
     t0 = time.perf_counter()
     system = GuidedSystem(standard_pconf.interval, standard_pconf.maps,
-                          standard_pconf.guiding)
+                          extract_guiding_sets(standard_pconf))
     cert = check_contraction_minimality(system)
     assert isinstance(cert, ContractionMinimalityCertificate)
     probe = probe_minimality(system, 0.01, 10 ** 4)

@@ -662,20 +662,18 @@ def _cycles_with_budget(tmp_path, capsys, budget, *flags):
                         "--no-meta"])
 
 
-def test_cycles_max_len_flag_overrides_budget(tmp_path, capsys):
-    for flags, want in (((), 2), (("--max-len", "4"), 4)):
-        _, out, _ = _cycles_with_budget(tmp_path, capsys, 2, *flags)
-        assert json.loads(out)["max_len"] == want
+def test_cycles_max_len_comes_from_the_budget(tmp_path, capsys):
+    # budgets.max_cycle_len is the one source of the bound: no flag
+    # overrides it
+    _, out, _ = _cycles_with_budget(tmp_path, capsys, 2)
+    assert json.loads(out)["max_len"] == 2
+    code, _, err = _cycles_with_budget(tmp_path, capsys, 2, "--max-len", "4")
+    assert code == 2 and "unrecognized arguments: --max-len" in err
 
 
 def test_cycles_max_len_below_one_is_config_error(tmp_path, capsys):
     code, _, err = _cycles_with_budget(tmp_path, capsys, 0)
     assert code == 2 and "/budgets/max_cycle_len" in err
-    for flag in ("0", "-3"):
-        code, _, err = run(capsys, ["cycles", "--config",
-                                    cfg("circle_rational.json"),
-                                    "--max-len", flag])
-        assert code == 2 and "positive integer" in err
 
 
 @pytest.mark.parametrize("argv,config,budgets", [
@@ -790,7 +788,7 @@ READS = {
     "orbit": {"--x0", "--eps", "--depth"},
     "probe": {"--eps", "--depth"},
     "weak-attractor": {"--x0", "--eps", "--depth"},
-    "cycles": {"--max-len"},
+    "cycles": set(),
     "graph-min": {"--grid"},
     "certify": {"--grid"},
     "solve-fe": {"--h", "--grid", "--tol"},

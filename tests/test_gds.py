@@ -13,6 +13,7 @@ from conftest import GOLDEN, circle_system, validate_orbit
 from guided_dynamics import gds
 from guided_dynamics.cli import load_config
 from guided_dynamics.exprlang import Expression, _scalar, as_callable, parse
+from guided_dynamics.pconf import extract_guiding_sets
 from guided_dynamics.gds import (CircleSpace,
                                  ContractionMinimalityCertificate,
                                  ContractionRefusal, FiniteGraphSpace,
@@ -26,7 +27,7 @@ from guided_dynamics.gds import (CircleSpace,
                                  verify_conjugacy, zero_band_guiding)
 from guided_dynamics.gds import (_circle_arcs, _closures, _distinct,
                                  _first_claims, _interval_images,
-                                 _merge_intervals, _newton,
+                                 _merge_intervals, _newton, _nth_allowed,
                                  _range_cover_defect,
                                  _roots, _step_rule, _validate_witness,
                                  _witness_intervals, write_csv)
@@ -454,7 +455,7 @@ def test_guided_cycles_quadratic_pconf_endpoint_fixed_points(
     # the endpoint anchors are fixed points of the map whose use is
     # forced there, so each is a guided 1-cycle
     system = GuidedSystem(quadratic_pconf.interval, quadratic_pconf.maps,
-                          quadratic_pconf.guiding)
+                          extract_guiding_sets(quadratic_pconf))
     report = find_guided_cycles(system, 6)
     points = sorted(round(float(c.points[0]), 6) for c in report.cycles)
     assert points == [-1.0, 1.0]
@@ -760,6 +761,59 @@ def test_mismatched_conjugacy_fails():
     assert report.map_defect > 0.1
 
 
+def test_nan_defects_fail_conjugacy():
+    # a generator of sys_b that is NaN on half of [0, 1]: its map defect
+    # is NaN, which must not read as 0
+    iv = Interval(0.0, 1.0)
+    sys_a = GuidedSystem(iv, [lambda t: t / 2])
+    sys_b = GuidedSystem(iv, [lambda t: np.where(t < 0.5, t / 2, np.nan)],
+                         validate=False)
+    report = verify_conjugacy(sys_a, sys_b, parse("t"), parse("t"))
+    assert math.isnan(report.map_defect) and not report.ok
+    # an inverse that is NaN on half of [0, 1] does not invert phi
+    from guided_dynamics.errors import NotInvertible
+    with pytest.raises(NotInvertible):
+        verify_conjugacy(sys_a, sys_a, parse("t"),
+                         lambda t: np.where(t < 0.5, t, np.nan))
+    # a phi that is NaN at the guiding point of the second generator:
+    # its guiding defect is NaN, after a 0.0 for the first
+    guided = GuidedSystem(Interval(-1.0, 1.0),
+                          [parse("(t+1)/2"), parse("(t-1)/2")],
+                          [GuidingSet.empty(), GuidingSet.points([0.3])])
+    report = verify_conjugacy(guided, guided,
+                              lambda t: np.where(t == 0.3, np.nan, t),
+                              parse("t"))
+    assert report.guiding_defects[0] == 0.0
+    assert math.isnan(report.guiding_defects[1]) and not report.ok
+
+
+def nth_allowed_loop(masks, pick):
+    """Reference: the (pick + 1)-th allowed generator of each row by a
+    running count over the generators, -1 for a row with none."""
+    chosen = np.full(masks.shape[0], -1, dtype=np.int64)
+    running = np.zeros(masks.shape[0], dtype=np.int64)
+    for i in range(masks.shape[1]):
+        chosen[masks[:, i] & (running == pick)] = i
+        running += masks[:, i]
+    return chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(st.booleans(), min_size=n, max_size=n),
+              st.floats(0.0, 1.0, exclude_max=True)),
+    min_size=1, max_size=30)))
+def test_nth_allowed_matches_running_count(rows):
+    masks = np.array([m for m, _ in rows])
+    # the pick is drawn as verify_conjugacy draws it
+    pick = (np.array([u for _, u in rows]) * masks.sum(axis=1)).astype(
+        np.int64)
+    live = masks.any(axis=1)
+    want = nth_allowed_loop(masks, pick)
+    assert np.all(want[~live] == -1)
+    assert np.array_equal(_nth_allowed(masks, pick)[live], want[live])
+
+
 def test_step_each_steps_each_point_by_its_generator():
     # on the circle, so that the images are normalized as by step
     system = circle_system(GOLDEN, 0.7)
@@ -811,7 +865,7 @@ def test_zero_band_detects_quadratic_contact():
               .replace("297/128", "2.3203125")
               .replace("513/64", "8.015625")
               .replace("729/128", "5.6953125"))
-    band = zero_band_guiding(s, Interval(-1.0, 1.0), tol=1e-9)
+    band = zero_band_guiding(s, Interval(-1.0, 1.0))
     assert len(band.intervals) == 1
     lo, hi = band.intervals[0]
     assert lo < 1.0 / 3.0 < hi
@@ -821,7 +875,7 @@ def test_zero_band_detects_quadratic_contact():
 def test_zero_band_interval_run():
     # max(t - 0.5, 0), exactly
     fn = parse("(t - 0.5 + abs(t - 0.5))/2")
-    band = zero_band_guiding(fn, Interval(0.0, 1.0), tol=1e-9)
+    band = zero_band_guiding(fn, Interval(0.0, 1.0))
     assert len(band.intervals) == 1
     lo, hi = band.intervals[0]
     assert lo == 0.0
@@ -834,7 +888,7 @@ def test_zero_band_finds_a_tilted_flat_dip():
     # nodes, and fn' is a cubic whose Newton steps from the scan minimum
     # shrink towards its flat point u = 0 before they grow again
     fn = parse("1e-6*(4096*t - 1024.2)^4 - 4e-9*(4096*t - 1024.2) + 8e-10")
-    band = zero_band_guiding(fn, Interval(-1.0, 1.0), tol=1e-9)
+    band = zero_band_guiding(fn, Interval(-1.0, 1.0))
     assert len(band.intervals) == 1
     lo, hi = band.intervals[0]
     assert lo < 1024.3 / 4096 < hi

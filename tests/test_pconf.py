@@ -82,7 +82,7 @@ def test_guiding_affine_empty(standard_pconf, three_map_pconf):
 
 
 def test_guiding_quadratic_endpoints(quadratic_pconf):
-    g_left, g_right = quadratic_pconf.guiding
+    g_left, g_right = extract_guiding_sets(quadratic_pconf)
     # left map derivative (1-t)/2 vanishes at t = 1; right map derivative
     # (t+1)/2 vanishes at t = -1
     assert len(g_left.intervals) == 1
@@ -214,14 +214,15 @@ def probe_kinds(pc, x0):
     eps = 0.01, depth 10^4. It is minimal iff some point off its guiding
     sets is a weak attractor, so the two engines must agree: the pairs
     the tests expect are (minimal_evidence, yes) and (not_minimal, no)."""
-    system = GuidedSystem(pc.interval, pc.maps, pc.guiding)
+    system = GuidedSystem(pc.interval, pc.maps, extract_guiding_sets(pc))
     return (probe_minimality(system, 0.01, 10 ** 4).kind,
             probe_weak_attractor(system, x0, 0.01, 10 ** 4).kind)
 
 
 def test_probe_standard_via_certificate(standard_pconf):
     cert = check_contraction_minimality(GuidedSystem(
-        standard_pconf.interval, standard_pconf.maps, standard_pconf.guiding))
+        standard_pconf.interval, standard_pconf.maps,
+        extract_guiding_sets(standard_pconf)))
     assert isinstance(cert, ContractionMinimalityCertificate)
     assert cert.guiding_empty
     assert probe_kinds(standard_pconf, 0.0) == ("minimal_evidence", "yes")
@@ -230,7 +231,7 @@ def test_probe_standard_via_certificate(standard_pconf):
 def test_probe_three_map_certificate(three_map_pconf):
     cert = check_contraction_minimality(GuidedSystem(
         three_map_pconf.interval, three_map_pconf.maps,
-        three_map_pconf.guiding))
+        extract_guiding_sets(three_map_pconf)))
     assert isinstance(cert, ContractionMinimalityCertificate)
     assert cert.guiding_empty
     assert cert.lipschitz == pytest.approx((1 / 3,) * 3)

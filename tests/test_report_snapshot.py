@@ -102,3 +102,50 @@ def test_compare_measures_moved_csvs_on_sampled_rows(tmp_path):
         f"{i!r},{v!r}\n" for i, v in enumerate(values)))
     assert compare_to(tool._take_out(path, csv=True)).endswith(
         ", header changed, not compared")
+
+
+MODULE = '''"""A small module."""
+
+
+def used(x):
+    if x > 0:
+        return [y for y in range(x)]
+    return []
+
+
+def unused():
+    return 3
+
+
+class Shape:
+    area = staticmethod(lambda: 0)
+
+    def scale(self, k):
+        def by(v):
+            return k * v
+        return by
+'''
+
+
+def test_lines_groups_unreached_lines_by_function(tmp_path):
+    # the lines of a comprehension or lambda belong to the function or
+    # class around them, a nested function's to its own qualified name;
+    # lines no call reached are listed, the module's own lines are not
+    tool = load_tool()
+    path = tmp_path / "small.py"
+    path.write_text(MODULE)
+    spec = importlib.util.spec_from_file_location("small", path)
+    module = importlib.util.module_from_spec(spec)
+
+    def run():
+        spec.loader.exec_module(module)
+        return module.used(2)
+
+    result, reached = tool.traced(run, {str(path)})
+    assert result == [0, 1]
+    assert tool.code_lines(path)[6] == "used"
+    assert tool.code_lines(path)[15] == "Shape"
+    assert tool.unreached([str(path)], reached) == {str(path): {
+        "used": [7], "unused": [11],
+        "Shape.scale.<locals>.by": [18, 19], "Shape.scale": [20]}}
+    assert tool._spans([7, 11, 18, 19, 20, 22]) == "7, 11, 18-20, 22"

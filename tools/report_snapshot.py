@@ -33,6 +33,15 @@ no bytecode is written under `perfbench/`). Each key is the workload, the
 seed and the argv; the scratch directory the configs are written to
 appears as `<tmp>` in keys, stdout and stderr.
 
+`--lines` writes no snapshot: it runs both sets of runs, the
+`configs/` corpus and the workload tasks, under a `sys.settrace` line
+tracer (Python 3.11 has no `sys.monitoring`) and prints the lines of
+`src/` that hold bytecode and that no run reached, grouped by file and by
+the function around them (`<module>` for module-level code), so a
+refactor can see which code the snapshots pin:
+
+    python tools/report_snapshot.py --lines
+
 `--compare OLD NEW` writes no snapshot: it prints one line per difference
 between two snapshots and exits 1 if it printed any. A difference is a
 key in only one of them, an exit code, stdout that is not a JSON report,
@@ -58,6 +67,8 @@ import math
 import os
 import sys
 import tempfile
+import threading
+import types
 from pathlib import Path
 
 X0_ARGS = (["--x0", "0.3"], ["--x0", "-0.999"], ["--x0", "1"])
@@ -134,6 +145,101 @@ def snapshot(root, workloads=False):
     with tempfile.TemporaryDirectory() as scratch:
         out_path = Path(scratch) / "out"
         return (_workload_runs if workloads else _config_runs)(cli, out_path)
+
+
+def traced(run, files):
+    """run() under a line tracer: its result and the (file, line) pairs it
+    reached in the source files named, as their code objects name them.
+    Threads started meanwhile are traced too; the tracers in place before
+    are restored."""
+    reached = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            reached.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def call(frame, event, arg):
+        if frame.f_code.co_filename not in files:
+            return None
+        reached.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    before = sys.gettrace(), threading.gettrace()
+    threading.settrace(call)
+    sys.settrace(call)
+    try:
+        return run(), reached
+    finally:
+        sys.settrace(before[0])
+        threading.settrace(before[1])
+
+
+ANONYMOUS = ("<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>",
+             "<lambda>")
+
+
+def code_lines(path):
+    """{line: name} for every line of the source file that holds bytecode,
+    named after the innermost function or class body around it; the lines
+    of a comprehension, generator expression or lambda belong to the
+    function around it, module-level lines to `<module>`."""
+    owner = {}
+    stack = [compile(Path(path).read_text(), str(path), "exec")]
+    while stack:                        # parents before their children
+        code = stack.pop()
+        parts = code.co_qualname.split(".")
+        while parts[-1:] and parts[-1] in ANONYMOUS:
+            parts.pop()
+            if parts[-1:] == ["<locals>"]:
+                parts.pop()
+        name = ".".join(parts) or "<module>"
+        owner.update((line, name) for _, _, line in code.co_lines()
+                     if line)         # None, or 0 before a module's first
+        stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return owner
+
+
+def unreached(files, reached):
+    """{file: {name: [lines]}} of the lines of each source file that hold
+    bytecode and are not among the (file, line) pairs reached, each under
+    the name `code_lines` gives it; files and names with none are left
+    out."""
+    out = {}
+    for path in files:
+        for line, name in sorted(code_lines(path).items()):
+            if (path, line) not in reached:
+                out.setdefault(path, {}).setdefault(name, []).append(line)
+    return out
+
+
+def _spans(lines):
+    """Sorted line numbers as text, runs of consecutive lines as a-b."""
+    runs = []
+    for line in lines:
+        if runs and line == runs[-1][1] + 1:
+            runs[-1][1] = line
+        else:
+            runs.append([line, line])
+    return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs)
+
+
+def line_report(root):
+    """The lines of `--lines`: per file of root's `src/`, each function
+    with the lines no run of either snapshot reached, then the count."""
+    files = sorted(str(p) for p in (root / "src").rglob("*.py"))
+    _, reached = traced(lambda: (snapshot(root), snapshot(root, True)),
+                        set(files))
+    missed = unreached(files, reached)
+    lines = []
+    for path, names in missed.items():
+        lines.append(str(Path(path).relative_to(root)))
+        lines += [f"  {name}: {_spans(nums)}" for name, nums in names.items()]
+    total = sum(len(code_lines(path)) for path in files)
+    lost = sum(len(nums) for names in missed.values()
+               for nums in names.values())
+    return lines + [f"{lost} of {total} src/ lines that hold bytecode "
+                    "reached by no run"]
 
 
 def _report_diffs(path, old, new, rtol):
@@ -274,7 +380,13 @@ def main():
     parser.add_argument("--workloads", action="store_true",
                         help="run the benchmark workloads' tasks at seeds "
                              "1-3 instead of the configs/ corpus")
+    parser.add_argument("--lines", action="store_true",
+                        help="list the src/ lines that no run of either "
+                             "snapshot reaches instead")
     args = parser.parse_args()
+    if args.lines:
+        print("\n".join(line_report(args.root.resolve())))
+        return
     if args.compare:
         old, new = (json.loads(path.read_text()) for path in args.compare)
         lines = compare(old, new, args.rtol)
